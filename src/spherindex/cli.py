@@ -63,7 +63,7 @@ def _load(path: str) -> dict:
 
 
 def _require(doc: dict, key: str):
-    if key not in doc:
+    if not isinstance(doc, dict) or key not in doc:
         raise ParseError(f"missing field {key!r}")
     return doc[key]
 
@@ -92,14 +92,11 @@ def parse_index(doc: dict) -> TitsIndex:
     if str(doc.get("schema_version")) != SCHEMA_VERSION:
         raise ParseError("unsupported schema_version")
     ambient = _require(doc, "ambient")
-    comps = []
-    for c in _require(ambient, "components"):
-        comps.append((str(c["family"]), int(c["rank"]), str(c.get("label", ""))))
     spec = []
-    for k, (fam, rk, label) in enumerate(comps):
-        spec.append((fam, rk, label or f"c{k + 1}"))
+    for k, c in enumerate(_require(ambient, "components")):
+        fam, rk = str(_require(c, "family")), _int(_require(c, "rank"))
+        spec.append((fam, rk, str(c.get("label", "")) or f"c{k + 1}"))
     amb = AmbientRootDatum.of(spec)
-    names = amb.root_names()
     compact = []
     for name in doc.get("compact_simple", []):
         try:
@@ -120,6 +117,15 @@ def parse_index(doc: dict) -> TitsIndex:
         raise ParseError(str(e)) from None
 
 
+def _int(x) -> int:
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        raise ParseError(f"bad integer {x!r}")
+    try:
+        return int(x)
+    except ValueError:
+        raise ParseError(f"bad integer {x!r}") from None
+
+
 def _rat(x) -> Fraction:
     if isinstance(x, bool):
         raise ParseError(f"bad rational {x!r}")
@@ -134,9 +140,15 @@ def _rat(x) -> Fraction:
 
 
 def _rat_matrix(rows) -> list:
-    if not isinstance(rows, list):
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ParseError("expected a matrix")
     return [[_rat(x) for x in row] for row in rows]
+
+
+def _check_width(rows, width: int, what: str):
+    for row in rows:
+        if len(row) != width:
+            raise ParseError(f"{what} has length {len(row)}, expected {width}")
 
 
 def parse_datum(doc: dict) -> SphericalDatumK:
@@ -157,11 +169,11 @@ def parse_datum(doc: dict) -> SphericalDatumK:
         if mode == "abstract":
             ab = _require(doc, "abstract")
             return SphericalDatumK.abstract(
-                int(_require(ab, "rank")),
+                _int(_require(ab, "rank")),
                 _rat_matrix(_require(ab, "pairing")),
                 [_rat_matrix(g) for g in ab.get("star", [])],
                 _rat_matrix(ab.get("sigma", [])),
-                sigma0=[int(i) for i in ab.get("sigma0", [])],
+                sigma0=[_int(i) for i in ab.get("sigma0", [])],
             )
     except (DatumConstructionError, KeyError) as e:
         raise ParseError(str(e)) from None
@@ -394,6 +406,8 @@ def cmd_fan(doc: dict, fan_doc: dict, checks, want_strata: bool, saturate: bool)
         bad["command"] = "fan"
         return bad, 1
     f = parse_fan(fan_doc)
+    for c in f.cones:
+        _check_width(c.generators, rd.rank, "fan generator")
     zk = valuation_cone(rd)
     issues = fan_validate(f, zk)
     report = {
@@ -469,7 +483,9 @@ def cmd_degenerate(doc: dict) -> tuple[dict, int]:
     gamma_rows = doc.get("gamma")
     if gamma_rows is not None:
         # degeneration of the quotient by a group of automorphisms
-        gamma = Lattice.from_rows(rd.rank, _rat_matrix(gamma_rows))
+        gamma_rows = _rat_matrix(gamma_rows)
+        _check_width(gamma_rows, rd.rank, "gamma row")
+        gamma = Lattice.from_rows(rd.rank, gamma_rows)
         aut = aut_roots(rd, gamma)
         xi, sigma_aut = gamma, aut.roots
     else:

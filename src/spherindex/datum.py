@@ -10,7 +10,6 @@ way the datum is normalized to lattice-basis coordinates internally.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     DatumConstructionError,
@@ -20,8 +19,14 @@ from .errors import (
     NotFiniteType,
 )
 from .index import StarAction, TitsIndex, res_A
-from .linalg import Lattice, Mat, Vec, dot, fmat, fvec, rank, vec_mat
-from .rootsys import RootBase, cartan_matrix, classify, opposition_permutation
+from .linalg import Lattice, Mat, content, fmat, fvec, gram, rank, vec_mat
+from .rootsys import (
+    RootBase,
+    cartan_matrix,
+    classify,
+    graph_components,
+    opposition_permutation,
+)
 
 
 def support(sigma) -> tuple[int, ...]:
@@ -88,7 +93,7 @@ class SphericalDatumK:
             sigma.append(c)
         b = ix.ambient.form()
         basis = xi.rows_q()
-        pairing = tuple(tuple(dot(vec_mat(r, b), s) for s in basis) for r in basis)
+        pairing = gram(basis, b)
         star_xi = []
         for g in ix.star.generators:
             rows = []
@@ -243,12 +248,9 @@ def validate(d: SphericalDatumK) -> list[ValidationItem]:
 
     add("linearly_independent", rank(d.sigma) == len(d.sigma) if d.sigma else True)
 
-    lat = Lattice.standard(d.m)
     prim = True
     for row in d.sigma:
         if any(x != 0 for x in row) and all(x.denominator == 1 for x in row):
-            from .linalg import content
-
             if content(row) != 1:
                 prim = False
     add("roots_primitive_in_lattice", prim)
@@ -269,38 +271,15 @@ def validate(d: SphericalDatumK) -> list[ValidationItem]:
         split = None
 
     if d.mode == "ambient":
-        n = d.index.ambient.dim
         sp = set(d.sp)
-        stable = True
-        for g in d.index.star.generators:
-            for i in sp:
-                img = vec_mat(fvec([int(i == j) for j in range(n)]), g)
-                hit = next((t for t in range(n) if img[t] == 1), None)
-                if hit not in sp:
-                    stable = False
-        add("sp_star_stable", stable)
+        add("sp_star_stable", not d.index.star.moved_out(sp))
 
         comp = set(d.index.compact)
-        union = sp | comp
+        union = sorted(sp | comp)
         cart = d.index.ambient.cartan()
-        ok_components = True
-        seen = set()
-        for s in union:
-            if s in seen:
-                continue
-            stack, cc = [s], set()
-            while stack:
-                i = stack.pop()
-                if i in cc:
-                    continue
-                cc.add(i)
-                for j in union:
-                    if j not in cc and cart[i][j] != 0:
-                        stack.append(j)
-            seen |= cc
-            if not (cc <= sp or cc <= comp):
-                ok_components = False
-        add("sp_compact_component_split", ok_components)
+        sub = [[cart[i][j] for j in union] for i in union]
+        parts = [{union[t] for t in part} for part in graph_components(sub)]
+        add("sp_compact_component_split", all(cc <= sp or cc <= comp for cc in parts))
 
     if split is not None and d.sigma:
         try:

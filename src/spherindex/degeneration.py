@@ -12,19 +12,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import NotAFace, NotIndependent, NotSublattice
-from .fans import Cone, _primitivize
+from .errors import InternalInconsistency, NotAFace, NotIndependent, NotSublattice
+from .fans import Cone
 from .linalg import (
     Lattice,
     Mat,
-    Vec,
     dot,
+    dual_basis,
     fmat,
     fvec,
     identity,
+    primitive_vector,
     rank,
-    smith_normal_form,
-    solve_left,
     vec_mat,
 )
 
@@ -52,7 +51,7 @@ def build_degeneration(xi: Lattice, sigma_aut) -> DegenerationDatum:
         if not xi.contains(s):
             raise NotSublattice("quotient spherical root outside the weight lattice")
     n = xi.ambient_rank
-    gamma = Lattice.from_rows(n, sigma) if sigma else Lattice(n, (), 1)
+    gamma = Lattice.from_rows(n, sigma)
 
     # xiZ is generated by the antidiagonal copy of xi and the graph of gamma
     gens = []
@@ -76,22 +75,13 @@ def build_degeneration(xi: Lattice, sigma_aut) -> DegenerationDatum:
     # coordinates dual to the xiZ basis
     rays = []
     if sigma:
-        gram = tuple(tuple(dot(a, b) for b in sigma) for a in sigma)
-        from .linalg import inverse
-
-        ginv = inverse(gram)
-        for j in range(len(sigma)):
-            # -omega_j: dot-dual basis vector of sigma inside its span
-            w = tuple(
-                -sum(ginv[t][j] * sigma[t][i] for t in range(len(sigma)))
-                for i in range(n)
-            )
-            # dual map: the coordinate of beta*(w) against a basis vector b
-            # of xiZ is the pairing of beta(b) with w
-            ray = tuple(
-                dot(vec_mat(b, beta), fvec(w)) for b in xiZ.rows_q()
-            )
-            rays.append(_primitivize(ray))
+        # omega_j: dot-dual basis vector of sigma inside its span
+        for omega in dual_basis(sigma, ident):
+            # dual map: the coordinate of beta*(-omega_j) against a basis
+            # vector b of xiZ is the pairing of beta(b) with -omega_j
+            w = tuple(-x for x in omega)
+            ray = tuple(dot(vec_mat(b, beta), w) for b in xiZ.rows_q())
+            rays.append(primitive_vector(ray))
     c_bd = Cone.of(rays)
     dd = DegenerationDatum(
         xi=xi,
@@ -111,21 +101,17 @@ def _check_exactness(xi, gamma, xiZ, delta_minus, beta):
     # delta_minus maps xi into xiZ and beta(delta_minus(chi)) = 0
     for row in xi.rows_q():
         img = vec_mat(row, delta_minus)
-        assert xiZ.contains(img), "antidiagonal image left the big lattice"
-        assert all(x == 0 for x in vec_mat(img, beta)), "composite map is nonzero"
+        if not xiZ.contains(img):
+            raise InternalInconsistency("antidiagonal image left the big lattice")
+        if any(x != 0 for x in vec_mat(img, beta)):
+            raise InternalInconsistency("composite map is nonzero")
     # beta surjects xiZ onto gamma
     images = [vec_mat(row, beta) for row in xiZ.rows_q()]
-    img_lattice = Lattice.from_rows(n, [r for r in images if any(r)]) if any(
-        any(r) for r in images
-    ) else Lattice(n, (), 1)
-    if img_lattice != gamma:
+    if Lattice.from_rows(n, images) != gamma:
         raise NotSublattice("sum map does not surject onto the root lattice")
     # kernel of beta inside xiZ equals the antidiagonal image (rank check)
-    d, _, _ = smith_normal_form(
-        [[int(x) for x in vec_mat(row, beta)] for row in xiZ.basis]
-    ) if xiZ.basis else ([], [], [])
-    beta_rank = sum(1 for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i] != 0)
-    assert xiZ.rank - beta_rank == xi.rank, "exact sequence rank mismatch"
+    if xiZ.rank - rank(images) != xi.rank:
+        raise InternalInconsistency("exact sequence rank mismatch")
 
 
 def _check_cone_in_valuation_cone(dd: DegenerationDatum):
@@ -135,11 +121,11 @@ def _check_cone_in_valuation_cone(dd: DegenerationDatum):
         for emb in (tuple(fvec(s)) + tuple(fvec([0] * n)),
                     tuple(fvec([0] * n)) + tuple(fvec(s))):
             coords = dd.xiZ.coordinates(emb)
-            assert coords is not None, "spherical root of Z left the lattice span"
+            if coords is None:
+                raise InternalInconsistency("spherical root of Z left the lattice span")
             for g in dd.c_bd.generators:
-                assert dot(coords, fvec(g)) <= 0, (
-                    "boundary cone leaves the valuation cone of Z"
-                )
+                if dot(coords, fvec(g)) > 0:
+                    raise InternalInconsistency("boundary cone leaves the valuation cone of Z")
 
 
 def faces_of_boundary_cone(dd: DegenerationDatum):
@@ -161,9 +147,8 @@ def degeneration_fiber_data(dd: DegenerationDatum, face: Cone) -> dict:
         if all(dot(coords, fvec(g)) == 0 for g in face.generators):
             sigma_fiber.append(tuple(fvec(s)))
     return {
-        "xi_fiber": dd.xi,
         "sigma_fiber": tuple(sigma_fiber),
-        "horospherical": face.dim == dd.c_bd.dim and face == dd.c_bd,
+        "horospherical": face == dd.c_bd,
         "torus_rank": face.dim,
         "k_form": face.dim == 0,
     }

@@ -12,13 +12,11 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 
 from .errors import BudgetExceeded, NotConvex, NotSimplicial, NotValidated
 from .linalg import (
     Lattice,
     Mat,
-    Vec,
     dot,
     find_feasible,
     fmat,
@@ -31,16 +29,10 @@ from .linalg import (
     transpose,
     vec_mat,
 )
-from .restrict import RestrictedDatum, ValuationCone
+from .restrict import LittleDatum, ValuationCone
 
 ORBIT_CAP_ENV = "SPHERINDEX_ORBIT_CAP"
 HARD_ORBIT_CEILING = 100_000
-
-
-def _primitivize(v) -> tuple[int, ...]:
-    v = fvec(v)
-    d = lcm(*(x.denominator for x in v)) if v else 1
-    return primitive_vector([int(x * d) for x in v])
 
 
 @dataclass(frozen=True)
@@ -131,7 +123,7 @@ def fan_validate(f: Fan, zk: ValuationCone | None = None) -> list[FanIssue]:
         for g in c.generators:
             if all(x == 0 for x in g):
                 issues.append(FanIssue("zero_generator", f"cone {c.generators}"))
-            elif g != _primitivize(g):
+            elif g != primitive_vector(g):
                 issues.append(FanIssue("not_primitive", f"generator {g}"))
         if c.generators and rank(fmat(c.generators)) != c.dim:
             issues.append(FanIssue("not_simplicial", f"cone {c.generators}"))
@@ -206,7 +198,7 @@ def is_complete_for(f: Fan, zk: ValuationCone, validated: bool = False) -> bool:
     return True
 
 
-def is_smooth(f: Fan, lattice_rank: int | None = None) -> dict[Cone, bool]:
+def is_smooth(f: Fan) -> dict[Cone, bool]:
     """Per-cone unimodularity against the standard dual lattice."""
     out = {}
     for c in f.cones:
@@ -219,11 +211,11 @@ def is_smooth(f: Fan, lattice_rank: int | None = None) -> dict[Cone, bool]:
     return out
 
 
-def standard_fan(rd: RestrictedDatum) -> Fan:
+def standard_fan(rd: LittleDatum) -> Fan:
     """Faces of the valuation cone, one per subset of the spherical roots."""
     if rd.nk0_basis:
         raise NotConvex("valuation cone is not strictly convex")
-    rays = [_primitivize(tuple(-x for x in w)) for w in rd.coweights]
+    rays = [primitive_vector(tuple(-x for x in w)) for w in rd.coweights]
     cones = []
     for k in range(len(rays) + 1):
         for sub in combinations(range(len(rays)), k):
@@ -235,7 +227,7 @@ def cone_membership(v, zk: ValuationCone) -> bool:
     return all(dot(fvec(s), fvec(v)) <= 0 for s in zk.inequalities)
 
 
-def _meets_interior(c: Cone, rd: RestrictedDatum) -> bool:
+def _meets_interior(c: Cone, rd: LittleDatum) -> bool:
     """Whether the cone contains a point with every root strictly negative."""
     if not rd.sigma_k:
         return True
@@ -269,7 +261,7 @@ class StrataPoset:
     edges: tuple[tuple[int, int], ...]  # cover relations (smaller, larger cone)
 
 
-def strata(f: Fan, rd: RestrictedDatum) -> StrataPoset:
+def strata(f: Fan, rd: LittleDatum) -> StrataPoset:
     nodes = []
     for c in f.cones:
         if c.generators:
@@ -305,7 +297,7 @@ def dominates(f1: Fan, f2: Fan) -> bool:
     return all(any(c2.contains_cone(c1) for c2 in f2.cones) for c1 in f1.cones)
 
 
-def _reflection_on_dual(rd: RestrictedDatum, s) -> Mat:
+def _reflection_on_dual(rd: LittleDatum, s) -> Mat:
     """Matrix of s_sigma on dual coordinates (rows act on the right)."""
     f = fmat(rd.form_k)
     s = fvec(s)
@@ -321,7 +313,7 @@ def _reflection_on_dual(rd: RestrictedDatum, s) -> Mat:
     return transpose(tuple(m))
 
 
-def weyl_saturate(f: Fan, rd: RestrictedDatum, cap: int | None = None) -> Fan:
+def weyl_saturate(f: Fan, rd: LittleDatum, cap: int | None = None) -> Fan:
     """Orbit of the fan under the little Weyl group."""
     if cap is None:
         env = os.environ.get(ORBIT_CAP_ENV)
@@ -335,7 +327,7 @@ def weyl_saturate(f: Fan, rd: RestrictedDatum, cap: int | None = None) -> Fan:
         for c in frontier:
             for m in refl:
                 img = Cone.of(
-                    tuple(_primitivize(vec_mat(fvec(g), m)) for g in c.generators)
+                    tuple(primitive_vector(vec_mat(fvec(g), m)) for g in c.generators)
                 )
                 if img not in seen:
                     seen.add(img)

@@ -19,6 +19,7 @@ from .linalg import (
     dot,
     fmat,
     fvec,
+    gram,
     integer_kernel,
     inverse,
     mat_mul,
@@ -51,8 +52,15 @@ class StarAction:
                 raise DatumConstructionError("star generator has wrong shape")
         return StarAction(gens, dim)
 
-    def apply(self, g_index: int, v) -> Vec:
-        return vec_mat(fvec(v), self.generators[g_index])
+    def moved_out(self, subset) -> list[tuple[int, int]]:
+        """Pairs (k, i) where generator k sends simple root i out of ``subset``."""
+        out = []
+        for k, g in enumerate(self.generators):
+            for i in subset:
+                hit = next((t for t in range(self.dim) if g[i][t] == 1), None)
+                if hit not in subset:
+                    out.append((k, i))
+        return out
 
     def elements(self, cap: int = STAR_GROUP_CAP) -> list[Mat]:
         """All elements of the generated group (BFS closure)."""
@@ -106,14 +114,8 @@ class TitsIndex:
             self.star.elements()
         except BudgetExceeded:
             out.append("star action does not generate a finite group")
-        n = self.ambient.dim
-        comp = set(self.compact)
-        for k, g in enumerate(self.star.generators):
-            for i in comp:
-                img = vec_mat(fvec([int(i == j) for j in range(n)]), g)
-                hit = next((t for t in range(n) if img[t] == 1), None)
-                if hit not in comp:
-                    out.append(f"star generator {k} moves compact root {i} out of the compact set")
+        for k, i in self.star.moved_out(set(self.compact)):
+            out.append(f"star generator {k} moves compact root {i} out of the compact set")
         return out
 
 
@@ -151,8 +153,7 @@ def dual_form_on_split(ix: TitsIndex) -> Mat:
     """Form on restriction coordinates matching the projected invariant form."""
     v = split_subspace(ix)
     b = ix.ambient.form()
-    gram = tuple(tuple(dot(vec_mat(r, b), s) for s in v) for r in v)
-    return inverse(gram)
+    return inverse(gram(v, b))
 
 
 @dataclass(frozen=True)

@@ -39,29 +39,12 @@ def fmat(m) -> Mat:
     return tuple(fvec(r) for r in m)
 
 
-def zeros(n: int) -> Vec:
-    return (Fraction(0),) * n
-
-
 def identity(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def dot(u, v) -> Fraction:
     return sum((Fraction(a) * b for a, b in zip(u, v, strict=True)), Fraction(0))
-
-
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
-def vec_scale(c, v):
-    c = frac(c)
-    return tuple(c * x for x in v)
 
 
 def vec_mat(v, m) -> Vec:
@@ -73,11 +56,6 @@ def vec_mat(v, m) -> Vec:
 
 def mat_mul(a, b) -> Mat:
     return tuple(vec_mat(row, b) for row in a)
-
-
-def mat_vec(m, v) -> Vec:
-    """Matrix times column vector."""
-    return tuple(dot(row, v) for row in m)
 
 
 def transpose(m) -> Mat:
@@ -150,6 +128,20 @@ def inverse(m: Mat) -> Mat:
     return tuple(row[n:] for row in red)
 
 
+def gram(rows, form) -> Mat:
+    """Gram matrix (a F b) of the rows under the bilinear form F."""
+    rows_f = [vec_mat(a, form) for a in rows]
+    return tuple(tuple(dot(af, b) for b in rows) for af in rows_f)
+
+
+def dual_basis(rows, form) -> Mat:
+    """Rows w_j in the span of rows @ F with dot(w_j, rows[k]) == [j == k].
+
+    For a root base these are the fundamental coweights.
+    """
+    return mat_mul(inverse(gram(rows, form)), mat_mul(rows, form))
+
+
 def content(v) -> int:
     """gcd of the entries of an integer vector (0 for the zero vector)."""
     g = 0
@@ -158,12 +150,13 @@ def content(v) -> int:
     return g
 
 
-def primitive_vector(v):
-    """Divide an integer vector by its content, keeping the direction."""
-    g = content(v)
+def primitive_vector(v) -> tuple[int, ...]:
+    """The primitive integer vector on the ray of a rational vector."""
+    (ints,) = scale_rows_integral([v])
+    g = content(ints)
     if g == 0:
         raise ZeroVector("zero vector has no primitive representative")
-    return tuple(int(x) // g for x in v)
+    return tuple(x // g for x in ints)
 
 
 def scale_rows_integral(rows) -> list[list[int]]:
@@ -410,11 +403,8 @@ def primitive_multiple(v, lattice: Lattice) -> tuple[Vec, Fraction]:
     c = lattice.coordinates(v)
     if c is None:
         raise NotInSpan("v is not in the span of the lattice")
-    d = lcm(*(x.denominator for x in c))
-    ints = [int(x * d) for x in c]
-    g = content(ints)
-    prim_coords = [x // g for x in ints]
-    n = Fraction(g, d)
+    prim_coords = primitive_vector(c)
+    n = next(x / p for x, p in zip(c, prim_coords) if p)
     return lattice.member_from_coords(prim_coords), n
 
 

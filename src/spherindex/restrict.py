@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .datum import CompactRootSplit, SphericalDatumK, compact_split
 from .errors import (
@@ -23,13 +24,16 @@ from .errors import (
     NotBetween,
     NotConvex,
 )
+from .index import restricted_simple_roots, split_subspace
 from .linalg import (
     Lattice,
     Mat,
     Vec,
     dot,
+    dual_basis,
     fmat,
     fvec,
+    gram,
     hermite_normal_form,
     identity,
     integer_kernel,
@@ -42,14 +46,13 @@ from .linalg import (
     solve_left,
     transpose,
     vec_mat,
-    vec_sub,
 )
 from .rootsys import RootBase, cartan_matrix, classify, generate_roots, weyl_order
 
 
 @dataclass(frozen=True)
-class RestrictedDatum:
-    """All little-field invariants of a spherical datum.
+class LittleDatum:
+    """The little-field invariants of a restricted or localized datum.
 
     Vectors in ``sigma_k``, ``phi_k`` live in coordinates of the canonical
     basis of the little weight lattice; ``nk0_basis`` and ``coweights``
@@ -68,17 +71,27 @@ class RestrictedDatum:
     wk_order: int
     nk0_basis: Mat
     coweights: Mat
-    nk_basis: Mat | None = None
-    xik_image_basis: Mat | None = None
-    proj_lifts: Mat | None = None
-    proj_matrix: Mat | None = None
-    split: CompactRootSplit | None = None
 
     @property
     def wk_type_name(self) -> str:
         if not self.wk_types:
             return "trivial"
         return " x ".join(f"{f}{r}" for f, r in self.wk_types)
+
+
+@dataclass(frozen=True)
+class RestrictedDatum(LittleDatum):
+    """All little-field invariants of a spherical datum.
+
+    Adds the maps between the big and little sides that the structural
+    checks need.
+    """
+
+    nk_basis: Mat
+    xik_image_basis: Mat
+    proj_lifts: Mat
+    proj_matrix: Mat
+    split: CompactRootSplit
 
 
 def _star_fix_constraints(d: SphericalDatumK) -> list[Vec]:
@@ -104,26 +117,17 @@ def _projection_matrix(d: SphericalDatumK, split: CompactRootSplit) -> Mat:
     """Orthogonal projection onto the annihilator-complement of N_k."""
     m = d.m
     f = fmat(d.pairing)
-    u_rows = [fvec(d.sigma[i]) for i in split.sigma0]
-    for g in d.star_xi:
-        gm = fmat(g)
-        for i in range(m):
-            row = [Fraction(int(i == j)) - gm[i][j] for j in range(m)]
-            if any(x != 0 for x in row):
-                u_rows.append(tuple(row))
-    # prune to an independent spanning set
+    u_rows = [fvec(d.sigma[i]) for i in split.sigma0] + _star_fix_constraints(d)
+    # prune to an independent spanning set; P depends only on the span
     basis: list[Vec] = []
     for r in u_rows:
-        from .linalg import rank as _rank
-
-        if _rank(basis + [r]) > len(basis):
+        if rank(basis + [r]) > len(basis):
             basis.append(r)
     ident = fmat(identity(m))
     if not basis:
         return ident
     u = tuple(basis)
-    gram = tuple(tuple(dot(vec_mat(a, f), b) for b in u) for a in u)
-    ginv = inverse(gram)
+    ginv = inverse(gram(u, f))
     # P = I - F U^T G^{-1} U  (rows act on the right)
     fut = mat_mul(f, transpose(u))
     corr = mat_mul(mat_mul(fut, ginv), u)
@@ -143,16 +147,7 @@ def _core(rank_: int, sigma_rows: Mat, form: Mat, fibers) -> dict:
         order = weyl_order(types)
         phi = tuple(generate_roots(base))
         nk0 = tuple(fvec(r) for r in integer_kernel(sigma_rows, width=rank_))
-        gram = tuple(tuple(dot(vec_mat(a, form), b) for b in sigma_rows) for a in sigma_rows)
-        ginv = inverse(gram)
-        sf = tuple(vec_mat(s, form) for s in sigma_rows)
-        coweights = tuple(
-            tuple(
-                sum((ginv[t][j] * sf[t][i] for t in range(len(sigma_rows))), Fraction(0))
-                for i in range(rank_)
-            )
-            for j in range(len(sigma_rows))
-        )
+        coweights = dual_basis(sigma_rows, form)
         lat = Lattice.standard(rank_)
         prim, mult = [], []
         for s in sigma_rows:
@@ -225,7 +220,7 @@ def restrict_datum(d: SphericalDatumK) -> RestrictedDatum:
         chi = solve(tuple(nk), row)  # nk @ chi = row, i.e. raw res of chi is row
         lifts.append(chi)
     plifts = tuple(vec_mat(fvec(chi), p) for chi in lifts)
-    form_k = tuple(tuple(dot(vec_mat(a, f), b) for b in plifts) for a in plifts)
+    form_k = gram(plifts, f)
 
     core = _core(dk, tuple(sigma_k), form_k, fibers)
     return RestrictedDatum(
@@ -293,7 +288,7 @@ class ValuationCone:
     extremal_rays: Mat  # present exactly when the cone is strictly convex
 
 
-def valuation_cone(rd: RestrictedDatum) -> ValuationCone:
+def valuation_cone(rd: LittleDatum) -> ValuationCone:
     strictly_convex = not rd.nk0_basis
     rays = ()
     if strictly_convex and rd.coweights:
@@ -322,18 +317,7 @@ def coweight_identity_check(d: SphericalDatumK, rd: RestrictedDatum | None = Non
         rd = restrict_datum(d)
     if not d.sigma:
         return {"checked": 0}
-    f = fmat(d.pairing)
-    sigma = fmat(d.sigma)
-    gram = tuple(tuple(dot(vec_mat(a, f), b) for b in sigma) for a in sigma)
-    ginv = inverse(gram)
-    sf = tuple(vec_mat(s, f) for s in sigma)
-    k_coweights = tuple(
-        tuple(
-            sum((ginv[t][j] * sf[t][i] for t in range(len(sigma))), Fraction(0))
-            for i in range(d.m)
-        )
-        for j in range(len(sigma))
-    )
+    k_coweights = dual_basis(fmat(d.sigma), fmat(d.pairing))
     checked = 0
     for j, fib in enumerate(rd.fibers):
         total = tuple(Fraction(0) for _ in range(rd.rank))
@@ -360,8 +344,6 @@ def chamber_containment_check(d: SphericalDatumK, rd: RestrictedDatum | None = N
         rd = restrict_datum(d)
     if d.mode != "ambient":
         return {"checked": 0}
-    from .index import restricted_simple_roots, split_subspace
-
     ix = d.index
     v = split_subspace(ix)
     if not v:
@@ -399,7 +381,6 @@ def facet_inheritance_check(d: SphericalDatumK, rd: RestrictedDatum | None = Non
     """
     if rd is None:
         rd = restrict_datum(d)
-    split = rd.split if rd.split is not None else compact_split(d)
     gens = [fvec(g) for g in rd.nk0_basis]
     gens += [tuple(-x for x in g) for g in rd.nk0_basis]
     gens += [tuple(-x for x in w) for w in rd.coweights]
@@ -408,7 +389,7 @@ def facet_inheritance_check(d: SphericalDatumK, rd: RestrictedDatum | None = Non
     fiber_of = {i: t for t, fib in enumerate(rd.fibers) for i in fib}
     checked = {"full": 0, "facet": 0}
     for i in range(len(d.sigma)):
-        if i in split.sigma0:
+        if i in rd.split.sigma0:
             raw = _raw_res(rd.nk_basis, d.sigma[i]) if rd.nk_basis else ()
             if not is_zero_vec(raw):
                 raise InternalInconsistency(
@@ -444,8 +425,7 @@ def predicates(d: SphericalDatumK, rd: RestrictedDatum | None = None) -> dict:
     if rd.rank == 0:
         det1 = True
     satake = True
-    split = rd.split if rd.split is not None else compact_split(d)
-    for i in split.noncompact:
+    for i in rd.split.noncompact:
         s = fvec(d.sigma[i])
         for g in d.star_xi:
             if vec_mat(s, g) != s:
@@ -461,7 +441,7 @@ def predicates(d: SphericalDatumK, rd: RestrictedDatum | None = None) -> dict:
 
 @dataclass(frozen=True)
 class Localization:
-    datum: RestrictedDatum  # invariants of the localized variety
+    datum: LittleDatum  # invariants of the localized variety
     xi_basis_in_parent: Mat  # basis of the localized weight lattice
     sigma_k_indices: tuple[int, ...]  # positions of J inside sigma_k
     sigma_K_indices: tuple[int, ...]  # induced big-side spherical roots
@@ -488,17 +468,11 @@ def localize(rd: RestrictedDatum, j_indices) -> Localization:
     for t in j:
         c = solve_left(new_basis, fvec(rd.sigma_k[t]))
         sigma_new.append(c)
-    f = fmat(rd.form_k)
-    form_new = tuple(
-        tuple(dot(vec_mat(a, f), b) for b in new_basis) for a in new_basis
-    )
+    form_new = gram(new_basis, fmat(rd.form_k))
     fibers = [rd.fibers[t] for t in j]
     core = _core(len(new_basis), tuple(sigma_new), form_new, fibers)
-    sub = RestrictedDatum(**core)
-    sigma_K = sorted(
-        set(i for t in j for i in rd.fibers[t])
-        | (set(rd.split.sigma0) if rd.split else set())
-    )
+    sub = LittleDatum(**core)
+    sigma_K = sorted(set(i for t in j for i in rd.fibers[t]) | set(rd.split.sigma0))
     return Localization(
         datum=sub,
         xi_basis_in_parent=new_basis,
@@ -513,7 +487,7 @@ class AutRoots:
     n_aut: tuple[int, ...]
 
 
-def aut_roots(rd: RestrictedDatum, gamma: Lattice) -> AutRoots:
+def aut_roots(rd: LittleDatum, gamma: Lattice) -> AutRoots:
     """Spherical roots of the quotient by a group of automorphisms.
 
     ``gamma`` is the character sublattice of the quotient; it must sit
@@ -528,7 +502,6 @@ def aut_roots(rd: RestrictedDatum, gamma: Lattice) -> AutRoots:
     for s in rd.sigma_k:
         if not gamma.contains(s):
             raise NotBetween("sublattice does not contain the restricted roots")
-    from math import lcm
 
     roots, mults = [], []
     for p in rd.sigma_k_pr:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import NotARootBase, NotFiniteType
-from .linalg import Mat, Vec, dot, fmat, fvec, mat_vec, rank, vec_mat
+from .linalg import Mat, Vec, fmat, fvec, gram, inverse, rank, vec_mat
 
 VALID_RANKS = {
     "A": lambda n: n >= 1,
@@ -184,13 +184,11 @@ class RootBase:
         form = fmat(form)
         if rank(vectors) != len(vectors):
             raise NotARootBase("base vectors are linearly dependent")
-        gram = tuple(
-            tuple(dot(vec_mat(v, form), w) for w in vectors) for v in vectors
-        )
-        for i, row in enumerate(gram):
+        g = gram(vectors, form)
+        for i, row in enumerate(g):
             if row[i] <= 0:
                 raise NotARootBase("base vector of nonpositive squared length")
-        return RootBase(vectors, gram)
+        return RootBase(vectors, g)
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -217,7 +215,8 @@ def cartan_matrix(base: RootBase) -> Mat:
     return tuple(c)
 
 
-def _graph_components(c: Mat) -> list[list[int]]:
+def graph_components(c) -> list[list[int]]:
+    """Connected components of the graph with an edge where c[i][j] != 0."""
     n = len(c)
     seen = [False] * n
     comps = []
@@ -282,7 +281,7 @@ def classify(c) -> list[tuple[str, int, tuple[int, ...]]]:
     """
     c = tuple(tuple(int(x) for x in row) for row in c)
     out = []
-    for comp in _graph_components(c):
+    for comp in graph_components(c):
         sub = tuple(tuple(c[i][j] for j in comp) for i in comp)
         n = len(comp)
         found = None
@@ -335,65 +334,44 @@ def generate_roots(base: RootBase) -> list[Vec]:
     """All roots of the finite system spanned by the base.
 
     Roots come back as rational vectors in the ambient coordinates of the
-    base, sorted; the count is checked against the classified type.
+    base, sorted by their base coordinates.
     """
-    c = cartan_matrix(base)
-    types = classify(c)
-    bound = sum(root_count(fam, rk) for fam, rk, _ in types)
-    n = len(c)
-    # work in base coordinates, reflect, then map out
-    seen = {tuple(int(i == j) for j in range(n)) for i in range(n)}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            pair = vec_mat(fvec(v), fmat(c))  # <v, a_j^vee> for each j
-            for j in range(n):
-                w = list(v)
-                w[j] -= pair[j]
-                w = tuple(w)
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-                    if len(seen) > bound:
-                        raise NotFiniteType("reflection closure exceeds root bound")
-        frontier = nxt
-    roots = set(seen)
-    roots |= {tuple(-x for x in v) for v in seen}
-    if len(roots) != bound:
-        raise NotFiniteType("root count does not match classified type")
-    out = [vec_mat(fvec(v), base.vectors) for v in sorted(roots)]
-    return out
+    pos = positive_roots_in_base_coords(cartan_matrix(base))
+    roots = sorted(pos + [tuple(-x for x in v) for v in pos])
+    return [vec_mat(fvec(v), base.vectors) for v in roots]
 
 
 def positive_roots_in_base_coords(c: Mat) -> list[tuple[int, ...]]:
-    """Positive roots of a Cartan matrix, as integer base-coordinate rows."""
+    """Positive roots of a Cartan matrix, as sorted integer base-coordinate rows.
+
+    The reflection closure of the simple roots; the count is checked against
+    the classified type.
+    """
+    c = tuple(tuple(int(x) for x in row) for row in c)
     n = len(c)
-    types = classify(c)
-    bound = sum(root_count(fam, rk) for fam, rk, _ in types)
+    cols = tuple(zip(*c))
+    bound = sum(root_count(fam, rk) for fam, rk, _ in classify(c))
     seen = {tuple(int(i == j) for j in range(n)) for i in range(n)}
     frontier = list(seen)
     while frontier:
         nxt = []
         for v in frontier:
-            pair = vec_mat(fvec(v), fmat(c))
-            for j in range(n):
-                w = list(v)
-                w[j] -= int(pair[j])
-                w = tuple(w)
+            for j, col in enumerate(cols):
+                pair = sum(x * y for x, y in zip(v, col))  # <v, a_j^vee>
+                w = v[:j] + (v[j] - pair,) + v[j + 1:]
                 if w not in seen:
                     seen.add(w)
                     nxt.append(w)
                     if len(seen) > bound:
                         raise NotFiniteType("reflection closure exceeds root bound")
         frontier = nxt
+    if len(seen) != bound:
+        raise NotFiniteType("root count does not match classified type")
     return sorted(v for v in seen if all(x >= 0 for x in v))
 
 
 def _rho_coords(c: Mat) -> Vec:
     """Coordinates of the Weyl vector: <rho, a_j^vee> = 1 for all j."""
-    from .linalg import inverse
-
     n = len(c)
     cinv = inverse(fmat(c))
     return vec_mat(fvec([1] * n), cinv)

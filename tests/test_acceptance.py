@@ -8,7 +8,7 @@ seeded geometric generators in datagen.
 
 from fractions import Fraction
 
-from datagen import random_convex_data, random_data, to_abstract
+from datagen import flip_matrix, random_convex_data, random_data, to_abstract
 from spherindex.datum import SphericalDatumK, is_valid, validate
 from spherindex.degeneration import (
     build_degeneration,
@@ -45,13 +45,6 @@ from spherindex.rootsys import (
 )
 
 H = Fraction(1, 2)
-
-
-def flip_matrix(n, pairs):
-    perm = list(range(n))
-    for a, b in pairs:
-        perm[a], perm[b] = perm[b], perm[a]
-    return [[int(perm[i] == j) for j in range(n)] for i in range(n)]
 
 
 def sp42_datum():

@@ -67,6 +67,29 @@ def test_bad_schema_exit_2(capsys, tmp_path):
     assert run(capsys, "analyze", path)[0] == 2
     path = write(tmp_path, "bad2.json", {"cones": []})
     assert run(capsys, "analyze", path)[0] == 2
+    good = {
+        "schema_version": "1",
+        "mode": "ambient",
+        "ambient": {"components": [{"family": "A", "rank": 3}]},
+        "spherical": {"sigma": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+    }
+    no_family = dict(good, ambient={"components": [{"rank": 3}]})
+    rank_not_int = {
+        "schema_version": "1",
+        "mode": "abstract",
+        "abstract": {"rank": "x", "pairing": [[2]], "sigma": [[1]]},
+    }
+    short_generator = write(tmp_path, "fan.json", {"cones": [[[-1, 0, 0], [0, -1]]]})
+    cases = [
+        ("restrict-index", no_family, []),
+        ("analyze", rank_not_int, []),
+        ("fan", good, ["--fan", short_generator]),
+        ("degenerate", dict(good, gamma=[[1, 0]]), []),
+    ]
+    for k, (cmd, doc, extra) in enumerate(cases):
+        code, _, err = run(capsys, cmd, write(tmp_path, f"hole{k}.json", doc), *extra)
+        assert code == 2, cmd
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_validation_failure_exit_1_with_report(capsys, tmp_path):

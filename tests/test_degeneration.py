@@ -64,7 +64,6 @@ def test_fiber_data_extremes():
     assert full["horospherical"] is True
     assert full["sigma_fiber"] == ()
     assert full["torus_rank"] == 2
-    assert full["xi_fiber"] == dd.xi
 
 
 def test_fiber_data_ray():

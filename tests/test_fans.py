@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from datagen import flip_matrix
 from spherindex.datum import SphericalDatumK
 from spherindex.errors import BudgetExceeded, NotConvex, NotValidated
 from spherindex.fans import (
@@ -21,13 +22,6 @@ from spherindex.restrict import restrict_datum, valuation_cone
 from spherindex.rootsys import AmbientRootDatum
 
 H = Fraction(1, 2)
-
-
-def flip_matrix(n, pairs):
-    perm = list(range(n))
-    for a, b in pairs:
-        perm[a], perm[b] = perm[b], perm[a]
-    return [[int(perm[i] == j) for j in range(n)] for i in range(n)]
 
 
 def e6_rd():
@@ -245,15 +239,14 @@ def test_weyl_saturate_b2():
 
 def test_weyl_saturate_reflection_stable():
     from spherindex.fans import _reflection_on_dual
-    from spherindex.linalg import vec_mat, fvec
-    from spherindex.fans import _primitivize
+    from spherindex.linalg import vec_mat, fvec, primitive_vector
 
     _, rd = e6_rd()
     sat = weyl_saturate(standard_fan(rd), rd)
     for s in rd.sigma_k:
         m = _reflection_on_dual(rd, s)
         imgs = {
-            Cone.of([_primitivize(vec_mat(fvec(g), m)) for g in c.generators])
+            Cone.of([primitive_vector(vec_mat(fvec(g), m)) for g in c.generators])
             for c in sat.cones
         }
         assert imgs == set(sat.cones)

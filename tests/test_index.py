@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from datagen import flip_matrix
 from spherindex.errors import BudgetExceeded
 from spherindex.index import (
     StarAction,
@@ -14,13 +15,6 @@ from spherindex.index import (
 )
 from spherindex.linalg import Lattice, image_lattice, rank
 from spherindex.rootsys import AmbientRootDatum
-
-
-def flip_matrix(n: int, pairs):
-    perm = list(range(n))
-    for a, b in pairs:
-        perm[a], perm[b] = perm[b], perm[a]
-    return [[int(perm[i] == j) for j in range(n)] for i in range(n)]
 
 
 def split_index(fam, n):

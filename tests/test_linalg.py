@@ -1,14 +1,18 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spherindex.errors import NotInSpan, ZeroVector
 from spherindex.linalg import (
     Lattice,
+    dot,
+    dual_basis,
     find_feasible,
+    gram,
     hermite_normal_form,
+    identity,
     image_lattice,
     integer_kernel,
     intersection_with_subspace,
@@ -19,6 +23,7 @@ from spherindex.linalg import (
     rref,
     smith_normal_form,
     solve_left,
+    transpose,
     vec_mat,
 )
 
@@ -233,3 +238,29 @@ def test_find_feasible_certificate(a, b):
     if x is not None:
         for row, bi in zip(a, b):
             assert sum(Fraction(c) * xi for c, xi in zip(row, x)) <= bi
+
+
+def square_and_rows(max_dim=4):
+    return st.integers(1, max_dim).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(small_int, min_size=n, max_size=n), min_size=n, max_size=n),
+            st.lists(st.lists(small_int, min_size=n, max_size=n), min_size=1, max_size=n),
+        )
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(square_and_rows())
+def test_gram_symmetric_and_dual_basis_pairs_to_identity(data):
+    a, rows = data
+    n = len(a)
+    assume(rank(rows) == len(rows))
+    # A^T A + I is symmetric positive definite
+    form = [
+        [sum(a[t][i] * a[t][j] for t in range(n)) + int(i == j) for j in range(n)]
+        for i in range(n)
+    ]
+    g = gram(rows, form)
+    assert g == transpose(g)
+    w = dual_basis(rows, form)
+    assert tuple(tuple(dot(wj, r) for r in rows) for wj in w) == identity(len(rows))

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from datagen import flip_matrix
 from spherindex.datum import SphericalDatumK
 from spherindex.errors import FiberMismatch, NotBetween, NotConvex
 from spherindex.index import TitsIndex
@@ -21,13 +22,6 @@ from spherindex.restrict import (
 from spherindex.rootsys import AmbientRootDatum
 
 H = Fraction(1, 2)
-
-
-def flip_matrix(n, pairs):
-    perm = list(range(n))
-    for a, b in pairs:
-        perm[a], perm[b] = perm[b], perm[a]
-    return [[int(perm[i] == j) for j in range(n)] for i in range(n)]
 
 
 def sp42_datum():

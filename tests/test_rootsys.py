@@ -138,6 +138,8 @@ def test_generate_roots_counts():
         base = std_base(fam, n)
         roots = generate_roots(base)
         assert len(roots) == root_count(fam, n)
+        pos = positive_roots_in_base_coords(standard_cartan(fam, n))
+        assert 2 * len(pos) == root_count(fam, n)
 
 
 def test_generate_roots_a1():
