@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from .datum import SphericalDatumK, is_valid, validate
 from .degeneration import build_degeneration, degeneration_fiber_data, faces_of_boundary_cone
 from .errors import DatumConstructionError, SpherindexError, TheoremViolation
 from .fans import (
+    ORBIT_CAP_ENV,
     Fan,
     cone_membership,
     fan_validate,
@@ -93,22 +95,22 @@ def parse_index(doc: dict) -> TitsIndex:
         raise ParseError("unsupported schema_version")
     ambient = _require(doc, "ambient")
     spec = []
-    for k, c in enumerate(_require(ambient, "components")):
+    for k, c in enumerate(_list(_require(ambient, "components"), "components")):
         fam, rk = str(_require(c, "family")), _int(_require(c, "rank"))
         spec.append((fam, rk, str(c.get("label", "")) or f"c{k + 1}"))
     amb = AmbientRootDatum.of(spec)
     compact = []
-    for name in doc.get("compact_simple", []):
+    for name in _list(doc.get("compact_simple", []), "compact_simple"):
         try:
             compact.append(amb.index_of_root(str(name)))
         except KeyError:
             raise ParseError(f"unknown simple root {name!r}") from None
     gens = []
-    for g in doc.get("star_generators", []):
+    for g in _list(doc.get("star_generators", []), "star_generators"):
         if g == "flip":
             gens.append(_flip_generator(amb))
         elif isinstance(g, list):
-            gens.append([[_rat(x) for x in row] for row in g])
+            gens.append(_rat_matrix(g))
         else:
             raise ParseError(f"bad star generator {g!r}")
     try:
@@ -139,10 +141,14 @@ def _rat(x) -> Fraction:
     raise ParseError(f"bad rational {x!r}")
 
 
+def _list(x, what: str) -> list:
+    if not isinstance(x, list):
+        raise ParseError(f"expected a list for {what}")
+    return x
+
+
 def _rat_matrix(rows) -> list:
-    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-        raise ParseError("expected a matrix")
-    return [[_rat(x) for x in row] for row in rows]
+    return [[_rat(x) for x in _list(row, "a matrix row")] for row in _list(rows, "a matrix")]
 
 
 def _check_width(rows, width: int, what: str):
@@ -161,9 +167,11 @@ def parse_datum(doc: dict) -> SphericalDatumK:
             spherical = _require(doc, "spherical")
             sigma = _rat_matrix(_require(spherical, "sigma"))
             xi = spherical.get("xi_basis")
-            xi = _rat_matrix(xi) if xi is not None else None
+            if xi is not None:
+                xi = _rat_matrix(xi)
+                _check_width(xi, ix.ambient.dim, "xi_basis row")
             sp = []
-            for name in spherical.get("sp", []):
+            for name in _list(spherical.get("sp", []), "sp"):
                 sp.append(ix.ambient.index_of_root(str(name)))
             return SphericalDatumK.ambient(ix, sigma, xi_rows=xi, sp=sp)
         if mode == "abstract":
@@ -171,9 +179,9 @@ def parse_datum(doc: dict) -> SphericalDatumK:
             return SphericalDatumK.abstract(
                 _int(_require(ab, "rank")),
                 _rat_matrix(_require(ab, "pairing")),
-                [_rat_matrix(g) for g in ab.get("star", [])],
+                [_rat_matrix(g) for g in _list(ab.get("star", []), "star")],
                 _rat_matrix(ab.get("sigma", [])),
-                sigma0=[_int(i) for i in ab.get("sigma0", [])],
+                sigma0=[_int(i) for i in _list(ab.get("sigma0", []), "sigma0")],
             )
     except (DatumConstructionError, KeyError) as e:
         raise ParseError(str(e)) from None
@@ -262,11 +270,7 @@ def _beta_coordinates(d: SphericalDatumK, rows):
     if d.mode != "ambient":
         return None
     srs = restricted_simple_roots(d.index)
-    out = []
-    for row in rows:
-        img = res_A(d.index, row)
-        out.append(solve_left(srs.roots, img))
-    return out
+    return [solve_left(srs.roots, res_A(d.index, row)) for row in rows]
 
 
 def cmd_restrict_index(doc: dict) -> tuple[dict, int]:
@@ -419,7 +423,7 @@ def cmd_fan(doc: dict, fan_doc: dict, checks, want_strata: bool, saturate: bool)
     if issues:
         code = 1
     if saturate and not issues:
-        f = weyl_saturate(f, rd)
+        f = weyl_saturate(f, rd, cap=_orbit_cap())
         report["saturated_cones"] = [
             [list(g) for g in c.generators] for c in f.cones
         ]
@@ -444,6 +448,20 @@ def cmd_fan(doc: dict, fan_doc: dict, checks, want_strata: bool, saturate: bool)
     if want_strata and not issues:
         report["strata"] = _strata_report(strata(f, rd))
     return report, code
+
+
+def _orbit_cap() -> int | None:
+    """The positive integer in SPHERINDEX_ORBIT_CAP, or None when it is unset."""
+    env = os.environ.get(ORBIT_CAP_ENV)
+    if not env:
+        return None
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ParseError(f"{ORBIT_CAP_ENV} must be a positive integer, got {env!r}")
+    return cap
 
 
 def cmd_localize(doc: dict, roots: str) -> tuple[dict, int]:

@@ -8,7 +8,6 @@ to exact linear algebra and rational feasibility checks.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -314,11 +313,12 @@ def _reflection_on_dual(rd: LittleDatum, s) -> Mat:
 
 
 def weyl_saturate(f: Fan, rd: LittleDatum, cap: int | None = None) -> Fan:
-    """Orbit of the fan under the little Weyl group."""
+    """Orbit of the fan under the little Weyl group, of at most ``cap`` cones
+    (default |W_k| times the given cones, clamped to HARD_ORBIT_CEILING)."""
     if cap is None:
-        env = os.environ.get(ORBIT_CAP_ENV)
-        cap = int(env) if env else min(rd.wk_order * max(len(f.cones), 1), HARD_ORBIT_CEILING)
-    cap = min(cap, HARD_ORBIT_CEILING)
+        cap = rd.wk_order * max(len(f.cones), 1)
+    limit = min(cap, HARD_ORBIT_CEILING)
+    hint = f"{cap} clamped to HARD_ORBIT_CEILING" if cap > limit else f"set {ORBIT_CAP_ENV}"
     refl = [_reflection_on_dual(rd, s) for s in rd.sigma_k]
     seen = set(f.cones)
     frontier = list(f.cones)
@@ -332,7 +332,9 @@ def weyl_saturate(f: Fan, rd: LittleDatum, cap: int | None = None) -> Fan:
                 if img not in seen:
                     seen.add(img)
                     nxt.append(img)
-                    if len(seen) > cap:
-                        raise BudgetExceeded("Weyl saturation exceeded the orbit cap")
+                    if len(seen) > limit:
+                        raise BudgetExceeded(
+                            f"Weyl saturation reached {len(seen)} cones > cap {limit} ({hint})"
+                        )
         frontier = nxt
     return Fan(tuple(sorted(seen, key=lambda c: (c.dim, c.generators))))

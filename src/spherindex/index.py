@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import BudgetExceeded, DatumConstructionError
 from .linalg import (
@@ -19,10 +20,10 @@ from .linalg import (
     dot,
     fmat,
     fvec,
-    gram,
     integer_kernel,
     inverse,
     mat_mul,
+    minus_identity,
     transpose,
     vec_mat,
 )
@@ -106,6 +107,20 @@ class TitsIndex:
         star = StarAction.of(star_generators, n)
         return TitsIndex(ambient, compact, star)
 
+    @cached_property
+    def split(self) -> Mat:
+        """Basis of the split subspace V, computed once per index."""
+        return split_subspace(self)
+
+    @cached_property
+    def restriction(self) -> Mat:
+        """The n x r matrix R[i][j] = (a_i, v_j) of the restriction map.
+
+        Row i is the image of the simple root a_i; it has n rows even when
+        the index is anisotropic (r = 0).
+        """
+        return tuple(tuple(dot(a, v) for v in self.split) for a in self.ambient.form())
+
     def violations(self) -> list[str]:
         out = []
         if not self.star.is_permutation_action():
@@ -125,16 +140,11 @@ def split_subspace(ix: TitsIndex) -> Mat:
     Cocharacter space and character space are identified by the invariant
     form, so both kinds of condition become exact linear constraints.
     """
-    n = ix.ambient.dim
     b = ix.ambient.form()
     constraints = [b[i] for i in ix.compact]
     for g in ix.star.generators:
-        gt = transpose(g)
-        for i in range(n):
-            row = list(gt[i])
-            row[i] -= 1
-            constraints.append(tuple(row))
-    return tuple(fvec(r) for r in integer_kernel(constraints, width=n))
+        constraints += minus_identity(transpose(g))
+    return tuple(fvec(r) for r in integer_kernel(constraints, width=ix.ambient.dim))
 
 
 def res_A(ix: TitsIndex, chi) -> Vec:
@@ -144,16 +154,12 @@ def res_A(ix: TitsIndex, chi) -> Vec:
     split-subspace basis vector; this is the orthogonal projection written
     against the chosen basis.
     """
-    v = split_subspace(ix)
-    b = ix.ambient.form()
-    return tuple(dot(vec_mat(fvec(chi), b), row) for row in v)
+    return vec_mat(fvec(chi), ix.restriction)
 
 
 def dual_form_on_split(ix: TitsIndex) -> Mat:
     """Form on restriction coordinates matching the projected invariant form."""
-    v = split_subspace(ix)
-    b = ix.ambient.form()
-    return inverse(gram(v, b))
+    return inverse(mat_mul(ix.split, ix.restriction))
 
 
 @dataclass(frozen=True)
@@ -169,14 +175,9 @@ class RestrictedSimpleRoots:
 
 
 def restricted_simple_roots(ix: TitsIndex) -> RestrictedSimpleRoots:
-    n = ix.ambient.dim
-    images = []
-    for i in range(n):
-        chi = [int(i == j) for j in range(n)]
-        images.append(res_A(ix, chi))
     distinct: list[Vec] = []
     fibers: list[list[int]] = []
-    for i, img in enumerate(images):
+    for i, img in enumerate(ix.restriction):
         if all(x == 0 for x in img):
             continue
         if img in distinct:
@@ -185,17 +186,13 @@ def restricted_simple_roots(ix: TitsIndex) -> RestrictedSimpleRoots:
             distinct.append(img)
             fibers.append([i])
     form = dual_form_on_split(ix)
-    base = RootBase.from_vectors(distinct, form)
-    c = cartan_matrix(base)
+    c = cartan_matrix(RootBase.from_vectors(distinct, form))
     comps = classify(c)
     order = [i for _, _, positions in comps for i in positions]
-    roots = tuple(distinct[i] for i in order)
-    fib = tuple(tuple(fibers[i]) for i in order)
-    rbase = RootBase.from_vectors(roots, form)
     return RestrictedSimpleRoots(
-        roots=roots,
-        fibers=fib,
-        cartan=cartan_matrix(rbase),
+        roots=tuple(distinct[i] for i in order),
+        fibers=tuple(tuple(fibers[i]) for i in order),
+        cartan=tuple(tuple(c[i][j] for j in order) for i in order),
         types=tuple((f, r) for f, r, _ in comps),
     )
 
@@ -232,11 +229,9 @@ def restricted_root_system(ix: TitsIndex) -> RestrictedRootSystem:
     halves = {tuple(x / 2 for x in r) for r in support}
     reduced = not (support & halves)
     indivisible = {r for r in support if tuple(x / 2 for x in r) not in support}
-    srs = restricted_simple_roots(ix)
-    types = srs.types
     return RestrictedRootSystem(
         multiplicities=tuple(sorted(counts.items())),
         reduced=reduced,
-        indivisible_types=types,
+        indivisible_types=restricted_simple_roots(ix).types,
         indivisible_count=len(indivisible),
     )

@@ -43,6 +43,11 @@ def identity(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
+def minus_identity(m) -> Mat:
+    """Rows of m - I for a square matrix m."""
+    return tuple(tuple(frac(x) - int(i == j) for j, x in enumerate(r)) for i, r in enumerate(m))
+
+
 def dot(u, v) -> Fraction:
     return sum((Fraction(a) * b for a, b in zip(u, v, strict=True)), Fraction(0))
 

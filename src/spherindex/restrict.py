@@ -24,7 +24,7 @@ from .errors import (
     NotBetween,
     NotConvex,
 )
-from .index import restricted_simple_roots, split_subspace
+from .index import res_A, restricted_simple_roots
 from .linalg import (
     Lattice,
     Mat,
@@ -40,8 +40,10 @@ from .linalg import (
     inverse,
     is_zero_vec,
     mat_mul,
+    minus_identity,
     primitive_multiple,
     rank,
+    rref,
     solve,
     solve_left,
     transpose,
@@ -89,44 +91,33 @@ class RestrictedDatum(LittleDatum):
 
     nk_basis: Mat
     xik_image_basis: Mat
-    proj_lifts: Mat
-    proj_matrix: Mat
+    projected_lifts: Mat  # lifts of xik_image_basis rows, projected off the annihilator
     split: CompactRootSplit
 
 
-def _star_fix_constraints(d: SphericalDatumK) -> list[Vec]:
-    rows = []
-    n = d.m
+def _annihilator(d: SphericalDatumK, split: CompactRootSplit) -> list[Vec]:
+    """Rows cutting out N_k: the compact spherical roots and g - 1 for each star g."""
+    rows = [fvec(d.sigma[i]) for i in split.sigma0]
     for g in d.star_xi:
-        for i in range(n):
-            row = list(fvec(g[i]))
-            row[i] -= 1
-            rows.append(tuple(row))
+        rows += minus_identity(g)
     return rows
 
 
 def little_space(d: SphericalDatumK) -> Mat:
     """Saturated integral basis of N_k = {a : sigma0(a)=0, star-fixed}."""
-    split = compact_split(d)
-    constraints = [fvec(d.sigma[i]) for i in split.sigma0]
-    constraints += _star_fix_constraints(d)
-    return tuple(fvec(r) for r in integer_kernel(constraints, width=d.m))
+    ann = _annihilator(d, compact_split(d))
+    return tuple(fvec(r) for r in integer_kernel(ann, width=d.m))
 
 
-def _projection_matrix(d: SphericalDatumK, split: CompactRootSplit) -> Mat:
-    """Orthogonal projection onto the annihilator-complement of N_k."""
-    m = d.m
-    f = fmat(d.pairing)
-    u_rows = [fvec(d.sigma[i]) for i in split.sigma0] + _star_fix_constraints(d)
-    # prune to an independent spanning set; P depends only on the span
-    basis: list[Vec] = []
-    for r in u_rows:
-        if rank(basis + [r]) > len(basis):
-            basis.append(r)
+def _projection_matrix(f: Mat, rows: list[Vec]) -> Mat:
+    """Orthogonal projection under ``f`` onto the complement of the span of ``rows``."""
+    m = len(f)
+    # the pivots pick an independent spanning subset; P depends only on the span
+    _, pivots = rref(transpose(rows))
     ident = fmat(identity(m))
-    if not basis:
+    if not pivots:
         return ident
-    u = tuple(basis)
+    u = tuple(rows[i] for i in pivots)
     ginv = inverse(gram(u, f))
     # P = I - F U^T G^{-1} U  (rows act on the right)
     fut = mat_mul(f, transpose(u))
@@ -177,29 +168,28 @@ def _raw_res(nk: Mat, chi) -> Vec:
     return tuple(dot(fvec(chi), v) for v in nk)
 
 
+def _to_little(nk: Mat, l_basis: Mat, chi) -> Vec:
+    """Restriction of a big character to N_k, in the little-lattice basis."""
+    c = solve_left(l_basis, _raw_res(nk, chi))
+    if c is None:
+        raise FiberMismatch("restriction left the little weight lattice span")
+    return c
+
+
 def restrict_datum(d: SphericalDatumK) -> RestrictedDatum:
     split = compact_split(d)
-    nk = little_space(d)
+    ann = _annihilator(d, split)
+    nk = tuple(fvec(r) for r in integer_kernel(ann, width=d.m))
     dk = len(nk)
-    m = d.m
-
-    # canonical basis of the little weight lattice, in raw dual coordinates
-    res_map = tuple(_raw_res(nk, [int(i == j) for j in range(m)]) for i in range(m))
-    ints = [[int(x) for x in row] for row in res_map]
-    h, _ = hermite_normal_form(ints) if ints and dk else ([], [])
-    l_basis = tuple(fvec(r) for r in h if any(r))
-
-    def to_xik(y) -> Vec:
-        c = solve_left(l_basis, fvec(y))
-        if c is None:
-            raise FiberMismatch("restriction left the little weight lattice span")
-        return c
+    # canonical basis of the little weight lattice: the restrictions of the
+    # coordinate characters generate it
+    l_basis = fmat(Lattice.from_rows(dk, transpose(nk)).basis)
 
     # restricted spherical roots with their fibers, in input order
     sigma_k: list[Vec] = []
     fibers: list[list[int]] = []
     for i in split.noncompact:
-        y = to_xik(_raw_res(nk, d.sigma[i]))
+        y = _to_little(nk, l_basis, d.sigma[i])
         if y in sigma_k:
             fibers[sigma_k.index(y)].append(i)
         else:
@@ -212,23 +202,18 @@ def restrict_datum(d: SphericalDatumK) -> RestrictedDatum:
                 f"roots {sorted(fib)} restrict equally but the star orbit is {list(orbit)}"
             )
 
-    # transport the invariant form through the orthogonal projection
-    p = _projection_matrix(d, split)
+    # transport the invariant form through the orthogonal projection; a lift
+    # chi of a row solves nk @ chi = row, i.e. the raw restriction of chi is row
     f = fmat(d.pairing)
-    lifts = []
-    for row in l_basis:
-        chi = solve(tuple(nk), row)  # nk @ chi = row, i.e. raw res of chi is row
-        lifts.append(chi)
-    plifts = tuple(vec_mat(fvec(chi), p) for chi in lifts)
-    form_k = gram(plifts, f)
+    p = _projection_matrix(f, ann)
+    projected = tuple(vec_mat(solve(nk, row), p) for row in l_basis)
 
-    core = _core(dk, tuple(sigma_k), form_k, fibers)
+    core = _core(dk, tuple(sigma_k), gram(projected, f), fibers)
     return RestrictedDatum(
         **core,
         nk_basis=nk,
         xik_image_basis=l_basis,
-        proj_lifts=tuple(fvec(c) for c in lifts),
-        proj_matrix=p,
+        projected_lifts=projected,
         split=split,
     )
 
@@ -254,10 +239,9 @@ def phi_k_res(d: SphericalDatumK, rd: RestrictedDatum | None = None) -> Restrict
     if d.sigma:
         base = RootBase.from_vectors(d.sigma, d.pairing)
         for root in generate_roots(base):
-            y = _raw_res(rd.nk_basis, root)
-            if is_zero_vec(y):
-                continue
-            counts[tuple(solve_left(rd.xik_image_basis, y))] += 1
+            y = _to_little(rd.nk_basis, rd.xik_image_basis, root)
+            if not is_zero_vec(y):
+                counts[y] += 1
     support = set(counts)
 
     def divisible(r):
@@ -300,11 +284,7 @@ def valuation_cone(rd: LittleDatum) -> ValuationCone:
 
 def project_to_little(rd: RestrictedDatum, u) -> Vec:
     """Projection of a big cocharacter into N_k, in dual coordinates."""
-    return tuple(dot(chi, fvec(u)) for chi in _projected_lifts(rd))
-
-
-def _projected_lifts(rd: RestrictedDatum) -> Mat:
-    return tuple(vec_mat(fvec(chi), rd.proj_matrix) for chi in rd.proj_lifts)
+    return tuple(dot(chi, fvec(u)) for chi in rd.projected_lifts)
 
 
 def coweight_identity_check(d: SphericalDatumK, rd: RestrictedDatum | None = None) -> dict:
@@ -345,10 +325,9 @@ def chamber_containment_check(d: SphericalDatumK, rd: RestrictedDatum | None = N
     if d.mode != "ambient":
         return {"checked": 0}
     ix = d.index
-    v = split_subspace(ix)
-    if not v:
+    width = len(ix.split)
+    if not width:
         return {"checked": 0}
-    width = len(v)
     walls = [fvec(r) for r in restricted_simple_roots(ix).roots]
     lin = integer_kernel(walls, width=width) if walls else identity(width)
     gens = [fvec(g) for g in lin]
@@ -359,11 +338,9 @@ def chamber_containment_check(d: SphericalDatumK, rd: RestrictedDatum | None = N
         if x is None:
             raise InternalInconsistency("restricted simple roots are dependent")
         gens.append(fvec(x))
-    b = fmat(ix.ambient.form())
-    xi = fmat(d.xi_K.rows_q())
+    restricted_xi = [res_A(ix, chi) for chi in d.xi_K.rows_q()]
     for t in gens:
-        a = vec_mat(t, fmat(v))
-        u = tuple(dot(vec_mat(chi, b), a) for chi in xi)
+        u = tuple(dot(chi, t) for chi in restricted_xi)
         s = project_to_little(rd, u)
         for sbar in rd.sigma_k:
             if dot(fvec(sbar), s) > 0:

@@ -276,8 +276,11 @@ def _brute_force_little_roots(d, rd):
 
 
 def test_criterion_10_oracle_equivalence():
-    for f in FIXTURES:
-        d = f()
+    data = [f() for f in FIXTURES]
+    data += random_data(20260826, 100)
+    for d in data:
         rd = restrict_datum(d)
         assert set(rd.phi_k) == _brute_force_little_roots(d, rd)
-    passed(10, "reflection-generated phi_k equals brute-force indivisible part")
+    passed(
+        10, f"reflection-generated phi_k equals brute-force indivisible part on {len(data)} data"
+    )

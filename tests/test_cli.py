@@ -1,8 +1,12 @@
+import copy
 import json
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from spherindex import fans
 from spherindex.cli import main
 
 HERE = os.path.dirname(__file__)
@@ -80,11 +84,19 @@ def test_bad_schema_exit_2(capsys, tmp_path):
         "abstract": {"rank": "x", "pairing": [[2]], "sigma": [[1]]},
     }
     short_generator = write(tmp_path, "fan.json", {"cones": [[[-1, 0, 0], [0, -1]]]})
+    abstract = json.load(open(fixture("u11.json")))
     cases = [
         ("restrict-index", no_family, []),
         ("analyze", rank_not_int, []),
         ("fan", good, ["--fan", short_generator]),
         ("degenerate", dict(good, gamma=[[1, 0]]), []),
+        ("analyze", dict(good, star_generators=None), []),
+        ("analyze", dict(good, compact_simple=-1), []),
+        ("restrict-index", dict(good, ambient={"components": 7}), []),
+        ("analyze", dict(good, star_generators=[[True, True, True]]), []),
+        ("analyze", dict(abstract, abstract=dict(abstract["abstract"], star=7)), []),
+        ("analyze", dict(abstract, abstract=dict(abstract["abstract"], sigma0=40)), []),
+        ("analyze", dict(good, spherical=dict(good["spherical"], xi_basis=[[1, 2]])), []),
     ]
     for k, (cmd, doc, extra) in enumerate(cases):
         code, _, err = run(capsys, cmd, write(tmp_path, f"hole{k}.json", doc), *extra)
@@ -244,3 +256,97 @@ def test_degenerate_with_gamma(capsys, tmp_path):
     report = json.loads(out)
     assert report["n_aut"] == [2]
     assert report["sigma_aut"] == [[2]]
+
+
+def saturate_e6(capsys, tmp_path):
+    fan_path = write(tmp_path, "fan.json", {"cones": [[[-1, 0], [0, -1]]]})
+    return run(capsys, "fan", fixture("e6.json"), "--fan", fan_path, "--saturate")
+
+
+def test_orbit_cap_not_a_positive_integer_exit_2(capsys, tmp_path, monkeypatch):
+    for value in ("abc", "0", "-3"):
+        monkeypatch.setenv("SPHERINDEX_ORBIT_CAP", value)
+        code, _, err = saturate_e6(capsys, tmp_path)
+        assert code == 2, value
+        assert err.startswith("error: SPHERINDEX_ORBIT_CAP") and "Traceback" not in err
+
+
+def test_orbit_cap_budget_names_the_cap(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("SPHERINDEX_ORBIT_CAP", "4")
+    code, _, err = saturate_e6(capsys, tmp_path)
+    assert code == 1
+    assert "> cap 4 (set SPHERINDEX_ORBIT_CAP)" in err
+
+
+def test_orbit_cap_budget_says_when_clamped(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(fans, "HARD_ORBIT_CEILING", 4)
+    monkeypatch.setenv("SPHERINDEX_ORBIT_CAP", "50")
+    code, _, err = saturate_e6(capsys, tmp_path)
+    assert code == 1
+    assert "> cap 4 (50 clamped to HARD_ORBIT_CEILING)" in err
+
+
+FIXTURE_DOCS = [json.load(open(fixture(n + ".json"))) for n in ("sp42", "e6", "su22", "u11")]
+# Small values only: a large "rank" exhausts memory instead of failing cleanly.
+SMALL_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 8)
+    | st.sampled_from(["", "x", "1/2", "1/0", "flip", "a1", "A", "E"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["family", "rank", "sigma", "star", "cones"]), inner, max_size=2),
+    max_leaves=6,
+)
+FUZZ_COMMANDS = [
+    ["analyze"],
+    ["restrict-index"],
+    ["standard-fan"],
+    ["degenerate"],
+    ["localize", "--roots", "1"],
+    ["fan", "--saturate", "--check", "complete"],
+]
+
+
+def _paths(node, prefix=()):
+    """Every key path of a JSON document, starting with the empty path."""
+    yield prefix
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for k, v in children:
+        yield from _paths(v, prefix + (k,))
+
+
+@st.composite
+def mutated_fixtures(draw):
+    """A fixture document with one to three values replaced or deleted."""
+    doc = copy.deepcopy(draw(st.sampled_from(FIXTURE_DOCS)))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))[1:]))
+        parent = doc
+        for k in path[:-1]:
+            parent = parent[k]
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(SMALL_JSON)
+    return doc
+
+
+@settings(
+    max_examples=300,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(doc=mutated_fixtures(), cmd=st.sampled_from(FUZZ_COMMANDS))
+def test_mutated_fixtures_exit_cleanly(capsys, tmp_path, doc, cmd):
+    path = write(tmp_path, "fuzz.json", doc)
+    if cmd[0] == "fan":
+        cmd = [*cmd, "--fan", write(tmp_path, "fan.json", {"cones": [[[-1, 0], [0, -1]]]})]
+    code, _, err = run(capsys, cmd[0], path, *cmd[1:])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err

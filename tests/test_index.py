@@ -1,8 +1,12 @@
+import json
+import os
 from fractions import Fraction
 
 import pytest
 
 from datagen import flip_matrix
+from spherindex import index
+from spherindex.cli import cmd_analyze, cmd_restrict_index, parse_index
 from spherindex.errors import BudgetExceeded
 from spherindex.index import (
     StarAction,
@@ -13,7 +17,7 @@ from spherindex.index import (
     restricted_simple_roots,
     split_subspace,
 )
-from spherindex.linalg import Lattice, image_lattice, rank
+from spherindex.linalg import Lattice, dot, fvec, image_lattice, rank, vec_mat
 from spherindex.rootsys import AmbientRootDatum
 
 
@@ -156,3 +160,53 @@ def test_dim_bookkeeping():
     assert len(split_subspace(c3_rank_one_index())) == 1
     assert len(split_subspace(e6_flip_index())) == 4
     assert len(split_subspace(a_flip_index(3))) == 3
+
+
+def test_res_A_pairs_with_the_split_basis():
+    compact_c8 = TitsIndex.of(AmbientRootDatum.of([("C", 8)]), [0, 2, 4, 6], [])
+    for ix in [split_index("E", 8), e6_flip_index(), compact_c8]:
+        b = ix.ambient.form()
+        v = split_subspace(ix)
+        for chi in ambient_roots(ix.ambient):
+            assert res_A(ix, chi) == tuple(dot(vec_mat(fvec(chi), b), row) for row in v)
+
+
+def test_anisotropic_index_has_empty_restriction():
+    doc = {
+        "schema_version": "1",
+        "mode": "ambient",
+        "ambient": {"components": [{"family": "C", "rank": 2}]},
+        "compact_simple": ["a1", "a2"],
+    }
+    ix = parse_index(doc)
+    assert ix.split == () and ix.restriction == ((), ())
+    report, code = cmd_restrict_index(doc)
+    assert code == 0
+    assert report == {
+        "command": "restrict-index",
+        "violations": [],
+        "restricted_simple_roots": [],
+        "fibers": [],
+        "type": "",
+        "restricted_roots": [],
+        "reduced": True,
+        "indivisible_type": "",
+        "indivisible_count": 0,
+    }
+
+
+def test_split_subspace_runs_once_per_index(monkeypatch):
+    calls = []
+
+    def counting(ix):
+        calls.append(ix)
+        return split_subspace(ix)
+
+    monkeypatch.setattr(index, "split_subspace", counting)
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "fixtures", "e6.json")) as fh:
+        doc = json.load(fh)
+    for command in (cmd_restrict_index, cmd_analyze):
+        calls.clear()
+        _, code = command(doc)
+        assert code == 0
+        assert len(calls) == 1, command.__name__

@@ -3,6 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
+from sympy.matrices.normalforms import invariant_factors
 
 from spherindex.errors import NotInSpan, ZeroVector
 from spherindex.linalg import (
@@ -131,6 +134,34 @@ def test_snf_properties(m):
             assert b % a == 0
         else:
             assert b == 0
+
+
+def _sympy_row_lattice(rows, ncols):
+    """sympy's canonical basis of the lattice spanned by the rows.
+
+    sympy puts the Hermite form of a column lattice in a different echelon
+    convention, so only the canonical forms of two row sets are compared.
+    """
+    return sympy_hnf(Matrix(len(rows), ncols, [x for r in rows for x in r]).T).T
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_matrix())
+def test_hnf_row_lattice_matches_sympy(m):
+    h, u = hermite_normal_form(m)
+    assert mat_mul(u, m) == tuple(tuple(r) for r in h)
+    assert abs(det(u)) == 1
+    ncols = len(m[0])
+    nonzero = [r for r in h if any(r)]
+    assert _sympy_row_lattice(nonzero, ncols) == _sympy_row_lattice(m, ncols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_matrix())
+def test_snf_diagonal_matches_sympy_invariant_factors(m):
+    d, _, _ = smith_normal_form(m)
+    diag = tuple(d[i][i] for i in range(min(len(m), len(m[0]))))
+    assert diag == tuple(int(x) for x in invariant_factors(Matrix(m), domain=ZZ))
 
 
 @settings(max_examples=150, deadline=None)
