@@ -116,6 +116,23 @@ def _pair_intersection_is_face(c1: Cone, c2: Cone) -> bool:
     return phi is not None
 
 
+def _intersection_issues(f: Fan) -> list[FanIssue]:
+    """One issue per pair of cones that do not meet in a common face.
+
+    Every cone of a simplicial collection is a face of a maximal cone, and
+    faces of two simplicial cones that meet in a common face meet in a
+    common face, so the maximal pairs decide.  Only when one of them fails
+    are all pairs listed, in the order of ``f.cones``.
+    """
+    if all(_pair_intersection_is_face(c1, c2) for c1, c2 in combinations(f.maximal_cones(), 2)):
+        return []
+    return [
+        FanIssue("intersection_not_a_face", f"{c1.generators} vs {c2.generators}")
+        for c1, c2 in combinations(f.cones, 2)
+        if not _pair_intersection_is_face(c1, c2)
+    ]
+
+
 def fan_validate(f: Fan, zk: ValuationCone | None = None) -> list[FanIssue]:
     issues: list[FanIssue] = []
     for c in f.cones:
@@ -134,14 +151,7 @@ def fan_validate(f: Fan, zk: ValuationCone | None = None) -> list[FanIssue]:
                     FanIssue("missing_face", f"face {face.generators} of {c.generators}")
                 )
     if not any(i.kind in ("not_simplicial", "zero_generator") for i in issues):
-        for c1, c2 in combinations(f.cones, 2):
-            if not _pair_intersection_is_face(c1, c2):
-                issues.append(
-                    FanIssue(
-                        "intersection_not_a_face",
-                        f"{c1.generators} vs {c2.generators}",
-                    )
-                )
+        issues += _intersection_issues(f)
     if zk is not None:
         for c in f.cones:
             for g in c.generators:
@@ -232,16 +242,18 @@ def _meets_interior(c: Cone, rd: LittleDatum) -> bool:
         return True
     if not c.generators:
         return False
-    g = fmat(c.generators)
-    a_ub = []
-    b_ub = []
-    for s in rd.sigma_k:
-        a_ub.append([dot(fvec(s), row) for row in g])
-        b_ub.append(Fraction(-1))
-    for i in range(len(g)):
-        a_ub.append([Fraction(-int(i == j)) for j in range(len(g))])
-        b_ub.append(Fraction(0))
-    return find_feasible(a_ub=a_ub, b_ub=b_ub, nvars=len(g)) is not None
+    values = [[dot(fvec(s), g) for g in c.generators] for s in rd.sigma_k]
+    # sign certificates: a root >= 0 on every generator is >= 0 on the
+    # cone; the sum of the generators is a witness when every root is < 0
+    # on it; otherwise the LP decides
+    if any(all(v >= 0 for v in row) for row in values):
+        return False
+    if all(sum(row) < 0 for row in values):
+        return True
+    n = c.dim
+    a_ub = values + [[-int(i == j) for j in range(n)] for i in range(n)]
+    b_ub = [-1] * len(values) + [0] * n
+    return find_feasible(a_ub=a_ub, b_ub=b_ub, nvars=n) is not None
 
 
 @dataclass(frozen=True)

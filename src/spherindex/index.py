@@ -77,7 +77,7 @@ class StarAction:
                         seen.add(p)
                         nxt.append(p)
                         if len(seen) > cap:
-                            raise BudgetExceeded("star action generates too many elements")
+                            raise BudgetExceeded(f"star action generated {len(seen)} elements > cap {cap}")
             frontier = nxt
         return sorted(seen)
 

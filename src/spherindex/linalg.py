@@ -170,7 +170,7 @@ def scale_rows_integral(rows) -> list[list[int]]:
     for row in rows:
         row = fvec(row)
         d = lcm(*(x.denominator for x in row)) if row else 1
-        out.append([int(x * d) for x in row])
+        out.append([x.numerator * (d // x.denominator) for x in row])
     return out
 
 
@@ -431,52 +431,57 @@ def intersection_with_subspace(lat: Lattice, subspace_rows) -> Lattice:
 # exact feasibility LP (phase-1 simplex, Bland's rule)
 
 
-def _phase1(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
-    """Find w >= 0 with a @ w == b (b >= 0 assumed), else None."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    width = n + m + 1
-    tab = []
-    for i in range(m):
-        row = list(a[i]) + [Fraction(int(i == j)) for j in range(m)] + [b[i]]
-        tab.append(row)
+def _phase1(rows: list[list[int]]) -> list[Fraction] | None:
+    """Find w >= 0 with a @ w == b for nonempty integer rows [a | b], b >= 0,
+    else None.
+
+    Fraction-free (Bareiss 1968): the tableau is kept as integer rows over
+    one positive ``det``, the determinant of the current basis, so the true
+    tableau is ``tab / det`` and every division below is exact.  Bland's
+    rule (the first negative reduced cost enters, ratio ties leave by the
+    smaller basis index) rules out cycling.
+    """
+    m = len(rows)
+    n = len(rows[0]) - 1
+    tab = [r[:n] + [int(i == j) for j in range(m)] + r[n:] for i, r in enumerate(rows)]
     basis = [n + i for i in range(m)]
-    obj = [Fraction(0)] * width
-    for i in range(m):
-        for j in range(width):
-            obj[j] -= tab[i][j]
+    obj = [-sum(col) for col in zip(*tab)]
     for i in range(m):
         obj[n + i] += 1  # artificials have unit cost
+    det = 1
     while True:
         enter = next((j for j in range(n + m) if obj[j] < 0), None)
         if enter is None:
             break
         pivot_row = None
-        best = None
         for i in range(m):
             if tab[i][enter] > 0:
-                ratio = tab[i][-1] / tab[i][enter]
-                key = (ratio, basis[i])
-                if best is None or key < best:
-                    best = key
+                if pivot_row is None:
+                    pivot_row = i
+                    continue
+                # ratios rhs / entry compared by cross-multiplying, ties to
+                # the smaller basis index
+                lhs = tab[i][-1] * tab[pivot_row][enter]
+                rhs = tab[pivot_row][-1] * tab[i][enter]
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[pivot_row]):
                     pivot_row = i
         if pivot_row is None:
             return None  # unbounded; cannot occur in phase 1
-        piv = tab[pivot_row][enter]
-        tab[pivot_row] = [x / piv for x in tab[pivot_row]]
+        prow = tab[pivot_row]
+        piv = prow[enter]
         for i in range(m):
-            if i != pivot_row and tab[i][enter] != 0:
+            if i != pivot_row:
                 f = tab[i][enter]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[pivot_row])]
+                tab[i] = [(piv * x - f * y) // det for x, y in zip(tab[i], prow)]
         f = obj[enter]
-        if f != 0:
-            obj = [x - f * y for x, y in zip(obj, tab[pivot_row])]
+        obj = [(piv * x - f * y) // det for x, y in zip(obj, prow)]
+        det = piv
         basis[pivot_row] = enter
-    if -obj[-1] != 0:  # residual infeasibility
+    if obj[-1] != 0:  # residual infeasibility
         return None
     w = [Fraction(0)] * (n + m)
     for i in range(m):
-        w[basis[i]] = tab[i][-1]
+        w[basis[i]] = Fraction(tab[i][-1], det)
     return w[:n]
 
 
@@ -493,23 +498,17 @@ def find_feasible(a_ub=(), b_ub=(), a_eq=(), b_eq=(), nvars: int | None = None) 
             nvars = len(a_eq[0])
         else:
             raise ValueError("nvars required with no constraints")
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    # rows [a | b] scaled to integers, x = x+ - x-, one slack per inequality
     nslack = len(a_ub)
-    for i, r in enumerate(a_ub):
-        row = list(r) + [-x for x in r]
-        row += [Fraction(int(i == j)) for j in range(nslack)]
-        rows.append(row)
-        rhs.append(b_ub[i])
-    for r, bi in zip(a_eq, b_eq, strict=True):
-        row = list(r) + [-x for x in r] + [Fraction(0)] * nslack
-        rows.append(row)
-        rhs.append(bi)
-    for i in range(len(rows)):
-        if rhs[i] < 0:
-            rows[i] = [-x for x in rows[i]]
-            rhs[i] = -rhs[i]
-    w = _phase1(rows, rhs)
+    ub = scale_rows_integral([list(r) + [bi] for r, bi in zip(a_ub, b_ub, strict=True)])
+    eq = scale_rows_integral([list(r) + [bi] for r, bi in zip(a_eq, b_eq, strict=True)])
+    rows = []
+    for i, (*r, bi) in enumerate(ub + eq):
+        row = r + [-x for x in r] + [int(i == j) for j in range(nslack)] + [bi]
+        rows.append(row if bi >= 0 else [-x for x in row])
+    if not rows:
+        return (Fraction(0),) * nvars
+    w = _phase1(rows)
     if w is None:
         return None
     return tuple(w[j] - w[nvars + j] for j in range(nvars))

@@ -1,13 +1,17 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from datagen import flip_matrix
+from datagen import flip_matrix, random_convex_data
+from spherindex import fans
 from spherindex.datum import SphericalDatumK
 from spherindex.errors import BudgetExceeded, NotConvex, NotValidated
 from spherindex.fans import (
     Cone,
     Fan,
+    FanIssue,
+    _pair_intersection_is_face,
     cone_membership,
     dominates,
     fan_validate,
@@ -18,6 +22,7 @@ from spherindex.fans import (
     weyl_saturate,
 )
 from spherindex.index import TitsIndex
+from spherindex.linalg import dot, find_feasible, primitive_vector, rank
 from spherindex.restrict import restrict_datum, valuation_cone
 from spherindex.rootsys import AmbientRootDatum
 
@@ -263,3 +268,109 @@ def test_weyl_saturate_no_roots():
     rd = restrict_datum(d)
     f = Fan.from_maximal([[[1]], [[-1]]])
     assert weyl_saturate(f, rd) == f
+
+
+def split_rd(family, n):
+    """Split datum whose spherical roots are the simple roots."""
+    ix = TitsIndex.of(AmbientRootDatum.of([(family, n)]), [], [])
+    d = SphericalDatumK.ambient(ix, [[int(i == j) for j in range(n)] for i in range(n)])
+    return restrict_datum(d)
+
+
+def chamber_fan(rd):
+    return weyl_saturate(standard_fan(rd), rd)
+
+
+@pytest.fixture(scope="module")
+def corpus_rds():
+    return [restrict_datum(d) for d in random_convex_data(826, 100)]
+
+
+def all_pairs_issues(f):
+    """fan_validate(f) with the intersection check run over every pair of cones."""
+    issues = [i for i in fan_validate(f) if i.kind != "intersection_not_a_face"]
+    if any(i.kind in ("not_simplicial", "zero_generator") for i in issues):
+        return issues
+    return issues + [
+        FanIssue("intersection_not_a_face", f"{c1.generators} vs {c2.generators}")
+        for c1, c2 in combinations(f.cones, 2)
+        if not _pair_intersection_is_face(c1, c2)
+    ]
+
+
+def swap_in_overlap(f):
+    """f with one maximal cone F + {p} swapped for (F - {g}) + {p, g + q},
+    where F + {q} is a neighbouring maximal cone: g + q lies in the
+    neighbour but outside the face the two cones share."""
+    maximal = f.maximal_cones()
+    for s, t in combinations(maximal, 2):
+        common = set(s.generators) & set(t.generators)
+        if len(common) != s.dim - 1:
+            continue
+        (q,) = set(t.generators) - common
+        for g in sorted(common):
+            gens = [h for h in s.generators if h != g]
+            gens.append(primitive_vector([a + b for a, b in zip(g, q)]))
+            if rank(gens) == len(gens):
+                return Fan.from_maximal([gens if c == s else c.generators for c in maximal])
+    raise AssertionError("no neighbouring maximal cones")
+
+
+def test_fan_validate_matches_all_pairs_oracle(corpus_rds):
+    chambers = [chamber_fan(split_rd(fam, n)) for fam, n in [("A", 2), ("B", 2), ("A", 3)]]
+    for f in chambers:
+        assert fan_validate(f) == all_pairs_issues(f) == []
+    for rd in corpus_rds:
+        f = standard_fan(rd)
+        assert fan_validate(f) == all_pairs_issues(f) == []
+    for f in chambers + [chamber_fan(e6_rd()[1])]:
+        broken = swap_in_overlap(f)
+        issues = fan_validate(broken)
+        assert any(i.kind == "intersection_not_a_face" for i in issues)
+        assert issues == all_pairs_issues(broken)
+
+
+def test_fan_lp_counts(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return find_feasible(*args, **kwargs)
+
+    rd6 = split_rd("A", 6)
+    f6 = standard_fan(rd6)
+    a3 = chamber_fan(split_rd("A", 3))
+    monkeypatch.setattr(fans, "find_feasible", counting)
+    assert fan_validate(f6, valuation_cone(rd6)) == []
+    strata(f6, rd6)
+    assert len(calls) == 0
+    assert fan_validate(a3) == []
+    assert len(calls) <= 276  # C(24, 2): one LP per pair of the 24 chambers
+
+
+def lp_meets_interior(c, rd):
+    """The plain LP: some point of c has every root <= -1."""
+    if not rd.sigma_k:
+        return True
+    if not c.generators:
+        return False
+    n = c.dim
+    a_ub = [[dot(s, g) for g in c.generators] for s in rd.sigma_k]
+    a_ub += [[-int(i == j) for j in range(n)] for i in range(n)]
+    b_ub = [-1] * len(rd.sigma_k) + [0] * n
+    return find_feasible(a_ub=a_ub, b_ub=b_ub, nvars=n) is not None
+
+
+def test_strata_sign_certificates_match_lp(corpus_rds):
+    _, e6 = e6_rd()  # the datum of fixtures/e6.json, little root system B2
+    # two cones on which neither certificate applies, so the LP decides
+    _, a1a1 = a1a1_rd()
+    mixed = Fan.from_maximal([[[-1, 1], [1, -2]], [[-3, 2], [2, -1]]])
+    cases = [(standard_fan(rd), rd) for rd in corpus_rds]
+    cases += [(chamber_fan(e6), e6), (mixed, a1a1)]
+    for f, rd in cases:
+        for node in strata(f, rd).nodes:
+            assert node.horospherical == lp_meets_interior(node.cone, rd)
+    by_cone = {node.cone: node.horospherical for node in strata(mixed, a1a1).nodes}
+    assert by_cone[Cone.of([[-1, 1], [1, -2]])]
+    assert not by_cone[Cone.of([[-3, 2], [2, -1]])]

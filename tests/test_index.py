@@ -142,7 +142,7 @@ def test_star_action_finite_group():
     s = StarAction.of([flip_matrix(2, [(0, 1)])], 2)
     assert len(s.elements()) == 2
     shear = StarAction.of([[[1, 1], [0, 1]]], 2)
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded, match=r"star action generated 51 elements > cap 50"):
         shear.elements(cap=50)
 
 

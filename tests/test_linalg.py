@@ -1,9 +1,10 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from sympy import ZZ, Matrix
+from sympy import ZZ, Matrix, Rational
 from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
 from sympy.matrices.normalforms import invariant_factors
 
@@ -269,6 +270,69 @@ def test_find_feasible_certificate(a, b):
     if x is not None:
         for row, bi in zip(a, b):
             assert sum(Fraction(c) * xi for c, xi in zip(row, x)) <= bi
+
+
+small_rational = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+def lp_rows(max_vars=4):
+    """The variable count n and rows [a | b]: up to four inequalities, two equations."""
+
+    def rows(n, most):
+        return st.lists(st.lists(small_rational, min_size=n + 1, max_size=n + 1), max_size=most)
+
+    return st.integers(1, max_vars).flatmap(lambda n: st.tuples(st.just(n), rows(n, 4), rows(n, 2)))
+
+
+def sympy_feasible_point(ub, eq, n):
+    """A point of A x <= b, E x == d found without a simplex, or None.
+
+    A minimal face of a nonempty polyhedron is the affine space where some
+    set S of its inequalities is tight (Schrijver, "Theory of Linear and
+    Integer Programming", ch. 8), so every solution of A_S x == b_S,
+    E x == d then lies in the polyhedron.  Each S is tried with sympy's
+    exact Gauss-Jordan solver, free parameters set to 0.  sympy's own
+    simplex is no oracle here: ``lpmin`` calls x0 + x2 <= 0, x0 + x2 == 1
+    feasible, and ``linprog`` loops on some infeasible systems.
+    """
+
+    def rat(x):
+        return Rational(x.numerator, x.denominator)
+
+    for k in range(len(ub) + 1):
+        for tight in combinations(ub, k):
+            rows = list(tight) + eq
+            if rows:
+                try:
+                    sol, params = Matrix([[rat(c) for c in r[:n]] for r in rows]).gauss_jordan_solve(
+                        Matrix([rat(r[n]) for r in rows])
+                    )
+                except ValueError:  # inconsistent
+                    continue
+                x = [Fraction(str(v)) for v in sol.xreplace({t: 0 for t in params})]
+            else:
+                x = [Fraction(0)] * n
+            if all(dot(r[:n], x) <= r[n] for r in ub) and all(dot(r[:n], x) == r[n] for r in eq):
+                return x
+    return None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(lp_rows())
+def test_find_feasible_matches_sympy_minimal_faces(rows):
+    n, ub, eq = rows
+    x = find_feasible(
+        a_ub=[r[:n] for r in ub],
+        b_ub=[r[n] for r in ub],
+        a_eq=[r[:n] for r in eq],
+        b_eq=[r[n] for r in eq],
+        nvars=n,
+    )
+    assert (x is None) == (sympy_feasible_point(ub, eq, n) is None)
+    if x is not None:
+        assert all(isinstance(v, Fraction) for v in x)
+        assert all(dot(r[:n], x) <= r[n] for r in ub)
+        assert all(dot(r[:n], x) == r[n] for r in eq)
 
 
 def square_and_rows(max_dim=4):
