@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from .datum import SphericalDatumK, is_valid, validate
-from .degeneration import build_degeneration, degeneration_fiber_data, faces_of_boundary_cone
+from .degeneration import build_degeneration, degeneration_fiber_data
 from .errors import DatumConstructionError, SpherindexError, TheoremViolation
 from .fans import (
     ORBIT_CAP_ENV,
@@ -510,9 +510,8 @@ def cmd_degenerate(doc: dict) -> tuple[dict, int]:
         aut = None
         xi, sigma_aut = Lattice.standard(rd.rank), tuple(rd.sigma_k)
     dd = build_degeneration(xi, sigma_aut)
-    faces = faces_of_boundary_cone(dd)
     fibers = []
-    for face in faces:
+    for face in dd.c_bd.faces():
         data = degeneration_fiber_data(dd, face)
         fibers.append(
             {

@@ -19,7 +19,7 @@ from .errors import (
     NotFiniteType,
 )
 from .index import StarAction, TitsIndex, res_A
-from .linalg import Lattice, Mat, content, fmat, fvec, gram, rank, vec_mat
+from .linalg import Lattice, Mat, content, gram, rank, vec_mat
 from .rootsys import (
     RootBase,
     cartan_matrix,
@@ -31,7 +31,6 @@ from .rootsys import (
 
 def support(sigma) -> tuple[int, ...]:
     """Indices of the simple roots appearing in sigma with positive weight."""
-    sigma = fvec(sigma)
     for i, c in enumerate(sigma):
         if c < 0:
             raise NegativeCoefficient(f"coefficient {c} of simple root {i} is negative")
@@ -75,7 +74,7 @@ class SphericalDatumK:
     @staticmethod
     def ambient(ix: TitsIndex, sigma_rows, xi_rows=None, sp=()) -> "SphericalDatumK":
         n = ix.ambient.dim
-        sigma_rows = fmat(sigma_rows)
+        sigma_rows = tuple(map(tuple, sigma_rows))
         for row in sigma_rows:
             if len(row) != n:
                 raise DatumConstructionError("spherical root has wrong length")
@@ -123,12 +122,12 @@ class SphericalDatumK:
 
     @staticmethod
     def abstract(rank_: int, pairing, star_generators, sigma_rows, sigma0=()) -> "SphericalDatumK":
-        pairing = fmat(pairing)
+        pairing = tuple(map(tuple, pairing))
         if len(pairing) != rank_ or any(len(r) != rank_ for r in pairing):
             raise DatumConstructionError("pairing has wrong shape")
         if pairing != tuple(zip(*pairing)):
             raise DatumConstructionError("pairing is not symmetric")
-        sigma_rows = fmat(sigma_rows)
+        sigma_rows = tuple(map(tuple, sigma_rows))
         for row in sigma_rows:
             if len(row) != rank_:
                 raise DatumConstructionError("spherical root has wrong length")
@@ -157,8 +156,8 @@ class SphericalDatumK:
             nxt = []
             for j in frontier:
                 for g in self.star_xi:
-                    img = vec_mat(fvec(self.sigma[j]), g)
-                    t = next((k for k, s in enumerate(self.sigma) if fvec(s) == img), None)
+                    img = vec_mat(self.sigma[j], g)
+                    t = next((k for k, s in enumerate(self.sigma) if s == img), None)
                     if t is not None and t not in orbit:
                         orbit.add(t)
                         nxt.append(t)
@@ -256,9 +255,9 @@ def validate(d: SphericalDatumK) -> list[ValidationItem]:
     add("roots_primitive_in_lattice", prim)
 
     permutes = True
-    sig_set = {fvec(r) for r in d.sigma}
+    sig_set = set(d.sigma)
     for g in d.star_xi:
-        imgs = {vec_mat(fvec(r), g) for r in d.sigma}
+        imgs = {vec_mat(r, g) for r in d.sigma}
         if imgs != sig_set:
             permutes = False
     add("star_permutes_roots", permutes)

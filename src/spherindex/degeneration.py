@@ -10,7 +10,6 @@ of Sigma lifted through the section of the sum map.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import InternalInconsistency, NotAFace, NotIndependent, NotSublattice
 from .fans import Cone
@@ -19,8 +18,6 @@ from .linalg import (
     Mat,
     dot,
     dual_basis,
-    fmat,
-    fvec,
     identity,
     primitive_vector,
     rank,
@@ -44,7 +41,7 @@ class DegenerationDatum:
 
 
 def build_degeneration(xi: Lattice, sigma_aut) -> DegenerationDatum:
-    sigma = fmat(sigma_aut)
+    sigma = tuple(map(tuple, sigma_aut))
     if sigma and rank(sigma) != len(sigma):
         raise NotIndependent("quotient spherical roots are linearly dependent")
     for s in sigma:
@@ -58,16 +55,12 @@ def build_degeneration(xi: Lattice, sigma_aut) -> DegenerationDatum:
     for row in xi.rows_q():
         gens.append(tuple(row) + tuple(-x for x in row))
     for s in sigma:
-        gens.append(tuple(fvec(s)) + tuple(fvec([0] * n)))
+        gens.append(s + (0,) * n)
     xiZ = Lattice.from_rows(2 * n, gens)
 
-    ident = fmat(identity(n))
-    delta_minus = tuple(
-        tuple(ident[i]) + tuple(-x for x in ident[i]) for i in range(n)
-    )
-    beta = tuple(tuple(ident[i]) for i in range(n)) + tuple(
-        tuple(ident[i]) for i in range(n)
-    )
+    ident = identity(n)
+    delta_minus = tuple(e + tuple(-x for x in e) for e in ident)
+    beta = ident + ident
     _check_exactness(xi, gamma, xiZ, delta_minus, beta)
 
     # boundary cone: the antidominant cone of sigma on the Y side, pulled
@@ -116,21 +109,15 @@ def _check_exactness(xi, gamma, xiZ, delta_minus, beta):
 
 def _check_cone_in_valuation_cone(dd: DegenerationDatum):
     # Sigma_k(Z) = (sigma x 0) union (0 x sigma), written in xiZ coordinates
-    n = dd.xi.ambient_rank
+    zero = (0,) * dd.xi.ambient_rank
     for s in dd.sigma:
-        for emb in (tuple(fvec(s)) + tuple(fvec([0] * n)),
-                    tuple(fvec([0] * n)) + tuple(fvec(s))):
+        for emb in (s + zero, zero + s):
             coords = dd.xiZ.coordinates(emb)
             if coords is None:
                 raise InternalInconsistency("spherical root of Z left the lattice span")
             for g in dd.c_bd.generators:
-                if dot(coords, fvec(g)) > 0:
+                if dot(coords, g) > 0:
                     raise InternalInconsistency("boundary cone leaves the valuation cone of Z")
-
-
-def faces_of_boundary_cone(dd: DegenerationDatum):
-    return [Cone.of(sub) for k in range(dd.c_bd.dim + 1)
-            for sub in combinations(dd.c_bd.generators, k)]
 
 
 def degeneration_fiber_data(dd: DegenerationDatum, face: Cone) -> dict:
@@ -139,13 +126,12 @@ def degeneration_fiber_data(dd: DegenerationDatum, face: Cone) -> dict:
         g in dd.c_bd.generators for g in face.generators
     ):
         raise NotAFace("not a face of the boundary cone")
-    n = dd.xi.ambient_rank
+    zero = (0,) * dd.xi.ambient_rank
     sigma_fiber = []
     for s in dd.sigma:
-        emb = tuple(fvec([0] * n)) + tuple(fvec(s))
-        coords = dd.xiZ.coordinates(emb)
-        if all(dot(coords, fvec(g)) == 0 for g in face.generators):
-            sigma_fiber.append(tuple(fvec(s)))
+        coords = dd.xiZ.coordinates(zero + s)
+        if all(dot(coords, g) == 0 for g in face.generators):
+            sigma_fiber.append(s)
     return {
         "sigma_fiber": tuple(sigma_fiber),
         "horospherical": face == dd.c_bd,

@@ -14,12 +14,10 @@ from itertools import combinations
 
 from .errors import BudgetExceeded, NotConvex, NotSimplicial, NotValidated
 from .linalg import (
-    Lattice,
     Mat,
     dot,
     find_feasible,
-    fmat,
-    fvec,
+    identity,
     integer_kernel,
     primitive_vector,
     rank,
@@ -58,8 +56,8 @@ class Cone:
 
     def contains(self, v) -> bool:
         if not self.generators:
-            return all(x == 0 for x in fvec(v))
-        c = solve_left(fmat(self.generators), fvec(v))
+            return all(x == 0 for x in v)
+        c = solve_left(self.generators, v)
         return c is not None and all(x >= 0 for x in c)
 
     def contains_cone(self, other: "Cone") -> bool:
@@ -83,14 +81,9 @@ class Fan:
         return Fan(tuple(sorted(seen, key=lambda c: (c.dim, c.generators))))
 
     def maximal_cones(self) -> list[Cone]:
-        gen_sets = [set(c.generators) for c in self.cones]
-        out = []
-        for i, c in enumerate(self.cones):
-            if not any(
-                set(c.generators) < g for j, g in enumerate(gen_sets) if j != i
-            ):
-                out.append(c)
-        return out
+        """The cones that are not a facet of a cone; ``cones`` is closed under faces."""
+        facets = {w for c in self.cones if c.dim for w in c.facets()}
+        return [c for c in self.cones if c not in facets]
 
 
 @dataclass(frozen=True)
@@ -107,11 +100,10 @@ def _pair_intersection_is_face(c1: Cone, c2: Cone) -> bool:
     if not only1 and not only2:
         return True
     n = len((c1.generators or c2.generators)[0])
-    a_ub = [[Fraction(x) for x in g] for g in only1]
-    a_ub += [[Fraction(-x) for x in g] for g in only2]
-    b_ub = [Fraction(-1)] * (len(only1) + len(only2))
-    a_eq = [[Fraction(x) for x in g] for g in common]
-    b_eq = [Fraction(0)] * len(common)
+    a_ub = only1 + [tuple(-x for x in g) for g in only2]
+    b_ub = [-1] * len(a_ub)
+    a_eq = list(common)
+    b_eq = [0] * len(a_eq)
     phi = find_feasible(a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, nvars=n)
     return phi is not None
 
@@ -141,7 +133,7 @@ def fan_validate(f: Fan, zk: ValuationCone | None = None) -> list[FanIssue]:
                 issues.append(FanIssue("zero_generator", f"cone {c.generators}"))
             elif g != primitive_vector(g):
                 issues.append(FanIssue("not_primitive", f"generator {g}"))
-        if c.generators and rank(fmat(c.generators)) != c.dim:
+        if c.generators and rank(c.generators) != c.dim:
             issues.append(FanIssue("not_simplicial", f"cone {c.generators}"))
     cone_set = set(f.cones)
     for c in f.cones:
@@ -156,7 +148,7 @@ def fan_validate(f: Fan, zk: ValuationCone | None = None) -> list[FanIssue]:
         for c in f.cones:
             for g in c.generators:
                 for s in zk.inequalities:
-                    if dot(fvec(s), g) > 0:
+                    if dot(s, g) > 0:
                         issues.append(
                             FanIssue("outside_support", f"generator {g} violates {s}")
                         )
@@ -199,7 +191,7 @@ def is_complete_for(f: Fan, zk: ValuationCone, validated: bool = False) -> bool:
         if count > 2:
             return False
         on_boundary = any(
-            all(dot(fvec(s), g) == 0 for g in w.generators) and any(x != 0 for x in s)
+            all(dot(s, g) == 0 for g in w.generators) and any(x != 0 for x in s)
             for s in zk.inequalities
         )
         if not on_boundary:
@@ -233,7 +225,7 @@ def standard_fan(rd: LittleDatum) -> Fan:
 
 
 def cone_membership(v, zk: ValuationCone) -> bool:
-    return all(dot(fvec(s), fvec(v)) <= 0 for s in zk.inequalities)
+    return all(dot(s, v) <= 0 for s in zk.inequalities)
 
 
 def _meets_interior(c: Cone, rd: LittleDatum) -> bool:
@@ -242,7 +234,7 @@ def _meets_interior(c: Cone, rd: LittleDatum) -> bool:
         return True
     if not c.generators:
         return False
-    values = [[dot(fvec(s), g) for g in c.generators] for s in rd.sigma_k]
+    values = [[dot(s, g) for g in c.generators] for s in rd.sigma_k]
     # sign certificates: a root >= 0 on every generator is >= 0 on the
     # cone; the sum of the generators is a witness when every root is < 0
     # on it; otherwise the LP decides
@@ -275,32 +267,23 @@ class StrataPoset:
 def strata(f: Fan, rd: LittleDatum) -> StrataPoset:
     nodes = []
     for c in f.cones:
-        if c.generators:
-            lattice_basis = tuple(
-                fvec(r) for r in integer_kernel(fmat(c.generators), width=rd.rank)
-            )
-        else:
-            lattice_basis = tuple(fvec(r) for r in Lattice.standard(rd.rank).rows_q())
         sigma_idx = tuple(
             i
             for i, s in enumerate(rd.sigma_k)
-            if all(dot(fvec(s), g) == 0 for g in c.generators)
+            if all(dot(s, g) == 0 for g in c.generators)
         )
         nodes.append(
             Stratum(
                 cone=c,
                 codim=c.dim,
                 rank=rd.rank - c.dim,
-                lattice_basis=lattice_basis,
+                lattice_basis=integer_kernel(c.generators, width=rd.rank),
                 sigma_indices=sigma_idx,
                 horospherical=_meets_interior(c, rd),
             )
         )
-    edges = []
-    for i, a in enumerate(f.cones):
-        for j, b in enumerate(f.cones):
-            if a.dim + 1 == b.dim and set(a.generators) < set(b.generators):
-                edges.append((i, j))
+    index = {c: i for i, c in enumerate(f.cones)}
+    edges = sorted((index[w], j) for j, c in enumerate(f.cones) if c.dim for w in c.facets())
     return StrataPoset(nodes=tuple(nodes), edges=tuple(edges))
 
 
@@ -310,16 +293,13 @@ def dominates(f1: Fan, f2: Fan) -> bool:
 
 def _reflection_on_dual(rd: LittleDatum, s) -> Mat:
     """Matrix of s_sigma on dual coordinates (rows act on the right)."""
-    f = fmat(rd.form_k)
-    s = fvec(s)
+    f = rd.form_k
     ss = dot(vec_mat(s, f), s)
-    d = rd.rank
     # on characters: chi -> chi - (2 (chi, s)/(s, s)) s; dual action is the
     # transpose, which equals the same formula with the roles swapped
     m = []
-    for i in range(d):
-        chi = fvec([int(i == j) for j in range(d)])
-        coef = 2 * dot(vec_mat(chi, f), s) / ss
+    for chi in identity(rd.rank):
+        coef = Fraction(2 * dot(vec_mat(chi, f), s), ss)
         m.append(tuple(a - coef * b for a, b in zip(chi, s)))
     return transpose(tuple(m))
 
@@ -339,7 +319,7 @@ def weyl_saturate(f: Fan, rd: LittleDatum, cap: int | None = None) -> Fan:
         for c in frontier:
             for m in refl:
                 img = Cone.of(
-                    tuple(primitive_vector(vec_mat(fvec(g), m)) for g in c.generators)
+                    tuple(primitive_vector(vec_mat(g, m)) for g in c.generators)
                 )
                 if img not in seen:
                     seen.add(img)

@@ -18,8 +18,7 @@ from .linalg import (
     Mat,
     Vec,
     dot,
-    fmat,
-    fvec,
+    identity,
     integer_kernel,
     inverse,
     mat_mul,
@@ -47,7 +46,7 @@ class StarAction:
 
     @staticmethod
     def of(generators, dim: int) -> "StarAction":
-        gens = tuple(fmat(g) for g in generators)
+        gens = tuple(tuple(map(tuple, g)) for g in generators)
         for g in gens:
             if len(g) != dim or any(len(row) != dim for row in g):
                 raise DatumConstructionError("star generator has wrong shape")
@@ -65,7 +64,7 @@ class StarAction:
 
     def elements(self, cap: int = STAR_GROUP_CAP) -> list[Mat]:
         """All elements of the generated group (BFS closure)."""
-        ident = tuple(tuple(Fraction(int(i == j)) for j in range(self.dim)) for i in range(self.dim))
+        ident = identity(self.dim)
         seen = {ident}
         frontier = [ident]
         while frontier:
@@ -82,14 +81,12 @@ class StarAction:
         return sorted(seen)
 
     def is_permutation_action(self) -> bool:
-        for g in self.generators:
-            for row in g:
-                if sorted(row) != [Fraction(0)] * (self.dim - 1) + [Fraction(1)]:
-                    return False
-            for col in transpose(g):
-                if sorted(col) != [Fraction(0)] * (self.dim - 1) + [Fraction(1)]:
-                    return False
-        return True
+        pattern = [0] * (self.dim - 1) + [1]
+        return all(
+            sorted(line) == pattern
+            for g in self.generators
+            for line in g + transpose(g)
+        )
 
 
 @dataclass(frozen=True)
@@ -144,7 +141,7 @@ def split_subspace(ix: TitsIndex) -> Mat:
     constraints = [b[i] for i in ix.compact]
     for g in ix.star.generators:
         constraints += minus_identity(transpose(g))
-    return tuple(fvec(r) for r in integer_kernel(constraints, width=ix.ambient.dim))
+    return integer_kernel(constraints, width=ix.ambient.dim)
 
 
 def res_A(ix: TitsIndex, chi) -> Vec:
@@ -154,7 +151,7 @@ def res_A(ix: TitsIndex, chi) -> Vec:
     split-subspace basis vector; this is the orthogonal projection written
     against the chosen basis.
     """
-    return vec_mat(fvec(chi), ix.restriction)
+    return vec_mat(chi, ix.restriction)
 
 
 def dual_form_on_split(ix: TitsIndex) -> Mat:
@@ -214,9 +211,7 @@ class RestrictedRootSystem:
 
 def ambient_roots(ambient: AmbientRootDatum) -> list[Vec]:
     pos = positive_roots_in_base_coords(ambient.cartan())
-    out = [fvec(v) for v in pos]
-    out += [tuple(-x for x in v) for v in out]
-    return out
+    return pos + [tuple(-x for x in v) for v in pos]
 
 
 def restricted_root_system(ix: TitsIndex) -> RestrictedRootSystem:
@@ -226,9 +221,9 @@ def restricted_root_system(ix: TitsIndex) -> RestrictedRootSystem:
         if any(x != 0 for x in img):
             counts[img] += 1
     support = set(counts)
-    halves = {tuple(x / 2 for x in r) for r in support}
+    halves = {tuple(Fraction(x, 2) for x in r) for r in support}
     reduced = not (support & halves)
-    indivisible = {r for r in support if tuple(x / 2 for x in r) not in support}
+    indivisible = {r for r in support if tuple(Fraction(x, 2) for x in r) not in support}
     return RestrictedRootSystem(
         multiplicities=tuple(sorted(counts.items())),
         reduced=reduced,

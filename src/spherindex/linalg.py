@@ -1,9 +1,21 @@
 """Exact rational and integer linear algebra.
 
-Vectors are tuples of ``fractions.Fraction`` (or ints where everything is
-integral); matrices are tuples of row vectors.  No floating point anywhere.
-Lattices carry a Hermite-canonical integer basis plus a global denominator,
-so equal lattices have identical representations.
+Vectors are tuples of numbers and matrices are tuples of row vectors.  No
+floating point anywhere.  One numeric rule: integral data stay ``int``.
+The products (``dot``, ``vec_mat``, ``mat_mul``, ``gram``) keep the types
+they are given: ints in, ints out; any ``Fraction`` in, ``Fraction`` out.
+A ``Fraction`` is created in four places only:
+
+- the eliminations, which coerce their input once (``rref``, and through
+  it ``solve``, ``solve_left``, ``inverse`` and ``rank``);
+- ``Lattice.rows_q``;
+- the point ``find_feasible`` returns;
+- an exact division, always written ``Fraction(a, b)``, since ``/`` on two
+  ints gives a float.
+
+Ints have ``.numerator`` and ``.denominator`` too, so the integer routines
+accept either kind.  Lattices carry a Hermite-canonical integer basis plus
+a global denominator, so equal lattices have identical representations.
 """
 
 from __future__ import annotations
@@ -14,19 +26,17 @@ from math import gcd, lcm
 
 from .errors import NotInSpan, NotSublattice, ZeroVector
 
-Vec = tuple[Fraction, ...]
+Vec = tuple[int | Fraction, ...]
 Mat = tuple[Vec, ...]
 
 
 def frac(x) -> Fraction:
-    """Coerce ints, Fractions, or 'p/q' strings to Fraction."""
+    """Coerce an int or a Fraction to Fraction."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):
         raise TypeError("bool is not a rational")
     if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
@@ -45,11 +55,11 @@ def identity(n: int) -> tuple[tuple[int, ...], ...]:
 
 def minus_identity(m) -> Mat:
     """Rows of m - I for a square matrix m."""
-    return tuple(tuple(frac(x) - int(i == j) for j, x in enumerate(r)) for i, r in enumerate(m))
+    return tuple(tuple(x - int(i == j) for j, x in enumerate(r)) for i, r in enumerate(m))
 
 
-def dot(u, v) -> Fraction:
-    return sum((Fraction(a) * b for a, b in zip(u, v, strict=True)), Fraction(0))
+def dot(u, v):
+    return sum(a * b for a, b in zip(u, v, strict=True))
 
 
 def vec_mat(v, m) -> Vec:
@@ -73,7 +83,7 @@ def is_zero_vec(v) -> bool:
 
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns."""
-    rows = [list(map(frac, r)) for r in m]
+    rows = list(fmat(m))
     if not rows:
         return (), ()
     ncols = len(rows[0])
@@ -84,7 +94,7 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
+        inv = Fraction(1, rows[r][c])
         rows[r] = [x * inv for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c] != 0:
@@ -103,10 +113,8 @@ def rank(m) -> int:
 
 def solve(a: Mat, b) -> Vec | None:
     """A particular solution x of a @ x = b (x a column), or None."""
-    a = fmat(a)
-    b = fvec(b)
     n = len(a[0]) if a else 0
-    aug = tuple(row + (bi,) for row, bi in zip(a, b, strict=True))
+    aug = [(*row, bi) for row, bi in zip(a, b, strict=True)]
     red, pivots = rref(aug)
     if n in pivots:
         return None
@@ -124,9 +132,8 @@ def solve_left(rows: Mat, target) -> Vec | None:
 
 
 def inverse(m: Mat) -> Mat:
-    m = fmat(m)
     n = len(m)
-    aug = tuple(row + fvec(identity(n)[i]) for i, row in enumerate(m))
+    aug = [(*row, *e) for row, e in zip(m, identity(n), strict=True)]
     red, pivots = rref(aug)
     if pivots != tuple(range(n)):
         raise ValueError("matrix is singular")
@@ -168,7 +175,6 @@ def scale_rows_integral(rows) -> list[list[int]]:
     """Scale each row by the lcm of its denominators (kernel-preserving)."""
     out = []
     for row in rows:
-        row = fvec(row)
         d = lcm(*(x.denominator for x in row)) if row else 1
         out.append([x.numerator * (d // x.denominator) for x in row])
     return out
@@ -335,7 +341,6 @@ class Lattice:
 
     @staticmethod
     def from_rows(ambient_rank: int, rows) -> "Lattice":
-        rows = [fvec(r) for r in rows]
         for r in rows:
             if len(r) != ambient_rank:
                 raise ValueError("generator has wrong length")
@@ -362,14 +367,14 @@ class Lattice:
 
     def coordinates(self, v) -> Vec | None:
         """Rational coordinates of v in the basis, or None if outside span."""
-        return solve_left(self.rows_q(), fvec(v))
+        return solve_left(self.rows_q(), v)
 
     def contains(self, v) -> bool:
         c = self.coordinates(v)
         return c is not None and all(x.denominator == 1 for x in c)
 
     def member_from_coords(self, coords) -> Vec:
-        return vec_mat(fvec(coords), self.rows_q())
+        return vec_mat(coords, self.rows_q())
 
     def contains_lattice(self, other: "Lattice") -> bool:
         return all(self.contains(r) for r in other.rows_q())
@@ -394,7 +399,6 @@ def image_lattice(m: Mat, domain: Lattice) -> Lattice:
     ``m`` maps domain ambient coordinates to codomain coordinates (rows of
     ``m`` are images of the domain coordinate vectors).
     """
-    m = fmat(m)
     cod = len(m[0]) if m else 0
     gens = [vec_mat(row, m) for row in domain.rows_q()]
     return Lattice.from_rows(cod, gens)
@@ -402,28 +406,26 @@ def image_lattice(m: Mat, domain: Lattice) -> Lattice:
 
 def primitive_multiple(v, lattice: Lattice) -> tuple[Vec, Fraction]:
     """The primitive lattice vector p on the ray of v, and n with v == n*p."""
-    v = fvec(v)
     if is_zero_vec(v):
         raise ZeroVector("v = 0")
     c = lattice.coordinates(v)
     if c is None:
         raise NotInSpan("v is not in the span of the lattice")
     prim_coords = primitive_vector(c)
-    n = next(x / p for x, p in zip(c, prim_coords) if p)
+    n = next(Fraction(x, p) for x, p in zip(c, prim_coords) if p)
     return lattice.member_from_coords(prim_coords), n
 
 
 def intersection_with_subspace(lat: Lattice, subspace_rows) -> Lattice:
     """Saturated intersection of ``lat`` with the span of the given rows."""
-    sub = fmat(subspace_rows)
     n = lat.ambient_rank
-    ann = integer_kernel(sub, width=n)  # functionals vanishing on the span
+    ann = integer_kernel(subspace_rows, width=n)  # functionals vanishing on the span
     if not ann:
         return lat
     bq = lat.rows_q()
     constraints = [[dot(row, a) for row in bq] for a in ann]
     zs = integer_kernel(constraints, width=lat.rank)
-    gens = [vec_mat(fvec(z), bq) for z in zs]
+    gens = [vec_mat(z, bq) for z in zs]
     return Lattice.from_rows(n, gens)
 
 
@@ -487,10 +489,6 @@ def _phase1(rows: list[list[int]]) -> list[Fraction] | None:
 
 def find_feasible(a_ub=(), b_ub=(), a_eq=(), b_eq=(), nvars: int | None = None) -> Vec | None:
     """A rational x with a_ub @ x <= b_ub and a_eq @ x == b_eq, or None."""
-    a_ub = fmat(a_ub)
-    a_eq = fmat(a_eq)
-    b_ub = fvec(b_ub)
-    b_eq = fvec(b_eq)
     if nvars is None:
         if a_ub:
             nvars = len(a_ub[0])

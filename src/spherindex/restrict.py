@@ -31,8 +31,6 @@ from .linalg import (
     Vec,
     dot,
     dual_basis,
-    fmat,
-    fvec,
     gram,
     hermite_normal_form,
     identity,
@@ -97,7 +95,7 @@ class RestrictedDatum(LittleDatum):
 
 def _annihilator(d: SphericalDatumK, split: CompactRootSplit) -> list[Vec]:
     """Rows cutting out N_k: the compact spherical roots and g - 1 for each star g."""
-    rows = [fvec(d.sigma[i]) for i in split.sigma0]
+    rows = [d.sigma[i] for i in split.sigma0]
     for g in d.star_xi:
         rows += minus_identity(g)
     return rows
@@ -106,7 +104,7 @@ def _annihilator(d: SphericalDatumK, split: CompactRootSplit) -> list[Vec]:
 def little_space(d: SphericalDatumK) -> Mat:
     """Saturated integral basis of N_k = {a : sigma0(a)=0, star-fixed}."""
     ann = _annihilator(d, compact_split(d))
-    return tuple(fvec(r) for r in integer_kernel(ann, width=d.m))
+    return integer_kernel(ann, width=d.m)
 
 
 def _projection_matrix(f: Mat, rows: list[Vec]) -> Mat:
@@ -114,7 +112,7 @@ def _projection_matrix(f: Mat, rows: list[Vec]) -> Mat:
     m = len(f)
     # the pivots pick an independent spanning subset; P depends only on the span
     _, pivots = rref(transpose(rows))
-    ident = fmat(identity(m))
+    ident = identity(m)
     if not pivots:
         return ident
     u = tuple(rows[i] for i in pivots)
@@ -128,8 +126,6 @@ def _projection_matrix(f: Mat, rows: list[Vec]) -> Mat:
 
 
 def _core(rank_: int, sigma_rows: Mat, form: Mat, fibers) -> dict:
-    sigma_rows = fmat(sigma_rows)
-    form = fmat(form)
     if sigma_rows:
         base = RootBase.from_vectors(sigma_rows, form)
         c = cartan_matrix(base)
@@ -137,7 +133,7 @@ def _core(rank_: int, sigma_rows: Mat, form: Mat, fibers) -> dict:
         types = tuple((f, r) for f, r, _ in comps)
         order = weyl_order(types)
         phi = tuple(generate_roots(base))
-        nk0 = tuple(fvec(r) for r in integer_kernel(sigma_rows, width=rank_))
+        nk0 = integer_kernel(sigma_rows, width=rank_)
         coweights = dual_basis(sigma_rows, form)
         lat = Lattice.standard(rank_)
         prim, mult = [], []
@@ -147,7 +143,7 @@ def _core(rank_: int, sigma_rows: Mat, form: Mat, fibers) -> dict:
             mult.append(int(n))
     else:
         types, order, phi = (), 1, ()
-        nk0 = tuple(fvec(r) for r in identity(rank_))
+        nk0 = identity(rank_)
         coweights, prim, mult = (), [], []
     return dict(
         rank=rank_,
@@ -165,7 +161,7 @@ def _core(rank_: int, sigma_rows: Mat, form: Mat, fibers) -> dict:
 
 
 def _raw_res(nk: Mat, chi) -> Vec:
-    return tuple(dot(fvec(chi), v) for v in nk)
+    return tuple(dot(chi, v) for v in nk)
 
 
 def _to_little(nk: Mat, l_basis: Mat, chi) -> Vec:
@@ -179,11 +175,11 @@ def _to_little(nk: Mat, l_basis: Mat, chi) -> Vec:
 def restrict_datum(d: SphericalDatumK) -> RestrictedDatum:
     split = compact_split(d)
     ann = _annihilator(d, split)
-    nk = tuple(fvec(r) for r in integer_kernel(ann, width=d.m))
+    nk = integer_kernel(ann, width=d.m)
     dk = len(nk)
     # canonical basis of the little weight lattice: the restrictions of the
     # coordinate characters generate it
-    l_basis = fmat(Lattice.from_rows(dk, transpose(nk)).basis)
+    l_basis = Lattice.from_rows(dk, transpose(nk)).basis
 
     # restricted spherical roots with their fibers, in input order
     sigma_k: list[Vec] = []
@@ -204,7 +200,7 @@ def restrict_datum(d: SphericalDatumK) -> RestrictedDatum:
 
     # transport the invariant form through the orthogonal projection; a lift
     # chi of a row solves nk @ chi = row, i.e. the raw restriction of chi is row
-    f = fmat(d.pairing)
+    f = d.pairing
     p = _projection_matrix(f, ann)
     projected = tuple(vec_mat(solve(nk, row), p) for row in l_basis)
 
@@ -284,7 +280,7 @@ def valuation_cone(rd: LittleDatum) -> ValuationCone:
 
 def project_to_little(rd: RestrictedDatum, u) -> Vec:
     """Projection of a big cocharacter into N_k, in dual coordinates."""
-    return tuple(dot(chi, fvec(u)) for chi in rd.projected_lifts)
+    return tuple(dot(chi, u) for chi in rd.projected_lifts)
 
 
 def coweight_identity_check(d: SphericalDatumK, rd: RestrictedDatum | None = None) -> dict:
@@ -297,10 +293,10 @@ def coweight_identity_check(d: SphericalDatumK, rd: RestrictedDatum | None = Non
         rd = restrict_datum(d)
     if not d.sigma:
         return {"checked": 0}
-    k_coweights = dual_basis(fmat(d.sigma), fmat(d.pairing))
+    k_coweights = dual_basis(d.sigma, d.pairing)
     checked = 0
     for j, fib in enumerate(rd.fibers):
-        total = tuple(Fraction(0) for _ in range(rd.rank))
+        total = (0,) * rd.rank
         for tau in fib:
             total = tuple(
                 a + b for a, b in zip(total, project_to_little(rd, k_coweights[tau]))
@@ -328,22 +324,20 @@ def chamber_containment_check(d: SphericalDatumK, rd: RestrictedDatum | None = N
     width = len(ix.split)
     if not width:
         return {"checked": 0}
-    walls = [fvec(r) for r in restricted_simple_roots(ix).roots]
-    lin = integer_kernel(walls, width=width) if walls else identity(width)
-    gens = [fvec(g) for g in lin]
-    gens += [tuple(-x for x in g) for g in lin]
+    walls = restricted_simple_roots(ix).roots
+    lin = integer_kernel(walls, width=width)
+    gens = list(lin) + [tuple(-x for x in g) for g in lin]
     for i in range(len(walls)):
-        target = [Fraction(-int(i == t)) for t in range(len(walls))]
-        x = solve(tuple(walls), target)
+        x = solve(walls, [-int(i == t) for t in range(len(walls))])
         if x is None:
             raise InternalInconsistency("restricted simple roots are dependent")
-        gens.append(fvec(x))
+        gens.append(x)
     restricted_xi = [res_A(ix, chi) for chi in d.xi_K.rows_q()]
     for t in gens:
         u = tuple(dot(chi, t) for chi in restricted_xi)
         s = project_to_little(rd, u)
         for sbar in rd.sigma_k:
-            if dot(fvec(sbar), s) > 0:
+            if dot(sbar, s) > 0:
                 raise InternalInconsistency(
                     "a chamber generator projects outside the valuation cone"
                 )
@@ -358,7 +352,7 @@ def facet_inheritance_check(d: SphericalDatumK, rd: RestrictedDatum | None = Non
     """
     if rd is None:
         rd = restrict_datum(d)
-    gens = [fvec(g) for g in rd.nk0_basis]
+    gens = list(rd.nk0_basis)
     gens += [tuple(-x for x in g) for g in rd.nk0_basis]
     gens += [tuple(-x for x in w) for w in rd.coweights]
     if rd.rank and rank(gens) != rd.rank:
@@ -374,7 +368,7 @@ def facet_inheritance_check(d: SphericalDatumK, rd: RestrictedDatum | None = Non
                 )
             checked["full"] += 1
             continue
-        sbar = fvec(rd.sigma_k[fiber_of[i]])
+        sbar = rd.sigma_k[fiber_of[i]]
         vals = [dot(sbar, g) for g in gens]
         if any(x > 0 for x in vals):
             raise InternalInconsistency(
@@ -403,7 +397,7 @@ def predicates(d: SphericalDatumK, rd: RestrictedDatum | None = None) -> dict:
         det1 = True
     satake = True
     for i in rd.split.noncompact:
-        s = fvec(d.sigma[i])
+        s = d.sigma[i]
         for g in d.star_xi:
             if vec_mat(s, g) != s:
                 satake = False
@@ -437,15 +431,9 @@ def localize(rd: RestrictedDatum, j_indices) -> Localization:
         raise KeyError("localization index out of range")
     out = [t for t in range(len(rd.sigma_k)) if t not in j]
     rays = [rd.coweights[t] for t in out]
-    if rays:
-        new_basis = tuple(fvec(r) for r in integer_kernel(rays, width=rd.rank))
-    else:
-        new_basis = tuple(fvec(r) for r in identity(rd.rank))
-    sigma_new = []
-    for t in j:
-        c = solve_left(new_basis, fvec(rd.sigma_k[t]))
-        sigma_new.append(c)
-    form_new = gram(new_basis, fmat(rd.form_k))
+    new_basis = integer_kernel(rays, width=rd.rank)
+    sigma_new = [solve_left(new_basis, rd.sigma_k[t]) for t in j]
+    form_new = gram(new_basis, rd.form_k)
     fibers = [rd.fibers[t] for t in j]
     core = _core(len(new_basis), tuple(sigma_new), form_new, fibers)
     sub = LittleDatum(**core)

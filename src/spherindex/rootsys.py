@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import NotARootBase, NotFiniteType
-from .linalg import Mat, Vec, fmat, fvec, gram, inverse, rank, vec_mat
+from .linalg import Mat, Vec, gram, identity, inverse, rank, vec_mat
 
 VALID_RANKS = {
     "A": lambda n: n >= 1,
@@ -67,7 +67,7 @@ def standard_form(family: str, n: int) -> Mat:
     d = _short_long(family, n)
     c = standard_cartan(family, n)
     # c_ij = 2 (a_i, a_j) / (a_j, a_j) with (a_j, a_j) = 2 d_j
-    return tuple(tuple(Fraction(d[j] * c[i][j]) for j in range(n)) for i in range(n))
+    return tuple(tuple(d[j] * c[i][j] for j in range(n)) for i in range(n))
 
 
 def root_count(family: str, n: int) -> int:
@@ -161,12 +161,12 @@ class AmbientRootDatum:
 
 def _block_sum(blocks: list[Mat]) -> Mat:
     n = sum(len(b) for b in blocks)
-    out = [[Fraction(0)] * n for _ in range(n)]
+    out = [[0] * n for _ in range(n)]
     off = 0
     for b in blocks:
         for i, row in enumerate(b):
             for j, x in enumerate(row):
-                out[off + i][off + j] = Fraction(x)
+                out[off + i][off + j] = x
         off += len(b)
     return tuple(tuple(r) for r in out)
 
@@ -180,8 +180,7 @@ class RootBase:
 
     @staticmethod
     def from_vectors(vectors, form) -> "RootBase":
-        vectors = fmat(vectors)
-        form = fmat(form)
+        vectors = tuple(map(tuple, vectors))
         if rank(vectors) != len(vectors):
             raise NotARootBase("base vectors are linearly dependent")
         g = gram(vectors, form)
@@ -201,7 +200,7 @@ def cartan_matrix(base: RootBase) -> Mat:
     for i in range(n):
         row = []
         for j in range(n):
-            x = 2 * g[i][j] / g[j][j]
+            x = Fraction(2 * g[i][j], g[j][j])
             if x.denominator != 1:
                 raise NotARootBase(f"non-integral Cartan number at ({i}, {j})")
             x = int(x)
@@ -318,16 +317,10 @@ def weyl_order(types) -> int:
     return order
 
 
-def simple_reflection_matrix(c: Mat, j: int) -> Mat:
-    """Matrix of s_j on base coordinates (row convention: v -> v @ s)."""
-    n = len(c)
-    return tuple(
-        tuple(
-            Fraction(int(i == t) - (c[i][j] if t == j else 0))
-            for t in range(n)
-        )
-        for i in range(n)
-    )
+def simple_reflection(v, c, j: int) -> tuple:
+    """s_j(v) = v - <v, a_j^vee> a_j on base coordinates of the Cartan matrix c."""
+    pair = sum(x * row[j] for x, row in zip(v, c))
+    return v[:j] + (v[j] - pair,) + v[j + 1:]
 
 
 def generate_roots(base: RootBase) -> list[Vec]:
@@ -338,7 +331,7 @@ def generate_roots(base: RootBase) -> list[Vec]:
     """
     pos = positive_roots_in_base_coords(cartan_matrix(base))
     roots = sorted(pos + [tuple(-x for x in v) for v in pos])
-    return [vec_mat(fvec(v), base.vectors) for v in roots]
+    return [vec_mat(v, base.vectors) for v in roots]
 
 
 def positive_roots_in_base_coords(c: Mat) -> list[tuple[int, ...]]:
@@ -349,16 +342,14 @@ def positive_roots_in_base_coords(c: Mat) -> list[tuple[int, ...]]:
     """
     c = tuple(tuple(int(x) for x in row) for row in c)
     n = len(c)
-    cols = tuple(zip(*c))
     bound = sum(root_count(fam, rk) for fam, rk, _ in classify(c))
-    seen = {tuple(int(i == j) for j in range(n)) for i in range(n)}
+    seen = set(identity(n))
     frontier = list(seen)
     while frontier:
         nxt = []
         for v in frontier:
-            for j, col in enumerate(cols):
-                pair = sum(x * y for x, y in zip(v, col))  # <v, a_j^vee>
-                w = v[:j] + (v[j] - pair,) + v[j + 1:]
+            for j in range(n):
+                w = simple_reflection(v, c, j)
                 if w not in seen:
                     seen.add(w)
                     nxt.append(w)
@@ -372,50 +363,32 @@ def positive_roots_in_base_coords(c: Mat) -> list[tuple[int, ...]]:
 
 def _rho_coords(c: Mat) -> Vec:
     """Coordinates of the Weyl vector: <rho, a_j^vee> = 1 for all j."""
-    n = len(c)
-    cinv = inverse(fmat(c))
-    return vec_mat(fvec([1] * n), cinv)
+    return vec_mat((1,) * len(c), inverse(c))
 
 
 def longest_element_word(c: Mat) -> list[int]:
     """A reduced word for w0 via reflection descent of -rho."""
-    c = fmat(c)
     x = tuple(-t for t in _rho_coords(c))
     word = []
     while True:
-        pair = vec_mat(x, c)
-        j = next((t for t, p in enumerate(pair) if p < 0), None)
+        j = next((t for t, p in enumerate(vec_mat(x, c)) if p < 0), None)
         if j is None:
             return word
-        xl = list(x)
-        xl[j] -= pair[j]
-        x = tuple(xl)
+        x = simple_reflection(x, c, j)
         word.append(j)
-
-
-def apply_word(c: Mat, word, v) -> Vec:
-    v = fvec(v)
-    for j in word:
-        s = simple_reflection_matrix(c, j)
-        v = vec_mat(v, s)
-    return v
 
 
 def opposition_permutation(base: RootBase) -> tuple[int, ...]:
     """The permutation p with -w0(sigma_i) = sigma_{p(i)}."""
     c = cartan_matrix(base)
     word = longest_element_word(c)
-    n = len(c)
+    basis = identity(len(c))
     perm = []
-    for i in range(n):
-        e = [0] * n
-        e[i] = 1
-        img = tuple(-x for x in apply_word(c, word, e))
-        target = next(
-            (t for t in range(n) if img == tuple(Fraction(int(t == j)) for j in range(n))),
-            None,
-        )
-        if target is None:
+    for v in basis:
+        for j in word:
+            v = simple_reflection(v, c, j)
+        img = tuple(-x for x in v)
+        if img not in basis:
             raise NotFiniteType("longest element did not permute the base")
-        perm.append(target)
+        perm.append(basis.index(img))
     return tuple(perm)

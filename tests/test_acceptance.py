@@ -13,7 +13,6 @@ from spherindex.datum import SphericalDatumK, is_valid, validate
 from spherindex.degeneration import (
     build_degeneration,
     degeneration_fiber_data,
-    faces_of_boundary_cone,
 )
 from spherindex.fans import (
     Fan,
@@ -245,7 +244,7 @@ def test_criterion_9_degeneration():
         assert rd.rank == 2
         ddd = build_degeneration(Lattice.standard(2), rd.sigma_k)
         sets = set()
-        for face in faces_of_boundary_cone(ddd):
+        for face in ddd.c_bd.faces():
             data = degeneration_fiber_data(ddd, face)
             sets.add(frozenset(tuple(s) for s in data["sigma_fiber"]))
         assert len(sets) == 4  # all subsets of Sigma appear as fiber roots

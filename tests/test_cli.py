@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from datagen import random_data
 from spherindex import fans
 from spherindex.cli import main
 
@@ -350,3 +351,72 @@ def test_mutated_fixtures_exit_cleanly(capsys, tmp_path, doc, cmd):
     code, _, err = run(capsys, cmd[0], path, *cmd[1:])
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err
+
+
+def _rows(m):
+    return [[str(x) for x in row] for row in m]
+
+
+def datum_doc(d):
+    """The JSON document of a datum, in the mode it was built in."""
+    doc = {"schema_version": "1", "mode": d.mode}
+    if d.mode == "abstract":
+        doc["abstract"] = {
+            "rank": d.m,
+            "pairing": _rows(d.pairing),
+            "star": [_rows(g) for g in d.star_xi],
+            "sigma": _rows(d.sigma),
+            "sigma0": list(d.sigma0_input),
+        }
+        return doc
+    ix = d.index
+    names = ix.ambient.root_names()
+    doc["ambient"] = {
+        "components": [
+            {"family": c.family, "rank": c.rank, "label": c.label} for c in ix.ambient.components
+        ]
+    }
+    doc["compact_simple"] = [names[i] for i in ix.compact]
+    doc["star_generators"] = [_rows(g) for g in ix.star.generators]
+    doc["spherical"] = {
+        "sigma": _rows(d.sigma_input),
+        "xi_basis": _rows(d.xi_K.rows_q()),
+        "sp": [names[i] for i in d.sp],
+    }
+    return doc
+
+
+def _no_float(text):
+    raise AssertionError(f"report holds the float {text}")
+
+
+def test_json_reports_hold_no_float(capsys, tmp_path):
+    """Every number in a JSON report is an int or a "p/q" string: an int
+    path that divided with ``/`` would leak a float."""
+    docs = FIXTURE_DOCS + [datum_doc(d) for d in random_data(20261018, 24)]
+    parsed = dict.fromkeys(
+        ["analyze", "restrict-index", "standard-fan", "fan", "localize", "degenerate"], 0
+    )
+
+    def report(*argv):
+        code, out, err = run(capsys, "--format", "json", *argv)
+        assert code in (0, 1, 2, 3) and "Traceback" not in err
+        if not out:
+            return None
+        parsed[argv[0]] += 1
+        return json.loads(out, parse_float=_no_float, parse_constant=_no_float)
+
+    for k, doc in enumerate(docs):
+        path = write(tmp_path, f"d{k}.json", doc)
+        analysis = report("analyze", path)
+        report("restrict-index", path)
+        report("localize", path, "--roots", "1")
+        report("degenerate", path)
+        std = report("standard-fan", path)
+        cones = std["cones"] if std and "cones" in std else []
+        fan_path = write(tmp_path, f"f{k}.json", {"cones": cones})
+        checks = ["--check", "support", "--check", "complete", "--check", "smooth", "--strata"]
+        if analysis.get("wk_order", 1) <= 24:
+            checks.append("--saturate")
+        report("fan", path, "--fan", fan_path, *checks)
+    assert all(parsed.values()), parsed

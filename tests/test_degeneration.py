@@ -5,7 +5,6 @@ import pytest
 from spherindex.degeneration import (
     build_degeneration,
     degeneration_fiber_data,
-    faces_of_boundary_cone,
 )
 from spherindex.errors import NotAFace, NotIndependent, NotSublattice
 from spherindex.fans import Cone
@@ -46,7 +45,7 @@ def test_input_validation():
 
 def test_boundary_cone_face_count():
     dd = build_degeneration(Lattice.standard(2), [[1, 0], [0, 1]])
-    faces = faces_of_boundary_cone(dd)
+    faces = list(dd.c_bd.faces())
     assert len(faces) == 4
     sigma_sets = {degeneration_fiber_data(dd, f)["sigma_fiber"] for f in faces}
     assert len(sigma_sets) == 4  # every subset of sigma appears exactly once

@@ -330,6 +330,26 @@ def test_fan_validate_matches_all_pairs_oracle(corpus_rds):
         assert issues == all_pairs_issues(broken)
 
 
+def test_maximal_cones_and_strata_edges_match_brute_force(corpus_rds):
+    """The facet relation gives the same maximal cones and cover edges as
+    comparing every pair of cones."""
+    rds = [split_rd("A", 2), split_rd("B", 2), split_rd("A", 3), e6_rd()[1]]
+    chambers = [(rd, chamber_fan(rd)) for rd in rds]
+    cases = chambers + [(rd, swap_in_overlap(f)) for rd, f in chambers]
+    cases += [(rd, standard_fan(rd)) for rd in corpus_rds]
+    for rd, f in cases:
+        gens = [set(c.generators) for c in f.cones]
+        assert f.maximal_cones() == [
+            c for c, g in zip(f.cones, gens) if not any(g < h for h in gens)
+        ]
+        assert strata(f, rd).edges == tuple(
+            (i, j)
+            for i, a in enumerate(f.cones)
+            for j, b in enumerate(f.cones)
+            if a.dim + 1 == b.dim and gens[i] < gens[j]
+        )
+
+
 def test_fan_lp_counts(monkeypatch):
     calls = []
 

@@ -2,7 +2,8 @@
 
 ``assert`` statements vanish under ``python -O``, so a structural identity
 must raise instead; imports belong at module level, where the dependency
-graph between modules stays visible.
+graph between modules stays visible; ``/`` on two ints gives a float, so
+exact division is written ``Fraction(a, b)``.
 """
 
 import ast
@@ -12,12 +13,15 @@ import os
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "spherindex")
 
 
-def test_no_assert_and_no_function_local_import():
-    found = []
+def source_trees():
     for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
         with open(path) as fh:
-            tree = ast.parse(fh.read(), filename=path)
-        name = os.path.basename(path)
+            yield os.path.basename(path), ast.parse(fh.read(), filename=path)
+
+
+def test_no_assert_and_no_function_local_import():
+    found = []
+    for name, tree in source_trees():
         for node in ast.walk(tree):
             if isinstance(node, ast.Assert):
                 found.append(f"{name}:{node.lineno}: assert")
@@ -25,4 +29,14 @@ def test_no_assert_and_no_function_local_import():
                 for inner in ast.walk(node):
                     if isinstance(inner, (ast.Import, ast.ImportFrom)):
                         found.append(f"{name}:{inner.lineno}: import inside {node.name}")
+    assert found == []
+
+
+def test_no_true_division():
+    found = [
+        f"{name}:{node.lineno}: /"
+        for name, tree in source_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+    ]
     assert found == []
