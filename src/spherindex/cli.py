@@ -29,7 +29,7 @@ from .fans import (
     strata,
     weyl_saturate,
 )
-from .index import TitsIndex, res_A, restricted_root_system, restricted_simple_roots
+from .index import TitsIndex, res_A, restricted_root_system
 from .linalg import Lattice, solve_left
 from .restrict import (
     aut_roots,
@@ -43,6 +43,7 @@ from .restrict import (
 from .rootsys import AmbientRootDatum
 
 SCHEMA_VERSION = "1"
+HARD_RANK_CEILING = 100  # total ambient rank; a Cartan matrix is rank x rank
 
 
 class ParseError(Exception):
@@ -98,6 +99,8 @@ def parse_index(doc: dict) -> TitsIndex:
     for k, c in enumerate(_list(_require(ambient, "components"), "components")):
         fam, rk = str(_require(c, "family")), _int(_require(c, "rank"))
         spec.append((fam, rk, str(c.get("label", "")) or f"c{k + 1}"))
+    if (total := sum(rk for _, rk, _ in spec)) > HARD_RANK_CEILING:
+        raise ParseError(f"total ambient rank {total} exceeds HARD_RANK_CEILING {HARD_RANK_CEILING}")
     amb = AmbientRootDatum.of(spec)
     compact = []
     for name in _list(doc.get("compact_simple", []), "compact_simple"):
@@ -128,16 +131,17 @@ def _int(x) -> int:
         raise ParseError(f"bad integer {x!r}") from None
 
 
-def _rat(x) -> Fraction:
+def _rat(x) -> int | Fraction:
     if isinstance(x, bool):
         raise ParseError(f"bad rational {x!r}")
     if isinstance(x, int):
-        return Fraction(x)
+        return x
     if isinstance(x, str):
         try:
-            return Fraction(x)
+            q = Fraction(x)
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad rational {x!r}") from None
+        return q.numerator if q.denominator == 1 else q
     raise ParseError(f"bad rational {x!r}")
 
 
@@ -269,7 +273,7 @@ def _beta_coordinates(d: SphericalDatumK, rows):
     """Spherical roots against the restricted simple roots of the group."""
     if d.mode != "ambient":
         return None
-    srs = restricted_simple_roots(d.index)
+    srs = d.index.simple_roots
     return [solve_left(srs.roots, res_A(d.index, row)) for row in rows]
 
 
@@ -282,7 +286,7 @@ def cmd_restrict_index(doc: dict) -> tuple[dict, int]:
     }
     if violations:
         return report, 1
-    srs = restricted_simple_roots(ix)
+    srs = ix.simple_roots
     phi = restricted_root_system(ix)
     names = ix.ambient.root_names()
     report.update(

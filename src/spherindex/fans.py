@@ -149,9 +149,9 @@ def fan_validate(f: Fan, zk: ValuationCone | None = None) -> list[FanIssue]:
             for g in c.generators:
                 for s in zk.inequalities:
                     if dot(s, g) > 0:
-                        issues.append(
-                            FanIssue("outside_support", f"generator {g} violates {s}")
-                        )
+                        # print the root as Fractions: the text must not depend on the entry type
+                        text = f"generator {g} violates {tuple(map(Fraction, s))}"
+                        issues.append(FanIssue("outside_support", text))
     return issues
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import BudgetExceeded, DatumConstructionError
+from .errors import BudgetExceeded, DatumConstructionError, NotARootBase, NotFiniteType
 from .linalg import (
     Mat,
     Vec,
@@ -118,6 +118,11 @@ class TitsIndex:
         """
         return tuple(tuple(dot(a, v) for v in self.split) for a in self.ambient.form())
 
+    @cached_property
+    def simple_roots(self) -> "RestrictedSimpleRoots":
+        """The restricted simple roots, computed once per index."""
+        return restricted_simple_roots(self)
+
     def violations(self) -> list[str]:
         out = []
         if not self.star.is_permutation_action():
@@ -128,6 +133,11 @@ class TitsIndex:
             out.append("star action does not generate a finite group")
         for k, i in self.star.moved_out(set(self.compact)):
             out.append(f"star generator {k} moves compact root {i} out of the compact set")
+        if not out:
+            try:
+                self.simple_roots
+            except (NotARootBase, NotFiniteType) as e:
+                out.append(f"restricted simple roots do not form a root base: {e}")
         return out
 
 
@@ -227,6 +237,6 @@ def restricted_root_system(ix: TitsIndex) -> RestrictedRootSystem:
     return RestrictedRootSystem(
         multiplicities=tuple(sorted(counts.items())),
         reduced=reduced,
-        indivisible_types=restricted_simple_roots(ix).types,
+        indivisible_types=ix.simple_roots.types,
         indivisible_count=len(indivisible),
     )

@@ -4,11 +4,12 @@ Vectors are tuples of numbers and matrices are tuples of row vectors.  No
 floating point anywhere.  One numeric rule: integral data stay ``int``.
 The products (``dot``, ``vec_mat``, ``mat_mul``, ``gram``) keep the types
 they are given: ints in, ints out; any ``Fraction`` in, ``Fraction`` out.
-A ``Fraction`` is created in four places only:
+A ``Fraction`` is created in five places only:
 
 - the eliminations, which coerce their input once (``rref``, and through
   it ``solve``, ``solve_left``, ``inverse`` and ``rank``);
-- ``Lattice.rows_q``;
+- ``Lattice.coordinates``, only when a division is inexact;
+- ``Lattice.rows_q``, only when ``den > 1``;
 - the point ``find_feasible`` returns;
 - an exact division, always written ``Fraction(a, b)``, since ``/`` on two
   ints gives a float.
@@ -363,21 +364,28 @@ class Lattice:
         return len(self.basis)
 
     def rows_q(self) -> Mat:
+        if self.den == 1:
+            return self.basis
         return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.basis)
 
     def coordinates(self, v) -> Vec | None:
-        """Rational coordinates of v in the basis, or None if outside span."""
-        return solve_left(self.rows_q(), v)
+        """Coordinates of v in the basis, or None outside the span: back-substitution
+        of den * v on the Hermite rows with exact divisions (Cohen 1993, 2.4)."""
+        if len(v) != self.ambient_rank:
+            raise ValueError("vector has wrong length")
+        w = [self.den * x for x in v]
+        coords = []
+        for row in self.basis:
+            p = next(j for j, x in enumerate(row) if x)
+            q, r = divmod(w[p], row[p])
+            c = q if r == 0 else Fraction(w[p], row[p])
+            w = [a - c * b for a, b in zip(w, row)]
+            coords.append(c)
+        return None if any(w) else tuple(coords)
 
     def contains(self, v) -> bool:
         c = self.coordinates(v)
         return c is not None and all(x.denominator == 1 for x in c)
-
-    def member_from_coords(self, coords) -> Vec:
-        return vec_mat(coords, self.rows_q())
-
-    def contains_lattice(self, other: "Lattice") -> bool:
-        return all(self.contains(r) for r in other.rows_q())
 
     def index_in(self, super_lattice: "Lattice") -> int:
         """Index [super : self] for two lattices of equal rank."""
@@ -413,7 +421,7 @@ def primitive_multiple(v, lattice: Lattice) -> tuple[Vec, Fraction]:
         raise NotInSpan("v is not in the span of the lattice")
     prim_coords = primitive_vector(c)
     n = next(Fraction(x, p) for x, p in zip(c, prim_coords) if p)
-    return lattice.member_from_coords(prim_coords), n
+    return vec_mat(prim_coords, lattice.rows_q()), n
 
 
 def intersection_with_subspace(lat: Lattice, subspace_rows) -> Lattice:

@@ -24,7 +24,7 @@ from .errors import (
     NotBetween,
     NotConvex,
 )
-from .index import res_A, restricted_simple_roots
+from .index import res_A
 from .linalg import (
     Lattice,
     Mat,
@@ -43,7 +43,6 @@ from .linalg import (
     rank,
     rref,
     solve,
-    solve_left,
     transpose,
     vec_mat,
 )
@@ -132,7 +131,7 @@ def _core(rank_: int, sigma_rows: Mat, form: Mat, fibers) -> dict:
         comps = classify(c)
         types = tuple((f, r) for f, r, _ in comps)
         order = weyl_order(types)
-        phi = tuple(generate_roots(base))
+        phi = tuple(generate_roots(base, comps))
         nk0 = integer_kernel(sigma_rows, width=rank_)
         coweights = dual_basis(sigma_rows, form)
         lat = Lattice.standard(rank_)
@@ -164,9 +163,9 @@ def _raw_res(nk: Mat, chi) -> Vec:
     return tuple(dot(chi, v) for v in nk)
 
 
-def _to_little(nk: Mat, l_basis: Mat, chi) -> Vec:
+def _to_little(nk: Mat, little: Lattice, chi) -> Vec:
     """Restriction of a big character to N_k, in the little-lattice basis."""
-    c = solve_left(l_basis, _raw_res(nk, chi))
+    c = little.coordinates(_raw_res(nk, chi))
     if c is None:
         raise FiberMismatch("restriction left the little weight lattice span")
     return c
@@ -177,15 +176,17 @@ def restrict_datum(d: SphericalDatumK) -> RestrictedDatum:
     ann = _annihilator(d, split)
     nk = integer_kernel(ann, width=d.m)
     dk = len(nk)
-    # canonical basis of the little weight lattice: the restrictions of the
-    # coordinate characters generate it
-    l_basis = Lattice.from_rows(dk, transpose(nk)).basis
+    # canonical basis of the little weight lattice, generated by the restrictions
+    # of the coordinate characters; row i of u restricts to basis row i
+    h, u = hermite_normal_form(transpose(nk))
+    l_basis = tuple(tuple(r) for r in h[:dk])
+    little = Lattice(dk, l_basis)
 
     # restricted spherical roots with their fibers, in input order
     sigma_k: list[Vec] = []
     fibers: list[list[int]] = []
     for i in split.noncompact:
-        y = _to_little(nk, l_basis, d.sigma[i])
+        y = _to_little(nk, little, d.sigma[i])
         if y in sigma_k:
             fibers[sigma_k.index(y)].append(i)
         else:
@@ -198,11 +199,11 @@ def restrict_datum(d: SphericalDatumK) -> RestrictedDatum:
                 f"roots {sorted(fib)} restrict equally but the star orbit is {list(orbit)}"
             )
 
-    # transport the invariant form through the orthogonal projection; a lift
-    # chi of a row solves nk @ chi = row, i.e. the raw restriction of chi is row
+    # transport the invariant form through the orthogonal projection; two
+    # lifts of a row differ by the span of ``ann``, which the projection kills
     f = d.pairing
     p = _projection_matrix(f, ann)
-    projected = tuple(vec_mat(solve(nk, row), p) for row in l_basis)
+    projected = tuple(vec_mat(chi, p) for chi in u[:dk])
 
     core = _core(dk, tuple(sigma_k), gram(projected, f), fibers)
     return RestrictedDatum(
@@ -234,8 +235,9 @@ def phi_k_res(d: SphericalDatumK, rd: RestrictedDatum | None = None) -> Restrict
     counts: Counter[Vec] = Counter()
     if d.sigma:
         base = RootBase.from_vectors(d.sigma, d.pairing)
+        little = Lattice(rd.rank, rd.xik_image_basis)
         for root in generate_roots(base):
-            y = _to_little(rd.nk_basis, rd.xik_image_basis, root)
+            y = _to_little(rd.nk_basis, little, root)
             if not is_zero_vec(y):
                 counts[y] += 1
     support = set(counts)
@@ -324,7 +326,7 @@ def chamber_containment_check(d: SphericalDatumK, rd: RestrictedDatum | None = N
     width = len(ix.split)
     if not width:
         return {"checked": 0}
-    walls = restricted_simple_roots(ix).roots
+    walls = ix.simple_roots.roots
     lin = integer_kernel(walls, width=width)
     gens = list(lin) + [tuple(-x for x in g) for g in lin]
     for i in range(len(walls)):
@@ -432,7 +434,8 @@ def localize(rd: RestrictedDatum, j_indices) -> Localization:
     out = [t for t in range(len(rd.sigma_k)) if t not in j]
     rays = [rd.coweights[t] for t in out]
     new_basis = integer_kernel(rays, width=rd.rank)
-    sigma_new = [solve_left(new_basis, rd.sigma_k[t]) for t in j]
+    lat = Lattice(rd.rank, new_basis)
+    sigma_new = [lat.coordinates(rd.sigma_k[t]) for t in j]
     form_new = gram(new_basis, rd.form_k)
     fibers = [rd.fibers[t] for t in j]
     core = _core(len(new_basis), tuple(sigma_new), form_new, fibers)
@@ -461,8 +464,7 @@ def aut_roots(rd: LittleDatum, gamma: Lattice) -> AutRoots:
     """
     if gamma.ambient_rank != rd.rank:
         raise NotBetween("sublattice has the wrong ambient rank")
-    xik = Lattice.standard(rd.rank)
-    if not xik.contains_lattice(gamma):
+    if any(x.denominator != 1 for r in gamma.rows_q() for x in r):
         raise NotBetween("sublattice is not contained in the weight lattice")
     for s in rd.sigma_k:
         if not gamma.contains(s):

@@ -323,26 +323,26 @@ def simple_reflection(v, c, j: int) -> tuple:
     return v[:j] + (v[j] - pair,) + v[j + 1:]
 
 
-def generate_roots(base: RootBase) -> list[Vec]:
+def generate_roots(base: RootBase, comps=None) -> list[Vec]:
     """All roots of the finite system spanned by the base.
 
     Roots come back as rational vectors in the ambient coordinates of the
-    base, sorted by their base coordinates.
+    base, sorted by their base coordinates; ``comps`` as below.
     """
-    pos = positive_roots_in_base_coords(cartan_matrix(base))
+    pos = positive_roots_in_base_coords(cartan_matrix(base), comps)
     roots = sorted(pos + [tuple(-x for x in v) for v in pos])
     return [vec_mat(v, base.vectors) for v in roots]
 
 
-def positive_roots_in_base_coords(c: Mat) -> list[tuple[int, ...]]:
+def positive_roots_in_base_coords(c: Mat, comps=None) -> list[tuple[int, ...]]:
     """Positive roots of a Cartan matrix, as sorted integer base-coordinate rows.
 
     The reflection closure of the simple roots; the count is checked against
-    the classified type.
+    the classified type (``comps``, or ``classify(c)`` when not given).
     """
     c = tuple(tuple(int(x) for x in row) for row in c)
     n = len(c)
-    bound = sum(root_count(fam, rk) for fam, rk, _ in classify(c))
+    bound = sum(root_count(fam, rk) for fam, rk, _ in comps or classify(c))
     seen = set(identity(n))
     frontier = list(seen)
     while frontier:

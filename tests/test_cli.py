@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -8,7 +9,9 @@ from hypothesis import strategies as st
 
 from datagen import random_data
 from spherindex import fans
+from spherindex import cli
 from spherindex.cli import main
+from spherindex.restrict import restrict_datum
 
 HERE = os.path.dirname(__file__)
 FIXTURES = os.path.join(HERE, os.pardir, "fixtures")
@@ -168,6 +171,49 @@ def test_restrict_index_bad_star_exit_1(capsys, tmp_path):
     assert json.loads(out)["violations"]
 
 
+def test_inadmissible_index_is_a_named_violation(capsys, tmp_path):
+    """Split D8 with compact {a1, a3, a5}: the restricted simple roots have a
+    non-integral Cartan number, which restrict-index and analyze report."""
+    doc = {
+        "schema_version": "1",
+        "mode": "ambient",
+        "ambient": {"components": [{"family": "D", "rank": 8}]},
+        "compact_simple": ["a1", "a3", "a5"],
+        "star_generators": [],
+        "spherical": {"sigma": [[0, 0, 0, 0, 0, 0, 0, 1]]},
+    }
+    path = write(tmp_path, "d8.json", doc)
+    expected = "restricted simple roots do not form a root base: non-integral Cartan number at (1, 2)"
+    code, out, _ = run(capsys, "--format", "json", "restrict-index", path)
+    assert code == 1
+    assert json.loads(out)["violations"] == [expected]
+    code, out, _ = run(capsys, "--format", "json", "analyze", path)
+    assert code == 1
+    item = next(it for it in json.loads(out)["validation"] if it["name"] == "index_well_formed")
+    assert item["passed"] is False and item["detail"] == expected
+
+
+def test_ambient_rank_ceiling_exit_2_before_allocation(capsys, tmp_path, monkeypatch):
+    doc = {
+        "schema_version": "1",
+        "mode": "ambient",
+        "ambient": {"components": [{"family": "A", "rank": 3}, {"family": "A", "rank": 3}]},
+    }
+    path = write(tmp_path, "a3a3.json", doc)
+    assert run(capsys, "restrict-index", path)[0] == 0
+    monkeypatch.setattr(cli, "HARD_RANK_CEILING", 5)
+    doc["ambient"]["components"][1]["rank"] = 2
+    assert run(capsys, "restrict-index", write(tmp_path, "a3a2.json", doc))[0] == 0  # rank 5
+
+    def no_allocation(spec):
+        raise AssertionError("the ambient datum was built past the ceiling")
+
+    monkeypatch.setattr(cli.AmbientRootDatum, "of", staticmethod(no_allocation))
+    code, out, err = run(capsys, "restrict-index", path)  # rank 6
+    assert code == 2 and not out
+    assert "total ambient rank 6 exceeds HARD_RANK_CEILING 5" in err
+
+
 def test_standard_fan(capsys):
     code, out, _ = run(capsys, "--format", "json", "standard-fan", fixture("e6.json"))
     assert code == 0
@@ -288,7 +334,8 @@ def test_orbit_cap_budget_says_when_clamped(capsys, tmp_path, monkeypatch):
 
 
 FIXTURE_DOCS = [json.load(open(fixture(n + ".json"))) for n in ("sp42", "e6", "su22", "u11")]
-# Small values only: a large "rank" exhausts memory instead of failing cleanly.
+# Small values keep each example fast; ranks above HARD_RANK_CEILING exit 2
+# (test_ambient_rank_ceiling_exit_2_before_allocation).
 SMALL_JSON = st.recursive(
     st.none()
     | st.booleans()
@@ -420,3 +467,30 @@ def test_json_reports_hold_no_float(capsys, tmp_path):
             checks.append("--saturate")
         report("fan", path, "--fan", fan_path, *checks)
     assert all(parsed.values()), parsed
+
+
+def _numbers(node):
+    """Every JSON leaf of a document that reads as a rational."""
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        for v in node:
+            yield from _numbers(v)
+    elif isinstance(node, (int, str)) and not isinstance(node, bool):
+        try:
+            yield Fraction(node)
+        except ValueError:
+            pass
+
+
+def test_integral_input_stays_int():
+    """Lattice coordinates come from exact divisions, so integral documents
+    give int data from the parser through the restricted datum."""
+    docs = FIXTURE_DOCS + [datum_doc(d) for d in random_data(20261018, 24)]
+    integral = [doc for doc in docs if all(q.denominator == 1 for q in _numbers(doc))]
+    assert len(integral) == len(docs) - 1  # all but e6, whose second root has halves
+    for doc in integral:
+        d = cli.parse_datum(doc)
+        rd = restrict_datum(d)
+        for rows in (d.sigma, d.pairing, rd.sigma_k, rd.sigma_k_pr, rd.xik_image_basis):
+            assert all(type(x) is int for r in rows for x in r), rows

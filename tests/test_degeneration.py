@@ -86,3 +86,16 @@ def test_doubled_root_cone_inside_valuation_cone():
     assert dd.c_bd.dim == 1
     dd2 = build_degeneration(Lattice.standard(2), [[2, 0], [0, 1]])
     assert dd2.c_bd.dim == 2
+
+
+def test_not_a_face_without_the_containment_check():
+    """Generator-subset membership alone decides faces of the simplicial c_bd."""
+    dd = build_degeneration(Lattice.standard(2), [[1, 0], [0, 1]])
+    g1, g2 = dd.c_bd.generators
+    outside = Cone.of([g1, tuple(-x for x in g2)])
+    inner_ray = Cone.of([tuple(a + b for a, b in zip(g1, g2))])  # inside c_bd, not a face
+    inner_wedge = Cone.of([g1, tuple(a + b for a, b in zip(g1, g2))])
+    for cone in (outside, inner_ray, inner_wedge):
+        with pytest.raises(NotAFace):
+            degeneration_fiber_data(dd, cone)
+    assert dd.c_bd.contains_cone(inner_ray) and dd.c_bd.contains_cone(inner_wedge)

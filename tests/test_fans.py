@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from itertools import combinations
 
@@ -394,3 +395,16 @@ def test_strata_sign_certificates_match_lp(corpus_rds):
     by_cone = {node.cone: node.horospherical for node in strata(mixed, a1a1).nodes}
     assert by_cone[Cone.of([[-1, 1], [1, -2]])]
     assert not by_cone[Cone.of([[-3, 2], [2, -1]])]
+
+
+def test_outside_support_detail_text_of_a3_chamber_fan():
+    """The detail prints each root as a tuple of Fractions, whatever type the
+    root has: reports that pinned this text stay byte-identical."""
+    rd = split_rd("A", 3)
+    details = [i.detail for i in fan_validate(chamber_fan(rd), valuation_cone(rd))]
+    assert len(details) == 132
+    assert details[0] == (
+        "generator (-1, 0, 1) violates (Fraction(0, 1), Fraction(0, 1), Fraction(1, 1))"
+    )
+    digest = hashlib.sha256("\n".join(details).encode()).hexdigest()
+    assert digest == "054ed1079d6853976aa58fbddfc7b9a25276aab9f025e53a7e262832a952858b"

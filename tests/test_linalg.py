@@ -2,7 +2,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy import ZZ, Matrix, Rational
 from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
@@ -234,6 +234,48 @@ def test_lattice_canonical_equality():
 def test_lattice_index():
     even = Lattice.from_rows(2, [[1, 1], [0, 2]])
     assert even.index_in(Lattice.standard(2)) == 2
+
+
+@st.composite
+def lattice_and_vector(draw):
+    """Rational generators (rank-deficient sets and den > 1 included) and a
+    vector in their span or, with a random shift, usually off it."""
+    n = draw(st.integers(1, 5))
+    gens = draw(st.lists(st.lists(small_rational, min_size=n, max_size=n), max_size=n + 1))
+    coeffs = draw(st.lists(small_rational, min_size=len(gens), max_size=len(gens)))
+    v = [sum(c * g[j] for c, g in zip(coeffs, gens)) for j in range(n)]
+    inside = draw(st.booleans())
+    if not inside:
+        v = [x + y for x, y in zip(v, draw(st.lists(small_rational, min_size=n, max_size=n)))]
+    return gens, tuple(v), inside
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(lattice_and_vector())
+@example(([[Fraction(1, 2), 1, 0], [1, 2, 0]], (Fraction(3, 2), 3, 0), True))
+@example(([[Fraction(1, 2), 1, 0], [1, 2, 0]], (1, 2, 1), False))
+@example(([[2, 0], [0, 3]], (1, 1), True))
+def test_lattice_coordinates_match_solve_left(data):
+    gens, v, inside = data
+    lat = Lattice.from_rows(len(v), gens)
+    got = lat.coordinates(v)
+    assert got == solve_left(lat.rows_q(), v)
+    if inside:
+        assert got is not None
+    if got is not None:
+        # integral coordinates stay ints; a Fraction only from an inexact division
+        assert all(isinstance(x, int) for x in got if x.denominator == 1)
+
+
+def test_lattice_coordinates_wrong_length_and_rows_q_types():
+    for lat in (Lattice.standard(2), Lattice.from_rows(2, [])):
+        with pytest.raises(ValueError):
+            lat.coordinates((1,))
+    assert Lattice.standard(2).rows_q() == ((1, 0), (0, 1))
+    assert all(type(x) is int for r in Lattice.from_rows(2, [[2, 4]]).rows_q() for x in r)
+    half = Lattice.from_rows(2, [[Fraction(1, 2), 0]])
+    assert half.rows_q() == ((Fraction(1, 2), 0),)
+    assert half.coordinates((3, 0)) == (6,) and type(half.coordinates((3, 0))[0]) is int
 
 
 def test_solve_left():

@@ -2,12 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from datagen import flip_matrix
+from datagen import flip_matrix, random_data
 from spherindex.datum import SphericalDatumK
 from spherindex.errors import FiberMismatch, NotBetween, NotConvex
 from spherindex.index import TitsIndex
-from spherindex.linalg import Lattice, dot, fmat, vec_mat
+from spherindex.linalg import Lattice, dot, fmat, solve, transpose, vec_mat
 from spherindex.restrict import (
+    _annihilator,
+    _projection_matrix,
     aut_roots,
     chamber_containment_check,
     coweight_identity_check,
@@ -354,3 +356,15 @@ def test_facet_inheritance_fixtures():
     assert facet_inheritance_check(e6_datum()) == {"full": 0, "facet": 2}
     assert facet_inheritance_check(su_nn_datum(2)) == {"full": 0, "facet": 1}
     assert facet_inheritance_check(u11_datum()) == {"full": 0, "facet": 1}
+
+
+def test_little_basis_and_lifts_match_the_elimination():
+    """The Hermite transform's rows lift the little basis; lifts differ by the
+    span of the annihilator, so each projects like the lift ``solve`` finds."""
+    for d in [sp42_datum(), e6_datum(), su_nn_datum(2), u11_datum()] + random_data(20261018, 24):
+        rd = restrict_datum(d)
+        nk = rd.nk_basis
+        assert Lattice(rd.rank, rd.xik_image_basis) == Lattice.from_rows(rd.rank, transpose(nk))
+        p = _projection_matrix(d.pairing, _annihilator(d, rd.split))
+        for row, lift in zip(rd.xik_image_basis, rd.projected_lifts, strict=True):
+            assert vec_mat(solve(nk, row), p) == lift
