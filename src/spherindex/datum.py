@@ -198,10 +198,9 @@ def compact_split(d: SphericalDatumK) -> CompactRootSplit:
     )
 
 
-def _an_positions_lint(d: SphericalDatumK, split: CompactRootSplit) -> ValidationItem | None:
+def _an_positions_lint(base: RootBase, split: CompactRootSplit) -> ValidationItem | None:
     """Divisibility pattern of noncompact roots in an irreducible A_n system."""
     try:
-        base = RootBase.from_vectors(d.sigma, d.pairing)
         comps = classify(cartan_matrix(base))
     except (NotARootBase, NotFiniteType):
         return None
@@ -281,6 +280,7 @@ def validate(d: SphericalDatumK) -> list[ValidationItem]:
         add("sp_compact_component_split", all(cc <= sp or cc <= comp for cc in parts))
 
     if split is not None and d.sigma:
+        base = None
         try:
             base = RootBase.from_vectors(d.sigma, d.pairing)
             perm = opposition_permutation(base)
@@ -288,7 +288,7 @@ def validate(d: SphericalDatumK) -> list[ValidationItem]:
             add("opposition_stable", {perm[i] for i in s0} == s0)
         except (NotARootBase, NotFiniteType) as e:
             add("opposition_stable", False, detail=f"spherical roots do not span a finite root system: {e}")
-        lint = _an_positions_lint(d, split)
+        lint = _an_positions_lint(base, split) if base is not None else None
         if lint is not None:
             items.append(lint)
 

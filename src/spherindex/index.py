@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .errors import BudgetExceeded, DatumConstructionError, NotARootBase, NotFiniteType
@@ -20,9 +19,9 @@ from .linalg import (
     dot,
     identity,
     integer_kernel,
-    inverse,
     mat_mul,
     minus_identity,
+    scaled_inverse,
     transpose,
     vec_mat,
 )
@@ -164,11 +163,6 @@ def res_A(ix: TitsIndex, chi) -> Vec:
     return vec_mat(chi, ix.restriction)
 
 
-def dual_form_on_split(ix: TitsIndex) -> Mat:
-    """Form on restriction coordinates matching the projected invariant form."""
-    return inverse(mat_mul(ix.split, ix.restriction))
-
-
 @dataclass(frozen=True)
 class RestrictedSimpleRoots:
     roots: Mat  # distinct nonzero images, Bourbaki-ordered per component
@@ -192,7 +186,9 @@ def restricted_simple_roots(ix: TitsIndex) -> RestrictedSimpleRoots:
         else:
             distinct.append(img)
             fibers.append([i])
-    form = dual_form_on_split(ix)
+    # a positive multiple of the form on restriction coordinates that matches
+    # the projected invariant form; Cartan numbers do not see the scale
+    form, _ = scaled_inverse(mat_mul(ix.split, ix.restriction))
     c = cartan_matrix(RootBase.from_vectors(distinct, form))
     comps = classify(c)
     order = [i for _, _, positions in comps for i in positions]
@@ -231,9 +227,10 @@ def restricted_root_system(ix: TitsIndex) -> RestrictedRootSystem:
         if any(x != 0 for x in img):
             counts[img] += 1
     support = set(counts)
-    halves = {tuple(Fraction(x, 2) for x in r) for r in support}
-    reduced = not (support & halves)
-    indivisible = {r for r in support if tuple(Fraction(x, 2) for x in r) not in support}
+    # r / 2 is a root exactly when r is twice a root
+    doubles = {tuple(2 * x for x in r) for r in support}
+    reduced = not (support & doubles)
+    indivisible = support - doubles
     return RestrictedRootSystem(
         multiplicities=tuple(sorted(counts.items())),
         reduced=reduced,

@@ -4,10 +4,12 @@ Vectors are tuples of numbers and matrices are tuples of row vectors.  No
 floating point anywhere.  One numeric rule: integral data stay ``int``.
 The products (``dot``, ``vec_mat``, ``mat_mul``, ``gram``) keep the types
 they are given: ints in, ints out; any ``Fraction`` in, ``Fraction`` out.
-A ``Fraction`` is created in five places only:
+The eliminations are one fraction-free integer kernel, so ``rank`` and
+``scaled_inverse`` create no ``Fraction``.  A ``Fraction`` is created in
+five places only:
 
-- the eliminations, which coerce their input once (``rref``, and through
-  it ``solve``, ``solve_left``, ``inverse`` and ``rank``);
+- ``rref``, ``solve``, ``solve_left`` and ``inverse``, once per entry of
+  the result, by one division by the determinant at the end;
 - ``Lattice.coordinates``, only when a division is inexact;
 - ``Lattice.rows_q``, only when ``den > 1``;
 - the point ``find_feasible`` returns;
@@ -29,25 +31,6 @@ from .errors import NotInSpan, NotSublattice, ZeroVector
 
 Vec = tuple[int | Fraction, ...]
 Mat = tuple[Vec, ...]
-
-
-def frac(x) -> Fraction:
-    """Coerce an int or a Fraction to Fraction."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, bool):
-        raise TypeError("bool is not a rational")
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"cannot interpret {x!r} as an exact rational")
-
-
-def fvec(v) -> Vec:
-    return tuple(frac(x) for x in v)
-
-
-def fmat(m) -> Mat:
-    return tuple(fvec(r) for r in m)
 
 
 def identity(n: int) -> tuple[tuple[int, ...], ...]:
@@ -82,46 +65,60 @@ def is_zero_vec(v) -> bool:
     return all(x == 0 for x in v)
 
 
-def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form and pivot columns."""
-    rows = list(fmat(m))
-    if not rows:
-        return (), ()
-    ncols = len(rows[0])
+def _eliminate(m) -> tuple[list[list[int]], tuple[int, ...], int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968).
+
+    Each row is scaled to integers once, which keeps its row space.  A pivot
+    p then replaces every other row by (p * row - f * pivot_row) // prev,
+    where prev is the pivot before it (1 at the start): each entry is a minor
+    of the scaled matrix, so the division is exact.  Returns (rows, pivots,
+    det): integer rows equal to det * rref(m), the pivot columns, and the
+    last pivot det != 0 (1 for rank 0).
+    """
+    for row in m:
+        for x in row:
+            if type(x) is not int and not isinstance(x, Fraction):
+                raise TypeError(f"cannot interpret {x!r} as an exact rational")
+    rows = scale_rows_integral(m)
+    nrows = len(rows)
     pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+    det = 1
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1, rows[r][c])
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        prow = rows[r]
+        piv = prow[c]
+        for i in range(nrows):
+            f = rows[i][c]
+            if i != r and (f or piv != det):
+                rows[i] = [(piv * x - f * y) // det for x, y in zip(rows[i], prow)]
+        det = piv
         pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return tuple(tuple(row) for row in rows), tuple(pivots)
+    return rows, tuple(pivots), det
+
+
+def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
+    """Reduced row echelon form and pivot columns."""
+    rows, pivots, det = _eliminate(m)
+    return tuple(tuple(Fraction(x, det) for x in row) for row in rows), pivots
 
 
 def rank(m) -> int:
-    return len(rref(m)[1])
+    return len(_eliminate(m)[1])
 
 
 def solve(a: Mat, b) -> Vec | None:
     """A particular solution x of a @ x = b (x a column), or None."""
     n = len(a[0]) if a else 0
-    aug = [(*row, bi) for row, bi in zip(a, b, strict=True)]
-    red, pivots = rref(aug)
+    rows, pivots, det = _eliminate([(*row, bi) for row, bi in zip(a, b, strict=True)])
     if n in pivots:
         return None
     x = [Fraction(0)] * n
     for i, c in enumerate(pivots):
-        x[c] = red[i][n]
+        x[c] = Fraction(rows[i][n], det)
     return tuple(x)
 
 
@@ -133,12 +130,18 @@ def solve_left(rows: Mat, target) -> Vec | None:
 
 
 def inverse(m: Mat) -> Mat:
+    a, d = scaled_inverse(m)
+    return tuple(tuple(Fraction(x, d) for x in row) for row in a)
+
+
+def scaled_inverse(m) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(a, d) with d > 0 and a = d * m^-1 an integer matrix, from [m | I]."""
     n = len(m)
-    aug = [(*row, *e) for row, e in zip(m, identity(n), strict=True)]
-    red, pivots = rref(aug)
+    rows, pivots, det = _eliminate([(*row, *e) for row, e in zip(m, identity(n), strict=True)])
     if pivots != tuple(range(n)):
         raise ValueError("matrix is singular")
-    return tuple(row[n:] for row in red)
+    sign = 1 if det > 0 else -1
+    return tuple(tuple(sign * x for x in row[n:]) for row in rows), sign * det
 
 
 def gram(rows, form) -> Mat:

@@ -9,10 +9,9 @@ squared length 2 (long roots 4, or 6 in G2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import NotARootBase, NotFiniteType
-from .linalg import Mat, Vec, gram, identity, inverse, rank, vec_mat
+from .linalg import Mat, Vec, gram, identity, rank, scaled_inverse, vec_mat
 
 VALID_RANKS = {
     "A": lambda n: n >= 1,
@@ -200,10 +199,9 @@ def cartan_matrix(base: RootBase) -> Mat:
     for i in range(n):
         row = []
         for j in range(n):
-            x = Fraction(2 * g[i][j], g[j][j])
-            if x.denominator != 1:
+            x, r = divmod(2 * g[i][j], g[j][j])
+            if r:
                 raise NotARootBase(f"non-integral Cartan number at ({i}, {j})")
-            x = int(x)
             if i == j:
                 if x != 2:
                     raise NotARootBase("diagonal Cartan number is not 2")
@@ -362,12 +360,13 @@ def positive_roots_in_base_coords(c: Mat, comps=None) -> list[tuple[int, ...]]:
 
 
 def _rho_coords(c: Mat) -> Vec:
-    """Coordinates of the Weyl vector: <rho, a_j^vee> = 1 for all j."""
-    return vec_mat((1,) * len(c), inverse(c))
+    """Integer coordinates of d * rho for some d > 0, where <rho, a_j^vee> = 1."""
+    a, _ = scaled_inverse(c)
+    return vec_mat((1,) * len(c), a)
 
 
 def longest_element_word(c: Mat) -> list[int]:
-    """A reduced word for w0 via reflection descent of -rho."""
+    """A reduced word for w0 via reflection descent of -rho (or of -d * rho: same signs)."""
     x = tuple(-t for t in _rho_coords(c))
     word = []
     while True:

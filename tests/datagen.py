@@ -9,6 +9,7 @@ sticks to these families.
 """
 
 import random
+from fractions import Fraction
 
 from spherindex.datum import SphericalDatumK, compact_split
 from spherindex.errors import SpherindexError
@@ -21,6 +22,16 @@ from spherindex.rootsys import (
     classify,
     generate_roots,
 )
+
+
+def fvec(v):
+    """The entries of v as Fractions, so that / on them stays exact."""
+    return tuple(map(Fraction, v))
+
+
+def fmat(m):
+    return tuple(map(fvec, m))
+
 
 AMBIENT_CHOICES = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4),

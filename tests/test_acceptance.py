@@ -8,7 +8,7 @@ seeded geometric generators in datagen.
 
 from fractions import Fraction
 
-from datagen import flip_matrix, random_convex_data, random_data, to_abstract
+from datagen import flip_matrix, fmat, fvec, random_convex_data, random_data, to_abstract
 from spherindex.datum import SphericalDatumK, is_valid, validate
 from spherindex.degeneration import (
     build_degeneration,
@@ -24,7 +24,7 @@ from spherindex.fans import (
     weyl_saturate,
 )
 from spherindex.index import TitsIndex, res_A, restricted_simple_roots
-from spherindex.linalg import Lattice, dot, fmat, fvec, rank, solve_left, vec_mat
+from spherindex.linalg import Lattice, dot, rank, solve_left, vec_mat
 from spherindex.restrict import (
     aut_roots,
     chamber_containment_check,

@@ -4,7 +4,7 @@ import os
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from datagen import random_data
@@ -334,17 +334,32 @@ def test_orbit_cap_budget_says_when_clamped(capsys, tmp_path, monkeypatch):
 
 
 FIXTURE_DOCS = [json.load(open(fixture(n + ".json"))) for n in ("sp42", "e6", "su22", "u11")]
-# Small values keep each example fast; ranks above HARD_RANK_CEILING exit 2
-# (test_ambient_rank_ceiling_exit_2_before_allocation).
-SMALL_JSON = st.recursive(
+FUZZ_INTS = st.integers(-2, 8) | st.integers(-(10**30), 10**30)
+FUZZ_LEAVES = (
     st.none()
     | st.booleans()
-    | st.integers(-2, 8)
-    | st.sampled_from(["", "x", "1/2", "1/0", "flip", "a1", "A", "E"]),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.sampled_from(["family", "rank", "sigma", "star", "cones"]), inner, max_size=2),
-    max_leaves=6,
+    | FUZZ_INTS
+    | st.sampled_from(["", "x", "1/2", "1/0", "flip", "a1", "A", "E"])
 )
+
+
+def json_values(depth):
+    """JSON values nested at most ``depth`` deep, lists of up to 20 items.
+
+    Ints up to 10**30 reach the eliminations and the Hermite forms; a rank
+    that large exits 2 at HARD_RANK_CEILING, and no list comes near it.
+    """
+    if depth == 0:
+        return FUZZ_LEAVES
+    inner = json_values(depth - 1)
+    return (
+        FUZZ_LEAVES
+        | st.lists(inner, max_size=20)
+        | st.dictionaries(st.sampled_from(["family", "rank", "sigma", "star", "cones"]), inner, max_size=3)
+    )
+
+
+FUZZ_JSON = json_values(4)
 FUZZ_COMMANDS = [
     ["analyze"],
     ["restrict-index"],
@@ -368,9 +383,20 @@ def _paths(node, prefix=()):
         yield from _paths(v, prefix + (k,))
 
 
+def with_value(doc, path, value):
+    """A copy of doc with the value at path replaced."""
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for k in path[:-1]:
+        parent = parent[k]
+    parent[path[-1]] = value
+    return doc
+
+
 @st.composite
 def mutated_fixtures(draw):
-    """A fixture document with one to three values replaced or deleted."""
+    """A fixture document with one to three values replaced or deleted; an
+    int is replaced by an int half the time, so large ones reach the kernels."""
     doc = copy.deepcopy(draw(st.sampled_from(FIXTURE_DOCS)))
     for _ in range(draw(st.integers(1, 3))):
         path = draw(st.sampled_from(list(_paths(doc))[1:]))
@@ -379,8 +405,10 @@ def mutated_fixtures(draw):
             parent = parent[k]
         if isinstance(parent, dict) and draw(st.booleans()):
             del parent[path[-1]]
+        elif isinstance(parent[path[-1]], int) and draw(st.booleans()):
+            parent[path[-1]] = draw(FUZZ_INTS)
         else:
-            parent[path[-1]] = draw(SMALL_JSON)
+            parent[path[-1]] = draw(FUZZ_JSON)
     return doc
 
 
@@ -391,6 +419,9 @@ def mutated_fixtures(draw):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(doc=mutated_fixtures(), cmd=st.sampled_from(FUZZ_COMMANDS))
+@example(doc=with_value(FIXTURE_DOCS[0], ("spherical", "sigma", 0, 0), 10**30), cmd=["analyze"])
+@example(doc=with_value(FIXTURE_DOCS[2], ("spherical", "xi_basis", 1, 1), -(10**30)), cmd=["localize", "--roots", "1"])
+@example(doc=with_value(FIXTURE_DOCS[3], ("abstract", "sigma", 0, 0), 10**30), cmd=["standard-fan"])
 def test_mutated_fixtures_exit_cleanly(capsys, tmp_path, doc, cmd):
     path = write(tmp_path, "fuzz.json", doc)
     if cmd[0] == "fan":

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from datagen import flip_matrix
+from spherindex import datum
 from spherindex.datum import (
     SphericalDatumK,
     compact_split,
@@ -16,7 +17,7 @@ from spherindex.errors import (
     NegativeCoefficient,
 )
 from spherindex.index import TitsIndex
-from spherindex.rootsys import AmbientRootDatum
+from spherindex.rootsys import AmbientRootDatum, RootBase
 
 H = Fraction(1, 2)
 
@@ -128,6 +129,38 @@ def test_an_lint_flags_bad_pattern():
     # the compact set {2,3} is not opposition stable either; lint itself:
     assert items["a_n_divisibility"].severity == "warning"
     assert not items["a_n_divisibility"].passed
+
+
+def test_validate_builds_the_root_base_once(monkeypatch):
+    built = []
+
+    class CountingRootBase:
+        @staticmethod
+        def from_vectors(vectors, form):
+            built.append(vectors)
+            return RootBase.from_vectors(vectors, form)
+
+    monkeypatch.setattr(datum, "RootBase", CountingRootBase)
+    a3 = TitsIndex.of(AmbientRootDatum.of([("A", 3)]), [0, 2], [])
+    a3_datum = SphericalDatumK.ambient(a3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    for d in (sp42_datum(), e6_datum(), su22_datum(), a3_datum):
+        built.clear()
+        items = {it.name: it for it in validate(d)}
+        assert built == [d.sigma]
+        assert "opposition_stable" in items
+    assert items["a_n_divisibility"].passed
+
+
+def test_dependent_roots_fail_opposition_with_a_detail_and_no_lint():
+    ix = TitsIndex.of(AmbientRootDatum.of([("A", 3)]), [], [])
+    d = SphericalDatumK.ambient(ix, [[1, 0, 0], [0, 1, 0], [1, 1, 0]])
+    items = {it.name: it for it in validate(d)}
+    assert not items["linearly_independent"].passed
+    assert (items["opposition_stable"].passed, items["opposition_stable"].detail) == (
+        False,
+        "spherical roots do not span a finite root system: base vectors are linearly dependent",
+    )
+    assert "a_n_divisibility" not in items
 
 
 def test_star_permutation_check():

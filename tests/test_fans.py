@@ -245,7 +245,8 @@ def test_weyl_saturate_b2():
 
 def test_weyl_saturate_reflection_stable():
     from spherindex.fans import _reflection_on_dual
-    from spherindex.linalg import vec_mat, fvec, primitive_vector
+    from datagen import fvec
+    from spherindex.linalg import vec_mat, primitive_vector
 
     _, rd = e6_rd()
     sat = weyl_saturate(standard_fan(rd), rd)

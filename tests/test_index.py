@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from datagen import flip_matrix
+from datagen import flip_matrix, fvec
 from spherindex import index
 from spherindex.cli import cmd_analyze, cmd_restrict_index, parse_index
 from spherindex.errors import BudgetExceeded
@@ -17,8 +17,8 @@ from spherindex.index import (
     restricted_simple_roots,
     split_subspace,
 )
-from spherindex.linalg import Lattice, dot, fvec, image_lattice, rank, vec_mat
-from spherindex.rootsys import AmbientRootDatum
+from spherindex.linalg import Lattice, dot, image_lattice, inverse, mat_mul, rank, vec_mat
+from spherindex.rootsys import AmbientRootDatum, RootBase, cartan_matrix, classify
 
 
 def split_index(fam, n):
@@ -169,6 +169,61 @@ def test_res_A_pairs_with_the_split_basis():
         v = split_subspace(ix)
         for chi in ambient_roots(ix.ambient):
             assert res_A(ix, chi) == tuple(dot(vec_mat(fvec(chi), b), row) for row in v)
+
+
+def large_indices():
+    """Split E8 and A12, quasi-split E6, C8 with compact a1, a3, a5, a7 and the A6 x A6 swap."""
+    swap = TitsIndex.of(
+        AmbientRootDatum.of([("A", 6), ("A", 6)]), [], [flip_matrix(12, [(i, i + 6) for i in range(6)])]
+    )
+    compact_c8 = TitsIndex.of(AmbientRootDatum.of([("C", 8)]), [0, 2, 4, 6], [])
+    return [split_index("E", 8), split_index("A", 12), e6_flip_index(), compact_c8, swap]
+
+
+def test_restricted_cartan_matches_the_fraction_inverse():
+    for ix in large_indices():
+        distinct = []
+        for img in ix.restriction:
+            if any(img) and img not in distinct:
+                distinct.append(img)
+        form = inverse(mat_mul(ix.split, ix.restriction))
+        c = cartan_matrix(RootBase.from_vectors(distinct, form))
+        order = [i for _, _, positions in classify(c) for i in positions]
+        srs = restricted_simple_roots(ix)
+        assert srs.cartan == tuple(tuple(c[i][j] for j in order) for i in order)
+        assert srs.roots == tuple(distinct[i] for i in order)
+
+
+def test_restrict_index_path_creates_no_fraction(monkeypatch):
+    indices = large_indices()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Fraction was created")
+
+    monkeypatch.setattr(Fraction, "__new__", refuse)
+    for ix in indices:
+        assert ix.violations() == []
+        restricted_root_system(ix)
+
+
+def quasi_split_a(n):
+    """Type A_n with the diagram flip, no compact roots."""
+    pairs = [(i, n - 1 - i) for i in range(n // 2)]
+    return TitsIndex.of(AmbientRootDatum.of([("A", n)]), [], [flip_matrix(n, pairs)])
+
+
+def test_reducedness_matches_the_fraction_halves():
+    # quasi-split A2 and A4 restrict to the non-reduced BC1 and BC2
+    cases = large_indices() + [quasi_split_a(n) for n in (2, 3, 4, 5)] + [c3_rank_one_index()]
+    for ix in cases:
+        support = {img for chi in ambient_roots(ix.ambient) if any(img := res_A(ix, chi))}
+        halves = {tuple(Fraction(x, 2) for x in r) for r in support}
+        indivisible = {r for r in support if tuple(Fraction(x, 2) for x in r) not in support}
+        phi = restricted_root_system(ix)
+        assert phi.reduced == (not support & halves)
+        assert phi.indivisible_count == len(indivisible)
+    assert [restricted_root_system(quasi_split_a(n)).reduced for n in (2, 4)] == [False, False]
+    assert [restricted_root_system(quasi_split_a(n)).indivisible_count for n in (2, 4)] == [2, 8]
 
 
 def test_anisotropic_index_has_empty_restriction():

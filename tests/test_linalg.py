@@ -25,6 +25,7 @@ from spherindex.linalg import (
     primitive_multiple,
     rank,
     rref,
+    scaled_inverse,
     smith_normal_form,
     solve_left,
     transpose,
@@ -401,3 +402,131 @@ def test_gram_symmetric_and_dual_basis_pairs_to_identity(data):
     assert g == transpose(g)
     w = dual_basis(rows, form)
     assert tuple(tuple(dot(wj, r) for r in rows) for wj in w) == identity(len(rows))
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free elimination kernel against sympy
+
+rational = st.one_of(small_int, small_rational)
+
+
+@st.composite
+def rational_matrix(draw, square=False):
+    """Int and Fraction entries; in about half the draws one row is a
+    combination of the others (a zero row when there are no others)."""
+    r = draw(st.integers(1, 5))
+    c = r if square else draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(rational, min_size=c, max_size=c), min_size=r, max_size=r))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, r - 1))
+        coeffs = draw(st.lists(rational, min_size=r, max_size=r))
+        rows[i] = [sum(coeffs[k] * rows[k][j] for k in range(r) if k != i) for j in range(c)]
+    return rows
+
+
+def to_sympy(m):
+    return Matrix([[Rational(x.numerator, x.denominator) for x in row] for row in m])
+
+
+def from_sympy(m):
+    return tuple(tuple(Fraction(int(x.p), int(x.q)) for x in m.row(i)) for i in range(m.rows))
+
+
+# a negative last pivot, a row swap, halves and thirds, a zero row, rank 1
+KERNEL_EXAMPLES = [
+    [[-1]],
+    [[1, 2], [3, 4]],
+    [[0, 1], [1, 0]],
+    [[Fraction(1, 2), 1], [1, Fraction(1, 3)]],
+    [[0, 0], [1, 2]],
+    [[1, 2], [2, 4]],
+    [[0, 0, 0], [0, 2, -1], [Fraction(-1, 3), 4, 2]],
+]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(rational_matrix())
+@example([[1, 2, 3], [2, 4, 6]])
+@example([[Fraction(1, 2), 0, 1], [0, 0, 0], [3, Fraction(-2, 3), 1]])
+def test_rref_and_rank_match_sympy(m):
+    red, pivots = rref(m)
+    expected, expected_pivots = to_sympy(m).rref()
+    assert pivots == tuple(expected_pivots)
+    assert red == from_sympy(expected)
+    assert all(type(x) is Fraction for row in red for x in row)
+    assert rank(m) == to_sympy(m).rank()
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(rational_matrix(square=True))
+@example(KERNEL_EXAMPLES[0])
+@example(KERNEL_EXAMPLES[1])
+@example(KERNEL_EXAMPLES[2])
+@example(KERNEL_EXAMPLES[3])
+@example(KERNEL_EXAMPLES[4])
+@example(KERNEL_EXAMPLES[5])
+@example(KERNEL_EXAMPLES[6])
+def test_inverse_and_scaled_inverse_match_sympy(m):
+    n = len(m)
+    if to_sympy(m).rank() < n:
+        for f in (inverse, scaled_inverse):
+            with pytest.raises(ValueError):
+                f(m)
+        return
+    inv = inverse(m)
+    assert inv == from_sympy(to_sympy(m).inv())
+    assert all(type(x) is Fraction for row in inv for x in row)
+    a, d = scaled_inverse(m)
+    assert type(d) is int and d > 0
+    assert all(type(x) is int for row in a for x in row)
+    assert mat_mul(a, m) == tuple(tuple(d * x for x in row) for row in identity(n))
+    assert a == tuple(tuple(d * x for x in row) for row in inv)
+
+
+@st.composite
+def rows_and_target(draw):
+    rows = draw(rational_matrix())
+    c = len(rows[0])
+    coeffs = draw(st.lists(rational, min_size=len(rows), max_size=len(rows)))
+    target = [sum(a * row[j] for a, row in zip(coeffs, rows)) for j in range(c)]
+    if draw(st.booleans()):
+        target = [x + y for x, y in zip(target, draw(st.lists(rational, min_size=c, max_size=c)))]
+    return rows, tuple(target)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(rows_and_target())
+@example(([[1, 2], [2, 4]], (3, 6)))
+@example(([[1, 2], [2, 4]], (3, 5)))
+@example(([[0, 0], [Fraction(1, 2), -1]], (1, -2)))
+def test_solve_left_matches_sympy(data):
+    rows, target = data
+    got = solve_left(rows, target)
+    try:
+        sol, params = to_sympy(rows).T.gauss_jordan_solve(to_sympy([target]).T)
+    except ValueError:  # inconsistent
+        assert got is None
+        return
+    # the free coefficients are 0 in the particular solution
+    assert got == from_sympy(sol.subs({p: 0 for p in params}).T)[0]
+
+
+@pytest.mark.parametrize("bad", [1.0, True])
+def test_eliminations_reject_float_and_bool(bad):
+    m = ((bad, 0), (0, 1))
+    for f in (rref, rank, inverse, scaled_inverse):
+        with pytest.raises(TypeError):
+            f(m)
+
+
+def test_rank_and_scaled_inverse_create_no_fraction(monkeypatch):
+    m = [[Fraction(1, 2), 1, 0], [1, Fraction(1, 3), 2], [0, 5, Fraction(-7, 4)]]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Fraction was created")
+
+    monkeypatch.setattr(Fraction, "__new__", refuse)
+    assert rank(m) == 3
+    assert rank([[2, 4], [1, 2]]) == 1
+    a, d = scaled_inverse([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
+    assert (a, d) == (((3, 2, 1), (2, 4, 2), (1, 2, 3)), 4)

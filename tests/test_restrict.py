@@ -2,11 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from datagen import flip_matrix, random_data
+from datagen import flip_matrix, fmat, random_data
 from spherindex.datum import SphericalDatumK
 from spherindex.errors import FiberMismatch, NotBetween, NotConvex
 from spherindex.index import TitsIndex
-from spherindex.linalg import Lattice, dot, fmat, solve, transpose, vec_mat
+from spherindex.linalg import Lattice, dot, solve, transpose, vec_mat
 from spherindex.restrict import (
     _annihilator,
     _projection_matrix,

@@ -3,15 +3,18 @@ from fractions import Fraction
 import pytest
 
 from spherindex.errors import NotARootBase, NotFiniteType
-from spherindex.linalg import dot, fmat, vec_mat
+from datagen import fmat
+from spherindex.linalg import dot, identity, inverse, vec_mat
 from spherindex.rootsys import (
     AmbientRootDatum,
+    VALID_RANKS,
     DynkinComponent,
     RootBase,
     cartan_matrix,
     classify,
     classified_type_name,
     generate_roots,
+    longest_element_word,
     opposition_permutation,
     positive_roots_in_base_coords,
     root_count,
@@ -198,6 +201,34 @@ def test_opposition_is_involution_preserving_cartan():
         for i in range(n):
             for j in range(n):
                 assert c[p[i]][p[j]] == c[i][j]
+
+
+def fraction_rho_word(c):
+    """The reduced word for w0 from the Fraction rho = (1, ..., 1) @ c^-1."""
+    x = tuple(-t for t in vec_mat((1,) * len(c), inverse(c)))
+    word = []
+    while (j := next((t for t, p in enumerate(vec_mat(x, c)) if p < 0), None)) is not None:
+        x = simple_reflection(x, c, j)
+        word.append(j)
+    return word
+
+
+def test_longest_word_and_opposition_match_the_fraction_rho():
+    irreducible = [(f, n) for f in "ABCDEFG" for n in range(1, 9) if VALID_RANKS[f](n)]
+    ambients = [AmbientRootDatum.of([t]) for t in irreducible]
+    ambients.append(AmbientRootDatum.of([("A", 2), ("B", 3), ("G", 2), ("D", 4)]))
+    for amb in ambients:
+        c = amb.cartan()
+        word = fraction_rho_word(c)
+        assert longest_element_word(c) == word
+        assert len(word) == len(positive_roots_in_base_coords(c))  # reduced
+        perm = []
+        for v in identity(len(c)):
+            for j in word:
+                v = simple_reflection(v, c, j)
+            perm.append(identity(len(c)).index(tuple(-x for x in v)))
+        base = RootBase.from_vectors(identity(len(c)), amb.form())
+        assert opposition_permutation(base) == tuple(perm)
 
 
 def test_positive_roots():
