@@ -14,12 +14,13 @@ from dataclasses import dataclass
 from .errors import (
     DatumConstructionError,
     InternalInconsistency,
+    LinearlyDependent,
     NegativeCoefficient,
     NotARootBase,
     NotFiniteType,
 )
 from .index import StarAction, TitsIndex, res_A
-from .linalg import Lattice, Mat, content, gram, rank, vec_mat
+from .linalg import Lattice, Mat, content, gram, vec_mat
 from .rootsys import (
     RootBase,
     cartan_matrix,
@@ -244,7 +245,14 @@ def validate(d: SphericalDatumK) -> list[ValidationItem]:
     else:
         add("roots_in_lattice", all(x.denominator == 1 for row in d.sigma for x in row))
 
-    add("linearly_independent", rank(d.sigma) == len(d.sigma) if d.sigma else True)
+    # one elimination of sigma: the base's rank check decides independence
+    base = base_error = None
+    if d.sigma:
+        try:
+            base = RootBase.from_vectors(d.sigma, d.pairing)
+        except NotARootBase as e:
+            base_error = e
+    add("linearly_independent", not isinstance(base_error, LinearlyDependent))
 
     prim = True
     for row in d.sigma:
@@ -280,9 +288,9 @@ def validate(d: SphericalDatumK) -> list[ValidationItem]:
         add("sp_compact_component_split", all(cc <= sp or cc <= comp for cc in parts))
 
     if split is not None and d.sigma:
-        base = None
         try:
-            base = RootBase.from_vectors(d.sigma, d.pairing)
+            if base_error is not None:
+                raise base_error
             perm = opposition_permutation(base)
             s0 = set(split.sigma0)
             add("opposition_stable", {perm[i] for i in s0} == s0)

@@ -23,6 +23,10 @@ class NotARootBase(SpherindexError):
     pass
 
 
+class LinearlyDependent(NotARootBase):
+    pass
+
+
 class NotFiniteType(SpherindexError):
     pass
 

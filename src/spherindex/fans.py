@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from .errors import BudgetExceeded, NotConvex, NotSimplicial, NotValidated
@@ -21,6 +22,7 @@ from .linalg import (
     integer_kernel,
     primitive_vector,
     rank,
+    scaled_inverse,
     smith_normal_form,
     solve_left,
     transpose,
@@ -45,14 +47,15 @@ class Cone:
     def dim(self) -> int:
         return len(self.generators)
 
+    # a subset of the sorted generators is sorted: faces need no Cone.of
     def faces(self):
         for k in range(self.dim + 1):
             for sub in combinations(self.generators, k):
-                yield Cone.of(sub)
+                yield Cone(sub)
 
     def facets(self):
         for sub in combinations(self.generators, self.dim - 1):
-            yield Cone.of(sub)
+            yield Cone(sub)
 
     def contains(self, v) -> bool:
         if not self.generators:
@@ -80,10 +83,24 @@ class Fan:
         seen.add(Cone.of(()))
         return Fan(tuple(sorted(seen, key=lambda c: (c.dim, c.generators))))
 
+    @cached_property
+    def facet_map(self) -> dict[Cone, tuple[Cone, ...]]:
+        """The facets of each cone: the facet relation, built once per fan."""
+        return {c: tuple(c.facets()) if c.dim else () for c in self.cones}
+
     def maximal_cones(self) -> list[Cone]:
         """The cones that are not a facet of a cone; ``cones`` is closed under faces."""
-        facets = {w for c in self.cones if c.dim for w in c.facets()}
+        facets = {w for ws in self.facet_map.values() for w in ws}
         return [c for c in self.cones if c not in facets]
+
+    @cached_property
+    def walls(self) -> dict[Cone, list[Cone]]:
+        """Each facet of a maximal cone, with the maximal cones it is a facet of."""
+        out: dict[Cone, list[Cone]] = {}
+        for c in self.maximal_cones():
+            for w in self.facet_map[c]:
+                out.setdefault(w, []).append(c)
+        return out
 
 
 @dataclass(frozen=True)
@@ -108,15 +125,58 @@ def _pair_intersection_is_face(c1: Cone, c2: Cone) -> bool:
     return phi is not None
 
 
+def _complete_by_walls(f: Fan) -> bool:
+    """Whether the maximal cones form a complete fan, decided without an LP.
+
+    Full-dimensional simplicial cones form a complete fan when every wall
+    is a facet of exactly two of them, which lie on opposite sides of it,
+    and one point on no wall lies in exactly one of them (the pseudo-manifold
+    characterisation of triangulations: De Loera, Rambau and Santos,
+    *Triangulations*, 2010, ch. 4).  Crossing a wall leaves one cone and
+    enters another, so every point on no wall lies in exactly one cone.
+    False means undecided, not broken.
+    """
+    maximal = f.maximal_cones()
+    if not maximal or not maximal[0].generators or any(len(cs) != 2 for cs in f.walls.values()):
+        return False
+    n = len(maximal[0].generators[0])
+    if any(c.dim != n for c in maximal):
+        return False
+    # row i of the transposed scaled inverse is the normal of the facet
+    # opposite generator i, positive on it: the point's coordinates in the cone
+    normals = {}
+    for c in maximal:
+        try:
+            normals[c] = transpose(scaled_inverse(c.generators)[0])
+        except ValueError:
+            return False
+    for w, (c1, c2) in f.walls.items():
+        i = next(i for i, g in enumerate(c1.generators) if g not in w.generators)
+        (q,) = set(c2.generators) - set(w.generators)
+        if dot(q, normals[c1][i]) >= 0:
+            return False
+    point = [sum(col) for col in zip(*maximal[0].generators)]
+    inside = 0
+    for c in maximal:
+        coords = [dot(point, nu) for nu in normals[c]]
+        if 0 in coords:
+            return False
+        inside += all(x > 0 for x in coords)
+    return inside == 1
+
+
 def _intersection_issues(f: Fan) -> list[FanIssue]:
     """One issue per pair of cones that do not meet in a common face.
 
     Every cone of a simplicial collection is a face of a maximal cone, and
     faces of two simplicial cones that meet in a common face meet in a
-    common face, so the maximal pairs decide.  Only when one of them fails
-    are all pairs listed, in the order of ``f.cones``.
+    common face, so the maximal pairs decide; a complete fan is recognised
+    by its walls first.  Only when a maximal pair fails are all pairs
+    listed, in the order of ``f.cones``.
     """
-    if all(_pair_intersection_is_face(c1, c2) for c1, c2 in combinations(f.maximal_cones(), 2)):
+    if _complete_by_walls(f) or all(
+        _pair_intersection_is_face(c1, c2) for c1, c2 in combinations(f.maximal_cones(), 2)
+    ):
         return []
     return [
         FanIssue("intersection_not_a_face", f"{c1.generators} vs {c2.generators}")
@@ -135,13 +195,15 @@ def fan_validate(f: Fan, zk: ValuationCone | None = None) -> list[FanIssue]:
                 issues.append(FanIssue("not_primitive", f"generator {g}"))
         if c.generators and rank(c.generators) != c.dim:
             issues.append(FanIssue("not_simplicial", f"cone {c.generators}"))
+    # closed under faces iff closed under facets; list the faces only if not
     cone_set = set(f.cones)
-    for c in f.cones:
-        for face in c.faces():
-            if face not in cone_set:
-                issues.append(
-                    FanIssue("missing_face", f"face {face.generators} of {c.generators}")
-                )
+    if any(w not in cone_set for ws in f.facet_map.values() for w in ws):
+        for c in f.cones:
+            for face in c.faces():
+                if face not in cone_set:
+                    issues.append(
+                        FanIssue("missing_face", f"face {face.generators} of {c.generators}")
+                    )
     if not any(i.kind in ("not_simplicial", "zero_generator") for i in issues):
         issues += _intersection_issues(f)
     if zk is not None:
@@ -165,38 +227,22 @@ def is_complete_for(f: Fan, zk: ValuationCone, validated: bool = False) -> bool:
     if not validated and fan_validate(f, zk):
         raise NotValidated("fan failed validation")
     maximal = f.maximal_cones()
-    ambient_dim = None
-    for c in maximal:
-        if c.generators:
-            ambient_dim = len(c.generators[0])
-            break
-    if ambient_dim is None:
-        for s in list(zk.inequalities) + list(zk.lineality):
-            ambient_dim = len(s)
-            break
-    if ambient_dim in (None, 0):
+    vectors = [g for c in maximal for g in c.generators] + [*zk.inequalities, *zk.lineality]
+    ambient_dim = len(vectors[0]) if vectors else 0
+    if ambient_dim == 0:
         return True  # zero-dimensional space, covered by the zero cone
     if maximal == [Cone.of(())]:
         return False
-    # the valuation cone is always full-dimensional, so maximal cones must be
+    # the valuation cone is always full-dimensional, so maximal cones must be;
+    # a wall of one maximal cone must lie in a bounding hyperplane of Z_k
     if any(c.dim != ambient_dim for c in maximal):
         return False
-    wall_count: dict[Cone, int] = {}
-    for c in maximal:
-        for w in c.facets():
-            wall_count[w] = wall_count.get(w, 0) + 1
-    for w, count in wall_count.items():
-        if count == 2:
-            continue
-        if count > 2:
-            return False
-        on_boundary = any(
-            all(dot(s, g) == 0 for g in w.generators) and any(x != 0 for x in s)
-            for s in zk.inequalities
-        )
-        if not on_boundary:
-            return False
-    return True
+    return all(
+        len(cones) == 2
+        or len(cones) == 1
+        and any(any(s) and all(dot(s, g) == 0 for g in w.generators) for s in zk.inequalities)
+        for w, cones in f.walls.items()
+    )
 
 
 def is_smooth(f: Fan) -> dict[Cone, bool]:
@@ -283,37 +329,37 @@ def strata(f: Fan, rd: LittleDatum) -> StrataPoset:
             )
         )
     index = {c: i for i, c in enumerate(f.cones)}
-    edges = sorted((index[w], j) for j, c in enumerate(f.cones) if c.dim for w in c.facets())
+    edges = sorted((index[w], j) for j, c in enumerate(f.cones) for w in f.facet_map[c])
     return StrataPoset(nodes=tuple(nodes), edges=tuple(edges))
 
 
-def dominates(f1: Fan, f2: Fan) -> bool:
-    return all(any(c2.contains_cone(c1) for c2 in f2.cones) for c1 in f1.cones)
-
-
 def _reflection_on_dual(rd: LittleDatum, s) -> Mat:
-    """Matrix of s_sigma on dual coordinates (rows act on the right)."""
+    """(s, s) > 0 times the matrix of s_sigma on dual coordinates (rows act
+    on the right): the primitive images of rays are the same."""
     f = rd.form_k
     ss = dot(vec_mat(s, f), s)
     # on characters: chi -> chi - (2 (chi, s)/(s, s)) s; dual action is the
     # transpose, which equals the same formula with the roles swapped
     m = []
     for chi in identity(rd.rank):
-        coef = Fraction(2 * dot(vec_mat(chi, f), s), ss)
-        m.append(tuple(a - coef * b for a, b in zip(chi, s)))
+        coef = 2 * dot(vec_mat(chi, f), s)
+        m.append(tuple(ss * a - coef * b for a, b in zip(chi, s)))
     return transpose(tuple(m))
 
 
 def weyl_saturate(f: Fan, rd: LittleDatum, cap: int | None = None) -> Fan:
     """Orbit of the fan under the little Weyl group, of at most ``cap`` cones
-    (default |W_k| times the given cones, clamped to HARD_ORBIT_CEILING)."""
+    (default |W_k| times the given cones, clamped to HARD_ORBIT_CEILING).
+    The orbit of a fan closed under faces is the faces of its maximal cones'
+    images, counted as each image arrives, so the cap stops it early."""
     if cap is None:
         cap = rd.wk_order * max(len(f.cones), 1)
     limit = min(cap, HARD_ORBIT_CEILING)
     hint = f"{cap} clamped to HARD_ORBIT_CEILING" if cap > limit else f"set {ORBIT_CAP_ENV}"
     refl = [_reflection_on_dual(rd, s) for s in rd.sigma_k]
     seen = set(f.cones)
-    frontier = list(f.cones)
+    frontier = f.maximal_cones()
+    orbit = set(frontier)
     while frontier:
         nxt = []
         for c in frontier:
@@ -321,12 +367,16 @@ def weyl_saturate(f: Fan, rd: LittleDatum, cap: int | None = None) -> Fan:
                 img = Cone.of(
                     tuple(primitive_vector(vec_mat(g, m)) for g in c.generators)
                 )
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-                    if len(seen) > limit:
-                        raise BudgetExceeded(
-                            f"Weyl saturation reached {len(seen)} cones > cap {limit} ({hint})"
-                        )
+                if img in orbit:
+                    continue
+                orbit.add(img)
+                nxt.append(img)
+                for face in img.faces():
+                    if face not in seen:
+                        seen.add(face)
+                        if len(seen) > limit:
+                            raise BudgetExceeded(
+                                f"Weyl saturation reached {len(seen)} cones > cap {limit} ({hint})"
+                            )
         frontier = nxt
     return Fan(tuple(sorted(seen, key=lambda c: (c.dim, c.generators))))

@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from math import lcm
 
 from .errors import BudgetExceeded, DatumConstructionError, NotARootBase, NotFiniteType
 from .linalg import (
@@ -62,7 +63,18 @@ class StarAction:
         return out
 
     def elements(self, cap: int = STAR_GROUP_CAP) -> list[Mat]:
-        """All elements of the generated group (BFS closure)."""
+        """All elements of the generated group (BFS closure).  The powers of a
+        generator with |det| not 0 or 1 are distinct: no cap holds, which is
+        decided before the closure, whose entries would grow without bound."""
+        for k, g in enumerate(self.generators):
+            # d = |det(den * g)| = den**n |det g|, den * g being integral
+            den = lcm(*(x.denominator for row in g for x in row))
+            try:
+                d = scaled_inverse([[x * den for x in row] for row in g])[1]
+            except ValueError:
+                continue  # singular: the closure decides
+            if d != den ** self.dim:
+                raise BudgetExceeded(f"star generator {k} has infinite order (|det| != 1)")
         ident = identity(self.dim)
         seen = {ident}
         frontier = [ident]

@@ -404,17 +404,6 @@ class Lattice:
         return abs(idx)
 
 
-def image_lattice(m: Mat, domain: Lattice) -> Lattice:
-    """Lattice generated by the images of the domain basis under v -> v @ m.
-
-    ``m`` maps domain ambient coordinates to codomain coordinates (rows of
-    ``m`` are images of the domain coordinate vectors).
-    """
-    cod = len(m[0]) if m else 0
-    gens = [vec_mat(row, m) for row in domain.rows_q()]
-    return Lattice.from_rows(cod, gens)
-
-
 def primitive_multiple(v, lattice: Lattice) -> tuple[Vec, Fraction]:
     """The primitive lattice vector p on the ray of v, and n with v == n*p."""
     if is_zero_vec(v):
@@ -425,19 +414,6 @@ def primitive_multiple(v, lattice: Lattice) -> tuple[Vec, Fraction]:
     prim_coords = primitive_vector(c)
     n = next(Fraction(x, p) for x, p in zip(c, prim_coords) if p)
     return vec_mat(prim_coords, lattice.rows_q()), n
-
-
-def intersection_with_subspace(lat: Lattice, subspace_rows) -> Lattice:
-    """Saturated intersection of ``lat`` with the span of the given rows."""
-    n = lat.ambient_rank
-    ann = integer_kernel(subspace_rows, width=n)  # functionals vanishing on the span
-    if not ann:
-        return lat
-    bq = lat.rows_q()
-    constraints = [[dot(row, a) for row in bq] for a in ann]
-    zs = integer_kernel(constraints, width=lat.rank)
-    gens = [vec_mat(z, bq) for z in zs]
-    return Lattice.from_rows(n, gens)
 
 
 # ---------------------------------------------------------------------------

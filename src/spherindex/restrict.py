@@ -100,12 +100,6 @@ def _annihilator(d: SphericalDatumK, split: CompactRootSplit) -> list[Vec]:
     return rows
 
 
-def little_space(d: SphericalDatumK) -> Mat:
-    """Saturated integral basis of N_k = {a : sigma0(a)=0, star-fixed}."""
-    ann = _annihilator(d, compact_split(d))
-    return integer_kernel(ann, width=d.m)
-
-
 def _projection_matrix(f: Mat, rows: list[Vec]) -> Mat:
     """Orthogonal projection under ``f`` onto the complement of the span of ``rows``."""
     m = len(f)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import NotARootBase, NotFiniteType
+from .errors import LinearlyDependent, NotARootBase, NotFiniteType
 from .linalg import Mat, Vec, gram, identity, rank, scaled_inverse, vec_mat
 
 VALID_RANKS = {
@@ -181,7 +181,7 @@ class RootBase:
     def from_vectors(vectors, form) -> "RootBase":
         vectors = tuple(map(tuple, vectors))
         if rank(vectors) != len(vectors):
-            raise NotARootBase("base vectors are linearly dependent")
+            raise LinearlyDependent("base vectors are linearly dependent")
         g = gram(vectors, form)
         for i, row in enumerate(g):
             if row[i] <= 0:
@@ -301,10 +301,6 @@ def classify(c) -> list[tuple[str, int, tuple[int, ...]]]:
             positions[t] = comp[i]
         out.append((fam, rk, tuple(positions)))
     return out
-
-
-def classified_type_name(c) -> str:
-    return " x ".join(f"{fam}{rk}" for fam, rk, _ in classify(c))
 
 
 def weyl_order(types) -> int:

@@ -14,7 +14,8 @@ from fractions import Fraction
 from spherindex.datum import SphericalDatumK, compact_split
 from spherindex.errors import SpherindexError
 from spherindex.index import TitsIndex
-from spherindex.restrict import restrict_datum
+from spherindex.linalg import Lattice, dot, integer_kernel, vec_mat
+from spherindex.restrict import _annihilator, restrict_datum
 from spherindex.rootsys import (
     AmbientRootDatum,
     RootBase,
@@ -149,3 +150,46 @@ def random_convex_data(seed: int, count: int):
         if not restrict_datum(d).nk0_basis:
             out.append(d)
     return out
+
+
+# ---------------------------------------------------------------------------
+# helpers with no caller in the library, kept as oracles for the tests
+
+
+def image_lattice(m, domain: Lattice) -> Lattice:
+    """Lattice generated by the images of the domain basis under v -> v @ m.
+
+    ``m`` maps domain ambient coordinates to codomain coordinates (rows of
+    ``m`` are images of the domain coordinate vectors).
+    """
+    cod = len(m[0]) if m else 0
+    gens = [vec_mat(row, m) for row in domain.rows_q()]
+    return Lattice.from_rows(cod, gens)
+
+
+def intersection_with_subspace(lat: Lattice, subspace_rows) -> Lattice:
+    """Saturated intersection of ``lat`` with the span of the given rows."""
+    n = lat.ambient_rank
+    ann = integer_kernel(subspace_rows, width=n)  # functionals vanishing on the span
+    if not ann:
+        return lat
+    bq = lat.rows_q()
+    constraints = [[dot(row, a) for row in bq] for a in ann]
+    zs = integer_kernel(constraints, width=lat.rank)
+    gens = [vec_mat(z, bq) for z in zs]
+    return Lattice.from_rows(n, gens)
+
+
+def little_space(d: SphericalDatumK):
+    """Saturated integral basis of N_k = {a : sigma0(a)=0, star-fixed}."""
+    ann = _annihilator(d, compact_split(d))
+    return integer_kernel(ann, width=d.m)
+
+
+def classified_type_name(c) -> str:
+    return " x ".join(f"{fam}{rk}" for fam, rk, _ in classify(c))
+
+
+def dominates(f1, f2) -> bool:
+    """Every cone of f1 lies in a cone of f2."""
+    return all(any(c2.contains_cone(c1) for c2 in f2.cones) for c1 in f1.cones)

@@ -1,6 +1,8 @@
 import copy
+import hashlib
 import json
 import os
+import time
 from fractions import Fraction
 
 import pytest
@@ -169,6 +171,29 @@ def test_restrict_index_bad_star_exit_1(capsys, tmp_path):
     code, out, _ = run(capsys, "--format", "json", "restrict-index", path)
     assert code == 1
     assert json.loads(out)["violations"]
+
+
+def test_star_generator_of_infinite_order_exits_1_at_once(capsys, tmp_path):
+    """|det| = 10**30: the group is infinite, and saying so takes no closure
+    (the closure ran to its cap in 4 s, with entries of ~300,000 digits)."""
+    doc = json.load(open(fixture("su22.json")))
+    doc["star_generators"] = [[[10**30, 0, 0], [0, 1, 0], [0, 0, 1]]]
+    path = write(tmp_path, "su22_det.json", doc)
+    # sha256 of each report as the closure gave it
+    expected = {
+        "restrict-index": "a11e0747d8008a8a370f9d2e328151d00da8aef5abf029fa90cce54759e47488",
+        "analyze": "42f129e02cf6928e6e2f3eaafb4f4e6a9630ceb937ad4ee5caef16b65cc20096",
+    }
+    for cmd, digest in expected.items():
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "--format", "json", cmd, path)
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert json.loads(out)["validation"][0]["detail"] == (
+        "star generator does not permute the simple roots; "
+        "star action does not generate a finite group"
+    )
 
 
 def test_inadmissible_index_is_a_named_violation(capsys, tmp_path):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from datagen import flip_matrix
-from spherindex import datum
+from spherindex import datum, linalg
 from spherindex.datum import (
     SphericalDatumK,
     compact_split,
@@ -149,6 +149,25 @@ def test_validate_builds_the_root_base_once(monkeypatch):
         assert built == [d.sigma]
         assert "opposition_stable" in items
     assert items["a_n_divisibility"].passed
+
+
+def test_validate_eliminates_sigma_once(monkeypatch):
+    eliminated = []
+    kernel = linalg._eliminate
+
+    def counting(m):
+        eliminated.append(tuple(map(tuple, m)))
+        return kernel(m)
+
+    monkeypatch.setattr(linalg, "_eliminate", counting)
+    dependent = SphericalDatumK.ambient(
+        TitsIndex.of(AmbientRootDatum.of([("A", 3)]), [], []),
+        [[1, 0, 0], [0, 1, 0], [1, 1, 0]],
+    )
+    for d in (sp42_datum(), e6_datum(), su22_datum(), dependent):
+        eliminated.clear()
+        validate(d)
+        assert eliminated.count(d.sigma) == 1
 
 
 def test_dependent_roots_fail_opposition_with_a_detail_and_no_lint():

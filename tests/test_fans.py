@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from datagen import flip_matrix, random_convex_data
+from datagen import dominates, flip_matrix, random_convex_data
 from spherindex import fans
 from spherindex.datum import SphericalDatumK
 from spherindex.errors import BudgetExceeded, NotConvex, NotValidated
@@ -14,7 +14,6 @@ from spherindex.fans import (
     FanIssue,
     _pair_intersection_is_face,
     cone_membership,
-    dominates,
     fan_validate,
     is_complete_for,
     is_smooth,
@@ -23,8 +22,8 @@ from spherindex.fans import (
     weyl_saturate,
 )
 from spherindex.index import TitsIndex
-from spherindex.linalg import dot, find_feasible, primitive_vector, rank
-from spherindex.restrict import restrict_datum, valuation_cone
+from spherindex.linalg import dot, find_feasible, primitive_vector, rank, vec_mat
+from spherindex.restrict import ValuationCone, restrict_datum, valuation_cone
 from spherindex.rootsys import AmbientRootDatum
 
 H = Fraction(1, 2)
@@ -367,7 +366,123 @@ def test_fan_lp_counts(monkeypatch):
     strata(f6, rd6)
     assert len(calls) == 0
     assert fan_validate(a3) == []
-    assert len(calls) <= 276  # C(24, 2): one LP per pair of the 24 chambers
+    assert len(calls) == 0  # the walls pair up: no LP on the 24 chambers
+    rd4 = split_rd("A", 4)
+    a4 = chamber_fan(rd4)
+    assert len(a4.cones) == 541
+    assert fan_validate(a4) == []
+    assert len(calls) == 0
+    free = ValuationCone(inequalities=(), lineality=(), extremal_rays=())
+    assert is_complete_for(a4, free)
+
+
+PENTAGRAM = [(1, 0), (-4, 3), (3, -5), (1, 5), (-5, -3)]
+
+
+def cycle_fan(rays, apexes=()):
+    """Cones on consecutive rays of a cycle, or their joins with each apex."""
+    pairs = [[a, b] for a, b in zip(rays, rays[1:] + rays[:1])]
+    if not apexes:
+        return Fan.from_maximal(pairs)
+    return Fan.from_maximal([p + [apex] for p in pairs for apex in apexes])
+
+
+def test_paired_walls_that_do_not_make_a_fan_reach_the_lp_path(monkeypatch):
+    """Every wall lies in two cones, yet the cones cover the space twice, the
+    generic point lies on a wall, or two cones fold onto one side of a wall:
+    the LP path decides."""
+    lps = []
+
+    def counting(*args, **kwargs):
+        lps.append(kwargs)
+        return find_feasible(*args, **kwargs)
+
+    monkeypatch.setattr(fans, "find_feasible", counting)
+    pentagram = cycle_fan(PENTAGRAM)
+    suspension = cycle_fan([(x, y, 0) for x, y in PENTAGRAM], apexes=[(0, 0, 1), (0, 0, -1)])
+    # the first cone's generators sum to (-4, -4), on the ray (-1, -1) of
+    # the second sheet: without the wall test the point would count once
+    on_a_wall = cycle_fan([(-3, 1), (-1, -5), (2, 5), (-1, -1), (2, 1)])
+    assert tuple(map(sum, zip(*on_a_wall.maximal_cones()[0].generators))) == (-4, -4)
+    # the walls (1, 1) and (2, 1) have both their cones on one side, and the
+    # first cone's point (-1, 0) lies in that cone only
+    folded = cycle_fan([(0, -1), (1, 1), (2, 1), (-1, 1)])
+    for f in (pentagram, suspension, on_a_wall, folded):
+        assert all(len(cs) == 2 for cs in f.walls.values())
+        lps.clear()
+        issues = fan_validate(f)
+        assert lps
+        assert any(i.kind == "intersection_not_a_face" for i in issues)
+        assert issues == all_pairs_issues(f)
+
+
+def test_missing_faces_match_the_face_enumeration():
+    full = chamber_fan(split_rd("A", 2)).cones
+    for drop in [(Cone.of(()),), full[1:3], (full[1], full[8]), full[1:7]]:
+        cones = tuple(c for c in full if c not in drop)
+        listed = [
+            FanIssue("missing_face", f"face {face.generators} of {c.generators}")
+            for c in cones
+            for face in c.faces()
+            if face not in cones
+        ]
+        assert listed
+        assert [i for i in fan_validate(Fan(cones)) if i.kind == "missing_face"] == listed
+    assert not [i for i in fan_validate(Fan(full)) if i.kind == "missing_face"]
+
+
+def bfs_saturate(f, rd, cap=None):
+    """The orbit of every cone under the reflections, one image at a time,
+    with the reflections in Fractions."""
+    if cap is None:
+        cap = rd.wk_order * max(len(f.cones), 1)
+    limit = min(cap, fans.HARD_ORBIT_CEILING)
+    hint = f"{cap} clamped to HARD_ORBIT_CEILING" if cap > limit else f"set {fans.ORBIT_CAP_ENV}"
+    refl = []
+    for s in rd.sigma_k:
+        fs = vec_mat(s, rd.form_k)
+        ss = dot(fs, s)
+        refl.append([[Fraction(int(i == j)) - Fraction(2 * s[i] * fs[j], ss)
+                      for j in range(rd.rank)] for i in range(rd.rank)])
+    seen = set(f.cones)
+    frontier = list(f.cones)
+    while frontier:
+        nxt = []
+        for c in frontier:
+            for m in refl:
+                img = Cone.of(primitive_vector(vec_mat(g, m)) for g in c.generators)
+                if img not in seen:
+                    seen.add(img)
+                    nxt.append(img)
+                    if len(seen) > limit:
+                        raise BudgetExceeded(
+                            f"Weyl saturation reached {len(seen)} cones > cap {limit} ({hint})"
+                        )
+        frontier = nxt
+    return Fan(tuple(sorted(seen, key=lambda c: (c.dim, c.generators))))
+
+
+def outcome(saturate, f, rd, cap=None):
+    try:
+        return saturate(f, rd, cap)
+    except BudgetExceeded as e:
+        return str(e)
+
+
+def test_weyl_saturate_matches_the_bfs_orbit():
+    rds = [rank1_rd()[1], split_rd("A", 2), e6_rd()[1], split_rd("A", 3), split_rd("A", 4)]
+    for rd in rds:
+        f = standard_fan(rd)
+        assert weyl_saturate(f, rd) == bfs_saturate(f, rd)
+    _, e6 = e6_rd()  # 17 cones in the orbit
+    f = standard_fan(e6)
+    for cap in [1, 3, 4, 5, 16, 17, 18, 10**6]:
+        assert outcome(weyl_saturate, f, e6, cap) == outcome(bfs_saturate, f, e6, cap)
+    assert outcome(weyl_saturate, f, e6, 16) == (
+        "Weyl saturation reached 17 cones > cap 16 (set SPHERINDEX_ORBIT_CAP)"
+    )
+    sat = bfs_saturate(f, e6)
+    assert outcome(weyl_saturate, sat, e6, 3) == outcome(bfs_saturate, sat, e6, 3) == sat
 
 
 def lp_meets_interior(c, rd):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from datagen import flip_matrix, fvec
+from datagen import flip_matrix, fvec, image_lattice
 from spherindex import index
 from spherindex.cli import cmd_analyze, cmd_restrict_index, parse_index
 from spherindex.errors import BudgetExceeded
@@ -17,7 +17,7 @@ from spherindex.index import (
     restricted_simple_roots,
     split_subspace,
 )
-from spherindex.linalg import Lattice, dot, image_lattice, inverse, mat_mul, rank, vec_mat
+from spherindex.linalg import Lattice, dot, inverse, mat_mul, rank, vec_mat
 from spherindex.rootsys import AmbientRootDatum, RootBase, cartan_matrix, classify
 
 
@@ -144,6 +144,17 @@ def test_star_action_finite_group():
     shear = StarAction.of([[[1, 1], [0, 1]]], 2)
     with pytest.raises(BudgetExceeded, match=r"star action generated 51 elements > cap 50"):
         shear.elements(cap=50)
+
+
+def test_star_generator_determinant_decides_infinite_order():
+    # |det| not in {0, 1}: the powers are distinct, decided before any product
+    for g in ([[2, 0], [0, 1]], [[Fraction(1, 2), 0], [0, 1]], [[10**30, 1], [1, 1]]):
+        with pytest.raises(BudgetExceeded, match=r"star generator 1 has infinite order"):
+            StarAction.of([flip_matrix(2, [(0, 1)]), g], 2).elements(cap=100)
+    # |det| = 1 with rational entries, and a singular idempotent: finite closures
+    half = StarAction.of([[[0, Fraction(1, 2)], [2, 0]]], 2)
+    assert len(half.elements()) == 2
+    assert len(StarAction.of([[[1, 0], [0, 0]]], 2).elements()) == 2
 
 
 def test_violations_reported():

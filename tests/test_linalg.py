@@ -8,6 +8,7 @@ from sympy import ZZ, Matrix, Rational
 from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
 from sympy.matrices.normalforms import invariant_factors
 
+from datagen import image_lattice, intersection_with_subspace
 from spherindex.errors import NotInSpan, ZeroVector
 from spherindex.linalg import (
     Lattice,
@@ -17,9 +18,7 @@ from spherindex.linalg import (
     gram,
     hermite_normal_form,
     identity,
-    image_lattice,
     integer_kernel,
-    intersection_with_subspace,
     inverse,
     mat_mul,
     primitive_multiple,

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from datagen import flip_matrix, fmat, random_data
+from datagen import flip_matrix, fmat, little_space, random_data
 from spherindex.datum import SphericalDatumK
 from spherindex.errors import FiberMismatch, NotBetween, NotConvex
 from spherindex.index import TitsIndex
@@ -14,7 +14,6 @@ from spherindex.restrict import (
     chamber_containment_check,
     coweight_identity_check,
     facet_inheritance_check,
-    little_space,
     localize,
     phi_k_res,
     predicates,

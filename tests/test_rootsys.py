@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from spherindex.errors import NotARootBase, NotFiniteType
-from datagen import fmat
+from datagen import classified_type_name, fmat
 from spherindex.linalg import dot, identity, inverse, vec_mat
 from spherindex.rootsys import (
     AmbientRootDatum,
@@ -12,7 +12,6 @@ from spherindex.rootsys import (
     RootBase,
     cartan_matrix,
     classify,
-    classified_type_name,
     generate_roots,
     longest_element_word,
     opposition_permutation,
