@@ -196,7 +196,7 @@ def parse_fan(doc: dict) -> Fan:
     cones = _require(doc, "cones")
     try:
         return Fan.from_maximal(
-            [[[int(x) for x in g] for g in cone] for cone in cones]
+            [[[_int(x) for x in g] for g in cone] for cone in cones]
         )
     except (SpherindexError, ValueError, TypeError) as e:
         raise ParseError(f"bad fan: {e}") from None

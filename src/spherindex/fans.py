@@ -20,10 +20,10 @@ from .linalg import (
     find_feasible,
     identity,
     integer_kernel,
+    lattice_index,
     primitive_vector,
     rank,
     scaled_inverse,
-    smith_normal_form,
     solve_left,
     transpose,
     vec_mat,
@@ -246,16 +246,9 @@ def is_complete_for(f: Fan, zk: ValuationCone, validated: bool = False) -> bool:
 
 
 def is_smooth(f: Fan) -> dict[Cone, bool]:
-    """Per-cone unimodularity against the standard dual lattice."""
-    out = {}
-    for c in f.cones:
-        if not c.generators:
-            out[c] = True
-            continue
-        d, _, _ = smith_normal_form(c.generators)
-        divisors = [d[i][i] for i in range(c.dim)]
-        out[c] = all(x == 1 for x in divisors)
-    return out
+    """Per-cone unimodularity against the standard dual lattice: the
+    generators extend to a basis of Z^n iff their maximal minors have gcd 1."""
+    return {c: lattice_index(transpose(c.generators), c.dim) == 1 for c in f.cones}
 
 
 def standard_fan(rd: LittleDatum) -> Fan:

@@ -19,13 +19,16 @@ five places only:
 Ints have ``.numerator`` and ``.denominator`` too, so the integer routines
 accept either kind.  Lattices carry a Hermite-canonical integer basis plus
 a global denominator, so equal lattices have identical representations.
+The Hermite form is the one integer normal form: ``lattice_index``, the
+product of its pivots, answers every index question (smooth cones, the
+``k_wonderful`` basis test, ``Lattice.index_in``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import NotInSpan, NotSublattice, ZeroVector
 
@@ -185,7 +188,7 @@ def scale_rows_integral(rows) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# integer normal forms
+# Hermite normal form and lattice index
 
 
 def hermite_normal_form(m) -> tuple[list[list[int]], list[list[int]]]:
@@ -234,71 +237,15 @@ def hermite_normal_form(m) -> tuple[list[list[int]], list[list[int]]]:
     return rows, u
 
 
-def smith_normal_form(m) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Smith normal form: (d, u, v) with u @ m @ v == d, d_1 | d_2 | ...."""
-    a = [[int(x) for x in r] for r in m]
-    nr = len(a)
-    nc = len(a[0]) if nr else 0
-    u = [list(r) for r in identity(nr)]
-    v = [list(r) for r in identity(nc)]
-    t = 0
-    while t < min(nr, nc):
-        # locate smallest nonzero entry in the remaining block
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        i0, j0 = best
-        if i0 != t:
-            a[t], a[i0] = a[i0], a[t]
-            u[t], u[i0] = u[i0], u[t]
-        if j0 != t:
-            for row in a:
-                row[t], row[j0] = row[j0], row[t]
-            for row in v:
-                row[t], row[j0] = row[j0], row[t]
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, nr):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[t])]
-                    if a[i][t] != 0:
-                        a[t], a[i] = a[i], a[t]
-                        u[t], u[i] = u[i], u[t]
-                        dirty = True
-            for j in range(t + 1, nc):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    for row in a:
-                        row[j] -= q * row[t]
-                    for row in v:
-                        row[j] -= q * row[t]
-                    if a[t][j] != 0:
-                        for row in a:
-                            row[t], row[j] = row[j], row[t]
-                        for row in v:
-                            row[t], row[j] = row[j], row[t]
-                        dirty = True
-            if not dirty:
-                # enforce divisibility of the remaining block by a[t][t]
-                for i in range(t + 1, nr):
-                    bad = next((j for j in range(t + 1, nc) if a[i][j] % a[t][t] != 0), None)
-                    if bad is not None:
-                        a[t] = [x + y for x, y in zip(a[t], a[i])]
-                        u[t] = [x + y for x, y in zip(u[t], u[i])]
-                        dirty = True
-                        break
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-    return a, u, v
+def lattice_index(rows, width: int) -> int:
+    """Index in Z^width of the lattice spanned by integer rows of that width.
+
+    The product of the Hermite pivots, which is |det| for a full-rank set
+    (Cohen 1993, 2.4); 0 when the rank is below ``width``.
+    """
+    h, _ = hermite_normal_form(rows)
+    pivots = [next(x for x in r if x) for r in h if any(r)]
+    return prod(pivots) if len(pivots) == width else 0
 
 
 def integer_kernel(constraint_rows, width: int | None = None) -> tuple[tuple[int, ...], ...]:
@@ -397,11 +344,7 @@ class Lattice:
         coords = [super_lattice.coordinates(r) for r in self.rows_q()]
         if any(c is None or any(x.denominator != 1 for x in c) for c in coords):
             raise NotSublattice("not a sublattice")
-        d, _, _ = smith_normal_form([[int(x) for x in c] for c in coords])
-        idx = 1
-        for i in range(len(d)):
-            idx *= d[i][i]
-        return abs(idx)
+        return lattice_index(coords, self.rank)
 
 
 def primitive_multiple(v, lattice: Lattice) -> tuple[Vec, Fraction]:

@@ -37,6 +37,7 @@ from .linalg import (
     integer_kernel,
     inverse,
     is_zero_vec,
+    lattice_index,
     mat_mul,
     minus_identity,
     primitive_multiple,
@@ -382,15 +383,6 @@ def facet_inheritance_check(d: SphericalDatumK, rd: RestrictedDatum | None = Non
 def predicates(d: SphericalDatumK, rd: RestrictedDatum | None = None) -> dict:
     if rd is None:
         rd = restrict_datum(d)
-    det1 = False
-    if len(rd.sigma_k_pr) == rd.rank and rd.rank > 0:
-        h, _ = hermite_normal_form([[int(x) for x in r] for r in rd.sigma_k_pr])
-        prod = 1
-        for i in range(rd.rank):
-            prod *= h[i][i]
-        det1 = abs(prod) == 1
-    if rd.rank == 0:
-        det1 = True
     satake = True
     for i in rd.split.noncompact:
         s = d.sigma[i]
@@ -399,7 +391,7 @@ def predicates(d: SphericalDatumK, rd: RestrictedDatum | None = None) -> dict:
                 satake = False
     return {
         "k_convex": not rd.nk0_basis,
-        "k_wonderful": det1,
+        "k_wonderful": lattice_index(rd.sigma_k_pr, rd.rank) == 1,
         "k_horospherical": not rd.sigma_k,
         "rank0": rd.rank == 0,
         "satake_open_embedding": satake,

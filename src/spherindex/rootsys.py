@@ -305,8 +305,7 @@ def classify(c) -> list[tuple[str, int, tuple[int, ...]]]:
 
 def weyl_order(types) -> int:
     order = 1
-    for t in types:
-        fam, rk = (t[0], t[1]) if not isinstance(t, str) else (t[0], int(t[1:]))
+    for fam, rk in types:
         order *= weyl_order_of(fam, rk)
     return order
 

@@ -267,6 +267,35 @@ def test_fan_checks(capsys, tmp_path):
     assert len(report["strata"]) == 4
 
 
+@pytest.mark.parametrize("entry", [1.7, True])
+def test_fan_entry_that_is_not_an_integer_exits_2(capsys, tmp_path, entry):
+    """A float is not truncated and a bool is not read as 1: both are schema errors."""
+    fan_path = write(tmp_path, "fan.json", {"cones": [[[-1, 0], [0, entry]]]})
+    code, out, err = run(capsys, "fan", fixture("e6.json"), "--fan", fan_path, "--check", "smooth")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "name, cone",
+    [("e6.json", [[1, 0], [0, 1], [-1, -1]]), ("sp42.json", [[1], [-1]])],
+)
+def test_smooth_check_on_a_cone_that_is_not_simplicial(capsys, tmp_path, name, cone):
+    """More generators than dimensions: reported, not smooth, no traceback."""
+    fan_path = write(tmp_path, "fan.json", {"cones": [cone]})
+    code, out, err = run(
+        capsys, "--format", "json", "fan", fixture(name), "--fan", fan_path, "--check", "smooth"
+    )
+    assert code == 1
+    assert "Traceback" not in err
+    report = json.loads(out)
+    assert "not_simplicial" in [i["kind"] for i in report["issues"]]
+    assert report["smooth"] is False
+    by_cone = {tuple(map(tuple, c["cone"])): c["smooth"] for c in report["smooth_by_cone"]}
+    assert by_cone[tuple(sorted(map(tuple, cone)))] is False
+
+
 def test_fan_incomplete(capsys, tmp_path):
     fan_path = write(tmp_path, "fan.json", {"cones": [[[-1, 0]]]})
     code, out, _ = run(
@@ -392,6 +421,7 @@ FUZZ_COMMANDS = [
     ["degenerate"],
     ["localize", "--roots", "1"],
     ["fan", "--saturate", "--check", "complete"],
+    ["fan", "--check", "smooth", "--check", "support", "--strata"],
 ]
 
 
@@ -419,12 +449,15 @@ def with_value(doc, path, value):
 
 
 @st.composite
-def mutated_fixtures(draw):
-    """A fixture document with one to three values replaced or deleted; an
+def mutated(draw, docs, least=1):
+    """One of ``docs`` with ``least`` to three values replaced or deleted; an
     int is replaced by an int half the time, so large ones reach the kernels."""
-    doc = copy.deepcopy(draw(st.sampled_from(FIXTURE_DOCS)))
-    for _ in range(draw(st.integers(1, 3))):
-        path = draw(st.sampled_from(list(_paths(doc))[1:]))
+    doc = copy.deepcopy(draw(st.sampled_from(docs)))
+    for _ in range(draw(st.integers(least, 3))):
+        paths = list(_paths(doc))[1:]
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
         parent = doc
         for k in path[:-1]:
             parent = parent[k]
@@ -437,20 +470,32 @@ def mutated_fixtures(draw):
     return doc
 
 
+FAN_DOC = {"cones": [[[-1, 0], [0, -1]]]}
+
+
 @settings(
     max_examples=300,
     derandomize=True,
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-@given(doc=mutated_fixtures(), cmd=st.sampled_from(FUZZ_COMMANDS))
-@example(doc=with_value(FIXTURE_DOCS[0], ("spherical", "sigma", 0, 0), 10**30), cmd=["analyze"])
-@example(doc=with_value(FIXTURE_DOCS[2], ("spherical", "xi_basis", 1, 1), -(10**30)), cmd=["localize", "--roots", "1"])
-@example(doc=with_value(FIXTURE_DOCS[3], ("abstract", "sigma", 0, 0), 10**30), cmd=["standard-fan"])
-def test_mutated_fixtures_exit_cleanly(capsys, tmp_path, doc, cmd):
+@given(doc=mutated(FIXTURE_DOCS), fan_doc=mutated([FAN_DOC], least=0), cmd=st.sampled_from(FUZZ_COMMANDS))
+@example(doc=with_value(FIXTURE_DOCS[0], ("spherical", "sigma", 0, 0), 10**30), fan_doc=FAN_DOC, cmd=["analyze"])
+@example(
+    doc=with_value(FIXTURE_DOCS[2], ("spherical", "xi_basis", 1, 1), -(10**30)),
+    fan_doc=FAN_DOC,
+    cmd=["localize", "--roots", "1"],
+)
+@example(doc=with_value(FIXTURE_DOCS[3], ("abstract", "sigma", 0, 0), 10**30), fan_doc=FAN_DOC, cmd=["standard-fan"])
+@example(
+    doc=FIXTURE_DOCS[1],
+    fan_doc={"cones": [[[1, 0], [0, 1], [-1, -1]]]},
+    cmd=["fan", "--check", "smooth", "--check", "support", "--strata"],
+)
+def test_mutated_fixtures_exit_cleanly(capsys, tmp_path, doc, fan_doc, cmd):
     path = write(tmp_path, "fuzz.json", doc)
     if cmd[0] == "fan":
-        cmd = [*cmd, "--fan", write(tmp_path, "fan.json", {"cones": [[[-1, 0], [0, -1]]]})]
+        cmd = [*cmd, "--fan", write(tmp_path, "fan.json", fan_doc)]
     code, _, err = run(capsys, cmd[0], path, *cmd[1:])
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err

@@ -3,7 +3,8 @@
 ``assert`` statements vanish under ``python -O``, so a structural identity
 must raise instead; imports belong at module level, where the dependency
 graph between modules stays visible; ``/`` on two ints gives a float, so
-exact division is written ``Fraction(a, b)``.
+exact division is written ``Fraction(a, b)``; a function that nothing in
+``src/`` names is dead code.
 """
 
 import ast
@@ -40,3 +41,31 @@ def test_no_true_division():
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
     ]
     assert found == []
+
+
+# paper identities that only the tests run so far; perfbench names the first
+UNREFERENCED_ALLOWED = {"restrict.chamber_containment_check", "restrict.facet_inheritance_check"}
+
+
+def test_every_module_function_is_referenced_in_src():
+    """Dead code is deleted: each module-level function is named (as a Name
+    or an Attribute) somewhere in ``src/`` outside its own ``def``."""
+    defs = {}
+    referenced = set()
+    for name, tree in source_trees():
+        module = name.removesuffix(".py")
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs[f"{module}.{top.name}"] = top.name
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    used = node.id
+                elif isinstance(node, ast.Attribute):
+                    used = node.attr
+                else:
+                    continue
+                # a function naming itself (recursion) does not count
+                if not (isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) and top.name == used):
+                    referenced.add(used)
+    unused = {q for q, f in defs.items() if f not in referenced}
+    assert unused == UNREFERENCED_ALLOWED
