@@ -40,7 +40,7 @@ from .restrict import (
     restrict_datum,
     valuation_cone,
 )
-from .rootsys import AmbientRootDatum
+from .rootsys import AmbientRootDatum, diagram_involution
 
 SCHEMA_VERSION = "1"
 HARD_RANK_CEILING = 100  # total ambient rank; a Cartan matrix is rank x rank
@@ -73,22 +73,10 @@ def _require(doc: dict, key: str):
 
 def _flip_generator(amb: AmbientRootDatum):
     """Canonical diagram involution, component by component."""
-    n = amb.dim
-    perm = list(range(n))
-    off = 0
+    perm = []
     for comp in amb.components:
-        r = comp.rank
-        if comp.family == "A":
-            for i in range(r):
-                perm[off + i] = off + r - 1 - i
-        elif comp.family == "D":
-            perm[off + r - 2], perm[off + r - 1] = off + r - 1, off + r - 2
-        elif comp.family == "E" and comp.rank == 6:
-            pairs = [(0, 5), (2, 4)]
-            for a, b in pairs:
-                perm[off + a], perm[off + b] = off + b, off + a
-        off += r
-    return [[int(perm[i] == j) for j in range(n)] for i in range(n)]
+        perm += [len(perm) + t for t in diagram_involution(comp.family, comp.rank)]
+    return [[int(p == j) for j in range(amb.dim)] for p in perm]
 
 
 def parse_index(doc: dict) -> TitsIndex:

@@ -10,6 +10,7 @@ way the datum is normalized to lattice-basis coordinates internally.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     DatumConstructionError,
@@ -21,13 +22,7 @@ from .errors import (
 )
 from .index import StarAction, TitsIndex, res_A
 from .linalg import Lattice, Mat, content, gram, vec_mat
-from .rootsys import (
-    RootBase,
-    cartan_matrix,
-    classify,
-    graph_components,
-    opposition_permutation,
-)
+from .rootsys import RootBase, graph_components, opposition_permutation
 
 
 def support(sigma) -> tuple[int, ...]:
@@ -149,6 +144,11 @@ class SphericalDatumK:
             sigma0_input=sigma0,
         )
 
+    @cached_property
+    def root_base(self) -> RootBase:
+        """The classified root base of the spherical roots, built once per datum."""
+        return RootBase.from_vectors(self.sigma, self.pairing)
+
     def star_orbit_of_root(self, i: int) -> tuple[int, ...]:
         """Orbit of the i-th spherical root under the star action."""
         orbit = {i}
@@ -201,13 +201,9 @@ def compact_split(d: SphericalDatumK) -> CompactRootSplit:
 
 def _an_positions_lint(base: RootBase, split: CompactRootSplit) -> ValidationItem | None:
     """Divisibility pattern of noncompact roots in an irreducible A_n system."""
-    try:
-        comps = classify(cartan_matrix(base))
-    except (NotARootBase, NotFiniteType):
+    if len(base.components) != 1 or base.components[0][0] != "A":
         return None
-    if len(comps) != 1 or comps[0][0] != "A":
-        return None
-    fam, n, positions = comps[0]
+    fam, n, positions = base.components[0]
     # positions[t] = index of the root sitting at Bourbaki slot t+1
     slot_of = {idx: t + 1 for t, idx in enumerate(positions)}
     noncompact_slots = sorted(slot_of[i] for i in split.noncompact)
@@ -249,8 +245,8 @@ def validate(d: SphericalDatumK) -> list[ValidationItem]:
     base = base_error = None
     if d.sigma:
         try:
-            base = RootBase.from_vectors(d.sigma, d.pairing)
-        except NotARootBase as e:
+            base = d.root_base
+        except (NotARootBase, NotFiniteType) as e:
             base_error = e
     add("linearly_independent", not isinstance(base_error, LinearlyDependent))
 
@@ -288,17 +284,14 @@ def validate(d: SphericalDatumK) -> list[ValidationItem]:
         add("sp_compact_component_split", all(cc <= sp or cc <= comp for cc in parts))
 
     if split is not None and d.sigma:
-        try:
-            if base_error is not None:
-                raise base_error
+        if base_error is not None:
+            add("opposition_stable", False, detail=f"spherical roots do not span a finite root system: {base_error}")
+        else:
             perm = opposition_permutation(base)
             s0 = set(split.sigma0)
             add("opposition_stable", {perm[i] for i in s0} == s0)
-        except (NotARootBase, NotFiniteType) as e:
-            add("opposition_stable", False, detail=f"spherical roots do not span a finite root system: {e}")
-        lint = _an_positions_lint(base, split) if base is not None else None
-        if lint is not None:
-            items.append(lint)
+            if (lint := _an_positions_lint(base, split)) is not None:
+                items.append(lint)
 
     return items
 

@@ -26,13 +26,7 @@ from .linalg import (
     transpose,
     vec_mat,
 )
-from .rootsys import (
-    AmbientRootDatum,
-    RootBase,
-    cartan_matrix,
-    classify,
-    positive_roots_in_base_coords,
-)
+from .rootsys import AmbientRootDatum, RootBase, indivisible_roots, positive_roots_in_base_coords
 
 STAR_GROUP_CAP = 10000
 
@@ -64,9 +58,13 @@ class StarAction:
 
     def elements(self, cap: int = STAR_GROUP_CAP) -> list[Mat]:
         """All elements of the generated group (BFS closure).  The powers of a
-        generator with |det| not 0 or 1 are distinct: no cap holds, which is
-        decided before the closure, whose entries would grow without bound."""
+        generator with |tr| > n or |det| not 0 or 1 are distinct: no cap holds,
+        which is decided before the closure, whose entries would grow without
+        bound."""
         for k, g in enumerate(self.generators):
+            # repeating powers leave only 0 and roots of unity as eigenvalues
+            if abs(sum(g[i][i] for i in range(self.dim))) > self.dim:
+                raise BudgetExceeded(f"star generator {k} has infinite order (|tr| > {self.dim})")
             # d = |det(den * g)| = den**n |det g|, den * g being integral
             den = lcm(*(x.denominator for row in g for x in row))
             try:
@@ -201,14 +199,13 @@ def restricted_simple_roots(ix: TitsIndex) -> RestrictedSimpleRoots:
     # a positive multiple of the form on restriction coordinates that matches
     # the projected invariant form; Cartan numbers do not see the scale
     form, _ = scaled_inverse(mat_mul(ix.split, ix.restriction))
-    c = cartan_matrix(RootBase.from_vectors(distinct, form))
-    comps = classify(c)
-    order = [i for _, _, positions in comps for i in positions]
+    base = RootBase.from_vectors(distinct, form)
+    order = [i for _, _, positions in base.components for i in positions]
     return RestrictedSimpleRoots(
         roots=tuple(distinct[i] for i in order),
         fibers=tuple(tuple(fibers[i]) for i in order),
-        cartan=tuple(tuple(c[i][j] for j in order) for i in order),
-        types=tuple((f, r) for f, r, _ in comps),
+        cartan=tuple(tuple(base.cartan[i][j] for j in order) for i in order),
+        types=base.types,
     )
 
 
@@ -228,7 +225,7 @@ class RestrictedRootSystem:
 
 
 def ambient_roots(ambient: AmbientRootDatum) -> list[Vec]:
-    pos = positive_roots_in_base_coords(ambient.cartan())
+    pos = positive_roots_in_base_coords(ambient.cartan(), [(c.family, c.rank) for c in ambient.components])
     return pos + [tuple(-x for x in v) for v in pos]
 
 
@@ -238,14 +235,10 @@ def restricted_root_system(ix: TitsIndex) -> RestrictedRootSystem:
         img = res_A(ix, root)
         if any(x != 0 for x in img):
             counts[img] += 1
-    support = set(counts)
-    # r / 2 is a root exactly when r is twice a root
-    doubles = {tuple(2 * x for x in r) for r in support}
-    reduced = not (support & doubles)
-    indivisible = support - doubles
+    indivisible = indivisible_roots(counts)
     return RestrictedRootSystem(
         multiplicities=tuple(sorted(counts.items())),
-        reduced=reduced,
+        reduced=len(indivisible) == len(counts),
         indivisible_types=ix.simple_roots.types,
         indivisible_count=len(indivisible),
     )

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 
 from .datum import CompactRootSplit, SphericalDatumK, compact_split
@@ -47,7 +46,7 @@ from .linalg import (
     transpose,
     vec_mat,
 )
-from .rootsys import RootBase, cartan_matrix, classify, generate_roots, weyl_order
+from .rootsys import RootBase, generate_roots, indivisible_roots, weyl_order
 
 
 @dataclass(frozen=True)
@@ -122,11 +121,9 @@ def _projection_matrix(f: Mat, rows: list[Vec]) -> Mat:
 def _core(rank_: int, sigma_rows: Mat, form: Mat, fibers) -> dict:
     if sigma_rows:
         base = RootBase.from_vectors(sigma_rows, form)
-        c = cartan_matrix(base)
-        comps = classify(c)
-        types = tuple((f, r) for f, r, _ in comps)
+        types = base.types
         order = weyl_order(types)
-        phi = tuple(generate_roots(base, comps))
+        phi = tuple(generate_roots(base))
         nk0 = integer_kernel(sigma_rows, width=rank_)
         coweights = dual_basis(sigma_rows, form)
         lat = Lattice.standard(rank_)
@@ -229,23 +226,13 @@ def phi_k_res(d: SphericalDatumK, rd: RestrictedDatum | None = None) -> Restrict
         rd = restrict_datum(d)
     counts: Counter[Vec] = Counter()
     if d.sigma:
-        base = RootBase.from_vectors(d.sigma, d.pairing)
         little = Lattice(rd.rank, rd.xik_image_basis)
-        for root in generate_roots(base):
+        for root in generate_roots(d.root_base):
             y = _to_little(rd.nk_basis, little, root)
             if not is_zero_vec(y):
                 counts[y] += 1
-    support = set(counts)
-
-    def divisible(r):
-        return any(
-            tuple(Fraction(x, n) for x in r) in support
-            for n in range(2, max((abs(x.numerator) for x in r), default=1) + 1)
-        )
-
-    indivisible = tuple(sorted(r for r in support if not divisible(r)))
-    reduced = len(indivisible) == len(support)
-    if set(indivisible) != set(rd.phi_k):
+    indivisible = indivisible_roots(counts)
+    if indivisible != set(rd.phi_k):
         raise IndivisibilityMismatch(
             "indivisible restricted roots differ from the little root system"
         )
@@ -253,8 +240,8 @@ def phi_k_res(d: SphericalDatumK, rd: RestrictedDatum | None = None) -> Restrict
         raise IndivisibilityMismatch("a restricted spherical root has multiplier > 2")
     return RestrictedRoots(
         multiplicities=tuple(sorted(counts.items())),
-        indivisible=indivisible,
-        reduced=reduced,
+        indivisible=tuple(sorted(indivisible)),
+        reduced=len(indivisible) == len(counts),
     )
 
 

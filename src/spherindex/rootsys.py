@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import LinearlyDependent, NotARootBase, NotFiniteType
-from .linalg import Mat, Vec, gram, identity, rank, scaled_inverse, vec_mat
+from .linalg import Mat, Vec, content, gram, identity, rank, vec_mat
 
 VALID_RANKS = {
     "A": lambda n: n >= 1,
@@ -172,10 +172,16 @@ def _block_sum(blocks: list[Mat]) -> Mat:
 
 @dataclass(frozen=True)
 class RootBase:
-    """Linearly independent vectors with crystallographic Gram data."""
+    """Linearly independent vectors with crystallographic Gram data.
+
+    The base is classified once: ``cartan`` is its Cartan matrix and
+    ``components`` its irreducible types as ``classify`` returns them.
+    """
 
     vectors: Mat
     gram: Mat = field(compare=False)
+    cartan: Mat = field(compare=False)
+    components: tuple[tuple[str, int, tuple[int, ...]], ...] = field(compare=False)
 
     @staticmethod
     def from_vectors(vectors, form) -> "RootBase":
@@ -186,30 +192,25 @@ class RootBase:
         for i, row in enumerate(g):
             if row[i] <= 0:
                 raise NotARootBase("base vector of nonpositive squared length")
-        return RootBase(vectors, g)
+        c = []
+        for i, row in enumerate(g):
+            c.append([])
+            for j, gij in enumerate(row):
+                x, r = divmod(2 * gij, g[j][j])
+                if r:
+                    raise NotARootBase(f"non-integral Cartan number at ({i}, {j})")
+                if i != j and x > 0:
+                    raise NotARootBase(f"positive off-diagonal Cartan number at ({i}, {j})")
+                c[i].append(x)
+        c = tuple(map(tuple, c))
+        return RootBase(vectors, g, c, tuple(classify(c)))
 
     def __len__(self) -> int:
         return len(self.vectors)
 
-
-def cartan_matrix(base: RootBase) -> Mat:
-    g = base.gram
-    n = len(g)
-    c = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            x, r = divmod(2 * g[i][j], g[j][j])
-            if r:
-                raise NotARootBase(f"non-integral Cartan number at ({i}, {j})")
-            if i == j:
-                if x != 2:
-                    raise NotARootBase("diagonal Cartan number is not 2")
-            elif x > 0:
-                raise NotARootBase(f"positive off-diagonal Cartan number at ({i}, {j})")
-            row.append(x)
-        c.append(tuple(row))
-    return tuple(c)
+    @property
+    def types(self) -> tuple[tuple[str, int], ...]:
+        return tuple((f, r) for f, r, _ in self.components)
 
 
 def graph_components(c) -> list[list[int]]:
@@ -316,26 +317,26 @@ def simple_reflection(v, c, j: int) -> tuple:
     return v[:j] + (v[j] - pair,) + v[j + 1:]
 
 
-def generate_roots(base: RootBase, comps=None) -> list[Vec]:
+def generate_roots(base: RootBase) -> list[Vec]:
     """All roots of the finite system spanned by the base.
 
     Roots come back as rational vectors in the ambient coordinates of the
-    base, sorted by their base coordinates; ``comps`` as below.
+    base, sorted by their base coordinates.
     """
-    pos = positive_roots_in_base_coords(cartan_matrix(base), comps)
+    pos = positive_roots_in_base_coords(base.cartan, base.types)
     roots = sorted(pos + [tuple(-x for x in v) for v in pos])
     return [vec_mat(v, base.vectors) for v in roots]
 
 
-def positive_roots_in_base_coords(c: Mat, comps=None) -> list[tuple[int, ...]]:
+def positive_roots_in_base_coords(c: Mat, types) -> list[tuple[int, ...]]:
     """Positive roots of a Cartan matrix, as sorted integer base-coordinate rows.
 
     The reflection closure of the simple roots; the count is checked against
-    the classified type (``comps``, or ``classify(c)`` when not given).
+    the (family, rank) ``types`` of ``c``.
     """
     c = tuple(tuple(int(x) for x in row) for row in c)
     n = len(c)
-    bound = sum(root_count(fam, rk) for fam, rk, _ in comps or classify(c))
+    bound = sum(root_count(fam, rk) for fam, rk in types)
     seen = set(identity(n))
     frontier = list(seen)
     while frontier:
@@ -354,35 +355,43 @@ def positive_roots_in_base_coords(c: Mat, comps=None) -> list[tuple[int, ...]]:
     return sorted(v for v in seen if all(x >= 0 for x in v))
 
 
-def _rho_coords(c: Mat) -> Vec:
-    """Integer coordinates of d * rho for some d > 0, where <rho, a_j^vee> = 1."""
-    a, _ = scaled_inverse(c)
-    return vec_mat((1,) * len(c), a)
+def indivisible_roots(support) -> set:
+    """The vectors r of a set of integral vectors with no r / n (n >= 2) in the set.
+
+    On a root system only r / 2 can occur; a restriction of one, such as G2
+    onto a line ({1, 2, 3} times a vector), can also hold r / 3.
+    """
+    out = set()
+    for r in support:
+        g = content(r)
+        if not any(g % n == 0 and tuple(x // n for x in r) in support for n in range(2, g + 1)):
+            out.add(r)
+    return out
 
 
-def longest_element_word(c: Mat) -> list[int]:
-    """A reduced word for w0 via reflection descent of -rho (or of -d * rho: same signs)."""
-    x = tuple(-t for t in _rho_coords(c))
-    word = []
-    while True:
-        j = next((t for t, p in enumerate(vec_mat(x, c)) if p < 0), None)
-        if j is None:
-            return word
-        x = simple_reflection(x, c, j)
-        word.append(j)
+def diagram_involution(family: str, n: int) -> tuple[int, ...]:
+    """The canonical diagram involution on Bourbaki positions (0-based):
+    reversal on A_n, the swap of the two end nodes on D_n, 1 <-> 6 and
+    3 <-> 5 on E6, and the identity on every other type."""
+    if family == "A":
+        return tuple(range(n - 1, -1, -1))
+    if family == "D":
+        return tuple(range(n - 2)) + (n - 1, n - 2)
+    if (family, n) == ("E", 6):
+        return (5, 1, 4, 3, 2, 0)
+    return tuple(range(n))
 
 
 def opposition_permutation(base: RootBase) -> tuple[int, ...]:
-    """The permutation p with -w0(sigma_i) = sigma_{p(i)}."""
-    c = cartan_matrix(base)
-    word = longest_element_word(c)
-    basis = identity(len(c))
-    perm = []
-    for v in basis:
-        for j in word:
-            v = simple_reflection(v, c, j)
-        img = tuple(-x for x in v)
-        if img not in basis:
-            raise NotFiniteType("longest element did not permute the base")
-        perm.append(basis.index(img))
+    """The permutation p with -w0(sigma_i) = sigma_{p(i)}.
+
+    -w0 is fixed by the type (Bourbaki, Lie Groups and Lie Algebras, ch. VI,
+    Plates I-IX): the diagram involution on A_n, D_n with n odd and E6, the
+    identity on every other type, D_n with n even included.
+    """
+    perm = list(range(len(base)))
+    for fam, rk, positions in base.components:
+        if fam != "D" or rk % 2:
+            for t, s in enumerate(diagram_involution(fam, rk)):
+                perm[positions[t]] = positions[s]
     return tuple(perm)

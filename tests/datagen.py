@@ -16,13 +16,7 @@ from spherindex.errors import SpherindexError
 from spherindex.index import TitsIndex
 from spherindex.linalg import Lattice, dot, integer_kernel, vec_mat
 from spherindex.restrict import _annihilator, restrict_datum
-from spherindex.rootsys import (
-    AmbientRootDatum,
-    RootBase,
-    cartan_matrix,
-    classify,
-    generate_roots,
-)
+from spherindex.rootsys import AmbientRootDatum, RootBase, classify, generate_roots
 
 
 def fvec(v):
@@ -59,8 +53,7 @@ def _positive_base(rng: random.Random, amb: AmbientRootDatum, size: int):
     for _ in range(60):
         picks = rng.sample(positive, min(size, len(positive)))
         try:
-            base = RootBase.from_vectors(picks, form)
-            classify(cartan_matrix(base))
+            RootBase.from_vectors(picks, form)
         except SpherindexError:
             continue
         return picks
@@ -193,3 +186,15 @@ def classified_type_name(c) -> str:
 def dominates(f1, f2) -> bool:
     """Every cone of f1 lies in a cone of f2."""
     return all(any(c2.contains_cone(c1) for c2 in f2.cones) for c1 in f1.cones)
+
+
+def divisor_scan_indivisible(support) -> set:
+    """The r in ``support`` with no r / n (n >= 2) in it, by a Fraction scan
+    over every n up to the largest numerator."""
+    return {
+        r for r in support
+        if not any(
+            tuple(Fraction(x, n) for x in r) in support
+            for n in range(2, max((abs(x.numerator) for x in r), default=1) + 1)
+        )
+    }

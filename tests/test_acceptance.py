@@ -8,7 +8,15 @@ seeded geometric generators in datagen.
 
 from fractions import Fraction
 
-from datagen import flip_matrix, fmat, fvec, random_convex_data, random_data, to_abstract
+from datagen import (
+    divisor_scan_indivisible,
+    flip_matrix,
+    fmat,
+    fvec,
+    random_convex_data,
+    random_data,
+    to_abstract,
+)
 from spherindex.datum import SphericalDatumK, is_valid, validate
 from spherindex.degeneration import (
     build_degeneration,
@@ -36,12 +44,7 @@ from spherindex.restrict import (
     restrict_datum,
     valuation_cone,
 )
-from spherindex.rootsys import (
-    AmbientRootDatum,
-    RootBase,
-    cartan_matrix,
-    classify,
-)
+from spherindex.rootsys import AmbientRootDatum, RootBase
 
 H = Fraction(1, 2)
 
@@ -95,8 +98,7 @@ def beta_coords(d, rows):
 def test_criterion_1_sp42():
     d = sp42_datum()
     base = RootBase.from_vectors(d.sigma, d.pairing)
-    types = classify(cartan_matrix(base))
-    assert types == [("G", 2, (1, 0))]  # sigma_1 sits at the long slot
+    assert base.components == (("G", 2, (1, 0)),)  # sigma_1 sits at the long slot
     rd = restrict_datum(d)
     assert rd.sigma_k == ((1,),)
     assert rd.fibers == ((1,),)
@@ -283,3 +285,14 @@ def test_criterion_10_oracle_equivalence():
     passed(
         10, f"reflection-generated phi_k equals brute-force indivisible part on {len(data)} data"
     )
+
+
+def test_phi_k_res_reducedness_matches_the_divisor_scan():
+    """The restricted roots of sp42 are {+-1, +-2, +-3} times a root: a triple
+    is divisible too, so the rule is not the halving test of a root system."""
+    for d in [f() for f in FIXTURES] + random_data(20260826, 100):
+        rr = phi_k_res(d)
+        support = {r for r, _ in rr.multiplicities}
+        indivisible = divisor_scan_indivisible(support)
+        assert set(rr.indivisible) == indivisible
+        assert rr.reduced == (indivisible == support)

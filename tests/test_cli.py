@@ -2,6 +2,8 @@ import copy
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -17,6 +19,7 @@ from spherindex.restrict import restrict_datum
 
 HERE = os.path.dirname(__file__)
 FIXTURES = os.path.join(HERE, os.pardir, "fixtures")
+SRC = os.path.abspath(os.path.join(HERE, os.pardir, "src"))
 
 
 def fixture(name):
@@ -194,6 +197,38 @@ def test_star_generator_of_infinite_order_exits_1_at_once(capsys, tmp_path):
         "star generator does not permute the simple roots; "
         "star action does not generate a finite group"
     )
+
+
+def non_finite_doc(pairing):
+    """Two orthogonal coordinate roots under a pairing of non-finite type."""
+    return {
+        "schema_version": "1",
+        "mode": "abstract",
+        "abstract": {"rank": 2, "pairing": pairing, "star": [], "sigma": [[1, 0], [0, 1]], "sigma0": []},
+    }
+
+
+AFFINE_DOC = non_finite_doc([[2, -2], [-2, 2]])
+
+
+@pytest.mark.parametrize("pairing", [[[2, -2], [-2, 2]], [[2, -3], [-3, 2]]], ids=["affine", "hyperbolic"])
+def test_spherical_roots_of_non_finite_type_fail_opposition(tmp_path, pairing):
+    """The affine A1~ pairing ended in a traceback and the hyperbolic one
+    never returned; both fail opposition_stable, in a subprocess that a
+    hang would time out."""
+    path = write(tmp_path, "non_finite.json", non_finite_doc(pairing))
+    proc = subprocess.run(
+        [sys.executable, "-m", "spherindex.cli", "--format", "json", "analyze", path],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    item = next(it for it in json.loads(proc.stdout)["validation"] if it["name"] == "opposition_stable")
+    assert item["passed"] is False
+    assert item["detail"] == "spherical roots do not span a finite root system: Cartan matrix is not of finite type"
 
 
 def test_inadmissible_index_is_a_named_violation(capsys, tmp_path):
@@ -487,6 +522,7 @@ FAN_DOC = {"cones": [[[-1, 0], [0, -1]]]}
     cmd=["localize", "--roots", "1"],
 )
 @example(doc=with_value(FIXTURE_DOCS[3], ("abstract", "sigma", 0, 0), 10**30), fan_doc=FAN_DOC, cmd=["standard-fan"])
+@example(doc=AFFINE_DOC, fan_doc=FAN_DOC, cmd=["analyze"])
 @example(
     doc=FIXTURE_DOCS[1],
     fan_doc={"cones": [[[1, 0], [0, 1], [-1, -1]]]},

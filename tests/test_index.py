@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from datagen import flip_matrix, fvec, image_lattice
+from datagen import divisor_scan_indivisible, flip_matrix, fvec, image_lattice
 from spherindex import index
 from spherindex.cli import cmd_analyze, cmd_restrict_index, parse_index
 from spherindex.errors import BudgetExceeded
@@ -18,7 +18,7 @@ from spherindex.index import (
     split_subspace,
 )
 from spherindex.linalg import Lattice, dot, inverse, mat_mul, rank, vec_mat
-from spherindex.rootsys import AmbientRootDatum, RootBase, cartan_matrix, classify
+from spherindex.rootsys import AmbientRootDatum, RootBase, classify
 
 
 def split_index(fam, n):
@@ -157,6 +157,19 @@ def test_star_generator_determinant_decides_infinite_order():
     assert len(StarAction.of([[[1, 0], [0, 0]]], 2).elements()) == 2
 
 
+def test_star_generator_trace_decides_infinite_order(monkeypatch):
+    """|det| = 1 but |tr| > n: the group is infinite, decided with no product
+    (the closure ran to its cap, about 10 s with entries of huge size)."""
+
+    def refuse(*args):
+        raise AssertionError("the closure ran")
+
+    monkeypatch.setattr(index, "mat_mul", refuse)
+    for g in ([[10**30, 1], [1, 0]], [[2, 1], [1, 1]], [[-3, 1], [-1, 0]]):
+        with pytest.raises(BudgetExceeded, match=r"star generator 0 has infinite order \(\|tr\| > 2\)"):
+            StarAction.of([g], 2).elements()
+
+
 def test_violations_reported():
     amb = AmbientRootDatum.of([("A", 2)])
     bad = TitsIndex.of(amb, [0], [flip_matrix(2, [(0, 1)])])
@@ -198,7 +211,7 @@ def test_restricted_cartan_matches_the_fraction_inverse():
             if any(img) and img not in distinct:
                 distinct.append(img)
         form = inverse(mat_mul(ix.split, ix.restriction))
-        c = cartan_matrix(RootBase.from_vectors(distinct, form))
+        c = RootBase.from_vectors(distinct, form).cartan
         order = [i for _, _, positions in classify(c) for i in positions]
         srs = restricted_simple_roots(ix)
         assert srs.cartan == tuple(tuple(c[i][j] for j in order) for i in order)
@@ -232,9 +245,17 @@ def test_reducedness_matches_the_fraction_halves():
         indivisible = {r for r in support if tuple(Fraction(x, 2) for x in r) not in support}
         phi = restricted_root_system(ix)
         assert phi.reduced == (not support & halves)
-        assert phi.indivisible_count == len(indivisible)
+        assert phi.indivisible_count == len(indivisible) == len(divisor_scan_indivisible(support))
     assert [restricted_root_system(quasi_split_a(n)).reduced for n in (2, 4)] == [False, False]
     assert [restricted_root_system(quasi_split_a(n)).indivisible_count for n in (2, 4)] == [2, 8]
+
+
+def test_a_triple_of_a_root_is_divisible():
+    """G2 with its long simple root compact restricts to {+-1, +-2, +-3}: not
+    a root system, and only +-1 is indivisible, as the type A1 says."""
+    phi = restricted_root_system(TitsIndex.of(AmbientRootDatum.of([("G", 2)]), [1], []))
+    assert phi.support() == {(-3,), (-2,), (-1,), (1,), (2,), (3,)}
+    assert (phi.reduced, phi.type_name, phi.indivisible_count) == (False, "A1", 2)
 
 
 def test_anisotropic_index_has_empty_restriction():

@@ -1,19 +1,19 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from spherindex.errors import NotARootBase, NotFiniteType
-from datagen import classified_type_name, fmat
+from datagen import classified_type_name, flip_matrix, fmat
+from spherindex.cli import parse_index
 from spherindex.linalg import dot, identity, inverse, vec_mat
 from spherindex.rootsys import (
     AmbientRootDatum,
     VALID_RANKS,
     DynkinComponent,
     RootBase,
-    cartan_matrix,
     classify,
     generate_roots,
-    longest_element_word,
     opposition_permutation,
     positive_roots_in_base_coords,
     root_count,
@@ -66,20 +66,31 @@ def test_standard_form_short_roots_length_two():
 
 def test_cartan_matrix_from_gram():
     base = std_base("G", 2)
-    assert cartan_matrix(base) == ((2, -1), (-3, 2))
+    assert base.cartan == ((2, -1), (-3, 2))
+    assert base.components == (("G", 2, (0, 1)),)
 
 
 def test_cartan_matrix_orthogonal_pair():
     base = RootBase.from_vectors([[1, 0], [0, 1]], [[2, 0], [0, 2]])
-    assert cartan_matrix(base) == ((2, 0), (0, 2))
+    assert base.cartan == ((2, 0), (0, 2))
+    assert base.types == (("A", 1), ("A", 1))
 
 
 def test_cartan_matrix_rejects_bad_bases():
     with pytest.raises(NotARootBase):
         RootBase.from_vectors([[1, 0], [2, 0]], [[2, 0], [0, 2]])
-    with pytest.raises(NotARootBase):
+    with pytest.raises(NotARootBase, match="positive off-diagonal Cartan number"):
         # acute pair gives a positive off-diagonal Cartan number
-        cartan_matrix(RootBase.from_vectors([[1, 0], [1, 1]], [[2, 0], [0, 2]]))
+        RootBase.from_vectors([[1, 0], [1, 1]], [[2, 0], [0, 2]])
+    with pytest.raises(NotARootBase, match="non-integral Cartan number"):
+        RootBase.from_vectors([[1, 0], [0, 1]], [[2, -1], [-1, 4]])
+
+
+def test_root_base_of_non_finite_type_is_rejected():
+    # affine A1~ (singular Cartan matrix) and a hyperbolic rank-2 matrix
+    for pairing in ([[2, -2], [-2, 2]], [[2, -3], [-3, 2]]):
+        with pytest.raises(NotFiniteType, match="Cartan matrix is not of finite type"):
+            RootBase.from_vectors([[1, 0], [0, 1]], pairing)
 
 
 def test_g2_base_inside_c3():
@@ -87,8 +98,8 @@ def test_g2_base_inside_c3():
     amb = AmbientRootDatum.of([("C", 3)])
     base = RootBase.from_vectors([[1, 0, 1], [0, 1, 0]], amb.form())
     assert base.gram == ((6, -3), (-3, 2))
-    assert cartan_matrix(base) == ((2, -3), (-1, 2))
-    assert classified_type_name(cartan_matrix(base)) == "G2"
+    assert base.cartan == ((2, -3), (-1, 2))
+    assert classified_type_name(base.cartan) == "G2"
 
 
 def test_classify_small():
@@ -141,7 +152,7 @@ def test_generate_roots_counts():
         base = std_base(fam, n)
         roots = generate_roots(base)
         assert len(roots) == root_count(fam, n)
-        pos = positive_roots_in_base_coords(standard_cartan(fam, n))
+        pos = positive_roots_in_base_coords(standard_cartan(fam, n), [(fam, n)])
         assert 2 * len(pos) == root_count(fam, n)
 
 
@@ -196,7 +207,7 @@ def test_opposition_is_involution_preserving_cartan():
         p = opposition_permutation(base)
         assert sorted(p) == list(range(n))
         assert all(p[p[i]] == i for i in range(n))
-        c = cartan_matrix(base)
+        c = base.cartan
         for i in range(n):
             for j in range(n):
                 assert c[p[i]][p[j]] == c[i][j]
@@ -212,26 +223,47 @@ def fraction_rho_word(c):
     return word
 
 
-def test_longest_word_and_opposition_match_the_fraction_rho():
+def test_opposition_matches_the_fraction_rho_word():
+    """-w0 read off the type equals -w0 from a reduced word, on shuffled bases."""
     irreducible = [(f, n) for f in "ABCDEFG" for n in range(1, 9) if VALID_RANKS[f](n)]
     ambients = [AmbientRootDatum.of([t]) for t in irreducible]
-    ambients.append(AmbientRootDatum.of([("A", 2), ("B", 3), ("G", 2), ("D", 4)]))
+    for spec in (
+        [("A", 2), ("B", 3), ("G", 2), ("D", 4)],
+        [("A", 3), ("A", 3)],
+        [("D", 5), ("E", 6), ("A", 1)],
+        [("D", 7), ("C", 3)],
+    ):
+        ambients.append(AmbientRootDatum.of(spec))
+    rng = random.Random(20261018)
     for amb in ambients:
-        c = amb.cartan()
-        word = fraction_rho_word(c)
-        assert longest_element_word(c) == word
-        assert len(word) == len(positive_roots_in_base_coords(c))  # reduced
-        perm = []
-        for v in identity(len(c)):
-            for j in word:
-                v = simple_reflection(v, c, j)
-            perm.append(identity(len(c)).index(tuple(-x for x in v)))
-        base = RootBase.from_vectors(identity(len(c)), amb.form())
-        assert opposition_permutation(base) == tuple(perm)
+        n = amb.dim
+        for _ in range(6):
+            order = rng.sample(range(n), n)
+            base = RootBase.from_vectors([identity(n)[i] for i in order], amb.form())
+            c = base.cartan
+            word = fraction_rho_word(c)
+            assert len(word) == len(positive_roots_in_base_coords(c, base.types))  # reduced
+            perm = []
+            for v in identity(n):
+                for j in word:
+                    v = simple_reflection(v, c, j)
+                perm.append(identity(n).index(tuple(-x for x in v)))
+            assert opposition_permutation(base) == tuple(perm)
+
+
+def test_flip_is_the_blockwise_diagram_involution():
+    comps = [("A", 3), ("D", 5), ("E", 6), ("B", 2)]
+    doc = {
+        "schema_version": "1",
+        "ambient": {"components": [{"family": f, "rank": r} for f, r in comps]},
+        "star_generators": ["flip"],
+    }
+    pairs = [(0, 2), (6, 7), (8, 13), (10, 12)]
+    assert parse_index(doc).star.generators == (tuple(map(tuple, flip_matrix(16, pairs))),)
 
 
 def test_positive_roots():
-    pos = positive_roots_in_base_coords(standard_cartan("G", 2))
+    pos = positive_roots_in_base_coords(standard_cartan("G", 2), [("G", 2)])
     assert len(pos) == 6
     assert (3, 2) in pos  # highest root of G2
     assert all(all(x >= 0 for x in v) for v in pos)
