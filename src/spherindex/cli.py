@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .datum import SphericalDatumK, is_valid, validate
 from .degeneration import build_degeneration, degeneration_fiber_data
@@ -32,6 +33,7 @@ from .fans import (
 from .index import TitsIndex, res_A, restricted_root_system
 from .linalg import Lattice, solve_left
 from .restrict import (
+    LittleDatum,
     aut_roots,
     coweight_identity_check,
     localize,
@@ -48,6 +50,10 @@ HARD_RANK_CEILING = 100  # total ambient rank; a Cartan matrix is rank x rank
 
 class ParseError(Exception):
     pass
+
+
+class InvalidDatum(Exception):
+    """A datum that failed validation; its one argument is the report."""
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +299,8 @@ def cmd_restrict_index(doc: dict) -> tuple[dict, int]:
     return report, 0
 
 
-def _analysis(d: SphericalDatumK) -> tuple[dict, int]:
+def cmd_analyze(doc: dict) -> tuple[dict, int]:
+    d = parse_datum(doc)
     items = validate(d)
     report = {
         "command": "analyze",
@@ -346,24 +353,22 @@ def _analysis(d: SphericalDatumK) -> tuple[dict, int]:
     return report, 0
 
 
-def cmd_analyze(doc: dict) -> tuple[dict, int]:
-    return _analysis(parse_datum(doc))
-
-
-def _validated_rd(doc: dict):
+def _validated_rd(doc: dict) -> LittleDatum:
+    """The restricted datum of a document whose datum validates."""
     d = parse_datum(doc)
     items = validate(d)
     if not is_valid(items):
-        report = {
-            "validation": [
-                {"name": it.name, "passed": it.passed, "detail": it.detail}
-                for it in items
-                if not it.passed
-            ],
-            "valid": False,
-        }
-        return d, None, report
-    return d, restrict_datum(d), None
+        raise InvalidDatum(
+            {
+                "validation": [
+                    {"name": it.name, "passed": it.passed, "detail": it.detail}
+                    for it in items
+                    if not it.passed
+                ],
+                "valid": False,
+            }
+        )
+    return restrict_datum(d)
 
 
 def _strata_report(sp) -> list[dict]:
@@ -376,15 +381,12 @@ def _strata_report(sp) -> list[dict]:
             "lattice_basis": [list(r) for r in node.lattice_basis],
             "horospherical": node.horospherical,
         }
-        for node in sp.nodes
+        for node in sp
     ]
 
 
 def cmd_standard_fan(doc: dict) -> tuple[dict, int]:
-    d, rd, bad = _validated_rd(doc)
-    if bad is not None:
-        bad["command"] = "standard-fan"
-        return bad, 1
+    rd = _validated_rd(doc)
     f = standard_fan(rd)
     sp = strata(f, rd)
     report = {
@@ -396,14 +398,12 @@ def cmd_standard_fan(doc: dict) -> tuple[dict, int]:
     return report, 0
 
 
-def cmd_fan(doc: dict, fan_doc: dict, checks, want_strata: bool, saturate: bool) -> tuple[dict, int]:
-    d, rd, bad = _validated_rd(doc)
-    if bad is not None:
-        bad["command"] = "fan"
-        return bad, 1
+def cmd_fan(doc: dict, fan_path: str, checks, want_strata: bool, saturate: bool) -> tuple[dict, int]:
+    fan_doc = _load(fan_path)  # an unreadable fan file exits 2 before validation
+    rd = _validated_rd(doc)
     f = parse_fan(fan_doc)
-    for c in f.cones:
-        _check_width(c.generators, rd.rank, "fan generator")
+    # each generator once, sorted: the error names the least generator of a wrong width
+    _check_width(sorted({g for c in f.cones for g in c.generators}), rd.rank, "fan generator")
     zk = valuation_cone(rd)
     issues = fan_validate(f, zk)
     report = {
@@ -411,9 +411,6 @@ def cmd_fan(doc: dict, fan_doc: dict, checks, want_strata: bool, saturate: bool)
         "issues": [{"kind": i.kind, "detail": i.detail} for i in issues],
         "fan_valid": not issues,
     }
-    code = 0
-    if issues:
-        code = 1
     if saturate and not issues:
         f = weyl_saturate(f, rd, cap=_orbit_cap())
         report["saturated_cones"] = [
@@ -439,7 +436,7 @@ def cmd_fan(doc: dict, fan_doc: dict, checks, want_strata: bool, saturate: bool)
             ]
     if want_strata and not issues:
         report["strata"] = _strata_report(strata(f, rd))
-    return report, code
+    return report, 1 if issues else 0
 
 
 def _orbit_cap() -> int | None:
@@ -457,10 +454,7 @@ def _orbit_cap() -> int | None:
 
 
 def cmd_localize(doc: dict, roots: str) -> tuple[dict, int]:
-    d, rd, bad = _validated_rd(doc)
-    if bad is not None:
-        bad["command"] = "localize"
-        return bad, 1
+    rd = _validated_rd(doc)
     j = []
     if roots.strip():
         for part in roots.split(","):
@@ -486,10 +480,7 @@ def cmd_localize(doc: dict, roots: str) -> tuple[dict, int]:
 
 
 def cmd_degenerate(doc: dict) -> tuple[dict, int]:
-    d, rd, bad = _validated_rd(doc)
-    if bad is not None:
-        bad["command"] = "degenerate"
-        return bad, 1
+    rd = _validated_rd(doc)
     gamma_rows = doc.get("gamma")
     if gamma_rows is not None:
         # degeneration of the quotient by a group of automorphisms
@@ -530,50 +521,52 @@ def cmd_degenerate(doc: dict) -> tuple[dict, int]:
 
 
 # ---------------------------------------------------------------------------
+# the command table: name -> (handler, help, options); the handler takes the
+# loaded document and the options as keyword arguments
+
+COMMANDS = {
+    "analyze": (cmd_analyze, "validate a datum and compute all invariants", {}),
+    "restrict-index": (cmd_restrict_index, "restricted root data of a group index", {}),
+    "standard-fan": (cmd_standard_fan, "standard fan and strata of a convex datum", {}),
+    "fan": (
+        cmd_fan,
+        "check a user fan against a datum",
+        {
+            "--fan": dict(required=True, dest="fan_path"),
+            "--check": dict(action="append", default=[], choices=["smooth", "complete", "support"], dest="checks"),
+            "--strata": dict(action="store_true", dest="want_strata"),
+            "--saturate": dict(action="store_true"),
+        },
+    ),
+    "localize": (cmd_localize, "localize a datum at restricted roots", {"--roots": dict(default="")}),
+    "degenerate": (cmd_degenerate, "boundary degeneration lattice data", {}),
+}
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser of every command, built once per process."""
     parser = argparse.ArgumentParser(
         prog="spherindex",
         description="exact combinatorics of spherical varieties over non-closed fields",
     )
     parser.add_argument("--format", choices=["text", "json"], default="text")
     sub = parser.add_subparsers(dest="cmd", required=True)
+    for name, (_, help_text, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("path")
+        for flag, spec in options.items():
+            p.add_argument(flag, **spec)
+    return parser
 
-    p = sub.add_parser("analyze", help="validate a datum and compute all invariants")
-    p.add_argument("path")
-    p = sub.add_parser("restrict-index", help="restricted root data of a group index")
-    p.add_argument("path")
-    p = sub.add_parser("standard-fan", help="standard fan and strata of a convex datum")
-    p.add_argument("path")
-    p = sub.add_parser("fan", help="check a user fan against a datum")
-    p.add_argument("path")
-    p.add_argument("--fan", required=True, dest="fan_path")
-    p.add_argument("--check", action="append", default=[], choices=["smooth", "complete", "support"])
-    p.add_argument("--strata", action="store_true")
-    p.add_argument("--saturate", action="store_true")
-    p = sub.add_parser("localize", help="localize a datum at restricted roots")
-    p.add_argument("path")
-    p.add_argument("--roots", default="")
-    p = sub.add_parser("degenerate", help="boundary degeneration lattice data")
-    p.add_argument("path")
 
-    args = parser.parse_args(argv)
+def main(argv=None) -> int:
+    options = vars(_parser().parse_args(argv))
+    name, fmt, path = options.pop("cmd"), options.pop("format"), options.pop("path")
     try:
-        doc = _load(args.path)
-        if args.cmd == "analyze":
-            report, code = cmd_analyze(doc)
-        elif args.cmd == "restrict-index":
-            report, code = cmd_restrict_index(doc)
-        elif args.cmd == "standard-fan":
-            report, code = cmd_standard_fan(doc)
-        elif args.cmd == "fan":
-            fan_doc = _load(args.fan_path)
-            report, code = cmd_fan(doc, fan_doc, args.check, args.strata, args.saturate)
-        elif args.cmd == "localize":
-            report, code = cmd_localize(doc, args.roots)
-        else:
-            report, code = cmd_degenerate(doc)
+        report, code = COMMANDS[name][0](_load(path), **options)
+    except InvalidDatum as e:
+        report, code = {**e.args[0], "command": name}, 1
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -583,7 +576,7 @@ def main(argv=None) -> int:
     except SpherindexError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    emit(report, args.format)
+    emit(report, fmt)
     return code
 
 

@@ -28,11 +28,8 @@ from .linalg import (
 @dataclass(frozen=True)
 class DegenerationDatum:
     xi: Lattice
-    gamma: Lattice  # lattice spanned by sigma_aut inside xi
     sigma: Mat  # the quotient spherical roots, xi-ambient coordinates
     xiZ: Lattice  # sublattice of xi + xi
-    delta_minus: Mat  # chi -> (chi, -chi), as a row-action matrix
-    beta: Mat  # (chi, eta) -> chi + eta
     c_bd: Cone  # boundary cone in the dual coordinates of the xiZ basis
 
     @property
@@ -78,11 +75,8 @@ def build_degeneration(xi: Lattice, sigma_aut) -> DegenerationDatum:
     c_bd = Cone.of(rays)
     dd = DegenerationDatum(
         xi=xi,
-        gamma=gamma,
         sigma=sigma,
         xiZ=xiZ,
-        delta_minus=delta_minus,
-        beta=beta,
         c_bd=c_bd,
     )
     _check_cone_in_valuation_cone(dd)

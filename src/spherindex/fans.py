@@ -47,6 +47,11 @@ class Cone:
     def dim(self) -> int:
         return len(self.generators)
 
+    @property
+    def overfull(self) -> bool:
+        """More generators than coordinates: not simplicial, with 2^dim faces."""
+        return self.dim > min(map(len, self.generators), default=0)
+
     # a subset of the sorted generators is sorted: faces need no Cone.of
     def faces(self):
         for k in range(self.dim + 1):
@@ -63,24 +68,21 @@ class Cone:
         c = solve_left(self.generators, v)
         return c is not None and all(x >= 0 for x in c)
 
-    def contains_cone(self, other: "Cone") -> bool:
-        return all(self.contains(g) for g in other.generators)
-
 
 @dataclass(frozen=True)
 class Fan:
-    cones: tuple[Cone, ...]  # closed under faces, sorted
+    cones: tuple[Cone, ...]  # closed under faces but for overfull cones, sorted
 
     @staticmethod
     def from_maximal(gen_lists) -> "Fan":
-        seen = set()
+        """The given cones and their faces; an overfull cone is kept as given,
+        for validation to report once."""
+        seen = {Cone(())}
         for rows in gen_lists:
             cone = Cone.of(rows)
             if len(cone.generators) != len(rows):
                 raise NotSimplicial("repeated generator in a cone")
-            for f in cone.faces():
-                seen.add(f)
-        seen.add(Cone.of(()))
+            seen.update([cone] if cone.overfull else cone.faces())
         return Fan(tuple(sorted(seen, key=lambda c: (c.dim, c.generators))))
 
     @cached_property
@@ -199,7 +201,7 @@ def fan_validate(f: Fan, zk: ValuationCone | None = None) -> list[FanIssue]:
     cone_set = set(f.cones)
     if any(w not in cone_set for ws in f.facet_map.values() for w in ws):
         for c in f.cones:
-            for face in c.faces():
+            for face in () if c.overfull else c.faces():
                 if face not in cone_set:
                     issues.append(
                         FanIssue("missing_face", f"face {face.generators} of {c.generators}")
@@ -297,13 +299,7 @@ class Stratum:
     horospherical: bool
 
 
-@dataclass(frozen=True)
-class StrataPoset:
-    nodes: tuple[Stratum, ...]
-    edges: tuple[tuple[int, int], ...]  # cover relations (smaller, larger cone)
-
-
-def strata(f: Fan, rd: LittleDatum) -> StrataPoset:
+def strata(f: Fan, rd: LittleDatum) -> tuple[Stratum, ...]:
     nodes = []
     for c in f.cones:
         sigma_idx = tuple(
@@ -321,9 +317,7 @@ def strata(f: Fan, rd: LittleDatum) -> StrataPoset:
                 horospherical=_meets_interior(c, rd),
             )
         )
-    index = {c: i for i, c in enumerate(f.cones)}
-    edges = sorted((index[w], j) for j, c in enumerate(f.cones) for w in f.facet_map[c])
-    return StrataPoset(nodes=tuple(nodes), edges=tuple(edges))
+    return tuple(nodes)
 
 
 def _reflection_on_dual(rd: LittleDatum, s) -> Mat:

@@ -136,10 +136,19 @@ class TitsIndex:
         out = []
         if not self.star.is_permutation_action():
             out.append("star generator does not permute the simple roots")
-        try:
-            self.star.elements()
-        except BudgetExceeded:
-            out.append("star action does not generate a finite group")
+            # a group of permutation matrices is finite; only other generators need the closure
+            try:
+                self.star.elements()
+            except BudgetExceeded:
+                out.append("star action does not generate a finite group")
+        else:
+            # the star action permutes the simple roots by diagram automorphisms
+            # (Borel-Tits 1965, section 6): C[p(i)][p(j)] = C[i][j]
+            c = self.ambient.cartan()
+            for k, g in enumerate(self.star.generators):
+                p = [row.index(1) for row in g]
+                if any(c[p[i]][p[j]] != c[i][j] for i in range(len(p)) for j in range(len(p))):
+                    out.append(f"star generator {k} is not a diagram automorphism")
         for k, i in self.star.moved_out(set(self.compact)):
             out.append(f"star generator {k} moves compact root {i} out of the compact set")
         if not out:
@@ -198,7 +207,7 @@ def restricted_simple_roots(ix: TitsIndex) -> RestrictedSimpleRoots:
             fibers.append([i])
     # a positive multiple of the form on restriction coordinates that matches
     # the projected invariant form; Cartan numbers do not see the scale
-    form, _ = scaled_inverse(mat_mul(ix.split, ix.restriction))
+    form, _ = scaled_inverse([vec_mat(v, ix.restriction) for v in ix.split])
     base = RootBase.from_vectors(distinct, form)
     order = [i for _, _, positions in base.components for i in positions]
     return RestrictedSimpleRoots(
@@ -219,9 +228,6 @@ class RestrictedRootSystem:
     @property
     def type_name(self) -> str:
         return " x ".join(f"{f}{r}" for f, r in self.indivisible_types)
-
-    def support(self) -> set[Vec]:
-        return {r for r, _ in self.multiplicities}
 
 
 def ambient_roots(ambient: AmbientRootDatum) -> list[Vec]:

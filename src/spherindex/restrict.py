@@ -212,7 +212,6 @@ class RestrictedRoots:
     """Multiset of nonzero restrictions of the big-field root system."""
 
     multiplicities: tuple[tuple[Vec, int], ...]
-    indivisible: tuple[Vec, ...]
     reduced: bool
 
 
@@ -240,7 +239,6 @@ def phi_k_res(d: SphericalDatumK, rd: RestrictedDatum | None = None) -> Restrict
         raise IndivisibilityMismatch("a restricted spherical root has multiplier > 2")
     return RestrictedRoots(
         multiplicities=tuple(sorted(counts.items())),
-        indivisible=tuple(sorted(indivisible)),
         reduced=len(indivisible) == len(counts),
     )
 

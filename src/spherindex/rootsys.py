@@ -179,7 +179,6 @@ class RootBase:
     """
 
     vectors: Mat
-    gram: Mat = field(compare=False)
     cartan: Mat = field(compare=False)
     components: tuple[tuple[str, int, tuple[int, ...]], ...] = field(compare=False)
 
@@ -203,7 +202,7 @@ class RootBase:
                     raise NotARootBase(f"positive off-diagonal Cartan number at ({i}, {j})")
                 c[i].append(x)
         c = tuple(map(tuple, c))
-        return RootBase(vectors, g, c, tuple(classify(c)))
+        return RootBase(vectors, c, tuple(classify(c)))
 
     def __len__(self) -> int:
         return len(self.vectors)

@@ -183,9 +183,20 @@ def classified_type_name(c) -> str:
     return " x ".join(f"{fam}{rk}" for fam, rk, _ in classify(c))
 
 
+def contains_cone(outer, inner) -> bool:
+    """Every generator of ``inner`` lies in ``outer``."""
+    return all(outer.contains(g) for g in inner.generators)
+
+
 def dominates(f1, f2) -> bool:
     """Every cone of f1 lies in a cone of f2."""
-    return all(any(c2.contains_cone(c1) for c2 in f2.cones) for c1 in f1.cones)
+    return all(any(contains_cone(c2, c1) for c2 in f2.cones) for c1 in f1.cones)
+
+
+def cover_edges(f) -> tuple:
+    """The cover relations (facet, cone) of a fan, as index pairs into ``f.cones``."""
+    index = {c: i for i, c in enumerate(f.cones)}
+    return tuple(sorted((index[w], j) for j, c in enumerate(f.cones) for w in f.facet_map[c]))
 
 
 def divisor_scan_indivisible(support) -> set:

@@ -9,6 +9,7 @@ seeded geometric generators in datagen.
 from fractions import Fraction
 
 from datagen import (
+    cover_edges,
     divisor_scan_indivisible,
     flip_matrix,
     fmat,
@@ -182,16 +183,16 @@ def test_criterion_6_standard_embedding():
         assert r in (1, 2, 3) and not rd.nk0_basis
         f = standard_fan(rd)
         sp = strata(f, rd)
-        assert len(sp.nodes) == 2**r  # boolean lattice of subsets of Sigma_k
+        assert len(sp) == 2**r  # boolean lattice of subsets of Sigma_k
         seen = set()
-        for node in sp.nodes:
+        for node in sp:
             assert node.codim == r - len(node.sigma_indices)
             assert node.rank == len(node.sigma_indices)
             assert len(node.lattice_basis) == node.rank
             seen.add(node.sigma_indices)
         assert len(seen) == 2**r
-        assert len(sp.edges) == r * 2 ** (r - 1)
-        for node in sp.nodes:  # localization agrees node by node
+        assert len(cover_edges(f)) == r * 2 ** (r - 1)
+        for node in sp:  # localization agrees node by node
             loc = localize(rd, node.sigma_indices)
             assert loc.datum.rank == node.rank
             assert Lattice.from_rows(r, loc.xi_basis_in_parent) == Lattice.from_rows(
@@ -291,8 +292,9 @@ def test_phi_k_res_reducedness_matches_the_divisor_scan():
     """The restricted roots of sp42 are {+-1, +-2, +-3} times a root: a triple
     is divisible too, so the rule is not the halving test of a root system."""
     for d in [f() for f in FIXTURES] + random_data(20260826, 100):
-        rr = phi_k_res(d)
+        rd = restrict_datum(d)
+        rr = phi_k_res(d, rd)
         support = {r for r, _ in rr.multiplicities}
         indivisible = divisor_scan_indivisible(support)
-        assert set(rr.indivisible) == indivisible
+        assert set(rd.phi_k) == indivisible  # phi_k_res checks its indivisible part against phi_k
         assert rr.reduced == (indivisible == support)

@@ -331,6 +331,32 @@ def test_smooth_check_on_a_cone_that_is_not_simplicial(capsys, tmp_path, name, c
     assert by_cone[tuple(sorted(map(tuple, cone)))] is False
 
 
+def test_a_cone_of_more_generators_than_coordinates_is_not_closed_under_faces(capsys, tmp_path):
+    """20 generators in the plane: 2^20 faces were built, each face of three
+    or more generators reported (16 generators took 8.9 s).  The cone is kept
+    as given and reported once."""
+    cone = [[1, k] for k in range(20)]
+    fan_path = write(tmp_path, "fan.json", {"cones": [cone, [[-1, 0], [0, -1]]]})
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "--format", "json", "fan", fixture("e6.json"), "--fan", fan_path,
+        "--check", "smooth", "--check", "complete", "--strata", "--saturate",
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 1 and "Traceback" not in err
+    report = json.loads(out)
+    kinds = [i["kind"] for i in report["issues"]]
+    assert kinds.count("not_simplicial") == 1 and "missing_face" not in kinds
+    assert report["smooth_by_cone"] == [
+        {"cone": [], "smooth": True},
+        {"cone": [[-1, 0]], "smooth": True},
+        {"cone": [[0, -1]], "smooth": True},
+        {"cone": [[-1, 0], [0, -1]], "smooth": True},
+        {"cone": cone, "smooth": False},
+    ]
+    assert report["complete"] is None and "strata" not in report and "saturated_cones" not in report
+
+
 def test_fan_incomplete(capsys, tmp_path):
     fan_path = write(tmp_path, "fan.json", {"cones": [[[-1, 0]]]})
     code, out, _ = run(
@@ -392,6 +418,84 @@ def test_degenerate_with_gamma(capsys, tmp_path):
     report = json.loads(out)
     assert report["n_aut"] == [2]
     assert report["sigma_aut"] == [[2]]
+
+
+# spherindex --help and spherindex fan --help at 80 columns
+MAIN_HELP = """\
+usage: spherindex [-h] [--format {text,json}]
+                  {analyze,restrict-index,standard-fan,fan,localize,degenerate}
+                  ...
+
+exact combinatorics of spherical varieties over non-closed fields
+
+positional arguments:
+  {analyze,restrict-index,standard-fan,fan,localize,degenerate}
+    analyze             validate a datum and compute all invariants
+    restrict-index      restricted root data of a group index
+    standard-fan        standard fan and strata of a convex datum
+    fan                 check a user fan against a datum
+    localize            localize a datum at restricted roots
+    degenerate          boundary degeneration lattice data
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}
+"""
+FAN_HELP = """\
+usage: spherindex fan [-h] --fan FAN_PATH [--check {smooth,complete,support}]
+                      [--strata] [--saturate]
+                      path
+
+positional arguments:
+  path
+
+options:
+  -h, --help            show this help message and exit
+  --fan FAN_PATH
+  --check {smooth,complete,support}
+  --strata
+  --saturate
+"""
+
+
+@pytest.mark.parametrize("argv, expected", [(["--help"], MAIN_HELP), (["fan", "--help"], FAN_HELP)], ids=["main", "fan"])
+def test_help_is_unchanged(capsys, monkeypatch, argv, expected):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["analyze"], ["nosuch", "x.json"], ["fan", "x.json"], ["--format", "xml", "analyze", "x.json"],
+     ["fan", "x.json", "--fan", "f.json", "--check", "nope"], ["analyze", "x.json", "extra"]],
+)
+def test_usage_error_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "usage: spherindex" in out.err
+
+
+def test_the_shared_parser_keeps_no_options_between_calls(capsys, tmp_path):
+    """The parser is built once per process: options of one call (append,
+    store_true) must not reach the next, whose output is a fresh process's."""
+    fan_path = write(tmp_path, "fan.json", {"cones": [[[-1, 0], [0, -1]]]})
+    argv = ["fan", fixture("e6.json"), "--fan", fan_path]
+    code, first, _ = run(capsys, *argv, "--check", "smooth", "--check", "complete", "--saturate")
+    assert code == 0 and "saturated_cones" in first
+    code, second, _ = run(capsys, *argv)
+    fresh = subprocess.run(
+        [sys.executable, "-m", "spherindex.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert (code, second) == (fresh.returncode, fresh.stdout) == (0, "command: fan\nissues: []\nfan_valid: true\n")
 
 
 def saturate_e6(capsys, tmp_path):

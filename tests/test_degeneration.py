@@ -2,13 +2,14 @@ from fractions import Fraction
 
 import pytest
 
+from datagen import contains_cone
 from spherindex.degeneration import (
     build_degeneration,
     degeneration_fiber_data,
 )
 from spherindex.errors import NotAFace, NotIndependent, NotSublattice
 from spherindex.fans import Cone
-from spherindex.linalg import Lattice, vec_mat
+from spherindex.linalg import Lattice, identity, vec_mat
 
 
 def test_even_lattice_example():
@@ -26,14 +27,19 @@ def test_rank_additivity():
     dd = build_degeneration(Lattice.standard(2), [[1, 0], [0, 1]])
     assert dd.xi.rank == 2
     assert dd.xiZ.rank == 4
-    assert dd.gamma.rank == 2
+    assert Lattice.from_rows(2, dd.sigma).rank == 2
 
 
 def test_beta_compose_delta_zero():
-    dd = build_degeneration(Lattice.standard(2), [[1, 0], [0, 1]])
-    for chi in [(1, 0), (0, 1), (3, -2)]:
-        img = vec_mat(chi, dd.delta_minus)
-        assert all(x == 0 for x in vec_mat(img, dd.beta))
+    """The antidiagonal (chi, -chi) lies in xiZ, and the sum map
+    beta(chi, eta) = chi + eta sends xiZ onto the lattice of sigma."""
+    beta = identity(2) + identity(2)
+    for sigma in ([[1, 0], [0, 1]], [[2, 0], [0, 1]]):
+        dd = build_degeneration(Lattice.standard(2), sigma)
+        for chi in [(1, 0), (0, 1), (3, -2)]:
+            assert dd.xiZ.contains(chi + tuple(-x for x in chi))
+        images = [vec_mat(b, beta) for b in dd.xiZ.rows_q()]
+        assert Lattice.from_rows(2, images) == Lattice.from_rows(2, sigma)
 
 
 def test_input_validation():
@@ -98,4 +104,4 @@ def test_not_a_face_without_the_containment_check():
     for cone in (outside, inner_ray, inner_wedge):
         with pytest.raises(NotAFace):
             degeneration_fiber_data(dd, cone)
-    assert dd.c_bd.contains_cone(inner_ray) and dd.c_bd.contains_cone(inner_wedge)
+    assert contains_cone(dd.c_bd, inner_ray) and contains_cone(dd.c_bd, inner_wedge)

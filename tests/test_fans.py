@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from datagen import dominates, flip_matrix, random_convex_data
+from datagen import cover_edges, dominates, flip_matrix, random_convex_data
 from spherindex import fans
 from spherindex.datum import SphericalDatumK
 from spherindex.errors import BudgetExceeded, NotConvex, NotValidated
@@ -155,9 +155,9 @@ def test_strata_standard_fan():
     d, rd = e6_rd()
     f = standard_fan(rd)
     sp = strata(f, rd)
-    assert len(sp.nodes) == 4
+    assert len(sp) == 4
     by_codim = {}
-    for node in sp.nodes:
+    for node in sp:
         by_codim.setdefault(node.codim, []).append(node)
     assert len(by_codim[0]) == 1 and len(by_codim[1]) == 2 and len(by_codim[2]) == 1
     open_node = by_codim[0][0]
@@ -180,7 +180,7 @@ def test_strata_localization_consistency():
     d, rd = e6_rd()
     f = standard_fan(rd)
     sp = strata(f, rd)
-    for node in sp.nodes:
+    for node in sp:
         loc = localize(rd, node.sigma_indices)
         assert loc.datum.rank == node.rank
         assert Lattice.from_rows(rd.rank, loc.xi_basis_in_parent) == Lattice.from_rows(
@@ -194,9 +194,10 @@ def test_strata_poset_edges():
     f = standard_fan(rd)
     sp = strata(f, rd)
     # boolean lattice on 2 atoms: 4 cover relations
-    assert len(sp.edges) == 4
-    for i, j in sp.edges:
-        assert sp.nodes[i].codim + 1 == sp.nodes[j].codim
+    edges = cover_edges(f)
+    assert len(edges) == 4
+    for i, j in edges:
+        assert sp[i].codim + 1 == sp[j].codim
 
 
 def test_dominates():
@@ -343,7 +344,7 @@ def test_maximal_cones_and_strata_edges_match_brute_force(corpus_rds):
         assert f.maximal_cones() == [
             c for c, g in zip(f.cones, gens) if not any(g < h for h in gens)
         ]
-        assert strata(f, rd).edges == tuple(
+        assert cover_edges(f) == tuple(
             (i, j)
             for i, a in enumerate(f.cones)
             for j, b in enumerate(f.cones)
@@ -506,9 +507,9 @@ def test_strata_sign_certificates_match_lp(corpus_rds):
     cases = [(standard_fan(rd), rd) for rd in corpus_rds]
     cases += [(chamber_fan(e6), e6), (mixed, a1a1)]
     for f, rd in cases:
-        for node in strata(f, rd).nodes:
+        for node in strata(f, rd):
             assert node.horospherical == lp_meets_interior(node.cone, rd)
-    by_cone = {node.cone: node.horospherical for node in strata(mixed, a1a1).nodes}
+    by_cone = {node.cone: node.horospherical for node in strata(mixed, a1a1)}
     assert by_cone[Cone.of([[-1, 1], [1, -2]])]
     assert not by_cone[Cone.of([[-3, 2], [2, -1]])]
 

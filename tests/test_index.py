@@ -170,6 +170,65 @@ def test_star_generator_trace_decides_infinite_order(monkeypatch):
             StarAction.of([g], 2).elements()
 
 
+def permutation_matrix(p):
+    """The matrix sending simple root i to p[i], on character coordinates."""
+    return [[int(p[i] == j) for j in range(len(p))] for i in range(len(p))]
+
+
+def test_permutation_star_action_needs_no_closure(monkeypatch):
+    """A1^8 with a transposition and an 8-cycle: they generate S8, 40,320
+    elements past STAR_GROUP_CAP, which is a valid star action.  A group of
+    permutation matrices is finite, so no product is formed (the closure
+    ran to its cap for 1 s and reported an infinite group)."""
+    doc = {
+        "schema_version": "1",
+        "mode": "ambient",
+        "ambient": {"components": [{"family": "A", "rank": 1, "label": f"p{i + 1}"} for i in range(8)]},
+        "star_generators": [
+            permutation_matrix([1, 0, 2, 3, 4, 5, 6, 7]),
+            permutation_matrix([(i + 1) % 8 for i in range(8)]),
+        ],
+        "spherical": {"sigma": []},
+    }
+
+    def refuse(*args):
+        raise AssertionError("the closure ran")
+
+    monkeypatch.setattr(index, "mat_mul", refuse)
+    report, code = cmd_restrict_index(doc)
+    assert code == 0 and report["violations"] == []
+    assert report["fibers"] == [[f"p{i + 1}.a1" for i in range(8)]]
+    assert report["restricted_roots"] == [{"root": [-2], "multiplicity": 8}, {"root": [2], "multiplicity": 8}]
+    assert cmd_analyze(doc)[1] == 0
+
+
+def test_permutation_that_is_not_a_diagram_automorphism_is_named():
+    """The star action permutes the simple roots by diagram automorphisms:
+    a1 <-> a2 on A3, or the A1 root with a B2 root, is named as such (it was
+    rejected only as a linearly dependent restricted base)."""
+    a3 = AmbientRootDatum.of([("A", 3)])
+    a1b2 = AmbientRootDatum.of([("A", 1, "x"), ("B", 2, "y")])
+    cases = [
+        (a3, [permutation_matrix([1, 0, 2])]),
+        (a1b2, [permutation_matrix([1, 0, 2])]),
+        (a1b2, [permutation_matrix([2, 1, 0])]),
+        (a3, [permutation_matrix([2, 1, 0]), permutation_matrix([0, 2, 1])]),
+    ]
+    for amb, gens in cases:
+        expected = f"star generator {len(gens) - 1} is not a diagram automorphism"
+        assert TitsIndex.of(amb, [], gens).violations() == [expected]
+    # diagram automorphisms pass: the A3 flip, the swap of two A1 or two A2
+    a1a1 = AmbientRootDatum.of([("A", 1), ("A", 1)])
+    a2a2 = AmbientRootDatum.of([("A", 2), ("A", 2)])
+    for amb, gens in [
+        (a3, [permutation_matrix([2, 1, 0])]),
+        (a1a1, [permutation_matrix([1, 0])]),
+        (a2a2, [permutation_matrix([2, 3, 0, 1])]),
+        (a2a2, [permutation_matrix([3, 2, 1, 0])]),
+    ]:
+        assert TitsIndex.of(amb, [], gens).violations() == []
+
+
 def test_violations_reported():
     amb = AmbientRootDatum.of([("A", 2)])
     bad = TitsIndex.of(amb, [0], [flip_matrix(2, [(0, 1)])])
@@ -254,7 +313,7 @@ def test_a_triple_of_a_root_is_divisible():
     """G2 with its long simple root compact restricts to {+-1, +-2, +-3}: not
     a root system, and only +-1 is indivisible, as the type A1 says."""
     phi = restricted_root_system(TitsIndex.of(AmbientRootDatum.of([("G", 2)]), [1], []))
-    assert phi.support() == {(-3,), (-2,), (-1,), (1,), (2,), (3,)}
+    assert {r for r, _ in phi.multiplicities} == {(-3,), (-2,), (-1,), (1,), (2,), (3,)}
     assert (phi.reduced, phi.type_name, phi.indivisible_count) == (False, "A1", 2)
 
 

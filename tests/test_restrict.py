@@ -20,7 +20,7 @@ from spherindex.restrict import (
     restrict_datum,
     valuation_cone,
 )
-from spherindex.rootsys import AmbientRootDatum
+from spherindex.rootsys import AmbientRootDatum, indivisible_roots
 
 H = Fraction(1, 2)
 
@@ -87,7 +87,7 @@ def test_sp42_phi_k_res():
     assert dict(rr.multiplicities) == {
         (1,): 2, (2,): 1, (3,): 2, (-1,): 2, (-2,): 1, (-3,): 2,
     }
-    assert set(rr.indivisible) == {(1,), (-1,)}
+    assert indivisible_roots(dict(rr.multiplicities)) == {(1,), (-1,)}
     assert not rr.reduced
 
 

@@ -6,7 +6,7 @@ import pytest
 from spherindex.errors import NotARootBase, NotFiniteType
 from datagen import classified_type_name, flip_matrix, fmat
 from spherindex.cli import parse_index
-from spherindex.linalg import dot, identity, inverse, vec_mat
+from spherindex.linalg import dot, gram, identity, inverse, vec_mat
 from spherindex.rootsys import (
     AmbientRootDatum,
     VALID_RANKS,
@@ -97,7 +97,7 @@ def test_g2_base_inside_c3():
     # sigma1 = a1 + a3, sigma2 = a2 inside the C3 form
     amb = AmbientRootDatum.of([("C", 3)])
     base = RootBase.from_vectors([[1, 0, 1], [0, 1, 0]], amb.form())
-    assert base.gram == ((6, -3), (-3, 2))
+    assert gram(base.vectors, amb.form()) == ((6, -3), (-3, 2))
     assert base.cartan == ((2, -3), (-1, 2))
     assert classified_type_name(base.cartan) == "G2"
 

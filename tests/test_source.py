@@ -4,7 +4,8 @@
 must raise instead; imports belong at module level, where the dependency
 graph between modules stays visible; ``/`` on two ints gives a float, so
 exact division is written ``Fraction(a, b)``; a function that nothing in
-``src/`` names is dead code.
+``src/`` names, or a class member that nothing in ``src/`` reads, is dead
+code.
 """
 
 import ast
@@ -47,25 +48,46 @@ def test_no_true_division():
 UNREFERENCED_ALLOWED = {"restrict.chamber_containment_check", "restrict.facet_inheritance_check"}
 
 
+def _members(cls: ast.ClassDef):
+    """The fields, methods and properties of a class body, dunders left out."""
+    for item in cls.body:
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = item.name
+        elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+            name = item.target.id
+        else:
+            continue
+        if not (name.startswith("__") and name.endswith("__")):
+            yield name
+
+
 def test_every_module_function_is_referenced_in_src():
     """Dead code is deleted: each module-level function is named (as a Name
-    or an Attribute) somewhere in ``src/`` outside its own ``def``."""
+    or an Attribute) somewhere in ``src/`` outside its own ``def``, and each
+    field, method and property of a class is read as an Attribute."""
     defs = {}
+    members = {}
     referenced = set()
+    read = set()
     for name, tree in source_trees():
         module = name.removesuffix(".py")
         for top in tree.body:
             if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 defs[f"{module}.{top.name}"] = top.name
             for node in ast.walk(top):
+                if isinstance(node, ast.ClassDef):
+                    members.update((f"{module}.{node.name}.{m}", m) for m in _members(node))
                 if isinstance(node, ast.Name):
                     used = node.id
                 elif isinstance(node, ast.Attribute):
                     used = node.attr
+                    if isinstance(node.ctx, ast.Load):
+                        read.add(used)
                 else:
                     continue
                 # a function naming itself (recursion) does not count
                 if not (isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) and top.name == used):
                     referenced.add(used)
     unused = {q for q, f in defs.items() if f not in referenced}
+    unused |= {q for q, m in members.items() if m not in read}
     assert unused == UNREFERENCED_ALLOWED
