@@ -292,8 +292,8 @@ def cmd_restrict_index(doc: dict) -> tuple[dict, int]:
                 {"root": list(r), "multiplicity": m} for r, m in phi.multiplicities
             ],
             "reduced": phi.reduced,
-            "indivisible_type": phi.type_name,
-            "indivisible_count": phi.indivisible_count,
+            "indivisible_type": srs.type_name,
+            "indivisible_count": len(phi.indivisible),
         }
     )
     return report, 0

@@ -32,10 +32,6 @@ class DegenerationDatum:
     xiZ: Lattice  # sublattice of xi + xi
     c_bd: Cone  # boundary cone in the dual coordinates of the xiZ basis
 
-    @property
-    def rank(self) -> int:
-        return self.xi.rank
-
 
 def build_degeneration(xi: Lattice, sigma_aut) -> DegenerationDatum:
     sigma = tuple(map(tuple, sigma_aut))

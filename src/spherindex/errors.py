@@ -15,10 +15,6 @@ class ZeroVector(SpherindexError):
     pass
 
 
-class NotInSpan(SpherindexError):
-    pass
-
-
 class NotARootBase(SpherindexError):
     pass
 

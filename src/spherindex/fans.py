@@ -24,7 +24,6 @@ from .linalg import (
     primitive_vector,
     rank,
     scaled_inverse,
-    solve_left,
     transpose,
     vec_mat,
 )
@@ -61,12 +60,6 @@ class Cone:
     def facets(self):
         for sub in combinations(self.generators, self.dim - 1):
             yield Cone(sub)
-
-    def contains(self, v) -> bool:
-        if not self.generators:
-            return all(x == 0 for x in v)
-        c = solve_left(self.generators, v)
-        return c is not None and all(x >= 0 for x in c)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ system of the group.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
@@ -26,7 +25,13 @@ from .linalg import (
     transpose,
     vec_mat,
 )
-from .rootsys import AmbientRootDatum, RootBase, indivisible_roots, positive_roots_in_base_coords
+from .rootsys import (
+    AmbientRootDatum,
+    RestrictedRoots,
+    RootBase,
+    image_fibers,
+    positive_roots_in_base_coords,
+)
 
 STAR_GROUP_CAP = 10000
 
@@ -186,7 +191,6 @@ def res_A(ix: TitsIndex, chi) -> Vec:
 class RestrictedSimpleRoots:
     roots: Mat  # distinct nonzero images, Bourbaki-ordered per component
     fibers: tuple[tuple[int, ...], ...]  # ambient simple-root indices per root
-    cartan: Mat
     types: tuple[tuple[str, int], ...]
 
     @property
@@ -195,16 +199,7 @@ class RestrictedSimpleRoots:
 
 
 def restricted_simple_roots(ix: TitsIndex) -> RestrictedSimpleRoots:
-    distinct: list[Vec] = []
-    fibers: list[list[int]] = []
-    for i, img in enumerate(ix.restriction):
-        if all(x == 0 for x in img):
-            continue
-        if img in distinct:
-            fibers[distinct.index(img)].append(i)
-        else:
-            distinct.append(img)
-            fibers.append([i])
+    distinct, fibers = image_fibers((i, img) for i, img in enumerate(ix.restriction) if any(img))
     # a positive multiple of the form on restriction coordinates that matches
     # the projected invariant form; Cartan numbers do not see the scale
     form, _ = scaled_inverse([vec_mat(v, ix.restriction) for v in ix.split])
@@ -213,21 +208,8 @@ def restricted_simple_roots(ix: TitsIndex) -> RestrictedSimpleRoots:
     return RestrictedSimpleRoots(
         roots=tuple(distinct[i] for i in order),
         fibers=tuple(tuple(fibers[i]) for i in order),
-        cartan=tuple(tuple(base.cartan[i][j] for j in order) for i in order),
         types=base.types,
     )
-
-
-@dataclass(frozen=True)
-class RestrictedRootSystem:
-    multiplicities: tuple[tuple[Vec, int], ...]  # sorted (root, multiplicity)
-    reduced: bool
-    indivisible_types: tuple[tuple[str, int], ...]
-    indivisible_count: int
-
-    @property
-    def type_name(self) -> str:
-        return " x ".join(f"{f}{r}" for f, r in self.indivisible_types)
 
 
 def ambient_roots(ambient: AmbientRootDatum) -> list[Vec]:
@@ -235,16 +217,6 @@ def ambient_roots(ambient: AmbientRootDatum) -> list[Vec]:
     return pos + [tuple(-x for x in v) for v in pos]
 
 
-def restricted_root_system(ix: TitsIndex) -> RestrictedRootSystem:
-    counts: Counter[Vec] = Counter()
-    for root in ambient_roots(ix.ambient):
-        img = res_A(ix, root)
-        if any(x != 0 for x in img):
-            counts[img] += 1
-    indivisible = indivisible_roots(counts)
-    return RestrictedRootSystem(
-        multiplicities=tuple(sorted(counts.items())),
-        reduced=len(indivisible) == len(counts),
-        indivisible_types=ix.simple_roots.types,
-        indivisible_count=len(indivisible),
-    )
+def restricted_root_system(ix: TitsIndex) -> RestrictedRoots:
+    """The nonzero restrictions of the ambient roots, with multiplicities."""
+    return RestrictedRoots.of(res_A(ix, root) for root in ambient_roots(ix.ambient))

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from .errors import NotInSpan, NotSublattice, ZeroVector
+from .errors import NotSublattice, ZeroVector
 
 Vec = tuple[int | Fraction, ...]
 Mat = tuple[Vec, ...]
@@ -248,17 +248,13 @@ def lattice_index(rows, width: int) -> int:
     return prod(pivots) if len(pivots) == width else 0
 
 
-def integer_kernel(constraint_rows, width: int | None = None) -> tuple[tuple[int, ...], ...]:
-    """Saturated integer solutions {v : row . v == 0 for every row}.
+def integer_kernel(constraint_rows, width: int) -> tuple[tuple[int, ...], ...]:
+    """Saturated integer solutions v in Z^width of row . v == 0 for every row.
 
     Rows may be rational; the returned basis is Hermite-canonical and spans
     the full rational solution space (saturation).
     """
     rows = scale_rows_integral(constraint_rows)
-    if width is None:
-        if not rows:
-            raise ValueError("width required when there are no constraints")
-        width = len(rows[0])
     if not rows:
         return tuple(identity(width))
     mt = [[rows[i][j] for i in range(len(rows))] for j in range(width)]
@@ -347,18 +343,6 @@ class Lattice:
         return lattice_index(coords, self.rank)
 
 
-def primitive_multiple(v, lattice: Lattice) -> tuple[Vec, Fraction]:
-    """The primitive lattice vector p on the ray of v, and n with v == n*p."""
-    if is_zero_vec(v):
-        raise ZeroVector("v = 0")
-    c = lattice.coordinates(v)
-    if c is None:
-        raise NotInSpan("v is not in the span of the lattice")
-    prim_coords = primitive_vector(c)
-    n = next(Fraction(x, p) for x, p in zip(c, prim_coords) if p)
-    return vec_mat(prim_coords, lattice.rows_q()), n
-
-
 # ---------------------------------------------------------------------------
 # exact feasibility LP (phase-1 simplex, Bland's rule)
 
@@ -417,15 +401,8 @@ def _phase1(rows: list[list[int]]) -> list[Fraction] | None:
     return w[:n]
 
 
-def find_feasible(a_ub=(), b_ub=(), a_eq=(), b_eq=(), nvars: int | None = None) -> Vec | None:
-    """A rational x with a_ub @ x <= b_ub and a_eq @ x == b_eq, or None."""
-    if nvars is None:
-        if a_ub:
-            nvars = len(a_ub[0])
-        elif a_eq:
-            nvars = len(a_eq[0])
-        else:
-            raise ValueError("nvars required with no constraints")
+def find_feasible(a_ub=(), b_ub=(), a_eq=(), b_eq=(), *, nvars: int) -> Vec | None:
+    """A rational x in Q^nvars with a_ub @ x <= b_ub and a_eq @ x == b_eq, or None."""
     # rows [a | b] scaled to integers, x = x+ - x-, one slack per inequality
     nslack = len(a_ub)
     ub = scale_rows_integral([list(r) + [bi] for r, bi in zip(a_ub, b_ub, strict=True)])

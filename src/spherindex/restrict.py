@@ -9,7 +9,6 @@ projection onto the complement of the annihilator of N_k.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from math import lcm
 
@@ -28,6 +27,7 @@ from .linalg import (
     Lattice,
     Mat,
     Vec,
+    content,
     dot,
     dual_basis,
     gram,
@@ -39,14 +39,14 @@ from .linalg import (
     lattice_index,
     mat_mul,
     minus_identity,
-    primitive_multiple,
+    primitive_vector,
     rank,
     rref,
     solve,
     transpose,
     vec_mat,
 )
-from .rootsys import RootBase, generate_roots, indivisible_roots, weyl_order
+from .rootsys import RestrictedRoots, RootBase, generate_roots, image_fibers, weyl_order
 
 
 @dataclass(frozen=True)
@@ -126,12 +126,9 @@ def _core(rank_: int, sigma_rows: Mat, form: Mat, fibers) -> dict:
         phi = tuple(generate_roots(base))
         nk0 = integer_kernel(sigma_rows, width=rank_)
         coweights = dual_basis(sigma_rows, form)
-        lat = Lattice.standard(rank_)
-        prim, mult = [], []
-        for s in sigma_rows:
-            p, n = primitive_multiple(s, lat)
-            prim.append(p)
-            mult.append(int(n))
+        # restricted roots have integral coordinates: s == content(s) * primitive
+        prim = [primitive_vector(s) for s in sigma_rows]
+        mult = [content(s) for s in sigma_rows]
     else:
         types, order, phi = (), 1, ()
         nk0 = identity(rank_)
@@ -175,15 +172,7 @@ def restrict_datum(d: SphericalDatumK) -> RestrictedDatum:
     little = Lattice(dk, l_basis)
 
     # restricted spherical roots with their fibers, in input order
-    sigma_k: list[Vec] = []
-    fibers: list[list[int]] = []
-    for i in split.noncompact:
-        y = _to_little(nk, little, d.sigma[i])
-        if y in sigma_k:
-            fibers[sigma_k.index(y)].append(i)
-        else:
-            sigma_k.append(y)
-            fibers.append([i])
+    sigma_k, fibers = image_fibers((i, _to_little(nk, little, d.sigma[i])) for i in split.noncompact)
     for fib in fibers:
         orbit = d.star_orbit_of_root(fib[0])
         if tuple(sorted(fib)) != orbit:
@@ -207,14 +196,6 @@ def restrict_datum(d: SphericalDatumK) -> RestrictedDatum:
     )
 
 
-@dataclass(frozen=True)
-class RestrictedRoots:
-    """Multiset of nonzero restrictions of the big-field root system."""
-
-    multiplicities: tuple[tuple[Vec, int], ...]
-    reduced: bool
-
-
 def phi_k_res(d: SphericalDatumK, rd: RestrictedDatum | None = None) -> RestrictedRoots:
     """Restrict every root generated by the big spherical roots.
 
@@ -223,24 +204,18 @@ def phi_k_res(d: SphericalDatumK, rd: RestrictedDatum | None = None) -> Restrict
     """
     if rd is None:
         rd = restrict_datum(d)
-    counts: Counter[Vec] = Counter()
+    images = ()
     if d.sigma:
         little = Lattice(rd.rank, rd.xik_image_basis)
-        for root in generate_roots(d.root_base):
-            y = _to_little(rd.nk_basis, little, root)
-            if not is_zero_vec(y):
-                counts[y] += 1
-    indivisible = indivisible_roots(counts)
-    if indivisible != set(rd.phi_k):
+        images = (_to_little(rd.nk_basis, little, root) for root in generate_roots(d.root_base))
+    rr = RestrictedRoots.of(images)
+    if rr.indivisible != set(rd.phi_k):
         raise IndivisibilityMismatch(
             "indivisible restricted roots differ from the little root system"
         )
     if any(n not in (1, 2) for n in rd.n_sigma):
         raise IndivisibilityMismatch("a restricted spherical root has multiplier > 2")
-    return RestrictedRoots(
-        multiplicities=tuple(sorted(counts.items())),
-        reduced=len(indivisible) == len(counts),
-    )
+    return rr
 
 
 @dataclass(frozen=True)

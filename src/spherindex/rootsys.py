@@ -8,6 +8,7 @@ squared length 2 (long roots 4, or 6 in G2).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import LinearlyDependent, NotARootBase, NotFiniteType
@@ -109,10 +110,6 @@ class DynkinComponent:
     def __post_init__(self):
         if self.family not in VALID_RANKS or not VALID_RANKS[self.family](self.rank):
             raise NotFiniteType(f"{self.family}{self.rank} is not a finite type")
-
-    @property
-    def type_name(self) -> str:
-        return f"{self.family}{self.rank}"
 
 
 @dataclass(frozen=True)
@@ -366,6 +363,32 @@ def indivisible_roots(support) -> set:
         if not any(g % n == 0 and tuple(x // n for x in r) in support for n in range(2, g + 1)):
             out.add(r)
     return out
+
+
+def image_fibers(pairs) -> tuple[list[Vec], list[list[int]]]:
+    """The distinct images of (index, image) pairs in order of first
+    appearance, and the indices sent to each."""
+    fibers: dict[Vec, list[int]] = {}
+    for i, img in pairs:
+        fibers.setdefault(img, []).append(i)
+    return list(fibers), list(fibers.values())
+
+
+@dataclass(frozen=True)
+class RestrictedRoots:
+    """Multiset of nonzero restrictions of a root system (Borel-Tits 1965, 6)."""
+
+    multiplicities: tuple[tuple[Vec, int], ...]  # sorted (root, multiplicity)
+    indivisible: frozenset
+
+    @staticmethod
+    def of(images) -> "RestrictedRoots":
+        counts = Counter(img for img in images if any(img))
+        return RestrictedRoots(tuple(sorted(counts.items())), frozenset(indivisible_roots(counts)))
+
+    @property
+    def reduced(self) -> bool:
+        return len(self.indivisible) == len(self.multiplicities)
 
 
 def diagram_involution(family: str, n: int) -> tuple[int, ...]:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from spherindex.datum import SphericalDatumK, compact_split
 from spherindex.errors import SpherindexError
 from spherindex.index import TitsIndex
-from spherindex.linalg import Lattice, dot, integer_kernel, vec_mat
+from spherindex.linalg import Lattice, dot, integer_kernel, solve_left, vec_mat
 from spherindex.restrict import _annihilator, restrict_datum
 from spherindex.rootsys import AmbientRootDatum, RootBase, classify, generate_roots
 
@@ -183,9 +183,17 @@ def classified_type_name(c) -> str:
     return " x ".join(f"{fam}{rk}" for fam, rk, _ in classify(c))
 
 
+def cone_contains(cone, v) -> bool:
+    """v is a nonnegative combination of the generators of ``cone``."""
+    if not cone.generators:
+        return all(x == 0 for x in v)
+    c = solve_left(cone.generators, v)
+    return c is not None and all(x >= 0 for x in c)
+
+
 def contains_cone(outer, inner) -> bool:
     """Every generator of ``inner`` lies in ``outer``."""
-    return all(outer.contains(g) for g in inner.generators)
+    return all(cone_contains(outer, g) for g in inner.generators)
 
 
 def dominates(f1, f2) -> bool:

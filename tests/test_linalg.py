@@ -10,9 +10,10 @@ from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
 from sympy.matrices.normalforms import invariant_factors
 
 from datagen import image_lattice, intersection_with_subspace
-from spherindex.errors import NotInSpan, ZeroVector
+from spherindex.errors import ZeroVector
 from spherindex.linalg import (
     Lattice,
+    content,
     dot,
     dual_basis,
     find_feasible,
@@ -23,7 +24,7 @@ from spherindex.linalg import (
     inverse,
     lattice_index,
     mat_mul,
-    primitive_multiple,
+    primitive_vector,
     rank,
     rref,
     scaled_inverse,
@@ -168,27 +169,13 @@ def test_kernel_of_parity_constraint():
     assert got == Lattice.from_rows(2, [[1, 1]])
 
 
-def test_primitive_multiple():
-    lat = Lattice.standard(2)
-    p, n = primitive_multiple((2, 4), lat)
-    assert p == (1, 2)
-    assert n == 2
-
-
-def test_primitive_multiple_fractional_lattice():
-    lat = Lattice.from_rows(2, [[Fraction(1, 2), Fraction(-1, 2)]])
-    p, n = primitive_multiple((3, -3), lat)
-    assert p == (Fraction(1, 2), Fraction(-1, 2))
-    assert n == 6
-
-
-def test_primitive_multiple_errors():
-    lat = Lattice.standard(2)
+def test_primitive_vector_and_content():
+    # an integral v is content(v) times primitive_vector(v), as restrict uses them
+    assert (primitive_vector((2, 4)), content((2, 4))) == ((1, 2), 2)
+    assert (primitive_vector((0, -3)), content((0, -3))) == ((0, -1), 3)
+    assert primitive_vector((Fraction(1, 2), 1)) == (1, 2)
     with pytest.raises(ZeroVector):
-        primitive_multiple((0, 0), lat)
-    sub = Lattice.from_rows(2, [[1, 0]])
-    with pytest.raises(NotInSpan):
-        primitive_multiple((1, 1), sub)
+        primitive_vector((0, 0))
 
 
 def test_image_lattice():
@@ -270,13 +257,13 @@ def test_inverse():
 
 def test_find_feasible_simple():
     # x <= -1 and -x <= -2  ->  x <= -1, x >= 2: infeasible
-    assert find_feasible(a_ub=[[1], [-1]], b_ub=[-1, -2]) is None
-    x = find_feasible(a_ub=[[1], [-1]], b_ub=[5, -2])
+    assert find_feasible(a_ub=[[1], [-1]], b_ub=[-1, -2], nvars=1) is None
+    x = find_feasible(a_ub=[[1], [-1]], b_ub=[5, -2], nvars=1)
     assert x is not None and 2 <= x[0] <= 5
 
 
 def test_find_feasible_equalities():
-    x = find_feasible(a_eq=[[1, 1]], b_eq=[3], a_ub=[[1, 0]], b_ub=[1])
+    x = find_feasible(a_eq=[[1, 1]], b_eq=[3], a_ub=[[1, 0]], b_ub=[1], nvars=2)
     assert x is not None
     assert x[0] + x[1] == 3 and x[0] <= 1
 
@@ -288,7 +275,7 @@ def test_find_feasible_equalities():
 )
 def test_find_feasible_certificate(a, b):
     b = b[: len(a)]
-    x = find_feasible(a_ub=a, b_ub=b)
+    x = find_feasible(a_ub=a, b_ub=b, nvars=2)
     if x is not None:
         for row, bi in zip(a, b):
             assert sum(Fraction(c) * xi for c, xi in zip(row, x)) <= bi

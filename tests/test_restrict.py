@@ -5,8 +5,8 @@ import pytest
 from datagen import flip_matrix, fmat, little_space, random_data
 from spherindex.datum import SphericalDatumK
 from spherindex.errors import FiberMismatch, NotBetween, NotConvex
-from spherindex.index import TitsIndex
-from spherindex.linalg import Lattice, dot, solve, transpose, vec_mat
+from spherindex.index import TitsIndex, restricted_root_system
+from spherindex.linalg import Lattice, dot, identity, solve, transpose, vec_mat
 from spherindex.restrict import (
     _annihilator,
     _projection_matrix,
@@ -89,6 +89,42 @@ def test_sp42_phi_k_res():
     }
     assert indivisible_roots(dict(rr.multiplicities)) == {(1,), (-1,)}
     assert not rr.reduced
+
+
+E6_FLIP = [flip_matrix(6, [(0, 5), (2, 4)])]
+A5_FLIP = [flip_matrix(5, [(0, 4), (1, 3)])]
+# split E8 and D4; quasi-split E6, A5 and D7; then indices with compact roots
+CROSS_CHECK_INDICES = {
+    "split-E8": ("E", 8, [], []),
+    "split-D4": ("D", 4, [], []),
+    "flip-E6": ("E", 6, [], E6_FLIP),
+    "flip-A5": ("A", 5, [], A5_FLIP),
+    "flip-D7": ("D", 7, [], [flip_matrix(7, [(5, 6)])]),
+    "C3-a1a3": ("C", 3, [0, 2], []),
+    "C4-a1a3": ("C", 4, [0, 2], []),
+    "A3-a1a3": ("A", 3, [0, 2], []),
+    "B3-a2a3": ("B", 3, [1, 2], []),
+    "A5-a1a3a5": ("A", 5, [0, 2, 4], []),
+    "flip-E6-a2a3a4a5": ("E", 6, [1, 2, 3, 4], E6_FLIP),
+    "flip-E6-a3a4a5": ("E", 6, [2, 3, 4], E6_FLIP),
+}
+
+
+@pytest.mark.parametrize("case", CROSS_CHECK_INDICES.values(), ids=CROSS_CHECK_INDICES.keys())
+def test_index_and_datum_restrict_roots_alike(case):
+    """The datum whose spherical roots are the simple roots of an index
+    restricts like the index itself (Borel-Tits 1965, section 6)."""
+    fam, n, compact, star = case
+    ix = TitsIndex.of(AmbientRootDatum.of([(fam, n)]), compact, star)
+    assert ix.violations() == []
+    d = SphericalDatumK.ambient(ix, identity(ix.ambient.dim))
+    rd = restrict_datum(d)
+    from_datum = phi_k_res(d, rd)
+    from_index = restricted_root_system(ix)
+    assert sorted(m for _, m in from_datum.multiplicities) == sorted(m for _, m in from_index.multiplicities)
+    assert from_datum.reduced == from_index.reduced
+    assert len(from_datum.indivisible) == len(from_index.indivisible)
+    assert rd.wk_type_name == ix.simple_roots.type_name
 
 
 def test_e6_restriction_b2():

@@ -91,3 +91,23 @@ def test_every_module_function_is_referenced_in_src():
     unused = {q for q, f in defs.items() if f not in referenced}
     unused |= {q for q, m in members.items() if m not in read}
     assert unused == UNREFERENCED_ALLOWED
+
+
+# member names that two or more classes define; the rule above matches bare
+# names, so a read of one hides a dead namesake (``Cone.contains`` stayed
+# behind ``Lattice.contains``). Each name here was checked to be read on
+# every class that defines it; a new shared name fails until it is checked.
+SHARED_MEMBER_NAMES = {
+    "ambient", "cartan", "components", "detail", "dim", "fibers", "generators",
+    "of", "rank", "roots", "sigma", "split", "types",
+}
+
+
+def test_shared_member_names_are_pinned():
+    owners = {}
+    for name, tree in source_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for m in _members(node):
+                    owners.setdefault(m, set()).add(f"{name}:{node.name}")
+    assert {m for m, classes in owners.items() if len(classes) > 1} == SHARED_MEMBER_NAMES
