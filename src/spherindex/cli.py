@@ -200,50 +200,34 @@ def parse_fan(doc: dict) -> Fan:
 # report serialization
 
 
-def ser(x):
-    if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else str(x)
-    if isinstance(x, (list, tuple)):
-        return [ser(v) for v in x]
-    if isinstance(x, dict):
-        return {str(k): ser(v) for k, v in x.items()}
-    return x
-
-
 def _render_text(node, indent=0) -> list[str]:
     pad = "  " * indent
     lines = []
     if isinstance(node, dict):
-        for k in node:
-            v = node[k]
-            if isinstance(v, (dict, list)) and v and not _is_flat(v):
-                lines.append(f"{pad}{k}:")
-                lines += _render_text(v, indent + 1)
-            else:
-                lines.append(f"{pad}{k}: {_flat(v)}")
-    elif isinstance(node, list):
-        for v in node:
-            if isinstance(v, (dict, list)) and v and not _is_flat(v):
-                lines.append(f"{pad}-")
-                lines += _render_text(v, indent + 1)
-            else:
-                lines.append(f"{pad}- {_flat(v)}")
+        items = [(f"{k}:", v) for k, v in node.items()]
     else:
-        lines.append(f"{pad}{_flat(node)}")
+        items = [("-", v) for v in node]
+    for head, v in items:
+        if isinstance(v, (dict, list, tuple)) and v and not _is_flat(v):
+            lines.append(f"{pad}{head}")
+            lines += _render_text(v, indent + 1)
+        else:
+            lines.append(f"{pad}{head} {_flat(v)}")
     return lines
 
 
 def _is_flat(v) -> bool:
-    if isinstance(v, list):
-        return all(not isinstance(x, (dict, list)) for x in v) or (
-            all(isinstance(x, list) for x in v)
-            and all(not isinstance(y, (dict, list)) for x in v for y in x)
+    """A sequence of scalars or of sequences of scalars, printed on one line."""
+    if isinstance(v, (list, tuple)):
+        return all(not isinstance(x, (dict, list, tuple)) for x in v) or (
+            all(isinstance(x, (list, tuple)) for x in v)
+            and all(not isinstance(y, (dict, list, tuple)) for x in v for y in x)
         )
     return False
 
 
 def _flat(v) -> str:
-    if isinstance(v, list):
+    if isinstance(v, (list, tuple)):
         return "[" + ", ".join(_flat(x) for x in v) + "]"
     if isinstance(v, bool):
         return "true" if v else "false"
@@ -252,11 +236,16 @@ def _flat(v) -> str:
     return str(v)
 
 
+def _json_rational(q: Fraction) -> int | str:
+    """A rational in JSON: an int when integral, else "p/q"."""
+    return int(q) if q.denominator == 1 else str(q)
+
+
 def emit(report: dict, fmt: str):
     if fmt == "json":
-        print(json.dumps(ser(report), sort_keys=True, indent=2))
+        print(json.dumps(report, sort_keys=True, indent=2, default=_json_rational))
     else:
-        print("\n".join(_render_text(ser(report))))
+        print("\n".join(_render_text(report)))
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +265,7 @@ def cmd_restrict_index(doc: dict) -> tuple[dict, int]:
     violations = ix.violations()
     report = {
         "command": "restrict-index",
-        "violations": list(violations),
+        "violations": violations,
     }
     if violations:
         return report, 1
@@ -285,11 +274,11 @@ def cmd_restrict_index(doc: dict) -> tuple[dict, int]:
     names = ix.ambient.root_names()
     report.update(
         {
-            "restricted_simple_roots": [list(r) for r in srs.roots],
+            "restricted_simple_roots": srs.roots,
             "fibers": [[names[i] for i in fib] for fib in srs.fibers],
             "type": srs.type_name,
             "restricted_roots": [
-                {"root": list(r), "multiplicity": m} for r, m in phi.multiplicities
+                {"root": r, "multiplicity": m} for r, m in phi.multiplicities
             ],
             "reduced": phi.reduced,
             "indivisible_type": srs.type_name,
@@ -324,24 +313,24 @@ def cmd_analyze(doc: dict) -> tuple[dict, int]:
     split = rd.split
     report.update(
         {
-            "sigma0": list(split.sigma0),
-            "noncompact": list(split.noncompact),
+            "sigma0": split.sigma0,
+            "noncompact": split.noncompact,
             "rank": rd.rank,
-            "sigma_k": [list(s) for s in rd.sigma_k],
-            "sigma_k_pr": [list(s) for s in rd.sigma_k_pr],
-            "n_sigma": list(rd.n_sigma),
-            "fibers": [list(f) for f in rd.fibers],
+            "sigma_k": rd.sigma_k,
+            "sigma_k_pr": rd.sigma_k_pr,
+            "n_sigma": rd.n_sigma,
+            "fibers": rd.fibers,
             "wk_type": rd.wk_type_name,
             "wk_order": rd.wk_order,
-            "phi_k": [list(r) for r in rd.phi_k],
+            "phi_k": rd.phi_k,
             "phi_k_res": [
-                {"root": list(r), "multiplicity": m} for r, m in rr.multiplicities
+                {"root": r, "multiplicity": m} for r, m in rr.multiplicities
             ],
             "phi_k_res_reduced": rr.reduced,
             "valuation_cone": {
-                "inequalities": [list(s) for s in zk.inequalities],
-                "lineality": [list(s) for s in zk.lineality],
-                "extremal_rays": [list(s) for s in zk.extremal_rays],
+                "inequalities": zk.inequalities,
+                "lineality": zk.lineality,
+                "extremal_rays": zk.extremal_rays,
             },
             "coweight_identity": cw,
             "predicates": predicates(d, rd),
@@ -349,7 +338,7 @@ def cmd_analyze(doc: dict) -> tuple[dict, int]:
     )
     beta = _beta_coordinates(d, d.sigma_input)
     if beta is not None:
-        report["sigma_k_in_beta"] = [list(b) if b else [] for b in beta]
+        report["sigma_k_in_beta"] = [b or [] for b in beta]
     return report, 0
 
 
@@ -374,11 +363,11 @@ def _validated_rd(doc: dict) -> LittleDatum:
 def _strata_report(sp) -> list[dict]:
     return [
         {
-            "cone": [list(g) for g in node.cone.generators],
+            "cone": node.cone.generators,
             "codim": node.codim,
             "rank": node.rank,
-            "sigma": list(node.sigma_indices),
-            "lattice_basis": [list(r) for r in node.lattice_basis],
+            "sigma": node.sigma_indices,
+            "lattice_basis": node.lattice_basis,
             "horospherical": node.horospherical,
         }
         for node in sp
@@ -391,7 +380,7 @@ def cmd_standard_fan(doc: dict) -> tuple[dict, int]:
     sp = strata(f, rd)
     report = {
         "command": "standard-fan",
-        "cones": [[list(g) for g in c.generators] for c in f.cones],
+        "cones": [c.generators for c in f.cones],
         "strata": _strata_report(sp),
         "smooth": all(is_smooth(f).values()),
     }
@@ -413,9 +402,7 @@ def cmd_fan(doc: dict, fan_path: str, checks, want_strata: bool, saturate: bool)
     }
     if saturate and not issues:
         f = weyl_saturate(f, rd, cap=_orbit_cap())
-        report["saturated_cones"] = [
-            [list(g) for g in c.generators] for c in f.cones
-        ]
+        report["saturated_cones"] = [c.generators for c in f.cones]
     for check in checks:
         if check == "support":
             ok = all(
@@ -431,7 +418,7 @@ def cmd_fan(doc: dict, fan_path: str, checks, want_strata: bool, saturate: bool)
             flags = is_smooth(f)
             report["smooth"] = all(flags.values())
             report["smooth_by_cone"] = [
-                {"cone": [list(g) for g in c.generators], "smooth": flags[c]}
+                {"cone": c.generators, "smooth": flags[c]}
                 for c in sorted(flags, key=lambda c: (c.dim, c.generators))
             ]
     if want_strata and not issues:
@@ -470,10 +457,10 @@ def cmd_localize(doc: dict, roots: str) -> tuple[dict, int]:
         "command": "localize",
         "roots": [t + 1 for t in loc.sigma_k_indices],
         "rank": loc.datum.rank,
-        "sigma_k": [list(s) for s in loc.datum.sigma_k],
+        "sigma_k": loc.datum.sigma_k,
         "wk_type": loc.datum.wk_type_name,
-        "xi_basis_in_parent": [list(r) for r in loc.xi_basis_in_parent],
-        "sigma_K_indices": list(loc.sigma_K_indices),
+        "xi_basis_in_parent": loc.xi_basis_in_parent,
+        "sigma_K_indices": loc.sigma_K_indices,
         "predicates_rank0": loc.datum.rank == 0,
     }
     return report, 0
@@ -498,8 +485,8 @@ def cmd_degenerate(doc: dict) -> tuple[dict, int]:
         data = degeneration_fiber_data(dd, face)
         fibers.append(
             {
-                "face": [list(g) for g in face.generators],
-                "sigma_fiber": [list(s) for s in data["sigma_fiber"]],
+                "face": face.generators,
+                "sigma_fiber": data["sigma_fiber"],
                 "horospherical": data["horospherical"],
                 "k_form": data["k_form"],
                 "torus_rank": data["torus_rank"],
@@ -508,13 +495,13 @@ def cmd_degenerate(doc: dict) -> tuple[dict, int]:
     full = Lattice.standard(2 * rd.rank)
     report = {
         "command": "degenerate",
-        "n_aut": list(aut.n_aut) if aut else [],
-        "sigma_aut": [list(s) for s in sigma_aut],
-        "xiZ_basis": [list(r) for r in dd.xiZ.basis],
+        "n_aut": aut.n_aut if aut else [],
+        "sigma_aut": sigma_aut,
+        "xiZ_basis": dd.xiZ.basis,
         "xiZ_rank": dd.xiZ.rank,
         "xiZ_index": dd.xiZ.index_in(full) if dd.xiZ.rank == 2 * rd.rank else None,
         "exact_sequence": "verified",
-        "boundary_cone": [list(g) for g in dd.c_bd.generators],
+        "boundary_cone": dd.c_bd.generators,
         "fibers": fibers,
     }
     return report, 0

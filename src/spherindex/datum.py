@@ -22,7 +22,7 @@ from .errors import (
 )
 from .index import StarAction, TitsIndex, res_A
 from .linalg import Lattice, Mat, content, gram, vec_mat
-from .rootsys import RootBase, graph_components, opposition_permutation
+from .rootsys import RootBase, graph_components, opposition_permutation, orbit
 
 
 def support(sigma) -> tuple[int, ...]:
@@ -151,19 +151,13 @@ class SphericalDatumK:
 
     def star_orbit_of_root(self, i: int) -> tuple[int, ...]:
         """Orbit of the i-th spherical root under the star action."""
-        orbit = {i}
-        frontier = [i]
-        while frontier:
-            nxt = []
-            for j in frontier:
-                for g in self.star_xi:
-                    img = vec_mat(self.sigma[j], g)
-                    t = next((k for k, s in enumerate(self.sigma) if s == img), None)
-                    if t is not None and t not in orbit:
-                        orbit.add(t)
-                        nxt.append(t)
-            frontier = nxt
-        return tuple(sorted(orbit))
+        def images(j):
+            for g in self.star_xi:
+                img = vec_mat(self.sigma[j], g)
+                if img in self.sigma:
+                    yield self.sigma.index(img)
+
+        return tuple(sorted(orbit([i], images)))
 
 
 def compact_split(d: SphericalDatumK) -> CompactRootSplit:

@@ -28,6 +28,7 @@ from .linalg import (
     vec_mat,
 )
 from .restrict import LittleDatum, ValuationCone
+from .rootsys import orbit
 
 ORBIT_CAP_ENV = "SPHERINDEX_ORBIT_CAP"
 HARD_ORBIT_CEILING = 100_000
@@ -70,13 +71,13 @@ class Fan:
     def from_maximal(gen_lists) -> "Fan":
         """The given cones and their faces; an overfull cone is kept as given,
         for validation to report once."""
-        seen = {Cone(())}
+        cones = {Cone(())}
         for rows in gen_lists:
             cone = Cone.of(rows)
             if len(cone.generators) != len(rows):
                 raise NotSimplicial("repeated generator in a cone")
-            seen.update([cone] if cone.overfull else cone.faces())
-        return Fan(tuple(sorted(seen, key=lambda c: (c.dim, c.generators))))
+            cones.update([cone] if cone.overfull else cone.faces())
+        return Fan(tuple(sorted(cones, key=lambda c: (c.dim, c.generators))))
 
     @cached_property
     def facet_map(self) -> dict[Cone, tuple[Cone, ...]]:
@@ -331,32 +332,24 @@ def weyl_saturate(f: Fan, rd: LittleDatum, cap: int | None = None) -> Fan:
     """Orbit of the fan under the little Weyl group, of at most ``cap`` cones
     (default |W_k| times the given cones, clamped to HARD_ORBIT_CEILING).
     The orbit of a fan closed under faces is the faces of its maximal cones'
-    images, counted as each image arrives, so the cap stops it early."""
+    images, counted as the orbit yields each image, so the cap stops it early."""
     if cap is None:
         cap = rd.wk_order * max(len(f.cones), 1)
     limit = min(cap, HARD_ORBIT_CEILING)
     hint = f"{cap} clamped to HARD_ORBIT_CEILING" if cap > limit else f"set {ORBIT_CAP_ENV}"
     refl = [_reflection_on_dual(rd, s) for s in rd.sigma_k]
-    seen = set(f.cones)
-    frontier = f.maximal_cones()
-    orbit = set(frontier)
-    while frontier:
-        nxt = []
-        for c in frontier:
-            for m in refl:
-                img = Cone.of(
-                    tuple(primitive_vector(vec_mat(g, m)) for g in c.generators)
-                )
-                if img in orbit:
-                    continue
-                orbit.add(img)
-                nxt.append(img)
-                for face in img.faces():
-                    if face not in seen:
-                        seen.add(face)
-                        if len(seen) > limit:
-                            raise BudgetExceeded(
-                                f"Weyl saturation reached {len(seen)} cones > cap {limit} ({hint})"
-                            )
-        frontier = nxt
-    return Fan(tuple(sorted(seen, key=lambda c: (c.dim, c.generators))))
+
+    def images(c):
+        for m in refl:
+            yield Cone.of(tuple(primitive_vector(vec_mat(g, m)) for g in c.generators))
+
+    cones = set(f.cones)
+    for img in orbit(f.maximal_cones(), images):
+        for face in img.faces():
+            if face not in cones:
+                cones.add(face)
+                if len(cones) > limit:
+                    raise BudgetExceeded(
+                        f"Weyl saturation reached {len(cones)} cones > cap {limit} ({hint})"
+                    )
+    return Fan(tuple(sorted(cones, key=lambda c: (c.dim, c.generators))))

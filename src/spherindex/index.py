@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from math import lcm
 
 from .errors import BudgetExceeded, DatumConstructionError, NotARootBase, NotFiniteType
@@ -30,10 +31,14 @@ from .rootsys import (
     RestrictedRoots,
     RootBase,
     image_fibers,
+    orbit,
     positive_roots_in_base_coords,
 )
 
 STAR_GROUP_CAP = 10000
+# the largest order of a finite subgroup of GL_n(Q), n = 0..5 (Minkowski;
+# Feit; Friedland, Proc. AMS 125 (1997) 3519-3526)
+MINKOWSKI_BOUND = (1, 2, 12, 48, 1152, 3840)
 
 
 @dataclass(frozen=True)
@@ -61,11 +66,14 @@ class StarAction:
                     out.append((k, i))
         return out
 
-    def elements(self, cap: int = STAR_GROUP_CAP) -> list[Mat]:
+    def elements(self) -> list[Mat]:
         """All elements of the generated group (BFS closure).  The powers of a
         generator with |tr| > n or |det| not 0 or 1 are distinct: no cap holds,
         which is decided before the closure, whose entries would grow without
-        bound."""
+        bound.  A finite group of invertible generators, n <= 5, has at most
+        MINKOWSKI_BOUND[n] elements; a singular generator closes to a monoid,
+        which only STAR_GROUP_CAP bounds."""
+        cap = MINKOWSKI_BOUND[self.dim] if self.dim < len(MINKOWSKI_BOUND) else STAR_GROUP_CAP
         for k, g in enumerate(self.generators):
             # repeating powers leave only 0 and roots of unity as eigenvalues
             if abs(sum(g[i][i] for i in range(self.dim))) > self.dim:
@@ -75,24 +83,15 @@ class StarAction:
             try:
                 d = scaled_inverse([[x * den for x in row] for row in g])[1]
             except ValueError:
-                continue  # singular: the closure decides
+                cap = STAR_GROUP_CAP  # singular: the closure decides
+                continue
             if d != den ** self.dim:
                 raise BudgetExceeded(f"star generator {k} has infinite order (|det| != 1)")
-        ident = identity(self.dim)
-        seen = {ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for m in frontier:
-                for g in self.generators:
-                    p = mat_mul(m, g)
-                    if p not in seen:
-                        seen.add(p)
-                        nxt.append(p)
-                        if len(seen) > cap:
-                            raise BudgetExceeded(f"star action generated {len(seen)} elements > cap {cap}")
-            frontier = nxt
-        return sorted(seen)
+        closure = orbit([identity(self.dim)], lambda m: (mat_mul(m, g) for g in self.generators))
+        group = list(islice(closure, cap + 1))
+        if len(group) > cap:
+            raise BudgetExceeded(f"star action generated {len(group)} elements > cap {cap}")
+        return sorted(group)
 
     def is_permutation_action(self) -> bool:
         pattern = [0] * (self.dim - 1) + [1]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .errors import LinearlyDependent, NotARootBase, NotFiniteType
 from .linalg import Mat, Vec, content, gram, identity, rank, vec_mat
@@ -209,24 +210,28 @@ class RootBase:
         return tuple((f, r) for f, r, _ in self.components)
 
 
+def orbit(seeds, images):
+    """The closure of ``seeds`` under ``images``, breadth first: each element
+    once, the seeds first.  Lazy, so a caller bounds it with ``islice``."""
+    queue = list(dict.fromkeys(seeds))
+    seen = set(queue)
+    for x in queue:  # the queue grows while it is read
+        yield x
+        for y in images(x):
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+
+
 def graph_components(c) -> list[list[int]]:
     """Connected components of the graph with an edge where c[i][j] != 0."""
-    n = len(c)
-    seen = [False] * n
-    comps = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        stack, comp = [s], []
-        seen[s] = True
-        while stack:
-            i = stack.pop()
-            comp.append(i)
-            for j in range(n):
-                if not seen[j] and c[i][j] != 0:
-                    seen[j] = True
-                    stack.append(j)
-        comps.append(sorted(comp))
+    neighbours = [[j for j, x in enumerate(row) if x] for row in c]
+    comps, done = [], set()
+    for s in range(len(c)):
+        if s not in done:
+            comp = sorted(orbit([s], neighbours.__getitem__))
+            done.update(comp)
+            comps.append(comp)
     return comps
 
 
@@ -333,22 +338,11 @@ def positive_roots_in_base_coords(c: Mat, types) -> list[tuple[int, ...]]:
     c = tuple(tuple(int(x) for x in row) for row in c)
     n = len(c)
     bound = sum(root_count(fam, rk) for fam, rk in types)
-    seen = set(identity(n))
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for j in range(n):
-                w = simple_reflection(v, c, j)
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-                    if len(seen) > bound:
-                        raise NotFiniteType("reflection closure exceeds root bound")
-        frontier = nxt
-    if len(seen) != bound:
+    closure = orbit(identity(n), lambda v: (simple_reflection(v, c, j) for j in range(n)))
+    roots = list(islice(closure, bound + 1))
+    if len(roots) != bound:
         raise NotFiniteType("root count does not match classified type")
-    return sorted(v for v in seen if all(x >= 0 for x in v))
+    return sorted(v for v in roots if all(x >= 0 for x in v))
 
 
 def indivisible_roots(support) -> set:

@@ -64,6 +64,41 @@ def test_output_deterministic(capsys):
     assert len(outs) == 2
 
 
+# sha256 of the --format text stdout and the exit code of each command on
+# each fixture; the bench reference pins the JSON output only
+TEXT_OUTPUT_SHA256 = {
+    ("e6", "analyze"): (0, "4cc199862fe33b92d2cef3275fa615ae12124c077a9f2c793c34c24480bfd1bb"),
+    ("e6", "restrict-index"): (0, "5c41bbc9559d6aaadeaad7fe4517ae4108f8fabc5f4ee9740285dfa855e3e0b9"),
+    ("e6", "standard-fan"): (0, "5173f5f8e5c14f4a028a1175379c18372e50a0474487a4e66967d48018e1ea60"),
+    ("e6", "localize --roots 1"): (0, "043ff622f2fcc7016b283210f29215402e97f2417f19552284e6bdca7fe8cda3"),
+    ("e6", "degenerate"): (0, "3eb86566608abcc463ce30c833b7c869b46802a4e39df0c722f85ccb736b88c4"),
+    ("sp42", "analyze"): (0, "00776d6a49674c0e899db21e4ffceeb937cae420ef3a9c8746a8dd3893190cfb"),
+    ("sp42", "restrict-index"): (0, "58499bd7defa430ba6199efa93ebbd121a32982881288b63d3fcd649894a1080"),
+    ("sp42", "standard-fan"): (0, "232410a1e0860be2e681f4bdb1e3f5ad90d298e0c5b4f437d5bff339b85fdd5d"),
+    ("sp42", "localize --roots 1"): (0, "7b56ec76b7a62d74c8d208896bdd7a063eb886839e129be1f2ff6a640b2d399e"),
+    ("sp42", "degenerate"): (0, "caebde302280e835064f094d60e1260717fe055af7d3006dce73f5c6e53a47b4"),
+    ("su22", "analyze"): (0, "1b02dba72dce53c3c4dc09220e15ce4bcf48b9e84a119f9515feb98b90917e31"),
+    ("su22", "restrict-index"): (0, "25a517e2abfa293f7379392de8573c2615d054b6b822dc75dae3042ddd31bb55"),
+    ("su22", "standard-fan"): (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("su22", "localize --roots 1"): (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("su22", "degenerate"): (0, "60c0781b4c9a318cc468c1c3140e9c3847f558688e4f4d0a07148b071d828b62"),
+    ("u11", "analyze"): (0, "e711717178d54138e53cc9ebf404cd578cbcd5f38fe98fc0907d72a0f63e4626"),
+    ("u11", "restrict-index"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("u11", "standard-fan"): (0, "232410a1e0860be2e681f4bdb1e3f5ad90d298e0c5b4f437d5bff339b85fdd5d"),
+    ("u11", "localize --roots 1"): (0, "b17394ee974714d924db8dad2b93bb369af25c44ccf3a2f34cfbfc99c44bd7e7"),
+    ("u11", "degenerate"): (0, "d22379bf2e76359602635896988d2b103a8dcc849934ee32b0c8f16821379f26"),
+}
+
+
+def test_text_output_is_pinned(capsys):
+    got = {}
+    for name, command in TEXT_OUTPUT_SHA256:
+        cmd, *options = command.split()
+        code, out, _ = run(capsys, "--format", "text", cmd, fixture(name + ".json"), *options)
+        got[name, command] = (code, hashlib.sha256(out.encode()).hexdigest())
+    assert got == TEXT_OUTPUT_SHA256
+
+
 def test_json_roundtrip(capsys):
     code, out, _ = run(capsys, "--format", "json", "analyze", fixture("e6.json"))
     assert json.loads(json.dumps(json.loads(out), sort_keys=True)) == json.loads(out)

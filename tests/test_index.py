@@ -1,12 +1,14 @@
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from datagen import divisor_scan_indivisible, flip_matrix, fvec, image_lattice
 from spherindex import index
-from spherindex.cli import cmd_analyze, cmd_restrict_index, parse_index
+from spherindex.cli import cmd_analyze, cmd_restrict_index, emit, parse_index
 from spherindex.errors import BudgetExceeded
 from spherindex.index import (
     StarAction,
@@ -19,6 +21,8 @@ from spherindex.index import (
 )
 from spherindex.linalg import Lattice, dot, inverse, mat_mul, rank, scaled_inverse, vec_mat
 from spherindex.rootsys import AmbientRootDatum, RootBase, classify
+
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 
 def split_index(fam, n):
@@ -141,20 +145,23 @@ def test_res_surjects_root_lattice_onto_s_k_lattice():
 def test_star_action_finite_group():
     s = StarAction.of([flip_matrix(2, [(0, 1)])], 2)
     assert len(s.elements()) == 2
+    # invertible generators in GL_2(Q): Minkowski's bound of 12 elements is the cap
     shear = StarAction.of([[[1, 1], [0, 1]]], 2)
-    with pytest.raises(BudgetExceeded, match=r"star action generated 51 elements > cap 50"):
-        shear.elements(cap=50)
+    with pytest.raises(BudgetExceeded, match=r"star action generated 13 elements > cap 12"):
+        shear.elements()
 
 
 def test_star_generator_determinant_decides_infinite_order():
     # |det| not in {0, 1}: the powers are distinct, decided before any product
     for g in ([[2, 0], [0, 1]], [[Fraction(1, 2), 0], [0, 1]], [[10**30, 1], [1, 1]]):
         with pytest.raises(BudgetExceeded, match=r"star generator 1 has infinite order"):
-            StarAction.of([flip_matrix(2, [(0, 1)]), g], 2).elements(cap=100)
+            StarAction.of([flip_matrix(2, [(0, 1)]), g], 2).elements()
     # |det| = 1 with rational entries, and a singular idempotent: finite closures
     half = StarAction.of([[[0, Fraction(1, 2)], [2, 0]]], 2)
     assert len(half.elements()) == 2
     assert len(StarAction.of([[[1, 0], [0, 0]]], 2).elements()) == 2
+    # a singular generator closes to a monoid past Minkowski's bound of 2 for n = 1
+    assert len(StarAction.of([[[-1]], [[0]]], 1).elements()) == 3
 
 
 def test_star_generator_trace_decides_infinite_order(monkeypatch):
@@ -170,12 +177,45 @@ def test_star_generator_trace_decides_infinite_order(monkeypatch):
             StarAction.of([g], 2).elements()
 
 
+def test_star_shear_with_trace_zero_stops_at_the_minkowski_bound(tmp_path):
+    """Trace 0 and det 1 pass both pre-checks, so the closure decides; its
+    entries grow without bound.  The closure ran to STAR_GROUP_CAP (2,000
+    elements took 0.7 s, growing faster than linearly); Minkowski's bound
+    for n = 4 stops it after 1,153, in a subprocess that a hang would time out."""
+    big = 10**30
+    doc = {
+        "schema_version": "1",
+        "ambient": {"components": [{"family": "A", "rank": 4}]},
+        "star_generators": [[[big, 1, 0, 0], [1, 0, 0, 0], [0, 0, -big, 1], [0, 0, 1, 0]]],
+    }
+    path = tmp_path / "shear.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "spherindex.cli", "--format", "json", "restrict-index", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=2,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["violations"] == [
+        "star generator does not permute the simple roots",
+        "star action does not generate a finite group",
+    ]
+
+
+def emitted(capsys, report):
+    """A report as ``--format json`` prints it."""
+    emit(report, "json")
+    return json.loads(capsys.readouterr().out)
+
+
 def permutation_matrix(p):
     """The matrix sending simple root i to p[i], on character coordinates."""
     return [[int(p[i] == j) for j in range(len(p))] for i in range(len(p))]
 
 
-def test_permutation_star_action_needs_no_closure(monkeypatch):
+def test_permutation_star_action_needs_no_closure(monkeypatch, capsys):
     """A1^8 with a transposition and an 8-cycle: they generate S8, 40,320
     elements past STAR_GROUP_CAP, which is a valid star action.  A group of
     permutation matrices is finite, so no product is formed (the closure
@@ -196,6 +236,7 @@ def test_permutation_star_action_needs_no_closure(monkeypatch):
 
     monkeypatch.setattr(index, "mat_mul", refuse)
     report, code = cmd_restrict_index(doc)
+    report = emitted(capsys, report)
     assert code == 0 and report["violations"] == []
     assert report["fibers"] == [[f"p{i + 1}.a1" for i in range(8)]]
     assert report["restricted_roots"] == [{"root": [-2], "multiplicity": 8}, {"root": [2], "multiplicity": 8}]
@@ -320,7 +361,7 @@ def test_a_triple_of_a_root_is_divisible():
     assert ix.simple_roots.type_name == "A1"
 
 
-def test_anisotropic_index_has_empty_restriction():
+def test_anisotropic_index_has_empty_restriction(capsys):
     doc = {
         "schema_version": "1",
         "mode": "ambient",
@@ -331,7 +372,7 @@ def test_anisotropic_index_has_empty_restriction():
     assert ix.split == () and ix.restriction == ((), ())
     report, code = cmd_restrict_index(doc)
     assert code == 0
-    assert report == {
+    assert emitted(capsys, report) == {
         "command": "restrict-index",
         "violations": [],
         "restricted_simple_roots": [],

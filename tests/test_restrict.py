@@ -246,8 +246,8 @@ def test_valuation_cone_horospherical():
 def test_coweight_identity():
     for d in [sp42_datum(), e6_datum(), su_nn_datum(2), u11_datum(),
               split_datum("A", 2, [[1, 0], [0, 1]])]:
-        rep = coweight_identity_check(d)
-        assert rep["checked"] == len(restrict_datum(d).sigma_k)
+        rd = restrict_datum(d)
+        assert coweight_identity_check(d, rd)["checked"] == len(rd.sigma_k)
 
 
 def test_u11_coweight_value():
@@ -258,7 +258,7 @@ def test_u11_coweight_value():
 
 def test_predicates_e6():
     d = e6_datum()
-    p = predicates(d)
+    p = predicates(d, restrict_datum(d))
     assert p == {
         "k_convex": True,
         "k_wonderful": True,
@@ -269,7 +269,8 @@ def test_predicates_e6():
 
 
 def test_predicates_u11():
-    p = predicates(u11_datum())
+    d = u11_datum()
+    p = predicates(d, restrict_datum(d))
     assert p["k_wonderful"] is True  # sigma_k_pr = {1} is a basis of Z
     assert p["k_convex"] is True
     assert p["satake_open_embedding"] is True
@@ -277,7 +278,7 @@ def test_predicates_u11():
 
 def test_predicates_horospherical():
     d = SphericalDatumK.abstract(2, [[2, 0], [0, 2]], [], [])
-    p = predicates(d)
+    p = predicates(d, restrict_datum(d))
     assert p["k_horospherical"] is True
     assert p["k_convex"] is False
 
@@ -379,18 +380,24 @@ def test_dimension_bookkeeping():
 
 
 def test_chamber_containment_fixtures():
-    assert chamber_containment_check(sp42_datum())["checked"] == 1
-    assert chamber_containment_check(e6_datum())["checked"] == 4
-    assert chamber_containment_check(su_nn_datum(2))["checked"] == 2
+    def checked(d):
+        return chamber_containment_check(d, restrict_datum(d))["checked"]
+
+    assert checked(sp42_datum()) == 1
+    assert checked(e6_datum()) == 4
+    assert checked(su_nn_datum(2)) == 2
     # abstract data have no group chamber to test
-    assert chamber_containment_check(u11_datum())["checked"] == 0
+    assert checked(u11_datum()) == 0
 
 
 def test_facet_inheritance_fixtures():
-    assert facet_inheritance_check(sp42_datum()) == {"full": 1, "facet": 1}
-    assert facet_inheritance_check(e6_datum()) == {"full": 0, "facet": 2}
-    assert facet_inheritance_check(su_nn_datum(2)) == {"full": 0, "facet": 1}
-    assert facet_inheritance_check(u11_datum()) == {"full": 0, "facet": 1}
+    def checked(d):
+        return facet_inheritance_check(d, restrict_datum(d))
+
+    assert checked(sp42_datum()) == {"full": 1, "facet": 1}
+    assert checked(e6_datum()) == {"full": 0, "facet": 2}
+    assert checked(su_nn_datum(2)) == {"full": 0, "facet": 1}
+    assert checked(u11_datum()) == {"full": 0, "facet": 1}
 
 
 def test_little_basis_and_lifts_match_the_elimination():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -15,6 +16,7 @@ from spherindex.rootsys import (
     classify,
     generate_roots,
     opposition_permutation,
+    orbit,
     positive_roots_in_base_coords,
     root_count,
     simple_reflection,
@@ -283,3 +285,20 @@ def test_ambient_form_is_block_sum():
     amb = AmbientRootDatum.of([("A", 1), ("G", 2)])
     f = amb.form()
     assert f[0][0] == 2 and f[0][1] == 0 and f[1][2] == -3
+
+
+def test_orbit_is_lazy():
+    # an infinite orbit: the budgets of the callers rely on islice ending it
+    assert list(islice(orbit([0], lambda x: (x + 1,)), 5)) == [0, 1, 2, 3, 4]
+
+
+def test_orbit_is_breadth_first_with_seeds_first_and_no_repeats():
+    out = list(orbit([0, 3, 0], lambda x: ((x + 4) % 12, (x + 6) % 12)))
+    # level by level, each element's images in order: the seeds (the repeated
+    # 0 once), then 4, 6 (from 0) and 7, 9 (from 3), then 8, 10, 11, 1, then 2, 5
+    assert out == [0, 3, 4, 6, 7, 9, 8, 10, 11, 1, 2, 5]
+    assert sorted(out) == list(range(12))
+
+
+def test_orbit_of_no_seeds_is_empty():
+    assert list(orbit([], lambda x: (x + 1,))) == []
