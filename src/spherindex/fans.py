@@ -18,6 +18,7 @@ from .linalg import (
     Mat,
     dot,
     find_feasible,
+    hermite_normal_form,
     identity,
     integer_kernel,
     lattice_index,
@@ -84,19 +85,50 @@ class Fan:
         """The facets of each cone: the facet relation, built once per fan."""
         return {c: tuple(c.facets()) if c.dim else () for c in self.cones}
 
-    def maximal_cones(self) -> list[Cone]:
-        """The cones that are not a facet of a cone; ``cones`` is closed under faces."""
+    @cached_property
+    def maximal_cones(self) -> tuple[Cone, ...]:
+        """The cones that are not a facet of a cone: every cone is a face of one."""
         facets = {w for ws in self.facet_map.values() for w in ws}
-        return [c for c in self.cones if c not in facets]
+        return tuple(c for c in self.cones if c not in facets)
+
+    @cached_property
+    def rays(self) -> tuple[tuple[int, ...], ...]:
+        """The distinct generators: each is a generator of a maximal cone."""
+        return tuple(dict.fromkeys(g for c in self.maximal_cones for g in c.generators))
 
     @cached_property
     def walls(self) -> dict[Cone, list[Cone]]:
         """Each facet of a maximal cone, with the maximal cones it is a facet of."""
         out: dict[Cone, list[Cone]] = {}
-        for c in self.maximal_cones():
+        for c in self.maximal_cones:
             for w in self.facet_map[c]:
                 out.setdefault(w, []).append(c)
         return out
+
+    @cached_property
+    def normals(self) -> dict[Cone, tuple[Mat, int]]:
+        """(rows, d) for each full-dimensional maximal cone of independent
+        generators: d = |det| is its lattice index, and rows[i] is d times the
+        dual vector of generator i, the normal of the facet opposite it."""
+        out = {}
+        for c in self.maximal_cones:
+            if c.generators and all(len(g) == c.dim for g in c.generators):
+                try:
+                    a, d = scaled_inverse(c.generators)
+                except ValueError:
+                    continue
+                out[c] = (transpose(a), d)
+        return out
+
+    @cached_property
+    def unimodular_home(self) -> dict[Cone, Cone]:
+        """A unimodular full-dimensional maximal cone over each cone that lies in one."""
+        home = {c: c for c, (_, d) in self.normals.items() if d == 1}
+        for c in reversed(self.cones):  # by decreasing dimension
+            if c in home:
+                for w in self.facet_map[c]:
+                    home.setdefault(w, home[c])
+        return home
 
 
 @dataclass(frozen=True)
@@ -132,29 +164,22 @@ def _complete_by_walls(f: Fan) -> bool:
     enters another, so every point on no wall lies in exactly one cone.
     False means undecided, not broken.
     """
-    maximal = f.maximal_cones()
+    maximal = f.maximal_cones
     if not maximal or not maximal[0].generators or any(len(cs) != 2 for cs in f.walls.values()):
         return False
     n = len(maximal[0].generators[0])
-    if any(c.dim != n for c in maximal):
+    if any(c.dim != n or c not in f.normals for c in maximal):
         return False
-    # row i of the transposed scaled inverse is the normal of the facet
-    # opposite generator i, positive on it: the point's coordinates in the cone
-    normals = {}
-    for c in maximal:
-        try:
-            normals[c] = transpose(scaled_inverse(c.generators)[0])
-        except ValueError:
-            return False
+    # the facet normals give a point's coordinates in the cone, up to d > 0
     for w, (c1, c2) in f.walls.items():
         i = next(i for i, g in enumerate(c1.generators) if g not in w.generators)
         (q,) = set(c2.generators) - set(w.generators)
-        if dot(q, normals[c1][i]) >= 0:
+        if dot(q, f.normals[c1][0][i]) >= 0:
             return False
     point = [sum(col) for col in zip(*maximal[0].generators)]
     inside = 0
     for c in maximal:
-        coords = [dot(point, nu) for nu in normals[c]]
+        coords = [dot(point, nu) for nu in f.normals[c][0]]
         if 0 in coords:
             return False
         inside += all(x > 0 for x in coords)
@@ -171,7 +196,7 @@ def _intersection_issues(f: Fan) -> list[FanIssue]:
     listed, in the order of ``f.cones``.
     """
     if _complete_by_walls(f) or all(
-        _pair_intersection_is_face(c1, c2) for c1, c2 in combinations(f.maximal_cones(), 2)
+        _pair_intersection_is_face(c1, c2) for c1, c2 in combinations(f.maximal_cones, 2)
     ):
         return []
     return [
@@ -182,15 +207,21 @@ def _intersection_issues(f: Fan) -> list[FanIssue]:
 
 
 def fan_validate(f: Fan, zk: ValuationCone | None = None) -> list[FanIssue]:
+    """The issues of each kind in the order of ``f.cones``.  A subset of independent
+    vectors is independent, so only the maximal cones are tested, and each distinct
+    generator once; the cones are walked only to list what failed."""
+    # each zero or non-primitive generator, with whether it is zero
+    bad = {g: not any(g) for g in f.rays if not any(g) or g != primitive_vector(g)}
     issues: list[FanIssue] = []
-    for c in f.cones:
-        for g in c.generators:
-            if all(x == 0 for x in g):
-                issues.append(FanIssue("zero_generator", f"cone {c.generators}"))
-            elif g != primitive_vector(g):
-                issues.append(FanIssue("not_primitive", f"generator {g}"))
-        if c.generators and rank(c.generators) != c.dim:
-            issues.append(FanIssue("not_simplicial", f"cone {c.generators}"))
+    if bad or any(c.generators and rank(c.generators) != c.dim for c in f.maximal_cones):
+        for c in f.cones:
+            for g in c.generators:
+                if bad.get(g):
+                    issues.append(FanIssue("zero_generator", f"cone {c.generators}"))
+                elif g in bad:
+                    issues.append(FanIssue("not_primitive", f"generator {g}"))
+            if c.generators and rank(c.generators) != c.dim:
+                issues.append(FanIssue("not_simplicial", f"cone {c.generators}"))
     # closed under faces iff closed under facets; list the faces only if not
     cone_set = set(f.cones)
     if any(w not in cone_set for ws in f.facet_map.values() for w in ws):
@@ -203,13 +234,13 @@ def fan_validate(f: Fan, zk: ValuationCone | None = None) -> list[FanIssue]:
     if not any(i.kind in ("not_simplicial", "zero_generator") for i in issues):
         issues += _intersection_issues(f)
     if zk is not None:
-        for c in f.cones:
-            for g in c.generators:
-                for s in zk.inequalities:
-                    if dot(s, g) > 0:
-                        # print the root as Fractions: the text must not depend on the entry type
-                        text = f"generator {g} violates {tuple(map(Fraction, s))}"
-                        issues.append(FanIssue("outside_support", text))
+        # print the root as Fractions: the text must not depend on the entry type
+        outside = {
+            g: [f"generator {g} violates {tuple(map(Fraction, s))}" for s in zk.inequalities if dot(s, g) > 0]
+            for g in f.rays
+        }
+        if any(outside.values()):
+            issues += [FanIssue("outside_support", t) for c in f.cones for g in c.generators for t in outside[g]]
     return issues
 
 
@@ -222,12 +253,12 @@ def is_complete_for(f: Fan, zk: ValuationCone, validated: bool = False) -> bool:
     """
     if not validated and fan_validate(f, zk):
         raise NotValidated("fan failed validation")
-    maximal = f.maximal_cones()
+    maximal = f.maximal_cones
     vectors = [g for c in maximal for g in c.generators] + [*zk.inequalities, *zk.lineality]
     ambient_dim = len(vectors[0]) if vectors else 0
     if ambient_dim == 0:
         return True  # zero-dimensional space, covered by the zero cone
-    if maximal == [Cone.of(())]:
+    if maximal == (Cone(()),):
         return False
     # the valuation cone is always full-dimensional, so maximal cones must be;
     # a wall of one maximal cone must lie in a bounding hyperplane of Z_k
@@ -243,8 +274,11 @@ def is_complete_for(f: Fan, zk: ValuationCone, validated: bool = False) -> bool:
 
 def is_smooth(f: Fan) -> dict[Cone, bool]:
     """Per-cone unimodularity against the standard dual lattice: the
-    generators extend to a basis of Z^n iff their maximal minors have gcd 1."""
-    return {c: lattice_index(transpose(c.generators), c.dim) == 1 for c in f.cones}
+    generators extend to a basis of Z^n iff their maximal minors have gcd 1.
+    A face of a unimodular cone is unimodular, so only cones in no unimodular
+    full-dimensional maximal cone are tested."""
+    home = f.unimodular_home
+    return {c: c in home or lattice_index(transpose(c.generators), c.dim) == 1 for c in f.cones}
 
 
 def standard_fan(rd: LittleDatum) -> Fan:
@@ -263,21 +297,17 @@ def cone_membership(v, zk: ValuationCone) -> bool:
     return all(dot(s, v) <= 0 for s in zk.inequalities)
 
 
-def _meets_interior(c: Cone, rd: LittleDatum) -> bool:
-    """Whether the cone contains a point with every root strictly negative."""
-    if not rd.sigma_k:
-        return True
-    if not c.generators:
-        return False
-    values = [[dot(s, g) for g in c.generators] for s in rd.sigma_k]
-    # sign certificates: a root >= 0 on every generator is >= 0 on the
-    # cone; the sum of the generators is a witness when every root is < 0
-    # on it; otherwise the LP decides
+def _meets_interior(values) -> bool:
+    """Whether the cone contains a point with every root strictly negative,
+    from the value of each root (a row) on each generator (a column)."""
+    # sign certificates: a root >= 0 on every generator (say, of the zero cone) is
+    # >= 0 on the cone; the sum of the generators is a witness when every root (if
+    # any) is < 0 on it; otherwise the LP decides
     if any(all(v >= 0 for v in row) for row in values):
         return False
     if all(sum(row) < 0 for row in values):
         return True
-    n = c.dim
+    n = len(values[0])
     a_ub = values + [[-int(i == j) for j in range(n)] for i in range(n)]
     b_ub = [-1] * len(values) + [0] * n
     return find_feasible(a_ub=a_ub, b_ub=b_ub, nvars=n) is not None
@@ -294,21 +324,28 @@ class Stratum:
 
 
 def strata(f: Fan, rd: LittleDatum) -> tuple[Stratum, ...]:
+    """The stratum of each cone.  The saturated kernel of a face of a unimodular cone
+    is spanned by the dual vectors of the generators it misses, read off the inverse
+    of a unimodular full-dimensional maximal cone; roots are evaluated once per ray."""
+    values = {g: [dot(s, g) for s in rd.sigma_k] for g in f.rays}
+    home = f.unimodular_home
     nodes = []
     for c in f.cones:
-        sigma_idx = tuple(
-            i
-            for i, s in enumerate(rd.sigma_k)
-            if all(dot(s, g) == 0 for g in c.generators)
-        )
+        rows = [[values[g][i] for g in c.generators] for i in range(len(rd.sigma_k))]
+        if c in home:
+            m = home[c]
+            duals = [nu for g, nu in zip(m.generators, f.normals[m][0]) if g not in c.generators]
+            basis = tuple(map(tuple, hermite_normal_form(duals)[0]))
+        else:
+            basis = integer_kernel(c.generators, width=rd.rank)
         nodes.append(
             Stratum(
                 cone=c,
                 codim=c.dim,
                 rank=rd.rank - c.dim,
-                lattice_basis=integer_kernel(c.generators, width=rd.rank),
-                sigma_indices=sigma_idx,
-                horospherical=_meets_interior(c, rd),
+                lattice_basis=basis,
+                sigma_indices=tuple(i for i, row in enumerate(rows) if not any(row)),
+                horospherical=_meets_interior(rows),
             )
         )
     return tuple(nodes)
@@ -332,19 +369,25 @@ def weyl_saturate(f: Fan, rd: LittleDatum, cap: int | None = None) -> Fan:
     """Orbit of the fan under the little Weyl group, of at most ``cap`` cones
     (default |W_k| times the given cones, clamped to HARD_ORBIT_CEILING).
     The orbit of a fan closed under faces is the faces of its maximal cones'
-    images, counted as the orbit yields each image, so the cap stops it early."""
+    images, counted as the orbit yields each image, so the cap stops it early.
+    The image of a cone is the cone on the images of its rays, so each
+    distinct ray is reflected once."""
     if cap is None:
         cap = rd.wk_order * max(len(f.cones), 1)
     limit = min(cap, HARD_ORBIT_CEILING)
     hint = f"{cap} clamped to HARD_ORBIT_CEILING" if cap > limit else f"set {ORBIT_CAP_ENV}"
     refl = [_reflection_on_dual(rd, s) for s in rd.sigma_k]
+    ray_images = {}  # each distinct ray with its image under each reflection
 
     def images(c):
-        for m in refl:
-            yield Cone.of(tuple(primitive_vector(vec_mat(g, m)) for g in c.generators))
+        for g in c.generators:
+            if g not in ray_images:
+                ray_images[g] = [primitive_vector(vec_mat(g, m)) for m in refl]
+        for rays in zip(*(ray_images[g] for g in c.generators)):
+            yield Cone(tuple(sorted(rays)))
 
     cones = set(f.cones)
-    for img in orbit(f.maximal_cones(), images):
+    for img in orbit(f.maximal_cones, images):
         for face in img.faces():
             if face not in cones:
                 cones.add(face)

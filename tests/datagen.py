@@ -13,8 +13,17 @@ from fractions import Fraction
 
 from spherindex.datum import SphericalDatumK, compact_split
 from spherindex.errors import SpherindexError
+from spherindex.fans import FanIssue, _intersection_issues
 from spherindex.index import TitsIndex
-from spherindex.linalg import Lattice, dot, integer_kernel, solve_left, vec_mat
+from spherindex.linalg import (
+    Lattice,
+    dot,
+    integer_kernel,
+    primitive_vector,
+    rank,
+    solve_left,
+    vec_mat,
+)
 from spherindex.restrict import _annihilator, restrict_datum
 from spherindex.rootsys import AmbientRootDatum, RootBase, classify, generate_roots
 
@@ -205,6 +214,36 @@ def cover_edges(f) -> tuple:
     """The cover relations (facet, cone) of a fan, as index pairs into ``f.cones``."""
     index = {c: i for i, c in enumerate(f.cones)}
     return tuple(sorted((index[w], j) for j, c in enumerate(f.cones) for w in f.facet_map[c]))
+
+
+def per_cone_validate(f, zk=None) -> list:
+    """fan_validate as one walk over every cone: each generator occurrence is
+    tested for zero and primitivity, each cone for independence, each face
+    for presence and each occurrence against the support."""
+    issues = []
+    for c in f.cones:
+        for g in c.generators:
+            if all(x == 0 for x in g):
+                issues.append(FanIssue("zero_generator", f"cone {c.generators}"))
+            elif g != primitive_vector(g):
+                issues.append(FanIssue("not_primitive", f"generator {g}"))
+        if c.generators and rank(c.generators) != c.dim:
+            issues.append(FanIssue("not_simplicial", f"cone {c.generators}"))
+    cone_set = set(f.cones)
+    for c in f.cones:
+        for face in () if c.overfull else c.faces():
+            if face not in cone_set:
+                issues.append(FanIssue("missing_face", f"face {face.generators} of {c.generators}"))
+    if not any(i.kind in ("not_simplicial", "zero_generator") for i in issues):
+        issues += _intersection_issues(f)
+    if zk is not None:
+        for c in f.cones:
+            for g in c.generators:
+                for s in zk.inequalities:
+                    if dot(s, g) > 0:
+                        text = f"generator {g} violates {tuple(map(Fraction, s))}"
+                        issues.append(FanIssue("outside_support", text))
+    return issues
 
 
 def divisor_scan_indivisible(support) -> set:

@@ -533,6 +533,37 @@ def test_the_shared_parser_keeps_no_options_between_calls(capsys, tmp_path):
     assert (code, second) == (fresh.returncode, fresh.stdout) == (0, "command: fan\nissues: []\nfan_valid: true\n")
 
 
+A5_SATURATED_SHA256 = "6e8139675dbec676d78feab96fac6e04861e31be2b06dbca5a5d8faad846785a"
+
+
+def test_saturated_standard_fan_of_split_a5_is_pinned(tmp_path):
+    """The saturated standard fan of split A5 is the braid fan: Fubini(6) =
+    4,683 cones (OEIS A000670), of which 6! = 720 are chambers.  The stdout
+    digest was captured before the fan engine tested once per maximal cone."""
+    n = 5
+    basis = [[int(i == j) for j in range(n)] for i in range(n)]
+    datum = write(tmp_path, "a5.json", {
+        "schema_version": "1",
+        "mode": "ambient",
+        "ambient": {"components": [{"family": "A", "rank": n}]},
+        "spherical": {"sigma": basis},
+    })
+    fan_path = write(tmp_path, "fan.json", {"cones": [[[-x for x in row] for row in basis]]})
+    proc = subprocess.run(
+        [sys.executable, "-m", "spherindex.cli", "--format", "json", "fan", datum, "--fan", fan_path,
+         "--saturate", "--check", "complete", "--check", "smooth", "--strata"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == A5_SATURATED_SHA256
+    cones = json.loads(proc.stdout)["saturated_cones"]
+    assert len(cones) == 4683
+    assert sum(len(c) == n for c in cones) == 720
+
+
 def saturate_e6(capsys, tmp_path):
     fan_path = write(tmp_path, "fan.json", {"cones": [[[-1, 0], [0, -1]]]})
     return run(capsys, "fan", fixture("e6.json"), "--fan", fan_path, "--saturate")

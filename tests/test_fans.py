@@ -1,10 +1,11 @@
 import hashlib
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from datagen import cover_edges, dominates, flip_matrix, random_convex_data
+from datagen import cover_edges, dominates, flip_matrix, per_cone_validate, random_convex_data
 from spherindex import fans
 from spherindex.datum import SphericalDatumK
 from spherindex.errors import BudgetExceeded, NotConvex, NotValidated
@@ -22,7 +23,16 @@ from spherindex.fans import (
     weyl_saturate,
 )
 from spherindex.index import TitsIndex
-from spherindex.linalg import dot, find_feasible, primitive_vector, rank, vec_mat
+from spherindex.linalg import (
+    dot,
+    find_feasible,
+    integer_kernel,
+    lattice_index,
+    primitive_vector,
+    rank,
+    transpose,
+    vec_mat,
+)
 from spherindex.restrict import ValuationCone, restrict_datum, valuation_cone
 from spherindex.rootsys import AmbientRootDatum
 
@@ -232,7 +242,7 @@ def test_weyl_saturate_b2():
     _, rd = e6_rd()
     f = standard_fan(rd)
     sat = weyl_saturate(f, rd)
-    maximal = sat.maximal_cones()
+    maximal = sat.maximal_cones
     assert len(maximal) == 8
     assert len([c for c in sat.cones if c.dim == 1]) == 8
     assert fan_validate(sat) == []
@@ -304,7 +314,7 @@ def swap_in_overlap(f):
     """f with one maximal cone F + {p} swapped for (F - {g}) + {p, g + q},
     where F + {q} is a neighbouring maximal cone: g + q lies in the
     neighbour but outside the face the two cones share."""
-    maximal = f.maximal_cones()
+    maximal = f.maximal_cones
     for s, t in combinations(maximal, 2):
         common = set(s.generators) & set(t.generators)
         if len(common) != s.dim - 1:
@@ -341,9 +351,9 @@ def test_maximal_cones_and_strata_edges_match_brute_force(corpus_rds):
     cases += [(rd, standard_fan(rd)) for rd in corpus_rds]
     for rd, f in cases:
         gens = [set(c.generators) for c in f.cones]
-        assert f.maximal_cones() == [
+        assert f.maximal_cones == tuple(
             c for c, g in zip(f.cones, gens) if not any(g < h for h in gens)
-        ]
+        )
         assert cover_edges(f) == tuple(
             (i, j)
             for i, a in enumerate(f.cones)
@@ -404,7 +414,7 @@ def test_paired_walls_that_do_not_make_a_fan_reach_the_lp_path(monkeypatch):
     # the first cone's generators sum to (-4, -4), on the ray (-1, -1) of
     # the second sheet: without the wall test the point would count once
     on_a_wall = cycle_fan([(-3, 1), (-1, -5), (2, 5), (-1, -1), (2, 1)])
-    assert tuple(map(sum, zip(*on_a_wall.maximal_cones()[0].generators))) == (-4, -4)
+    assert tuple(map(sum, zip(*on_a_wall.maximal_cones[0].generators))) == (-4, -4)
     # the walls (1, 1) and (2, 1) have both their cones on one side, and the
     # first cone's point (-1, 0) lies in that cone only
     folded = cycle_fan([(0, -1), (1, 1), (2, 1), (-1, 1)])
@@ -525,3 +535,86 @@ def test_outside_support_detail_text_of_a3_chamber_fan():
     )
     digest = hashlib.sha256("\n".join(details).encode()).hexdigest()
     assert digest == "054ed1079d6853976aa58fbddfc7b9a25276aab9f025e53a7e262832a952858b"
+
+
+def test_fan_validate_matches_the_per_cone_walk(corpus_rds):
+    """Generators tested once each and independence on the maximal cones
+    only give the issues of the walk over every cone, in its order."""
+    for rd in corpus_rds:
+        f = standard_fan(rd)
+        zk = valuation_cone(rd)
+        assert fan_validate(f, zk) == per_cone_validate(f, zk) == []
+    a2, a3 = split_rd("A", 2), split_rd("A", 3)
+    _, e6 = e6_rd()  # the datum of fixtures/e6.json: Z_k is the negative quadrant
+    quadrants = [[[1, 0], [0, -1]], [[0, -1], [-1, 0]], [[-1, 0], [0, 1]], [[0, 1], [1, 0]]]
+    planted = [
+        (chamber_fan(a3), a3, "outside_support", 132),
+        (Fan(chamber_fan(a2).cones[1:]), a2, "missing_face", 12),
+        (Fan.from_maximal([[[0, 0], [-1, 0]], [[-1, 0], [0, -1]]]), e6, "zero_generator", 2),
+        (Fan.from_maximal([[[-2, 0], [0, -1]], [[0, -1], [1, -3]]]), e6, "not_primitive", 2),
+        # every pair of the three generators is independent
+        (Fan.from_maximal([[[-1, 0, 0], [0, -1, 0], [-1, -1, 0]]]), a3, "not_simplicial", 1),
+        (Fan.from_maximal([[[-1, -k] for k in range(12)], [[0, -1], [1, 0]]]), e6, "not_simplicial", 1),
+        # (1, 0) and (0, 1) leave Z_k, each a generator of three cones
+        (Fan.from_maximal(quadrants), e6, "outside_support", 6),
+    ]
+    for f, rd, kind, count in planted:
+        zk = valuation_cone(rd)
+        issues = fan_validate(f, zk)
+        assert Counter(i.kind for i in issues)[kind] == count
+        assert issues == per_cone_validate(f, zk)
+        assert fan_validate(f) == per_cone_validate(f)
+
+
+def test_smoothness_and_strata_match_lattice_index_and_integer_kernel(corpus_rds):
+    """Faces of a unimodular full-dimensional maximal cone inherit smoothness
+    and read their kernel off its inverse; every other cone computes both."""
+    _, e6 = e6_rd()
+    non_unimodular = Fan.from_maximal([[[1, 0], [1, 2]]])  # index 2
+    single_ray = Fan.from_maximal([[[1, 0]]])  # a maximal cone of dimension 1
+    mixed = Fan.from_maximal([[[1, 0], [0, 1]], [[0, 1], [-2, -1]]])  # index 1 and 2
+    cases = [(standard_fan(rd), rd) for rd in corpus_rds]
+    cases += [(non_unimodular, e6), (single_ray, e6), (mixed, e6)]
+    for f, rd in cases:
+        flags = is_smooth(f)
+        for c, node in zip(f.cones, strata(f, rd), strict=True):
+            assert flags[c] == (lattice_index(transpose(c.generators), c.dim) == 1)
+            assert node.lattice_basis == integer_kernel(c.generators, width=rd.rank)
+    assert non_unimodular.unimodular_home == single_ray.unimodular_home == {}
+    assert Cone.of([[-2, -1]]) not in mixed.unimodular_home
+    assert Cone.of([[0, 1]]) in mixed.unimodular_home
+    assert not is_smooth(non_unimodular)[non_unimodular.maximal_cones[0]]
+    # the corpus reaches both branches: some standard fans are not smooth
+    assert {c in f.unimodular_home for f, _ in cases[:-3] for c in f.cones} == {True, False}
+
+
+def test_fan_engine_runs_each_check_once_per_maximal_cone_or_ray(monkeypatch):
+    """A walk over every cone makes 63/192/64/64 calls of rank,
+    primitive_vector, lattice_index and integer_kernel on the standard fan of
+    split A6, and 540/1,530/541/541 on the A4 chamber fan."""
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    rd6, rd4 = split_rd("A", 6), split_rd("A", 4)
+    a6, a4 = standard_fan(rd6), chamber_fan(rd4)
+    assert (len(a6.cones), len(a6.maximal_cones)) == (64, 1)
+    assert (len(a4.cones), len(a4.maximal_cones)) == (541, 120)
+    for name in ("rank", "primitive_vector", "lattice_index", "integer_kernel"):
+        monkeypatch.setattr(fans, name, counting(name, getattr(fans, name)))
+    for f, rd, zk in [(a6, rd6, valuation_cone(rd6)), (a4, rd4, None)]:
+        rays = len({g for c in f.cones for g in c.generators})
+        calls.clear()
+        assert fan_validate(f, zk) == []
+        assert calls["rank"] <= len(f.maximal_cones) and calls["primitive_vector"] <= rays
+        calls.clear()
+        assert all(is_smooth(f).values())
+        assert calls["lattice_index"] <= len(f.maximal_cones)
+        calls.clear()
+        strata(f, rd)
+        assert calls["integer_kernel"] == 0
