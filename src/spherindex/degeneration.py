@@ -19,6 +19,8 @@ from .linalg import (
     dot,
     dual_basis,
     identity,
+    mat_mul,
+    mat_mul_t,
     primitive_vector,
     rank,
     vec_mat,
@@ -58,17 +60,11 @@ def build_degeneration(xi: Lattice, sigma_aut) -> DegenerationDatum:
 
     # boundary cone: the antidominant cone of sigma on the Y side, pulled
     # back through the section eta -> (0, eta) of the sum map and written in
-    # coordinates dual to the xiZ basis
-    rays = []
-    if sigma:
-        # omega_j: dot-dual basis vector of sigma inside its span
-        for omega in dual_basis(sigma, ident):
-            # dual map: the coordinate of beta*(-omega_j) against a basis
-            # vector b of xiZ is the pairing of beta(b) with -omega_j
-            w = tuple(-x for x in omega)
-            ray = tuple(dot(vec_mat(b, beta), w) for b in xiZ.rows_q())
-            rays.append(primitive_vector(ray))
-    c_bd = Cone.of(rays)
+    # coordinates dual to the xiZ basis.  With omega_j the dot-dual basis
+    # vector of sigma inside its span, the coordinate of beta*(-omega_j)
+    # against a basis vector b of xiZ is the pairing of beta(b) with -omega_j
+    pairings = mat_mul_t(dual_basis(sigma, ident), mat_mul(xiZ.rows_q(), beta))
+    c_bd = Cone.of(primitive_vector(tuple(-x for x in row)) for row in pairings)
     dd = DegenerationDatum(
         xi=xi,
         sigma=sigma,
@@ -89,7 +85,7 @@ def _check_exactness(xi, gamma, xiZ, delta_minus, beta):
         if any(x != 0 for x in vec_mat(img, beta)):
             raise InternalInconsistency("composite map is nonzero")
     # beta surjects xiZ onto gamma
-    images = [vec_mat(row, beta) for row in xiZ.rows_q()]
+    images = mat_mul(xiZ.rows_q(), beta)
     if Lattice.from_rows(n, images) != gamma:
         raise NotSublattice("sum map does not surject onto the root lattice")
     # kernel of beta inside xiZ equals the antidiagonal image (rank check)

@@ -19,7 +19,6 @@ from .linalg import (
     dot,
     find_feasible,
     hermite_normal_form,
-    identity,
     integer_kernel,
     lattice_index,
     primitive_vector,
@@ -38,6 +37,12 @@ HARD_ORBIT_CEILING = 100_000
 @dataclass(frozen=True)
 class Cone:
     generators: tuple[tuple[int, ...], ...]  # lex-sorted primitive rows
+
+    def __post_init__(self):  # hashed once: sets and dicts would rehash the nested tuples
+        object.__setattr__(self, "_hash", hash(self.generators))
+
+    def __hash__(self):
+        return self._hash
 
     @staticmethod
     def of(rows) -> "Cone":
@@ -354,15 +359,10 @@ def strata(f: Fan, rd: LittleDatum) -> tuple[Stratum, ...]:
 def _reflection_on_dual(rd: LittleDatum, s) -> Mat:
     """(s, s) > 0 times the matrix of s_sigma on dual coordinates (rows act
     on the right): the primitive images of rays are the same."""
-    f = rd.form_k
-    ss = dot(vec_mat(s, f), s)
-    # on characters: chi -> chi - (2 (chi, s)/(s, s)) s; dual action is the
-    # transpose, which equals the same formula with the roles swapped
-    m = []
-    for chi in identity(rd.rank):
-        coef = 2 * dot(vec_mat(chi, f), s)
-        m.append(tuple(ss * a - coef * b for a, b in zip(chi, s)))
-    return transpose(tuple(m))
+    fs = [dot(row, s) for row in rd.form_k]  # (a_i, s) for each basis character a_i
+    ss = dot(s, fs)
+    # on characters: a_i -> a_i - (2 (a_i, s)/(s, s)) s; the dual action is the transpose
+    return tuple(tuple(ss * int(i == j) - 2 * fs[i] * s[j] for i in range(rd.rank)) for j in range(rd.rank))
 
 
 def weyl_saturate(f: Fan, rd: LittleDatum, cap: int | None = None) -> Fan:
@@ -388,11 +388,14 @@ def weyl_saturate(f: Fan, rd: LittleDatum, cap: int | None = None) -> Fan:
 
     cones = set(f.cones)
     for img in orbit(f.maximal_cones, images):
-        for face in img.faces():
-            if face not in cones:
-                cones.add(face)
+        # a cone in the set has its faces there, overfull ones aside: walk new facets down
+        todo = list(img.faces()) if img.overfull else [img]
+        while todo:
+            if (c := todo.pop()) not in cones:
+                cones.add(c)
                 if len(cones) > limit:
                     raise BudgetExceeded(
                         f"Weyl saturation reached {len(cones)} cones > cap {limit} ({hint})"
                     )
+                todo.extend(c.facets())
     return Fan(tuple(sorted(cones, key=lambda c: (c.dim, c.generators))))

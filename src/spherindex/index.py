@@ -17,10 +17,11 @@ from .errors import BudgetExceeded, DatumConstructionError, NotARootBase, NotFin
 from .linalg import (
     Mat,
     Vec,
-    dot,
+    dot,  # noqa: F401  perfbench/tests checks that the tracer wraps this binding
     identity,
     integer_kernel,
     mat_mul,
+    mat_mul_t,
     minus_identity,
     scaled_inverse,
     transpose,
@@ -33,6 +34,7 @@ from .rootsys import (
     image_fibers,
     orbit,
     positive_roots_in_base_coords,
+    type_name_of,
 )
 
 STAR_GROUP_CAP = 10000
@@ -129,7 +131,7 @@ class TitsIndex:
         Row i is the image of the simple root a_i; it has n rows even when
         the index is anisotropic (r = 0).
         """
-        return tuple(tuple(dot(a, v) for v in self.split) for a in self.ambient.form())
+        return mat_mul_t(self.ambient.form(), self.split)
 
     @cached_property
     def simple_roots(self) -> "RestrictedSimpleRoots":
@@ -194,14 +196,14 @@ class RestrictedSimpleRoots:
 
     @property
     def type_name(self) -> str:
-        return " x ".join(f"{f}{r}" for f, r in self.types)
+        return type_name_of(self.types)
 
 
 def restricted_simple_roots(ix: TitsIndex) -> RestrictedSimpleRoots:
     distinct, fibers = image_fibers((i, img) for i, img in enumerate(ix.restriction) if any(img))
     # a positive multiple of the form on restriction coordinates that matches
     # the projected invariant form; Cartan numbers do not see the scale
-    form, _ = scaled_inverse([vec_mat(v, ix.restriction) for v in ix.split])
+    form, _ = scaled_inverse(mat_mul_t(ix.split, transpose(ix.restriction)))
     base = RootBase.from_vectors(distinct, form)
     order = [i for _, _, positions in base.components for i in positions]
     return RestrictedSimpleRoots(
@@ -218,4 +220,4 @@ def ambient_roots(ambient: AmbientRootDatum) -> list[Vec]:
 
 def restricted_root_system(ix: TitsIndex) -> RestrictedRoots:
     """The nonzero restrictions of the ambient roots, with multiplicities."""
-    return RestrictedRoots.of(res_A(ix, root) for root in ambient_roots(ix.ambient))
+    return RestrictedRoots.of(mat_mul_t(ambient_roots(ix.ambient), transpose(ix.restriction)))

@@ -2,8 +2,11 @@
 
 Vectors are tuples of numbers and matrices are tuples of row vectors.  No
 floating point anywhere.  One numeric rule: integral data stay ``int``.
-The products (``dot``, ``vec_mat``, ``mat_mul``, ``gram``) keep the types
-they are given: ints in, ints out; any ``Fraction`` in, ``Fraction`` out.
+Every product is one kernel, ``sum(map(mul, u, v))`` per entry, with no
+Python frame per term; ``mat_mul`` takes the columns of its right operand
+once.  It keeps the types it is given (ints in, ints out; any ``Fraction``
+in, ``Fraction`` out), and a length mismatch raises ``ValueError``, since
+``map`` would stop silently at the shorter operand.
 The eliminations are one fraction-free integer kernel, so ``rank`` and
 ``scaled_inverse`` create no ``Fraction``.  A ``Fraction`` is created in
 five places only:
@@ -29,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import mul
 
 from .errors import NotSublattice, ZeroVector
 
@@ -46,18 +50,28 @@ def minus_identity(m) -> Mat:
 
 
 def dot(u, v):
-    return sum(a * b for a, b in zip(u, v, strict=True))
+    if len(u) != len(v):
+        raise ValueError(f"vectors of lengths {len(u)} and {len(v)}")
+    return sum(map(mul, u, v))
+
+
+def mat_mul_t(a, b) -> Mat:
+    """a @ b^T: the dot of each row of a with each row of b, rows of one length."""
+    if len(lengths := {*map(len, a), *map(len, b)}) > 1:
+        raise ValueError(f"rows of lengths {sorted(lengths)}")
+    return tuple([tuple([sum(map(mul, row, col)) for col in b]) for row in a])
+
+
+def mat_mul(a, b) -> Mat:
+    """a @ b: the columns of b are taken once."""
+    if a and {*map(len, a)} != {len(b)}:
+        raise ValueError(f"rows of a of lengths other than {len(b)}")
+    return mat_mul_t(a, transpose(b))
 
 
 def vec_mat(v, m) -> Vec:
     """Row vector times matrix."""
-    if not m:
-        return ()
-    return tuple(dot(v, col) for col in zip(*m))
-
-
-def mat_mul(a, b) -> Mat:
-    return tuple(vec_mat(row, b) for row in a)
+    return mat_mul((v,), m)[0]
 
 
 def transpose(m) -> Mat:
@@ -149,8 +163,7 @@ def scaled_inverse(m) -> tuple[tuple[tuple[int, ...], ...], int]:
 
 def gram(rows, form) -> Mat:
     """Gram matrix (a F b) of the rows under the bilinear form F."""
-    rows_f = [vec_mat(a, form) for a in rows]
-    return tuple(tuple(dot(af, b) for b in rows) for af in rows_f)
+    return mat_mul_t(mat_mul(rows, form), rows)
 
 
 def dual_basis(rows, form) -> Mat:

@@ -38,6 +38,7 @@ from .linalg import (
     is_zero_vec,
     lattice_index,
     mat_mul,
+    mat_mul_t,
     minus_identity,
     primitive_vector,
     rank,
@@ -46,7 +47,7 @@ from .linalg import (
     transpose,
     vec_mat,
 )
-from .rootsys import RestrictedRoots, RootBase, generate_roots, image_fibers, weyl_order
+from .rootsys import RestrictedRoots, RootBase, generate_roots, image_fibers, type_name_of, weyl_order
 
 
 @dataclass(frozen=True)
@@ -73,9 +74,7 @@ class LittleDatum:
 
     @property
     def wk_type_name(self) -> str:
-        if not self.wk_types:
-            return "trivial"
-        return " x ".join(f"{f}{r}" for f, r in self.wk_types)
+        return type_name_of(self.wk_types) or "trivial"
 
 
 @dataclass(frozen=True)
@@ -111,7 +110,7 @@ def _projection_matrix(f: Mat, rows: list[Vec]) -> Mat:
     u = tuple(rows[i] for i in pivots)
     ginv = inverse(gram(u, f))
     # P = I - F U^T G^{-1} U  (rows act on the right)
-    fut = mat_mul(f, transpose(u))
+    fut = mat_mul_t(f, u)
     corr = mat_mul(mat_mul(fut, ginv), u)
     return tuple(
         tuple(ident[i][j] - corr[i][j] for j in range(m)) for i in range(m)
@@ -184,7 +183,7 @@ def restrict_datum(d: SphericalDatumK) -> RestrictedDatum:
     # lifts of a row differ by the span of ``ann``, which the projection kills
     f = d.pairing
     p = _projection_matrix(f, ann)
-    projected = tuple(vec_mat(chi, p) for chi in u[:dk])
+    projected = mat_mul(u[:dk], p)
 
     core = _core(dk, tuple(sigma_k), gram(projected, f), fibers)
     return RestrictedDatum(

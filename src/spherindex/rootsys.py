@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 
 from .errors import LinearlyDependent, NotARootBase, NotFiniteType
-from .linalg import Mat, Vec, content, gram, identity, rank, vec_mat
+from .linalg import Mat, Vec, content, dot, gram, identity, mat_mul, rank, transpose
 
 VALID_RANKS = {
     "A": lambda n: n >= 1,
@@ -305,6 +305,11 @@ def classify(c) -> list[tuple[str, int, tuple[int, ...]]]:
     return out
 
 
+def type_name_of(types) -> str:
+    """The (family, rank) pairs as one name, "A1 x B2"; "" for no pairs."""
+    return " x ".join(f"{fam}{rk}" for fam, rk in types)
+
+
 def weyl_order(types) -> int:
     order = 1
     for fam, rk in types:
@@ -312,10 +317,9 @@ def weyl_order(types) -> int:
     return order
 
 
-def simple_reflection(v, c, j: int) -> tuple:
-    """s_j(v) = v - <v, a_j^vee> a_j on base coordinates of the Cartan matrix c."""
-    pair = sum(x * row[j] for x, row in zip(v, c))
-    return v[:j] + (v[j] - pair,) + v[j + 1:]
+def simple_reflection(v, col, j: int) -> tuple:
+    """s_j(v) = v - <v, a_j^vee> a_j on base coordinates; col is column j of the Cartan matrix."""
+    return v[:j] + (v[j] - dot(v, col),) + v[j + 1:]
 
 
 def generate_roots(base: RootBase) -> list[Vec]:
@@ -326,7 +330,7 @@ def generate_roots(base: RootBase) -> list[Vec]:
     """
     pos = positive_roots_in_base_coords(base.cartan, base.types)
     roots = sorted(pos + [tuple(-x for x in v) for v in pos])
-    return [vec_mat(v, base.vectors) for v in roots]
+    return list(mat_mul(roots, base.vectors))
 
 
 def positive_roots_in_base_coords(c: Mat, types) -> list[tuple[int, ...]]:
@@ -335,10 +339,9 @@ def positive_roots_in_base_coords(c: Mat, types) -> list[tuple[int, ...]]:
     The reflection closure of the simple roots; the count is checked against
     the (family, rank) ``types`` of ``c``.
     """
-    c = tuple(tuple(int(x) for x in row) for row in c)
-    n = len(c)
+    cols = transpose([tuple(map(int, row)) for row in c])
     bound = sum(root_count(fam, rk) for fam, rk in types)
-    closure = orbit(identity(n), lambda v: (simple_reflection(v, c, j) for j in range(n)))
+    closure = orbit(identity(len(c)), lambda v: (simple_reflection(v, col, j) for j, col in enumerate(cols)))
     roots = list(islice(closure, bound + 1))
     if len(roots) != bound:
         raise NotFiniteType("root count does not match classified type")

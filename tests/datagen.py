@@ -25,7 +25,7 @@ from spherindex.linalg import (
     vec_mat,
 )
 from spherindex.restrict import _annihilator, restrict_datum
-from spherindex.rootsys import AmbientRootDatum, RootBase, classify, generate_roots
+from spherindex.rootsys import AmbientRootDatum, RootBase, classify, generate_roots, type_name_of
 
 
 def fvec(v):
@@ -189,7 +189,7 @@ def little_space(d: SphericalDatumK):
 
 
 def classified_type_name(c) -> str:
-    return " x ".join(f"{fam}{rk}" for fam, rk, _ in classify(c))
+    return type_name_of((fam, rk) for fam, rk, _ in classify(c))
 
 
 def cone_contains(cone, v) -> bool:

@@ -34,7 +34,7 @@ from spherindex.linalg import (
     vec_mat,
 )
 from spherindex.restrict import ValuationCone, restrict_datum, valuation_cone
-from spherindex.rootsys import AmbientRootDatum
+from spherindex.rootsys import AmbientRootDatum, orbit
 
 H = Fraction(1, 2)
 
@@ -494,6 +494,51 @@ def test_weyl_saturate_matches_the_bfs_orbit():
     )
     sat = bfs_saturate(f, e6)
     assert outcome(weyl_saturate, sat, e6, 3) == outcome(bfs_saturate, sat, e6, 3) == sat
+
+
+def all_faces_saturate(f, rd, cap):
+    """weyl_saturate testing every face of every image against the set."""
+    limit = min(cap, fans.HARD_ORBIT_CEILING)
+    refl = [fans._reflection_on_dual(rd, s) for s in rd.sigma_k]
+
+    def images(c):
+        return [Cone.of(primitive_vector(vec_mat(g, m)) for g in c.generators) for m in refl]
+
+    cones = set(f.cones)
+    for img in orbit(f.maximal_cones, images):
+        for face in img.faces():
+            if face not in cones:
+                cones.add(face)
+                if len(cones) > limit:
+                    raise BudgetExceeded(
+                        f"Weyl saturation reached {len(cones)} cones > cap {limit} (set {fans.ORBIT_CAP_ENV})"
+                    )
+    return Fan(tuple(sorted(cones, key=lambda c: (c.dim, c.generators))))
+
+
+def test_weyl_saturate_walks_facets_down_only_from_new_cones(monkeypatch):
+    """A cone already in the set has all its faces there, so the facet walk stops
+    at it; an overfull cone is not closed under faces, so its images keep the face
+    loop.  The result and the cap message are those of the all-faces loop at every
+    cap, and fewer cones are built."""
+    a3, e6 = split_rd("A", 3), e6_rd()[1]
+    overfull = Fan.from_maximal([[[-1, 0], [0, -1], [-1, -1]], [[1, 1]]])
+    for f, rd in ((standard_fan(a3), a3), (overfull, e6), (Fan.from_maximal([[[-1, 0]]]), e6)):
+        size = len(all_faces_saturate(f, rd, 10**6).cones)
+        for cap in range(1, size + 2):
+            assert outcome(weyl_saturate, f, rd, cap) == outcome(all_faces_saturate, f, rd, cap)
+    built = Counter()
+    init = Cone.__post_init__
+
+    def counting(self):
+        built[caller] += 1
+        init(self)
+
+    monkeypatch.setattr(Cone, "__post_init__", counting)
+    a4 = split_rd("A", 4)
+    for caller in (weyl_saturate, all_faces_saturate):
+        assert len(caller(standard_fan(a4), a4, 10**6).cones) == 541
+    assert built[weyl_saturate] < built[all_faces_saturate]
 
 
 def lp_meets_interior(c, rd):

@@ -24,6 +24,7 @@ from spherindex.linalg import (
     inverse,
     lattice_index,
     mat_mul,
+    mat_mul_t,
     primitive_vector,
     rank,
     rref,
@@ -496,3 +497,86 @@ def test_rank_and_scaled_inverse_create_no_fraction(monkeypatch):
     assert rank([[2, 4], [1, 2]]) == 1
     a, d = scaled_inverse([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
     assert (a, d) == (((3, 2, 1), (2, 4, 2), (1, 2, 3)), 4)
+
+
+# ---------------------------------------------------------------------------
+# the product kernel against sympy
+
+
+def sympy_of(m, rows, cols):
+    return Matrix(rows, cols, [Rational(x.numerator, x.denominator) for row in m for x in row])
+
+
+@st.composite
+def product_operands(draw):
+    """a (r x k) and b (k x c) with k >= 1, all int or mixed int and Fraction."""
+    entry = draw(st.sampled_from([small_int, rational]))
+    r, k, c = draw(st.integers(0, 4)), draw(st.integers(1, 4)), draw(st.integers(0, 4))
+
+    def matrix(nrows, ncols):
+        return tuple(tuple(draw(st.lists(entry, min_size=ncols, max_size=ncols))) for _ in range(nrows))
+
+    return matrix(r, k), matrix(k, c), matrix(k, k)
+
+
+def assert_entry_types(product, a, cols):
+    """Ints in, ints out; an entry is a Fraction exactly when a factor of it is."""
+    for row, out in zip(a, product, strict=True):
+        for col, x in zip(cols, out, strict=True):
+            if any(isinstance(y, Fraction) for y in (*row, *col)):
+                assert type(x) is Fraction
+            else:
+                assert type(x) is int
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(product_operands())
+@example((((1, 2),), ((3,), (4,)), ((2, -1), (-1, 2))))
+@example((((Fraction(1, 2), 2),), ((3, 1), (4, 0)), ((2, 1), (1, 2))))
+def test_products_match_sympy(data):
+    a, b, form = data
+    r, k, c = len(a), len(b), len(b[0])
+    cols = transpose(b)
+    got = mat_mul(a, b)
+    assert got == from_sympy(sympy_of(a, r, k) * sympy_of(b, k, c))
+    assert len(got) == r and all(len(row) == c for row in got)
+    by_dot = tuple(tuple(dot(row, col) for col in cols) for row in a)
+    assert by_dot == tuple(vec_mat(row, b) for row in a) == mat_mul_t(a, cols) == got
+    assert_entry_types(got, a, cols)
+    assert_entry_types(by_dot, a, cols)
+    g = gram(a, form)
+    assert g == from_sympy(sympy_of(a, r, k) * sympy_of(form, k, k) * sympy_of(a, r, k).T)
+    if all(type(x) is int for m in (a, form) for row in m for x in row):
+        assert all(type(x) is int for row in g for x in row)
+
+
+def test_products_of_empty_shapes():
+    assert dot((), ()) == 0 and type(dot((), ())) is int
+    assert vec_mat((), ()) == ()
+    assert mat_mul((), ()) == () and mat_mul((), ((1, 2),)) == ()
+    assert mat_mul(((), ()), ()) == ((), ())  # 2 x 0 times 0 x 0
+    assert mat_mul(((1, 2),), ((), ())) == ((),)  # 1 x 2 times 2 x 0
+    assert gram((), ((1, 0), (0, 1))) == ()
+    assert gram(((), ()), ()) == ((0, 0), (0, 0))
+    assert dual_basis((), ((2,),)) == ()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: dot((1, 2), (1, 2, 3)),
+        lambda: dot((1, 2, 3), (1, 2)),
+        lambda: dot((), (1,)),
+        lambda: vec_mat((1, 2), ((1,),)),
+        lambda: vec_mat((1,), ((1,), (2,))),
+        lambda: vec_mat((1,), ()),
+        lambda: mat_mul(((1, 2), (3,)), ((1,), (2,))),
+        lambda: mat_mul(((1, 2, 3),), ((1, 0), (0, 1))),
+        lambda: mat_mul(((1,),), ((1, 0), (0, 1))),
+        lambda: mat_mul_t(((1, 2),), ((1, 2), (3,))),
+        lambda: gram(((1, 2),), ((1,),)),
+    ],
+)
+def test_a_length_mismatch_raises_and_never_truncates(call):
+    with pytest.raises(ValueError):
+        call()

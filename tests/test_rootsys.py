@@ -7,7 +7,7 @@ import pytest
 from spherindex.errors import NotARootBase, NotFiniteType
 from datagen import classified_type_name, flip_matrix, fmat
 from spherindex.cli import parse_index
-from spherindex.linalg import dot, gram, identity, inverse, vec_mat
+from spherindex.linalg import dot, gram, identity, inverse, transpose, vec_mat
 from spherindex.rootsys import (
     AmbientRootDatum,
     VALID_RANKS,
@@ -178,12 +178,12 @@ def test_generate_roots_reflection_closed():
 
 def test_weyl_invariance_of_form():
     for fam, n in [("B", 2), ("G", 2), ("A", 2)]:
-        c = standard_cartan(fam, n)
+        cols = transpose(standard_cartan(fam, n))
         form = fmat(standard_form(fam, n))
         for j in range(n):
             for u in generate_roots(std_base(fam, n)):
                 for v in generate_roots(std_base(fam, n)):
-                    su, sv = simple_reflection(u, c, j), simple_reflection(v, c, j)
+                    su, sv = simple_reflection(u, cols[j], j), simple_reflection(v, cols[j], j)
                     assert dot(vec_mat(su, form), sv) == dot(vec_mat(u, form), v)
 
 
@@ -220,7 +220,7 @@ def fraction_rho_word(c):
     x = tuple(-t for t in vec_mat((1,) * len(c), inverse(c)))
     word = []
     while (j := next((t for t, p in enumerate(vec_mat(x, c)) if p < 0), None)) is not None:
-        x = simple_reflection(x, c, j)
+        x = simple_reflection(x, transpose(c)[j], j)
         word.append(j)
     return word
 
@@ -248,7 +248,7 @@ def test_opposition_matches_the_fraction_rho_word():
             perm = []
             for v in identity(n):
                 for j in word:
-                    v = simple_reflection(v, c, j)
+                    v = simple_reflection(v, transpose(c)[j], j)
                 perm.append(identity(n).index(tuple(-x for x in v)))
             assert opposition_permutation(base) == tuple(perm)
 

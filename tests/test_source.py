@@ -5,7 +5,7 @@ must raise instead; imports belong at module level, where the dependency
 graph between modules stays visible; ``/`` on two ints gives a float, so
 exact division is written ``Fraction(a, b)``; a function that nothing in
 ``src/`` names, or a class member that nothing in ``src/`` reads, is dead
-code.
+code; a sum of products belongs to the one product kernel in ``linalg``.
 """
 
 import ast
@@ -42,6 +42,30 @@ def test_no_true_division():
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
     ]
     assert found == []
+
+
+def products_summed_outside_linalg(trees):
+    """Each ``sum(... * ... for ...)`` outside ``linalg.py``: a Python frame per
+    term, where ``linalg.dot`` and ``linalg.mat_mul`` run the one product kernel."""
+    return [
+        f"{name}:{node.lineno}: sum of products"
+        for name, tree in trees
+        if name != "linalg.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "sum"
+        and node.args
+        and isinstance(node.args[0], (ast.GeneratorExp, ast.ListComp))
+        and isinstance(node.args[0].elt, ast.BinOp)
+        and isinstance(node.args[0].elt.op, ast.Mult)
+    ]
+
+
+def test_products_go_through_the_linalg_kernel():
+    assert products_summed_outside_linalg(source_trees()) == []
+    planted = ast.parse("pair = sum(x * row[j] for x, row in zip(v, c))")
+    assert products_summed_outside_linalg([("rootsys.py", planted)]) == ["rootsys.py:1: sum of products"]
 
 
 # paper identities that only the tests run so far; perfbench names the first
