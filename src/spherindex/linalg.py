@@ -7,14 +7,14 @@ Python frame per term; ``mat_mul`` takes the columns of its right operand
 once.  It keeps the types it is given (ints in, ints out; any ``Fraction``
 in, ``Fraction`` out), and a length mismatch raises ``ValueError``, since
 ``map`` would stop silently at the shorter operand.
-The eliminations are one fraction-free integer kernel, so ``rank`` and
-``scaled_inverse`` create no ``Fraction``.  A ``Fraction`` is created in
-five places only:
+The eliminations are one fraction-free integer kernel, so ``rank``,
+``pivot_columns`` and ``scaled_inverse`` create no ``Fraction``.  A
+``Fraction`` is created in five places only, each time by one division:
 
-- ``rref``, ``solve``, ``solve_left`` and ``inverse``, once per entry of
-  the result, by one division by the determinant at the end;
+- ``solve`` and ``solve_left``, once per entry, by the determinant;
+- ``divide``, once per entry: ``dual_basis``'s division by the scale of
+  ``scaled_inverse``, and ``Lattice.rows_q`` when ``den > 1``;
 - ``Lattice.coordinates``, only when a division is inexact;
-- ``Lattice.rows_q``, only when ``den > 1``;
 - the point ``find_feasible`` returns;
 - an exact division, always written ``Fraction(a, b)``, since ``/`` on two
   ints gives a float.
@@ -89,8 +89,8 @@ def _eliminate(m) -> tuple[list[list[int]], tuple[int, ...], int]:
     p then replaces every other row by (p * row - f * pivot_row) // prev,
     where prev is the pivot before it (1 at the start): each entry is a minor
     of the scaled matrix, so the division is exact.  Returns (rows, pivots,
-    det): integer rows equal to det * rref(m), the pivot columns, and the
-    last pivot det != 0 (1 for rank 0).
+    det): integer rows equal to det times the reduced row echelon form of m,
+    the pivot columns, and the last pivot det != 0 (1 for rank 0).
     """
     for row in m:
         for x in row:
@@ -117,14 +117,13 @@ def _eliminate(m) -> tuple[list[list[int]], tuple[int, ...], int]:
     return rows, tuple(pivots), det
 
 
-def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form and pivot columns."""
-    rows, pivots, det = _eliminate(m)
-    return tuple(tuple(Fraction(x, det) for x in row) for row in rows), pivots
+def pivot_columns(m) -> tuple[int, ...]:
+    """The pivot columns of the reduced row echelon form of m."""
+    return _eliminate(m)[1]
 
 
 def rank(m) -> int:
-    return len(_eliminate(m)[1])
+    return len(pivot_columns(m))
 
 
 def solve(a: Mat, b) -> Vec | None:
@@ -146,11 +145,6 @@ def solve_left(rows: Mat, target) -> Vec | None:
     return solve(transpose(rows), target)
 
 
-def inverse(m: Mat) -> Mat:
-    a, d = scaled_inverse(m)
-    return tuple(tuple(Fraction(x, d) for x in row) for row in a)
-
-
 def scaled_inverse(m) -> tuple[tuple[tuple[int, ...], ...], int]:
     """(a, d) with d > 0 and a = d * m^-1 an integer matrix, from [m | I]."""
     n = len(m)
@@ -166,12 +160,20 @@ def gram(rows, form) -> Mat:
     return mat_mul_t(mat_mul(rows, form), rows)
 
 
+def divide(m, d) -> Mat:
+    """m / d entrywise: one exact division, and one ``Fraction``, per entry."""
+    return tuple(tuple(Fraction(x, d) for x in row) for row in m)
+
+
 def dual_basis(rows, form) -> Mat:
     """Rows w_j in the span of rows @ F with dot(w_j, rows[k]) == [j == k].
 
-    For a root base these are the fundamental coweights.
+    For a root base these are the fundamental coweights.  They are
+    (d G^-1) (rows @ F) / d for the Gram matrix G, divided once at the end.
     """
-    return mat_mul(inverse(gram(rows, form)), mat_mul(rows, form))
+    rf = mat_mul(rows, form)
+    a, d = scaled_inverse(mat_mul_t(rf, rows))
+    return divide(mat_mul(a, rf), d)
 
 
 def content(v) -> int:
@@ -323,9 +325,7 @@ class Lattice:
         return len(self.basis)
 
     def rows_q(self) -> Mat:
-        if self.den == 1:
-            return self.basis
-        return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.basis)
+        return self.basis if self.den == 1 else divide(self.basis, self.den)
 
     def coordinates(self, v) -> Vec | None:
         """Coordinates of v in the basis, or None outside the span: back-substitution

@@ -28,22 +28,23 @@ from .linalg import (
     Mat,
     Vec,
     content,
+    divide,
     dot,
     dual_basis,
     gram,
     hermite_normal_form,
     identity,
     integer_kernel,
-    inverse,
     is_zero_vec,
     lattice_index,
     mat_mul,
     mat_mul_t,
     minus_identity,
+    pivot_columns,
     primitive_vector,
     rank,
-    rref,
-    solve,
+    scale_rows_integral,
+    scaled_inverse,
     transpose,
     vec_mat,
 )
@@ -99,22 +100,27 @@ def _annihilator(d: SphericalDatumK, split: CompactRootSplit) -> list[Vec]:
     return rows
 
 
-def _projection_matrix(f: Mat, rows: list[Vec]) -> Mat:
-    """Orthogonal projection under ``f`` onto the complement of the span of ``rows``."""
-    m = len(f)
-    # the pivots pick an independent spanning subset; P depends only on the span
-    _, pivots = rref(transpose(rows))
-    ident = identity(m)
+def _project(f: Mat, rows: list[Vec], lifts) -> tuple[Mat, Mat]:
+    """``lifts`` projected under ``f`` off the span of ``rows``, and their Gram matrix.
+
+    P = I - F U^T G^-1 U (rows act on the right) for U independent rows of
+    ``rows`` and G = U F U^T.  P sees neither the choice of U nor a scale c > 0
+    of F, so both are taken integral, and so is d P = d I - F U^T (d G^-1) U.
+    The lifts are divided by d and their Gram matrix by c d^2 once, at the end.
+    """
+    c = lcm(*(x.denominator for row in f for x in row))
+    fc = tuple(tuple(x.numerator * (c // x.denominator) for x in row) for row in f)
+    pivots = pivot_columns(transpose(rows))
     if not pivots:
-        return ident
-    u = tuple(rows[i] for i in pivots)
-    ginv = inverse(gram(u, f))
-    # P = I - F U^T G^{-1} U  (rows act on the right)
-    fut = mat_mul_t(f, u)
-    corr = mat_mul(mat_mul(fut, ginv), u)
-    return tuple(
-        tuple(ident[i][j] - corr[i][j] for j in range(m)) for i in range(m)
-    )
+        lifts, form = tuple(map(tuple, lifts)), gram(lifts, fc)
+        # the form keeps the entry type of f
+        return lifts, form if all(type(x) is int for row in f for x in row) else divide(form, c)
+    u = scale_rows_integral([rows[i] for i in pivots])
+    a, d = scaled_inverse(gram(u, fc))
+    corr = mat_mul(mat_mul_t(fc, u), mat_mul(a, u))
+    dp = tuple(tuple(d * (i == j) - x for j, x in enumerate(row)) for i, row in enumerate(corr))
+    scaled = mat_mul(lifts, dp)
+    return divide(scaled, d), divide(gram(scaled, fc), c * d * d)
 
 
 def _core(rank_: int, sigma_rows: Mat, form: Mat, fibers) -> dict:
@@ -181,11 +187,9 @@ def restrict_datum(d: SphericalDatumK) -> RestrictedDatum:
 
     # transport the invariant form through the orthogonal projection; two
     # lifts of a row differ by the span of ``ann``, which the projection kills
-    f = d.pairing
-    p = _projection_matrix(f, ann)
-    projected = mat_mul(u[:dk], p)
+    projected, form_k = _project(d.pairing, ann, u[:dk])
 
-    core = _core(dk, tuple(sigma_k), gram(projected, f), fibers)
+    core = _core(dk, tuple(sigma_k), form_k, fibers)
     return RestrictedDatum(
         **core,
         nk_basis=nk,
@@ -246,19 +250,12 @@ def coweight_identity_check(d: SphericalDatumK, rd: RestrictedDatum) -> dict:
     if not d.sigma:
         return {"checked": 0}
     k_coweights = dual_basis(d.sigma, d.pairing)
-    checked = 0
     for j, fib in enumerate(rd.fibers):
-        total = (0,) * rd.rank
-        for tau in fib:
-            total = tuple(
-                a + b for a, b in zip(total, project_to_little(rd, k_coweights[tau]))
-            )
-        if total != rd.coweights[j]:
-            raise IdentityFails(
-                f"coweight of restricted root {j} differs from its fiber sum"
-            )
-        checked += 1
-    return {"checked": checked}
+        # the projection is linear, so the fiber sum is projected once
+        total = tuple(map(sum, zip(*(k_coweights[tau] for tau in fib))))
+        if project_to_little(rd, total) != rd.coweights[j]:
+            raise IdentityFails(f"coweight of restricted root {j} differs from its fiber sum")
+    return {"checked": len(rd.fibers)}
 
 
 def chamber_containment_check(d: SphericalDatumK, rd: RestrictedDatum | None = None) -> dict:
@@ -278,13 +275,14 @@ def chamber_containment_check(d: SphericalDatumK, rd: RestrictedDatum | None = N
     if not width:
         return {"checked": 0}
     walls = ix.simple_roots.roots
-    lin = integer_kernel(walls, width=width)
-    gens = list(lin) + [tuple(-x for x in g) for g in lin]
-    for i in range(len(walls)):
-        x = solve(walls, [-int(i == t) for t in range(len(walls))])
-        if x is None:
-            raise InternalInconsistency("restricted simple roots are dependent")
-        gens.append(x)
+    if len(walls) != width:
+        raise InternalInconsistency("restricted simple roots do not match the split coordinates")
+    try:
+        a, _ = scaled_inverse(walls)
+    except ValueError:
+        raise InternalInconsistency("restricted simple roots are dependent") from None
+    # minus the columns of a = d * walls^-1 span the chamber; d > 0 keeps every sign
+    gens = [tuple(-x for x in col) for col in transpose(a)]
     restricted_xi = [res_A(ix, chi) for chi in d.xi_K.rows_q()]
     for t in gens:
         u = tuple(dot(chi, t) for chi in restricted_xi)

@@ -21,13 +21,12 @@ from spherindex.linalg import (
     hermite_normal_form,
     identity,
     integer_kernel,
-    inverse,
     lattice_index,
     mat_mul,
     mat_mul_t,
+    pivot_columns,
     primitive_vector,
     rank,
-    rref,
     scaled_inverse,
     solve_left,
     transpose,
@@ -48,28 +47,7 @@ def int_matrix(max_dim=5):
 
 
 def det(m):
-    n = len(m)
-    if n == 0:
-        return 1
-    red, pivots = rref(m)
-    if len(pivots) < n:
-        return Fraction(0)
-    # product of pivots of an unreduced elimination; recompute directly
-    a = [list(map(Fraction, row)) for row in m]
-    sign = 1
-    d = Fraction(1)
-    for c in range(n):
-        p = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if p is None:
-            return Fraction(0)
-        if p != c:
-            a[c], a[p] = a[p], a[c]
-            sign = -sign
-        d *= a[c][c]
-        for i in range(c + 1, n):
-            f = a[i][c] / a[c][c]
-            a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return sign * d
+    return to_sympy(m).det()
 
 
 def test_hnf_identity_matrix():
@@ -253,7 +231,8 @@ def test_solve_left():
 
 def test_inverse():
     m = ((1, 2), (3, 5))
-    assert mat_mul(m, inverse(m)) == ((1, 0), (0, 1))
+    a, d = scaled_inverse(m)  # det(m) = -1
+    assert d == 1 and mat_mul(m, a) == ((1, 0), (0, 1))
 
 
 def test_find_feasible_simple():
@@ -371,6 +350,34 @@ def test_gram_symmetric_and_dual_basis_pairs_to_identity(data):
     assert tuple(tuple(dot(wj, r) for r in rows) for wj in w) == identity(len(rows))
 
 
+@st.composite
+def rows_and_symmetric_form(draw):
+    """Rational rows (dependent ones included) and a symmetric rational form."""
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(rational, min_size=n, max_size=n), min_size=1, max_size=n))
+    upper = draw(st.lists(rational, min_size=n * n, max_size=n * n))
+    form = [[upper[min(i, j) * n + max(i, j)] for j in range(n)] for i in range(n)]
+    return rows, form
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(rows_and_symmetric_form())
+@example(([[1, 0], [0, 1]], [[2, -1], [-1, 2]]))
+@example(([[Fraction(1, 2), 1]], [[0, 1], [1, 0]]))  # an indefinite form
+@example(([[1, 1]], [[1, 0], [0, -1]]))  # an isotropic row: G is singular
+def test_dual_basis_matches_sympy(data):
+    rows, form = data
+    u, f = to_sympy(rows), to_sympy(form)
+    g = u * f * u.T
+    if g.rank() < len(rows):
+        with pytest.raises(ValueError):
+            dual_basis(rows, form)
+        return
+    w = dual_basis(rows, form)
+    assert w == from_sympy(g.inv() * u * f)
+    assert all(type(x) is Fraction for row in w for x in row)
+
+
 # ---------------------------------------------------------------------------
 # the fraction-free elimination kernel against sympy
 
@@ -416,11 +423,8 @@ KERNEL_EXAMPLES = [
 @example([[1, 2, 3], [2, 4, 6]])
 @example([[Fraction(1, 2), 0, 1], [0, 0, 0], [3, Fraction(-2, 3), 1]])
 def test_rref_and_rank_match_sympy(m):
-    red, pivots = rref(m)
-    expected, expected_pivots = to_sympy(m).rref()
-    assert pivots == tuple(expected_pivots)
-    assert red == from_sympy(expected)
-    assert all(type(x) is Fraction for row in red for x in row)
+    _, expected_pivots = to_sympy(m).rref()
+    assert pivot_columns(m) == tuple(expected_pivots)
     assert rank(m) == to_sympy(m).rank()
 
 
@@ -436,18 +440,14 @@ def test_rref_and_rank_match_sympy(m):
 def test_inverse_and_scaled_inverse_match_sympy(m):
     n = len(m)
     if to_sympy(m).rank() < n:
-        for f in (inverse, scaled_inverse):
-            with pytest.raises(ValueError):
-                f(m)
+        with pytest.raises(ValueError):
+            scaled_inverse(m)
         return
-    inv = inverse(m)
-    assert inv == from_sympy(to_sympy(m).inv())
-    assert all(type(x) is Fraction for row in inv for x in row)
     a, d = scaled_inverse(m)
     assert type(d) is int and d > 0
     assert all(type(x) is int for row in a for x in row)
     assert mat_mul(a, m) == tuple(tuple(d * x for x in row) for row in identity(n))
-    assert a == tuple(tuple(d * x for x in row) for row in inv)
+    assert a == from_sympy(d * to_sympy(m).inv())
 
 
 @st.composite
@@ -481,7 +481,7 @@ def test_solve_left_matches_sympy(data):
 @pytest.mark.parametrize("bad", [1.0, True])
 def test_eliminations_reject_float_and_bool(bad):
     m = ((bad, 0), (0, 1))
-    for f in (rref, rank, inverse, scaled_inverse):
+    for f in (pivot_columns, rank, scaled_inverse):
         with pytest.raises(TypeError):
             f(m)
 

@@ -1,15 +1,25 @@
 from fractions import Fraction
 
 import pytest
+from sympy import Matrix, Rational, eye
 
 from datagen import flip_matrix, fmat, little_space, random_data
 from spherindex.datum import SphericalDatumK
 from spherindex.errors import FiberMismatch, NotBetween, NotConvex
 from spherindex.index import TitsIndex, restricted_root_system
-from spherindex.linalg import Lattice, dot, identity, solve, transpose, vec_mat
+from spherindex.linalg import (
+    Lattice,
+    dot,
+    dual_basis,
+    hermite_normal_form,
+    identity,
+    solve,
+    transpose,
+    vec_mat,
+)
 from spherindex.restrict import (
     _annihilator,
-    _projection_matrix,
+    _project,
     aut_roots,
     chamber_containment_check,
     coweight_identity_check,
@@ -400,13 +410,60 @@ def test_facet_inheritance_fixtures():
     assert checked(u11_datum()) == {"full": 0, "facet": 1}
 
 
+def to_sympy(m, ncols):
+    return Matrix(len(m), ncols, [Rational(x.numerator, x.denominator) for row in m for x in row])
+
+
+def sympy_projection(f, rows):
+    """I - F U^T G^-1 U by sympy, for U the rows at the pivots of sympy's rref."""
+    m = len(f)
+    if not rows:
+        return eye(m)
+    a = to_sympy(rows, m)
+    _, pivots = a.T.rref()
+    u, f = a.extract(list(pivots), list(range(m))), to_sympy(f, m)
+    return eye(m) - f * u.T * (u * f * u.T).inv() * u
+
+
 def test_little_basis_and_lifts_match_the_elimination():
     """The Hermite transform's rows lift the little basis; lifts differ by the
-    span of the annihilator, so each projects like the lift ``solve`` finds."""
+    span of the annihilator, so each projects like the lift ``solve`` finds,
+    and the projection is sympy's I - F U^T G^-1 U."""
     for d in [sp42_datum(), e6_datum(), su_nn_datum(2), u11_datum()] + random_data(20261018, 24):
         rd = restrict_datum(d)
         nk = rd.nk_basis
         assert Lattice(rd.rank, rd.xik_image_basis) == Lattice.from_rows(rd.rank, transpose(nk))
-        p = _projection_matrix(d.pairing, _annihilator(d, rd.split))
-        for row, lift in zip(rd.xik_image_basis, rd.projected_lifts, strict=True):
-            assert vec_mat(solve(nk, row), p) == lift
+        ann = _annihilator(d, rd.split)
+        lifts = [solve(nk, row) for row in rd.xik_image_basis]
+        assert _project(d.pairing, ann, lifts) == (rd.projected_lifts, rd.form_k)
+        expected = to_sympy(lifts, d.m) * sympy_projection(d.pairing, ann)
+        assert rd.projected_lifts == tuple(tuple(Fraction(int(x.p), int(x.q)) for x in r) for r in expected.tolist())
+
+
+def test_dual_basis_and_projection_create_one_fraction_per_entry(monkeypatch):
+    """The scaled path multiplies integers and divides once per result entry."""
+    bases = [(identity(t[1]), AmbientRootDatum.of([t]).form()) for t in (("E", 8), ("A", 12))]
+    projections = []
+    for d in [sp42_datum(), e6_datum(), su_nn_datum(2), u11_datum()]:
+        rd = restrict_datum(d)
+        _, u = hermite_normal_form(transpose(rd.nk_basis))
+        projections.append((d.pairing, _annihilator(d, rd.split), u[: rd.rank]))
+    created = 0
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        nonlocal created
+        created += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    # <=, not ==: from Python 3.12 Fraction arithmetic bypasses __new__ and
+    # goes uncounted, so only the bound means the same on every version
+    for rows, form in bases:
+        created = 0
+        w = dual_basis(rows, form)
+        assert 0 < created <= sum(map(len, w))
+    for f, ann, lifts in projections:
+        created = 0
+        projected, form_k = _project(f, ann, lifts)
+        assert created <= sum(map(len, projected)) + sum(map(len, form_k))

@@ -3,11 +3,12 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
+from sympy import Matrix
 
 from spherindex.errors import NotARootBase, NotFiniteType
 from datagen import classified_type_name, flip_matrix, fmat
 from spherindex.cli import parse_index
-from spherindex.linalg import dot, gram, identity, inverse, transpose, vec_mat
+from spherindex.linalg import dot, gram, identity, transpose, vec_mat
 from spherindex.rootsys import (
     AmbientRootDatum,
     VALID_RANKS,
@@ -216,8 +217,8 @@ def test_opposition_is_involution_preserving_cartan():
 
 
 def fraction_rho_word(c):
-    """The reduced word for w0 from the Fraction rho = (1, ..., 1) @ c^-1."""
-    x = tuple(-t for t in vec_mat((1,) * len(c), inverse(c)))
+    """The reduced word for w0 from the Fraction rho = (1, ..., 1) @ c^-1, with sympy's inverse."""
+    x = tuple(-Fraction(int(t.p), int(t.q)) for t in Matrix([[1] * len(c)]) * Matrix(c).inv())
     word = []
     while (j := next((t for t, p in enumerate(vec_mat(x, c)) if p < 0), None)) is not None:
         x = simple_reflection(x, transpose(c)[j], j)

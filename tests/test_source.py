@@ -5,7 +5,9 @@ must raise instead; imports belong at module level, where the dependency
 graph between modules stays visible; ``/`` on two ints gives a float, so
 exact division is written ``Fraction(a, b)``; a function that nothing in
 ``src/`` names, or a class member that nothing in ``src/`` reads, is dead
-code; a sum of products belongs to the one product kernel in ``linalg``.
+code; a sum of products belongs to the one product kernel in ``linalg``; an
+underscore-prefixed name is private to its module, so no other module of the
+package imports it.
 """
 
 import ast
@@ -66,6 +68,28 @@ def test_products_go_through_the_linalg_kernel():
     assert products_summed_outside_linalg(source_trees()) == []
     planted = ast.parse("pair = sum(x * row[j] for x, row in zip(v, c))")
     assert products_summed_outside_linalg([("rootsys.py", planted)]) == ["rootsys.py:1: sum of products"]
+
+
+def private_imports(trees):
+    """Each underscore-prefixed name imported from a module of the package."""
+    return [
+        f"{name}:{node.lineno}: imports {alias.name}"
+        for name, tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "spherindex")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def test_no_module_imports_a_private_name_of_another():
+    assert private_imports(source_trees()) == []
+    planted = ast.parse("from .linalg import _eliminate, rank\nfrom spherindex.fans import _issues")
+    assert private_imports([("restrict.py", planted)]) == [
+        "restrict.py:1: imports _eliminate",
+        "restrict.py:2: imports _issues",
+    ]
 
 
 # paper identities that only the tests run so far; perfbench names the first
