@@ -35,7 +35,9 @@ from .linalg import Lattice, solve_left
 from .restrict import (
     LittleDatum,
     aut_roots,
+    chamber_containment_check,
     coweight_identity_check,
+    facet_inheritance_check,
     localize,
     phi_k_res,
     predicates,
@@ -192,7 +194,7 @@ def parse_fan(doc: dict) -> Fan:
         return Fan.from_maximal(
             [[[_int(x) for x in g] for g in cone] for cone in cones]
         )
-    except (SpherindexError, ValueError, TypeError) as e:
+    except TypeError as e:
         raise ParseError(f"bad fan: {e}") from None
 
 
@@ -310,6 +312,8 @@ def cmd_analyze(doc: dict) -> tuple[dict, int]:
     rr = phi_k_res(d, rd)
     zk = valuation_cone(rd)
     cw = coweight_identity_check(d, rd)
+    chamber_containment_check(d, rd)
+    facet_inheritance_check(d, rd)
     split = rd.split
     report.update(
         {
@@ -413,7 +417,7 @@ def cmd_fan(doc: dict, fan_path: str, checks, want_strata: bool, saturate: bool)
             if issues:
                 report["complete"] = None
             else:
-                report["complete"] = is_complete_for(f, zk, validated=True)
+                report["complete"] = is_complete_for(f, zk)
         elif check == "smooth":
             flags = is_smooth(f)
             report["smooth"] = all(flags.values())

@@ -149,6 +149,40 @@ class SphericalDatumK:
         """The classified root base of the spherical roots, built once per datum."""
         return RootBase.from_vectors(self.sigma, self.pairing)
 
+    @cached_property
+    def compact_split(self) -> CompactRootSplit:
+        """Split the spherical roots into the compact part and its complement,
+        once per datum.
+
+        In ambient mode the compact part is computed twice, once by support and
+        once by restriction; disagreement means the index and the roots do not
+        describe the same situation.
+        """
+        nroots = len(self.sigma)
+        if self.mode == "abstract":
+            s0 = set(self.sigma0_input)
+            return CompactRootSplit(
+                tuple(sorted(s0)), tuple(i for i in range(nroots) if i not in s0)
+            )
+        comp = set(self.index.compact)
+        by_support = set()
+        for i, row in enumerate(self.sigma_input):
+            if set(support(row)) <= comp:
+                by_support.add(i)
+        by_res = set()
+        for i, row in enumerate(self.sigma_input):
+            if all(x == 0 for x in res_A(self.index, row)):
+                by_res.add(i)
+        if by_support != by_res:
+            raise InternalInconsistency(
+                f"compact roots by support {sorted(by_support)} disagree with "
+                f"restriction {sorted(by_res)}"
+            )
+        return CompactRootSplit(
+            tuple(sorted(by_support)),
+            tuple(i for i in range(nroots) if i not in by_support),
+        )
+
     def star_orbit_of_root(self, i: int) -> tuple[int, ...]:
         """Orbit of the i-th spherical root under the star action."""
         def images(j):
@@ -158,39 +192,6 @@ class SphericalDatumK:
                     yield self.sigma.index(img)
 
         return tuple(sorted(orbit([i], images)))
-
-
-def compact_split(d: SphericalDatumK) -> CompactRootSplit:
-    """Split the spherical roots into the compact part and its complement.
-
-    In ambient mode the compact part is computed twice, once by support and
-    once by restriction; disagreement means the index and the roots do not
-    describe the same situation.
-    """
-    nroots = len(d.sigma)
-    if d.mode == "abstract":
-        s0 = set(d.sigma0_input or ())
-        return CompactRootSplit(
-            tuple(sorted(s0)), tuple(i for i in range(nroots) if i not in s0)
-        )
-    comp = set(d.index.compact)
-    by_support = set()
-    for i, row in enumerate(d.sigma_input):
-        if set(support(row)) <= comp:
-            by_support.add(i)
-    by_res = set()
-    for i, row in enumerate(d.sigma_input):
-        if all(x == 0 for x in res_A(d.index, row)):
-            by_res.add(i)
-    if by_support != by_res:
-        raise InternalInconsistency(
-            f"compact roots by support {sorted(by_support)} disagree with "
-            f"restriction {sorted(by_res)}"
-        )
-    return CompactRootSplit(
-        tuple(sorted(by_support)),
-        tuple(i for i in range(nroots) if i not in by_support),
-    )
 
 
 def _an_positions_lint(base: RootBase, split: CompactRootSplit) -> ValidationItem | None:
@@ -260,7 +261,7 @@ def validate(d: SphericalDatumK) -> list[ValidationItem]:
     add("star_permutes_roots", permutes)
 
     try:
-        split = compact_split(d)
+        split = d.compact_split
         add("compact_split_consistent", True)
     except InternalInconsistency as e:
         add("compact_split_consistent", False, detail=str(e))

@@ -51,14 +51,6 @@ class NotAFace(SpherindexError):
     pass
 
 
-class NotSimplicial(SpherindexError):
-    pass
-
-
-class NotValidated(SpherindexError):
-    pass
-
-
 class BudgetExceeded(SpherindexError):
     pass
 

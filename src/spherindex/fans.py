@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
-from .errors import BudgetExceeded, NotConvex, NotSimplicial, NotValidated
+from .errors import BudgetExceeded, NotConvex
 from .linalg import (
     Mat,
     dot,
@@ -80,8 +80,6 @@ class Fan:
         cones = {Cone(())}
         for rows in gen_lists:
             cone = Cone.of(rows)
-            if len(cone.generators) != len(rows):
-                raise NotSimplicial("repeated generator in a cone")
             cones.update([cone] if cone.overfull else cone.faces())
         return Fan(tuple(sorted(cones, key=lambda c: (c.dim, c.generators))))
 
@@ -249,15 +247,13 @@ def fan_validate(f: Fan, zk: ValuationCone | None = None) -> list[FanIssue]:
     return issues
 
 
-def is_complete_for(f: Fan, zk: ValuationCone, validated: bool = False) -> bool:
-    """Wall criterion for supp(fan) = Z_k.
+def is_complete_for(f: Fan, zk: ValuationCone) -> bool:
+    """Wall criterion for supp(fan) = Z_k, on a fan that ``fan_validate`` passed.
 
     Every maximal cone must be full-dimensional and every wall must either
     lie in a bounding hyperplane of Z_k or be shared by exactly two maximal
     cones.  With no inequalities this is classical completeness.
     """
-    if not validated and fan_validate(f, zk):
-        raise NotValidated("fan failed validation")
     maximal = f.maximal_cones
     vectors = [g for c in maximal for g in c.generators] + [*zk.inequalities, *zk.lineality]
     ambient_dim = len(vectors[0]) if vectors else 0
@@ -290,12 +286,7 @@ def standard_fan(rd: LittleDatum) -> Fan:
     """Faces of the valuation cone, one per subset of the spherical roots."""
     if rd.nk0_basis:
         raise NotConvex("valuation cone is not strictly convex")
-    rays = [primitive_vector(tuple(-x for x in w)) for w in rd.coweights]
-    cones = []
-    for k in range(len(rays) + 1):
-        for sub in combinations(range(len(rays)), k):
-            cones.append([rays[i] for i in sub])
-    return Fan.from_maximal(cones)
+    return Fan.from_maximal([[primitive_vector(tuple(-x for x in w)) for w in rd.coweights]])
 
 
 def cone_membership(v, zk: ValuationCone) -> bool:

@@ -148,6 +148,8 @@ def solve_left(rows: Mat, target) -> Vec | None:
 def scaled_inverse(m) -> tuple[tuple[tuple[int, ...], ...], int]:
     """(a, d) with d > 0 and a = d * m^-1 an integer matrix, from [m | I]."""
     n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("matrix is not square")
     rows, pivots, det = _eliminate([(*row, *e) for row, e in zip(m, identity(n), strict=True)])
     if pivots != tuple(range(n)):
         raise ValueError("matrix is singular")

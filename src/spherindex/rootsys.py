@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import islice
 
 from .errors import LinearlyDependent, NotARootBase, NotFiniteType
@@ -51,6 +52,9 @@ def _short_long(family: str, n: int) -> list[int]:
     return [1] * n
 
 
+# the Cartan matrix and the form of a type are built once per process: every
+# ambient datum and every classification asks for them again
+@cache
 def standard_cartan(family: str, n: int) -> Mat:
     d = _short_long(family, n)
     c = [[0] * n for _ in range(n)]
@@ -63,6 +67,7 @@ def standard_cartan(family: str, n: int) -> Mat:
     return tuple(tuple(x for x in row) for row in c)
 
 
+@cache
 def standard_form(family: str, n: int) -> Mat:
     """Gram matrix of the simple roots, short roots of squared length 2."""
     d = _short_long(family, n)
@@ -123,12 +128,9 @@ class AmbientRootDatum:
     def of(spec: list) -> "AmbientRootDatum":
         comps = []
         for k, item in enumerate(spec):
-            if isinstance(item, DynkinComponent):
-                comps.append(item)
-            else:
-                fam, rk = item[0], item[1]
-                label = item[2] if len(item) > 2 else f"c{k + 1}"
-                comps.append(DynkinComponent(fam.upper(), int(rk), label))
+            fam, rk = item[0], item[1]
+            label = item[2] if len(item) > 2 else f"c{k + 1}"
+            comps.append(DynkinComponent(fam.upper(), int(rk), label))
         return AmbientRootDatum(tuple(comps))
 
     @property

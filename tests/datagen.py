@@ -11,7 +11,7 @@ sticks to these families.
 import random
 from fractions import Fraction
 
-from spherindex.datum import SphericalDatumK, compact_split
+from spherindex.datum import SphericalDatumK
 from spherindex.errors import SpherindexError
 from spherindex.fans import FanIssue, _intersection_issues
 from spherindex.index import TitsIndex
@@ -122,7 +122,7 @@ def swap_datum(rng: random.Random):
 
 def to_abstract(d: SphericalDatumK) -> SphericalDatumK:
     """Forget the ambient group, keeping the normalized lattice data."""
-    split = compact_split(d)
+    split = d.compact_split
     return SphericalDatumK.abstract(
         d.m,
         [list(r) for r in d.pairing],
@@ -184,7 +184,7 @@ def intersection_with_subspace(lat: Lattice, subspace_rows) -> Lattice:
 
 def little_space(d: SphericalDatumK):
     """Saturated integral basis of N_k = {a : sigma0(a)=0, star-fixed}."""
-    ann = _annihilator(d, compact_split(d))
+    ann = _annihilator(d, d.compact_split)
     return integer_kernel(ann, width=d.m)
 
 

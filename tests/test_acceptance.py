@@ -227,11 +227,11 @@ def test_criterion_8_fan_engine():
     maximal = [c for c in f.cones if c.dim == 2]
     assert len(maximal) == 8
     assert not fan_validate(f)  # a complete fan leaves the support of Z_k
-    assert is_complete_for(f, zk, validated=True)
+    assert is_complete_for(f, zk)
     smaller = Fan.from_maximal(
         [[list(g) for g in c.generators] for c in maximal[:-1]]
     )
-    assert not is_complete_for(smaller, zk, validated=True)
+    assert not is_complete_for(smaller, zk)
     overlap = Fan.from_maximal([[[1, 0], [0, 1]], [[1, 1], [1, -1]]])
     kinds = {i.kind for i in fan_validate(overlap)}
     assert "intersection_not_a_face" in kinds

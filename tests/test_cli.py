@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from datagen import random_data
 from spherindex import fans
 from spherindex import cli
 from spherindex.cli import main
+from spherindex.datum import CompactRootSplit
 from spherindex.restrict import restrict_datum
 
 HERE = os.path.dirname(__file__)
@@ -185,6 +187,36 @@ def test_theorem_violation_exit_3(capsys, tmp_path):
     code, _, err = run(capsys, "analyze", path)
     assert code == 3
     assert "violation" in err
+
+
+def _negated(rows):
+    return tuple(tuple(-x for x in row) for row in rows)
+
+
+@pytest.mark.parametrize(
+    "plant, message",
+    [
+        (
+            lambda rd: replace(rd, coweights=tuple(tuple(2 * x for x in w) for w in rd.coweights)),
+            "coweight of restricted root 0 differs from its fiber sum",
+        ),
+        (
+            lambda rd: replace(rd, sigma_k=_negated(rd.sigma_k)),
+            "a chamber generator projects outside the valuation cone",
+        ),
+        (
+            lambda rd: replace(rd, split=CompactRootSplit(rd.split.noncompact[:1], rd.split.noncompact[1:])),
+            "a compact spherical root restricts nontrivially",
+        ),
+    ],
+    ids=["coweight", "chamber", "facet"],
+)
+def test_analyze_exits_3_on_a_planted_identity_violation(capsys, monkeypatch, plant, message):
+    """Each identity check of analyze reads the restricted datum; a violation
+    planted there, and in no earlier check, exits 3 with the check's message."""
+    monkeypatch.setattr(cli, "restrict_datum", lambda d: plant(restrict_datum(d)))
+    code, out, err = run(capsys, "analyze", fixture("e6.json"))
+    assert (code, out, err) == (3, "", f"theorem violation: {message}\n")
 
 
 def test_restrict_index(capsys):

@@ -6,7 +6,6 @@ from datagen import flip_matrix
 from spherindex import datum, linalg
 from spherindex.datum import (
     SphericalDatumK,
-    compact_split,
     is_valid,
     support,
     validate,
@@ -56,19 +55,19 @@ def test_support():
 
 
 def test_compact_split_sp42():
-    split = compact_split(sp42_datum())
+    split = sp42_datum().compact_split
     assert split.sigma0 == (0,)
     assert split.noncompact == (1,)
 
 
 def test_compact_split_e6_empty():
-    split = compact_split(e6_datum())
+    split = e6_datum().compact_split
     assert split.sigma0 == ()
     assert split.noncompact == (0, 1)
 
 
 def test_compact_split_no_compact_roots():
-    split = compact_split(su22_datum())
+    split = su22_datum().compact_split
     assert split.sigma0 == ()
 
 
@@ -84,7 +83,7 @@ def test_compact_split_inconsistent():
     # res but its support computation sees positive and negative parts.
     d = SphericalDatumK.ambient(ix, [[1, 0, -1]])
     with pytest.raises((InternalInconsistency, NegativeCoefficient)):
-        compact_split(d)
+        d.compact_split
 
 
 def test_validate_e6_all_pass():

@@ -8,7 +8,7 @@ import pytest
 from datagen import cover_edges, dominates, flip_matrix, per_cone_validate, random_convex_data
 from spherindex import fans
 from spherindex.datum import SphericalDatumK
-from spherindex.errors import BudgetExceeded, NotConvex, NotValidated
+from spherindex.errors import BudgetExceeded, NotConvex
 from spherindex.fans import (
     Cone,
     Fan,
@@ -108,6 +108,12 @@ def test_standard_fan_counts():
     from collections import Counter
 
     assert Counter(c.dim for c in f3.cones) == Counter({0: 1, 1: 3, 2: 3, 3: 1})
+    # the faces of the one maximal cone are the cones on the subsets of the rays
+    rd0 = restrict_datum(SphericalDatumK.abstract(0, [], [], []))
+    for rd in (rd0, rd1, rd2, rd3):
+        rays = [primitive_vector(tuple(-x for x in w)) for w in rd.coweights]
+        subsets = [Cone.of(sub) for k in range(len(rays) + 1) for sub in combinations(rays, k)]
+        assert standard_fan(rd) == Fan(tuple(sorted(subsets, key=lambda c: (c.dim, c.generators))))
 
 
 def test_standard_fan_requires_convex():
@@ -127,13 +133,6 @@ def test_single_ray_not_complete():
     _, rd = a1a1_rd()
     f = Fan.from_maximal([[[-1, 0]]])
     assert not is_complete_for(f, valuation_cone(rd))
-
-
-def test_is_complete_requires_validation():
-    _, rd = a1a1_rd()
-    f = Fan.from_maximal([[[2, 0]]])
-    with pytest.raises(NotValidated):
-        is_complete_for(f, valuation_cone(rd))
 
 
 def test_smoothness():
@@ -600,6 +599,8 @@ def test_fan_validate_matches_the_per_cone_walk(corpus_rds):
         # every pair of the three generators is independent
         (Fan.from_maximal([[[-1, 0, 0], [0, -1, 0], [-1, -1, 0]]]), a3, "not_simplicial", 1),
         (Fan.from_maximal([[[-1, -k] for k in range(12)], [[0, -1], [1, 0]]]), e6, "not_simplicial", 1),
+        # a repeated generator is kept, so the cone is dependent
+        (Fan.from_maximal([[[-1, 0], [-1, 0]]]), e6, "not_simplicial", 1),
         # (1, 0) and (0, 1) leave Z_k, each a generator of three cones
         (Fan.from_maximal(quadrants), e6, "outside_support", 6),
     ]

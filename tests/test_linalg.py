@@ -235,6 +235,13 @@ def test_inverse():
     assert d == 1 and mat_mul(m, a) == ((1, 0), (0, 1))
 
 
+# [m | I] of a wide m can have its pivots in the first columns: squareness is checked
+@pytest.mark.parametrize("m", [[[1, 0, 0]], [[1, 2, 3], [0, 1, 4]], [[1], [0]]])
+def test_scaled_inverse_rejects_a_matrix_that_is_not_square(m):
+    with pytest.raises(ValueError, match="not square"):
+        scaled_inverse(m)
+
+
 def test_find_feasible_simple():
     # x <= -1 and -x <= -2  ->  x <= -1, x >= 2: infeasible
     assert find_feasible(a_ub=[[1], [-1]], b_ub=[-1, -2], nvars=1) is None

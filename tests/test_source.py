@@ -92,8 +92,8 @@ def test_no_module_imports_a_private_name_of_another():
     ]
 
 
-# paper identities that only the tests run so far; perfbench names the first
-UNREFERENCED_ALLOWED = {"restrict.chamber_containment_check", "restrict.facet_inheritance_check"}
+# names allowed to go unreferenced in src/: none
+UNREFERENCED_ALLOWED = set()
 
 
 def _members(cls: ast.ClassDef):
