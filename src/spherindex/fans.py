@@ -209,7 +209,7 @@ def _intersection_issues(f: Fan) -> list[FanIssue]:
     ]
 
 
-def fan_validate(f: Fan, zk: ValuationCone | None = None) -> list[FanIssue]:
+def fan_validate(f: Fan, zk: ValuationCone) -> list[FanIssue]:
     """The issues of each kind in the order of ``f.cones``.  A subset of independent
     vectors is independent, so only the maximal cones are tested, and each distinct
     generator once; the cones are walked only to list what failed."""
@@ -236,14 +236,13 @@ def fan_validate(f: Fan, zk: ValuationCone | None = None) -> list[FanIssue]:
                     )
     if not any(i.kind in ("not_simplicial", "zero_generator") for i in issues):
         issues += _intersection_issues(f)
-    if zk is not None:
-        # print the root as Fractions: the text must not depend on the entry type
-        outside = {
-            g: [f"generator {g} violates {tuple(map(Fraction, s))}" for s in zk.inequalities if dot(s, g) > 0]
-            for g in f.rays
-        }
-        if any(outside.values()):
-            issues += [FanIssue("outside_support", t) for c in f.cones for g in c.generators for t in outside[g]]
+    # print the root as Fractions: the text must not depend on the entry type
+    outside = {
+        g: [f"generator {g} violates {tuple(map(Fraction, s))}" for s in zk.inequalities if dot(s, g) > 0]
+        for g in f.rays
+    }
+    if any(outside.values()):
+        issues += [FanIssue("outside_support", t) for c in f.cones for g in c.generators for t in outside[g]]
     return issues
 
 

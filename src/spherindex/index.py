@@ -10,17 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
-from math import lcm
 
-from .errors import BudgetExceeded, DatumConstructionError, NotARootBase, NotFiniteType
+from .errors import DatumConstructionError, NotARootBase, NotFiniteType
 from .linalg import (
     Mat,
     Vec,
     dot,  # noqa: F401  perfbench/tests checks that the tracer wraps this binding
-    identity,
     integer_kernel,
-    mat_mul,
     mat_mul_t,
     minus_identity,
     scaled_inverse,
@@ -32,15 +28,9 @@ from .rootsys import (
     RestrictedRoots,
     RootBase,
     image_fibers,
-    orbit,
     positive_roots_in_base_coords,
     type_name_of,
 )
-
-STAR_GROUP_CAP = 10000
-# the largest order of a finite subgroup of GL_n(Q), n = 0..5 (Minkowski;
-# Feit; Friedland, Proc. AMS 125 (1997) 3519-3526)
-MINKOWSKI_BOUND = (1, 2, 12, 48, 1152, 3840)
 
 
 @dataclass(frozen=True)
@@ -67,33 +57,6 @@ class StarAction:
                 if hit not in subset:
                     out.append((k, i))
         return out
-
-    def elements(self) -> list[Mat]:
-        """All elements of the generated group (BFS closure).  The powers of a
-        generator with |tr| > n or |det| not 0 or 1 are distinct: no cap holds,
-        which is decided before the closure, whose entries would grow without
-        bound.  A finite group of invertible generators, n <= 5, has at most
-        MINKOWSKI_BOUND[n] elements; a singular generator closes to a monoid,
-        which only STAR_GROUP_CAP bounds."""
-        cap = MINKOWSKI_BOUND[self.dim] if self.dim < len(MINKOWSKI_BOUND) else STAR_GROUP_CAP
-        for k, g in enumerate(self.generators):
-            # repeating powers leave only 0 and roots of unity as eigenvalues
-            if abs(sum(g[i][i] for i in range(self.dim))) > self.dim:
-                raise BudgetExceeded(f"star generator {k} has infinite order (|tr| > {self.dim})")
-            # d = |det(den * g)| = den**n |det g|, den * g being integral
-            den = lcm(*(x.denominator for row in g for x in row))
-            try:
-                d = scaled_inverse([[x * den for x in row] for row in g])[1]
-            except ValueError:
-                cap = STAR_GROUP_CAP  # singular: the closure decides
-                continue
-            if d != den ** self.dim:
-                raise BudgetExceeded(f"star generator {k} has infinite order (|det| != 1)")
-        closure = orbit([identity(self.dim)], lambda m: (mat_mul(m, g) for g in self.generators))
-        group = list(islice(closure, cap + 1))
-        if len(group) > cap:
-            raise BudgetExceeded(f"star action generated {len(group)} elements > cap {cap}")
-        return sorted(group)
 
     def is_permutation_action(self) -> bool:
         pattern = [0] * (self.dim - 1) + [1]
@@ -142,11 +105,6 @@ class TitsIndex:
         out = []
         if not self.star.is_permutation_action():
             out.append("star generator does not permute the simple roots")
-            # a group of permutation matrices is finite; only other generators need the closure
-            try:
-                self.star.elements()
-            except BudgetExceeded:
-                out.append("star action does not generate a finite group")
         else:
             # the star action permutes the simple roots by diagram automorphisms
             # (Borel-Tits 1965, section 6): C[p(i)][p(j)] = C[i][j]

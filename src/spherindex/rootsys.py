@@ -138,10 +138,10 @@ class AmbientRootDatum:
         return sum(c.rank for c in self.components)
 
     def cartan(self) -> Mat:
-        return _block_sum([standard_cartan(c.family, c.rank) for c in self.components])
+        return _block_sum(standard_cartan, self.components)
 
     def form(self) -> Mat:
-        return _block_sum([standard_form(c.family, c.rank) for c in self.components])
+        return _block_sum(standard_form, self.components)
 
     def root_names(self) -> list[str]:
         if len(self.components) == 1:
@@ -158,15 +158,17 @@ class AmbientRootDatum:
             raise KeyError(f"unknown simple root {name!r}") from None
 
 
-def _block_sum(blocks: list[Mat]) -> Mat:
-    n = sum(len(b) for b in blocks)
+# built once per list of components: the index, the datum and each check ask again
+@cache
+def _block_sum(standard, components: tuple[DynkinComponent, ...]) -> Mat:
+    n = sum(c.rank for c in components)
     out = [[0] * n for _ in range(n)]
     off = 0
-    for b in blocks:
-        for i, row in enumerate(b):
+    for c in components:
+        for i, row in enumerate(standard(c.family, c.rank)):
             for j, x in enumerate(row):
                 out[off + i][off + j] = x
-        off += len(b)
+        off += c.rank
     return tuple(tuple(r) for r in out)
 
 

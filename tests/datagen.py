@@ -24,8 +24,12 @@ from spherindex.linalg import (
     solve_left,
     vec_mat,
 )
-from spherindex.restrict import _annihilator, restrict_datum
+from spherindex.restrict import ValuationCone, _annihilator, restrict_datum
 from spherindex.rootsys import AmbientRootDatum, RootBase, classify, generate_roots, type_name_of
+
+
+# Z_k with no inequalities: the whole space, for fans checked without a datum
+NO_CONE = ValuationCone((), (), ())
 
 
 def fvec(v):
@@ -216,7 +220,7 @@ def cover_edges(f) -> tuple:
     return tuple(sorted((index[w], j) for j, c in enumerate(f.cones) for w in f.facet_map[c]))
 
 
-def per_cone_validate(f, zk=None) -> list:
+def per_cone_validate(f, zk) -> list:
     """fan_validate as one walk over every cone: each generator occurrence is
     tested for zero and primitivity, each cone for independence, each face
     for presence and each occurrence against the support."""
@@ -236,13 +240,12 @@ def per_cone_validate(f, zk=None) -> list:
                 issues.append(FanIssue("missing_face", f"face {face.generators} of {c.generators}"))
     if not any(i.kind in ("not_simplicial", "zero_generator") for i in issues):
         issues += _intersection_issues(f)
-    if zk is not None:
-        for c in f.cones:
-            for g in c.generators:
-                for s in zk.inequalities:
-                    if dot(s, g) > 0:
-                        text = f"generator {g} violates {tuple(map(Fraction, s))}"
-                        issues.append(FanIssue("outside_support", text))
+    for c in f.cones:
+        for g in c.generators:
+            for s in zk.inequalities:
+                if dot(s, g) > 0:
+                    text = f"generator {g} violates {tuple(map(Fraction, s))}"
+                    issues.append(FanIssue("outside_support", text))
     return issues
 
 

@@ -9,6 +9,7 @@ seeded geometric generators in datagen.
 from fractions import Fraction
 
 from datagen import (
+    NO_CONE,
     cover_edges,
     divisor_scan_indivisible,
     flip_matrix,
@@ -226,14 +227,14 @@ def test_criterion_8_fan_engine():
     f = weyl_saturate(standard_fan(rd), rd)
     maximal = [c for c in f.cones if c.dim == 2]
     assert len(maximal) == 8
-    assert not fan_validate(f)  # a complete fan leaves the support of Z_k
+    assert not fan_validate(f, NO_CONE)  # a complete fan leaves the support of Z_k
     assert is_complete_for(f, zk)
     smaller = Fan.from_maximal(
         [[list(g) for g in c.generators] for c in maximal[:-1]]
     )
     assert not is_complete_for(smaller, zk)
     overlap = Fan.from_maximal([[[1, 0], [0, 1]], [[1, 1], [1, -1]]])
-    kinds = {i.kind for i in fan_validate(overlap)}
+    kinds = {i.kind for i in fan_validate(overlap, NO_CONE)}
     assert "intersection_not_a_face" in kinds
     passed(8, "B2 saturation has 8 chambers, wall criterion and face check work")
 

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from datagen import cover_edges, dominates, flip_matrix, per_cone_validate, random_convex_data
+from datagen import NO_CONE, cover_edges, dominates, flip_matrix, per_cone_validate, random_convex_data
 from spherindex import fans
 from spherindex.datum import SphericalDatumK
 from spherindex.errors import BudgetExceeded, NotConvex
@@ -33,7 +33,7 @@ from spherindex.linalg import (
     transpose,
     vec_mat,
 )
-from spherindex.restrict import ValuationCone, restrict_datum, valuation_cone
+from spherindex.restrict import restrict_datum, valuation_cone
 from spherindex.rootsys import AmbientRootDatum, orbit
 
 H = Fraction(1, 2)
@@ -76,13 +76,13 @@ def test_fan_validate_clean():
 def test_fan_validate_flags_overlap():
     # two 2-dim cones overlapping in a wedge, not in a common face
     f = Fan.from_maximal([[[1, 0], [0, 1]], [[1, 1], [1, -1]]])
-    issues = fan_validate(f)
+    issues = fan_validate(f, NO_CONE)
     assert any(i.kind == "intersection_not_a_face" for i in issues)
 
 
 def test_fan_validate_flags_primitivity_and_support():
     f = Fan.from_maximal([[[2, 0]]])
-    issues = fan_validate(f)
+    issues = fan_validate(f, NO_CONE)
     assert any(i.kind == "not_primitive" for i in issues)
     _, rd = a1a1_rd()
     zk = valuation_cone(rd)
@@ -244,12 +244,9 @@ def test_weyl_saturate_b2():
     maximal = sat.maximal_cones
     assert len(maximal) == 8
     assert len([c for c in sat.cones if c.dim == 1]) == 8
-    assert fan_validate(sat) == []
+    assert fan_validate(sat, NO_CONE) == []
     # saturation of a complete fan is classically complete
-    from spherindex.restrict import ValuationCone
-
-    free = ValuationCone(inequalities=(), lineality=(), extremal_rays=())
-    assert is_complete_for(sat, free)
+    assert is_complete_for(sat, NO_CONE)
 
 
 def test_weyl_saturate_reflection_stable():
@@ -298,8 +295,8 @@ def corpus_rds():
 
 
 def all_pairs_issues(f):
-    """fan_validate(f) with the intersection check run over every pair of cones."""
-    issues = [i for i in fan_validate(f) if i.kind != "intersection_not_a_face"]
+    """fan_validate(f, NO_CONE) with the intersection check run over every pair of cones."""
+    issues = [i for i in fan_validate(f, NO_CONE) if i.kind != "intersection_not_a_face"]
     if any(i.kind in ("not_simplicial", "zero_generator") for i in issues):
         return issues
     return issues + [
@@ -330,13 +327,13 @@ def swap_in_overlap(f):
 def test_fan_validate_matches_all_pairs_oracle(corpus_rds):
     chambers = [chamber_fan(split_rd(fam, n)) for fam, n in [("A", 2), ("B", 2), ("A", 3)]]
     for f in chambers:
-        assert fan_validate(f) == all_pairs_issues(f) == []
+        assert fan_validate(f, NO_CONE) == all_pairs_issues(f) == []
     for rd in corpus_rds:
         f = standard_fan(rd)
-        assert fan_validate(f) == all_pairs_issues(f) == []
+        assert fan_validate(f, NO_CONE) == all_pairs_issues(f) == []
     for f in chambers + [chamber_fan(e6_rd()[1])]:
         broken = swap_in_overlap(f)
-        issues = fan_validate(broken)
+        issues = fan_validate(broken, NO_CONE)
         assert any(i.kind == "intersection_not_a_face" for i in issues)
         assert issues == all_pairs_issues(broken)
 
@@ -375,15 +372,14 @@ def test_fan_lp_counts(monkeypatch):
     assert fan_validate(f6, valuation_cone(rd6)) == []
     strata(f6, rd6)
     assert len(calls) == 0
-    assert fan_validate(a3) == []
+    assert fan_validate(a3, NO_CONE) == []
     assert len(calls) == 0  # the walls pair up: no LP on the 24 chambers
     rd4 = split_rd("A", 4)
     a4 = chamber_fan(rd4)
     assert len(a4.cones) == 541
-    assert fan_validate(a4) == []
+    assert fan_validate(a4, NO_CONE) == []
     assert len(calls) == 0
-    free = ValuationCone(inequalities=(), lineality=(), extremal_rays=())
-    assert is_complete_for(a4, free)
+    assert is_complete_for(a4, NO_CONE)
 
 
 PENTAGRAM = [(1, 0), (-4, 3), (3, -5), (1, 5), (-5, -3)]
@@ -420,7 +416,7 @@ def test_paired_walls_that_do_not_make_a_fan_reach_the_lp_path(monkeypatch):
     for f in (pentagram, suspension, on_a_wall, folded):
         assert all(len(cs) == 2 for cs in f.walls.values())
         lps.clear()
-        issues = fan_validate(f)
+        issues = fan_validate(f, NO_CONE)
         assert lps
         assert any(i.kind == "intersection_not_a_face" for i in issues)
         assert issues == all_pairs_issues(f)
@@ -437,8 +433,8 @@ def test_missing_faces_match_the_face_enumeration():
             if face not in cones
         ]
         assert listed
-        assert [i for i in fan_validate(Fan(cones)) if i.kind == "missing_face"] == listed
-    assert not [i for i in fan_validate(Fan(full)) if i.kind == "missing_face"]
+        assert [i for i in fan_validate(Fan(cones), NO_CONE) if i.kind == "missing_face"] == listed
+    assert not [i for i in fan_validate(Fan(full), NO_CONE) if i.kind == "missing_face"]
 
 
 def bfs_saturate(f, rd, cap=None):
@@ -609,7 +605,7 @@ def test_fan_validate_matches_the_per_cone_walk(corpus_rds):
         issues = fan_validate(f, zk)
         assert Counter(i.kind for i in issues)[kind] == count
         assert issues == per_cone_validate(f, zk)
-        assert fan_validate(f) == per_cone_validate(f)
+        assert fan_validate(f, NO_CONE) == per_cone_validate(f, NO_CONE)
 
 
 def test_smoothness_and_strata_match_lattice_index_and_integer_kernel(corpus_rds):
@@ -653,7 +649,7 @@ def test_fan_engine_runs_each_check_once_per_maximal_cone_or_ray(monkeypatch):
     assert (len(a4.cones), len(a4.maximal_cones)) == (541, 120)
     for name in ("rank", "primitive_vector", "lattice_index", "integer_kernel"):
         monkeypatch.setattr(fans, name, counting(name, getattr(fans, name)))
-    for f, rd, zk in [(a6, rd6, valuation_cone(rd6)), (a4, rd4, None)]:
+    for f, rd, zk in [(a6, rd6, valuation_cone(rd6)), (a4, rd4, NO_CONE)]:
         rays = len({g for c in f.cones for g in c.generators})
         calls.clear()
         assert fan_validate(f, zk) == []

@@ -5,6 +5,7 @@ from itertools import islice
 import pytest
 from sympy import Matrix
 
+from spherindex import rootsys
 from spherindex.errors import NotARootBase, NotFiniteType
 from datagen import classified_type_name, flip_matrix, fmat
 from spherindex.cli import parse_index
@@ -286,6 +287,19 @@ def test_ambient_form_is_block_sum():
     amb = AmbientRootDatum.of([("A", 1), ("G", 2)])
     f = amb.form()
     assert f[0][0] == 2 and f[0][1] == 0 and f[1][2] == -3
+
+
+def test_block_sums_are_built_once_per_list_of_components():
+    """form() and cartan() each build their block sum once: a seed-5
+    corpus-mixed pass built 2,520, each ambient asking again for the same two."""
+    built = rootsys._block_sum.cache_info().misses
+    # labels no other test uses, so no earlier call has built these sums
+    spec = [("C", 3, "once1"), ("G", 2, "once2")]
+    for _ in range(3):
+        amb = AmbientRootDatum.of(spec)
+        assert amb.form() == AmbientRootDatum.of(spec).form()
+        assert amb.cartan()[3][4] == -1 and amb.form()[3][4] == -3
+    assert rootsys._block_sum.cache_info().misses - built == 2
 
 
 def test_orbit_is_lazy():

@@ -7,7 +7,7 @@ exact division is written ``Fraction(a, b)``; a function that nothing in
 ``src/`` names, or a class member that nothing in ``src/`` reads, is dead
 code; a sum of products belongs to the one product kernel in ``linalg``; an
 underscore-prefixed name is private to its module, so no other module of the
-package imports it.
+package imports it; an import that its module never names is dead.
 """
 
 import ast
@@ -89,6 +89,42 @@ def test_no_module_imports_a_private_name_of_another():
     assert private_imports([("restrict.py", planted)]) == [
         "restrict.py:1: imports _eliminate",
         "restrict.py:2: imports _issues",
+    ]
+
+
+# imports allowed to go unused in their module, each with its reason
+UNUSED_IMPORTS_ALLOWED = {
+    # perfbench/tests asserts that the tracer wraps this binding of index
+    "index.py: imports dot",
+}
+
+
+def unused_imports(trees):
+    """Each name that a module imports and never names (as a Name, or as
+    the root of an attribute chain); ``__future__`` imports are directives."""
+    found = []
+    for name, tree in trees:
+        named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [
+            f"{name}: imports {bound}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+            if (bound := alias.asname or alias.name.split(".")[0]) not in named
+        ]
+    return found
+
+
+def test_every_import_is_used():
+    assert set(unused_imports(source_trees())) == UNUSED_IMPORTS_ALLOWED
+    planted = ast.parse(
+        "from itertools import islice\nfrom math import gcd, lcm\nimport os.path\n"
+        "print(gcd(4, 6))"
+    )
+    assert unused_imports([("index.py", planted)]) == [
+        "index.py: imports islice",
+        "index.py: imports lcm",
+        "index.py: imports os",
     ]
 
 
