@@ -238,16 +238,64 @@ def _flat(v) -> str:
     return str(v)
 
 
-def _json_rational(q: Fraction) -> int | str:
-    """A rational in JSON: an int when integral, else "p/q"."""
-    return int(q) if q.denominator == 1 else str(q)
+_escape = json.encoder.encode_basestring_ascii  # the escaper of json.dumps
+
+
+def _json(node, pad: str, memo: dict) -> str:
+    """One node as ``json.dumps(sort_keys=True, indent=2)`` writes it at indent
+    ``pad``, with a ``Fraction`` as an int when integral, else "p/q".
+
+    ``json.dumps`` with ``indent`` runs its pure-Python encoder; here the
+    escaping and each sequence of ints are C-level calls.  ``memo`` holds the
+    text of each (sequence of ints, pad): rays and roots repeat across cones.
+    """
+    if isinstance(node, str):
+        return _escape(node)
+    if type(node) is int:  # not bool, which would print as 1
+        return int.__repr__(node)
+    inner = pad + "  "
+    if isinstance(node, (list, tuple)):
+        if node and set(map(type, node)) == {int}:
+            key = (tuple(node), pad)
+            text = memo.get(key)
+            if text is None:
+                text = memo[key] = "[\n" + inner + (",\n" + inner).join(map(int.__repr__, node)) + "\n" + pad + "]"
+            return text
+        items, ends = [_json(x, inner, memo) for x in node], "[]"
+    elif isinstance(node, dict):
+        items, ends = [_escape(k) + ": " + _json(v, inner, memo) for k, v in sorted(node.items())], "{}"
+    elif node is None or type(node) is bool:
+        return "null" if node is None else "true" if node else "false"
+    elif isinstance(node, Fraction):
+        return int.__repr__(node.numerator) if node.denominator == 1 else _escape(str(node))
+    else:
+        raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
+    if not items:
+        return ends
+    return ends[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + pad + ends[1]
 
 
 def emit(report: dict, fmt: str):
-    if fmt == "json":
-        print(json.dumps(report, sort_keys=True, indent=2, default=_json_rational))
-    else:
+    """Print a report; JSON goes out one top-level key, and one item of a
+    top-level list, at a time."""
+    if fmt != "json":
         print("\n".join(_render_text(report)))
+        return
+    write = sys.stdout.write  # looked up per call: callers redirect stdout
+    memo = {}
+    head = "{"
+    for key, value in sorted(report.items()):
+        write(head + "\n  " + _escape(key) + ": ")
+        head = ","
+        if value and isinstance(value, (list, tuple)):
+            sep = "["
+            for item in value:
+                write(sep + "\n    " + _json(item, "    ", memo))
+                sep = ","
+            write("\n  ]")
+        else:
+            write(_json(value, "  ", memo))
+    write("\n}\n" if report else "{}\n")
 
 
 # ---------------------------------------------------------------------------

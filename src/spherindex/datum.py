@@ -88,7 +88,8 @@ class SphericalDatumK:
             sigma.append(c)
         b = ix.ambient.form()
         basis = xi.rows_q()
-        pairing = gram(basis, b)
+        # integral entries as ints, as the parser gives them
+        pairing = tuple(tuple(x.numerator if x.denominator == 1 else x for x in row) for row in gram(basis, b))
         star_xi = []
         for g in ix.star.generators:
             rows = []

@@ -49,7 +49,7 @@ class StarAction:
         return StarAction(gens, dim)
 
     def moved_out(self, subset) -> list[tuple[int, int]]:
-        """Pairs (k, i) where generator k sends simple root i out of ``subset``."""
+        """Pairs (k, i) where permutation generator k sends simple root i out of ``subset``."""
         out = []
         for k, g in enumerate(self.generators):
             for i in subset:
@@ -113,8 +113,8 @@ class TitsIndex:
                 p = [row.index(1) for row in g]
                 if any(c[p[i]][p[j]] != c[i][j] for i in range(len(p)) for j in range(len(p))):
                     out.append(f"star generator {k} is not a diagram automorphism")
-        for k, i in self.star.moved_out(set(self.compact)):
-            out.append(f"star generator {k} moves compact root {i} out of the compact set")
+            for k, i in self.star.moved_out(set(self.compact)):
+                out.append(f"star generator {k} moves compact root {i} out of the compact set")
         if not out:
             try:
                 self.simple_roots

@@ -1,5 +1,7 @@
+import contextlib
 import copy
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 from datagen import random_data
 from spherindex import fans
 from spherindex import cli
-from spherindex.cli import main
+from spherindex.cli import emit, main
 from spherindex.datum import CompactRootSplit
 from spherindex.restrict import restrict_datum
 
@@ -101,9 +103,100 @@ def test_text_output_is_pinned(capsys):
     assert got == TEXT_OUTPUT_SHA256
 
 
-def test_json_roundtrip(capsys):
-    code, out, _ = run(capsys, "--format", "json", "analyze", fixture("e6.json"))
-    assert json.loads(json.dumps(json.loads(out), sort_keys=True)) == json.loads(out)
+def _json_rational(q):
+    """The reference writer's hook: a Fraction as an int when integral, else "p/q"."""
+    return int(q) if q.denominator == 1 else str(q)
+
+
+def reference_json(report) -> str:
+    return json.dumps(report, sort_keys=True, indent=2, default=_json_rational) + "\n"
+
+
+def emitted_json(report) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.emit(report, "json")
+    return out.getvalue()
+
+
+KEYS = st.text(st.sampled_from('ab"\\/\x00\x1f\n\t\x7f×é€\U0001f600'), max_size=4)
+LEAVES = (
+    KEYS
+    | st.integers()
+    | st.fractions()
+    | st.integers().map(Fraction)
+    | st.sampled_from([True, False, 0, 1, None])
+    | st.lists(st.integers(-2, 2), max_size=4).map(tuple)
+)
+
+
+def nodes(depth: int):
+    """Nested lists, tuples and dicts, ``depth`` levels below the one given."""
+    if depth == 0:
+        return LEAVES
+    inner = nodes(depth - 1)
+    return (
+        LEAVES
+        | st.lists(inner, max_size=3)
+        | st.lists(inner, max_size=3).map(tuple)
+        | st.dictionaries(KEYS, inner, max_size=3)
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(report=st.dictionaries(KEYS, nodes(3), max_size=4))
+@example(report={})
+@example(
+    report={
+        "rays": [(1, 0), (True, False), [1, 0], (1, 0), ((1, 0), (0, 1))],
+        "leaves": [Fraction(-3), Fraction(-1, 2), Fraction(4, 2), 0, 1, True, False, None, '×é"\\\x01'],
+        "empty": [[], (), {}, [[], {"": ()}]],
+    }
+)
+def test_emit_writes_the_bytes_of_json_dumps(report):
+    """The writer prints what ``json.dumps(sort_keys=True, indent=2)`` with
+    the Fraction hook printed: True beside 1, and a tuple of bools beside an
+    equal tuple of ints, each keep their own text."""
+    assert emitted_json(report) == reference_json(report)
+
+
+@pytest.mark.parametrize("value", [1.5, {1, 2}, b"x", object()])
+def test_emit_refuses_a_value_that_no_report_holds(value):
+    """A float, which json.dumps would print, is refused as well: a report
+    holds only ints and "p/q" strings (test_json_reports_hold_no_float)."""
+    with pytest.raises(TypeError):
+        emitted_json({"a": [value]})
+
+
+class RecordedWrites(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, s):
+        self.sizes.append(len(s))
+        return super().write(s)
+
+
+def test_json_report_is_streamed(tmp_path, monkeypatch):
+    """The report of split A6's standard fan (64 strata) goes out in pieces,
+    none a tenth of the whole; the whole is what json.dumps wrote."""
+    n = 6
+    basis = [[int(i == j) for j in range(n)] for i in range(n)]
+    datum = write(tmp_path, "a6.json", {
+        "schema_version": "1",
+        "mode": "ambient",
+        "ambient": {"components": [{"family": "A", "rank": n}]},
+        "spherical": {"sigma": basis},
+    })
+    reports = []
+    monkeypatch.setattr(cli, "emit", lambda report, fmt: reports.append(report) or emit(report, fmt))
+    out = RecordedWrites()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["--format", "json", "standard-fan", datum]) == 0
+    assert len(reports[0]["strata"]) == 64
+    assert out.getvalue() == reference_json(reports[0])
+    assert max(out.sizes) < len(out.getvalue()) / 10
 
 
 def test_missing_file_exit_2(capsys):
@@ -565,12 +658,14 @@ def test_the_shared_parser_keeps_no_options_between_calls(capsys, tmp_path):
 
 
 A5_SATURATED_SHA256 = "6e8139675dbec676d78feab96fac6e04861e31be2b06dbca5a5d8faad846785a"
+A5_SATURATED_TEXT_SHA256 = "131a211a8041acba9220ed3efcf4393501d7d38f4b289dfd986025b5840082a0"
 
 
 def test_saturated_standard_fan_of_split_a5_is_pinned(tmp_path):
     """The saturated standard fan of split A5 is the braid fan: Fubini(6) =
-    4,683 cones (OEIS A000670), of which 6! = 720 are chambers.  The stdout
-    digest was captured before the fan engine tested once per maximal cone."""
+    4,683 cones (OEIS A000670), of which 6! = 720 are chambers.  The JSON
+    digest was captured before the fan engine tested once per maximal cone,
+    the text digest before the JSON writer replaced ``json.dumps``."""
     n = 5
     basis = [[int(i == j) for j in range(n)] for i in range(n)]
     datum = write(tmp_path, "a5.json", {
@@ -580,17 +675,21 @@ def test_saturated_standard_fan_of_split_a5_is_pinned(tmp_path):
         "spherical": {"sigma": basis},
     })
     fan_path = write(tmp_path, "fan.json", {"cones": [[[-x for x in row] for row in basis]]})
-    proc = subprocess.run(
-        [sys.executable, "-m", "spherindex.cli", "--format", "json", "fan", datum, "--fan", fan_path,
-         "--saturate", "--check", "complete", "--check", "smooth", "--strata"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env={**os.environ, "PYTHONPATH": SRC},
-    )
-    assert proc.returncode == 0
-    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == A5_SATURATED_SHA256
-    cones = json.loads(proc.stdout)["saturated_cones"]
+    stdout = {}
+    for fmt in ("json", "text"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "spherindex.cli", "--format", fmt, "fan", datum, "--fan", fan_path,
+             "--saturate", "--check", "complete", "--check", "smooth", "--strata"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert proc.returncode == 0
+        stdout[fmt] = proc.stdout
+    assert hashlib.sha256(stdout["json"].encode()).hexdigest() == A5_SATURATED_SHA256
+    assert hashlib.sha256(stdout["text"].encode()).hexdigest() == A5_SATURATED_TEXT_SHA256
+    cones = json.loads(stdout["json"])["saturated_cones"]
     assert len(cones) == 4683
     assert sum(len(c) == n for c in cones) == 720
 
@@ -827,6 +926,9 @@ def test_integral_input_stays_int():
     docs = FIXTURE_DOCS + [datum_doc(d) for d in random_data(20261018, 24)]
     integral = [doc for doc in docs if all(q.denominator == 1 for q in _numbers(doc))]
     assert len(integral) == len(docs) - 1  # all but e6, whose second root has halves
+    e6 = cli.parse_datum(FIXTURE_DOCS[1])
+    assert e6.pairing == ((2, -1), (-1, 1))
+    assert all(type(x) is int for r in e6.pairing for x in r), e6.pairing  # its Gram matrix is integral
     for doc in integral:
         d = cli.parse_datum(doc)
         rd = restrict_datum(d)

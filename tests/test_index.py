@@ -193,6 +193,16 @@ def test_non_permutation_star_generator_fails_at_once(tmp_path, case, command):
         assert checks["index_well_formed"]["detail"] == "star generator does not permute the simple roots"
 
 
+@pytest.mark.parametrize("g", [[[2, 0], [0, 1]], [[1, 1], [0, 1]]])
+def test_a_non_permutation_star_generator_reports_no_compact_root_line(g):
+    """Which compact roots a generator moves out is read off a permutation
+    matrix.  Read off these two, the line was wrong both ways: the first keeps
+    a1 on its own line yet was said to move it out, the second sends a1 to
+    a1 + a2 with no line."""
+    ix = TitsIndex.of(AmbientRootDatum.of([("A", 2)]), [0], [g])
+    assert ix.violations() == ["star generator does not permute the simple roots"]
+
+
 def emitted(capsys, report):
     """A report as ``--format json`` prints it."""
     emit(report, "json")

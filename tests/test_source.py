@@ -7,7 +7,9 @@ exact division is written ``Fraction(a, b)``; a function that nothing in
 ``src/`` names, or a class member that nothing in ``src/`` reads, is dead
 code; a sum of products belongs to the one product kernel in ``linalg``; an
 underscore-prefixed name is private to its module, so no other module of the
-package imports it; an import that its module never names is dead.
+package imports it; an import that its module never names is dead;
+``json.dumps`` with ``indent`` runs the pure-Python encoder and builds the
+whole text, so reports go through the streaming writer ``cli.emit``.
 """
 
 import ast
@@ -90,6 +92,38 @@ def test_no_module_imports_a_private_name_of_another():
         "restrict.py:1: imports _eliminate",
         "restrict.py:2: imports _issues",
     ]
+
+
+JSON_WRITERS = {"dump", "dumps"}
+
+
+def json_writer_uses(trees):
+    """Each use of ``json.dump`` or ``json.dumps``, by attribute or by import."""
+    return [
+        f"{name}:{node.lineno}: json writer"
+        for name, tree in trees
+        for node in ast.walk(tree)
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in JSON_WRITERS
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "json"
+        )
+        or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "json"
+            and any(alias.name in JSON_WRITERS for alias in node.names)
+        )
+    ]
+
+
+def test_no_json_dump_in_src():
+    assert json_writer_uses(source_trees()) == []
+    planted = ast.parse(
+        "import json\nprint(json.dumps(report, indent=2))\nfrom json import dump, load\n"
+        "doc = json.load(fh)"
+    )
+    assert sorted(json_writer_uses([("cli.py", planted)])) == ["cli.py:2: json writer", "cli.py:3: json writer"]
 
 
 # imports allowed to go unused in their module, each with its reason
