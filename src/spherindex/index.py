@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 from .errors import DatumConstructionError, NotARootBase, NotFiniteType
 from .linalg import (
@@ -49,12 +50,12 @@ class StarAction:
         return StarAction(gens, dim)
 
     def moved_out(self, subset) -> list[tuple[int, int]]:
-        """Pairs (k, i) where permutation generator k sends simple root i out of ``subset``."""
+        """Pairs (k, i) where generator k sends simple root i out of ``subset``:
+        row i of the generator has a nonzero entry outside it."""
         out = []
         for k, g in enumerate(self.generators):
             for i in subset:
-                hit = next((t for t in range(self.dim) if g[i][t] == 1), None)
-                if hit not in subset:
+                if any(x for t, x in enumerate(g[i]) if t not in subset):
                     out.append((k, i))
         return out
 
@@ -172,7 +173,9 @@ def restricted_simple_roots(ix: TitsIndex) -> RestrictedSimpleRoots:
 
 
 def ambient_roots(ambient: AmbientRootDatum) -> list[Vec]:
-    pos = positive_roots_in_base_coords(ambient.cartan(), [(c.family, c.rank) for c in ambient.components])
+    starts = accumulate((c.rank for c in ambient.components), initial=0)
+    components = [(c.family, c.rank, tuple(range(s, s + c.rank))) for c, s in zip(ambient.components, starts)]
+    pos = positive_roots_in_base_coords(components, ambient.dim)
     return pos + [tuple(-x for x in v) for v in pos]
 
 

@@ -14,7 +14,7 @@ from functools import cache
 from itertools import islice
 
 from .errors import LinearlyDependent, NotARootBase, NotFiniteType
-from .linalg import Mat, Vec, content, dot, gram, identity, mat_mul, rank, transpose
+from .linalg import Mat, Vec, content, gram, identity, mat_mul, mat_mul_t, rank, transpose
 
 VALID_RANKS = {
     "A": lambda n: n >= 1,
@@ -239,16 +239,12 @@ def graph_components(c) -> list[list[int]]:
     return comps
 
 
-def _candidate_types(n: int) -> list[tuple[str, int]]:
-    out = []
-    for fam in "ABCDEFG":
-        if VALID_RANKS[fam](n):
-            out.append((fam, n))
-    return out
-
-
 def _match(c_sub: Mat, c_std: Mat) -> list[int] | None:
     """Permutation p with c_sub[i][j] == c_std[p[i]][p[j]], or None."""
+    # a permutation keeps the multiset of row sums: on a finite-type input
+    # this rejects every wrong candidate but D_n against E_n before the search
+    if sorted(map(sum, c_sub)) != sorted(map(sum, c_std)):
+        return None
     n = len(c_sub)
     perm = [-1] * n
     used = [False] * n
@@ -294,10 +290,9 @@ def classify(c) -> list[tuple[str, int, tuple[int, ...]]]:
             perm = [0, 1]
             found = (fam, 2, perm)
         else:
-            for fam, rk in _candidate_types(n):
-                perm = _match(sub, standard_cartan(fam, rk))
-                if perm is not None:
-                    found = (fam, rk, perm)
+            for fam in "ABCDEFG":
+                if VALID_RANKS[fam](n) and (perm := _match(sub, standard_cartan(fam, n))) is not None:
+                    found = (fam, n, perm)
                     break
         if found is None:
             raise NotFiniteType("Cartan matrix is not of finite type")
@@ -321,35 +316,52 @@ def weyl_order(types) -> int:
     return order
 
 
-def simple_reflection(v, col, j: int) -> tuple:
-    """s_j(v) = v - <v, a_j^vee> a_j on base coordinates; col is column j of the Cartan matrix."""
-    return v[:j] + (v[j] - dot(v, col),) + v[j + 1:]
-
-
 def generate_roots(base: RootBase) -> list[Vec]:
     """All roots of the finite system spanned by the base.
 
     Roots come back as rational vectors in the ambient coordinates of the
     base, sorted by their base coordinates.
     """
-    pos = positive_roots_in_base_coords(base.cartan, base.types)
+    pos = positive_roots_in_base_coords(base.components, len(base))
     roots = sorted(pos + [tuple(-x for x in v) for v in pos])
     return list(mat_mul(roots, base.vectors))
 
 
-def positive_roots_in_base_coords(c: Mat, types) -> list[tuple[int, ...]]:
-    """Positive roots of a Cartan matrix, as sorted integer base-coordinate rows.
+@cache
+def _standard_positive_roots(family: str, n: int) -> tuple[tuple[int, ...], ...]:
+    """Positive roots of a standard type, enumerated once per process.
 
-    The reflection closure of the simple roots; the count is checked against
-    the (family, rank) ``types`` of ``c``.
+    The ascending closure of the simple roots, v -> v - <v, a_j^vee> a_j
+    where the pairing is negative: a non-simple positive root b has some j
+    with <b, a_j^vee> > 0, and s_j b is a lower positive root (Bourbaki VI, 1.6).
     """
-    cols = transpose([tuple(map(int, row)) for row in c])
-    bound = sum(root_count(fam, rk) for fam, rk in types)
-    closure = orbit(identity(len(c)), lambda v: (simple_reflection(v, col, j) for j, col in enumerate(cols)))
-    roots = list(islice(closure, bound + 1))
+    cols = transpose(standard_cartan(family, n))
+    bound = root_count(family, n) // 2
+
+    def up(v):
+        (pairing,) = mat_mul_t((v,), cols)
+        return (v[:j] + (v[j] - p,) + v[j + 1:] for j, p in enumerate(pairing) if p < 0)
+
+    roots = tuple(islice(orbit(identity(n), up), bound + 1))
     if len(roots) != bound:
         raise NotFiniteType("root count does not match classified type")
-    return sorted(v for v in roots if all(x >= 0 for x in v))
+    return roots
+
+
+def positive_roots_in_base_coords(components, n: int) -> list[tuple[int, ...]]:
+    """Positive roots of a rank-n system as sorted integer base-coordinate rows.
+
+    ``components`` are ``classify``-style (family, rank, positions) triples:
+    the standard roots of each type are written into its positions.
+    """
+    out = []
+    for fam, rk, positions in components:
+        for v in _standard_positive_roots(fam, rk):
+            row = [0] * n
+            for i, x in zip(positions, v):
+                row[i] = x
+            out.append(tuple(row))
+    return sorted(out)
 
 
 def indivisible_roots(support) -> set:

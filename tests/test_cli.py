@@ -336,6 +336,25 @@ def test_restrict_index_bad_star_exit_1(capsys, tmp_path):
     assert json.loads(out)["violations"]
 
 
+@pytest.mark.parametrize("g, stable", [([[2, 0], [0, 1]], True), ([[1, 1], [0, 1]], False)])
+def test_sp_star_stable_reads_a_generator_by_its_rows(capsys, tmp_path, g, stable):
+    """a1 leaves S^(p) = {a1} when the row of a1 in the generator has a nonzero entry
+    outside it.  Read as a permutation, the first generator (which keeps a1)
+    failed the item and the second (which sends a1 to a1 + a2) passed it."""
+    doc = {
+        "schema_version": "1",
+        "mode": "ambient",
+        "ambient": {"components": [{"family": "A", "rank": 2}]},
+        "star_generators": [g],
+        "spherical": {"sigma": [], "sp": ["a1"]},
+    }
+    code, out, _ = run(capsys, "--format", "json", "analyze", write(tmp_path, "sp.json", doc))
+    assert code == 1
+    checks = {c["name"]: c["passed"] for c in json.loads(out)["validation"]}
+    assert checks["index_well_formed"] is False
+    assert checks["sp_star_stable"] is stable
+
+
 def test_star_generator_of_infinite_order_exits_1_at_once(capsys, tmp_path):
     """|det| = 10**30: the generator is not a permutation, which fails the
     index with no group closure (a closure ran to its cap in 4 s, with

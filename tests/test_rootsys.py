@@ -5,7 +5,7 @@ from itertools import islice
 import pytest
 from sympy import Matrix
 
-from spherindex import rootsys
+from spherindex import index, rootsys
 from spherindex.errors import NotARootBase, NotFiniteType
 from datagen import classified_type_name, flip_matrix, fmat
 from spherindex.cli import parse_index
@@ -21,11 +21,15 @@ from spherindex.rootsys import (
     orbit,
     positive_roots_in_base_coords,
     root_count,
-    simple_reflection,
     standard_cartan,
     standard_form,
     weyl_order,
 )
+
+def simple_reflection(v, col, j: int) -> tuple:
+    """s_j(v) = v - <v, a_j^vee> a_j on base coordinates; col is column j of the Cartan matrix."""
+    return v[:j] + (v[j] - dot(v, col),) + v[j + 1:]
+
 
 ALL_SMALL_TYPES = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4),
@@ -156,7 +160,7 @@ def test_generate_roots_counts():
         base = std_base(fam, n)
         roots = generate_roots(base)
         assert len(roots) == root_count(fam, n)
-        pos = positive_roots_in_base_coords(standard_cartan(fam, n), [(fam, n)])
+        pos = positive_roots_in_base_coords([(fam, n, tuple(range(n)))], n)
         assert 2 * len(pos) == root_count(fam, n)
 
 
@@ -246,7 +250,7 @@ def test_opposition_matches_the_fraction_rho_word():
             base = RootBase.from_vectors([identity(n)[i] for i in order], amb.form())
             c = base.cartan
             word = fraction_rho_word(c)
-            assert len(word) == len(positive_roots_in_base_coords(c, base.types))  # reduced
+            assert len(word) == len(positive_roots_in_base_coords(base.components, n))  # reduced
             perm = []
             for v in identity(n):
                 for j in word:
@@ -267,10 +271,148 @@ def test_flip_is_the_blockwise_diagram_involution():
 
 
 def test_positive_roots():
-    pos = positive_roots_in_base_coords(standard_cartan("G", 2), [("G", 2)])
+    pos = positive_roots_in_base_coords([("G", 2, (0, 1))], 2)
     assert len(pos) == 6
     assert (3, 2) in pos  # highest root of G2
     assert all(all(x >= 0 for x in v) for v in pos)
+
+
+def brute_force_positive_roots(c):
+    """The nonnegative half of the closure of the simple roots and their
+    negatives under every simple reflection of the Cartan matrix c."""
+    n = len(c)
+    cols = transpose(c)
+    roots = {v for e in identity(n) for v in (e, tuple(-x for x in e))}
+    frontier = roots
+    while frontier:
+        frontier = {simple_reflection(v, cols[j], j) for v in frontier for j in range(n)} - roots
+        roots |= frontier
+    return sorted(v for v in roots if all(x >= 0 for x in v))
+
+
+ORACLE_TYPES = (
+    [("A", n) for n in range(1, 13)]
+    + [(f, n) for f in "BC" for n in range(2, 9)]
+    + [("D", n) for n in range(3, 9)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+def test_positive_roots_match_the_brute_force_closure():
+    for fam, n in ORACLE_TYPES:
+        pos = positive_roots_in_base_coords([(fam, n, tuple(range(n)))], n)
+        assert pos == brute_force_positive_roots(standard_cartan(fam, n))
+        assert 2 * len(pos) == root_count(fam, n)
+
+
+def test_positive_roots_of_shuffled_reducible_matrices_match_the_brute_force_closure():
+    """Each type's roots land on the input indices that classify's positions name."""
+    rng = random.Random(20261019)
+    for spec in (
+        [("A", 2), ("B", 3), ("G", 2)],
+        [("D", 4), ("A", 1), ("A", 1)],
+        [("C", 3), ("E", 6)],
+        [("F", 4), ("A", 3), ("D", 5)],
+        [("A", 6), ("A", 6)],
+        [("B", 2), ("E", 7)],
+    ):
+        c = AmbientRootDatum.of(spec).cartan()
+        n = len(c)
+        for _ in range(3):
+            order = rng.sample(range(n), n)
+            shuffled = tuple(tuple(c[i][j] for j in order) for i in order)
+            pos = positive_roots_in_base_coords(classify(shuffled), n)
+            assert pos == brute_force_positive_roots(shuffled)
+
+
+# highest roots from Bourbaki, Lie Groups and Lie Algebras, ch. VI, Plates I-IX
+HIGHEST_ROOTS = {
+    ("E", 6): (1, 2, 2, 3, 2, 1),
+    ("E", 7): (2, 2, 3, 4, 3, 2, 1),
+    ("E", 8): (2, 3, 4, 6, 5, 4, 3, 2),
+    ("F", 4): (2, 3, 4, 2),
+    ("G", 2): (3, 2),
+}
+
+
+def bourbaki_highest_root(fam, n):
+    if fam == "A":
+        return (1,) * n
+    if fam == "B":
+        return (1,) + (2,) * (n - 1)
+    if fam == "C":
+        return (2,) * (n - 1) + (1,)
+    if fam == "D":
+        return (1,) + (2,) * (n - 3) + (1, 1)
+    return HIGHEST_ROOTS[fam, n]
+
+
+def test_highest_roots_are_bourbakis():
+    """The highest root is a root, and every positive root lies below it."""
+    for fam, n in ORACLE_TYPES:
+        top = bourbaki_highest_root(fam, n)
+        pos = positive_roots_in_base_coords([(fam, n, tuple(range(n)))], n)
+        assert top in pos
+        assert all(x <= y for v in pos for x, y in zip(v, top))
+
+
+def test_each_type_is_enumerated_once():
+    """The two A6 components of A6 x A6 enumerate the roots of A6 once, and
+    a second ambient of the same type asks again for free."""
+    rootsys._standard_positive_roots.cache_clear()
+    amb = AmbientRootDatum.of([("A", 6), ("A", 6)])
+    assert len(index.ambient_roots(amb)) == 2 * root_count("A", 6)
+    assert len(index.ambient_roots(AmbientRootDatum.of([("A", 6), ("A", 6)]))) == 84
+    info = rootsys._standard_positive_roots.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+
+
+@pytest.mark.parametrize(
+    "wrong",
+    [
+        ((2, 0, 0), (0, 2, 0), (0, 0, 2)),  # A1^3: too few roots for A3
+        ((2, -1, -1), (-1, 2, -1), (-1, -1, 2)),  # affine A2~: an infinite closure
+    ],
+)
+def test_root_count_check_fires_on_a_wrong_cartan_matrix(monkeypatch, wrong):
+    monkeypatch.setattr(rootsys, "standard_cartan", lambda family, n: wrong)
+    with pytest.raises(NotFiniteType, match="root count does not match classified type"):
+        rootsys._standard_positive_roots.__wrapped__("A", 3)
+
+
+# shuffled D_n and E_n share their multisets of row sums, so the row-sum
+# reject leaves D_n to a search on an E_n input; the positions are those
+# classify gave before the reject
+SHUFFLED_D_AND_E = [
+    (("D", 4), (2, 3, 0, 1), (0, 3, 1, 2)),
+    (("D", 5), (3, 2, 1, 0, 4), (3, 2, 1, 0, 4)),
+    (("D", 6), (1, 0, 2, 5, 3, 4), (1, 0, 2, 4, 3, 5)),
+    (("D", 7), (0, 6, 3, 2, 5, 1, 4), (0, 5, 3, 2, 6, 1, 4)),
+    (("D", 8), (2, 3, 7, 0, 5, 1, 4, 6), (3, 5, 0, 1, 6, 4, 2, 7)),
+    (("E", 6), (2, 4, 0, 5, 1, 3), (2, 4, 0, 5, 1, 3)),
+    (("E", 7), (6, 5, 2, 4, 1, 3, 0), (6, 4, 2, 5, 3, 1, 0)),
+    (("E", 8), (5, 2, 4, 0, 1, 3, 6, 7), (3, 4, 1, 5, 2, 0, 6, 7)),
+]
+
+
+@pytest.mark.parametrize("typ, order, positions", SHUFFLED_D_AND_E)
+def test_classify_of_shuffled_d_and_e_is_unchanged(typ, order, positions):
+    std = standard_cartan(*typ)
+    shuffled = [[std[i][j] for j in order] for i in order]
+    assert classify(shuffled) == [(*typ, positions)]
+
+
+@pytest.mark.parametrize(
+    "c",
+    [
+        [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],  # affine A2~
+        [[2, -1, -1, -1, -1], [-1, 2, 0, 0, 0], [-1, 0, 2, 0, 0], [-1, 0, 0, 2, 0], [-1, 0, 0, 0, 2]],  # affine D4~
+        [[2, -1, 0], [-1, 2, -2], [0, -2, 2]],  # hyperbolic
+    ],
+)
+def test_classify_still_rejects_matrices_of_infinite_type(c):
+    with pytest.raises(NotFiniteType, match="Cartan matrix is not of finite type"):
+        classify(c)
 
 
 def test_ambient_root_names():

@@ -9,11 +9,15 @@ code; a sum of products belongs to the one product kernel in ``linalg``; an
 underscore-prefixed name is private to its module, so no other module of the
 package imports it; an import that its module never names is dead;
 ``json.dumps`` with ``indent`` runs the pure-Python encoder and builds the
-whole text, so reports go through the streaming writer ``cli.emit``.
+whole text, so reports go through the streaming writer ``cli.emit``; a
+function the benchmark traces by name that no longer exists reads 0 calls
+there, so each traced name resolves to a function in ``src/``.
 """
 
 import ast
 import glob
+import importlib
+import inspect
 import os
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "spherindex")
@@ -160,6 +164,45 @@ def test_every_import_is_used():
         "index.py: imports lcm",
         "index.py: imports os",
     ]
+
+
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+
+# layer names the benchmark traces that name no function in src/, left for
+# the next change to the benchmark: both functions were deleted from linalg
+DEAD_LAYER_NAMES_ALLOWED = {"linalg.rref", "linalg.smith_normal_form"}
+
+
+def layer_names():
+    """The literal ``FUNCTIONS`` tuple of ``perfbench/layertrace.py``, read without importing it."""
+    with open(os.path.join(PERFBENCH, "layertrace.py")) as fh:
+        tree = ast.parse(fh.read())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["FUNCTIONS"]:
+            return ast.literal_eval(node.value)
+    raise LookupError("layertrace.py assigns no FUNCTIONS")
+
+
+def dead_layer_names(names):
+    """Each dotted name that resolves to no function of a module in ``src/``."""
+    dead = []
+    for name in names:
+        module, *path = name.split(".")
+        obj = importlib.import_module(f"spherindex.{module}")
+        for attr in path:
+            obj = getattr(obj, attr, None)
+        if not inspect.isfunction(obj):
+            dead.append(name)
+    return dead
+
+
+def test_every_traced_layer_name_is_a_function_in_src():
+    """A rename in src/ fails here instead of reading 0 calls in the benchmark."""
+    names = layer_names()
+    assert "rootsys.positive_roots_in_base_coords" in names
+    assert set(dead_layer_names(names)) == DEAD_LAYER_NAMES_ALLOWED
+    planted = ["index.res_A", "rootsys.AmbientRootDatum.form", "rootsys.simple_reflection", "rootsys.Gone.form"]
+    assert dead_layer_names(planted) == ["rootsys.simple_reflection", "rootsys.Gone.form"]
 
 
 # names allowed to go unreferenced in src/: none
