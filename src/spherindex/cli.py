@@ -42,7 +42,6 @@ from .restrict import (
     phi_k_res,
     predicates,
     restrict_datum,
-    valuation_cone,
 )
 from .rootsys import AmbientRootDatum, diagram_involution
 
@@ -358,7 +357,6 @@ def cmd_analyze(doc: dict) -> tuple[dict, int]:
         return report, 1
     rd = restrict_datum(d)
     rr = phi_k_res(d, rd)
-    zk = valuation_cone(rd)
     cw = coweight_identity_check(d, rd)
     chamber_containment_check(d, rd)
     facet_inheritance_check(d, rd)
@@ -380,9 +378,10 @@ def cmd_analyze(doc: dict) -> tuple[dict, int]:
             ],
             "phi_k_res_reduced": rr.reduced,
             "valuation_cone": {
-                "inequalities": zk.inequalities,
-                "lineality": zk.lineality,
-                "extremal_rays": zk.extremal_rays,
+                "inequalities": rd.sigma_k,
+                "lineality": rd.nk0_basis,
+                # present exactly when the cone is strictly convex
+                "extremal_rays": () if rd.nk0_basis else tuple(tuple(-x for x in w) for w in rd.coweights),
             },
             "coweight_identity": cw,
             "predicates": predicates(d, rd),
@@ -445,8 +444,7 @@ def cmd_fan(doc: dict, fan_path: str, checks, want_strata: bool, saturate: bool)
     f = parse_fan(fan_doc)
     # each generator once, sorted: the error names the least generator of a wrong width
     _check_width(sorted({g for c in f.cones for g in c.generators}), rd.rank, "fan generator")
-    zk = valuation_cone(rd)
-    issues = fan_validate(f, zk)
+    issues = fan_validate(f, rd)
     report = {
         "command": "fan",
         "issues": [{"kind": i.kind, "detail": i.detail} for i in issues],
@@ -457,21 +455,18 @@ def cmd_fan(doc: dict, fan_path: str, checks, want_strata: bool, saturate: bool)
         report["saturated_cones"] = [c.generators for c in f.cones]
     for check in checks:
         if check == "support":
-            ok = all(
-                cone_membership(g, zk) for c in f.cones for g in c.generators
-            )
-            report["support"] = ok
+            # every generator of a cone is a ray of a maximal cone
+            report["support"] = all(cone_membership(g, rd) for g in f.rays)
         elif check == "complete":
             if issues:
                 report["complete"] = None
             else:
-                report["complete"] = is_complete_for(f, zk)
+                report["complete"] = is_complete_for(f, rd)
         elif check == "smooth":
             flags = is_smooth(f)
             report["smooth"] = all(flags.values())
             report["smooth_by_cone"] = [
-                {"cone": c.generators, "smooth": flags[c]}
-                for c in sorted(flags, key=lambda c: (c.dim, c.generators))
+                {"cone": c.generators, "smooth": flags[c]} for c in f.cones
             ]
     if want_strata and not issues:
         report["strata"] = _strata_report(strata(f, rd))

@@ -9,7 +9,6 @@ way the datum is normalized to lattice-basis coordinates internally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
@@ -22,6 +21,7 @@ from .errors import (
 )
 from .index import StarAction, TitsIndex, res_A
 from .linalg import Lattice, Mat, content, gram, vec_mat
+from .record import Record
 from .rootsys import RootBase, graph_components, opposition_permutation, orbit
 
 
@@ -33,22 +33,19 @@ def support(sigma) -> tuple[int, ...]:
     return tuple(i for i, c in enumerate(sigma) if c > 0)
 
 
-@dataclass(frozen=True)
-class CompactRootSplit:
+class CompactRootSplit(Record):
     sigma0: tuple[int, ...]  # indices into the spherical root list
     noncompact: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ValidationItem:
+class ValidationItem(Record):
     name: str
     passed: bool
     severity: str  # "error" or "warning"
-    detail: str = ""
+    detail: str
 
 
-@dataclass(frozen=True)
-class SphericalDatumK:
+class SphericalDatumK(Record):
     """Spherical datum in normalized lattice coordinates.
 
     sigma rows, star generators and the pairing all live in coordinates of

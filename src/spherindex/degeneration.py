@@ -9,8 +9,6 @@ of Sigma lifted through the section of the sum map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InternalInconsistency, NotAFace, NotIndependent, NotSublattice
 from .fans import Cone
 from .linalg import (
@@ -25,14 +23,14 @@ from .linalg import (
     rank,
     vec_mat,
 )
+from .record import Record
 
 
-@dataclass(frozen=True)
-class DegenerationDatum:
-    xi: Lattice
+class DegenerationDatum(Record):
     sigma: Mat  # the quotient spherical roots, xi-ambient coordinates
     xiZ: Lattice  # sublattice of xi + xi
     c_bd: Cone  # boundary cone in the dual coordinates of the xiZ basis
+    sigma_coords: Mat  # xiZ coordinates of (0, s) for each quotient root s
 
 
 def build_degeneration(xi: Lattice, sigma_aut) -> DegenerationDatum:
@@ -65,14 +63,13 @@ def build_degeneration(xi: Lattice, sigma_aut) -> DegenerationDatum:
     # against a basis vector b of xiZ is the pairing of beta(b) with -omega_j
     pairings = mat_mul_t(dual_basis(sigma, ident), mat_mul(xiZ.rows_q(), beta))
     c_bd = Cone.of(primitive_vector(tuple(-x for x in row)) for row in pairings)
-    dd = DegenerationDatum(
-        xi=xi,
-        sigma=sigma,
-        xiZ=xiZ,
-        c_bd=c_bd,
-    )
-    _check_cone_in_valuation_cone(dd)
-    return dd
+
+    # Sigma_k(Z) = (sigma x 0) union (0 x sigma), in xiZ coordinates, resolved
+    # once here: every face of c_bd reads those of (0 x sigma)
+    zero = (0,) * n
+    coords = [xiZ.coordinates(emb) for s in sigma for emb in (s + zero, zero + s)]
+    _check_cone_in_valuation_cone(coords, c_bd)
+    return DegenerationDatum(sigma, xiZ, c_bd, tuple(coords[1::2]))
 
 
 def _check_exactness(xi, gamma, xiZ, delta_minus, beta):
@@ -93,17 +90,13 @@ def _check_exactness(xi, gamma, xiZ, delta_minus, beta):
         raise InternalInconsistency("exact sequence rank mismatch")
 
 
-def _check_cone_in_valuation_cone(dd: DegenerationDatum):
-    # Sigma_k(Z) = (sigma x 0) union (0 x sigma), written in xiZ coordinates
-    zero = (0,) * dd.xi.ambient_rank
-    for s in dd.sigma:
-        for emb in (s + zero, zero + s):
-            coords = dd.xiZ.coordinates(emb)
-            if coords is None:
-                raise InternalInconsistency("spherical root of Z left the lattice span")
-            for g in dd.c_bd.generators:
-                if dot(coords, g) > 0:
-                    raise InternalInconsistency("boundary cone leaves the valuation cone of Z")
+def _check_cone_in_valuation_cone(root_coords, c_bd: Cone):
+    for coords in root_coords:
+        if coords is None:
+            raise InternalInconsistency("spherical root of Z left the lattice span")
+        for g in c_bd.generators:
+            if dot(coords, g) > 0:
+                raise InternalInconsistency("boundary cone leaves the valuation cone of Z")
 
 
 def degeneration_fiber_data(dd: DegenerationDatum, face: Cone) -> dict:
@@ -111,10 +104,8 @@ def degeneration_fiber_data(dd: DegenerationDatum, face: Cone) -> dict:
     # c_bd is simplicial: its faces are exactly the subsets of its generators
     if not all(g in dd.c_bd.generators for g in face.generators):
         raise NotAFace("not a face of the boundary cone")
-    zero = (0,) * dd.xi.ambient_rank
     sigma_fiber = []
-    for s in dd.sigma:
-        coords = dd.xiZ.coordinates(zero + s)
+    for s, coords in zip(dd.sigma, dd.sigma_coords):
         if all(dot(coords, g) == 0 for g in face.generators):
             sigma_fiber.append(s)
     return {

@@ -8,7 +8,6 @@ to exact linear algebra and rational feasibility checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -27,19 +26,20 @@ from .linalg import (
     transpose,
     vec_mat,
 )
-from .restrict import LittleDatum, ValuationCone
+from .record import Record
+from .restrict import LittleDatum
 from .rootsys import orbit
 
 ORBIT_CAP_ENV = "SPHERINDEX_ORBIT_CAP"
 HARD_ORBIT_CEILING = 100_000
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(Record):
     generators: tuple[tuple[int, ...], ...]  # lex-sorted primitive rows
 
-    def __post_init__(self):  # hashed once: sets and dicts would rehash the nested tuples
-        object.__setattr__(self, "_hash", hash(self.generators))
+    def __init__(self, generators):  # hashed once: sets and dicts would rehash the nested tuples
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "_hash", hash(generators))
 
     def __hash__(self):
         return self._hash
@@ -69,9 +69,13 @@ class Cone:
             yield Cone(sub)
 
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(Record):
     cones: tuple[Cone, ...]  # closed under faces but for overfull cones, sorted
+
+    @staticmethod
+    def of(cones) -> "Fan":
+        """The fan of distinct cones, in the order of dimension, then generators."""
+        return Fan(tuple(sorted(cones, key=lambda c: (c.dim, c.generators))))
 
     @staticmethod
     def from_maximal(gen_lists) -> "Fan":
@@ -81,7 +85,7 @@ class Fan:
         for rows in gen_lists:
             cone = Cone.of(rows)
             cones.update([cone] if cone.overfull else cone.faces())
-        return Fan(tuple(sorted(cones, key=lambda c: (c.dim, c.generators))))
+        return Fan.of(cones)
 
     @cached_property
     def facet_map(self) -> dict[Cone, tuple[Cone, ...]]:
@@ -134,8 +138,7 @@ class Fan:
         return home
 
 
-@dataclass(frozen=True)
-class FanIssue:
+class FanIssue(Record):
     kind: str
     detail: str
 
@@ -209,7 +212,7 @@ def _intersection_issues(f: Fan) -> list[FanIssue]:
     ]
 
 
-def fan_validate(f: Fan, zk: ValuationCone) -> list[FanIssue]:
+def fan_validate(f: Fan, rd: LittleDatum) -> list[FanIssue]:
     """The issues of each kind in the order of ``f.cones``.  A subset of independent
     vectors is independent, so only the maximal cones are tested, and each distinct
     generator once; the cones are walked only to list what failed."""
@@ -238,7 +241,7 @@ def fan_validate(f: Fan, zk: ValuationCone) -> list[FanIssue]:
         issues += _intersection_issues(f)
     # print the root as Fractions: the text must not depend on the entry type
     outside = {
-        g: [f"generator {g} violates {tuple(map(Fraction, s))}" for s in zk.inequalities if dot(s, g) > 0]
+        g: [f"generator {g} violates {tuple(map(Fraction, s))}" for s in rd.sigma_k if dot(s, g) > 0]
         for g in f.rays
     }
     if any(outside.values()):
@@ -246,28 +249,22 @@ def fan_validate(f: Fan, zk: ValuationCone) -> list[FanIssue]:
     return issues
 
 
-def is_complete_for(f: Fan, zk: ValuationCone) -> bool:
+def is_complete_for(f: Fan, rd: LittleDatum) -> bool:
     """Wall criterion for supp(fan) = Z_k, on a fan that ``fan_validate`` passed.
 
     Every maximal cone must be full-dimensional and every wall must either
     lie in a bounding hyperplane of Z_k or be shared by exactly two maximal
-    cones.  With no inequalities this is classical completeness.
+    cones.  With no restricted roots this is classical completeness.
     """
-    maximal = f.maximal_cones
-    vectors = [g for c in maximal for g in c.generators] + [*zk.inequalities, *zk.lineality]
-    ambient_dim = len(vectors[0]) if vectors else 0
-    if ambient_dim == 0:
-        return True  # zero-dimensional space, covered by the zero cone
-    if maximal == (Cone(()),):
-        return False
-    # the valuation cone is always full-dimensional, so maximal cones must be;
-    # a wall of one maximal cone must lie in a bounding hyperplane of Z_k
-    if any(c.dim != ambient_dim for c in maximal):
+    # the valuation cone is always full-dimensional, so maximal cones must be
+    # (the zero cone alone covers only a zero-dimensional space); a wall of one
+    # maximal cone must lie in a bounding hyperplane of Z_k
+    if any(c.dim != rd.rank for c in f.maximal_cones):
         return False
     return all(
         len(cones) == 2
         or len(cones) == 1
-        and any(any(s) and all(dot(s, g) == 0 for g in w.generators) for s in zk.inequalities)
+        and any(any(s) and all(dot(s, g) == 0 for g in w.generators) for s in rd.sigma_k)
         for w, cones in f.walls.items()
     )
 
@@ -288,8 +285,8 @@ def standard_fan(rd: LittleDatum) -> Fan:
     return Fan.from_maximal([[primitive_vector(tuple(-x for x in w)) for w in rd.coweights]])
 
 
-def cone_membership(v, zk: ValuationCone) -> bool:
-    return all(dot(s, v) <= 0 for s in zk.inequalities)
+def cone_membership(v, rd: LittleDatum) -> bool:
+    return all(dot(s, v) <= 0 for s in rd.sigma_k)
 
 
 def _meets_interior(values) -> bool:
@@ -308,8 +305,7 @@ def _meets_interior(values) -> bool:
     return find_feasible(a_ub=a_ub, b_ub=b_ub, nvars=n) is not None
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(Record):
     cone: Cone
     codim: int
     rank: int
@@ -388,4 +384,4 @@ def weyl_saturate(f: Fan, rd: LittleDatum, cap: int | None = None) -> Fan:
                         f"Weyl saturation reached {len(cones)} cones > cap {limit} ({hint})"
                     )
                 todo.extend(c.facets())
-    return Fan(tuple(sorted(cones, key=lambda c: (c.dim, c.generators))))
+    return Fan.of(cones)

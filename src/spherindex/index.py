@@ -8,7 +8,6 @@ system of the group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 
@@ -24,6 +23,7 @@ from .linalg import (
     transpose,
     vec_mat,
 )
+from .record import Record
 from .rootsys import (
     AmbientRootDatum,
     RestrictedRoots,
@@ -34,8 +34,7 @@ from .rootsys import (
 )
 
 
-@dataclass(frozen=True)
-class StarAction:
+class StarAction(Record):
     """Galois semilinear action given by matrices on character coordinates."""
 
     generators: tuple[Mat, ...]
@@ -68,8 +67,7 @@ class StarAction:
         )
 
 
-@dataclass(frozen=True)
-class TitsIndex:
+class TitsIndex(Record):
     ambient: AmbientRootDatum
     compact: tuple[int, ...]
     star: StarAction
@@ -147,8 +145,7 @@ def res_A(ix: TitsIndex, chi) -> Vec:
     return vec_mat(chi, ix.restriction)
 
 
-@dataclass(frozen=True)
-class RestrictedSimpleRoots:
+class RestrictedSimpleRoots(Record):
     roots: Mat  # distinct nonzero images, Bourbaki-ordered per component
     fibers: tuple[tuple[int, ...], ...]  # ambient simple-root indices per root
     types: tuple[tuple[str, int], ...]

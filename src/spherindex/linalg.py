@@ -29,12 +29,12 @@ product of its pivots, answers every index question (smooth cones, the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
 
 from .errors import NotSublattice, ZeroVector
+from .record import Record
 
 Vec = tuple[int | Fraction, ...]
 Mat = tuple[Vec, ...]
@@ -287,8 +287,7 @@ def integer_kernel(constraint_rows, width: int) -> tuple[tuple[int, ...], ...]:
 # lattices
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(Record):
     """A finitely generated subgroup of Q^n: (1/den) times an integer lattice.
 
     ``basis`` rows are a Hermite-canonical basis, so equality of lattices is

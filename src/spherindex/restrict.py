@@ -9,7 +9,6 @@ projection onto the complement of the annihilator of N_k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 
 from .datum import CompactRootSplit, SphericalDatumK
@@ -48,11 +47,11 @@ from .linalg import (
     transpose,
     vec_mat,
 )
+from .record import Record
 from .rootsys import RestrictedRoots, RootBase, generate_roots, image_fibers, type_name_of, weyl_order
 
 
-@dataclass(frozen=True)
-class LittleDatum:
+class LittleDatum(Record):
     """The little-field invariants of a restricted or localized datum.
 
     Vectors in ``sigma_k``, ``phi_k`` live in coordinates of the canonical
@@ -78,7 +77,6 @@ class LittleDatum:
         return type_name_of(self.wk_types) or "trivial"
 
 
-@dataclass(frozen=True)
 class RestrictedDatum(LittleDatum):
     """All little-field invariants of a spherical datum.
 
@@ -219,23 +217,6 @@ def phi_k_res(d: SphericalDatumK, rd: RestrictedDatum) -> RestrictedRoots:
     return rr
 
 
-@dataclass(frozen=True)
-class ValuationCone:
-    inequalities: Mat  # the restricted spherical roots
-    lineality: Mat  # basis of the common kernel, dual coordinates
-    extremal_rays: Mat  # present exactly when the cone is strictly convex
-
-
-def valuation_cone(rd: LittleDatum) -> ValuationCone:
-    strictly_convex = not rd.nk0_basis
-    rays = ()
-    if strictly_convex and rd.coweights:
-        rays = tuple(tuple(-x for x in w) for w in rd.coweights)
-    return ValuationCone(
-        inequalities=rd.sigma_k, lineality=rd.nk0_basis, extremal_rays=rays
-    )
-
-
 def project_to_little(rd: RestrictedDatum, u) -> Vec:
     """Projection of a big cocharacter into N_k, in dual coordinates."""
     return tuple(dot(chi, u) for chi in rd.projected_lifts)
@@ -342,8 +323,7 @@ def predicates(d: SphericalDatumK, rd: RestrictedDatum) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class Localization:
+class Localization(Record):
     datum: LittleDatum  # invariants of the localized variety
     xi_basis_in_parent: Mat  # basis of the localized weight lattice
     sigma_k_indices: tuple[int, ...]  # positions of J inside sigma_k
@@ -377,8 +357,7 @@ def localize(rd: RestrictedDatum, j_indices) -> Localization:
     )
 
 
-@dataclass(frozen=True)
-class AutRoots:
+class AutRoots(Record):
     roots: Mat  # n_aut * primitive root, a basis of the given sublattice
     n_aut: tuple[int, ...]
 

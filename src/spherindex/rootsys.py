@@ -9,12 +9,12 @@ squared length 2 (long roots 4, or 6 in G2).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import islice
 
 from .errors import LinearlyDependent, NotARootBase, NotFiniteType
 from .linalg import Mat, Vec, content, gram, identity, mat_mul, mat_mul_t, rank, transpose
+from .record import Record
 
 VALID_RANKS = {
     "A": lambda n: n >= 1,
@@ -107,19 +107,13 @@ def weyl_order_of(family: str, n: int) -> int:
     return 12  # G2
 
 
-@dataclass(frozen=True)
-class DynkinComponent:
+class DynkinComponent(Record):
     family: str
     rank: int
-    label: str = ""
-
-    def __post_init__(self):
-        if self.family not in VALID_RANKS or not VALID_RANKS[self.family](self.rank):
-            raise NotFiniteType(f"{self.family}{self.rank} is not a finite type")
+    label: str
 
 
-@dataclass(frozen=True)
-class AmbientRootDatum:
+class AmbientRootDatum(Record):
     """Block sum of standard irreducible systems, in simple-root coordinates."""
 
     components: tuple[DynkinComponent, ...]
@@ -128,9 +122,11 @@ class AmbientRootDatum:
     def of(spec: list) -> "AmbientRootDatum":
         comps = []
         for k, item in enumerate(spec):
-            fam, rk = item[0], item[1]
+            fam, rk = item[0].upper(), int(item[1])
+            if fam not in VALID_RANKS or not VALID_RANKS[fam](rk):
+                raise NotFiniteType(f"{fam}{rk} is not a finite type")
             label = item[2] if len(item) > 2 else f"c{k + 1}"
-            comps.append(DynkinComponent(fam.upper(), int(rk), label))
+            comps.append(DynkinComponent(fam, rk, label))
         return AmbientRootDatum(tuple(comps))
 
     @property
@@ -172,8 +168,7 @@ def _block_sum(standard, components: tuple[DynkinComponent, ...]) -> Mat:
     return tuple(tuple(r) for r in out)
 
 
-@dataclass(frozen=True)
-class RootBase:
+class RootBase(Record):
     """Linearly independent vectors with crystallographic Gram data.
 
     The base is classified once: ``cartan`` is its Cartan matrix and
@@ -181,8 +176,8 @@ class RootBase:
     """
 
     vectors: Mat
-    cartan: Mat = field(compare=False)
-    components: tuple[tuple[str, int, tuple[int, ...]], ...] = field(compare=False)
+    cartan: Mat
+    components: tuple[tuple[str, int, tuple[int, ...]], ...]
 
     @staticmethod
     def from_vectors(vectors, form) -> "RootBase":
@@ -387,8 +382,7 @@ def image_fibers(pairs) -> tuple[list[Vec], list[list[int]]]:
     return list(fibers), list(fibers.values())
 
 
-@dataclass(frozen=True)
-class RestrictedRoots:
+class RestrictedRoots(Record):
     """Multiset of nonzero restrictions of a root system (Borel-Tits 1965, 6)."""
 
     multiplicities: tuple[tuple[Vec, int], ...]  # sorted (root, multiplicity)

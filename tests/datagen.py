@@ -10,6 +10,7 @@ sticks to these families.
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 from spherindex.datum import SphericalDatumK
 from spherindex.errors import SpherindexError
@@ -24,12 +25,14 @@ from spherindex.linalg import (
     solve_left,
     vec_mat,
 )
-from spherindex.restrict import ValuationCone, _annihilator, restrict_datum
+from spherindex.restrict import _annihilator, restrict_datum
 from spherindex.rootsys import AmbientRootDatum, RootBase, classify, generate_roots, type_name_of
 
 
-# Z_k with no inequalities: the whole space, for fans checked without a datum
-NO_CONE = ValuationCone((), (), ())
+def no_cone(f):
+    """A stand-in datum for a fan checked without one: no restricted roots in
+    the rank of the fan's rays, so Z_k is the whole space."""
+    return SimpleNamespace(sigma_k=(), rank=len(f.rays[0]) if f.rays else 0)
 
 
 def fvec(v):
@@ -220,7 +223,7 @@ def cover_edges(f) -> tuple:
     return tuple(sorted((index[w], j) for j, c in enumerate(f.cones) for w in f.facet_map[c]))
 
 
-def per_cone_validate(f, zk) -> list:
+def per_cone_validate(f, rd) -> list:
     """fan_validate as one walk over every cone: each generator occurrence is
     tested for zero and primitivity, each cone for independence, each face
     for presence and each occurrence against the support."""
@@ -242,7 +245,7 @@ def per_cone_validate(f, zk) -> list:
         issues += _intersection_issues(f)
     for c in f.cones:
         for g in c.generators:
-            for s in zk.inequalities:
+            for s in rd.sigma_k:
                 if dot(s, g) > 0:
                     text = f"generator {g} violates {tuple(map(Fraction, s))}"
                     issues.append(FanIssue("outside_support", text))

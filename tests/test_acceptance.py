@@ -9,12 +9,12 @@ seeded geometric generators in datagen.
 from fractions import Fraction
 
 from datagen import (
-    NO_CONE,
     cover_edges,
     divisor_scan_indivisible,
     flip_matrix,
     fmat,
     fvec,
+    no_cone,
     random_convex_data,
     random_data,
     to_abstract,
@@ -44,7 +44,6 @@ from spherindex.restrict import (
     phi_k_res,
     predicates,
     restrict_datum,
-    valuation_cone,
 )
 from spherindex.rootsys import AmbientRootDatum, RootBase
 
@@ -223,18 +222,17 @@ def test_criterion_7_wonderful_equivalence():
 
 def test_criterion_8_fan_engine():
     rd = restrict_datum(e6_datum())
-    zk = valuation_cone(rd)
     f = weyl_saturate(standard_fan(rd), rd)
     maximal = [c for c in f.cones if c.dim == 2]
     assert len(maximal) == 8
-    assert not fan_validate(f, NO_CONE)  # a complete fan leaves the support of Z_k
-    assert is_complete_for(f, zk)
+    assert not fan_validate(f, no_cone(f))  # a complete fan leaves the support of Z_k
+    assert is_complete_for(f, rd)
     smaller = Fan.from_maximal(
         [[list(g) for g in c.generators] for c in maximal[:-1]]
     )
-    assert not is_complete_for(smaller, zk)
+    assert not is_complete_for(smaller, rd)
     overlap = Fan.from_maximal([[[1, 0], [0, 1]], [[1, 1], [1, -1]]])
-    kinds = {i.kind for i in fan_validate(overlap, NO_CONE)}
+    kinds = {i.kind for i in fan_validate(overlap, no_cone(overlap))}
     assert "intersection_not_a_face" in kinds
     passed(8, "B2 saturation has 8 chambers, wall criterion and face check work")
 

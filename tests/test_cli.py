@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -19,7 +18,8 @@ from spherindex import fans
 from spherindex import cli
 from spherindex.cli import emit, main
 from spherindex.datum import CompactRootSplit
-from spherindex.restrict import restrict_datum
+from spherindex.linalg import Lattice
+from spherindex.restrict import RestrictedDatum, restrict_datum
 
 HERE = os.path.dirname(__file__)
 FIXTURES = os.path.join(HERE, os.pardir, "fixtures")
@@ -178,17 +178,22 @@ class RecordedWrites(io.StringIO):
         return super().write(s)
 
 
-def test_json_report_is_streamed(tmp_path, monkeypatch):
-    """The report of split A6's standard fan (64 strata) goes out in pieces,
-    none a tenth of the whole; the whole is what json.dumps wrote."""
+def split_a6(tmp_path):
+    """The split A6 datum: its spherical roots are the simple roots."""
     n = 6
     basis = [[int(i == j) for j in range(n)] for i in range(n)]
-    datum = write(tmp_path, "a6.json", {
+    return write(tmp_path, "a6.json", {
         "schema_version": "1",
         "mode": "ambient",
         "ambient": {"components": [{"family": "A", "rank": n}]},
         "spherical": {"sigma": basis},
     })
+
+
+def test_json_report_is_streamed(tmp_path, monkeypatch):
+    """The report of split A6's standard fan (64 strata) goes out in pieces,
+    none a tenth of the whole; the whole is what json.dumps wrote."""
+    datum = split_a6(tmp_path)
     reports = []
     monkeypatch.setattr(cli, "emit", lambda report, fmt: reports.append(report) or emit(report, fmt))
     out = RecordedWrites()
@@ -284,6 +289,11 @@ def test_theorem_violation_exit_3(capsys, tmp_path):
 
 def _negated(rows):
     return tuple(tuple(-x for x in row) for row in rows)
+
+
+def replace(rd, **fields):
+    """The restricted datum rebuilt from its fields, with ``fields`` changed."""
+    return RestrictedDatum(**{**vars(rd), **fields})
 
 
 @pytest.mark.parametrize(
@@ -480,6 +490,17 @@ def test_fan_checks(capsys, tmp_path):
     assert len(report["strata"]) == 4
 
 
+def test_support_check_tests_each_ray_once(capsys, tmp_path, monkeypatch):
+    """Every generator of a cone is a ray of a maximal cone: the two rays of
+    the quadrant are tested, not their four occurrences in its cones."""
+    tested = []
+    monkeypatch.setattr(cli, "cone_membership", lambda v, rd: tested.append(v) or fans.cone_membership(v, rd))
+    fan_path = write(tmp_path, "fan.json", {"cones": [[[-1, 0], [0, -1]]]})
+    code, out, _ = run(capsys, "--format", "json", "fan", fixture("e6.json"), "--fan", fan_path, "--check", "support")
+    assert (code, json.loads(out)["support"]) == (0, True)
+    assert sorted(tested) == [(-1, 0), (0, -1)]
+
+
 @pytest.mark.parametrize("entry", [1.7, True])
 def test_fan_entry_that_is_not_an_integer_exits_2(capsys, tmp_path, entry):
     """A float is not truncated and a bool is not read as 1: both are schema errors."""
@@ -596,6 +617,24 @@ def test_degenerate_with_gamma(capsys, tmp_path):
     report = json.loads(out)
     assert report["n_aut"] == [2]
     assert report["sigma_aut"] == [[2]]
+
+
+def test_degenerate_resolves_each_root_once(capsys, tmp_path, monkeypatch):
+    """On split A6 the boundary cone has 64 faces; the xiZ coordinates of the
+    6 quotient roots are resolved in the degeneration, not once per face."""
+    calls = []
+    coordinates = Lattice.coordinates
+
+    def counting(self, v):
+        calls.append(self.ambient_rank)
+        return coordinates(self, v)
+
+    monkeypatch.setattr(Lattice, "coordinates", counting)
+    code, out, _ = run(capsys, "--format", "json", "degenerate", split_a6(tmp_path))
+    assert code == 0 and len(json.loads(out)["fibers"]) == 64
+    # 24 in the datum and its restriction; then on Q^12, 2 per root (sigma x 0
+    # and 0 x sigma), 6 in the exactness check and 12 for the index of xiZ
+    assert (calls.count(6), calls.count(12), len(calls)) == (24, 30, 54)
 
 
 # spherindex --help and spherindex fan --help at 80 columns

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from datagen import NO_CONE, cover_edges, dominates, flip_matrix, per_cone_validate, random_convex_data
+from datagen import cover_edges, dominates, flip_matrix, no_cone, per_cone_validate, random_convex_data
 from spherindex import fans
 from spherindex.datum import SphericalDatumK
 from spherindex.errors import BudgetExceeded, NotConvex
@@ -33,7 +33,7 @@ from spherindex.linalg import (
     transpose,
     vec_mat,
 )
-from spherindex.restrict import restrict_datum, valuation_cone
+from spherindex.restrict import restrict_datum
 from spherindex.rootsys import AmbientRootDatum, orbit
 
 H = Fraction(1, 2)
@@ -70,24 +70,23 @@ def test_fan_from_maximal_closes_faces():
 def test_fan_validate_clean():
     _, rd = e6_rd()
     f = standard_fan(rd)
-    assert fan_validate(f, valuation_cone(rd)) == []
+    assert fan_validate(f, rd) == []
 
 
 def test_fan_validate_flags_overlap():
     # two 2-dim cones overlapping in a wedge, not in a common face
     f = Fan.from_maximal([[[1, 0], [0, 1]], [[1, 1], [1, -1]]])
-    issues = fan_validate(f, NO_CONE)
+    issues = fan_validate(f, no_cone(f))
     assert any(i.kind == "intersection_not_a_face" for i in issues)
 
 
 def test_fan_validate_flags_primitivity_and_support():
     f = Fan.from_maximal([[[2, 0]]])
-    issues = fan_validate(f, NO_CONE)
+    issues = fan_validate(f, no_cone(f))
     assert any(i.kind == "not_primitive" for i in issues)
     _, rd = a1a1_rd()
-    zk = valuation_cone(rd)
     g = Fan.from_maximal([[[1, 0]]])  # sigma1 is positive on (1, 0)
-    issues2 = fan_validate(g, zk)
+    issues2 = fan_validate(g, rd)
     assert any(i.kind == "outside_support" for i in issues2)
 
 
@@ -126,13 +125,17 @@ def test_standard_fan_complete():
     for mk in [rank1_rd, e6_rd, a1a1_rd]:
         _, rd = mk()
         f = standard_fan(rd)
-        assert is_complete_for(f, valuation_cone(rd))
+        assert is_complete_for(f, rd)
 
 
 def test_single_ray_not_complete():
     _, rd = a1a1_rd()
     f = Fan.from_maximal([[[-1, 0]]])
-    assert not is_complete_for(f, valuation_cone(rd))
+    assert not is_complete_for(f, rd)
+    # the zero cone alone covers the space of rank 0 only
+    zero = Fan.from_maximal([])
+    assert not is_complete_for(zero, rd)
+    assert is_complete_for(zero, restrict_datum(SphericalDatumK.abstract(0, [], [], [])))
 
 
 def test_smoothness():
@@ -222,12 +225,12 @@ def test_dominates():
 
 def test_cone_membership():
     _, rd = e6_rd()
-    zk = valuation_cone(rd)
-    assert cone_membership([0, 0], zk)
-    for ray in zk.extremal_rays:
-        assert cone_membership(ray, zk)
-    for s in zk.inequalities:
-        assert not cone_membership(s, zk)
+    assert cone_membership([0, 0], rd)
+    assert not rd.nk0_basis  # strictly convex: the rays of Z_k are minus the coweights
+    for w in rd.coweights:
+        assert cone_membership(tuple(-x for x in w), rd)
+    for s in rd.sigma_k:
+        assert not cone_membership(s, rd)
 
 
 def test_weyl_saturate_a1():
@@ -244,9 +247,9 @@ def test_weyl_saturate_b2():
     maximal = sat.maximal_cones
     assert len(maximal) == 8
     assert len([c for c in sat.cones if c.dim == 1]) == 8
-    assert fan_validate(sat, NO_CONE) == []
+    assert fan_validate(sat, no_cone(sat)) == []
     # saturation of a complete fan is classically complete
-    assert is_complete_for(sat, NO_CONE)
+    assert is_complete_for(sat, no_cone(sat))
 
 
 def test_weyl_saturate_reflection_stable():
@@ -295,8 +298,8 @@ def corpus_rds():
 
 
 def all_pairs_issues(f):
-    """fan_validate(f, NO_CONE) with the intersection check run over every pair of cones."""
-    issues = [i for i in fan_validate(f, NO_CONE) if i.kind != "intersection_not_a_face"]
+    """fan_validate(f, no_cone(f)) with the intersection check run over every pair of cones."""
+    issues = [i for i in fan_validate(f, no_cone(f)) if i.kind != "intersection_not_a_face"]
     if any(i.kind in ("not_simplicial", "zero_generator") for i in issues):
         return issues
     return issues + [
@@ -327,13 +330,13 @@ def swap_in_overlap(f):
 def test_fan_validate_matches_all_pairs_oracle(corpus_rds):
     chambers = [chamber_fan(split_rd(fam, n)) for fam, n in [("A", 2), ("B", 2), ("A", 3)]]
     for f in chambers:
-        assert fan_validate(f, NO_CONE) == all_pairs_issues(f) == []
+        assert fan_validate(f, no_cone(f)) == all_pairs_issues(f) == []
     for rd in corpus_rds:
         f = standard_fan(rd)
-        assert fan_validate(f, NO_CONE) == all_pairs_issues(f) == []
+        assert fan_validate(f, no_cone(f)) == all_pairs_issues(f) == []
     for f in chambers + [chamber_fan(e6_rd()[1])]:
         broken = swap_in_overlap(f)
-        issues = fan_validate(broken, NO_CONE)
+        issues = fan_validate(broken, no_cone(broken))
         assert any(i.kind == "intersection_not_a_face" for i in issues)
         assert issues == all_pairs_issues(broken)
 
@@ -369,17 +372,17 @@ def test_fan_lp_counts(monkeypatch):
     f6 = standard_fan(rd6)
     a3 = chamber_fan(split_rd("A", 3))
     monkeypatch.setattr(fans, "find_feasible", counting)
-    assert fan_validate(f6, valuation_cone(rd6)) == []
+    assert fan_validate(f6, rd6) == []
     strata(f6, rd6)
     assert len(calls) == 0
-    assert fan_validate(a3, NO_CONE) == []
+    assert fan_validate(a3, no_cone(a3)) == []
     assert len(calls) == 0  # the walls pair up: no LP on the 24 chambers
     rd4 = split_rd("A", 4)
     a4 = chamber_fan(rd4)
     assert len(a4.cones) == 541
-    assert fan_validate(a4, NO_CONE) == []
+    assert fan_validate(a4, no_cone(a4)) == []
     assert len(calls) == 0
-    assert is_complete_for(a4, NO_CONE)
+    assert is_complete_for(a4, no_cone(a4))
 
 
 PENTAGRAM = [(1, 0), (-4, 3), (3, -5), (1, 5), (-5, -3)]
@@ -416,7 +419,7 @@ def test_paired_walls_that_do_not_make_a_fan_reach_the_lp_path(monkeypatch):
     for f in (pentagram, suspension, on_a_wall, folded):
         assert all(len(cs) == 2 for cs in f.walls.values())
         lps.clear()
-        issues = fan_validate(f, NO_CONE)
+        issues = fan_validate(f, no_cone(f))
         assert lps
         assert any(i.kind == "intersection_not_a_face" for i in issues)
         assert issues == all_pairs_issues(f)
@@ -433,8 +436,10 @@ def test_missing_faces_match_the_face_enumeration():
             if face not in cones
         ]
         assert listed
-        assert [i for i in fan_validate(Fan(cones), NO_CONE) if i.kind == "missing_face"] == listed
-    assert not [i for i in fan_validate(Fan(full), NO_CONE) if i.kind == "missing_face"]
+        f = Fan(cones)
+        assert [i for i in fan_validate(f, no_cone(f)) if i.kind == "missing_face"] == listed
+    f = Fan(full)
+    assert not [i for i in fan_validate(f, no_cone(f)) if i.kind == "missing_face"]
 
 
 def bfs_saturate(f, rd, cap=None):
@@ -523,13 +528,13 @@ def test_weyl_saturate_walks_facets_down_only_from_new_cones(monkeypatch):
         for cap in range(1, size + 2):
             assert outcome(weyl_saturate, f, rd, cap) == outcome(all_faces_saturate, f, rd, cap)
     built = Counter()
-    init = Cone.__post_init__
+    init = Cone.__init__
 
-    def counting(self):
+    def counting(self, generators):
         built[caller] += 1
-        init(self)
+        init(self, generators)
 
-    monkeypatch.setattr(Cone, "__post_init__", counting)
+    monkeypatch.setattr(Cone, "__init__", counting)
     a4 = split_rd("A", 4)
     for caller in (weyl_saturate, all_faces_saturate):
         assert len(caller(standard_fan(a4), a4, 10**6).cones) == 541
@@ -568,7 +573,7 @@ def test_outside_support_detail_text_of_a3_chamber_fan():
     """The detail prints each root as a tuple of Fractions, whatever type the
     root has: reports that pinned this text stay byte-identical."""
     rd = split_rd("A", 3)
-    details = [i.detail for i in fan_validate(chamber_fan(rd), valuation_cone(rd))]
+    details = [i.detail for i in fan_validate(chamber_fan(rd), rd)]
     assert len(details) == 132
     assert details[0] == (
         "generator (-1, 0, 1) violates (Fraction(0, 1), Fraction(0, 1), Fraction(1, 1))"
@@ -582,8 +587,7 @@ def test_fan_validate_matches_the_per_cone_walk(corpus_rds):
     only give the issues of the walk over every cone, in its order."""
     for rd in corpus_rds:
         f = standard_fan(rd)
-        zk = valuation_cone(rd)
-        assert fan_validate(f, zk) == per_cone_validate(f, zk) == []
+        assert fan_validate(f, rd) == per_cone_validate(f, rd) == []
     a2, a3 = split_rd("A", 2), split_rd("A", 3)
     _, e6 = e6_rd()  # the datum of fixtures/e6.json: Z_k is the negative quadrant
     quadrants = [[[1, 0], [0, -1]], [[0, -1], [-1, 0]], [[-1, 0], [0, 1]], [[0, 1], [1, 0]]]
@@ -601,11 +605,10 @@ def test_fan_validate_matches_the_per_cone_walk(corpus_rds):
         (Fan.from_maximal(quadrants), e6, "outside_support", 6),
     ]
     for f, rd, kind, count in planted:
-        zk = valuation_cone(rd)
-        issues = fan_validate(f, zk)
+        issues = fan_validate(f, rd)
         assert Counter(i.kind for i in issues)[kind] == count
-        assert issues == per_cone_validate(f, zk)
-        assert fan_validate(f, NO_CONE) == per_cone_validate(f, NO_CONE)
+        assert issues == per_cone_validate(f, rd)
+        assert fan_validate(f, no_cone(f)) == per_cone_validate(f, no_cone(f))
 
 
 def test_smoothness_and_strata_match_lattice_index_and_integer_kernel(corpus_rds):
@@ -649,7 +652,7 @@ def test_fan_engine_runs_each_check_once_per_maximal_cone_or_ray(monkeypatch):
     assert (len(a4.cones), len(a4.maximal_cones)) == (541, 120)
     for name in ("rank", "primitive_vector", "lattice_index", "integer_kernel"):
         monkeypatch.setattr(fans, name, counting(name, getattr(fans, name)))
-    for f, rd, zk in [(a6, rd6, valuation_cone(rd6)), (a4, rd4, NO_CONE)]:
+    for f, rd, zk in [(a6, rd6, rd6), (a4, rd4, no_cone(a4))]:
         rays = len({g for c in f.cones for g in c.generators})
         calls.clear()
         assert fan_validate(f, zk) == []

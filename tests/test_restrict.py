@@ -28,7 +28,6 @@ from spherindex.restrict import (
     phi_k_res,
     predicates,
     restrict_datum,
-    valuation_cone,
 )
 from spherindex.rootsys import AmbientRootDatum, indivisible_roots
 
@@ -227,30 +226,28 @@ def test_fiber_mismatch_detected():
 
 def test_valuation_cone_rank_one():
     rd = restrict_datum(sp42_datum())
-    z = valuation_cone(rd)
-    assert z.inequalities == ((1,),)
-    assert z.lineality == ()
-    assert len(z.extremal_rays) == 1
-    assert dot(z.inequalities[0], z.extremal_rays[0]) < 0
+    assert rd.sigma_k == ((1,),)
+    assert rd.nk0_basis == ()  # strictly convex: the rays are minus the coweights
+    assert len(rd.coweights) == 1
+    assert dot(rd.sigma_k[0], rd.coweights[0]) > 0
 
 
 def test_valuation_cone_b2():
     rd = restrict_datum(e6_datum())
-    z = valuation_cone(rd)
-    assert len(z.extremal_rays) == 2
-    for i, s in enumerate(z.inequalities):
-        for j, r in enumerate(z.extremal_rays):
-            v = dot(s, r)
+    assert rd.nk0_basis == ()
+    assert len(rd.coweights) == 2
+    for i, s in enumerate(rd.sigma_k):
+        for j, w in enumerate(rd.coweights):
+            v = dot(s, tuple(-x for x in w))
             assert v < 0 if i == j else v == 0
 
 
 def test_valuation_cone_horospherical():
     d = SphericalDatumK.abstract(1, [[2]], [], [])
     rd = restrict_datum(d)
-    z = valuation_cone(rd)
-    assert z.inequalities == ()
-    assert len(z.lineality) == 1
-    assert z.extremal_rays == ()
+    assert rd.sigma_k == ()
+    assert len(rd.nk0_basis) == 1  # not strictly convex: Z_k has no rays
+    assert rd.coweights == ()
 
 
 def test_coweight_identity():

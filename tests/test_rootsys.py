@@ -13,7 +13,6 @@ from spherindex.linalg import dot, gram, identity, transpose, vec_mat
 from spherindex.rootsys import (
     AmbientRootDatum,
     VALID_RANKS,
-    DynkinComponent,
     RootBase,
     classify,
     generate_roots,
@@ -49,7 +48,7 @@ def std_base(fam, n):
 def test_invalid_types_rejected():
     for fam, n in [("E", 5), ("E", 9), ("F", 3), ("G", 3), ("B", 1), ("H", 3)]:
         with pytest.raises(NotFiniteType):
-            DynkinComponent(fam, n)
+            AmbientRootDatum.of([(fam, n)])
 
 
 def test_standard_cartan_conventions():

@@ -11,7 +11,9 @@ package imports it; an import that its module never names is dead;
 ``json.dumps`` with ``indent`` runs the pure-Python encoder and builds the
 whole text, so reports go through the streaming writer ``cli.emit``; a
 function the benchmark traces by name that no longer exists reads 0 calls
-there, so each traced name resolves to a function in ``src/``.
+there, so each traced name resolves to a function in ``src/``; every CLI
+call is a new process, so ``src/`` imports no ``dataclasses`` (nor, through
+it, ``inspect``): its records derive from ``record.Record``.
 """
 
 import ast
@@ -19,6 +21,8 @@ import glob
 import importlib
 import inspect
 import os
+import subprocess
+import sys
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "spherindex")
 
@@ -272,3 +276,42 @@ def test_shared_member_names_are_pinned():
                 for m in _members(node):
                     owners.setdefault(m, set()).add(f"{name}:{node.name}")
     assert {m for m, classes in owners.items() if len(classes) > 1} == SHARED_MEMBER_NAMES
+
+
+def dataclasses_imports(trees):
+    """Each import of ``dataclasses``, by ``import`` or by ``from``."""
+    return [
+        f"{name}:{node.lineno}: imports dataclasses"
+        for name, tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "dataclasses" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+    ]
+
+
+def test_no_module_imports_dataclasses():
+    assert dataclasses_imports(source_trees()) == []
+    planted = ast.parse("from dataclasses import dataclass, field\nimport json, dataclasses as dc\nimport ast")
+    assert dataclasses_imports([("fans.py", planted)]) == [
+        "fans.py:1: imports dataclasses",
+        "fans.py:2: imports dataclasses",
+    ]
+
+
+SLOW_TO_IMPORT = ("dataclasses", "inspect")
+
+
+def left_imported(statement):
+    """The modules of ``SLOW_TO_IMPORT`` that a fresh interpreter holds after ``statement``."""
+    src = os.path.abspath(os.path.join(SRC, os.pardir))
+    probe = (
+        f"import sys; sys.path.insert(0, {src!r}); {statement}; "
+        f"print(*[m for m in {SLOW_TO_IMPORT!r} if m in sys.modules])"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    return done.stdout.split()
+
+
+def test_the_cli_imports_neither_dataclasses_nor_inspect():
+    assert left_imported("import spherindex.cli") == []
+    assert left_imported("import spherindex.cli, dataclasses") == ["dataclasses", "inspect"]
