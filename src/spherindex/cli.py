@@ -442,8 +442,8 @@ def cmd_fan(doc: dict, fan_path: str, checks, want_strata: bool, saturate: bool)
     fan_doc = _load(fan_path)  # an unreadable fan file exits 2 before validation
     rd = _validated_rd(doc)
     f = parse_fan(fan_doc)
-    # each generator once, sorted: the error names the least generator of a wrong width
-    _check_width(sorted({g for c in f.cones for g in c.generators}), rd.rank, "fan generator")
+    # each ray once, sorted: the error names the least generator of a wrong width
+    _check_width(sorted(f.rays), rd.rank, "fan generator")
     issues = fan_validate(f, rd)
     report = {
         "command": "fan",

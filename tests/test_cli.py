@@ -501,6 +501,14 @@ def test_support_check_tests_each_ray_once(capsys, tmp_path, monkeypatch):
     assert sorted(tested) == [(-1, 0), (0, -1)]
 
 
+def test_fan_generator_of_a_wrong_width_exits_2_naming_the_least(capsys, tmp_path):
+    """Each ray is checked once, in sorted order, before validation."""
+    cones = [[[0, -1, 5], [-1, 0]], [[-1, 0], [0, -1]], [[1, 2, 3, 4]]]
+    fan_path = write(tmp_path, "fan.json", {"cones": cones})
+    code, out, err = run(capsys, "fan", fixture("e6.json"), "--fan", fan_path)
+    assert (code, out, err) == (2, "", "error: fan generator has length 3, expected 2\n")
+
+
 @pytest.mark.parametrize("entry", [1.7, True])
 def test_fan_entry_that_is_not_an_integer_exits_2(capsys, tmp_path, entry):
     """A float is not truncated and a bool is not read as 1: both are schema errors."""
