@@ -9,7 +9,6 @@ system of the group.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import accumulate
 
 from .errors import DatumConstructionError, NotARootBase, NotFiniteType
 from .linalg import (
@@ -29,7 +28,7 @@ from .rootsys import (
     RestrictedRoots,
     RootBase,
     image_fibers,
-    positive_roots_in_base_coords,
+    positive_root_steps,
     type_name_of,
 )
 
@@ -169,13 +168,16 @@ def restricted_simple_roots(ix: TitsIndex) -> RestrictedSimpleRoots:
     )
 
 
-def ambient_roots(ambient: AmbientRootDatum) -> list[Vec]:
-    starts = accumulate((c.rank for c in ambient.components), initial=0)
-    components = [(c.family, c.rank, tuple(range(s, s + c.rank))) for c, s in zip(ambient.components, starts)]
-    pos = positive_roots_in_base_coords(components, ambient.dim)
-    return pos + [tuple(-x for x in v) for v in pos]
-
-
 def restricted_root_system(ix: TitsIndex) -> RestrictedRoots:
-    """The nonzero restrictions of the ambient roots, with multiplicities."""
-    return RestrictedRoots.of(mat_mul_t(ambient_roots(ix.ambient), transpose(ix.restriction)))
+    """The nonzero restrictions of the ambient roots, with multiplicities:
+    each positive image is one step from its parent's, with row off + j of
+    ``ix.restriction`` as the image of a component's a_j."""
+    images, off = [], 0
+    for c in ix.ambient.components:
+        rows = ix.restriction[off:off + c.rank]
+        comp = list(rows)
+        for parent, j, k in positive_root_steps(c.family, c.rank):
+            comp.append(tuple(x + k * y for x, y in zip(comp[parent], rows[j])))
+        images += comp
+        off += c.rank
+    return RestrictedRoots.of(images + [tuple(-x for x in v) for v in images])

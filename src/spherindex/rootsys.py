@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cache
-from itertools import islice
+from itertools import count, islice
 
 from .errors import LinearlyDependent, NotARootBase, NotFiniteType
-from .linalg import Mat, Vec, content, gram, identity, mat_mul, mat_mul_t, rank, transpose
+from .linalg import Mat, Vec, content, gram, identity, mat_mul, rank
 from .record import Record
 
 VALID_RANKS = {
@@ -323,24 +323,37 @@ def generate_roots(base: RootBase) -> list[Vec]:
 
 
 @cache
-def _standard_positive_roots(family: str, n: int) -> tuple[tuple[int, ...], ...]:
-    """Positive roots of a standard type, enumerated once per process.
+def _standard_positive_roots(family: str, n: int) -> tuple[Mat, tuple[tuple[int, int, int], ...]]:
+    """Positive roots of a standard type, enumerated once per process, and
+    the steps (parent, j, k) that reach roots n, n + 1, ... as parent + k a_j.
 
-    The ascending closure of the simple roots, v -> v - <v, a_j^vee> a_j
-    where the pairing is negative: a non-simple positive root b has some j
-    with <b, a_j^vee> > 0, and s_j b is a lower positive root (Bourbaki VI, 1.6).
+    The ascending closure of the simple roots, v -> v + k a_j with
+    k = -<v, a_j^vee> > 0: a non-simple positive root b has some j with
+    <b, a_j^vee> > 0, and s_j b is a lower positive root (Bourbaki VI, 1.6).
+    The pairings of v + k a_j are those of v plus k times Cartan row j.
     """
-    cols = transpose(standard_cartan(family, n))
+    c = standard_cartan(family, n)
     bound = root_count(family, n) // 2
+    pairing, steps, parents = dict(zip(identity(n), c)), [], count()
 
     def up(v):
-        (pairing,) = mat_mul_t((v,), cols)
-        return (v[:j] + (v[j] - p,) + v[j + 1:] for j, p in enumerate(pairing) if p < 0)
+        i = next(parents)  # orbit asks for images in the order it yields roots
+        for j, p in enumerate(pairing[v]):
+            if p < 0 and (w := v[:j] + (v[j] - p,) + v[j + 1:]) not in pairing:
+                pairing[w] = tuple(x - p * y for x, y in zip(pairing[v], c[j]))
+                steps.append((i, j, -p))
+                yield w
 
     roots = tuple(islice(orbit(identity(n), up), bound + 1))
     if len(roots) != bound:
         raise NotFiniteType("root count does not match classified type")
-    return roots
+    return roots, tuple(steps)
+
+
+def positive_root_steps(family: str, n: int) -> tuple[tuple[int, int, int], ...]:
+    """The steps of ``_standard_positive_roots``: a linear map sends root
+    n + t to the image of its parent plus k times the image of a_j."""
+    return _standard_positive_roots(family, n)[1]
 
 
 def positive_roots_in_base_coords(components, n: int) -> list[tuple[int, ...]]:
@@ -351,7 +364,7 @@ def positive_roots_in_base_coords(components, n: int) -> list[tuple[int, ...]]:
     """
     out = []
     for fam, rk, positions in components:
-        for v in _standard_positive_roots(fam, rk):
+        for v in _standard_positive_roots(fam, rk)[0]:
             row = [0] * n
             for i, x in zip(positions, v):
                 row[i] = x

@@ -10,6 +10,7 @@ sticks to these families.
 
 import random
 from fractions import Fraction
+from itertools import accumulate
 from types import SimpleNamespace
 
 from spherindex.datum import SphericalDatumK
@@ -26,7 +27,14 @@ from spherindex.linalg import (
     vec_mat,
 )
 from spherindex.restrict import _annihilator, restrict_datum
-from spherindex.rootsys import AmbientRootDatum, RootBase, classify, generate_roots, type_name_of
+from spherindex.rootsys import (
+    AmbientRootDatum,
+    RootBase,
+    classify,
+    generate_roots,
+    positive_roots_in_base_coords,
+    type_name_of,
+)
 
 
 def no_cone(f):
@@ -51,6 +59,15 @@ AMBIENT_CHOICES = [
     ("D", 4),
     ("F", 4), ("G", 2),
 ]
+
+
+def ambient_roots(ambient: AmbientRootDatum) -> list:
+    """Every root of the ambient system in its simple-root coordinates, the
+    positive ones first, each written out in full."""
+    starts = accumulate((c.rank for c in ambient.components), initial=0)
+    components = [(c.family, c.rank, tuple(range(s, s + c.rank))) for c, s in zip(ambient.components, starts)]
+    pos = positive_roots_in_base_coords(components, ambient.dim)
+    return pos + [tuple(-x for x in v) for v in pos]
 
 
 def flip_matrix(n, pairs):

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -7,19 +8,25 @@ from fractions import Fraction
 import pytest
 from sympy import Matrix
 
-from datagen import divisor_scan_indivisible, flip_matrix, fvec, image_lattice
-from spherindex import index
+from datagen import ambient_roots, divisor_scan_indivisible, flip_matrix, fvec, image_lattice
+from spherindex import index, linalg, rootsys
 from spherindex.cli import cmd_analyze, cmd_restrict_index, emit, parse_index
 from spherindex.index import (
     TitsIndex,
-    ambient_roots,
     res_A,
     restricted_root_system,
     restricted_simple_roots,
     split_subspace,
 )
-from spherindex.linalg import Lattice, dot, mat_mul, rank, scaled_inverse, vec_mat
-from spherindex.rootsys import AmbientRootDatum, RootBase, classify
+from spherindex.linalg import Lattice, dot, mat_mul, mat_mul_t, rank, scaled_inverse, transpose, vec_mat
+from spherindex.rootsys import (
+    VALID_RANKS,
+    AmbientRootDatum,
+    RestrictedRoots,
+    RootBase,
+    classify,
+    diagram_involution,
+)
 
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
@@ -396,3 +403,68 @@ def test_split_subspace_runs_once_per_index(monkeypatch):
         _, code = command(doc)
         assert code == 0
         assert len(calls) == 1, command.__name__
+
+
+def brute_force_restriction(ix):
+    """Every ambient root written out in n coordinates, times the n x r
+    restriction matrix: the |Phi| x n x r product that the steps avoid."""
+    return RestrictedRoots.of(mat_mul_t(ambient_roots(ix.ambient), transpose(ix.restriction)))
+
+
+def flip_index(fam, n):
+    """Type fam n with its diagram involution as the star action, no compact roots."""
+    return TitsIndex.of(AmbientRootDatum.of([(fam, n)]), [], [permutation_matrix(diagram_involution(fam, n))])
+
+
+def random_compact_indices(seed, count):
+    """Split-star indices with a random compact subset that ``violations()`` accepts."""
+    rng, out = random.Random(seed), []
+    types = [(f, n) for f in "ABCDEFG" for n in range(1, 7) if VALID_RANKS[f](n)]
+    while len(out) < count:
+        fam, n = rng.choice(types)
+        ix = TitsIndex.of(AmbientRootDatum.of([(fam, n)]), rng.sample(range(n), rng.randrange(n)), [])
+        if ix.violations() == []:
+            out.append(ix)
+    return out
+
+
+def oracle_indices():
+    split = [split_index(f, n) for f in "ABCDEFG" for n in range(1, 9) if VALID_RANKS[f](n)]
+    flips = [flip_index("A", n) for n in range(2, 12)] + [flip_index("D", n) for n in range(4, 9)]
+    a3a3b2 = AmbientRootDatum.of([("A", 3, "x"), ("A", 3, "y"), ("B", 2, "z")])
+    a3_swap = flip_matrix(8, [(i, i + 3) for i in range(3)])
+    return (
+        split
+        + flips
+        + [flip_index("E", 6)]
+        + large_indices()[3:]  # compact C8 {a1, a3, a5, a7} and the A6 x A6 swap
+        + [TitsIndex.of(a3a3b2, [], []), TitsIndex.of(a3a3b2, [0, 2, 3, 5, 6], [a3_swap])]
+        + random_compact_indices(seed=2203, count=24)
+    )
+
+
+def test_restricted_root_system_matches_the_brute_force_product():
+    indices = oracle_indices()
+    assert len(indices) == 34 + 15 + 1 + 2 + 2 + 24
+    for ix in indices:
+        assert ix.violations() == []
+        assert restricted_root_system(ix) == brute_force_restriction(ix)
+
+
+def test_restricted_root_system_makes_no_matrix_product(monkeypatch):
+    """Images come by steps from the rows of the restriction, cold closure
+    included: no product of the ambient roots with the restriction matrix."""
+    indices = [split_index("E", 8), e6_flip_index()] + large_indices()[3:]
+    expected = [brute_force_restriction(ix) for ix in indices]  # also computes each ix.restriction
+    calls = []
+
+    def counted(name):
+        product = getattr(linalg, name)
+        return lambda *args: calls.append(name) or product(*args)
+
+    rootsys._standard_positive_roots.cache_clear()
+    for module in (index, rootsys):
+        for name in ("mat_mul_t", "mat_mul"):
+            monkeypatch.setattr(module, name, counted(name), raising=False)
+    assert [restricted_root_system(ix) for ix in indices] == expected
+    assert calls == []

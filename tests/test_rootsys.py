@@ -5,9 +5,9 @@ from itertools import islice
 import pytest
 from sympy import Matrix
 
-from spherindex import index, rootsys
+from spherindex import linalg, rootsys
 from spherindex.errors import NotARootBase, NotFiniteType
-from datagen import classified_type_name, flip_matrix, fmat
+from datagen import ambient_roots, classified_type_name, flip_matrix, fmat
 from spherindex.cli import parse_index
 from spherindex.linalg import dot, gram, identity, transpose, vec_mat
 from spherindex.rootsys import (
@@ -360,10 +360,52 @@ def test_each_type_is_enumerated_once():
     a second ambient of the same type asks again for free."""
     rootsys._standard_positive_roots.cache_clear()
     amb = AmbientRootDatum.of([("A", 6), ("A", 6)])
-    assert len(index.ambient_roots(amb)) == 2 * root_count("A", 6)
-    assert len(index.ambient_roots(AmbientRootDatum.of([("A", 6), ("A", 6)]))) == 84
+    assert len(ambient_roots(amb)) == 2 * root_count("A", 6)
+    assert len(ambient_roots(AmbientRootDatum.of([("A", 6), ("A", 6)]))) == 84
     info = rootsys._standard_positive_roots.cache_info()
     assert (info.misses, info.hits) == (1, 3)
+
+
+TYPES_UP_TO_RANK_12 = [(f, n) for f in "ABCDEFG" for n in range(1, 13) if VALID_RANKS[f](n)]
+
+
+def reflection_closure(fam, n):
+    """The positive roots in the order of the closure that paired each root
+    with the Cartan columns by a product: the order the steps must keep."""
+    cols = transpose(standard_cartan(fam, n))
+
+    def up(v):
+        return (simple_reflection(v, col, j) for j, col in enumerate(cols) if dot(v, col) < 0)
+
+    return list(islice(orbit(identity(n), up), root_count(fam, n) // 2))
+
+
+@pytest.mark.parametrize("fam, n", TYPES_UP_TO_RANK_12)
+def test_each_recorded_step_reproduces_its_root(fam, n):
+    roots, steps = rootsys._standard_positive_roots(fam, n)
+    cols = transpose(standard_cartan(fam, n))
+    assert list(roots) == reflection_closure(fam, n)
+    assert roots[:n] == identity(n) and len(steps) == len(roots) - n
+    assert rootsys.positive_root_steps(fam, n) == steps
+    for child, (parent, j, k) in enumerate(steps, start=n):
+        assert parent < child
+        assert k == -dot(roots[parent], cols[j]) > 0
+        assert roots[child] == tuple(x + k * int(i == j) for i, x in enumerate(roots[parent]))
+
+
+def test_a_cold_e8_enumeration_makes_no_matrix_product(monkeypatch):
+    """The pairings of a root are its parent's plus k times a Cartan row."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return linalg.mat_mul_t(*args)
+
+    monkeypatch.setattr(rootsys, "mat_mul_t", counting, raising=False)
+    rootsys._standard_positive_roots.cache_clear()
+    rootsys._standard_positive_roots("E", 8)
+    assert calls == []
+    assert len(positive_roots_in_base_coords([("E", 8, tuple(range(8)))], 8)) == 120
 
 
 @pytest.mark.parametrize(
