@@ -31,7 +31,7 @@ from .fans import (
     weyl_saturate,
 )
 from .index import TitsIndex, res_A, restricted_root_system
-from .linalg import Lattice, solve_left
+from .linalg import Lattice, divide, mat_mul, scaled_inverse
 from .restrict import (
     LittleDatum,
     aut_roots,
@@ -229,7 +229,9 @@ def _is_flat(v) -> bool:
 
 def _flat(v) -> str:
     if isinstance(v, (list, tuple)):
-        return "[" + ", ".join(_flat(x) for x in v) + "]"
+        if set(map(type, v)) == {int}:  # not bool, which prints as true/false
+            return "[" + ", ".join(map(int.__repr__, v)) + "]"
+        return "[" + ", ".join(map(_flat, v)) + "]"
     if isinstance(v, bool):
         return "true" if v else "false"
     if v is None:
@@ -302,11 +304,13 @@ def emit(report: dict, fmt: str):
 
 
 def _beta_coordinates(d: SphericalDatumK, rows):
-    """Spherical roots against the restricted simple roots of the group."""
+    """Spherical roots against the restricted simple roots of the group: the
+    restrictions times the inverse of the square matrix of those roots, which
+    ``chamber_containment_check`` has already found invertible."""
     if d.mode != "ambient":
         return None
-    srs = d.index.simple_roots
-    return [solve_left(srs.roots, res_A(d.index, row)) for row in rows]
+    a, det = scaled_inverse(d.index.simple_roots.roots)
+    return divide(mat_mul([res_A(d.index, row) for row in rows], a), det)
 
 
 def cmd_restrict_index(doc: dict) -> tuple[dict, int]:

@@ -261,7 +261,7 @@ def validate(d: SphericalDatumK) -> list[ValidationItem]:
     try:
         split = d.compact_split
         add("compact_split_consistent", True)
-    except InternalInconsistency as e:
+    except (InternalInconsistency, NegativeCoefficient) as e:  # support() refuses a negative coefficient
         add("compact_split_consistent", False, detail=str(e))
         split = None
 

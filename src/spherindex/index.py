@@ -9,6 +9,7 @@ system of the group.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import accumulate
 
 from .errors import DatumConstructionError, NotARootBase, NotFiniteType
 from .linalg import (
@@ -28,7 +29,7 @@ from .rootsys import (
     RestrictedRoots,
     RootBase,
     image_fibers,
-    positive_root_steps,
+    root_images,
     type_name_of,
 )
 
@@ -170,14 +171,8 @@ def restricted_simple_roots(ix: TitsIndex) -> RestrictedSimpleRoots:
 
 def restricted_root_system(ix: TitsIndex) -> RestrictedRoots:
     """The nonzero restrictions of the ambient roots, with multiplicities:
-    each positive image is one step from its parent's, with row off + j of
-    ``ix.restriction`` as the image of a component's a_j."""
-    images, off = [], 0
-    for c in ix.ambient.components:
-        rows = ix.restriction[off:off + c.rank]
-        comp = list(rows)
-        for parent, j, k in positive_root_steps(c.family, c.rank):
-            comp.append(tuple(x + k * y for x, y in zip(comp[parent], rows[j])))
-        images += comp
-        off += c.rank
+    row i of ``ix.restriction`` is the image of the simple root a_i."""
+    starts = accumulate((c.rank for c in ix.ambient.components), initial=0)
+    components = [(c.family, c.rank, range(s, s + c.rank)) for c, s in zip(ix.ambient.components, starts)]
+    images = root_images(components, ix.restriction)
     return RestrictedRoots.of(images + [tuple(-x for x in v) for v in images])

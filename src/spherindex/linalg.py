@@ -9,11 +9,11 @@ in, ``Fraction`` out), and a length mismatch raises ``ValueError``, since
 ``map`` would stop silently at the shorter operand.
 The eliminations are one fraction-free integer kernel, so ``rank``,
 ``pivot_columns`` and ``scaled_inverse`` create no ``Fraction``.  A
-``Fraction`` is created in five places only, each time by one division:
+``Fraction`` is created in four places only, each time by one division:
 
-- ``solve`` and ``solve_left``, once per entry, by the determinant;
-- ``divide``, once per entry: ``dual_basis``'s division by the scale of
-  ``scaled_inverse``, and ``Lattice.rows_q`` when ``den > 1``;
+- ``divide``, once per entry: a division by the scale of
+  ``scaled_inverse``, as in ``dual_basis``, and ``Lattice.rows_q`` when
+  ``den > 1``;
 - ``Lattice.coordinates``, only when a division is inexact;
 - the point ``find_feasible`` returns;
 - an exact division, always written ``Fraction(a, b)``, since ``/`` on two
@@ -126,25 +126,6 @@ def rank(m) -> int:
     return len(pivot_columns(m))
 
 
-def solve(a: Mat, b) -> Vec | None:
-    """A particular solution x of a @ x = b (x a column), or None."""
-    n = len(a[0]) if a else 0
-    rows, pivots, det = _eliminate([(*row, bi) for row, bi in zip(a, b, strict=True)])
-    if n in pivots:
-        return None
-    x = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        x[c] = Fraction(rows[i][n], det)
-    return tuple(x)
-
-
-def solve_left(rows: Mat, target) -> Vec | None:
-    """Coefficients x with sum_i x_i * rows[i] == target, or None."""
-    if not rows:
-        return () if is_zero_vec(target) else None
-    return solve(transpose(rows), target)
-
-
 def scaled_inverse(m) -> tuple[tuple[tuple[int, ...], ...], int]:
     """(a, d) with d > 0 and a = d * m^-1 an integer matrix, from [m | I]."""
     n = len(m)
@@ -179,11 +160,8 @@ def dual_basis(rows, form) -> Mat:
 
 
 def content(v) -> int:
-    """gcd of the entries of an integer vector (0 for the zero vector)."""
-    g = 0
-    for x in v:
-        g = gcd(g, int(x))
-    return g
+    """gcd of the entries of an integer vector (0 for the empty or zero vector)."""
+    return gcd(*map(int, v))
 
 
 def primitive_vector(v) -> tuple[int, ...]:

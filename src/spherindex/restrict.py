@@ -48,7 +48,7 @@ from .linalg import (
     vec_mat,
 )
 from .record import Record
-from .rootsys import RestrictedRoots, RootBase, generate_roots, image_fibers, type_name_of, weyl_order
+from .rootsys import RestrictedRoots, RootBase, generate_roots, image_fibers, root_images, type_name_of, weyl_order
 
 
 class LittleDatum(Record):
@@ -85,8 +85,7 @@ class RestrictedDatum(LittleDatum):
     """
 
     nk_basis: Mat
-    xik_image_basis: Mat
-    projected_lifts: Mat  # lifts of xik_image_basis rows, projected off the annihilator
+    projected_lifts: Mat  # lifts of the little basis rows, projected off the annihilator
     split: CompactRootSplit
 
 
@@ -171,8 +170,7 @@ def restrict_datum(d: SphericalDatumK) -> RestrictedDatum:
     # canonical basis of the little weight lattice, generated by the restrictions
     # of the coordinate characters; row i of u restricts to basis row i
     h, u = hermite_normal_form(transpose(nk))
-    l_basis = tuple(tuple(r) for r in h[:dk])
-    little = Lattice(dk, l_basis)
+    little = Lattice(dk, tuple(tuple(r) for r in h[:dk]))
 
     # restricted spherical roots with their fibers, in input order
     sigma_k, fibers = image_fibers((i, _to_little(nk, little, d.sigma[i])) for i in split.noncompact)
@@ -191,7 +189,6 @@ def restrict_datum(d: SphericalDatumK) -> RestrictedDatum:
     return RestrictedDatum(
         **core,
         nk_basis=nk,
-        xik_image_basis=l_basis,
         projected_lifts=projected,
         split=split,
     )
@@ -200,14 +197,17 @@ def restrict_datum(d: SphericalDatumK) -> RestrictedDatum:
 def phi_k_res(d: SphericalDatumK, rd: RestrictedDatum) -> RestrictedRoots:
     """Restrict every root generated by the big spherical roots.
 
-    The indivisible part must coincide with the little root system; a
+    Restriction is linear: spherical root i restricts to ``rd.sigma_k[t]``
+    for i in fiber t, and a compact one to 0, since it cuts out N_k.  The
+    indivisible part must coincide with the little root system; a
     mismatch contradicts a theorem that holds for every consistent datum.
     """
-    images = ()
-    if d.sigma:
-        little = Lattice(rd.rank, rd.xik_image_basis)
-        images = (_to_little(rd.nk_basis, little, root) for root in generate_roots(d.root_base))
-    rr = RestrictedRoots.of(images)
+    sigma_images = [(0,) * rd.rank] * len(d.sigma)
+    for s, fib in zip(rd.sigma_k, rd.fibers):
+        for i in fib:
+            sigma_images[i] = s
+    images = root_images(d.root_base.components, sigma_images)
+    rr = RestrictedRoots.of(images + [tuple(-x for x in v) for v in images])
     if rr.indivisible != set(rd.phi_k):
         raise IndivisibilityMismatch(
             "indivisible restricted roots differ from the little root system"

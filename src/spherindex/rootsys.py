@@ -350,26 +350,31 @@ def _standard_positive_roots(family: str, n: int) -> tuple[Mat, tuple[tuple[int,
     return roots, tuple(steps)
 
 
-def positive_root_steps(family: str, n: int) -> tuple[tuple[int, int, int], ...]:
-    """The steps of ``_standard_positive_roots``: a linear map sends root
-    n + t to the image of its parent plus k times the image of a_j."""
-    return _standard_positive_roots(family, n)[1]
+def root_images(components, images) -> list[Vec]:
+    """The images of the positive roots under a linear map, ``images[i]``
+    being the image of base vector i.
+
+    ``components`` are ``classify``-style (family, rank, positions) triples.
+    Component by component, the images of its simple roots come first; each
+    later root's image is its parent's plus k times the image of a_j, one
+    step (parent, j, k) of ``_standard_positive_roots`` each.
+    """
+    out = []
+    for fam, rk, positions in components:
+        simple = [images[i] for i in positions]
+        comp = list(simple)
+        for parent, j, k in _standard_positive_roots(fam, rk)[1]:
+            comp.append(tuple(x + k * y for x, y in zip(comp[parent], simple[j])))
+        out += comp
+    return out
 
 
 def positive_roots_in_base_coords(components, n: int) -> list[tuple[int, ...]]:
     """Positive roots of a rank-n system as sorted integer base-coordinate rows.
 
-    ``components`` are ``classify``-style (family, rank, positions) triples:
-    the standard roots of each type are written into its positions.
+    ``components`` are ``classify``-style (family, rank, positions) triples.
     """
-    out = []
-    for fam, rk, positions in components:
-        for v in _standard_positive_roots(fam, rk)[0]:
-            row = [0] * n
-            for i, x in zip(positions, v):
-                row[i] = x
-            out.append(tuple(row))
-    return sorted(out)
+    return sorted(root_images(components, identity(n)))
 
 
 def indivisible_roots(support) -> set:

@@ -23,12 +23,13 @@ from spherindex.linalg import (
     integer_kernel,
     primitive_vector,
     rank,
-    solve_left,
+    transpose,
     vec_mat,
 )
 from spherindex.restrict import _annihilator, restrict_datum
 from spherindex.rootsys import (
     AmbientRootDatum,
+    RestrictedRoots,
     RootBase,
     classify,
     generate_roots,
@@ -180,6 +181,51 @@ def random_convex_data(seed: int, count: int):
 
 # ---------------------------------------------------------------------------
 # helpers with no caller in the library, kept as oracles for the tests
+
+
+def solve(a, b):
+    """A particular solution x of a @ x = b (x a column), or None: Gauss-Jordan
+    elimination on Fractions, with every free unknown 0."""
+    n = len(a[0]) if a else 0
+    rows = [[Fraction(x) for x in row] + [Fraction(bi)] for row, bi in zip(a, b, strict=True)]
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        piv = rows[r][c]
+        rows[r] = [x / piv for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                rows[i] = [x - row[c] * y for x, y in zip(row, rows[r])]
+        pivots.append(c)
+    if any(row[n] for row in rows[len(pivots):]):
+        return None
+    x = [Fraction(0)] * n
+    for row, c in zip(rows, pivots):
+        x[c] = row[n]
+    return tuple(x)
+
+
+def solve_left(rows, target):
+    """Coefficients x with sum_i x_i * rows[i] == target, or None."""
+    if not rows:
+        return () if all(x == 0 for x in target) else None
+    return solve(transpose(rows), target)
+
+
+def phi_k_res_by_lattice(d: SphericalDatumK, rd) -> RestrictedRoots:
+    """Every root of the big spherical roots restricted to N_k one at a time,
+    then written in the basis of the little weight lattice, which the
+    restrictions of the coordinate characters generate."""
+    if not d.sigma:
+        return RestrictedRoots.of(())
+    little = Lattice.from_rows(rd.rank, transpose(rd.nk_basis))
+    return RestrictedRoots.of(
+        little.coordinates(tuple(dot(root, v) for v in rd.nk_basis)) for root in generate_roots(d.root_base)
+    )
 
 
 def image_lattice(m, domain: Lattice) -> Lattice:

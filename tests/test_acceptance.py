@@ -17,6 +17,7 @@ from datagen import (
     no_cone,
     random_convex_data,
     random_data,
+    solve_left,
     to_abstract,
 )
 from spherindex.datum import SphericalDatumK, is_valid, validate
@@ -34,7 +35,7 @@ from spherindex.fans import (
     weyl_saturate,
 )
 from spherindex.index import TitsIndex, res_A, restricted_simple_roots
-from spherindex.linalg import Lattice, dot, rank, solve_left, vec_mat
+from spherindex.linalg import Lattice, dot, rank, transpose, vec_mat
 from spherindex.restrict import (
     aut_roots,
     chamber_containment_check,
@@ -261,7 +262,7 @@ def _brute_force_little_roots(d, rd):
     big = generate_roots(base)
     restricted = set()
     nk = rd.nk_basis
-    l_basis = rd.xik_image_basis
+    l_basis = Lattice.from_rows(rd.rank, transpose(nk)).basis
     for r in big:
         raw = tuple(dot(fvec(r), fvec(v)) for v in nk)
         if any(raw):

@@ -13,12 +13,12 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from datagen import random_data
-from spherindex import fans
+from datagen import random_data, solve_left
+from spherindex import fans, linalg
 from spherindex import cli
 from spherindex.cli import emit, main
 from spherindex.datum import CompactRootSplit
-from spherindex.linalg import Lattice
+from spherindex.linalg import Lattice, transpose
 from spherindex.restrict import RestrictedDatum, restrict_datum
 
 HERE = os.path.dirname(__file__)
@@ -267,6 +267,34 @@ def test_validation_failure_exit_1_with_report(capsys, tmp_path):
     assert report["valid"] is False
     failed = {v["name"] for v in report["validation"] if not v["passed"]}
     assert "linearly_independent" in failed
+
+
+NEGATIVE_COEFFICIENT_DOC = {
+    "schema_version": "1",
+    "mode": "ambient",
+    "ambient": {"components": [{"family": "A", "rank": 2}]},
+    "spherical": {"sigma": [[1, -1]]},
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_negative_coefficient_is_reported_not_raised(capsys, tmp_path, fmt):
+    """support() refuses a negative coefficient; validate reports it, so the
+    nonnegative_combination item fails in a printed report."""
+    path = write(tmp_path, "neg.json", NEGATIVE_COEFFICIENT_DOC)
+    for cmd in ("analyze", "standard-fan"):
+        code, out, err = run(capsys, "--format", fmt, cmd, path)
+        assert (code, err) == (1, "")
+        if fmt == "json":
+            report = json.loads(out)
+            assert report["command"] == cmd and report["valid"] is False
+            failed = {v["name"]: v["detail"] for v in report["validation"] if not v["passed"]}
+            assert failed == {
+                "nonnegative_combination": "roots [0] have negative coefficients",
+                "compact_split_consistent": "coefficient -1 of simple root 1 is negative",
+            }
+        else:
+            assert "name: nonnegative_combination\n" in out and "valid: false" in out
 
 
 def test_theorem_violation_exit_3(capsys, tmp_path):
@@ -998,5 +1026,65 @@ def test_integral_input_stays_int():
     for doc in integral:
         d = cli.parse_datum(doc)
         rd = restrict_datum(d)
-        for rows in (d.sigma, d.pairing, rd.sigma_k, rd.sigma_k_pr, rd.xik_image_basis):
+        for rows in (d.sigma, d.pairing, rd.sigma_k, rd.sigma_k_pr, Lattice.from_rows(rd.rank, transpose(rd.nk_basis)).basis):
             assert all(type(x) is int for r in rows for x in r), rows
+
+
+ANISOTROPIC_DOC = {
+    "schema_version": "1",
+    "mode": "ambient",
+    "ambient": {"components": [{"family": "C", "rank": 2}]},
+    "compact_simple": ["a1", "a2"],
+    "spherical": {"sigma": [[1, 0], [0, 1]]},
+}
+
+
+def ambient_fixture_data():
+    docs = [doc for doc in FIXTURE_DOCS if doc["mode"] == "ambient"] + [ANISOTROPIC_DOC]
+    return [cli.parse_datum(doc) for doc in docs]
+
+
+def test_beta_coordinates_match_the_elimination():
+    """One inverse for every row gives the coordinates solve_left finds one
+    row at a time; the anisotropic index has no restricted simple roots."""
+    data = ambient_fixture_data()
+    assert len(data) == 4
+    for d in data:
+        beta = cli._beta_coordinates(d, d.sigma_input)
+        srs = d.index.simple_roots
+        assert list(beta) == [solve_left(srs.roots, cli.res_A(d.index, row)) for row in d.sigma_input]
+    report, code = cli.cmd_analyze(ANISOTROPIC_DOC)
+    assert code == 0 and report["sigma_k_in_beta"] == [[], []]
+
+
+def test_beta_coordinates_run_one_elimination(monkeypatch):
+    calls = []
+    eliminate = linalg._eliminate
+
+    def counting(m):
+        calls.append(len(m))
+        return eliminate(m)
+
+    data = ambient_fixture_data()
+    for d in data:
+        d.index.simple_roots  # computed once per index, before the count
+    monkeypatch.setattr(linalg, "_eliminate", counting)
+    for d in data:
+        calls.clear()
+        cli._beta_coordinates(d, d.sigma_input + d.sigma_input)
+        assert len(calls) == 1, calls
+
+
+def test_text_renderer_joins_each_run_of_ints_once(monkeypatch):
+    """A row of ints is written by one join, not one _flat call per entry."""
+    calls = []
+    flat = cli._flat
+
+    def counting(v):
+        calls.append(v)
+        return flat(v)
+
+    monkeypatch.setattr(cli, "_flat", counting)
+    rows = ((1, -2, 3), (0, 0, 40), (True, 5), (Fraction(1, 2), 7))
+    assert cli._render_text({"rows": rows}) == ["rows: [[1, -2, 3], [0, 0, 40], [true, 5], [1/2, 7]]"]
+    assert len(calls) == 1 + len(rows) + 4  # the list, each row, and the entries of the two mixed rows

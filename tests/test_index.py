@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from sympy import Matrix
 
-from datagen import ambient_roots, divisor_scan_indivisible, flip_matrix, fvec, image_lattice
+from datagen import ambient_roots, divisor_scan_indivisible, flip_matrix, fvec, image_lattice, solve_left
 from spherindex import index, linalg, rootsys
 from spherindex.cli import cmd_analyze, cmd_restrict_index, emit, parse_index
 from spherindex.index import (
@@ -131,8 +131,6 @@ def test_restricted_roots_are_integer_combinations_of_s_k():
         srs = restricted_simple_roots(ix)
         phi = restricted_root_system(ix)
         for r, _ in phi.multiplicities:
-            from spherindex.linalg import solve_left
-
             coords = solve_left(srs.roots, r)
             assert coords is not None
             assert all(x.denominator == 1 for x in coords)

@@ -9,7 +9,7 @@ from sympy import ZZ, Matrix, Rational
 from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
 from sympy.matrices.normalforms import invariant_factors
 
-from datagen import image_lattice, intersection_with_subspace
+from datagen import image_lattice, intersection_with_subspace, solve_left
 from spherindex.errors import ZeroVector
 from spherindex.linalg import (
     Lattice,
@@ -28,7 +28,6 @@ from spherindex.linalg import (
     primitive_vector,
     rank,
     scaled_inverse,
-    solve_left,
     transpose,
     vec_mat,
 )
@@ -153,6 +152,7 @@ def test_primitive_vector_and_content():
     assert (primitive_vector((2, 4)), content((2, 4))) == ((1, 2), 2)
     assert (primitive_vector((0, -3)), content((0, -3))) == ((0, -1), 3)
     assert primitive_vector((Fraction(1, 2), 1)) == (1, 2)
+    assert content(()) == content((0, 0)) == 0 and content((Fraction(6), -4)) == 2
     with pytest.raises(ZeroVector):
         primitive_vector((0, 0))
 

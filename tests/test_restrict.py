@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 from sympy import Matrix, Rational, eye
 
-from datagen import flip_matrix, fmat, little_space, random_data
+from datagen import flip_matrix, fmat, little_space, phi_k_res_by_lattice, random_data, solve, solve_left
+from spherindex import restrict
 from spherindex.datum import SphericalDatumK
 from spherindex.errors import FiberMismatch, NotBetween, NotConvex
 from spherindex.index import TitsIndex, restricted_root_system
@@ -13,7 +14,6 @@ from spherindex.linalg import (
     dual_basis,
     hermite_normal_form,
     identity,
-    solve,
     transpose,
     vec_mat,
 )
@@ -100,6 +100,38 @@ def test_sp42_phi_k_res():
     assert not rr.reduced
 
 
+def phi_k_res_cases():
+    """The fixtures, split A12 and E8 on their simple roots, and random data."""
+    split = [split_datum(fam, n, identity(n)) for fam, n in (("A", 12), ("E", 8))]
+    fixtures = [sp42_datum(), e6_datum(), su_nn_datum(2), su_nn_datum(3), u11_datum()]
+    return fixtures + split + random_data(20261018, 24)
+
+
+def test_phi_k_res_matches_the_restriction_of_every_root():
+    """The images of the spherical roots and the closure steps give the
+    multiset that restricting each big root in the little lattice gives."""
+    for d in phi_k_res_cases():
+        rd = restrict_datum(d)
+        assert phi_k_res(d, rd) == phi_k_res_by_lattice(d, rd)
+
+
+def test_phi_k_res_does_no_lattice_work(monkeypatch):
+    calls = []
+
+    def counting(name, f):
+        def wrapper(*args):
+            calls.append(name)
+            return f(*args)
+        return wrapper
+
+    pairs = [(d, restrict_datum(d)) for d in phi_k_res_cases()]
+    monkeypatch.setattr(Lattice, "coordinates", counting("coordinates", Lattice.coordinates))
+    monkeypatch.setattr(restrict, "generate_roots", counting("generate_roots", restrict.generate_roots))
+    for d, rd in pairs:
+        phi_k_res(d, rd)
+    assert calls == []
+
+
 E6_FLIP = [flip_matrix(6, [(0, 5), (2, 4)])]
 A5_FLIP = [flip_matrix(5, [(0, 4), (1, 3)])]
 # split E8 and D4; quasi-split E6, A5 and D7; then indices with compact roots
@@ -155,7 +187,6 @@ def test_e6_sigma_k_in_beta_coordinates():
     # the restrictions written against the restricted simple roots of the
     # group must give beta2+2beta3+2beta4 and beta1+beta2+beta3
     from spherindex.index import res_A, restricted_simple_roots
-    from spherindex.linalg import solve_left
 
     d = e6_datum()
     srs = restricted_simple_roots(d.index)
@@ -169,7 +200,6 @@ def test_e6_sigma_k_in_beta_coordinates():
 
 def test_su22_restriction():
     from spherindex.index import res_A, restricted_simple_roots
-    from spherindex.linalg import solve_left
 
     d = su_nn_datum(2)
     rd = restrict_datum(d)
@@ -181,7 +211,6 @@ def test_su22_restriction():
 
 def test_su33_restriction_coefficients():
     from spherindex.index import res_A, restricted_simple_roots
-    from spherindex.linalg import solve_left
 
     d = su_nn_datum(3)
     srs = restricted_simple_roots(d.index)
@@ -429,9 +458,10 @@ def test_little_basis_and_lifts_match_the_elimination():
     for d in [sp42_datum(), e6_datum(), su_nn_datum(2), u11_datum()] + random_data(20261018, 24):
         rd = restrict_datum(d)
         nk = rd.nk_basis
-        assert Lattice(rd.rank, rd.xik_image_basis) == Lattice.from_rows(rd.rank, transpose(nk))
+        basis = Lattice.from_rows(rd.rank, transpose(nk)).basis
+        assert len(basis) == rd.rank  # the restricted coordinate characters span
         ann = _annihilator(d, rd.split)
-        lifts = [solve(nk, row) for row in rd.xik_image_basis]
+        lifts = [solve(nk, row) for row in basis]
         assert _project(d.pairing, ann, lifts) == (rd.projected_lifts, rd.form_k)
         expected = to_sympy(lifts, d.m) * sympy_projection(d.pairing, ann)
         assert rd.projected_lifts == tuple(tuple(Fraction(int(x.p), int(x.q)) for x in r) for r in expected.tolist())
