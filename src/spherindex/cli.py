@@ -531,18 +531,7 @@ def cmd_degenerate(doc: dict) -> tuple[dict, int]:
         aut = None
         xi, sigma_aut = Lattice.standard(rd.rank), tuple(rd.sigma_k)
     dd = build_degeneration(xi, sigma_aut)
-    fibers = []
-    for face in dd.c_bd.faces():
-        data = degeneration_fiber_data(dd, face)
-        fibers.append(
-            {
-                "face": face.generators,
-                "sigma_fiber": data["sigma_fiber"],
-                "horospherical": data["horospherical"],
-                "k_form": data["k_form"],
-                "torus_rank": data["torus_rank"],
-            }
-        )
+    fibers = [{"face": face.generators, **degeneration_fiber_data(dd, face)} for face in dd.c_bd.faces()]
     full = Lattice.standard(2 * rd.rank)
     report = {
         "command": "degenerate",

@@ -111,6 +111,6 @@ def degeneration_fiber_data(dd: DegenerationDatum, face: Cone) -> dict:
     return {
         "sigma_fiber": tuple(sigma_fiber),
         "horospherical": face == dd.c_bd,
-        "torus_rank": face.dim,
         "k_form": face.dim == 0,
+        "torus_rank": face.dim,
     }

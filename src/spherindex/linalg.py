@@ -78,10 +78,6 @@ def transpose(m) -> Mat:
     return tuple(zip(*m)) if m else ()
 
 
-def is_zero_vec(v) -> bool:
-    return all(x == 0 for x in v)
-
-
 def _eliminate(m) -> tuple[list[list[int]], tuple[int, ...], int]:
     """Fraction-free Gauss-Jordan elimination (Bareiss 1968).
 

@@ -13,8 +13,8 @@ from fractions import Fraction
 from itertools import accumulate
 from types import SimpleNamespace
 
-from spherindex.datum import SphericalDatumK
-from spherindex.errors import SpherindexError
+from spherindex.datum import CompactRootSplit, SphericalDatumK
+from spherindex.errors import InternalInconsistency, SpherindexError
 from spherindex.fans import FanIssue, _intersection_issues
 from spherindex.index import TitsIndex
 from spherindex.linalg import (
@@ -26,7 +26,7 @@ from spherindex.linalg import (
     transpose,
     vec_mat,
 )
-from spherindex.restrict import _annihilator, restrict_datum
+from spherindex.restrict import RestrictedDatum, _annihilator, restrict_datum
 from spherindex.rootsys import (
     AmbientRootDatum,
     RestrictedRoots,
@@ -226,6 +226,56 @@ def phi_k_res_by_lattice(d: SphericalDatumK, rd) -> RestrictedRoots:
     return RestrictedRoots.of(
         little.coordinates(tuple(dot(root, v) for v in rd.nk_basis)) for root in generate_roots(d.root_base)
     )
+
+
+def facet_inheritance_by_rank(d: SphericalDatumK, rd):
+    """The facet check with one rank per face: Z_k is generated by plus and
+    minus ``nk0_basis`` and minus the coweights, and each noncompact root
+    must be nonpositive on every generator and vanish on a face of rank
+    r - 1, each compact root must restrict to zero."""
+    gens = list(rd.nk0_basis)
+    gens += [tuple(-x for x in g) for g in rd.nk0_basis]
+    gens += [tuple(-x for x in w) for w in rd.coweights]
+    if rank(gens) != rd.rank:
+        raise InternalInconsistency("valuation cone is not full dimensional")
+    fiber_of = {i: t for t, fib in enumerate(rd.fibers) for i in fib}
+    checked = {"full": 0, "facet": 0}
+    for i in range(len(d.sigma)):
+        if i in rd.split.sigma0:
+            if any(dot(d.sigma[i], v) for v in rd.nk_basis):
+                raise InternalInconsistency("a compact spherical root restricts nontrivially")
+            checked["full"] += 1
+            continue
+        sbar = rd.sigma_k[fiber_of[i]]
+        vals = [dot(sbar, g) for g in gens]
+        if any(x > 0 for x in vals):
+            raise InternalInconsistency("a restricted root is positive somewhere on the valuation cone")
+        face = [g for g, x in zip(gens, vals) if x == 0]
+        if rank(face) != rd.rank - 1:
+            raise InternalInconsistency("a big facet does not trace a facet of the little cone")
+        checked["facet"] += 1
+    return checked
+
+
+def replace(rd, **fields):
+    """The restricted datum rebuilt from its fields, with ``fields`` changed."""
+    return RestrictedDatum(**{**vars(rd), **fields})
+
+
+# one planted violation of the facet check per message, for a restricted
+# datum with at least two noncompact fibers
+FACET_PLANTS = {
+    "a compact spherical root restricts nontrivially": lambda rd: replace(
+        rd, split=CompactRootSplit(rd.split.noncompact[:1], rd.split.noncompact[1:])
+    ),
+    "valuation cone is not full dimensional": lambda rd: replace(rd, coweights=(rd.coweights[1],) * 2),
+    "a restricted root is positive somewhere on the valuation cone": lambda rd: replace(
+        rd, sigma_k=tuple(tuple(-x for x in s) for s in rd.sigma_k)
+    ),
+    "a big facet does not trace a facet of the little cone": lambda rd: replace(
+        rd, coweights=(tuple(map(sum, zip(*rd.coweights))),) + rd.coweights[1:]
+    ),
+}
 
 
 def image_lattice(m, domain: Lattice) -> Lattice:

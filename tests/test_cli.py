@@ -13,13 +13,13 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from datagen import random_data, solve_left
+from datagen import FACET_PLANTS, random_data, replace, solve_left
 from spherindex import fans, linalg
 from spherindex import cli
 from spherindex.cli import emit, main
 from spherindex.datum import CompactRootSplit
 from spherindex.linalg import Lattice, transpose
-from spherindex.restrict import RestrictedDatum, restrict_datum
+from spherindex.restrict import restrict_datum
 
 HERE = os.path.dirname(__file__)
 FIXTURES = os.path.join(HERE, os.pardir, "fixtures")
@@ -319,11 +319,6 @@ def _negated(rows):
     return tuple(tuple(-x for x in row) for row in rows)
 
 
-def replace(rd, **fields):
-    """The restricted datum rebuilt from its fields, with ``fields`` changed."""
-    return RestrictedDatum(**{**vars(rd), **fields})
-
-
 @pytest.mark.parametrize(
     "plant, message",
     [
@@ -346,6 +341,17 @@ def test_analyze_exits_3_on_a_planted_identity_violation(capsys, monkeypatch, pl
     """Each identity check of analyze reads the restricted datum; a violation
     planted there, and in no earlier check, exits 3 with the check's message."""
     monkeypatch.setattr(cli, "restrict_datum", lambda d: plant(restrict_datum(d)))
+    code, out, err = run(capsys, "analyze", fixture("e6.json"))
+    assert (code, out, err) == (3, "", f"theorem violation: {message}\n")
+
+
+@pytest.mark.parametrize("message", list(FACET_PLANTS)[1:], ids=["dimension", "positive", "trace"])
+def test_analyze_exits_3_on_each_planted_facet_violation(capsys, monkeypatch, message):
+    """These plants would trip an earlier identity first, so the two earlier
+    checks are passed over here: the facet check alone exits 3 on each."""
+    monkeypatch.setattr(cli, "restrict_datum", lambda d: FACET_PLANTS[message](restrict_datum(d)))
+    monkeypatch.setattr(cli, "coweight_identity_check", lambda d, rd: {"checked": 0})
+    monkeypatch.setattr(cli, "chamber_containment_check", lambda d, rd: {"checked": 0})
     code, out, err = run(capsys, "analyze", fixture("e6.json"))
     assert (code, out, err) == (3, "", f"theorem violation: {message}\n")
 

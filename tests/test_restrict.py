@@ -3,10 +3,20 @@ from fractions import Fraction
 import pytest
 from sympy import Matrix, Rational, eye
 
-from datagen import flip_matrix, fmat, little_space, phi_k_res_by_lattice, random_data, solve, solve_left
-from spherindex import restrict
+from datagen import (
+    FACET_PLANTS,
+    facet_inheritance_by_rank,
+    flip_matrix,
+    fmat,
+    little_space,
+    phi_k_res_by_lattice,
+    random_data,
+    solve,
+    solve_left,
+)
+from spherindex import linalg, restrict
 from spherindex.datum import SphericalDatumK
-from spherindex.errors import FiberMismatch, NotBetween, NotConvex
+from spherindex.errors import FiberMismatch, NotBetween, NotConvex, SpherindexError, TheoremViolation
 from spherindex.index import TitsIndex, restricted_root_system
 from spherindex.linalg import (
     Lattice,
@@ -434,6 +444,83 @@ def test_facet_inheritance_fixtures():
     assert checked(e6_datum()) == {"full": 0, "facet": 2}
     assert checked(su_nn_datum(2)) == {"full": 0, "facet": 1}
     assert checked(u11_datum()) == {"full": 0, "facet": 1}
+
+
+def outcome(check, d, rd):
+    """What a check returns, or the message of the theorem violation it raises."""
+    try:
+        return check(d, rd)
+    except TheoremViolation as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("message", FACET_PLANTS)
+def test_facet_check_raises_each_message_like_the_rank_per_face_check(message):
+    """Each violation planted in the E6 datum (two noncompact fibers, rank 2)
+    raises the same message through the one basis test and the rank per face."""
+    d = e6_datum()
+    rd = restrict_datum(d)
+    assert outcome(facet_inheritance_check, d, rd) == {"full": 0, "facet": 2}
+    planted = FACET_PLANTS[message](rd)
+    assert outcome(facet_inheritance_check, d, planted) == message
+    assert outcome(facet_inheritance_by_rank, d, planted) == message
+
+
+def quasi_split_e6_data():
+    """The flip quasi-split E6 with the spherical roots summed over each
+    nonempty set of its four flip orbits."""
+    ix = TitsIndex.of(AmbientRootDatum.of([("E", 6)]), [], [flip_matrix(6, [(0, 5), (2, 4)])])
+    orbits = [(0, 5), (1,), (2, 4), (3,)]
+    data = []
+    for mask in range(1, 16):
+        sigma = [[int(i in orbit) for i in range(6)] for b, orbit in enumerate(orbits) if mask >> b & 1]
+        data.append(SphericalDatumK.ambient(ix, sigma))
+    return data
+
+
+def test_facet_check_matches_the_rank_per_face_check():
+    """Both checks agree on every datum, and on each with its restricted roots
+    negated or its first coweight moved, wherever that plants a violation."""
+    data = [sp42_datum(), e6_datum(), su_nn_datum(2), u11_datum(), split_datum("A", 2, [[1, 0], [0, 1]])]
+    data += random_data(20261018, 24) + quasi_split_e6_data()
+    data += [split_datum("A", n, identity(n)) for n in range(2, 13)]
+    messages = set()
+    for d in data:
+        rd = restrict_datum(d)
+        assert isinstance(outcome(facet_inheritance_by_rank, d, rd), dict)
+        planted = [rd, FACET_PLANTS["a restricted root is positive somewhere on the valuation cone"](rd)]
+        if len(rd.coweights) > 1:
+            planted.append(FACET_PLANTS["a big facet does not trace a facet of the little cone"](rd))
+        for p in planted:
+            expected = outcome(facet_inheritance_by_rank, d, p)
+            assert outcome(facet_inheritance_check, d, p) == expected
+            messages.add(expected if isinstance(expected, str) else "passed")
+    assert len(messages) == 3
+
+
+def count_eliminations(monkeypatch):
+    calls = []
+    eliminate = linalg._eliminate
+
+    def counting(m):
+        calls.append(len(m))
+        return eliminate(m)
+
+    monkeypatch.setattr(linalg, "_eliminate", counting)
+    return calls
+
+
+def test_facet_and_coweight_checks_run_one_elimination(monkeypatch):
+    """One rank of the basis for the facets (the rank per face made 1 + one per
+    noncompact root, 3 on E6), one dual basis for the coweights."""
+    pairs = [(d, restrict_datum(d)) for d in [sp42_datum(), e6_datum(), su_nn_datum(2), u11_datum()]]
+    pairs += [(d, restrict_datum(d)) for d in random_data(20261018, 8) + quasi_split_e6_data()[-1:]]
+    calls = count_eliminations(monkeypatch)
+    for d, rd in pairs:
+        for check in (facet_inheritance_check, coweight_identity_check):
+            calls.clear()
+            check(d, rd)
+            assert len(calls) == 1, (check.__name__, calls)
 
 
 def to_sympy(m, ncols):

@@ -13,7 +13,8 @@ whole text, so reports go through the streaming writer ``cli.emit``; a
 function the benchmark traces by name that no longer exists reads 0 calls
 there, so each traced name resolves to a function in ``src/``; every CLI
 call is a new process, so ``src/`` imports no ``dataclasses`` (nor, through
-it, ``inspect``): its records derive from ``record.Record``.
+it, ``inspect``): its records derive from ``record.Record``; the project
+requires Python 3.10, so no source, tool or test uses newer syntax.
 """
 
 import ast
@@ -315,3 +316,37 @@ def left_imported(statement):
 def test_the_cli_imports_neither_dataclasses_nor_inspect():
     assert left_imported("import spherindex.cli") == []
     assert left_imported("import spherindex.cli, dataclasses") == ["dataclasses", "inspect"]
+
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+OLDEST_PYTHON = (3, 10)  # pyproject.toml: requires-python = ">=3.10"
+
+
+def newer_syntax(sources):
+    """Each (name, text) that the parser of the oldest supported Python rejects."""
+    found = []
+    for name, text in sources:
+        try:
+            ast.parse(text, filename=name, feature_version=OLDEST_PYTHON)
+        except SyntaxError as e:
+            found.append(f"{name}:{e.lineno}: {e.msg}")
+    return found
+
+
+def test_every_python_file_parses_as_the_oldest_supported_python():
+    with open(os.path.join(ROOT, "pyproject.toml")) as fh:
+        assert 'requires-python = ">=3.10"' in fh.read()
+    sources = []
+    for top in ("src", "tools", "tests"):
+        paths = sorted(glob.glob(os.path.join(ROOT, top, "**", "*.py"), recursive=True))
+        assert paths, top
+        for path in paths:
+            with open(path) as fh:
+                sources.append((os.path.relpath(path, ROOT), fh.read()))
+    assert newer_syntax(sources) == []
+    planted = [
+        ("generic.py", "def f[T](x: T) -> T:\n    return x\n"),
+        ("groups.py", "try:\n    pass\nexcept* ValueError:\n    pass\n"),
+        ("match.py", "match x:\n    case 1:\n        pass\n"),
+    ]
+    assert [line.split(":")[0] for line in newer_syntax(planted)] == ["generic.py", "groups.py"]
