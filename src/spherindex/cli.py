@@ -209,34 +209,32 @@ def _render_text(node, indent=0) -> list[str]:
     else:
         items = [("-", v) for v in node]
     for head, v in items:
-        if isinstance(v, (dict, list, tuple)) and v and not _is_flat(v):
+        line = _flat(v)
+        if line is None:
             lines.append(f"{pad}{head}")
             lines += _render_text(v, indent + 1)
         else:
-            lines.append(f"{pad}{head} {_flat(v)}")
+            lines.append(f"{pad}{head} {line}")
     return lines
 
 
-def _is_flat(v) -> bool:
-    """A sequence of scalars or of sequences of scalars, printed on one line."""
-    if isinstance(v, (list, tuple)):
-        return all(not isinstance(x, (dict, list, tuple)) for x in v) or (
-            all(isinstance(x, (list, tuple)) for x in v)
-            and all(not isinstance(y, (dict, list, tuple)) for x in v for y in x)
-        )
-    return False
-
-
-def _flat(v) -> str:
-    if isinstance(v, (list, tuple)):
-        if set(map(type, v)) == {int}:  # not bool, which prints as true/false
-            return "[" + ", ".join(map(int.__repr__, v)) + "]"
-        return "[" + ", ".join(map(_flat, v)) + "]"
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if v is None:
-        return "none"
-    return str(v)
+def _flat(v) -> str | None:
+    """The one-line text of a scalar, an empty dict, or a sequence of scalars or
+    of sequences of scalars; None for any other value, which nests."""
+    if isinstance(v, dict):
+        return None if v else "{}"
+    if not isinstance(v, (list, tuple)):
+        return "true" if v is True else "false" if v is False else "none" if v is None else str(v)
+    if set(map(type, v)) == {int}:  # not bool, which prints as true/false
+        return "[" + ", ".join(map(int.__repr__, v)) + "]"
+    # no entry may nest, nor an entry of a row (a row of ints has none that does)
+    if all(isinstance(x, (list, tuple)) for x in v):
+        entries = [y for x in v if set(map(type, x)) != {int} for y in x]
+    else:
+        entries = v
+    if any(isinstance(y, (dict, list, tuple)) for y in entries):
+        return None
+    return "[" + ", ".join(map(_flat, v)) + "]"
 
 
 _escape = json.encoder.encode_basestring_ascii  # the escaper of json.dumps

@@ -229,10 +229,8 @@ def validate(d: SphericalDatumK) -> list[ValidationItem]:
             if any(x < 0 for x in row):
                 neg.append(i)
         add("nonnegative_combination", not neg, detail=f"roots {neg} have negative coefficients")
-        in_lat = all(d.xi_K.contains(row) for row in d.sigma_input)
-        add("roots_in_lattice", in_lat)
-    else:
-        add("roots_in_lattice", all(x.denominator == 1 for row in d.sigma for x in row))
+    # each row of d.sigma is a root's coordinates in the lattice basis, solved once
+    add("roots_in_lattice", all(x.denominator == 1 for row in d.sigma for x in row))
 
     # one elimination of sigma: the base's rank check decides independence
     base = base_error = None

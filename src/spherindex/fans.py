@@ -228,15 +228,6 @@ def fan_validate(f: Fan, rd: LittleDatum) -> list[FanIssue]:
                     issues.append(FanIssue("not_primitive", f"generator {g}"))
             if c.generators and rank(c.generators) != c.dim:
                 issues.append(FanIssue("not_simplicial", f"cone {c.generators}"))
-    # closed under faces iff closed under facets; list the faces only if not
-    cone_set = set(f.cones)
-    if any(w not in cone_set for ws in f.facet_map.values() for w in ws):
-        for c in f.cones:
-            for face in () if c.overfull else c.faces():
-                if face not in cone_set:
-                    issues.append(
-                        FanIssue("missing_face", f"face {face.generators} of {c.generators}")
-                    )
     if not any(i.kind in ("not_simplicial", "zero_generator") for i in issues):
         issues += _intersection_issues(f)
     # print the root as Fractions: the text must not depend on the entry type

@@ -14,6 +14,7 @@ from math import lcm
 from .datum import CompactRootSplit, SphericalDatumK
 from .errors import (
     BasisFailure,
+    DatumConstructionError,
     FiberMismatch,
     IdentityFails,
     IndivisibilityMismatch,
@@ -111,7 +112,10 @@ def _project(f: Mat, rows: list[Vec], lifts) -> tuple[Mat, Mat]:
         # the form keeps the entry type of f
         return lifts, form if all(type(x) is int for row in f for x in row) else divide(form, c)
     u = scale_rows_integral([rows[i] for i in pivots])
-    a, d = scaled_inverse(gram(u, fc))
+    try:
+        a, d = scaled_inverse(gram(u, fc))
+    except ValueError:
+        raise DatumConstructionError("pairing is degenerate on the annihilator of N_k") from None
     corr = mat_mul(mat_mul_t(fc, u), mat_mul(a, u))
     dp = tuple(tuple(d * (i == j) - x for j, x in enumerate(row)) for i, row in enumerate(corr))
     scaled = mat_mul(lifts, dp)
@@ -136,26 +140,19 @@ def _core(rank_: int, sigma_rows: Mat, form: Mat, fibers) -> dict:
     )
 
 
-def _to_little(nk: Mat, little: Lattice, chi) -> Vec:
-    """Restriction of a big character to N_k, in the little-lattice basis."""
-    c = little.coordinates(tuple(dot(chi, v) for v in nk))
-    if c is None:
-        raise FiberMismatch("restriction left the little weight lattice span")
-    return c
-
-
 def restrict_datum(d: SphericalDatumK) -> RestrictedDatum:
     split = d.compact_split
     ann = _annihilator(d, split)
     nk = integer_kernel(ann, width=d.m)
     dk = len(nk)
-    # canonical basis of the little weight lattice, generated by the restrictions
-    # of the coordinate characters; row i of u restricts to basis row i
-    h, u = hermite_normal_form(transpose(nk))
-    little = Lattice(dk, tuple(tuple(r) for r in h[:dk]))
+    # nk is a basis of a saturated lattice, so restriction (evaluation on nk) maps
+    # the weight lattice onto Z^dk, the little weight lattice in the basis dual to
+    # nk: the Hermite form of nk^T is [I; 0], and row i of u restricts to e_i
+    _, u = hermite_normal_form(transpose(nk))
 
     # restricted spherical roots with their fibers, in input order
-    sigma_k, fibers = image_fibers((i, _to_little(nk, little, d.sigma[i])) for i in split.noncompact)
+    noncompact = [d.sigma[i] for i in split.noncompact]
+    sigma_k, fibers = image_fibers(zip(split.noncompact, mat_mul_t(noncompact, nk)))
     for fib in fibers:
         orbit = d.star_orbit_of_root(fib[0])
         if tuple(sorted(fib)) != orbit:

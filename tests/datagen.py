@@ -338,8 +338,8 @@ def cover_edges(f) -> tuple:
 
 def per_cone_validate(f, rd) -> list:
     """fan_validate as one walk over every cone: each generator occurrence is
-    tested for zero and primitivity, each cone for independence, each face
-    for presence and each occurrence against the support."""
+    tested for zero and primitivity, each cone for independence and each
+    occurrence against the support."""
     issues = []
     for c in f.cones:
         for g in c.generators:
@@ -349,11 +349,6 @@ def per_cone_validate(f, rd) -> list:
                 issues.append(FanIssue("not_primitive", f"generator {g}"))
         if c.generators and rank(c.generators) != c.dim:
             issues.append(FanIssue("not_simplicial", f"cone {c.generators}"))
-    cone_set = set(f.cones)
-    for c in f.cones:
-        for face in () if c.overfull else c.faces():
-            if face not in cone_set:
-                issues.append(FanIssue("missing_face", f"face {face.generators} of {c.generators}"))
     if not any(i.kind in ("not_simplicial", "zero_generator") for i in issues):
         issues += _intersection_issues(f)
     for c in f.cones:

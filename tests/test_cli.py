@@ -674,9 +674,9 @@ def test_degenerate_resolves_each_root_once(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(Lattice, "coordinates", counting)
     code, out, _ = run(capsys, "--format", "json", "degenerate", split_a6(tmp_path))
     assert code == 0 and len(json.loads(out)["fibers"]) == 64
-    # 24 in the datum and its restriction; then on Q^12, 2 per root (sigma x 0
+    # 12 in building the datum; then on Q^12, 2 per root (sigma x 0
     # and 0 x sigma), 6 in the exactness check and 12 for the index of xiZ
-    assert (calls.count(6), calls.count(12), len(calls)) == (24, 30, 54)
+    assert (calls.count(6), calls.count(12), len(calls)) == (12, 30, 42)
 
 
 # spherindex --help and spherindex fan --help at 80 columns

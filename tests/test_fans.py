@@ -67,6 +67,33 @@ def test_fan_from_maximal_closes_faces():
     assert dims == [0, 1, 1, 2]
 
 
+def closed_under_faces(f) -> bool:
+    cones = set(f.cones)
+    return all(face in cones for c in f.cones if not c.overfull for face in c.faces())
+
+
+def test_built_fans_hold_every_face_of_a_cone_that_is_not_overfull(corpus_rds):
+    """``fan_validate`` looks for no missing face: each fan it is given comes from
+    ``Fan.from_maximal``, and saturation keeps the closure, overfull input included."""
+    a2 = split_rd("A", 2)
+    overfull = [[1, k] for k in range(6)]
+    given = [
+        [],
+        [[[1, 0], [0, 1]]],
+        [overfull, [[-1, 0], [0, -1]]],
+        [overfull[:3], overfull[2:5], [[0, -1]]],  # overfull cones that share a generator
+        [[[-1, 0], [-1, 0]], [[0, 1]]],  # a repeated generator
+    ]
+    for gens in given:
+        f = Fan.from_maximal(gens)
+        assert closed_under_faces(f)
+        assert closed_under_faces(weyl_saturate(f, a2, cap=10_000))
+    assert any(c.overfull for c in Fan.from_maximal(given[2]).cones)
+    for rd in corpus_rds[:20]:
+        f = standard_fan(rd)
+        assert closed_under_faces(f) and closed_under_faces(weyl_saturate(f, rd))
+
+
 def test_fan_validate_clean():
     _, rd = e6_rd()
     f = standard_fan(rd)
@@ -425,23 +452,6 @@ def test_paired_walls_that_do_not_make_a_fan_reach_the_lp_path(monkeypatch):
         assert issues == all_pairs_issues(f)
 
 
-def test_missing_faces_match_the_face_enumeration():
-    full = chamber_fan(split_rd("A", 2)).cones
-    for drop in [(Cone.of(()),), full[1:3], (full[1], full[8]), full[1:7]]:
-        cones = tuple(c for c in full if c not in drop)
-        listed = [
-            FanIssue("missing_face", f"face {face.generators} of {c.generators}")
-            for c in cones
-            for face in c.faces()
-            if face not in cones
-        ]
-        assert listed
-        f = Fan(cones)
-        assert [i for i in fan_validate(f, no_cone(f)) if i.kind == "missing_face"] == listed
-    f = Fan(full)
-    assert not [i for i in fan_validate(f, no_cone(f)) if i.kind == "missing_face"]
-
-
 def bfs_saturate(f, rd, cap=None):
     """The orbit of every cone under the reflections, one image at a time,
     with the reflections in Fractions."""
@@ -593,7 +603,6 @@ def test_fan_validate_matches_the_per_cone_walk(corpus_rds):
     quadrants = [[[1, 0], [0, -1]], [[0, -1], [-1, 0]], [[-1, 0], [0, 1]], [[0, 1], [1, 0]]]
     planted = [
         (chamber_fan(a3), a3, "outside_support", 132),
-        (Fan(chamber_fan(a2).cones[1:]), a2, "missing_face", 12),
         (Fan.from_maximal([[[0, 0], [-1, 0]], [[-1, 0], [0, -1]]]), e6, "zero_generator", 2),
         (Fan.from_maximal([[[-2, 0], [0, -1]], [[0, -1], [1, -3]]]), e6, "not_primitive", 2),
         # every pair of the three generators is independent
