@@ -31,7 +31,7 @@ from .fans import (
     weyl_saturate,
 )
 from .index import TitsIndex, res_A, restricted_root_system
-from .linalg import Lattice, divide, mat_mul, scaled_inverse
+from .linalg import Lattice, divide, mat_mul
 from .restrict import (
     LittleDatum,
     aut_roots,
@@ -307,7 +307,7 @@ def _beta_coordinates(d: SphericalDatumK, rows):
     ``chamber_containment_check`` has already found invertible."""
     if d.mode != "ambient":
         return None
-    a, det = scaled_inverse(d.index.simple_roots.roots)
+    a, det = d.index.walls_inverse
     return divide(mat_mul([res_A(d.index, row) for row in rows], a), det)
 
 

@@ -126,6 +126,8 @@ class SphericalDatumK(Record):
             if len(row) != rank_:
                 raise DatumConstructionError("spherical root has wrong length")
         star = StarAction.of(star_generators, rank_)
+        if any(gram(g, pairing) != pairing for g in star.generators):  # rows act on the right
+            raise DatumConstructionError("star generator is not an isometry of the pairing")
         sigma0 = tuple(sorted(set(int(i) for i in sigma0)))
         if sigma0 and not (0 <= sigma0[0] and sigma0[-1] < len(sigma_rows)):
             raise DatumConstructionError("compact root index out of range")

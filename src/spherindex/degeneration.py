@@ -15,12 +15,12 @@ from .linalg import (
     Lattice,
     Mat,
     dot,
-    dual_basis,
     identity,
     mat_mul,
     mat_mul_t,
     primitive_vector,
     rank,
+    scaled_dual_basis,
     vec_mat,
 )
 from .record import Record
@@ -56,12 +56,11 @@ def build_degeneration(xi: Lattice, sigma_aut) -> DegenerationDatum:
     beta = ident + ident
     _check_exactness(xi, gamma, xiZ, delta_minus, beta)
 
-    # boundary cone: the antidominant cone of sigma on the Y side, pulled
-    # back through the section eta -> (0, eta) of the sum map and written in
-    # coordinates dual to the xiZ basis.  With omega_j the dot-dual basis
-    # vector of sigma inside its span, the coordinate of beta*(-omega_j)
-    # against a basis vector b of xiZ is the pairing of beta(b) with -omega_j
-    pairings = mat_mul_t(dual_basis(sigma, ident), mat_mul(xiZ.rows_q(), beta))
+    # boundary cone: the antidominant cone of sigma on the Y side, pulled back
+    # through the section eta -> (0, eta) of the sum map, in coordinates dual to
+    # the xiZ basis b: ray j pairs each beta(b) with -omega_j, for omega = w / d
+    # the dot-dual basis of sigma in its span; primitive rays do not see d > 0
+    pairings = mat_mul_t(scaled_dual_basis(sigma, ident)[0], mat_mul(xiZ.rows_q(), beta))
     c_bd = Cone.of(primitive_vector(tuple(-x for x in row)) for row in pairings)
 
     # Sigma_k(Z) = (sigma x 0) union (0 x sigma), in xiZ coordinates, resolved

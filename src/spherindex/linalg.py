@@ -8,12 +8,12 @@ once.  It keeps the types it is given (ints in, ints out; any ``Fraction``
 in, ``Fraction`` out), and a length mismatch raises ``ValueError``, since
 ``map`` would stop silently at the shorter operand.
 The eliminations are one fraction-free integer kernel, so ``rank``,
-``pivot_columns`` and ``scaled_inverse`` create no ``Fraction``.  A
-``Fraction`` is created in four places only, each time by one division:
+``pivot_columns``, ``scaled_inverse`` and ``scaled_dual_basis`` create no
+``Fraction``.  One is created in four places only, by one division each:
 
-- ``divide``, once per entry: a division by the scale of
-  ``scaled_inverse``, as in ``dual_basis``, and ``Lattice.rows_q`` when
-  ``den > 1``;
+- ``divide``, once per entry: a division by the scale of ``scaled_inverse``
+  or ``scaled_dual_basis``, as for the little coweights, and
+  ``Lattice.rows_q`` when ``den > 1``;
 - ``Lattice.coordinates``, only when a division is inexact;
 - the point ``find_feasible`` returns;
 - an exact division, always written ``Fraction(a, b)``, since ``/`` on two
@@ -144,15 +144,17 @@ def divide(m, d) -> Mat:
     return tuple(tuple(Fraction(x, d) for x in row) for row in m)
 
 
-def dual_basis(rows, form) -> Mat:
-    """Rows w_j in the span of rows @ F with dot(w_j, rows[k]) == [j == k].
-
-    For a root base these are the fundamental coweights.  They are
-    (d G^-1) (rows @ F) / d for the Gram matrix G, divided once at the end.
+def scaled_dual_basis(rows, form) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(w, d) with d > 0 and w integral: the rows w_j / d lie in the span of
+    rows @ F and dot(w_j / d, rows[k]) == [j == k]; for a root base, the
+    fundamental coweights.  W = G^-1 U F, for U the rows and G = U F U^T,
+    does not change when F is scaled and is divided by c when U is scaled by
+    c, so both are scaled to integers first.  A singular G raises ``ValueError``.
     """
-    rf = mat_mul(rows, form)
-    a, d = scaled_inverse(mat_mul_t(rf, rows))
-    return divide(mat_mul(a, rf), d)
+    u, c = scale_integral(rows)
+    uf = mat_mul(u, scale_integral(form)[0])
+    a, d = scaled_inverse(mat_mul_t(uf, u))
+    return tuple(tuple(c * x for x in row) for row in mat_mul(a, uf)), d
 
 
 def content(v) -> int:
@@ -169,13 +171,16 @@ def primitive_vector(v) -> tuple[int, ...]:
     return tuple(x // g for x in ints)
 
 
+def scale_integral(m) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(c m, c) for the least c > 0 that makes every entry of m an integer."""
+    c = lcm(*(x.denominator for row in m for x in row))
+    return tuple(tuple(x.numerator * (c // x.denominator) for x in row) for row in m), c
+
+
 def scale_rows_integral(rows) -> list[list[int]]:
     """Scale each row by the lcm of its denominators (kernel-preserving)."""
-    out = []
-    for row in rows:
-        d = lcm(*(x.denominator for x in row)) if row else 1
-        out.append([x.numerator * (d // x.denominator) for x in row])
-    return out
+    dens = [lcm(*(x.denominator for x in row)) for row in rows]
+    return [[x.numerator * (d // x.denominator) for x in row] for d, row in zip(dens, rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -281,15 +286,10 @@ class Lattice(Record):
         for r in rows:
             if len(r) != ambient_rank:
                 raise ValueError("generator has wrong length")
-        dens = [x.denominator for r in rows for x in r]
-        d = lcm(*dens) if dens else 1
-        ints = [[int(x * d) for x in r] for r in rows]
+        ints, d = scale_integral(rows)
         h, _ = hermite_normal_form(ints)
         h = [r for r in h if any(r)]
-        g = d
-        for r in h:
-            for x in r:
-                g = gcd(g, x)
+        g = gcd(d, *(x for r in h for x in r))
         if h and g > 1:
             h = [[x // g for x in r] for r in h]
             d //= g

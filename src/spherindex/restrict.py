@@ -30,7 +30,6 @@ from .linalg import (
     content,
     divide,
     dot,
-    dual_basis,
     gram,
     hermite_normal_form,
     integer_kernel,
@@ -41,8 +40,9 @@ from .linalg import (
     pivot_columns,
     primitive_vector,
     rank,
+    scale_integral,
     scale_rows_integral,
-    scaled_inverse,
+    scaled_dual_basis,
     transpose,
     vec_mat,
 )
@@ -101,11 +101,11 @@ def _project(f: Mat, rows: list[Vec], lifts) -> tuple[Mat, Mat]:
 
     P = I - F U^T G^-1 U (rows act on the right) for U independent rows of
     ``rows`` and G = U F U^T.  P sees neither the choice of U nor a scale c > 0
-    of F, so both are taken integral, and so is d P = d I - F U^T (d G^-1) U.
+    of F, so both are taken integral, and so is d P = d I - W^T U for the
+    scaled dual basis (W, d) of U, W = (d G^-1) U F.
     The lifts are divided by d and their Gram matrix by c d^2 once, at the end.
     """
-    c = lcm(*(x.denominator for row in f for x in row))
-    fc = tuple(tuple(x.numerator * (c // x.denominator) for x in row) for row in f)
+    fc, c = scale_integral(f)
     pivots = pivot_columns(transpose(rows))
     if not pivots:
         lifts, form = tuple(map(tuple, lifts)), gram(lifts, fc)
@@ -113,10 +113,10 @@ def _project(f: Mat, rows: list[Vec], lifts) -> tuple[Mat, Mat]:
         return lifts, form if all(type(x) is int for row in f for x in row) else divide(form, c)
     u = scale_rows_integral([rows[i] for i in pivots])
     try:
-        a, d = scaled_inverse(gram(u, fc))
+        w, d = scaled_dual_basis(u, fc)
     except ValueError:
         raise DatumConstructionError("pairing is degenerate on the annihilator of N_k") from None
-    corr = mat_mul(mat_mul_t(fc, u), mat_mul(a, u))
+    corr = mat_mul(transpose(w), u)
     dp = tuple(tuple(d * (i == j) - x for j, x in enumerate(row)) for i, row in enumerate(corr))
     scaled = mat_mul(lifts, dp)
     return divide(scaled, d), divide(gram(scaled, fc), c * d * d)
@@ -124,6 +124,7 @@ def _project(f: Mat, rows: list[Vec], lifts) -> tuple[Mat, Mat]:
 
 def _core(rank_: int, sigma_rows: Mat, form: Mat, fibers) -> dict:
     base = RootBase.from_vectors(sigma_rows, form)
+    w, den = scaled_dual_basis(sigma_rows, form)
     return dict(
         rank=rank_,
         sigma_k=sigma_rows,
@@ -136,7 +137,7 @@ def _core(rank_: int, sigma_rows: Mat, form: Mat, fibers) -> dict:
         wk_types=base.types,
         wk_order=weyl_order(base.types),
         nk0_basis=integer_kernel(sigma_rows, width=rank_),
-        coweights=dual_basis(sigma_rows, form),
+        coweights=divide(w, den),
     )
 
 
@@ -201,12 +202,14 @@ def coweight_identity_check(d: SphericalDatumK, rd: RestrictedDatum) -> dict:
 
     The dual family on the big side is taken over all spherical roots; the
     projection is linear, so each fiber sum is projected once, all in one
-    product with the projected lifts.
+    integer product: with big coweights w / den and the lifts scaled by m,
+    it is den * m times the little coweights, compared cross-multiplied.
     """
-    k_coweights = dual_basis(d.sigma, d.pairing)
-    sums = [tuple(map(sum, zip(*(k_coweights[tau] for tau in fib)))) for fib in rd.fibers]
-    for j, (w, coweight) in enumerate(zip(mat_mul_t(sums, rd.projected_lifts), rd.coweights)):
-        if w != coweight:
+    w, den = scaled_dual_basis(d.sigma, d.pairing)
+    lifts, m = scale_integral(rd.projected_lifts)
+    sums = [tuple(map(sum, zip(*(w[tau] for tau in fib)))) for fib in rd.fibers]
+    for j, (row, coweight) in enumerate(zip(mat_mul_t(sums, lifts), rd.coweights, strict=True)):
+        if any(x * c.denominator != c.numerator * den * m for x, c in zip(row, coweight, strict=True)):
             raise IdentityFails(f"coweight of restricted root {j} differs from its fiber sum")
     return {"checked": len(rd.fibers)}
 
@@ -215,8 +218,9 @@ def chamber_containment_check(d: SphericalDatumK, rd: RestrictedDatum | None = N
     """Check that the antidominant chamber of the split part lands in Z_k.
 
     Generators of the chamber cut out by the restricted simple roots of the
-    group are pushed through the canonical projection; each restricted
-    spherical root must be nonpositive on every image.  Ambient mode only.
+    group (columns of ``walls_inverse``, which ``sigma_k_in_beta`` reads too)
+    are pushed through the canonical projection; each restricted spherical
+    root must be nonpositive on every image.  Ambient mode only.
     ``rd`` stays optional because perfbench's tracer test passes the datum alone.
     """
     if rd is None:
@@ -224,9 +228,8 @@ def chamber_containment_check(d: SphericalDatumK, rd: RestrictedDatum | None = N
     if d.mode != "ambient":
         return {"checked": 0}
     ix = d.index
-    walls = ix.simple_roots.roots
     try:
-        a, _ = scaled_inverse(walls)
+        a, _ = ix.walls_inverse
     except ValueError:
         raise InternalInconsistency(
             "restricted simple roots are not a basis of the split coordinates"
@@ -362,8 +365,6 @@ def aut_roots(rd: LittleDatum, gamma: Lattice) -> AutRoots:
         mults.append(n)
     if any(n not in (1, 2) for n in mults):
         raise BasisFailure("an automorphism-quotient multiplier exceeded 2")
-    if roots and Lattice.from_rows(rd.rank, roots) != gamma:
-        raise BasisFailure("quotient roots do not form a basis of the sublattice")
-    if not roots and gamma.rank != 0:
+    if Lattice.from_rows(rd.rank, roots) != gamma:
         raise BasisFailure("quotient roots do not form a basis of the sublattice")
     return AutRoots(roots=tuple(roots), n_aut=tuple(mults))

@@ -11,9 +11,10 @@ from __future__ import annotations
 from collections import Counter
 from functools import cache
 from itertools import count, islice
+from operator import itemgetter
 
 from .errors import LinearlyDependent, NotARootBase, NotFiniteType
-from .linalg import Mat, Vec, content, gram, identity, mat_mul, rank
+from .linalg import Mat, Vec, content, gram, identity, rank
 from .record import Record
 
 VALID_RANKS = {
@@ -315,11 +316,12 @@ def generate_roots(base: RootBase) -> list[Vec]:
     """All roots of the finite system spanned by the base.
 
     Roots come back as rational vectors in the ambient coordinates of the
-    base, sorted by their base coordinates.
+    base, sorted by their base coordinates: ``root_images`` on the identity
+    and on the base vectors gives both, paired root by root.
     """
-    pos = positive_roots_in_base_coords(base.components, len(base))
-    roots = sorted(pos + [tuple(-x for x in v) for v in pos])
-    return list(mat_mul(roots, base.vectors))
+    pos = list(zip(root_images(base.components, identity(len(base))), root_images(base.components, base.vectors)))
+    pairs = pos + [(tuple(-x for x in c), tuple(-x for x in v)) for c, v in pos]
+    return [v for _, v in sorted(pairs, key=itemgetter(0))]
 
 
 @cache
@@ -367,14 +369,6 @@ def root_images(components, images) -> list[Vec]:
             comp.append(tuple(x + k * y for x, y in zip(comp[parent], simple[j])))
         out += comp
     return out
-
-
-def positive_roots_in_base_coords(components, n: int) -> list[tuple[int, ...]]:
-    """Positive roots of a rank-n system as sorted integer base-coordinate rows.
-
-    ``components`` are ``classify``-style (family, rank, positions) triples.
-    """
-    return sorted(root_images(components, identity(n)))
 
 
 def indivisible_roots(support) -> set:

@@ -20,7 +20,10 @@ from spherindex.index import TitsIndex
 from spherindex.linalg import (
     Lattice,
     dot,
+    identity,
     integer_kernel,
+    mat_mul,
+    mat_mul_t,
     primitive_vector,
     rank,
     transpose,
@@ -33,7 +36,7 @@ from spherindex.rootsys import (
     RootBase,
     classify,
     generate_roots,
-    positive_roots_in_base_coords,
+    root_images,
     type_name_of,
 )
 
@@ -214,6 +217,23 @@ def solve_left(rows, target):
     if not rows:
         return () if all(x == 0 for x in target) else None
     return solve(transpose(rows), target)
+
+
+def dual_basis(rows, form):
+    """Rows w_j in the span of rows @ F with dot(w_j, rows[k]) == [j == k], as
+    Fractions: G^-1 (rows @ F) for the Gram matrix G, one ``solve`` per column;
+    ``ValueError`` when G is singular."""
+    rf = mat_mul(rows, form)
+    g = mat_mul_t(rf, rows)
+    if rank(g) < len(rows):
+        raise ValueError("Gram matrix is singular")
+    return transpose([solve(g, col) for col in transpose(rf)])
+
+
+def positive_roots_in_base_coords(components, n: int) -> list:
+    """Positive roots of a rank-n system as sorted integer base-coordinate rows,
+    for ``classify``-style (family, rank, positions) ``components``."""
+    return sorted(root_images(components, identity(n)))
 
 
 def phi_k_res_by_lattice(d: SphericalDatumK, rd) -> RestrictedRoots:

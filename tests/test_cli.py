@@ -19,7 +19,7 @@ from spherindex import cli
 from spherindex.cli import emit, main
 from spherindex.datum import CompactRootSplit
 from spherindex.linalg import Lattice, transpose
-from spherindex.restrict import restrict_datum
+from spherindex.restrict import chamber_containment_check, restrict_datum
 
 HERE = os.path.dirname(__file__)
 FIXTURES = os.path.join(HERE, os.pardir, "fixtures")
@@ -1079,6 +1079,26 @@ def test_beta_coordinates_run_one_elimination(monkeypatch):
         calls.clear()
         cli._beta_coordinates(d, d.sigma_input + d.sigma_input)
         assert len(calls) == 1, calls
+
+
+def test_chamber_check_and_beta_coordinates_invert_the_walls_once(monkeypatch):
+    """Both read ``walls_inverse``, computed once per index."""
+    calls = []
+    eliminate = linalg._eliminate
+
+    def counting(m):
+        calls.append(len(m))
+        return eliminate(m)
+
+    pairs = [(d, restrict_datum(d)) for d in ambient_fixture_data()]
+    for d, _ in pairs:
+        d.index.simple_roots  # computed once per index, before the count
+    monkeypatch.setattr(linalg, "_eliminate", counting)
+    for d, rd in pairs:
+        calls.clear()
+        chamber_containment_check(d, rd)
+        cli._beta_coordinates(d, d.sigma_input)
+        assert calls == [len(d.index.simple_roots.roots)], calls
 
 
 def test_text_renderer_joins_each_run_of_ints_once(monkeypatch):

@@ -220,6 +220,16 @@ def test_construction_errors():
         SphericalDatumK.abstract(2, [[1, 2], [0, 1]], [], [[1, 0]])  # asymmetric
 
 
+def test_star_generator_must_be_an_isometry_of_the_pairing():
+    """Rows act on the right, so g is an isometry when g F g^T == F."""
+    swap, negate_second, shear = [[0, 1], [1, 0]], [[1, 0], [0, -1]], [[1, 0], [1, 1]]
+    SphericalDatumK.abstract(2, [[2, 1], [1, 2]], [swap], [[1, 1]])
+    SphericalDatumK.abstract(2, [[H, 0], [0, H]], [swap, negate_second], [[1, -1]])
+    for pairing, g in [([[2, 1], [1, 1]], swap), ([[2, 0], [0, 2]], shear), ([[H, 0], [0, 1]], swap)]:
+        with pytest.raises(DatumConstructionError, match="star generator is not an isometry of the pairing"):
+            SphericalDatumK.abstract(2, pairing, [g], [[1, 1]])
+
+
 def test_star_orbits():
     d = e6_datum()
     assert d.star_orbit_of_root(0) == (0,)

@@ -21,6 +21,14 @@ DEGENERATE_FORM = {
     "abstract": {"rank": 2, "pairing": [[2, 2], [2, 2]], "star": [[[0, 1], [1, 0]]], "sigma": [[1, 1]]},
 }
 
+# the swap of the two coordinates does not preserve this pairing:
+# g F g^T = [[1, 1], [1, 2]] != F, so the datum is refused where it is built
+NON_ISOMETRIC_STAR = {
+    "schema_version": "1",
+    "mode": "abstract",
+    "abstract": {"rank": 2, "pairing": [[2, 1], [1, 1]], "star": [[[0, 1], [1, 0]]], "sigma": [[1, 1]]},
+}
+
 
 def _pairing(rng, r):
     """A symmetric integer form: 2I, the Cartan form of A_r, a random one, or
@@ -104,6 +112,18 @@ def test_the_degenerate_form_exits_1_with_one_error_line(capsys, tmp_path, fmt):
         assert cli.main(["--format", fmt] + argv) == 1, argv
         out, err = capsys.readouterr()
         assert out == "" and err == "error: pairing is degenerate on the annihilator of N_k\n", argv
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_a_star_that_is_not_an_isometry_exits_2_with_one_error_line(capsys, tmp_path, fmt):
+    path = tmp_path / "star.json"
+    path.write_text(json.dumps(NON_ISOMETRIC_STAR))
+    fan_path = tmp_path / "fan.json"
+    fan_path.write_text(json.dumps({"cones": [[[-1, 0], [0, -1]]]}))
+    for argv in _commands(str(path), str(fan_path)):
+        assert cli.main(["--format", fmt] + argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: star generator is not an isometry of the pairing\n", argv
 
 
 def test_no_exception_escapes_main_on_random_abstract_documents(tmp_path):

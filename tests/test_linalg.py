@@ -9,13 +9,13 @@ from sympy import ZZ, Matrix, Rational
 from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
 from sympy.matrices.normalforms import invariant_factors
 
-from datagen import image_lattice, intersection_with_subspace, solve_left
+from datagen import dual_basis, image_lattice, intersection_with_subspace, solve_left
 from spherindex.errors import ZeroVector
 from spherindex.linalg import (
     Lattice,
     content,
+    divide,
     dot,
-    dual_basis,
     find_feasible,
     gram,
     hermite_normal_form,
@@ -27,6 +27,7 @@ from spherindex.linalg import (
     pivot_columns,
     primitive_vector,
     rank,
+    scaled_dual_basis,
     scaled_inverse,
     transpose,
     vec_mat,
@@ -353,8 +354,13 @@ def test_gram_symmetric_and_dual_basis_pairs_to_identity(data):
     ]
     g = gram(rows, form)
     assert g == transpose(g)
-    w = dual_basis(rows, form)
-    assert tuple(tuple(dot(wj, r) for r in rows) for wj in w) == identity(len(rows))
+    w, d = scaled_dual_basis(rows, form)
+    assert d > 0 and all(type(x) is int for row in w for x in row)
+    assert tuple(tuple(dot(wj, r) for r in rows) for wj in w) == tuple(tuple(d * x for x in e) for e in identity(len(rows)))
+    assert divide(w, d) == dual_basis(rows, form)
+    # a positive rational multiple of the form has the same dual basis
+    thirds = [[Fraction(x, 3) for x in row] for row in form]
+    assert divide(*scaled_dual_basis(rows, thirds)) == divide(w, d)
 
 
 @st.composite
@@ -372,17 +378,22 @@ def rows_and_symmetric_form(draw):
 @example(([[1, 0], [0, 1]], [[2, -1], [-1, 2]]))
 @example(([[Fraction(1, 2), 1]], [[0, 1], [1, 0]]))  # an indefinite form
 @example(([[1, 1]], [[1, 0], [0, -1]]))  # an isotropic row: G is singular
+@example(([[2, 1], [0, Fraction(1, 3)]], [[Fraction(1, 2), Fraction(-1, 3)], [Fraction(-1, 3), Fraction(5, 4)]]))
 def test_dual_basis_matches_sympy(data):
+    """The pair (w, d) of ``scaled_dual_basis`` is integral with d > 0, and
+    w / d is sympy's G^-1 U F and the ``datagen`` oracle's dual basis."""
     rows, form = data
     u, f = to_sympy(rows), to_sympy(form)
     g = u * f * u.T
     if g.rank() < len(rows):
-        with pytest.raises(ValueError):
-            dual_basis(rows, form)
+        for kernel in (scaled_dual_basis, dual_basis):
+            with pytest.raises(ValueError):
+                kernel(rows, form)
         return
-    w = dual_basis(rows, form)
-    assert w == from_sympy(g.inv() * u * f)
-    assert all(type(x) is Fraction for row in w for x in row)
+    w, d = scaled_dual_basis(rows, form)
+    assert type(d) is int and d > 0
+    assert all(type(x) is int for row in w for x in row)
+    assert divide(w, d) == from_sympy(g.inv() * u * f) == dual_basis(rows, form)
 
 
 # ---------------------------------------------------------------------------
@@ -504,6 +515,9 @@ def test_rank_and_scaled_inverse_create_no_fraction(monkeypatch):
     assert rank([[2, 4], [1, 2]]) == 1
     a, d = scaled_inverse([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
     assert (a, d) == (((3, 2, 1), (2, 4, 2), (1, 2, 3)), 4)
+    # nor does the dual basis of integer rows: the Cartan rows of A2 under the
+    # dot product have the inverse transpose (1/3) [[2, 1], [1, 2]] as theirs
+    assert scaled_dual_basis([[2, -1], [-1, 2]], identity(2)) == (((6, 3), (3, 6)), 9)
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +579,7 @@ def test_products_of_empty_shapes():
     assert mat_mul(((1, 2),), ((), ())) == ((),)  # 1 x 2 times 2 x 0
     assert gram((), ((1, 0), (0, 1))) == ()
     assert gram(((), ()), ()) == ((0, 0), (0, 0))
-    assert dual_basis((), ((2,),)) == ()
+    assert scaled_dual_basis((), ((2,),)) == ((), 1)
 
 
 @pytest.mark.parametrize(

@@ -5,25 +5,28 @@ from sympy import Matrix, Rational, eye
 
 from datagen import (
     FACET_PLANTS,
+    dual_basis,
     facet_inheritance_by_rank,
     flip_matrix,
     fmat,
     little_space,
     phi_k_res_by_lattice,
     random_data,
+    replace,
     solve,
     solve_left,
 )
 from spherindex import linalg, restrict
 from spherindex.datum import SphericalDatumK
-from spherindex.errors import FiberMismatch, NotBetween, NotConvex, SpherindexError, TheoremViolation
+from spherindex.errors import FiberMismatch, IdentityFails, NotBetween, NotConvex, SpherindexError, TheoremViolation
 from spherindex.index import TitsIndex, restricted_root_system
 from spherindex.linalg import (
     Lattice,
+    divide,
     dot,
-    dual_basis,
     hermite_normal_form,
     identity,
+    scaled_dual_basis,
     transpose,
     vec_mat,
 )
@@ -296,6 +299,29 @@ def test_coweight_identity():
         assert coweight_identity_check(d, rd)["checked"] == len(rd.sigma_k)
 
 
+def test_coweights_match_the_fraction_dual_basis():
+    for d in [sp42_datum(), e6_datum(), su_nn_datum(2), u11_datum()] + random_data(20261018, 24):
+        rd = restrict_datum(d)
+        assert rd.coweights == dual_basis(rd.sigma_k, rd.form_k)
+
+
+def test_coweight_check_catches_an_entry_off_by_a_small_rational():
+    """The check compares scaled integers: every coweight entry moved by
+    1/7919, one at a time, fails it."""
+    planted = 0
+    for d in [sp42_datum(), e6_datum(), u11_datum()] + random_data(20261018, 8):
+        rd = restrict_datum(d)
+        assert coweight_identity_check(d, rd) == {"checked": len(rd.fibers)}
+        for j, row in enumerate(rd.coweights):
+            for t in range(len(row)):
+                moved = row[:t] + (row[t] + Fraction(1, 7919),) + row[t + 1:]
+                off = replace(rd, coweights=rd.coweights[:j] + (moved,) + rd.coweights[j + 1:])
+                with pytest.raises(IdentityFails, match=f"coweight of restricted root {j} differs"):
+                    coweight_identity_check(d, off)
+                planted += 1
+    assert planted >= 20
+
+
 def test_u11_coweight_value():
     # the little coweight of the doubled root is half the projected big one
     rd = restrict_datum(u11_datum())
@@ -555,13 +581,16 @@ def test_little_basis_and_lifts_match_the_elimination():
 
 
 def test_dual_basis_and_projection_create_one_fraction_per_entry(monkeypatch):
-    """The scaled path multiplies integers and divides once per result entry."""
+    """The scaled path multiplies integers and divides once per result entry;
+    the dual basis of integer input, and so the coweight check of integral
+    data, creates none."""
     bases = [(identity(t[1]), AmbientRootDatum.of([t]).form()) for t in (("E", 8), ("A", 12))]
-    projections = []
-    for d in [sp42_datum(), e6_datum(), su_nn_datum(2), u11_datum()]:
+    projections, checks = [], []
+    for d in [sp42_datum(), e6_datum(), su_nn_datum(2), u11_datum()] + random_data(20261018, 8):
         rd = restrict_datum(d)
         _, u = hermite_normal_form(transpose(rd.nk_basis))
         projections.append((d.pairing, _annihilator(d, rd.split), u[: rd.rank]))
+        checks.append((d, rd))
     created = 0
     new = Fraction.__new__
 
@@ -575,9 +604,14 @@ def test_dual_basis_and_projection_create_one_fraction_per_entry(monkeypatch):
     # goes uncounted, so only the bound means the same on every version
     for rows, form in bases:
         created = 0
-        w = dual_basis(rows, form)
-        assert 0 < created <= sum(map(len, w))
+        w, d = scaled_dual_basis(rows, form)
+        assert created == 0
+        assert len(divide(w, d)) == len(rows) and 0 < created <= sum(map(len, w))
     for f, ann, lifts in projections:
         created = 0
         projected, form_k = _project(f, ann, lifts)
         assert created <= sum(map(len, projected)) + sum(map(len, form_k))
+    for d, rd in checks:
+        created = 0
+        coweight_identity_check(d, rd)
+        assert created == 0  # within the bound of one per coweight entry

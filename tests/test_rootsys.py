@@ -7,9 +7,9 @@ from sympy import Matrix
 
 from spherindex import linalg, rootsys
 from spherindex.errors import NotARootBase, NotFiniteType
-from datagen import ambient_roots, classified_type_name, flip_matrix, fmat
+from datagen import ambient_roots, classified_type_name, flip_matrix, fmat, positive_roots_in_base_coords
 from spherindex.cli import parse_index
-from spherindex.linalg import dot, gram, identity, transpose, vec_mat
+from spherindex.linalg import dot, gram, identity, mat_mul, transpose, vec_mat
 from spherindex.rootsys import (
     AmbientRootDatum,
     VALID_RANKS,
@@ -18,7 +18,6 @@ from spherindex.rootsys import (
     generate_roots,
     opposition_permutation,
     orbit,
-    positive_roots_in_base_coords,
     root_count,
     standard_cartan,
     standard_form,
@@ -161,6 +160,29 @@ def test_generate_roots_counts():
         assert len(roots) == root_count(fam, n)
         pos = positive_roots_in_base_coords([(fam, n, tuple(range(n)))], n)
         assert 2 * len(pos) == root_count(fam, n)
+
+
+def test_generate_roots_is_the_sorted_base_coordinates_times_the_base():
+    """One walk pairs each root with its base coordinates: the same list as
+    the product of the sorted coordinates with the base vectors, on standard,
+    shuffled and rational bases; a shared Fraction entry keeps each root
+    equal, though an entry may stay an int where the product gives a Fraction."""
+    rng = random.Random(20261019)
+    bases = [std_base(fam, n) for fam, n in ALL_SMALL_TYPES]
+    for spec in ([("A", 2), ("B", 3), ("G", 2)], [("D", 4), ("A", 1)], [("C", 3), ("E", 6)]):
+        amb = AmbientRootDatum.of(spec)
+        n = amb.dim
+        order = rng.sample(range(n), n)
+        bases.append(RootBase.from_vectors([identity(n)[i] for i in order], amb.form()))
+        # c_i e_i under F_ij / (c_i c_j): the same Cartan matrix on rational vectors
+        c = [Fraction(i + 2, 3) for i in range(n)]
+        scaled = [tuple(c[i] * x for x in row) for i, row in enumerate(identity(n))]
+        form = [[f / (c[i] * c[j]) for j, f in enumerate(row)] for i, row in enumerate(amb.form())]
+        bases.append(RootBase.from_vectors(scaled, form))
+    for base in bases:
+        pos = positive_roots_in_base_coords(base.components, len(base))
+        coords = sorted(pos + [tuple(-x for x in v) for v in pos])
+        assert generate_roots(base) == list(mat_mul(coords, base.vectors))
 
 
 def test_generate_roots_a1():

@@ -14,7 +14,9 @@ function the benchmark traces by name that no longer exists reads 0 calls
 there, so each traced name resolves to a function in ``src/``; every CLI
 call is a new process, so ``src/`` imports no ``dataclasses`` (nor, through
 it, ``inspect``): its records derive from ``record.Record``; the project
-requires Python 3.10, so no source, tool or test uses newer syntax.
+requires Python 3.10, so no source, tool or test uses newer syntax; each
+kind of matrix is inverted in one place, so the functions that call
+``scaled_inverse`` are pinned.
 """
 
 import ast
@@ -174,8 +176,9 @@ def test_every_import_is_used():
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
 # layer names the benchmark traces that name no function in src/, left for
-# the next change to the benchmark: both functions were deleted from linalg
-DEAD_LAYER_NAMES_ALLOWED = {"linalg.rref", "linalg.smith_normal_form"}
+# the next change to the benchmark: two functions were deleted from linalg,
+# and the base coordinates of the roots now come from rootsys.root_images
+DEAD_LAYER_NAMES_ALLOWED = {"linalg.rref", "linalg.smith_normal_form", "rootsys.positive_roots_in_base_coords"}
 
 
 def layer_names():
@@ -204,10 +207,50 @@ def dead_layer_names(names):
 def test_every_traced_layer_name_is_a_function_in_src():
     """A rename in src/ fails here instead of reading 0 calls in the benchmark."""
     names = layer_names()
-    assert "rootsys.positive_roots_in_base_coords" in names
+    assert "rootsys.generate_roots" in names
     assert set(dead_layer_names(names)) == DEAD_LAYER_NAMES_ALLOWED
     planted = ["index.res_A", "rootsys.AmbientRootDatum.form", "rootsys.simple_reflection", "rootsys.Gone.form"]
     assert dead_layer_names(planted) == ["rootsys.simple_reflection", "rootsys.Gone.form"]
+
+
+def callers(trees, callee):
+    """The dotted name (module, classes, function) of each function whose own
+    body calls ``callee``, by name or as an attribute."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call) and callee in (getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                found.add(".".join(scope))
+            visit(child, scope)
+
+    for name, tree in trees:
+        visit(tree, (name.removesuffix(".py"),))
+    return found
+
+
+# one home per matrix inversion: the dual basis kernel, the walls of an index
+# (once per index), the form on restriction coordinates, and the normals of
+# the maximal cones of a fan
+SCALED_INVERSE_CALLERS = {
+    "linalg.scaled_dual_basis",
+    "index.TitsIndex.walls_inverse",
+    "index.restricted_simple_roots",
+    "fans.Fan.normals",
+}
+
+
+def test_each_inversion_has_one_home():
+    assert callers(source_trees(), "scaled_inverse") == SCALED_INVERSE_CALLERS
+    planted = ast.parse(
+        "class Fan:\n    def normals(self):\n        return {c: scaled_inverse(c) for c in self.cones}\n"
+        "def beta(d):\n    a, det = linalg.scaled_inverse(walls(d))\n    return a\n"
+        "def dual(rows):\n    return scaled_dual_basis(rows)\n"
+    )
+    assert callers([("cli.py", planted)], "scaled_inverse") == {"cli.Fan.normals", "cli.beta"}
 
 
 # names allowed to go unreferenced in src/: none
