@@ -131,7 +131,7 @@ class SphericalDatumK(Record):
         sigma0 = tuple(sorted(set(int(i) for i in sigma0)))
         if sigma0 and not (0 <= sigma0[0] and sigma0[-1] < len(sigma_rows)):
             raise DatumConstructionError("compact root index out of range")
-        return SphericalDatumK(
+        d = SphericalDatumK(
             mode="abstract",
             index=None,
             xi_K=None,
@@ -143,6 +143,11 @@ class SphericalDatumK(Record):
             star_xi=star.generators,
             sigma0_input=sigma0,
         )
+        if sigma0 and any(
+            (i in sigma0) != (j in sigma0) for i in range(len(sigma_rows)) for j in d.star_orbit_of_root(i)
+        ):
+            raise DatumConstructionError("compact roots are not a union of star orbits of the spherical roots")
+        return d
 
     @cached_property
     def root_base(self) -> RootBase:

@@ -47,10 +47,6 @@ class NotSublattice(SpherindexError):
     pass
 
 
-class NotAFace(SpherindexError):
-    pass
-
-
 class BudgetExceeded(SpherindexError):
     pass
 

@@ -344,8 +344,10 @@ def aut_roots(rd: LittleDatum, gamma: Lattice) -> AutRoots:
     """Spherical roots of the quotient by a group of automorphisms.
 
     ``gamma`` is the character sublattice of the quotient; it must sit
-    between the lattice spanned by the restricted roots and the full
-    little weight lattice.
+    between the lattice spanned by the restricted roots and the little
+    weight lattice, inside the span of the restricted roots: the quotient
+    roots are multiples of the independent restricted roots, so they can be
+    a basis of ``gamma`` only when its rank is their number.
     """
     if gamma.ambient_rank != rd.rank:
         raise NotBetween("sublattice has the wrong ambient rank")
@@ -354,13 +356,13 @@ def aut_roots(rd: LittleDatum, gamma: Lattice) -> AutRoots:
     for s in rd.sigma_k:
         if not gamma.contains(s):
             raise NotBetween("sublattice does not contain the restricted roots")
+    if gamma.rank != len(rd.sigma_k):
+        raise NotBetween("sublattice leaves the span of the restricted roots")
 
     roots, mults = [], []
-    for p in rd.sigma_k_pr:
+    for p in rd.sigma_k_pr:  # p = s / content(s) for s in gamma: in its span
         c = gamma.coordinates(p)
-        if c is None:
-            raise NotBetween("restricted root leaves the span of the sublattice")
-        n = lcm(*(x.denominator for x in c)) if c else 1
+        n = lcm(*(x.denominator for x in c))
         roots.append(tuple(n * x for x in p))
         mults.append(n)
     if any(n not in (1, 2) for n in mults):

@@ -230,6 +230,17 @@ def test_star_generator_must_be_an_isometry_of_the_pairing():
             SphericalDatumK.abstract(2, pairing, [g], [[1, 1]])
 
 
+def test_compact_roots_must_be_a_union_of_star_orbits():
+    """The swap exchanges the two roots, so either both are compact or neither."""
+    swap = [[0, 1], [1, 0]]
+    for sigma0 in [(), (0, 1)]:
+        SphericalDatumK.abstract(2, [[2, 0], [0, 2]], [swap], [[1, 0], [0, 1]], sigma0)
+    SphericalDatumK.abstract(2, [[2, 0], [0, 2]], [], [[1, 0], [0, 1]], [1])
+    for sigma0 in [(0,), (1,)]:
+        with pytest.raises(DatumConstructionError, match="compact roots are not a union of star orbits"):
+            SphericalDatumK.abstract(2, [[2, 0], [0, 2]], [swap], [[1, 0], [0, 1]], sigma0)
+
+
 def test_star_orbits():
     d = e6_datum()
     assert d.star_orbit_of_root(0) == (0,)

@@ -1,7 +1,9 @@
 """Random abstract documents through every command that reads a datum.
 
 The exit-code contract holds for any input file, so no exception may escape
-``cli.main``: a random document exits 0, 1, 2 or 3.
+``cli.main``: a random document exits 0, 1 or 2.  Exit 3 is kept for a
+structural identity that consistent input cannot break, and a document
+either fails validation or is consistent, so none exits 3.
 """
 
 import contextlib
@@ -27,6 +29,23 @@ NON_ISOMETRIC_STAR = {
     "schema_version": "1",
     "mode": "abstract",
     "abstract": {"rank": 2, "pairing": [[2, 1], [1, 1]], "star": [[[0, 1], [1, 0]]], "sigma": [[1, 1]]},
+}
+
+# the swap exchanges the two roots, but only the second is compact: the
+# compact roots are not a union of star orbits, so the datum is refused
+UNSTABLE_SIGMA0 = {
+    "schema_version": "1",
+    "mode": "abstract",
+    "abstract": {"rank": 2, "pairing": [[2, 0], [0, 2]], "star": [[[0, 1], [1, 0]]], "sigma": [[1, 0], [0, 1]], "sigma0": [1]},
+}
+
+# one restricted root, but gamma has rank 2: it leaves the span of the root,
+# so no multiples of the root can be a basis of it
+GAMMA_OUTSIDE_THE_ROOT_SPAN = {
+    "schema_version": "1",
+    "mode": "abstract",
+    "abstract": {"rank": 2, "pairing": [[2, 0], [0, 2]], "star": [], "sigma": [[1, 0]]},
+    "gamma": [[1, 0], [0, 1]],
 }
 
 
@@ -76,8 +95,8 @@ def random_document(rng):
     if sigma and rng.random() < 0.3:
         abstract["sigma0"] = rng.sample(range(len(sigma)), rng.randint(1, len(sigma)))
     doc = {"schema_version": "1", "mode": "abstract", "abstract": abstract}
-    if rng.random() < 0.2:
-        doc["gamma"] = [[2 * (i == j) for j in range(r)] for i in range(r)]
+    if rng.random() < 0.3:  # a sublattice of any rank from 0 to r
+        doc["gamma"] = [[2 * (i == j) for j in range(r)] for i in rng.sample(range(r), rng.randint(0, r))]
     return doc
 
 
@@ -91,46 +110,62 @@ def _commands(path, fan_path):
     ]
 
 
-def _escapes(argv):
-    """The exception that escapes ``main(argv)``, else None; the exit code must be a documented one."""
+def _outcome(argv):
+    """The exit code of ``main(argv)``, or the exception that escapes it."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            code = cli.main(argv)
+            return cli.main(argv)
         except Exception as e:  # noqa: BLE001 - any escape is the failure
             return e
-    assert code in (0, 1, 2, 3), argv
-    return None
+
+
+def _every_command(capsys, tmp_path, fmt, doc, fan_cones):
+    """The set of (exit code, stdout, stderr) of the five commands on ``doc``."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    fan_path = tmp_path / "fan.json"
+    fan_path.write_text(json.dumps({"cones": fan_cones}))
+    outcomes = set()
+    for argv in _commands(str(path), str(fan_path)):
+        outcomes.add((cli.main(["--format", fmt] + argv), *capsys.readouterr()))
+    return outcomes
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_the_degenerate_form_exits_1_with_one_error_line(capsys, tmp_path, fmt):
-    path = tmp_path / "degenerate.json"
-    path.write_text(json.dumps(DEGENERATE_FORM))
-    fan_path = tmp_path / "fan.json"
-    fan_path.write_text(json.dumps({"cones": [[[-1]]]}))
-    for argv in _commands(str(path), str(fan_path)):
-        assert cli.main(["--format", fmt] + argv) == 1, argv
-        out, err = capsys.readouterr()
-        assert out == "" and err == "error: pairing is degenerate on the annihilator of N_k\n", argv
+    assert _every_command(capsys, tmp_path, fmt, DEGENERATE_FORM, [[[-1]]]) == {
+        (1, "", "error: pairing is degenerate on the annihilator of N_k\n")
+    }
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_a_star_that_is_not_an_isometry_exits_2_with_one_error_line(capsys, tmp_path, fmt):
-    path = tmp_path / "star.json"
-    path.write_text(json.dumps(NON_ISOMETRIC_STAR))
-    fan_path = tmp_path / "fan.json"
-    fan_path.write_text(json.dumps({"cones": [[[-1, 0], [0, -1]]]}))
-    for argv in _commands(str(path), str(fan_path)):
-        assert cli.main(["--format", fmt] + argv) == 2, argv
-        out, err = capsys.readouterr()
-        assert out == "" and err == "error: star generator is not an isometry of the pairing\n", argv
+    assert _every_command(capsys, tmp_path, fmt, NON_ISOMETRIC_STAR, [[[-1, 0], [0, -1]]]) == {
+        (2, "", "error: star generator is not an isometry of the pairing\n")
+    }
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_compact_roots_that_are_not_star_stable_exit_2_with_one_error_line(capsys, tmp_path, fmt):
+    assert _every_command(capsys, tmp_path, fmt, UNSTABLE_SIGMA0, [[[-1, 0], [0, -1]]]) == {
+        (2, "", "error: compact roots are not a union of star orbits of the spherical roots\n")
+    }
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_a_gamma_outside_the_root_span_exits_1_with_one_error_line(capsys, tmp_path, fmt):
+    path = tmp_path / "gamma.json"
+    path.write_text(json.dumps(GAMMA_OUTSIDE_THE_ROOT_SPAN))
+    assert cli.main(["--format", fmt, "degenerate", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: sublattice leaves the span of the restricted roots\n"
 
 
 def test_no_exception_escapes_main_on_random_abstract_documents(tmp_path):
     rng = random.Random(20261018)
     docs = [DEGENERATE_FORM] + [random_document(rng) for _ in range(1000)]
     fans = {}
-    escaped = []
+    failed = []
     for k, doc in enumerate(docs):
         path = tmp_path / f"d{k}.json"
         path.write_text(json.dumps(doc))
@@ -139,6 +174,6 @@ def test_no_exception_escapes_main_on_random_abstract_documents(tmp_path):
             fans[r] = tmp_path / f"fan{r}.json"
             fans[r].write_text(json.dumps({"cones": [[[-int(i == j) for j in range(r)] for i in range(r)]]}))
         for argv in _commands(str(path), str(fans[r])):
-            if (e := _escapes(argv)) is not None:
-                escaped.append((argv[0], doc, repr(e)))
-    assert escaped == []
+            if (outcome := _outcome(argv)) not in (0, 1, 2):
+                failed.append((argv[0], doc, repr(outcome)))
+    assert failed == []

@@ -416,6 +416,15 @@ def test_aut_roots_not_between():
         aut_roots(rd, Lattice.from_rows(1, [[3]]))  # does not contain sigma_k
     with pytest.raises(NotBetween):
         aut_roots(rd, Lattice.from_rows(1, [[H]]))  # not inside the lattice
+    # multiples of the restricted roots are a basis of gamma only when its
+    # rank is their number, so a gamma of higher rank is bad input
+    one_root = restrict_datum(SphericalDatumK.abstract(2, [[2, 0], [0, 2]], [], [[1, 0]]))
+    no_root = restrict_datum(SphericalDatumK.abstract(1, [[2]], [], []))
+    for rd, rows in [(one_root, [[1, 0], [0, 1]]), (one_root, [[1, 0], [0, 4]]), (no_root, [[2]])]:
+        with pytest.raises(NotBetween, match="sublattice leaves the span of the restricted roots"):
+            aut_roots(rd, Lattice.from_rows(rd.rank, rows))
+    assert aut_roots(one_root, Lattice.from_rows(2, [[1, 0]])).n_aut == (1,)
+    assert aut_roots(no_root, Lattice.from_rows(1, [])).roots == ()
 
 
 def test_lattice_weight_property():
