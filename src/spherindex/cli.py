@@ -37,7 +37,6 @@ from .restrict import (
     aut_roots,
     chamber_containment_check,
     coweight_identity_check,
-    facet_inheritance_check,
     localize,
     phi_k_res,
     predicates,
@@ -361,7 +360,6 @@ def cmd_analyze(doc: dict) -> tuple[dict, int]:
     rr = phi_k_res(d, rd)
     cw = coweight_identity_check(d, rd)
     chamber_containment_check(d, rd)
-    facet_inheritance_check(d, rd)
     split = rd.split
     report.update(
         {
@@ -382,8 +380,8 @@ def cmd_analyze(doc: dict) -> tuple[dict, int]:
             "valuation_cone": {
                 "inequalities": rd.sigma_k,
                 "lineality": rd.nk0_basis,
-                # present exactly when the cone is strictly convex
-                "extremal_rays": () if rd.nk0_basis else tuple(tuple(-x for x in w) for w in rd.coweights),
+                # present exactly when the cone is strictly convex: minus the coweights
+                "extremal_rays": () if rd.nk0_basis else divide(rd.coweights, -rd.coweight_den),
             },
             "coweight_identity": cw,
             "predicates": predicates(d, rd),

@@ -28,8 +28,6 @@ from .linalg import (
     Mat,
     Vec,
     content,
-    divide,
-    dot,
     gram,
     hermite_normal_form,
     integer_kernel,
@@ -39,7 +37,6 @@ from .linalg import (
     minus_identity,
     pivot_columns,
     primitive_vector,
-    rank,
     scale_integral,
     scale_rows_integral,
     scaled_dual_basis,
@@ -56,7 +53,9 @@ class LittleDatum(Record):
     Vectors in ``sigma_k``, ``phi_k`` live in coordinates of the canonical
     basis of the little weight lattice; ``nk0_basis`` and ``coweights``
     live in the dual coordinates, paired with the former by the dot
-    product.
+    product.  The little coweights are ``coweights / coweight_den``, and
+    ``form_k`` is a positive integer multiple of the transported form:
+    root data, reflections and dual bases do not see its scale.
     """
 
     rank: int
@@ -70,6 +69,7 @@ class LittleDatum(Record):
     wk_order: int
     nk0_basis: Mat
     coweights: Mat
+    coweight_den: int
 
     @property
     def wk_type_name(self) -> str:
@@ -83,8 +83,8 @@ class RestrictedDatum(LittleDatum):
     checks need.
     """
 
-    nk_basis: Mat
-    projected_lifts: Mat  # lifts of the little basis rows, projected off the annihilator
+    projected_lifts: Mat  # lifts_den times the lifts of the little basis rows, projected off the annihilator
+    lifts_den: int
     split: CompactRootSplit
 
 
@@ -96,21 +96,21 @@ def _annihilator(d: SphericalDatumK, split: CompactRootSplit) -> list[Vec]:
     return rows
 
 
-def _project(f: Mat, rows: list[Vec], lifts) -> tuple[Mat, Mat]:
-    """``lifts`` projected under ``f`` off the span of ``rows``, and their Gram matrix.
+def _project(f: Mat, rows: list[Vec], lifts) -> tuple[Mat, int, Mat]:
+    """``lifts`` projected under ``f`` off the span of ``rows`` and scaled by
+    d > 0, d, and their Gram matrix under c f, all integral.
 
     P = I - F U^T G^-1 U (rows act on the right) for U independent rows of
     ``rows`` and G = U F U^T.  P sees neither the choice of U nor a scale c > 0
     of F, so both are taken integral, and so is d P = d I - W^T U for the
-    scaled dual basis (W, d) of U, W = (d G^-1) U F.
-    The lifts are divided by d and their Gram matrix by c d^2 once, at the end.
+    scaled dual basis (W, d) of U, W = (d G^-1) U F.  The Gram matrix is
+    c d^2 times the transported form.
     """
-    fc, c = scale_integral(f)
+    fc, _ = scale_integral(f)
     pivots = pivot_columns(transpose(rows))
     if not pivots:
-        lifts, form = tuple(map(tuple, lifts)), gram(lifts, fc)
-        # the form keeps the entry type of f
-        return lifts, form if all(type(x) is int for row in f for x in row) else divide(form, c)
+        lifts = tuple(map(tuple, lifts))
+        return lifts, 1, gram(lifts, fc)
     u = scale_rows_integral([rows[i] for i in pivots])
     try:
         w, d = scaled_dual_basis(u, fc)
@@ -119,7 +119,7 @@ def _project(f: Mat, rows: list[Vec], lifts) -> tuple[Mat, Mat]:
     corr = mat_mul(transpose(w), u)
     dp = tuple(tuple(d * (i == j) - x for j, x in enumerate(row)) for i, row in enumerate(corr))
     scaled = mat_mul(lifts, dp)
-    return divide(scaled, d), divide(gram(scaled, fc), c * d * d)
+    return scaled, d, gram(scaled, fc)
 
 
 def _core(rank_: int, sigma_rows: Mat, form: Mat, fibers) -> dict:
@@ -137,7 +137,8 @@ def _core(rank_: int, sigma_rows: Mat, form: Mat, fibers) -> dict:
         wk_types=base.types,
         wk_order=weyl_order(base.types),
         nk0_basis=integer_kernel(sigma_rows, width=rank_),
-        coweights=divide(w, den),
+        coweights=w,
+        coweight_den=den,
     )
 
 
@@ -163,13 +164,13 @@ def restrict_datum(d: SphericalDatumK) -> RestrictedDatum:
 
     # transport the invariant form through the orthogonal projection; two
     # lifts of a row differ by the span of ``ann``, which the projection kills
-    projected, form_k = _project(d.pairing, ann, u[:dk])
+    projected, lifts_den, form_k = _project(d.pairing, ann, u[:dk])
 
     core = _core(dk, tuple(sigma_k), form_k, fibers)
     return RestrictedDatum(
         **core,
-        nk_basis=nk,
         projected_lifts=projected,
+        lifts_den=lifts_den,
         split=split,
     )
 
@@ -202,14 +203,15 @@ def coweight_identity_check(d: SphericalDatumK, rd: RestrictedDatum) -> dict:
 
     The dual family on the big side is taken over all spherical roots; the
     projection is linear, so each fiber sum is projected once, all in one
-    integer product: with big coweights w / den and the lifts scaled by m,
-    it is den * m times the little coweights, compared cross-multiplied.
+    integer product: with big coweights w / den and lifts scaled by
+    ``lifts_den``, it is den * lifts_den times the little coweights, which
+    are ``coweights / coweight_den``, so the two are compared cross-multiplied.
     """
     w, den = scaled_dual_basis(d.sigma, d.pairing)
-    lifts, m = scale_integral(rd.projected_lifts)
     sums = [tuple(map(sum, zip(*(w[tau] for tau in fib)))) for fib in rd.fibers]
-    for j, (row, coweight) in enumerate(zip(mat_mul_t(sums, lifts), rd.coweights, strict=True)):
-        if any(x * c.denominator != c.numerator * den * m for x, c in zip(row, coweight, strict=True)):
+    scale = den * rd.lifts_den
+    for j, (row, coweight) in enumerate(zip(mat_mul_t(sums, rd.projected_lifts), rd.coweights, strict=True)):
+        if any(x * rd.coweight_den != c * scale for x, c in zip(row, coweight, strict=True)):
             raise IdentityFails(f"coweight of restricted root {j} differs from its fiber sum")
     return {"checked": len(rd.fibers)}
 
@@ -234,55 +236,16 @@ def chamber_containment_check(d: SphericalDatumK, rd: RestrictedDatum | None = N
         raise InternalInconsistency(
             "restricted simple roots are not a basis of the split coordinates"
         ) from None
-    # minus the columns of a = d * walls^-1 span the chamber; d > 0 keeps every sign
+    # minus the columns of a = d * walls^-1 span the chamber; d > 0, the
+    # lattice's denominator and ``lifts_den`` are positive scales and keep every sign
     gens = [tuple(-x for x in col) for col in transpose(a)]
-    restricted_xi = [res_A(ix, chi) for chi in d.xi_K.rows_q()]
+    restricted_xi = [res_A(ix, chi) for chi in d.xi_K.basis]
     images = mat_mul_t(mat_mul_t(gens, restricted_xi), rd.projected_lifts)
     if any(x > 0 for row in mat_mul_t(images, rd.sigma_k) for x in row):
         raise InternalInconsistency(
             "a chamber generator projects outside the valuation cone"
         )
     return {"checked": len(gens)}
-
-
-def facet_inheritance_check(d: SphericalDatumK, rd: RestrictedDatum) -> dict:
-    """Check how the facets of the big valuation cone meet the little one.
-
-    A facet cut by a compact spherical root must restrict to all of Z_k;
-    one cut by a noncompact root must trace a facet of Z_k.  Z_k is
-    generated by plus and minus ``nk0_basis`` and minus the coweights.
-    These, with the coweights scaled to integers (a positive scale keeps
-    every ray and every sign), must be ``rd.rank`` independent vectors;
-    then the face a restricted root cuts has rank r minus the number of
-    them it does not vanish on, so one product decides every facet.
-    """
-    basis = list(rd.nk0_basis) + [[-x for x in w] for w in scale_rows_integral(rd.coweights)]
-    if not len(basis) == rd.rank == rank(basis):
-        raise InternalInconsistency("valuation cone is not full dimensional")
-    values = mat_mul_t(rd.sigma_k, basis)
-    n0 = len(rd.nk0_basis)
-    fiber_of = {i: t for t, fib in enumerate(rd.fibers) for i in fib}
-    checked = {"full": 0, "facet": 0}
-    for i in range(len(d.sigma)):
-        if i in rd.split.sigma0:
-            if any(dot(d.sigma[i], v) for v in rd.nk_basis):
-                raise InternalInconsistency(
-                    "a compact spherical root restricts nontrivially"
-                )
-            checked["full"] += 1
-            continue
-        row = values[fiber_of[i]]
-        lineality, rays = row[:n0], row[n0:]
-        if any(lineality) or any(x > 0 for x in rays):
-            raise InternalInconsistency(
-                "a restricted root is positive somewhere on the valuation cone"
-            )
-        if sum(map(bool, rays)) != 1:
-            raise InternalInconsistency(
-                "a big facet does not trace a facet of the little cone"
-            )
-        checked["facet"] += 1
-    return checked
 
 
 def predicates(d: SphericalDatumK, rd: RestrictedDatum) -> dict:
@@ -345,13 +308,15 @@ def aut_roots(rd: LittleDatum, gamma: Lattice) -> AutRoots:
 
     ``gamma`` is the character sublattice of the quotient; it must sit
     between the lattice spanned by the restricted roots and the little
-    weight lattice, inside the span of the restricted roots: the quotient
-    roots are multiples of the independent restricted roots, so they can be
-    a basis of ``gamma`` only when its rank is their number.
+    weight lattice, inside the span of the restricted roots, and be spanned
+    by multiples of them: the quotient roots are the least multiples of the
+    primitive restricted roots that lie in ``gamma``, and they must be a
+    basis of it.  Input that is not so exits 1 (``NotBetween``); only a
+    multiplier above 2 breaks a theorem.
     """
     if gamma.ambient_rank != rd.rank:
         raise NotBetween("sublattice has the wrong ambient rank")
-    if any(x.denominator != 1 for r in gamma.rows_q() for x in r):
+    if gamma.den != 1:  # from_rows divides out gcd(den, entries), so some entry is not integral
         raise NotBetween("sublattice is not contained in the weight lattice")
     for s in rd.sigma_k:
         if not gamma.contains(s):
@@ -368,5 +333,5 @@ def aut_roots(rd: LittleDatum, gamma: Lattice) -> AutRoots:
     if any(n not in (1, 2) for n in mults):
         raise BasisFailure("an automorphism-quotient multiplier exceeded 2")
     if Lattice.from_rows(rd.rank, roots) != gamma:
-        raise BasisFailure("quotient roots do not form a basis of the sublattice")
+        raise NotBetween("sublattice is not spanned by multiples of the restricted roots")
     return AutRoots(roots=tuple(roots), n_aut=tuple(mults))

@@ -242,9 +242,10 @@ def phi_k_res_by_lattice(d: SphericalDatumK, rd) -> RestrictedRoots:
     restrictions of the coordinate characters generate."""
     if not d.sigma:
         return RestrictedRoots.of(())
-    little = Lattice.from_rows(rd.rank, transpose(rd.nk_basis))
+    nk = little_space(d)
+    little = Lattice.from_rows(rd.rank, transpose(nk))
     return RestrictedRoots.of(
-        little.coordinates(tuple(dot(root, v) for v in rd.nk_basis)) for root in generate_roots(d.root_base)
+        little.coordinates(tuple(dot(root, v) for v in nk)) for root in generate_roots(d.root_base)
     )
 
 
@@ -252,7 +253,8 @@ def facet_inheritance_by_rank(d: SphericalDatumK, rd):
     """The facet check with one rank per face: Z_k is generated by plus and
     minus ``nk0_basis`` and minus the coweights, and each noncompact root
     must be nonpositive on every generator and vanish on a face of rank
-    r - 1, each compact root must restrict to zero."""
+    r - 1, each compact root must restrict to zero on N_k, read off ``d``."""
+    nk = little_space(d)
     gens = list(rd.nk0_basis)
     gens += [tuple(-x for x in g) for g in rd.nk0_basis]
     gens += [tuple(-x for x in w) for w in rd.coweights]
@@ -262,7 +264,7 @@ def facet_inheritance_by_rank(d: SphericalDatumK, rd):
     checked = {"full": 0, "facet": 0}
     for i in range(len(d.sigma)):
         if i in rd.split.sigma0:
-            if any(dot(d.sigma[i], v) for v in rd.nk_basis):
+            if any(dot(d.sigma[i], v) for v in nk):
                 raise InternalInconsistency("a compact spherical root restricts nontrivially")
             checked["full"] += 1
             continue

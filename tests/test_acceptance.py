@@ -11,9 +11,11 @@ from fractions import Fraction
 from datagen import (
     cover_edges,
     divisor_scan_indivisible,
+    facet_inheritance_by_rank,
     flip_matrix,
     fmat,
     fvec,
+    little_space,
     no_cone,
     random_convex_data,
     random_data,
@@ -40,7 +42,6 @@ from spherindex.restrict import (
     aut_roots,
     chamber_containment_check,
     coweight_identity_check,
-    facet_inheritance_check,
     localize,
     phi_k_res,
     predicates,
@@ -157,7 +158,7 @@ def _structure_suite(d):
             chi = fvec([int(j == t) for t in range(rd.rank)])
             assert (2 * dot(sf, chi) / ss).denominator == 1
     coweight_identity_check(d, rd)
-    facet_inheritance_check(d, rd)
+    facet_inheritance_by_rank(d, rd)
     chamber_containment_check(d, rd)
     return rd
 
@@ -261,7 +262,7 @@ def _brute_force_little_roots(d, rd):
 
     big = generate_roots(base)
     restricted = set()
-    nk = rd.nk_basis
+    nk = little_space(d)
     l_basis = Lattice.from_rows(rd.rank, transpose(nk)).basis
     for r in big:
         raw = tuple(dot(fvec(r), fvec(v)) for v in nk)

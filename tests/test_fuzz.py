@@ -1,4 +1,5 @@
-"""Random abstract documents through every command that reads a datum.
+"""Random abstract and ambient documents through every command that reads
+a datum, and random ``--roots`` strings through ``localize``.
 
 The exit-code contract holds for any input file, so no exception may escape
 ``cli.main``: a random document exits 0, 1 or 2.  Exit 3 is kept for a
@@ -9,11 +10,15 @@ either fails validation or is consistent, so none exits 3.
 import contextlib
 import io
 import json
+import os
 import random
+from fractions import Fraction
 
 import pytest
 
 from spherindex import cli
+
+FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
 # passes validation, but the pairing vanishes on the annihilator of N_k: the
 # span of g - 1 for the swap g, on which (e1 - e2) F (e1 - e2)^T = 0
@@ -48,6 +53,15 @@ GAMMA_OUTSIDE_THE_ROOT_SPAN = {
     "gamma": [[1, 0], [0, 1]],
 }
 
+# gamma is Z^2, which holds both primitive roots, so both multipliers are 1;
+# but (1, 1) and (1, -1) span a sublattice of index 2 in it
+GAMMA_NOT_SPANNED_BY_ROOT_MULTIPLES = {
+    "schema_version": "1",
+    "mode": "abstract",
+    "abstract": {"rank": 2, "pairing": [[2, 0], [0, 2]], "star": [], "sigma": [[1, 1], [1, -1]]},
+    "gamma": [[1, 0], [0, 1]],
+}
+
 
 def _pairing(rng, r):
     """A symmetric integer form: 2I, the Cartan form of A_r, a random one, or
@@ -79,25 +93,88 @@ def _star(rng, r):
 def _root(rng, r):
     v = [0] * r
     for i in rng.sample(range(r), rng.randint(1, min(r, 2))):
-        v[i] = rng.choice([1, 1, 1, 2])
+        v[i] = rng.choice([1, 1, 2, -1, -1])
     return v
+
+
+def _orthogonal_roots(rng, r):
+    """Roots orthogonal under 2I: e_i + e_j and e_i - e_j for disjoint pairs
+    (i, j), or e_i alone; a pair spans a sublattice of index 2 in its plane."""
+    coords = rng.sample(range(r), r)
+    roots = []
+    while coords:
+        i = coords.pop()
+        if coords and rng.random() < 0.7:
+            j = coords.pop()
+            roots += [[int(k == i) + sign * int(k == j) for k in range(r)] for sign in (1, -1)]
+        else:
+            roots.append([int(k == i) for k in range(r)])
+    return rng.sample(roots, rng.randint(1, len(roots)))
+
+
+def _gamma(rng, r, sigma):
+    """Rows of a sublattice: the spherical roots with half the sum or the
+    difference of two of them (as ``"p/q"`` strings), or any rank from 0 to
+    r of doubled axes and small rows off the axes."""
+    if sigma and rng.random() < 0.5:
+        halves = [[str(Fraction(x + sign * y, 2)) for x, y in zip(a, b)] for a in sigma for b in sigma if a < b for sign in (1, -1)]
+        return sigma + rng.sample(halves, min(len(halves), rng.randint(0, 2)))
+    pool = [[2 * (i == j) for j in range(r)] for i in range(r)] + [[rng.randint(-1, 1) for _ in range(r)] for _ in range(r)]
+    return rng.sample(pool, rng.randint(0, r))
 
 
 def random_document(rng):
     r = rng.randint(1, 4)
-    sigma = [_root(rng, r) for _ in range(rng.randint(0, r))]
-    abstract = {
-        "rank": r,
-        "pairing": _pairing(rng, r),
-        "star": [_star(rng, r) for _ in range(rng.choice([0, 0, 1, 1, 2]))],
-        "sigma": sigma,
-    }
+    if rng.random() < 0.2:  # orthogonal roots, which may span a sublattice of index 2
+        sigma, pairing, star = _orthogonal_roots(rng, r), [[2 * (i == j) for j in range(r)] for i in range(r)], []
+    else:
+        sigma, pairing = [_root(rng, r) for _ in range(rng.randint(0, r))], _pairing(rng, r)
+        star = [_star(rng, r) for _ in range(rng.choice([0, 0, 1, 1, 2]))]
+    abstract = {"rank": r, "pairing": pairing, "star": star, "sigma": sigma}
     if sigma and rng.random() < 0.3:
         abstract["sigma0"] = rng.sample(range(len(sigma)), rng.randint(1, len(sigma)))
     doc = {"schema_version": "1", "mode": "abstract", "abstract": abstract}
-    if rng.random() < 0.3:  # a sublattice of any rank from 0 to r
-        doc["gamma"] = [[2 * (i == j) for j in range(r)] for i in rng.sample(range(r), rng.randint(0, r))]
+    if rng.random() < 0.5:
+        doc["gamma"] = _gamma(rng, r, sigma)
     return doc
+
+
+AMBIENT_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("C", 3), ("D", 4), ("G", 2)]
+
+
+def _ambient_root(rng, m):
+    """e_i, e_i + e_j or 2 e_i: a small nonnegative row."""
+    v = [0] * m
+    for i in rng.sample(range(m), rng.randint(1, min(m, 2))):
+        v[i] += 1
+    if rng.random() < 0.15:
+        v = [2 * x for x in v]
+    return v
+
+
+def random_ambient_document(rng):
+    """One or two components of small type with labelled roots, a random
+    compact set, a ``"flip"`` or a permutation star, ``sp``, and small
+    nonnegative spherical roots."""
+    types = [rng.choice(AMBIENT_TYPES) for _ in range(rng.randint(1, 2))]
+    components = [{"family": fam, "rank": n, "label": f"x{k}"} for k, (fam, n) in enumerate(types)]
+    if len(types) == 1:
+        names = [f"a{i + 1}" for i in range(types[0][1])]
+    else:
+        names = [f"x{k}.a{i + 1}" for k, (_, n) in enumerate(types) for i in range(n)]
+    m = len(names)
+    star = rng.choice([[], [], ["flip"], ["flip"], [_star(rng, m)]])
+    spherical = {"sigma": [_ambient_root(rng, m) for _ in range(rng.randint(0, m))]}
+    if rng.random() < 0.3:
+        spherical["sp"] = rng.sample(names, rng.randint(1, m))
+    return {
+        "schema_version": "1",
+        "mode": "ambient",
+        "ambient": {"components": components},
+        "compact_simple": [x for x in names if rng.random() < 0.2],
+        "star_generators": star,
+        "spherical": spherical,
+    }
 
 
 def _commands(path, fan_path):
@@ -152,28 +229,72 @@ def test_compact_roots_that_are_not_star_stable_exit_2_with_one_error_line(capsy
     }
 
 
+def _degenerate(capsys, tmp_path, fmt, doc):
+    """(exit code, stdout, stderr) of ``degenerate`` on ``doc``."""
+    path = tmp_path / "gamma.json"
+    path.write_text(json.dumps(doc))
+    return cli.main(["--format", fmt, "degenerate", str(path)]), *capsys.readouterr()
+
+
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_a_gamma_outside_the_root_span_exits_1_with_one_error_line(capsys, tmp_path, fmt):
-    path = tmp_path / "gamma.json"
-    path.write_text(json.dumps(GAMMA_OUTSIDE_THE_ROOT_SPAN))
-    assert cli.main(["--format", fmt, "degenerate", str(path)]) == 1
-    out, err = capsys.readouterr()
-    assert out == "" and err == "error: sublattice leaves the span of the restricted roots\n"
+    assert _degenerate(capsys, tmp_path, fmt, GAMMA_OUTSIDE_THE_ROOT_SPAN) == (
+        1, "", "error: sublattice leaves the span of the restricted roots\n"
+    )
 
 
-def test_no_exception_escapes_main_on_random_abstract_documents(tmp_path):
-    rng = random.Random(20261018)
-    docs = [DEGENERATE_FORM] + [random_document(rng) for _ in range(1000)]
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_a_gamma_not_spanned_by_root_multiples_exits_1_with_one_error_line(capsys, tmp_path, fmt):
+    assert _degenerate(capsys, tmp_path, fmt, GAMMA_NOT_SPANNED_BY_ROOT_MULTIPLES) == (
+        1, "", "error: sublattice is not spanned by multiples of the restricted roots\n"
+    )
+
+
+def _fuzz(tmp_path, docs, rank_of):
+    """Each (command, document, outcome) of the five commands on ``docs`` that
+    does not exit 0, 1 or 2; the fan is the negative orthant in ``rank_of(doc)``."""
     fans = {}
     failed = []
     for k, doc in enumerate(docs):
         path = tmp_path / f"d{k}.json"
         path.write_text(json.dumps(doc))
-        r = doc["abstract"]["rank"]
-        if r not in fans:  # the negative orthant: of the little rank when N_k is all of Q^r
+        r = rank_of(doc)
+        if r not in fans:
             fans[r] = tmp_path / f"fan{r}.json"
             fans[r].write_text(json.dumps({"cones": [[[-int(i == j) for j in range(r)] for i in range(r)]]}))
         for argv in _commands(str(path), str(fans[r])):
             if (outcome := _outcome(argv)) not in (0, 1, 2):
                 failed.append((argv[0], doc, repr(outcome)))
-    assert failed == []
+    return failed
+
+
+def test_no_exception_escapes_main_on_random_abstract_documents(tmp_path):
+    rng = random.Random(20261018)
+    docs = [DEGENERATE_FORM] + [random_document(rng) for _ in range(1000)]
+    # the orthant is of the little rank when N_k is all of Q^r
+    assert _fuzz(tmp_path, docs, lambda doc: doc["abstract"]["rank"]) == []
+
+
+def test_no_exception_escapes_main_on_random_ambient_documents(tmp_path):
+    rng = random.Random(20261019)
+    docs = [random_ambient_document(rng) for _ in range(400)]
+    assert _fuzz(tmp_path, docs, lambda doc: sum(c["rank"] for c in doc["ambient"]["components"])) == []
+
+
+# digits, signs, commas, whitespace, underscores, digits of other scripts that
+# ``int`` reads (Arabic-Indic, Devanagari, fullwidth) and a superscript 2 it refuses
+ROOTS_ALPHABET = "0123456789" + "12,,," + "+-" + " \t\u3000" + "_" + "\u0661\u0662\u0967\uff11\uff12\u00b2"
+
+
+def test_random_roots_strings_exit_0_or_2_without_a_traceback(capsys):
+    rng = random.Random(20261020)
+    path = os.path.join(FIXTURES, "e6.json")  # convex, two restricted roots
+    codes = set()
+    for _ in range(400):
+        roots = "".join(rng.choice(ROOTS_ALPHABET) for _ in range(rng.randint(0, 6)))
+        code = cli.main(["localize", path, f"--roots={roots}"])
+        err = capsys.readouterr().err
+        assert code in (0, 2) and "Traceback" not in err, (roots, code, err)
+        assert (code == 0) == (err == ""), (roots, err)
+        codes.add(code)
+    assert codes == {0, 2}

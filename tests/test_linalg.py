@@ -205,6 +205,8 @@ def lattice_and_vector(draw):
 def test_lattice_coordinates_match_solve_left(data):
     gens, v, inside = data
     lat = Lattice.from_rows(len(v), gens)
+    # from_rows divides out gcd(den, entries): den is 1 exactly on an integral basis
+    assert (lat.den == 1) == all(x.denominator == 1 for r in lat.rows_q() for x in r)
     got = lat.coordinates(v)
     assert got == solve_left(lat.rows_q(), v)
     if inside:

@@ -9,15 +9,25 @@ import hashlib
 import json
 import os
 import sys
+from fractions import Fraction
 
 import pytest
 
-from datagen import random_data
+from datagen import facet_inheritance_by_rank, random_data
 from spherindex import cli
 from spherindex.cli import parse_datum
 from spherindex.datum import is_valid, validate
-from spherindex.linalg import hermite_normal_form, identity, integer_kernel, transpose
-from spherindex.restrict import _annihilator
+from spherindex.degeneration import build_degeneration
+from spherindex.fans import standard_fan, strata
+from spherindex.linalg import Lattice, hermite_normal_form, identity, integer_kernel, transpose
+from spherindex.restrict import (
+    _annihilator,
+    chamber_containment_check,
+    coweight_identity_check,
+    localize,
+    phi_k_res,
+    restrict_datum,
+)
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 sys.path.insert(0, PERFBENCH)
@@ -48,15 +58,20 @@ def test_every_reference_job_reproduces_its_recorded_report(tmp_path, jobs):
     assert wrong == []
 
 
-def test_nk_spans_the_restriction_onto_every_little_coordinate(jobs):
-    """``restrict_datum`` reads the restriction of a character as its values on
-    ``nk``: that is the little weight lattice Z^dk because ``nk`` is a basis of a
-    saturated lattice, so the Hermite form of nk^T is [I; 0]."""
+def reference_data(jobs) -> list:
+    """Each distinct datum of the reference jobs, parsed."""
     docs = {
         json.dumps(doc, sort_keys=True): doc
         for job in jobs for doc in job.files.values() if isinstance(doc, dict) and "mode" in doc
     }
-    data = [parse_datum(doc) for doc in docs.values()] + random_data(20261018, 24)
+    return [parse_datum(doc) for doc in docs.values()]
+
+
+def test_nk_spans_the_restriction_onto_every_little_coordinate(jobs):
+    """``restrict_datum`` reads the restriction of a character as its values on
+    ``nk``: that is the little weight lattice Z^dk because ``nk`` is a basis of a
+    saturated lattice, so the Hermite form of nk^T is [I; 0]."""
+    data = reference_data(jobs) + random_data(20261018, 24)
     checked = 0
     for d in data:
         if not is_valid(validate(d)):
@@ -66,3 +81,45 @@ def test_nk_spans_the_restriction_onto_every_little_coordinate(jobs):
         assert h == [list(r) for r in identity(len(nk))] + [[0] * len(nk)] * (d.m - len(nk))
         checked += 1
     assert checked > 250
+
+
+def test_every_reference_datum_inherits_its_facets(jobs):
+    """Facet inheritance holds by construction of the restricted datum: the
+    rank-per-face oracle passes on every valid reference datum."""
+    checked = 0
+    for d in reference_data(jobs):
+        if is_valid(validate(d)):
+            assert isinstance(facet_inheritance_by_rank(d, restrict_datum(d)), dict)
+            checked += 1
+    assert checked > 250
+
+
+def test_restriction_of_integral_data_creates_no_fraction(jobs, monkeypatch):
+    """The restricted datum keeps its lifts, form and coweights as integers over
+    stored scales, so on every integral valid reference datum restriction, the
+    root restriction, the two identity checks, the standard fan with its
+    strata, localization and the degeneration create no ``Fraction``."""
+    data = []
+    for d in reference_data(jobs):
+        if all(type(x) is int for row in d.sigma + d.pairing for x in row) and is_valid(validate(d)):
+            data.append(d)
+    created = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        created.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    for d in data:
+        rd = restrict_datum(d)
+        phi_k_res(d, rd)
+        coweight_identity_check(d, rd)
+        chamber_containment_check(d, rd)
+        if not rd.nk0_basis:
+            strata(standard_fan(rd), rd)
+            for t in range(len(rd.sigma_k)):
+                localize(rd, [t])
+            build_degeneration(Lattice.standard(rd.rank), rd.sigma_k)
+    assert created == []
+    assert len(data) > 200

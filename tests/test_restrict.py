@@ -26,6 +26,7 @@ from spherindex.linalg import (
     dot,
     hermite_normal_form,
     identity,
+    scale_integral,
     scaled_dual_basis,
     transpose,
     vec_mat,
@@ -36,7 +37,6 @@ from spherindex.restrict import (
     aut_roots,
     chamber_containment_check,
     coweight_identity_check,
-    facet_inheritance_check,
     localize,
     phi_k_res,
     predicates,
@@ -45,6 +45,12 @@ from spherindex.restrict import (
 from spherindex.rootsys import AmbientRootDatum, indivisible_roots
 
 H = Fraction(1, 2)
+
+
+def transported_form(d, rd):
+    """The form on the little weight lattice: ``form_k`` is c lifts_den^2 times
+    it, for c the least positive scale that makes the pairing integral."""
+    return divide(rd.form_k, scale_integral(d.pairing)[1] * rd.lifts_den**2)
 
 
 def sp42_datum():
@@ -92,10 +98,11 @@ def test_little_space_dimensions():
 
 
 def test_sp42_restriction():
-    rd = restrict_datum(sp42_datum())
+    d = sp42_datum()
+    rd = restrict_datum(d)
     assert rd.rank == 1
     assert rd.sigma_k == ((1,),)
-    assert rd.form_k == ((H,),)
+    assert transported_form(d, rd) == ((H,),)
     assert rd.n_sigma == (1,)
     assert rd.wk_types == (("A", 1),)
     assert rd.wk_order == 2
@@ -300,32 +307,45 @@ def test_coweight_identity():
 
 
 def test_coweights_match_the_fraction_dual_basis():
+    """The stored coweights over ``coweight_den`` are the Fraction dual basis
+    of the restricted roots under the transported form, on the restricted
+    datum and on its localization at each single root."""
     for d in [sp42_datum(), e6_datum(), su_nn_datum(2), u11_datum()] + random_data(20261018, 24):
         rd = restrict_datum(d)
-        assert rd.coweights == dual_basis(rd.sigma_k, rd.form_k)
+        assert divide(rd.coweights, rd.coweight_den) == dual_basis(rd.sigma_k, transported_form(d, rd))
+        if not rd.nk0_basis:
+            for t in range(len(rd.sigma_k)):
+                loc = localize(rd, [t]).datum
+                assert divide(loc.coweights, loc.coweight_den) == dual_basis(loc.sigma_k, loc.form_k)
 
 
 def test_coweight_check_catches_an_entry_off_by_a_small_rational():
     """The check compares scaled integers: every coweight entry moved by
-    1/7919, one at a time, fails it."""
+    1/coweight_den, the least move of an integral entry, one at a time,
+    fails it, and so does a scale moved by one."""
     planted = 0
     for d in [sp42_datum(), e6_datum(), u11_datum()] + random_data(20261018, 8):
         rd = restrict_datum(d)
         assert coweight_identity_check(d, rd) == {"checked": len(rd.fibers)}
         for j, row in enumerate(rd.coweights):
             for t in range(len(row)):
-                moved = row[:t] + (row[t] + Fraction(1, 7919),) + row[t + 1:]
+                moved = row[:t] + (row[t] + 1,) + row[t + 1:]
                 off = replace(rd, coweights=rd.coweights[:j] + (moved,) + rd.coweights[j + 1:])
                 with pytest.raises(IdentityFails, match=f"coweight of restricted root {j} differs"):
                     coweight_identity_check(d, off)
                 planted += 1
-    assert planted >= 20
+        for off in (replace(rd, coweight_den=rd.coweight_den + 1), replace(rd, lifts_den=rd.lifts_den + 1)):
+            if rd.fibers:
+                with pytest.raises(IdentityFails, match="coweight of restricted root 0 differs"):
+                    coweight_identity_check(d, off)
+                planted += 1
+    assert planted >= 40
 
 
 def test_u11_coweight_value():
     # the little coweight of the doubled root is half the projected big one
     rd = restrict_datum(u11_datum())
-    assert rd.coweights == ((H,),)
+    assert divide(rd.coweights, rd.coweight_den) == ((H,),)
 
 
 def test_predicates_e6():
@@ -412,10 +432,10 @@ def test_aut_roots_doubling():
 
 def test_aut_roots_not_between():
     rd = restrict_datum(u11_datum())
-    with pytest.raises(NotBetween):
-        aut_roots(rd, Lattice.from_rows(1, [[3]]))  # does not contain sigma_k
-    with pytest.raises(NotBetween):
-        aut_roots(rd, Lattice.from_rows(1, [[H]]))  # not inside the lattice
+    with pytest.raises(NotBetween, match="does not contain the restricted roots"):
+        aut_roots(rd, Lattice.from_rows(1, [[3]]))
+    with pytest.raises(NotBetween, match="not contained in the weight lattice"):
+        aut_roots(rd, Lattice.from_rows(1, [[H]]))
     # multiples of the restricted roots are a basis of gamma only when its
     # rank is their number, so a gamma of higher rank is bad input
     one_root = restrict_datum(SphericalDatumK.abstract(2, [[2, 0], [0, 2]], [], [[1, 0]]))
@@ -425,6 +445,12 @@ def test_aut_roots_not_between():
             aut_roots(rd, Lattice.from_rows(rd.rank, rows))
     assert aut_roots(one_root, Lattice.from_rows(2, [[1, 0]])).n_aut == (1,)
     assert aut_roots(no_root, Lattice.from_rows(1, [])).roots == ()
+    # gamma holds both primitive roots, so both multipliers are 1, but the
+    # roots span a sublattice of index 2 in it
+    frame = restrict_datum(SphericalDatumK.abstract(2, [[2, 0], [0, 2]], [], [[1, 1], [1, -1]]))
+    with pytest.raises(NotBetween, match="sublattice is not spanned by multiples of the restricted roots"):
+        aut_roots(frame, Lattice.standard(2))
+    assert aut_roots(frame, Lattice.from_rows(2, frame.sigma_k)).n_aut == (1, 1)
 
 
 def test_lattice_weight_property():
@@ -473,7 +499,7 @@ def test_chamber_containment_fixtures():
 
 def test_facet_inheritance_fixtures():
     def checked(d):
-        return facet_inheritance_check(d, restrict_datum(d))
+        return facet_inheritance_by_rank(d, restrict_datum(d))
 
     assert checked(sp42_datum()) == {"full": 1, "facet": 1}
     assert checked(e6_datum()) == {"full": 0, "facet": 2}
@@ -489,18 +515,6 @@ def outcome(check, d, rd):
         return str(e)
 
 
-@pytest.mark.parametrize("message", FACET_PLANTS)
-def test_facet_check_raises_each_message_like_the_rank_per_face_check(message):
-    """Each violation planted in the E6 datum (two noncompact fibers, rank 2)
-    raises the same message through the one basis test and the rank per face."""
-    d = e6_datum()
-    rd = restrict_datum(d)
-    assert outcome(facet_inheritance_check, d, rd) == {"full": 0, "facet": 2}
-    planted = FACET_PLANTS[message](rd)
-    assert outcome(facet_inheritance_check, d, planted) == message
-    assert outcome(facet_inheritance_by_rank, d, planted) == message
-
-
 def quasi_split_e6_data():
     """The flip quasi-split E6 with the spherical roots summed over each
     nonempty set of its four flip orbits."""
@@ -513,24 +527,29 @@ def quasi_split_e6_data():
     return data
 
 
-def test_facet_check_matches_the_rank_per_face_check():
-    """Both checks agree on every datum, and on each with its restricted roots
-    negated or its first coweight moved, wherever that plants a violation."""
-    data = [sp42_datum(), e6_datum(), su_nn_datum(2), u11_datum(), split_datum("A", 2, [[1, 0], [0, 1]])]
+def test_restricted_data_inherit_their_facets_and_plants_do_not():
+    """Facet inheritance holds by construction of the restricted datum, so
+    the rank-per-face oracle passes on every datum; each violation planted
+    in the E6 datum raises its own message, and so do the negated roots and
+    the first coweight moved onto the sum of all, on every datum they fit."""
+    e6 = e6_datum()
+    for message, plant in FACET_PLANTS.items():
+        assert outcome(facet_inheritance_by_rank, e6, plant(restrict_datum(e6))) == message
+    data = [sp42_datum(), e6, su_nn_datum(2), u11_datum(), split_datum("A", 2, [[1, 0], [0, 1]])]
     data += random_data(20261018, 24) + quasi_split_e6_data()
     data += [split_datum("A", n, identity(n)) for n in range(2, 13)]
-    messages = set()
+    planted = 0
     for d in data:
         rd = restrict_datum(d)
-        assert isinstance(outcome(facet_inheritance_by_rank, d, rd), dict)
-        planted = [rd, FACET_PLANTS["a restricted root is positive somewhere on the valuation cone"](rd)]
-        if len(rd.coweights) > 1:
-            planted.append(FACET_PLANTS["a big facet does not trace a facet of the little cone"](rd))
-        for p in planted:
-            expected = outcome(facet_inheritance_by_rank, d, p)
-            assert outcome(facet_inheritance_check, d, p) == expected
-            messages.add(expected if isinstance(expected, str) else "passed")
-    assert len(messages) == 3
+        assert isinstance(facet_inheritance_by_rank(d, rd), dict)
+        for message, fits in [
+            ("a restricted root is positive somewhere on the valuation cone", rd.sigma_k),
+            ("a big facet does not trace a facet of the little cone", len(rd.coweights) > 1),
+        ]:
+            if fits:
+                assert outcome(facet_inheritance_by_rank, d, FACET_PLANTS[message](rd)) == message
+                planted += 1
+    assert planted > 80
 
 
 def count_eliminations(monkeypatch):
@@ -545,21 +564,23 @@ def count_eliminations(monkeypatch):
     return calls
 
 
-def test_facet_and_coweight_checks_run_one_elimination(monkeypatch):
-    """One rank of the basis for the facets (the rank per face made 1 + one per
-    noncompact root, 3 on E6), one dual basis for the coweights."""
+def test_coweight_check_runs_one_elimination(monkeypatch):
+    """One dual basis for the big coweights, and no other elimination."""
     pairs = [(d, restrict_datum(d)) for d in [sp42_datum(), e6_datum(), su_nn_datum(2), u11_datum()]]
     pairs += [(d, restrict_datum(d)) for d in random_data(20261018, 8) + quasi_split_e6_data()[-1:]]
     calls = count_eliminations(monkeypatch)
     for d, rd in pairs:
-        for check in (facet_inheritance_check, coweight_identity_check):
-            calls.clear()
-            check(d, rd)
-            assert len(calls) == 1, (check.__name__, calls)
+        calls.clear()
+        coweight_identity_check(d, rd)
+        assert len(calls) == 1, calls
 
 
 def to_sympy(m, ncols):
     return Matrix(len(m), ncols, [Rational(x.numerator, x.denominator) for row in m for x in row])
+
+
+def from_sympy(m):
+    return tuple(tuple(Fraction(int(x.p), int(x.q)) for x in r) for r in m.tolist())
 
 
 def sympy_projection(f, rows):
@@ -576,28 +597,31 @@ def sympy_projection(f, rows):
 def test_little_basis_and_lifts_match_the_elimination():
     """The Hermite transform's rows lift the little basis; lifts differ by the
     span of the annihilator, so each projects like the lift ``solve`` finds,
-    and the projection is sympy's I - F U^T G^-1 U."""
+    and the projection is sympy's I - F U^T G^-1 U: the stored lifts are
+    ``lifts_den`` times it, and ``form_k`` is c lifts_den^2 times the Gram
+    matrix of the projected lifts under F."""
     for d in [sp42_datum(), e6_datum(), su_nn_datum(2), u11_datum()] + random_data(20261018, 24):
         rd = restrict_datum(d)
-        nk = rd.nk_basis
+        nk = little_space(d)
         basis = Lattice.from_rows(rd.rank, transpose(nk)).basis
         assert len(basis) == rd.rank  # the restricted coordinate characters span
         ann = _annihilator(d, rd.split)
         lifts = [solve(nk, row) for row in basis]
-        assert _project(d.pairing, ann, lifts) == (rd.projected_lifts, rd.form_k)
+        assert _project(d.pairing, ann, lifts) == (rd.projected_lifts, rd.lifts_den, rd.form_k)
         expected = to_sympy(lifts, d.m) * sympy_projection(d.pairing, ann)
-        assert rd.projected_lifts == tuple(tuple(Fraction(int(x.p), int(x.q)) for x in r) for r in expected.tolist())
+        assert divide(rd.projected_lifts, rd.lifts_den) == from_sympy(expected)
+        assert transported_form(d, rd) == from_sympy(expected * to_sympy(d.pairing, d.m) * expected.T)
 
 
 def test_dual_basis_and_projection_create_one_fraction_per_entry(monkeypatch):
-    """The scaled path multiplies integers and divides once per result entry;
-    the dual basis of integer input, and so the coweight check of integral
-    data, creates none."""
+    """The scaled path multiplies integers: the dual basis of integer input
+    creates no ``Fraction``, and dividing it creates one per entry; the
+    projection, on rational data too, and the coweight check create none."""
     bases = [(identity(t[1]), AmbientRootDatum.of([t]).form()) for t in (("E", 8), ("A", 12))]
     projections, checks = [], []
     for d in [sp42_datum(), e6_datum(), su_nn_datum(2), u11_datum()] + random_data(20261018, 8):
         rd = restrict_datum(d)
-        _, u = hermite_normal_form(transpose(rd.nk_basis))
+        _, u = hermite_normal_form(transpose(little_space(d)))
         projections.append((d.pairing, _annihilator(d, rd.split), u[: rd.rank]))
         checks.append((d, rd))
     created = 0
@@ -618,8 +642,8 @@ def test_dual_basis_and_projection_create_one_fraction_per_entry(monkeypatch):
         assert len(divide(w, d)) == len(rows) and 0 < created <= sum(map(len, w))
     for f, ann, lifts in projections:
         created = 0
-        projected, form_k = _project(f, ann, lifts)
-        assert created <= sum(map(len, projected)) + sum(map(len, form_k))
+        _project(f, ann, lifts)
+        assert created == 0
     for d, rd in checks:
         created = 0
         coweight_identity_check(d, rd)
