@@ -527,15 +527,23 @@ def quasi_split_e6_data():
     return data
 
 
-def test_restricted_data_inherit_their_facets_and_plants_do_not():
-    """Facet inheritance holds by construction of the restricted datum, so
-    the rank-per-face oracle passes on every datum; each violation planted
-    in the E6 datum raises its own message, and so do the negated roots and
-    the first coweight moved onto the sum of all, on every datum they fit."""
-    e6 = e6_datum()
-    for message, plant in FACET_PLANTS.items():
-        assert outcome(facet_inheritance_by_rank, e6, plant(restrict_datum(e6))) == message
-    data = [sp42_datum(), e6, su_nn_datum(2), u11_datum(), split_datum("A", 2, [[1, 0], [0, 1]])]
+@pytest.mark.parametrize("message", FACET_PLANTS)
+def test_facet_check_raises_each_message_like_the_rank_per_face_check(message):
+    """Facet inheritance holds by construction of the restricted datum, so the
+    facet check is the rank-per-face oracle alone: the E6 datum (two
+    noncompact fibers, rank 2) passes it, and each violation planted there
+    raises its own message."""
+    d = e6_datum()
+    rd = restrict_datum(d)
+    assert outcome(facet_inheritance_by_rank, d, rd) == {"full": 0, "facet": 2}
+    assert outcome(facet_inheritance_by_rank, d, FACET_PLANTS[message](rd)) == message
+
+
+def test_facet_check_matches_the_rank_per_face_check():
+    """The rank-per-face check passes on every restricted datum, and raises
+    its message on each with its restricted roots negated or its first
+    coweight moved onto the sum of all, on every datum they fit."""
+    data = [sp42_datum(), e6_datum(), su_nn_datum(2), u11_datum(), split_datum("A", 2, [[1, 0], [0, 1]])]
     data += random_data(20261018, 24) + quasi_split_e6_data()
     data += [split_datum("A", n, identity(n)) for n in range(2, 13)]
     planted = 0
