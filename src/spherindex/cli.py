@@ -23,6 +23,7 @@ from .fans import (
     ORBIT_CAP_ENV,
     Fan,
     cone_membership,
+    faces,
     fan_validate,
     is_complete_for,
     is_smooth,
@@ -411,17 +412,17 @@ def _validated_rd(doc: dict) -> LittleDatum:
     return restrict_datum(d)
 
 
-def _strata_report(sp) -> list[dict]:
+def _strata_report(f: Fan, sp) -> list[dict]:
     return [
         {
-            "cone": node.cone.generators,
+            "cone": gens,
             "codim": node.codim,
             "rank": node.rank,
             "sigma": node.sigma_indices,
             "lattice_basis": node.lattice_basis,
             "horospherical": node.horospherical,
         }
-        for node in sp
+        for gens, node in zip(f.generators, sp)
     ]
 
 
@@ -431,9 +432,9 @@ def cmd_standard_fan(doc: dict) -> tuple[dict, int]:
     sp = strata(f, rd)
     report = {
         "command": "standard-fan",
-        "cones": [c.generators for c in f.cones],
-        "strata": _strata_report(sp),
-        "smooth": all(is_smooth(f).values()),
+        "cones": list(f.generators),
+        "strata": _strata_report(f, sp),
+        "smooth": all(is_smooth(f)),
     }
     return report, 0
 
@@ -443,7 +444,7 @@ def cmd_fan(doc: dict, fan_path: str, checks, want_strata: bool, saturate: bool)
     rd = _validated_rd(doc)
     f = parse_fan(fan_doc)
     # each ray once, sorted: the error names the least generator of a wrong width
-    _check_width(sorted(f.rays), rd.rank, "fan generator")
+    _check_width(f.rays, rd.rank, "fan generator")
     issues = fan_validate(f, rd)
     report = {
         "command": "fan",
@@ -452,10 +453,9 @@ def cmd_fan(doc: dict, fan_path: str, checks, want_strata: bool, saturate: bool)
     }
     if saturate and not issues:
         f = weyl_saturate(f, rd, cap=_orbit_cap())
-        report["saturated_cones"] = [c.generators for c in f.cones]
+        report["saturated_cones"] = list(f.generators)
     for check in checks:
         if check == "support":
-            # every generator of a cone is a ray of a maximal cone
             report["support"] = all(cone_membership(g, rd) for g in f.rays)
         elif check == "complete":
             if issues:
@@ -464,12 +464,12 @@ def cmd_fan(doc: dict, fan_path: str, checks, want_strata: bool, saturate: bool)
                 report["complete"] = is_complete_for(f, rd)
         elif check == "smooth":
             flags = is_smooth(f)
-            report["smooth"] = all(flags.values())
+            report["smooth"] = all(flags)
             report["smooth_by_cone"] = [
-                {"cone": c.generators, "smooth": flags[c]} for c in f.cones
+                {"cone": gens, "smooth": flag} for gens, flag in zip(f.generators, flags)
             ]
     if want_strata and not issues:
-        report["strata"] = _strata_report(strata(f, rd))
+        report["strata"] = _strata_report(f, strata(f, rd))
     return report, 1 if issues else 0
 
 
@@ -492,10 +492,11 @@ def cmd_localize(doc: dict, roots: str) -> tuple[dict, int]:
     j = []
     if roots.strip():
         for part in roots.split(","):
-            try:
-                t = int(part.strip())
-            except ValueError:
-                raise ParseError(f"bad root index {part!r}") from None
+            # ASCII digits only: int() would also read "+1", "1_0" and digits of other scripts
+            digits = part.strip()
+            if not (digits.isascii() and digits.isdigit()):
+                raise ParseError(f"bad root index {part!r}")
+            t = int(digits)
             if not (1 <= t <= len(rd.sigma_k)):
                 raise ParseError(f"root index {t} out of range")
             j.append(t - 1)
@@ -527,7 +528,7 @@ def cmd_degenerate(doc: dict) -> tuple[dict, int]:
         aut = None
         xi, sigma_aut = Lattice.standard(rd.rank), tuple(rd.sigma_k)
     dd = build_degeneration(xi, sigma_aut)
-    fibers = [{"face": face.generators, **degeneration_fiber_data(dd, face)} for face in dd.c_bd.faces()]
+    fibers = [{"face": face, **degeneration_fiber_data(dd, face)} for face in faces(dd.c_bd)]
     full = Lattice.standard(2 * rd.rank)
     report = {
         "command": "degenerate",
@@ -537,7 +538,7 @@ def cmd_degenerate(doc: dict) -> tuple[dict, int]:
         "xiZ_rank": dd.xiZ.rank,
         "xiZ_index": dd.xiZ.index_in(full) if dd.xiZ.rank == 2 * rd.rank else None,
         "exact_sequence": "verified",
-        "boundary_cone": dd.c_bd.generators,
+        "boundary_cone": dd.c_bd,
         "fibers": fibers,
     }
     return report, 0

@@ -14,7 +14,6 @@ these generators are independent because a basis of Xi and Sigma are.
 from __future__ import annotations
 
 from .errors import NotIndependent, NotSublattice
-from .fans import Cone
 from .linalg import Lattice, Mat, identity, mat_mul, mat_mul_t, primitive_vector, rank, scaled_dual_basis
 from .record import Record
 
@@ -22,7 +21,7 @@ from .record import Record
 class DegenerationDatum(Record):
     sigma: Mat  # the quotient spherical roots, xi-ambient coordinates
     xiZ: Lattice  # sublattice of xi + xi
-    c_bd: Cone  # boundary cone in the dual coordinates of the xiZ basis
+    c_bd: Mat  # sorted generators of the boundary cone, in the dual coordinates of the xiZ basis
     root_rays: Mat  # the generator of c_bd dual to each quotient root, in sigma order
 
 
@@ -45,18 +44,19 @@ def build_degeneration(xi: Lattice, sigma_aut) -> DegenerationDatum:
     ident = identity(n)
     pairings = mat_mul_t(scaled_dual_basis(sigma, ident)[0], mat_mul(xiZ.rows_q(), ident + ident))
     root_rays = tuple(primitive_vector(tuple(-x for x in row)) for row in pairings)
-    return DegenerationDatum(sigma, xiZ, Cone.of(root_rays), root_rays)
+    return DegenerationDatum(sigma, xiZ, tuple(sorted(root_rays)), root_rays)
 
 
-def degeneration_fiber_data(dd: DegenerationDatum, face: Cone) -> dict:
-    """Invariants of the degeneration fiber attached to a face of c_bd.  Ray j
-    pairs the xiZ coordinates of (s_i, 0) and of (0, s_i) with -c_j [i == j],
-    c_j > 0, as beta(s, 0) = beta(0, s) = s and omega_j(s_i) = [i == j]: the
-    fiber keeps the roots whose ray the face does not hold."""
-    held = set(face.generators)
+def degeneration_fiber_data(dd: DegenerationDatum, face: Mat) -> dict:
+    """Invariants of the degeneration fiber attached to a face of c_bd, given by
+    its generators.  Ray j pairs the xiZ coordinates of (s_i, 0) and of (0, s_i)
+    with -c_j [i == j], c_j > 0, as beta(s, 0) = beta(0, s) = s and
+    omega_j(s_i) = [i == j]: the fiber keeps the roots whose ray the face does
+    not hold."""
+    held = set(face)
     return {
         "sigma_fiber": tuple(s for s, ray in zip(dd.sigma, dd.root_rays) if ray not in held),
         "horospherical": face == dd.c_bd,
-        "k_form": face.dim == 0,
-        "torus_rank": face.dim,
+        "k_form": not face,
+        "torus_rank": len(face),
     }

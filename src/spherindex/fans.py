@@ -3,7 +3,10 @@
 Cones live in the dual coordinates of the canonical little weight basis,
 so the relevant integer lattice is the standard one.  Cones are simplicial
 by design: faces are generator subsets and all incidence questions reduce
-to exact linear algebra and rational feasibility checks.
+to exact linear algebra and rational feasibility checks.  A fan keeps each
+distinct ray once, in a sorted table, and each cone as the sorted tuple of
+its rays' indices: faces, facets and walls are index subsets, per-ray data
+is computed once per ray, and generator rows are built for the report only.
 """
 
 from __future__ import annotations
@@ -33,82 +36,62 @@ from .rootsys import orbit
 ORBIT_CAP_ENV = "SPHERINDEX_ORBIT_CAP"
 HARD_ORBIT_CEILING = 100_000
 
+Cone = tuple[int, ...]  # the sorted indices of a cone's generators in the ray table
 
-class Cone(Record):
-    generators: tuple[tuple[int, ...], ...]  # lex-sorted primitive rows
 
-    def __init__(self, generators):  # hashed once: sets and dicts would rehash the nested tuples
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "_hash", hash(generators))
+def faces(c):
+    """The sub-tuples of a sorted tuple by size, each size in lexicographic
+    order: the faces of a simplicial cone, in the order of a fan."""
+    return (s for k in range(len(c) + 1) for s in combinations(c, k))
 
-    def __hash__(self):
-        return self._hash
 
-    @staticmethod
-    def of(rows) -> "Cone":
-        rows = tuple(sorted(tuple(int(x) for x in r) for r in rows))
-        return Cone(rows)
-
-    @property
-    def dim(self) -> int:
-        return len(self.generators)
-
-    @property
-    def overfull(self) -> bool:
-        """More generators than coordinates: not simplicial, with 2^dim faces."""
-        return self.dim > min(map(len, self.generators), default=0)
-
-    # a subset of the sorted generators is sorted: faces need no Cone.of
-    def faces(self):
-        for k in range(self.dim + 1):
-            for sub in combinations(self.generators, k):
-                yield Cone(sub)
-
-    def facets(self):
-        for sub in combinations(self.generators, self.dim - 1):
-            yield Cone(sub)
+def _facets(c):
+    return combinations(c, len(c) - 1) if c else ()
 
 
 class Fan(Record):
-    cones: tuple[Cone, ...]  # closed under faces but for overfull cones, sorted
+    rays: Mat  # the distinct generators, sorted
+    cones: tuple[Cone, ...]  # closed under faces but for overfull cones, by dimension, then generators
 
     @staticmethod
-    def of(cones) -> "Fan":
-        """The fan of distinct cones, in the order of dimension, then generators."""
-        return Fan(tuple(sorted(cones, key=lambda c: (c.dim, c.generators))))
+    def of(rays, cones) -> "Fan":
+        """The fan of the distinct cones over a table of distinct rays, renumbered so
+        that the table is sorted: index tuples then sort as their generators do."""
+        order = sorted(range(len(rays)), key=rays.__getitem__)
+        new = {i: k for k, i in enumerate(order)}
+        cones = {tuple(sorted(map(new.__getitem__, c))) for c in cones}
+        return Fan(tuple(map(rays.__getitem__, order)), tuple(sorted(sorted(cones), key=len)))
 
     @staticmethod
     def from_maximal(gen_lists) -> "Fan":
-        """The given cones and their faces; an overfull cone is kept as given,
-        for validation to report once."""
-        cones = {Cone(())}
-        for rows in gen_lists:
-            cone = Cone.of(rows)
-            cones.update([cone] if cone.overfull else cone.faces())
-        return Fan.of(cones)
+        """The given cones and their faces; an overfull cone, with more generators
+        than coordinates, is kept as given, for validation to report once."""
+        given = [[tuple(int(x) for x in g) for g in rows] for rows in gen_lists]
+        rays = sorted({g for rows in given for g in rows})
+        index = {g: i for i, g in enumerate(rays)}
+        cones = {()}
+        for rows in given:
+            c = tuple(sorted(map(index.__getitem__, rows)))
+            cones.update([c] if len(c) > min(map(len, rows), default=0) else faces(c))
+        return Fan.of(rays, cones)
 
     @cached_property
-    def facet_map(self) -> dict[Cone, tuple[Cone, ...]]:
-        """The facets of each cone: the facet relation, built once per fan."""
-        return {c: tuple(c.facets()) if c.dim else () for c in self.cones}
+    def generators(self) -> tuple[Mat, ...]:
+        """The generator rows of each cone, in the order of ``cones``."""
+        return tuple(tuple(map(self.rays.__getitem__, c)) for c in self.cones)
 
     @cached_property
     def maximal_cones(self) -> tuple[Cone, ...]:
         """The cones that are not a facet of a cone: every cone is a face of one."""
-        facets = {w for ws in self.facet_map.values() for w in ws}
+        facets = {w for c in self.cones for w in _facets(c)}
         return tuple(c for c in self.cones if c not in facets)
-
-    @cached_property
-    def rays(self) -> tuple[tuple[int, ...], ...]:
-        """The distinct generators: each is a generator of a maximal cone."""
-        return tuple(dict.fromkeys(g for c in self.maximal_cones for g in c.generators))
 
     @cached_property
     def walls(self) -> dict[Cone, list[Cone]]:
         """Each facet of a maximal cone, with the maximal cones it is a facet of."""
         out: dict[Cone, list[Cone]] = {}
         for c in self.maximal_cones:
-            for w in self.facet_map[c]:
+            for w in _facets(c):
                 out.setdefault(w, []).append(c)
         return out
 
@@ -119,9 +102,10 @@ class Fan(Record):
         dual vector of generator i, the normal of the facet opposite it."""
         out = {}
         for c in self.maximal_cones:
-            if c.generators and all(len(g) == c.dim for g in c.generators):
+            gens = [self.rays[i] for i in c]
+            if gens and all(len(g) == len(c) for g in gens):
                 try:
-                    a, d = scaled_inverse(c.generators)
+                    a, d = scaled_inverse(gens)
                 except ValueError:
                     continue
                 out[c] = (transpose(a), d)
@@ -129,12 +113,15 @@ class Fan(Record):
 
     @cached_property
     def unimodular_home(self) -> dict[Cone, Cone]:
-        """A unimodular full-dimensional maximal cone over each cone that lies in one."""
-        home = {c: c for c, (_, d) in self.normals.items() if d == 1}
-        for c in reversed(self.cones):  # by decreasing dimension
-            if c in home:
-                for w in self.facet_map[c]:
-                    home.setdefault(w, home[c])
+        """A unimodular full-dimensional maximal cone over each cone that lies in one:
+        the faces of each such cone, walked down its facets."""
+        queue = [c for c, (_, d) in self.normals.items() if d == 1]
+        home = dict(zip(queue, queue))
+        for c in queue:  # the queue grows while it is read
+            for w in _facets(c):
+                if w not in home:
+                    home[w] = home[c]
+                    queue.append(w)
         return home
 
 
@@ -143,17 +130,17 @@ class FanIssue(Record):
     detail: str
 
 
-def _pair_intersection_is_face(c1: Cone, c2: Cone) -> bool:
+def _pair_intersection_is_face(rays, c1: Cone, c2: Cone) -> bool:
     """Separating-functional test: C1 and C2 meet exactly in cone(G1 & G2)."""
-    common = set(c1.generators) & set(c2.generators)
-    only1 = [g for g in c1.generators if g not in common]
-    only2 = [g for g in c2.generators if g not in common]
+    common = set(c1) & set(c2)
+    only1 = [rays[i] for i in c1 if i not in common]
+    only2 = [rays[i] for i in c2 if i not in common]
     if not only1 and not only2:
         return True
-    n = len((c1.generators or c2.generators)[0])
+    n = len(rays[(c1 or c2)[0]])
     a_ub = only1 + [tuple(-x for x in g) for g in only2]
     b_ub = [-1] * len(a_ub)
-    a_eq = list(common)
+    a_eq = [rays[i] for i in sorted(common)]
     b_eq = [0] * len(a_eq)
     phi = find_feasible(a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, nvars=n)
     return phi is not None
@@ -171,18 +158,18 @@ def _complete_by_walls(f: Fan) -> bool:
     False means undecided, not broken.
     """
     maximal = f.maximal_cones
-    if not maximal or not maximal[0].generators or any(len(cs) != 2 for cs in f.walls.values()):
+    if not maximal or not maximal[0] or any(len(cs) != 2 for cs in f.walls.values()):
         return False
-    n = len(maximal[0].generators[0])
-    if any(c.dim != n or c not in f.normals for c in maximal):
+    n = len(f.rays[maximal[0][0]])
+    if any(len(c) != n or c not in f.normals for c in maximal):
         return False
     # the facet normals give a point's coordinates in the cone, up to d > 0
     for w, (c1, c2) in f.walls.items():
-        i = next(i for i, g in enumerate(c1.generators) if g not in w.generators)
-        (q,) = set(c2.generators) - set(w.generators)
-        if dot(q, f.normals[c1][0][i]) >= 0:
+        i = next(i for i, g in enumerate(c1) if g not in w)
+        (q,) = set(c2) - set(w)
+        if dot(f.rays[q], f.normals[c1][0][i]) >= 0:
             return False
-    point = [sum(col) for col in zip(*maximal[0].generators)]
+    point = [sum(col) for col in zip(*(f.rays[i] for i in maximal[0]))]
     inside = 0
     for c in maximal:
         coords = [dot(point, nu) for nu in f.normals[c][0]]
@@ -202,41 +189,41 @@ def _intersection_issues(f: Fan) -> list[FanIssue]:
     listed, in the order of ``f.cones``.
     """
     if _complete_by_walls(f) or all(
-        _pair_intersection_is_face(c1, c2) for c1, c2 in combinations(f.maximal_cones, 2)
+        _pair_intersection_is_face(f.rays, c1, c2) for c1, c2 in combinations(f.maximal_cones, 2)
     ):
         return []
     return [
-        FanIssue("intersection_not_a_face", f"{c1.generators} vs {c2.generators}")
-        for c1, c2 in combinations(f.cones, 2)
-        if not _pair_intersection_is_face(c1, c2)
+        FanIssue("intersection_not_a_face", f"{g1} vs {g2}")
+        for (c1, g1), (c2, g2) in combinations(zip(f.cones, f.generators), 2)
+        if not _pair_intersection_is_face(f.rays, c1, c2)
     ]
 
 
 def fan_validate(f: Fan, rd: LittleDatum) -> list[FanIssue]:
     """The issues of each kind in the order of ``f.cones``.  A subset of independent
-    vectors is independent, so only the maximal cones are tested, and each distinct
-    generator once; the cones are walked only to list what failed."""
-    # each zero or non-primitive generator, with whether it is zero
-    bad = {g: not any(g) for g in f.rays if not any(g) or g != primitive_vector(g)}
+    vectors is independent, so only the maximal cones are tested, and each ray
+    once; the cones are walked only to list what failed."""
+    # the index of each zero or non-primitive ray, with whether it is zero
+    bad = {i: not any(g) for i, g in enumerate(f.rays) if not any(g) or g != primitive_vector(g)}
     issues: list[FanIssue] = []
-    if bad or any(c.generators and rank(c.generators) != c.dim for c in f.maximal_cones):
-        for c in f.cones:
-            for g in c.generators:
-                if bad.get(g):
-                    issues.append(FanIssue("zero_generator", f"cone {c.generators}"))
-                elif g in bad:
-                    issues.append(FanIssue("not_primitive", f"generator {g}"))
-            if c.generators and rank(c.generators) != c.dim:
-                issues.append(FanIssue("not_simplicial", f"cone {c.generators}"))
+    if bad or any(c and rank([f.rays[i] for i in c]) != len(c) for c in f.maximal_cones):
+        for c, gens in zip(f.cones, f.generators):
+            for i in c:
+                if bad.get(i):
+                    issues.append(FanIssue("zero_generator", f"cone {gens}"))
+                elif i in bad:
+                    issues.append(FanIssue("not_primitive", f"generator {f.rays[i]}"))
+            if c and rank(gens) != len(c):
+                issues.append(FanIssue("not_simplicial", f"cone {gens}"))
     if not any(i.kind in ("not_simplicial", "zero_generator") for i in issues):
         issues += _intersection_issues(f)
     # print the root as Fractions: the text must not depend on the entry type
-    outside = {
-        g: [f"generator {g} violates {tuple(map(Fraction, s))}" for s in rd.sigma_k if dot(s, g) > 0]
+    outside = [
+        [f"generator {g} violates {tuple(map(Fraction, s))}" for s in rd.sigma_k if dot(s, g) > 0]
         for g in f.rays
-    }
-    if any(outside.values()):
-        issues += [FanIssue("outside_support", t) for c in f.cones for g in c.generators for t in outside[g]]
+    ]
+    if any(outside):
+        issues += [FanIssue("outside_support", t) for c in f.cones for i in c for t in outside[i]]
     return issues
 
 
@@ -250,23 +237,25 @@ def is_complete_for(f: Fan, rd: LittleDatum) -> bool:
     # the valuation cone is always full-dimensional, so maximal cones must be
     # (the zero cone alone covers only a zero-dimensional space); a wall of one
     # maximal cone must lie in a bounding hyperplane of Z_k
-    if any(c.dim != rd.rank for c in f.maximal_cones):
+    if any(len(c) != rd.rank for c in f.maximal_cones):
         return False
     return all(
         len(cones) == 2
         or len(cones) == 1
-        and any(any(s) and all(dot(s, g) == 0 for g in w.generators) for s in rd.sigma_k)
+        and any(any(s) and all(dot(s, f.rays[i]) == 0 for i in w) for s in rd.sigma_k)
         for w, cones in f.walls.items()
     )
 
 
-def is_smooth(f: Fan) -> dict[Cone, bool]:
-    """Per-cone unimodularity against the standard dual lattice: the
-    generators extend to a basis of Z^n iff their maximal minors have gcd 1.
-    A face of a unimodular cone is unimodular, so only cones in no unimodular
-    full-dimensional maximal cone are tested."""
+def is_smooth(f: Fan) -> tuple[bool, ...]:
+    """Per-cone unimodularity against the standard dual lattice, in the order of
+    ``f.cones``: the generators extend to a basis of Z^n iff their maximal minors
+    have gcd 1.  A face of a unimodular cone is unimodular, so only cones in no
+    unimodular full-dimensional maximal cone are tested."""
     home = f.unimodular_home
-    return {c: c in home or lattice_index(transpose(c.generators), c.dim) == 1 for c in f.cones}
+    return tuple(
+        c in home or lattice_index(transpose([f.rays[i] for i in c]), len(c)) == 1 for c in f.cones
+    )
 
 
 def standard_fan(rd: LittleDatum) -> Fan:
@@ -281,15 +270,9 @@ def cone_membership(v, rd: LittleDatum) -> bool:
 
 
 def _meets_interior(values) -> bool:
-    """Whether the cone contains a point with every root strictly negative,
-    from the value of each root (a row) on each generator (a column)."""
-    # sign certificates: a root >= 0 on every generator (say, of the zero cone) is
-    # >= 0 on the cone; the sum of the generators is a witness when every root (if
-    # any) is < 0 on it; otherwise the LP decides
-    if any(all(v >= 0 for v in row) for row in values):
-        return False
-    if all(sum(row) < 0 for row in values):
-        return True
+    """Whether a cone on which no sign certificate applies contains a point with
+    every root strictly negative, from the value of each root (a row) on each
+    generator (a column), by the LP."""
     n = len(values[0])
     a_ub = values + [[-int(i == j) for j in range(n)] for i in range(n)]
     b_ub = [-1] * len(values) + [0] * n
@@ -297,7 +280,6 @@ def _meets_interior(values) -> bool:
 
 
 class Stratum(Record):
-    cone: Cone
     codim: int
     rank: int
     lattice_basis: Mat  # basis of the stratum weight lattice, parent coords
@@ -306,30 +288,41 @@ class Stratum(Record):
 
 
 def strata(f: Fan, rd: LittleDatum) -> tuple[Stratum, ...]:
-    """The stratum of each cone.  The saturated kernel of a face of a unimodular cone
-    is spanned by the dual vectors of the generators it misses, read off the inverse
-    of a unimodular full-dimensional maximal cone; roots are evaluated once per ray."""
-    values = {g: [dot(s, g) for s in rd.sigma_k] for g in f.rays}
+    """The stratum of each cone, in the order of ``f.cones``.  The saturated kernel
+    of a face of a unimodular cone is spanned by the dual vectors of the generators
+    it misses, read off the inverse of a unimodular full-dimensional maximal cone.
+    Each root is evaluated once per ray, where two bitmasks keep the roots that
+    vanish on it and those that are >= 0 on it: the ANDs of a cone's masks are
+    the roots that vanish on it and those >= 0 on all of it (say, every root on
+    the zero cone).  When there are none of the latter, the sum of the generators
+    is a witness if every root (if any) is < 0 on it; otherwise the LP decides."""
+    values = [[dot(s, g) for s in rd.sigma_k] for g in f.rays]
+    vanish = [sum(1 << j for j, v in enumerate(row) if v == 0) for row in values]
+    nonneg = [sum(1 << j for j, v in enumerate(row) if v >= 0) for row in values]
+    every = (1 << len(rd.sigma_k)) - 1
+    labels: dict[int, tuple[int, ...]] = {}
     home = f.unimodular_home
     nodes = []
     for c in f.cones:
-        rows = [[values[g][i] for g in c.generators] for i in range(len(rd.sigma_k))]
+        zero = positive = every
+        for i in c:
+            zero &= vanish[i]
+            positive &= nonneg[i]
+        if zero not in labels:
+            labels[zero] = tuple(j for j in range(len(rd.sigma_k)) if zero >> j & 1)
+        if positive:
+            interior = False
+        elif all(sum(col) < 0 for col in zip(*(values[i] for i in c))):
+            interior = True
+        else:
+            interior = _meets_interior([list(row) for row in zip(*(values[i] for i in c))])
         if c in home:
             m = home[c]
-            duals = [nu for g, nu in zip(m.generators, f.normals[m][0]) if g not in c.generators]
-            basis = tuple(map(tuple, hermite_normal_form(duals)[0]))
+            duals = [nu for i, nu in zip(m, f.normals[m][0]) if i not in c]
+            basis = tuple(map(tuple, hermite_normal_form(duals)))
         else:
-            basis = integer_kernel(c.generators, width=rd.rank)
-        nodes.append(
-            Stratum(
-                cone=c,
-                codim=c.dim,
-                rank=rd.rank - c.dim,
-                lattice_basis=basis,
-                sigma_indices=tuple(i for i, row in enumerate(rows) if not any(row)),
-                horospherical=_meets_interior(rows),
-            )
-        )
+            basis = integer_kernel([f.rays[i] for i in c], width=rd.rank)
+        nodes.append(Stratum(len(c), rd.rank - len(c), basis, labels[zero], interior))
     return tuple(nodes)
 
 
@@ -347,26 +340,32 @@ def weyl_saturate(f: Fan, rd: LittleDatum, cap: int | None = None) -> Fan:
     (default |W_k| times the given cones, clamped to HARD_ORBIT_CEILING).
     The orbit of a fan closed under faces is the faces of its maximal cones'
     images, counted as the orbit yields each image, so the cap stops it early.
-    The image of a cone is the cone on the images of its rays, so each
-    distinct ray is reflected once."""
+    Each reflection is a permutation of the ray table, which grows as new rays
+    appear: each ray is reflected once, and an image is a sorted index tuple."""
     if cap is None:
         cap = rd.wk_order * max(len(f.cones), 1)
     limit = min(cap, HARD_ORBIT_CEILING)
     hint = f"{cap} clamped to HARD_ORBIT_CEILING" if cap > limit else f"set {ORBIT_CAP_ENV}"
     refl = [_reflection_on_dual(rd, s) for s in rd.sigma_k]
-    ray_images = {}  # each distinct ray with its image under each reflection
+    rays = list(f.rays)
+    index = {g: i for i, g in enumerate(rays)}
+    moved = []  # moved[i][j]: the index of the image of ray i under reflection j
 
     def images(c):
-        for g in c.generators:
-            if g not in ray_images:
-                ray_images[g] = [primitive_vector(vec_mat(g, m)) for m in refl]
-        for rays in zip(*(ray_images[g] for g in c.generators)):
-            yield Cone(tuple(sorted(rays)))
+        while len(moved) <= (c[-1] if c else -1):
+            row = [primitive_vector(vec_mat(rays[len(moved)], m)) for m in refl]
+            for g in row:
+                if index.setdefault(g, len(rays)) == len(rays):
+                    rays.append(g)
+            moved.append([index[g] for g in row])
+        for img in zip(*map(moved.__getitem__, c)):
+            yield tuple(sorted(img))
 
     cones = set(f.cones)
     for img in orbit(f.maximal_cones, images):
-        # a cone in the set has its faces there, overfull ones aside: walk new facets down
-        todo = list(img.faces()) if img.overfull else [img]
+        # a cone in the set has its faces there, overfull ones aside: walk new facets
+        # down; every ray has rd.rank coordinates, or it could not be reflected
+        todo = list(faces(img)) if len(img) > rd.rank else [img]
         while todo:
             if (c := todo.pop()) not in cones:
                 cones.add(c)
@@ -374,5 +373,5 @@ def weyl_saturate(f: Fan, rd: LittleDatum, cap: int | None = None) -> Fan:
                     raise BudgetExceeded(
                         f"Weyl saturation reached {len(cones)} cones > cap {limit} ({hint})"
                     )
-                todo.extend(c.facets())
-    return Fan.of(cones)
+                todo.extend(_facets(c))
+    return Fan.of(rays, cones)

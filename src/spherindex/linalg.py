@@ -24,7 +24,11 @@ accept either kind.  Lattices carry a Hermite-canonical integer basis plus
 a global denominator, so equal lattices have identical representations.
 The Hermite form is the one integer normal form: ``lattice_index``, the
 product of its pivots, answers every index question (smooth cones, the
-``k_wonderful`` basis test, ``Lattice.index_in``).
+``k_wonderful`` basis test, ``Lattice.index_in``).  It returns the form
+only, with no transform: the integer kernel of C is read off one Hermite
+form of [C^T | I], whose rows with a zero left block are already the
+Hermite basis of the kernel, and the lifts of ``restrict_datum`` are the
+top rows of the form of [nk^T | I].
 """
 
 from __future__ import annotations
@@ -89,9 +93,10 @@ def _eliminate(m) -> tuple[list[list[int]], tuple[int, ...], int]:
     the pivot columns, and the last pivot det != 0 (1 for rank 0).
     """
     for row in m:
-        for x in row:
-            if type(x) is not int and not isinstance(x, Fraction):
-                raise TypeError(f"cannot interpret {x!r} as an exact rational")
+        if not {*map(type, row)} <= {int, Fraction}:
+            for x in row:
+                if type(x) is not int and not isinstance(x, Fraction):
+                    raise TypeError(f"cannot interpret {x!r} as an exact rational")
     rows = scale_rows_integral(m)
     nrows = len(rows)
     pivots = []
@@ -178,59 +183,51 @@ def scale_integral(m) -> tuple[tuple[tuple[int, ...], ...], int]:
 
 
 def scale_rows_integral(rows) -> list[list[int]]:
-    """Scale each row by the lcm of its denominators (kernel-preserving)."""
-    dens = [lcm(*(x.denominator for x in row)) for row in rows]
-    return [[x.numerator * (d // x.denominator) for x in row] for d, row in zip(dens, rows)]
+    """Scale each row by the lcm of its denominators (kernel-preserving); a
+    row of ints is copied."""
+    out = []
+    for row in rows:
+        d = 0 if {*map(type, row)} <= {int} else lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (d // x.denominator) for x in row] if d else list(row))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Hermite normal form and lattice index
 
 
-def hermite_normal_form(m) -> tuple[list[list[int]], list[list[int]]]:
-    """Row-style Hermite normal form.
-
-    Returns (h, u) with u @ m == h, u unimodular, h in canonical echelon
-    form: positive pivots, entries above a pivot reduced into [0, pivot),
-    zero rows at the bottom.
-    """
-    rows = [[int(x) for x in r] for r in m]
+def hermite_normal_form(m) -> list[list[int]]:
+    """Row-style Hermite normal form h of an integer matrix: the canonical
+    basis of its row lattice, in echelon form with positive pivots, entries
+    above a pivot reduced into [0, pivot) and zero rows at the bottom.  No
+    caller reads a transform, so none is kept: one whose rows are wanted
+    appends the identity, as ``integer_kernel`` does."""
+    rows = [list(map(int, r)) for r in m]
     nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    u = [list(r) for r in identity(nr)]
     r = 0
-    for c in range(nc):
-        while True:
-            nz = [i for i in range(r, nr) if rows[i][c] != 0]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: (abs(rows[i][c]), i))
-            if i0 != r:
-                rows[r], rows[i0] = rows[i0], rows[r]
-                u[r], u[i0] = u[i0], u[r]
-            done = True
-            for i in range(r + 1, nr):
-                if rows[i][c] != 0:
-                    q = rows[i][c] // rows[r][c]
-                    rows[i] = [a - q * b for a, b in zip(rows[i], rows[r])]
-                    u[i] = [a - q * b for a, b in zip(u[i], u[r])]
-                    if rows[i][c] != 0:
-                        done = False
-            if done:
-                break
-        if r < nr and rows[r][c] != 0:
-            if rows[r][c] < 0:
-                rows[r] = [-a for a in rows[r]]
-                u[r] = [-a for a in u[r]]
+    for c in range(len(rows[0]) if nr else 0):
+        nz = [i for i in range(r, nr) if rows[i][c]]
+        while len(nz) > 1:  # Euclid down the column: reduce by its least entry
+            k = min(nz, key=lambda i: abs(rows[i][c]))
+            prow = rows[k]
+            for i in nz:
+                if i != k:
+                    q = rows[i][c] // prow[c]
+                    rows[i] = [a - q * b for a, b in zip(rows[i], prow)]
+            nz = [i for i in nz if rows[i][c]]
+        if nz:
+            (k,) = nz
+            prow = rows[k] if rows[k][c] > 0 else [-a for a in rows[k]]
+            rows[k] = rows[r]
+            rows[r] = prow
             for i in range(r):
-                q = rows[i][c] // rows[r][c]
+                q = rows[i][c] // prow[c]
                 if q:
-                    rows[i] = [a - q * b for a, b in zip(rows[i], rows[r])]
-                    u[i] = [a - q * b for a, b in zip(u[i], u[r])]
+                    rows[i] = [a - q * b for a, b in zip(rows[i], prow)]
             r += 1
             if r == nr:
                 break
-    return rows, u
+    return rows
 
 
 def lattice_index(rows, width: int) -> int:
@@ -239,27 +236,30 @@ def lattice_index(rows, width: int) -> int:
     The product of the Hermite pivots, which is |det| for a full-rank set
     (Cohen 1993, 2.4); 0 when the rank is below ``width``.
     """
-    h, _ = hermite_normal_form(rows)
-    pivots = [next(x for x in r if x) for r in h if any(r)]
+    pivots = [next(x for x in r if x) for r in hermite_normal_form(rows) if any(r)]
     return prod(pivots) if len(pivots) == width else 0
+
+
+def augmented_hermite_form(columns, n: int) -> list[list[int]]:
+    """The Hermite form of [A | I] for the n x k matrix A whose columns are
+    the rows of ``columns`` (integers): row i is [u_i A | u_i] for a unimodular
+    u, so the rows whose left block is zero are the Hermite basis of the
+    integer kernel of A^T (Cohen 1993, 2.4)."""
+    return hermite_normal_form([[c[j] for c in columns] + [int(i == j) for i in range(n)] for j in range(n)])
 
 
 def integer_kernel(constraint_rows, width: int) -> tuple[tuple[int, ...], ...]:
     """Saturated integer solutions v in Z^width of row . v == 0 for every row.
 
     Rows may be rational; the returned basis is Hermite-canonical and spans
-    the full rational solution space (saturation).
+    the full rational solution space (saturation).  It is the right block of
+    the rows of the Hermite form of [C^T | I] whose left block is zero.
     """
     rows = scale_rows_integral(constraint_rows)
     if not rows:
         return tuple(identity(width))
-    mt = [[rows[i][j] for i in range(len(rows))] for j in range(width)]
-    h, u = hermite_normal_form(mt)
-    ker = [tuple(u[i]) for i in range(width) if all(x == 0 for x in h[i])]
-    if not ker:
-        return ()
-    h2, _ = hermite_normal_form(ker)
-    return tuple(tuple(r) for r in h2 if any(r))
+    k = len(rows)
+    return tuple(tuple(r[k:]) for r in augmented_hermite_form(rows, width) if not any(r[:k]))
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +287,7 @@ class Lattice(Record):
             if len(r) != ambient_rank:
                 raise ValueError("generator has wrong length")
         ints, d = scale_integral(rows)
-        h, _ = hermite_normal_form(ints)
-        h = [r for r in h if any(r)]
+        h = [r for r in hermite_normal_form(ints) if any(r)]
         g = gcd(d, *(x for r in h for x in r))
         if h and g > 1:
             h = [[x // g for x in r] for r in h]

@@ -31,8 +31,7 @@ class Record:
             scope,
         )
         for name in ("__init__", "__eq__", "__hash__"):
-            if name not in vars(cls):  # a class may write its own, as Cone does
-                setattr(cls, name, scope[name])
+            setattr(cls, name, scope[name])
 
     def __repr__(self):
         return f"{type(self).__name__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._fields)})"

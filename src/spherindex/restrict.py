@@ -27,9 +27,9 @@ from .linalg import (
     Lattice,
     Mat,
     Vec,
+    augmented_hermite_form,
     content,
     gram,
-    hermite_normal_form,
     integer_kernel,
     lattice_index,
     mat_mul,
@@ -149,8 +149,9 @@ def restrict_datum(d: SphericalDatumK) -> RestrictedDatum:
     dk = len(nk)
     # nk is a basis of a saturated lattice, so restriction (evaluation on nk) maps
     # the weight lattice onto Z^dk, the little weight lattice in the basis dual to
-    # nk: the Hermite form of nk^T is [I; 0], and row i of u restricts to e_i
-    _, u = hermite_normal_form(transpose(nk))
+    # nk: the Hermite form of nk^T is [I; 0], so row i < dk of the form of
+    # [nk^T | I] is [e_i | a lift of e_i]
+    lifts = [row[dk:] for row in augmented_hermite_form(nk, d.m)[:dk]]
 
     # restricted spherical roots with their fibers, in input order
     noncompact = [d.sigma[i] for i in split.noncompact]
@@ -164,7 +165,7 @@ def restrict_datum(d: SphericalDatumK) -> RestrictedDatum:
 
     # transport the invariant form through the orthogonal projection; two
     # lifts of a row differ by the span of ``ann``, which the projection kills
-    projected, lifts_den, form_k = _project(d.pairing, ann, u[:dk])
+    projected, lifts_den, form_k = _project(d.pairing, ann, lifts)
 
     core = _core(dk, tuple(sigma_k), form_k, fibers)
     return RestrictedDatum(

@@ -10,12 +10,12 @@ sticks to these families.
 
 import random
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, combinations
 from types import SimpleNamespace
 
 from spherindex.datum import CompactRootSplit, SphericalDatumK
 from spherindex.errors import InternalInconsistency, SpherindexError
-from spherindex.fans import FanIssue, _intersection_issues
+from spherindex.fans import Fan, FanIssue, _intersection_issues
 from spherindex.index import TitsIndex
 from spherindex.linalg import (
     Lattice,
@@ -45,6 +45,14 @@ def no_cone(f):
     """A stand-in datum for a fan checked without one: no restricted roots in
     the rank of the fan's rays, so Z_k is the whole space."""
     return SimpleNamespace(sigma_k=(), rank=len(f.rays[0]) if f.rays else 0)
+
+
+def fan_of_rows(cones):
+    """The fan of the given cones, each a collection of generator rows, with no
+    face added: the ray table of their distinct generators, sorted."""
+    rays = sorted({tuple(g) for c in cones for g in c})
+    index = {g: i for i, g in enumerate(rays)}
+    return Fan.of(rays, [[index[tuple(g)] for g in c] for c in cones])
 
 
 def fvec(v):
@@ -334,28 +342,28 @@ def classified_type_name(c) -> str:
     return type_name_of((fam, rk) for fam, rk, _ in classify(c))
 
 
-def cone_contains(cone, v) -> bool:
-    """v is a nonnegative combination of the generators of ``cone``."""
-    if not cone.generators:
+def cone_contains(gens, v) -> bool:
+    """v is a nonnegative combination of the generators ``gens`` of a cone."""
+    if not gens:
         return all(x == 0 for x in v)
-    c = solve_left(cone.generators, v)
+    c = solve_left(gens, v)
     return c is not None and all(x >= 0 for x in c)
 
 
 def contains_cone(outer, inner) -> bool:
-    """Every generator of ``inner`` lies in ``outer``."""
-    return all(cone_contains(outer, g) for g in inner.generators)
+    """Every generator of ``inner`` lies in the cone on ``outer``."""
+    return all(cone_contains(outer, g) for g in inner)
 
 
 def dominates(f1, f2) -> bool:
     """Every cone of f1 lies in a cone of f2."""
-    return all(any(contains_cone(c2, c1) for c2 in f2.cones) for c1 in f1.cones)
+    return all(any(contains_cone(c2, c1) for c2 in f2.generators) for c1 in f1.generators)
 
 
 def cover_edges(f) -> tuple:
     """The cover relations (facet, cone) of a fan, as index pairs into ``f.cones``."""
     index = {c: i for i, c in enumerate(f.cones)}
-    return tuple(sorted((index[w], j) for j, c in enumerate(f.cones) for w in f.facet_map[c]))
+    return tuple(sorted((index[w], j) for j, c in enumerate(f.cones) if c for w in combinations(c, len(c) - 1)))
 
 
 def per_cone_validate(f, rd) -> list:
@@ -363,18 +371,18 @@ def per_cone_validate(f, rd) -> list:
     tested for zero and primitivity, each cone for independence and each
     occurrence against the support."""
     issues = []
-    for c in f.cones:
-        for g in c.generators:
+    for gens in f.generators:
+        for g in gens:
             if all(x == 0 for x in g):
-                issues.append(FanIssue("zero_generator", f"cone {c.generators}"))
+                issues.append(FanIssue("zero_generator", f"cone {gens}"))
             elif g != primitive_vector(g):
                 issues.append(FanIssue("not_primitive", f"generator {g}"))
-        if c.generators and rank(c.generators) != c.dim:
-            issues.append(FanIssue("not_simplicial", f"cone {c.generators}"))
+        if gens and rank(gens) != len(gens):
+            issues.append(FanIssue("not_simplicial", f"cone {gens}"))
     if not any(i.kind in ("not_simplicial", "zero_generator") for i in issues):
         issues += _intersection_issues(f)
-    for c in f.cones:
-        for g in c.generators:
+    for gens in f.generators:
+        for g in gens:
             for s in rd.sigma_k:
                 if dot(s, g) > 0:
                     text = f"generator {g} violates {tuple(map(Fraction, s))}"

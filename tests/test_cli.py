@@ -637,6 +637,16 @@ def test_localize_bad_root_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("roots", ["1_0", "\u0661", "\uff12", "+1", "-1", "1.0", "\u00b2"])
+def test_localize_reads_ascii_digits_only(capsys, roots):
+    """A root index is a nonempty run of ASCII digits, with whitespace around it:
+    int() would read "+1", "1_0" as 10, and Arabic-Indic or fullwidth digits."""
+    code, out, err = run(capsys, "localize", fixture("e6.json"), f"--roots={roots}")
+    assert (code, out, err) == (2, "", f"error: bad root index {roots!r}\n")
+    code, _, err = run(capsys, "localize", fixture("e6.json"), "--roots= 2 ,\t1")
+    assert (code, err) == (0, "")
+
+
 def test_localize_not_convex_exit_1(capsys):
     code, _, err = run(capsys, "localize", fixture("su22.json"), "--roots", "1")
     assert code == 1

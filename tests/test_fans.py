@@ -2,19 +2,28 @@ import hashlib
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 
-from datagen import cover_edges, dominates, flip_matrix, no_cone, per_cone_validate, random_convex_data
-from spherindex import fans
+from datagen import (
+    cover_edges,
+    dominates,
+    fan_of_rows,
+    flip_matrix,
+    no_cone,
+    per_cone_validate,
+    random_convex_data,
+)
+from spherindex import fans, linalg
 from spherindex.datum import SphericalDatumK
 from spherindex.errors import BudgetExceeded, NotConvex
 from spherindex.fans import (
-    Cone,
     Fan,
     FanIssue,
     _pair_intersection_is_face,
     cone_membership,
+    faces,
     fan_validate,
     is_complete_for,
     is_smooth,
@@ -26,6 +35,7 @@ from spherindex.index import TitsIndex
 from spherindex.linalg import (
     dot,
     find_feasible,
+    hermite_normal_form,
     integer_kernel,
     lattice_index,
     primitive_vector,
@@ -58,18 +68,40 @@ def a1a1_rd():
 
 
 def test_cone_canonical_ordering():
-    assert Cone.of([[1, 0], [0, 1]]) == Cone.of([[0, 1], [1, 0]])
+    f = Fan.from_maximal([[[1, 0], [0, 1]]])
+    assert f == Fan.from_maximal([[[0, 1], [1, 0]]])
+    assert f.rays == ((0, 1), (1, 0)) and f.cones == ((), (0,), (1,), (0, 1))
 
 
 def test_fan_from_maximal_closes_faces():
     f = Fan.from_maximal([[[1, 0], [0, 1]]])
-    dims = sorted(c.dim for c in f.cones)
+    dims = sorted(len(c) for c in f.cones)
     assert dims == [0, 1, 1, 2]
+
+
+def is_overfull(f, c) -> bool:
+    """More generators than coordinates: not simplicial, with 2^dim faces."""
+    return len(c) > min((len(f.rays[i]) for i in c), default=0)
 
 
 def closed_under_faces(f) -> bool:
     cones = set(f.cones)
-    return all(face in cones for c in f.cones if not c.overfull for face in c.faces())
+    return all(face in cones for c in f.cones if not is_overfull(f, c) for face in faces(c))
+
+
+def well_formed(f) -> bool:
+    """The ray table is sorted, of distinct rays, each a generator of a cone;
+    each cone is a sorted index tuple, and the cones are distinct and sorted by
+    dimension, then generators."""
+    used = {i for c in f.cones for i in c}
+    return (
+        list(f.rays) == sorted(set(f.rays))
+        and used == set(range(len(f.rays)))
+        and all(list(c) == sorted(c) for c in f.cones)
+        and len(set(f.cones)) == len(f.cones)
+        and list(f.generators) == sorted(f.generators, key=lambda g: (len(g), g))
+        and f.generators == tuple(tuple(f.rays[i] for i in c) for c in f.cones)
+    )
 
 
 def test_built_fans_hold_every_face_of_a_cone_that_is_not_overfull(corpus_rds):
@@ -86,12 +118,16 @@ def test_built_fans_hold_every_face_of_a_cone_that_is_not_overfull(corpus_rds):
     ]
     for gens in given:
         f = Fan.from_maximal(gens)
-        assert closed_under_faces(f)
-        assert closed_under_faces(weyl_saturate(f, a2, cap=10_000))
-    assert any(c.overfull for c in Fan.from_maximal(given[2]).cones)
+        sat = weyl_saturate(f, a2, cap=10_000)
+        assert closed_under_faces(f) and closed_under_faces(sat)
+        assert well_formed(f) and well_formed(sat)
+    f = Fan.from_maximal(given[2])
+    assert any(is_overfull(f, c) for c in f.cones)
     for rd in corpus_rds[:20]:
         f = standard_fan(rd)
-        assert closed_under_faces(f) and closed_under_faces(weyl_saturate(f, rd))
+        sat = weyl_saturate(f, rd)
+        assert closed_under_faces(f) and closed_under_faces(sat)
+        assert well_formed(f) and well_formed(sat)
 
 
 def test_fan_validate_clean():
@@ -133,13 +169,16 @@ def test_standard_fan_counts():
     assert len(f3.cones) == 8
     from collections import Counter
 
-    assert Counter(c.dim for c in f3.cones) == Counter({0: 1, 1: 3, 2: 3, 3: 1})
-    # the faces of the one maximal cone are the cones on the subsets of the rays
+    assert Counter(len(c) for c in f3.cones) == Counter({0: 1, 1: 3, 2: 3, 3: 1})
+    # the faces of the one maximal cone are the cones on the subsets of the rays,
+    # in the order of dimension, then generators
     rd0 = restrict_datum(SphericalDatumK.abstract(0, [], [], []))
     for rd in (rd0, rd1, rd2, rd3):
         rays = [primitive_vector(tuple(-x for x in w)) for w in rd.coweights]
-        subsets = [Cone.of(sub) for k in range(len(rays) + 1) for sub in combinations(rays, k)]
-        assert standard_fan(rd) == Fan(tuple(sorted(subsets, key=lambda c: (c.dim, c.generators))))
+        subsets = [tuple(sorted(sub)) for k in range(len(rays) + 1) for sub in combinations(rays, k)]
+        f = standard_fan(rd)
+        assert f == fan_of_rows(subsets)
+        assert f.generators == tuple(sorted(subsets, key=lambda c: (len(c), c)))
 
 
 def test_standard_fan_requires_convex():
@@ -167,11 +206,11 @@ def test_single_ray_not_complete():
 
 def test_smoothness():
     f = Fan.from_maximal([[[1, 0], [0, 1]]])
-    assert all(is_smooth(f).values())
+    assert all(is_smooth(f))
     g = Fan.from_maximal([[[1, 0], [1, 2]]])
-    flags = is_smooth(g)
-    assert flags[Cone.of([[1, 0], [1, 2]])] is False
-    assert flags[Cone.of([[1, 0]])] is True
+    flags = dict(zip(g.generators, is_smooth(g), strict=True))
+    assert flags[((1, 0), (1, 2))] is False
+    assert flags[((1, 0),)] is True
 
 
 def test_wonderful_iff_standard_fan_smooth():
@@ -180,7 +219,7 @@ def test_wonderful_iff_standard_fan_smooth():
     for mk in [e6_rd, rank1_rd, a1a1_rd]:
         d, rd = mk()
         f = standard_fan(rd)
-        assert all(is_smooth(f).values()) == predicates(d, rd)["k_wonderful"]
+        assert all(is_smooth(f)) == predicates(d, rd)["k_wonderful"]
     # non-wonderful example: lattice Z, sigma_k = {2}, primitive root 1
     # with the lattice rescaled so sigma_pr does not span
     d2 = SphericalDatumK.abstract(2, [[2, 0], [0, 2]], [], [[1, 1]])
@@ -273,7 +312,7 @@ def test_weyl_saturate_b2():
     sat = weyl_saturate(f, rd)
     maximal = sat.maximal_cones
     assert len(maximal) == 8
-    assert len([c for c in sat.cones if c.dim == 1]) == 8
+    assert len([c for c in sat.cones if len(c) == 1]) == 8
     assert fan_validate(sat, no_cone(sat)) == []
     # saturation of a complete fan is classically complete
     assert is_complete_for(sat, no_cone(sat))
@@ -288,11 +327,8 @@ def test_weyl_saturate_reflection_stable():
     sat = weyl_saturate(standard_fan(rd), rd)
     for s in rd.sigma_k:
         m = _reflection_on_dual(rd, s)
-        imgs = {
-            Cone.of([primitive_vector(vec_mat(fvec(g), m)) for g in c.generators])
-            for c in sat.cones
-        }
-        assert imgs == set(sat.cones)
+        imgs = {tuple(sorted(primitive_vector(vec_mat(fvec(g), m)) for g in gens)) for gens in sat.generators}
+        assert imgs == set(sat.generators)
 
 
 def test_weyl_saturate_budget():
@@ -330,9 +366,9 @@ def all_pairs_issues(f):
     if any(i.kind in ("not_simplicial", "zero_generator") for i in issues):
         return issues
     return issues + [
-        FanIssue("intersection_not_a_face", f"{c1.generators} vs {c2.generators}")
-        for c1, c2 in combinations(f.cones, 2)
-        if not _pair_intersection_is_face(c1, c2)
+        FanIssue("intersection_not_a_face", f"{g1} vs {g2}")
+        for (c1, g1), (c2, g2) in combinations(zip(f.cones, f.generators), 2)
+        if not _pair_intersection_is_face(f.rays, c1, c2)
     ]
 
 
@@ -340,17 +376,17 @@ def swap_in_overlap(f):
     """f with one maximal cone F + {p} swapped for (F - {g}) + {p, g + q},
     where F + {q} is a neighbouring maximal cone: g + q lies in the
     neighbour but outside the face the two cones share."""
-    maximal = f.maximal_cones
+    maximal = [tuple(f.rays[i] for i in c) for c in f.maximal_cones]
     for s, t in combinations(maximal, 2):
-        common = set(s.generators) & set(t.generators)
-        if len(common) != s.dim - 1:
+        common = set(s) & set(t)
+        if len(common) != len(s) - 1:
             continue
-        (q,) = set(t.generators) - common
+        (q,) = set(t) - common
         for g in sorted(common):
-            gens = [h for h in s.generators if h != g]
+            gens = [h for h in s if h != g]
             gens.append(primitive_vector([a + b for a, b in zip(g, q)]))
             if rank(gens) == len(gens):
-                return Fan.from_maximal([gens if c == s else c.generators for c in maximal])
+                return Fan.from_maximal([gens if c == s else c for c in maximal])
     raise AssertionError("no neighbouring maximal cones")
 
 
@@ -376,7 +412,7 @@ def test_maximal_cones_and_strata_edges_match_brute_force(corpus_rds):
     cases = chambers + [(rd, swap_in_overlap(f)) for rd, f in chambers]
     cases += [(rd, standard_fan(rd)) for rd in corpus_rds]
     for rd, f in cases:
-        gens = [set(c.generators) for c in f.cones]
+        gens = [set(c) for c in f.cones]
         assert f.maximal_cones == tuple(
             c for c, g in zip(f.cones, gens) if not any(g < h for h in gens)
         )
@@ -384,7 +420,7 @@ def test_maximal_cones_and_strata_edges_match_brute_force(corpus_rds):
             (i, j)
             for i, a in enumerate(f.cones)
             for j, b in enumerate(f.cones)
-            if a.dim + 1 == b.dim and gens[i] < gens[j]
+            if len(a) + 1 == len(b) and gens[i] < gens[j]
         )
 
 
@@ -439,7 +475,7 @@ def test_paired_walls_that_do_not_make_a_fan_reach_the_lp_path(monkeypatch):
     # the first cone's generators sum to (-4, -4), on the ray (-1, -1) of
     # the second sheet: without the wall test the point would count once
     on_a_wall = cycle_fan([(-3, 1), (-1, -5), (2, 5), (-1, -1), (2, 1)])
-    assert tuple(map(sum, zip(*on_a_wall.maximal_cones[0].generators))) == (-4, -4)
+    assert tuple(map(sum, zip(*(on_a_wall.rays[i] for i in on_a_wall.maximal_cones[0])))) == (-4, -4)
     # the walls (1, 1) and (2, 1) have both their cones on one side, and the
     # first cone's point (-1, 0) lies in that cone only
     folded = cycle_fan([(0, -1), (1, 1), (2, 1), (-1, 1)])
@@ -465,13 +501,13 @@ def bfs_saturate(f, rd, cap=None):
         ss = dot(fs, s)
         refl.append([[Fraction(int(i == j)) - Fraction(2 * s[i] * fs[j], ss)
                       for j in range(rd.rank)] for i in range(rd.rank)])
-    seen = set(f.cones)
-    frontier = list(f.cones)
+    seen = set(f.generators)
+    frontier = list(f.generators)
     while frontier:
         nxt = []
         for c in frontier:
             for m in refl:
-                img = Cone.of(primitive_vector(vec_mat(g, m)) for g in c.generators)
+                img = tuple(sorted(primitive_vector(vec_mat(g, m)) for g in c))
                 if img not in seen:
                     seen.add(img)
                     nxt.append(img)
@@ -480,7 +516,7 @@ def bfs_saturate(f, rd, cap=None):
                             f"Weyl saturation reached {len(seen)} cones > cap {limit} ({hint})"
                         )
         frontier = nxt
-    return Fan(tuple(sorted(seen, key=lambda c: (c.dim, c.generators))))
+    return fan_of_rows(seen)
 
 
 def outcome(saturate, f, rd, cap=None):
@@ -512,25 +548,26 @@ def all_faces_saturate(f, rd, cap):
     refl = [fans._reflection_on_dual(rd, s) for s in rd.sigma_k]
 
     def images(c):
-        return [Cone.of(primitive_vector(vec_mat(g, m)) for g in c.generators) for m in refl]
+        return [tuple(sorted(primitive_vector(vec_mat(g, m)) for g in c)) for m in refl]
 
-    cones = set(f.cones)
-    for img in orbit(f.maximal_cones, images):
-        for face in img.faces():
+    cones = set(f.generators)
+    for img in orbit([tuple(f.rays[i] for i in c) for c in f.maximal_cones], images):
+        for face in fans.faces(img):
             if face not in cones:
                 cones.add(face)
                 if len(cones) > limit:
                     raise BudgetExceeded(
                         f"Weyl saturation reached {len(cones)} cones > cap {limit} (set {fans.ORBIT_CAP_ENV})"
                     )
-    return Fan(tuple(sorted(cones, key=lambda c: (c.dim, c.generators))))
+    return fan_of_rows(cones)
 
 
 def test_weyl_saturate_walks_facets_down_only_from_new_cones(monkeypatch):
     """A cone already in the set has all its faces there, so the facet walk stops
     at it; an overfull cone is not closed under faces, so its images keep the face
     loop.  The result and the cap message are those of the all-faces loop at every
-    cap, and fewer cones are built."""
+    cap, and fewer faces are built: each face is a subset that ``fans.combinations``
+    yields, counted for each loop."""
     a3, e6 = split_rd("A", 3), e6_rd()[1]
     overfull = Fan.from_maximal([[[-1, 0], [0, -1], [-1, -1]], [[1, 1]]])
     for f, rd in ((standard_fan(a3), a3), (overfull, e6), (Fan.from_maximal([[[-1, 0]]]), e6)):
@@ -538,27 +575,29 @@ def test_weyl_saturate_walks_facets_down_only_from_new_cones(monkeypatch):
         for cap in range(1, size + 2):
             assert outcome(weyl_saturate, f, rd, cap) == outcome(all_faces_saturate, f, rd, cap)
     built = Counter()
-    init = Cone.__init__
 
-    def counting(self, generators):
-        built[caller] += 1
-        init(self, generators)
+    def counting(c, k):
+        for sub in combinations(c, k):
+            built[caller] += 1
+            yield sub
 
-    monkeypatch.setattr(Cone, "__init__", counting)
     a4 = split_rd("A", 4)
+    std = standard_fan(a4)
+    assert len(std.maximal_cones) == 1
+    monkeypatch.setattr(fans, "combinations", counting)
     for caller in (weyl_saturate, all_faces_saturate):
-        assert len(caller(standard_fan(a4), a4, 10**6).cones) == 541
-    assert built[weyl_saturate] < built[all_faces_saturate]
+        assert len(caller(std, a4, 10**6).cones) == 541
+    assert 0 < built[weyl_saturate] < built[all_faces_saturate]
 
 
-def lp_meets_interior(c, rd):
-    """The plain LP: some point of c has every root <= -1."""
+def lp_meets_interior(gens, rd):
+    """The plain LP: some point of the cone on ``gens`` has every root <= -1."""
     if not rd.sigma_k:
         return True
-    if not c.generators:
+    if not gens:
         return False
-    n = c.dim
-    a_ub = [[dot(s, g) for g in c.generators] for s in rd.sigma_k]
+    n = len(gens)
+    a_ub = [[dot(s, g) for g in gens] for s in rd.sigma_k]
     a_ub += [[-int(i == j) for j in range(n)] for i in range(n)]
     b_ub = [-1] * len(rd.sigma_k) + [0] * n
     return find_feasible(a_ub=a_ub, b_ub=b_ub, nvars=n) is not None
@@ -572,11 +611,11 @@ def test_strata_sign_certificates_match_lp(corpus_rds):
     cases = [(standard_fan(rd), rd) for rd in corpus_rds]
     cases += [(chamber_fan(e6), e6), (mixed, a1a1)]
     for f, rd in cases:
-        for node in strata(f, rd):
-            assert node.horospherical == lp_meets_interior(node.cone, rd)
-    by_cone = {node.cone: node.horospherical for node in strata(mixed, a1a1)}
-    assert by_cone[Cone.of([[-1, 1], [1, -2]])]
-    assert not by_cone[Cone.of([[-3, 2], [2, -1]])]
+        for gens, node in zip(f.generators, strata(f, rd), strict=True):
+            assert node.horospherical == lp_meets_interior(gens, rd)
+    by_cone = {gens: node.horospherical for gens, node in zip(mixed.generators, strata(mixed, a1a1))}
+    assert by_cone[((-1, 1), (1, -2))]
+    assert not by_cone[((-3, 2), (2, -1))]
 
 
 def test_outside_support_detail_text_of_a3_chamber_fan():
@@ -630,14 +669,13 @@ def test_smoothness_and_strata_match_lattice_index_and_integer_kernel(corpus_rds
     cases = [(standard_fan(rd), rd) for rd in corpus_rds]
     cases += [(non_unimodular, e6), (single_ray, e6), (mixed, e6)]
     for f, rd in cases:
-        flags = is_smooth(f)
-        for c, node in zip(f.cones, strata(f, rd), strict=True):
-            assert flags[c] == (lattice_index(transpose(c.generators), c.dim) == 1)
-            assert node.lattice_basis == integer_kernel(c.generators, width=rd.rank)
+        for gens, flag, node in zip(f.generators, is_smooth(f), strata(f, rd), strict=True):
+            assert flag == (lattice_index(transpose(gens), len(gens)) == 1)
+            assert node.lattice_basis == integer_kernel(gens, width=rd.rank)
     assert non_unimodular.unimodular_home == single_ray.unimodular_home == {}
-    assert Cone.of([[-2, -1]]) not in mixed.unimodular_home
-    assert Cone.of([[0, 1]]) in mixed.unimodular_home
-    assert not is_smooth(non_unimodular)[non_unimodular.maximal_cones[0]]
+    assert (mixed.rays.index((-2, -1)),) not in mixed.unimodular_home
+    assert (mixed.rays.index((0, 1)),) in mixed.unimodular_home
+    assert not is_smooth(non_unimodular)[non_unimodular.cones.index(non_unimodular.maximal_cones[0])]
     # the corpus reaches both branches: some standard fans are not smooth
     assert {c in f.unimodular_home for f, _ in cases[:-3] for c in f.cones} == {True, False}
 
@@ -662,13 +700,71 @@ def test_fan_engine_runs_each_check_once_per_maximal_cone_or_ray(monkeypatch):
     for name in ("rank", "primitive_vector", "lattice_index", "integer_kernel"):
         monkeypatch.setattr(fans, name, counting(name, getattr(fans, name)))
     for f, rd, zk in [(a6, rd6, rd6), (a4, rd4, no_cone(a4))]:
-        rays = len({g for c in f.cones for g in c.generators})
+        rays = len({g for gens in f.generators for g in gens})
         calls.clear()
         assert fan_validate(f, zk) == []
         assert calls["rank"] <= len(f.maximal_cones) and calls["primitive_vector"] <= rays
         calls.clear()
-        assert all(is_smooth(f).values())
+        assert all(is_smooth(f))
         assert calls["lattice_index"] <= len(f.maximal_cones)
         calls.clear()
         strata(f, rd)
         assert calls["integer_kernel"] == 0
+
+
+def test_strata_run_at_most_one_hermite_form_per_cone(monkeypatch, corpus_rds):
+    """A cone in a unimodular home reduces the duals of the generators it misses
+    once; any other cone runs ``integer_kernel``, which reduces [C^T | I] once."""
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return hermite_normal_form(m)
+
+    _, e6 = e6_rd()
+    a4 = split_rd("A", 4)
+    non_unimodular = Fan.from_maximal([[[1, 0], [1, 2]]])  # no cone has a home
+    mixed = Fan.from_maximal([[[1, 0], [0, 1]], [[0, 1], [-2, -1]]])
+    cases = [(standard_fan(rd), rd) for rd in corpus_rds] + [(chamber_fan(a4), a4), (non_unimodular, e6), (mixed, e6)]
+    monkeypatch.setattr(fans, "hermite_normal_form", counting)
+    monkeypatch.setattr(linalg, "hermite_normal_form", counting)
+    for f, rd in cases:
+        calls.clear()
+        strata(f, rd)
+        assert len(calls) <= len(f.cones)
+    assert len(calls) == len(mixed.cones)
+    calls.clear()
+    strata(non_unimodular, e6)
+    # the zero cone's kernel is the whole lattice, which needs no Hermite form
+    assert len(calls) == len(non_unimodular.cones) - 1 == 3
+
+
+def fubini(n):
+    """The ordered set partitions of n elements (OEIS A000670), by the recurrence
+    a(m) = sum over k >= 1 of C(m, k) a(m - k), a(0) = 1."""
+    a = [1]
+    for m in range(1, n + 1):
+        a.append(sum(comb(m, k) * a[m - k] for k in range(1, m + 1)))
+    return a[n]
+
+
+def factorial(n):
+    out = 1
+    for k in range(2, n + 1):
+        out *= k
+    return out
+
+
+def test_saturated_standard_fans_of_split_a_are_the_braid_fans():
+    """The Weyl saturation of the standard fan of split A_n is the braid fan: a
+    cone per ordered set partition of n + 1 elements and a chamber per ordering,
+    every cone smooth, and the fan complete."""
+    assert [fubini(n + 1) for n in range(1, 6)] == [3, 13, 75, 541, 4683]
+    for n in range(1, 6):
+        rd = split_rd("A", n)
+        f = chamber_fan(rd)
+        assert len(f.cones) == fubini(n + 1)
+        assert len(f.maximal_cones) == factorial(n + 1)
+        assert all(is_smooth(f))
+        assert fan_validate(f, no_cone(f)) == []
+        assert is_complete_for(f, no_cone(f))

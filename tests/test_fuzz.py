@@ -4,7 +4,9 @@ a datum, and random ``--roots`` strings through ``localize``.
 The exit-code contract holds for any input file, so no exception may escape
 ``cli.main``: a random document exits 0, 1 or 2.  Exit 3 is kept for a
 structural identity that consistent input cannot break, and a document
-either fails validation or is consistent, so none exits 3.
+either fails validation or is consistent, so none exits 3.  The ambient
+documents also send seeded random user fans in their little rank through
+``fan``, with and without ``--saturate`` under a small ``SPHERINDEX_ORBIT_CAP``.
 """
 
 import contextlib
@@ -12,11 +14,14 @@ import io
 import json
 import os
 import random
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from spherindex import cli
+from spherindex.restrict import restrict_datum
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -250,9 +255,24 @@ def test_a_gamma_not_spanned_by_root_multiples_exits_1_with_one_error_line(capsy
     )
 
 
-def _fuzz(tmp_path, docs, rank_of):
+def _random_fan(rng, r):
+    """1 to 3 cones of 1 to r small primitive generators in Z^r."""
+    if r == 0:
+        return [[]]
+
+    def ray():
+        while gcd(*(v := [rng.randint(-2, 2) for _ in range(r)])) != 1:
+            pass
+        return v
+
+    return [[ray() for _ in range(rng.randint(1, r))] for _ in range(rng.randint(1, 3))]
+
+
+def _fuzz(tmp_path, docs, rank_of, rng=None, codes=None):
     """Each (command, document, outcome) of the five commands on ``docs`` that
-    does not exit 0, 1 or 2; the fan is the negative orthant in ``rank_of(doc)``."""
+    does not exit 0, 1 or 2; the fan is the negative orthant in ``rank_of(doc)``.
+    With ``rng``, a random fan in that rank also goes through ``fan``, checked
+    and saturated.  ``codes`` counts the exit codes of each command."""
     fans = {}
     failed = []
     for k, doc in enumerate(docs):
@@ -262,10 +282,26 @@ def _fuzz(tmp_path, docs, rank_of):
         if r not in fans:
             fans[r] = tmp_path / f"fan{r}.json"
             fans[r].write_text(json.dumps({"cones": [[[-int(i == j) for j in range(r)] for i in range(r)]]}))
-        for argv in _commands(str(path), str(fans[r])):
+        runs = [(argv[0], argv) for argv in _commands(str(path), str(fans[r]))]
+        if rng is not None:
+            user = tmp_path / f"user{k}.json"
+            user.write_text(json.dumps({"cones": _random_fan(rng, r)}))
+            argv = ["fan", str(path), "--fan", str(user), "--check", "complete", "--check", "smooth", "--strata"]
+            runs += [("user fan", argv), ("user fan --saturate", argv + ["--saturate"])]
+        for label, argv in runs:
             if (outcome := _outcome(argv)) not in (0, 1, 2):
-                failed.append((argv[0], doc, repr(outcome)))
+                failed.append((label, doc, repr(outcome)))
+            if codes is not None:
+                codes[label, outcome] += 1
     return failed
+
+
+def little_rank(doc):
+    """The rank of the restricted datum, or the ambient rank when restriction fails."""
+    try:
+        return restrict_datum(cli.parse_datum(doc)).rank
+    except Exception:  # noqa: BLE001 - any failure leaves the ambient rank
+        return sum(c["rank"] for c in doc["ambient"]["components"])
 
 
 def test_no_exception_escapes_main_on_random_abstract_documents(tmp_path):
@@ -275,10 +311,15 @@ def test_no_exception_escapes_main_on_random_abstract_documents(tmp_path):
     assert _fuzz(tmp_path, docs, lambda doc: doc["abstract"]["rank"]) == []
 
 
-def test_no_exception_escapes_main_on_random_ambient_documents(tmp_path):
+def test_no_exception_escapes_main_on_random_ambient_documents(tmp_path, monkeypatch):
+    """The fans are in the little rank, so most documents pass the width check;
+    saturation runs under a cap of 8 cones, which one fan of this seed hits."""
     rng = random.Random(20261019)
     docs = [random_ambient_document(rng) for _ in range(400)]
-    assert _fuzz(tmp_path, docs, lambda doc: sum(c["rank"] for c in doc["ambient"]["components"])) == []
+    monkeypatch.setenv("SPHERINDEX_ORBIT_CAP", "8")
+    codes = Counter()
+    assert _fuzz(tmp_path, docs, little_rank, random.Random(20261029), codes) == []
+    assert min(codes["fan", 0], codes["user fan", 0], codes["user fan --saturate", 0]) > 50
 
 
 # digits, signs, commas, whitespace, underscores, digits of other scripts that

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import prod
@@ -10,6 +11,7 @@ from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
 from sympy.matrices.normalforms import invariant_factors
 
 from datagen import dual_basis, image_lattice, intersection_with_subspace, solve_left
+from spherindex import linalg
 from spherindex.errors import ZeroVector
 from spherindex.linalg import (
     Lattice,
@@ -46,49 +48,36 @@ def int_matrix(max_dim=5):
     )
 
 
-def det(m):
-    return to_sympy(m).det()
-
-
 def test_hnf_identity_matrix():
-    h, u = hermite_normal_form([[1, 0], [0, 1]])
-    assert h == [[1, 0], [0, 1]]
-    assert u == [[1, 0], [0, 1]]
+    assert hermite_normal_form([[1, 0], [0, 1]]) == [[1, 0], [0, 1]]
 
 
 def test_hnf_known_example():
     m = [[2, 4], [1, 3]]
-    h, u = hermite_normal_form(m)
-    assert mat_mul(u, m) == tuple(tuple(r) for r in h)
-    assert abs(det(u)) == 1
+    h = hermite_normal_form(m)
     assert h == [[1, 1], [0, 2]]
+    assert _sympy_row_lattice(h, 2) == _sympy_row_lattice(m, 2)
+
+
+def is_hermite(h) -> bool:
+    """Echelon form with positive pivots, each entry above a pivot in
+    [0, pivot), and the zero rows at the bottom."""
+    nz = [row for row in h if any(row)]
+    pivots = [next(j for j, x in enumerate(row) if x) for row in nz]
+    return (
+        all(row[j] > 0 for row, j in zip(nz, pivots))
+        and pivots == sorted(set(pivots))
+        and all(0 <= nz[i][j] < nz[k][j] for k, j in enumerate(pivots) for i in range(k))
+        and h[: len(nz)] == nz
+    )
 
 
 @settings(max_examples=200, deadline=None)
 @given(int_matrix())
 def test_hnf_properties(m):
-    h, u = hermite_normal_form(m)
-    assert mat_mul(u, m) == tuple(tuple(r) for r in h)
-    assert abs(det(u)) == 1
-    nz = [row for row in h if any(row)]
-    pivots = []
-    for row in nz:
-        j = next(i for i, x in enumerate(row) if x)
-        assert row[j] > 0
-        pivots.append(j)
-    assert pivots == sorted(pivots)
-    assert len(set(pivots)) == len(pivots)
-    # entries above each pivot are reduced
-    for k, j in enumerate(pivots):
-        for i in range(k):
-            assert 0 <= nz[i][j] < nz[k][j]
-    # zero rows are at the bottom
-    seen_zero = False
-    for row in h:
-        if not any(row):
-            seen_zero = True
-        else:
-            assert not seen_zero
+    h = hermite_normal_form(m)
+    assert len(h) == len(m) and is_hermite(h)
+    assert hermite_normal_form(h) == h  # the form of a Hermite basis is itself
 
 
 def _sympy_row_lattice(rows, ncols):
@@ -103,9 +92,7 @@ def _sympy_row_lattice(rows, ncols):
 @settings(max_examples=200, deadline=None)
 @given(int_matrix())
 def test_hnf_row_lattice_matches_sympy(m):
-    h, u = hermite_normal_form(m)
-    assert mat_mul(u, m) == tuple(tuple(r) for r in h)
-    assert abs(det(u)) == 1
+    h = hermite_normal_form(m)
     ncols = len(m[0])
     nonzero = [r for r in h if any(r)]
     assert _sympy_row_lattice(nonzero, ncols) == _sympy_row_lattice(m, ncols)
@@ -139,6 +126,46 @@ def test_integer_kernel_is_saturated_kernel(m):
         lat = Lattice.from_rows(width, ker)
         for k in ker:
             assert lat.contains(k)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(int_matrix(max_dim=7))
+@example([[0, 0, 0]])
+@example([[2, 4, 6]])  # the kernel of a non-primitive row
+@example([[1, 1], [1, -1]])  # full rank: no kernel
+def test_integer_kernel_matches_the_sympy_nullspace(m):
+    """The kernel is the Hermite basis of the integer points of sympy's rational
+    nullspace: as many rows as the nullspace has, each killed by every row of m,
+    a saturated lattice (its invariant factors are all 1) and in Hermite form,
+    which the saturated lattice has only one of."""
+    width = len(m[0])
+    ker = integer_kernel(m, width=width)
+    nullspace = Matrix(m).nullspace()
+    assert len(ker) == len(nullspace)
+    for k in ker:
+        assert Matrix(m) * Matrix(k) == Matrix.zeros(len(m), 1)
+    if ker:
+        assert Matrix(ker).rank() == len(ker)
+        assert all(x == 1 for x in invariant_factors(Matrix(ker), domain=ZZ))
+        assert is_hermite([list(k) for k in ker])
+
+
+def test_integer_kernel_runs_one_hermite_form(monkeypatch):
+    """The kernel is read off the one Hermite form of [C^T | I]."""
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return hermite_normal_form(m)
+
+    monkeypatch.setattr(linalg, "hermite_normal_form", counting)
+    rng = random.Random(29)
+    for _ in range(200):
+        rows, width = rng.randint(1, 5), rng.randint(1, 7)
+        m = [[rng.randint(-3, 3) for _ in range(width)] for _ in range(rows)]
+        calls.clear()
+        ker = integer_kernel(m, width=width)
+        assert len(calls) == 1 and len(ker) == width - rank(m)
 
 
 def test_kernel_of_parity_constraint():

@@ -22,9 +22,9 @@ from spherindex.errors import FiberMismatch, IdentityFails, NotBetween, NotConve
 from spherindex.index import TitsIndex, restricted_root_system
 from spherindex.linalg import (
     Lattice,
+    augmented_hermite_form,
     divide,
     dot,
-    hermite_normal_form,
     identity,
     scale_integral,
     scaled_dual_basis,
@@ -603,8 +603,9 @@ def sympy_projection(f, rows):
 
 
 def test_little_basis_and_lifts_match_the_elimination():
-    """The Hermite transform's rows lift the little basis; lifts differ by the
-    span of the annihilator, so each projects like the lift ``solve`` finds,
+    """The top rows of the Hermite form of [nk^T | I] lift the little basis;
+    lifts differ by the span of the annihilator, so each projects like the lift
+    ``solve`` finds,
     and the projection is sympy's I - F U^T G^-1 U: the stored lifts are
     ``lifts_den`` times it, and ``form_k`` is c lifts_den^2 times the Gram
     matrix of the projected lifts under F."""
@@ -615,6 +616,9 @@ def test_little_basis_and_lifts_match_the_elimination():
         assert len(basis) == rd.rank  # the restricted coordinate characters span
         ann = _annihilator(d, rd.split)
         lifts = [solve(nk, row) for row in basis]
+        hermite_lifts = [row[rd.rank:] for row in augmented_hermite_form(nk, d.m)[: rd.rank]]
+        assert [[dot(a, n) for n in nk] for a in hermite_lifts] == [list(e) for e in identity(rd.rank)]
+        assert _project(d.pairing, ann, hermite_lifts) == (rd.projected_lifts, rd.lifts_den, rd.form_k)
         assert _project(d.pairing, ann, lifts) == (rd.projected_lifts, rd.lifts_den, rd.form_k)
         expected = to_sympy(lifts, d.m) * sympy_projection(d.pairing, ann)
         assert divide(rd.projected_lifts, rd.lifts_den) == from_sympy(expected)
@@ -629,8 +633,8 @@ def test_dual_basis_and_projection_create_one_fraction_per_entry(monkeypatch):
     projections, checks = [], []
     for d in [sp42_datum(), e6_datum(), su_nn_datum(2), u11_datum()] + random_data(20261018, 8):
         rd = restrict_datum(d)
-        _, u = hermite_normal_form(transpose(little_space(d)))
-        projections.append((d.pairing, _annihilator(d, rd.split), u[: rd.rank]))
+        lifts = [row[rd.rank:] for row in augmented_hermite_form(little_space(d), d.m)[: rd.rank]]
+        projections.append((d.pairing, _annihilator(d, rd.split), lifts))
         checks.append((d, rd))
     created = 0
     new = Fraction.__new__

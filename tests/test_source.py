@@ -177,18 +177,32 @@ PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
 # layer names the benchmark traces that name no function in src/, left for
 # the next change to the benchmark: two functions were deleted from linalg,
-# and the base coordinates of the roots now come from rootsys.root_images
-DEAD_LAYER_NAMES_ALLOWED = {"linalg.rref", "linalg.smith_normal_form", "rootsys.positive_roots_in_base_coords"}
+# the base coordinates of the roots now come from rootsys.root_images, the
+# ``cli.emit`` group still names ``cli.ser`` and the ``restrict.checks`` group
+# the deleted facet check
+DEAD_LAYER_NAMES_ALLOWED = {
+    "linalg.rref",
+    "linalg.smith_normal_form",
+    "rootsys.positive_roots_in_base_coords",
+    "cli.ser",
+    "restrict.facet_inheritance_check",
+}
 
 
-def layer_names():
-    """The literal ``FUNCTIONS`` tuple of ``perfbench/layertrace.py``, read without importing it."""
+def layertrace_literal(name):
+    """The literal that ``perfbench/layertrace.py`` assigns to ``name``, read without importing it."""
     with open(os.path.join(PERFBENCH, "layertrace.py")) as fh:
         tree = ast.parse(fh.read())
     for node in tree.body:
-        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["FUNCTIONS"]:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == [name]:
             return ast.literal_eval(node.value)
-    raise LookupError("layertrace.py assigns no FUNCTIONS")
+    raise LookupError(f"layertrace.py assigns no {name}")
+
+
+def layer_names():
+    """Each function the benchmark traces: ``FUNCTIONS`` and every member of ``GROUPS``."""
+    groups = layertrace_literal("GROUPS")
+    return [*layertrace_literal("FUNCTIONS"), *(n for members in groups.values() for n in members)]
 
 
 def dead_layer_names(names):
@@ -207,7 +221,7 @@ def dead_layer_names(names):
 def test_every_traced_layer_name_is_a_function_in_src():
     """A rename in src/ fails here instead of reading 0 calls in the benchmark."""
     names = layer_names()
-    assert "rootsys.generate_roots" in names
+    assert {"rootsys.generate_roots", "cli.parse_fan", "restrict.predicates"} <= set(names)
     assert set(dead_layer_names(names)) == DEAD_LAYER_NAMES_ALLOWED
     planted = ["index.res_A", "rootsys.AmbientRootDatum.form", "rootsys.simple_reflection", "rootsys.Gone.form"]
     assert dead_layer_names(planted) == ["rootsys.simple_reflection", "rootsys.Gone.form"]
