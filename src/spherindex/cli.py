@@ -15,6 +15,7 @@ import os
 import sys
 from fractions import Fraction
 from functools import cache
+from itertools import chain, starmap
 
 from .datum import SphericalDatumK, is_valid, validate
 from .degeneration import build_degeneration, degeneration_fiber_data
@@ -46,7 +47,7 @@ from .restrict import (
 from .rootsys import AmbientRootDatum, diagram_involution
 
 SCHEMA_VERSION = "1"
-HARD_RANK_CEILING = 100  # total ambient rank; a Cartan matrix is rank x rank
+HARD_RANK_CEILING = 100  # total ambient rank, or abstract rank; a Cartan matrix is rank x rank
 
 
 class ParseError(Exception):
@@ -175,8 +176,10 @@ def parse_datum(doc: dict) -> SphericalDatumK:
             return SphericalDatumK.ambient(ix, sigma, xi_rows=xi, sp=sp)
         if mode == "abstract":
             ab = _require(doc, "abstract")
+            if (rank := _int(_require(ab, "rank"))) > HARD_RANK_CEILING:
+                raise ParseError(f"abstract rank {rank} exceeds HARD_RANK_CEILING {HARD_RANK_CEILING}")
             return SphericalDatumK.abstract(
-                _int(_require(ab, "rank")),
+                rank,
                 _rat_matrix(_require(ab, "pairing")),
                 [_rat_matrix(g) for g in _list(ab.get("star", []), "star")],
                 _rat_matrix(ab.get("sigma", [])),
@@ -238,6 +241,7 @@ def _flat(v) -> str | None:
 
 
 _escape = json.encoder.encode_basestring_ascii  # the escaper of json.dumps
+EMIT_SLICE = 256  # items of a top-level list formatted together, which bounds the memory of one slice
 
 
 def _json(node, pad: str, memo: dict) -> str:
@@ -260,7 +264,7 @@ def _json(node, pad: str, memo: dict) -> str:
             if text is None:
                 text = memo[key] = "[\n" + inner + (",\n" + inner).join(map(int.__repr__, node)) + "\n" + pad + "]"
             return text
-        items, ends = [_json(x, inner, memo) for x in node], "[]"
+        items, ends = _items(node, inner, memo) if node else (), "[]"
     elif isinstance(node, dict):
         items, ends = [_escape(k) + ": " + _json(v, inner, memo) for k, v in sorted(node.items())], "{}"
     elif node is None or type(node) is bool:
@@ -274,9 +278,41 @@ def _json(node, pad: str, memo: dict) -> str:
     return ends[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + pad + ends[1]
 
 
+def _items(node, pad: str, memo: dict) -> list[str]:
+    """The texts of the items of a nonempty list at indent ``pad``.
+
+    Dicts that all share one nonempty key set go one column at a time: the
+    keys are sorted and escaped once, into one ``str.format`` template, and
+    each key's values are written as one list.  Any other list goes item by
+    item.
+    """
+    keys = node[0].keys() if type(node[0]) is dict else None
+    if not keys or {*map(type, node)} != {dict} or any(map(keys.__ne__, map(dict.keys, node))):
+        return [_json(x, pad, memo) for x in node]
+    keys, inner = sorted(keys), pad + "  "
+    fields = (inner + _escape(k).replace("{", "{{").replace("}", "}}") + ": {}" for k in keys)
+    template = "{{\n" + ",\n".join(fields) + "\n" + pad + "}}"
+    return list(map(template.format, *(_column([x[k] for x in node], inner, memo) for k in keys)))
+
+
+def _column(values, pad: str, memo: dict):
+    """The texts of one column's values at indent ``pad``: a column of ints,
+    or of rows of ints of one length, is formatted with no Python-level call
+    per value (empty rows hold no int, so they take the general path)."""
+    types = {*map(type, values)}
+    if types == {int}:  # not bool
+        return map(int.__repr__, values)
+    if types <= {tuple, list} and len(widths := {*map(len, values)}) == 1:
+        if {*map(type, chain.from_iterable(values))} == {int}:
+            inner = pad + "  "
+            row = "[\n" + inner + (",\n" + inner).join(["{}"] * widths.pop()) + "\n" + pad + "]"
+            return starmap(row.format, values)
+    return [_json(x, pad, memo) for x in values]
+
+
 def emit(report: dict, fmt: str):
     """Print a report; JSON goes out one top-level key, and one item of a
-    top-level list, at a time."""
+    top-level list, at a time, the items formatted EMIT_SLICE at a time."""
     if fmt != "json":
         print("\n".join(_render_text(report)))
         return
@@ -288,9 +324,10 @@ def emit(report: dict, fmt: str):
         head = ","
         if value and isinstance(value, (list, tuple)):
             sep = "["
-            for item in value:
-                write(sep + "\n    " + _json(item, "    ", memo))
-                sep = ","
+            for start in range(0, len(value), EMIT_SLICE):
+                for text in _items(value[start:start + EMIT_SLICE], "    ", memo):
+                    write(sep + "\n    " + text)
+                    sep = ","
             write("\n  ]")
         else:
             write(_json(value, "  ", memo))

@@ -239,7 +239,8 @@ def validate(d: SphericalDatumK) -> list[ValidationItem]:
     # each row of d.sigma is a root's coordinates in the lattice basis, solved once
     add("roots_in_lattice", all(x.denominator == 1 for row in d.sigma for x in row))
 
-    # one elimination of sigma: the base's rank check decides independence
+    # a base that classifies is independent: sigma is eliminated only to tell a
+    # dependent base from one that fails classification (RootBase.from_vectors)
     base = base_error = None
     if d.sigma:
         try:

@@ -182,25 +182,35 @@ class RootBase(Record):
 
     @staticmethod
     def from_vectors(vectors, form) -> "RootBase":
+        """The classified base of ``vectors`` under ``form``.
+
+        A base that classifies is independent, so ``rank`` runs only to name
+        a failure: C = 2 G D^-1, for G = U F U^T the Gram matrix of the rows U
+        and D its diagonal, is then a permuted block sum of finite-type Cartan
+        matrices, so det C > 0, G is nonsingular and U has full row rank.
+        """
         vectors = tuple(map(tuple, vectors))
-        if rank(vectors) != len(vectors):
-            raise LinearlyDependent("base vectors are linearly dependent")
-        g = gram(vectors, form)
-        for i, row in enumerate(g):
-            if row[i] <= 0:
-                raise NotARootBase("base vector of nonpositive squared length")
-        c = []
-        for i, row in enumerate(g):
-            c.append([])
-            for j, gij in enumerate(row):
-                x, r = divmod(2 * gij, g[j][j])
-                if r:
-                    raise NotARootBase(f"non-integral Cartan number at ({i}, {j})")
-                if i != j and x > 0:
-                    raise NotARootBase(f"positive off-diagonal Cartan number at ({i}, {j})")
-                c[i].append(x)
-        c = tuple(map(tuple, c))
-        return RootBase(vectors, c, tuple(classify(c)))
+        try:
+            g = gram(vectors, form)
+            for i, row in enumerate(g):
+                if row[i] <= 0:
+                    raise NotARootBase("base vector of nonpositive squared length")
+            c = []
+            for i, row in enumerate(g):
+                c.append([])
+                for j, gij in enumerate(row):
+                    x, r = divmod(2 * gij, g[j][j])
+                    if r:
+                        raise NotARootBase(f"non-integral Cartan number at ({i}, {j})")
+                    if i != j and x > 0:
+                        raise NotARootBase(f"positive off-diagonal Cartan number at ({i}, {j})")
+                    c[i].append(x)
+            c = tuple(map(tuple, c))
+            return RootBase(vectors, c, tuple(classify(c)))
+        except (NotARootBase, NotFiniteType):
+            if rank(vectors) != len(vectors):
+                raise LinearlyDependent("base vectors are linearly dependent") from None
+            raise
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -375,12 +385,13 @@ def indivisible_roots(support) -> set:
     """The vectors r of a set of integral vectors with no r / n (n >= 2) in the set.
 
     On a root system only r / 2 can occur; a restriction of one, such as G2
-    onto a line ({1, 2, 3} times a vector), can also hold r / 3.
+    onto a line ({1, 2, 3} times a vector), can also hold r / 3.  An r of
+    content 1 has no integral r / n, so only the others are searched.
     """
     out = set()
     for r in support:
         g = content(r)
-        if not any(g % n == 0 and tuple(x // n for x in r) in support for n in range(2, g + 1)):
+        if g == 1 or not any(g % n == 0 and tuple(x // n for x in r) in support for n in range(2, g + 1)):
             out.add(r)
     return out
 

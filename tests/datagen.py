@@ -14,12 +14,13 @@ from itertools import accumulate, combinations
 from types import SimpleNamespace
 
 from spherindex.datum import CompactRootSplit, SphericalDatumK
-from spherindex.errors import InternalInconsistency, SpherindexError
+from spherindex.errors import InternalInconsistency, LinearlyDependent, NotARootBase, SpherindexError
 from spherindex.fans import Fan, FanIssue, _intersection_issues
 from spherindex.index import TitsIndex
 from spherindex.linalg import (
     Lattice,
     dot,
+    gram,
     identity,
     integer_kernel,
     mat_mul,
@@ -400,3 +401,68 @@ def divisor_scan_indivisible(support) -> set:
             for n in range(2, max((abs(x.numerator) for x in r), default=1) + 1)
         )
     }
+
+
+def rank_first_root_base(vectors, form) -> RootBase:
+    """``RootBase.from_vectors`` as it was before it proved independence by
+    classification: one elimination of the vectors first, then the Gram
+    checks and the classification."""
+    vectors = tuple(map(tuple, vectors))
+    if rank(vectors) != len(vectors):
+        raise LinearlyDependent("base vectors are linearly dependent")
+    g = gram(vectors, form)
+    for i, row in enumerate(g):
+        if row[i] <= 0:
+            raise NotARootBase("base vector of nonpositive squared length")
+    c = []
+    for i, row in enumerate(g):
+        c.append([])
+        for j, gij in enumerate(row):
+            x, r = divmod(2 * gij, g[j][j])
+            if r:
+                raise NotARootBase(f"non-integral Cartan number at ({i}, {j})")
+            if i != j and x > 0:
+                raise NotARootBase(f"positive off-diagonal Cartan number at ({i}, {j})")
+            c[i].append(x)
+    c = tuple(map(tuple, c))
+    return RootBase(vectors, c, tuple(classify(c)))
+
+
+def random_root_base_input(rng: random.Random):
+    """(vectors, form) of every outcome of ``RootBase.from_vectors``: bases of
+    finite type, and dependent, zero, non-crystallographic and non-finite-type
+    vectors, some of them with ``Fraction`` entries or forms."""
+    spec = [rng.choice([("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 3), ("D", 4), ("G", 2)])
+            for _ in range(rng.randint(1, 2))]
+    amb = AmbientRootDatum.of(spec)
+    n = amb.dim
+    kind = rng.randrange(5)
+    if kind == 0:  # the form of a finite type
+        form = [list(row) for row in amb.form()]
+    elif kind == 4:  # affine A~(n-1), a cycle, or for n = 2 affine A1~ or a hyperbolic pair
+        form = [[2 * int(i == j) for j in range(n)] for i in range(n)]
+        for i in range(n if n > 2 else n - 1):
+            form[i][(i + 1) % n] = form[(i + 1) % n][i] = -1 if n > 2 else rng.choice([-2, -3])
+    elif kind == 1:  # a symmetric form with small entries: often affine, hyperbolic or indefinite
+        form = [[0] * n for _ in range(n)]
+        for i in range(n):
+            form[i][i] = rng.choice([-2, 2, 2, 4, 6])
+            for j in range(i):
+                form[i][j] = form[j][i] = rng.choice([0, 0, -1, -2, -3, 1])
+    else:
+        form = [[2 * int(i == j) for j in range(n)] for i in range(n)]
+    if kind == 3:  # a rational multiple of the form
+        form = [[Fraction(x, 3) for x in row] for row in form]
+    if rng.random() < 0.5:  # simple roots, whose Gram matrix is part of the form
+        vectors = [list(identity(n)[i]) for i in rng.sample(range(n), rng.randint(0, n))]
+    else:
+        roots = ambient_roots(amb)
+        vectors = [list(rng.choice(roots)) for _ in range(rng.randint(0, n + 1))]
+    if vectors and rng.random() < 0.3:  # a combination of the others, or zero
+        vectors.append([sum(rng.choice([-1, 0, 1]) * v[j] for v in vectors) for j in range(n)])
+    if vectors and rng.random() < 0.2:
+        vectors[rng.randrange(len(vectors))] = [rng.randint(-2, 2) for _ in range(n)]
+    if rng.random() < 0.25:  # rational rows
+        vectors = [[Fraction(x, 2) for x in v] for v in vectors]
+    rng.shuffle(vectors)
+    return vectors, form

@@ -118,7 +118,7 @@ def emitted_json(report) -> str:
     return out.getvalue()
 
 
-KEYS = st.text(st.sampled_from('ab"\\/\x00\x1f\n\t\x7f×é€\U0001f600'), max_size=4)
+KEYS = st.text(st.sampled_from('ab{}"\\/\x00\x1f\n\t\x7f×é€\U0001f600'), max_size=4)
 LEAVES = (
     KEYS
     | st.integers()
@@ -129,8 +129,34 @@ LEAVES = (
 )
 
 
+def rows(width: int):
+    """Rows of one width: of ints, or with a bool or a Fraction among them."""
+    return st.lists(st.integers(-2, 2), min_size=width, max_size=width).map(tuple) | st.lists(
+        st.integers(-2, 2) | st.booleans() | st.fractions(), min_size=width, max_size=width
+    )
+
+
+def same_keyed(values):
+    """Nonempty lists of dicts that all share one key set, the empty set too.
+    Keys come often from a pool of three, so that neighbouring runs often
+    have key sets of one size but other keys; a value is often a row of the
+    list's one width, so that whole columns are rows of one width."""
+    keys = st.lists(st.sampled_from(["a", "b", "{}"]) | KEYS, unique=True, max_size=3)
+    return st.tuples(keys, st.integers(0, 3)).flatmap(
+        lambda kw: st.lists(st.fixed_dictionaries(dict.fromkeys(kw[0], values | rows(kw[1]))), min_size=1, max_size=4)
+    )
+
+
+def runs(values):
+    """Lists made of runs of same-keyed dicts, the key set changing from run
+    to run; half of them have other values between the runs."""
+    parts = st.lists(same_keyed(values), max_size=3) | st.lists(same_keyed(values) | values.map(lambda x: [x]), max_size=4)
+    return parts.map(lambda parts: [x for part in parts for x in part])
+
+
 def nodes(depth: int):
-    """Nested lists, tuples and dicts, ``depth`` levels below the one given."""
+    """Nested lists, tuples and dicts, ``depth`` levels below the one given;
+    the lists include runs of dicts that share one key set."""
     if depth == 0:
         return LEAVES
     inner = nodes(depth - 1)
@@ -138,13 +164,31 @@ def nodes(depth: int):
         LEAVES
         | st.lists(inner, max_size=3)
         | st.lists(inner, max_size=3).map(tuple)
+        | runs(inner)
+        | runs(inner).map(tuple)
         | st.dictionaries(KEYS, inner, max_size=3)
     )
 
 
+def key_set_change_at(boundary: int) -> list:
+    """Two slices and one item of a top-level list; the key set of its dicts
+    changes after ``boundary`` items."""
+    return [{"a": i, "b{": [i, -i]} if i < boundary else {"a": i} for i in range(2 * cli.EMIT_SLICE + 1)]
+
+
+LONG_LISTS = {f"change at {cli.EMIT_SLICE + d}": key_set_change_at(cli.EMIT_SLICE + d) for d in (-1, 0, 1)}
+LONG_LISTS |= {"empty after one slice": [{"a": 0}] * cli.EMIT_SLICE + [{}] * 3, "tuple": tuple(key_set_change_at(1))}
+
+
 @settings(max_examples=400, deadline=None)
-@given(report=st.dictionaries(KEYS, nodes(3), max_size=4))
+@given(report=st.dictionaries(KEYS, nodes(3) | runs(nodes(1)), max_size=4))
+@example(report=LONG_LISTS)
+@example(report={"a": [{"r": (), "s": []}] * 2, "b": [{"r": (1, True)}, {"r": (0, 2)}], "c": [{"r": (True,)}]})
+@example(report={"a": [{"r": (1, 2)}, {"r": [3]}], "b": [{"r": [1, 2]}, {"r": (3, 4)}], "c": [{"r": (1, Fraction(2))}]})
 @example(report={})
+@example(report={"a": [{}], "b": [[{}]], "c": [{}, {}, {"": 0}], "d": [{"x": 1}, {"x": {}}, {}], "e": [{"k": 1}, {"j": 2}]})
+@example(report={"{}": [{"{a}": [{"}{": 1, '"\\é': ()}], "{0}": 2}, {"{a}": [], "{0}": {"{": [{}]}}]})
+@example(report={"a": [{"k": 1, "j": 2}, {"j": 3, "k": 4}, {"k": 5}, {"i": 6}, {"k": 6, "j": 7, "i": 8}, 9, (10,)]})
 @example(
     report={
         "rays": [(1, 0), (True, False), [1, 0], (1, 0), ((1, 0), (0, 1))],
@@ -155,7 +199,10 @@ def nodes(depth: int):
 def test_emit_writes_the_bytes_of_json_dumps(report):
     """The writer prints what ``json.dumps(sort_keys=True, indent=2)`` with
     the Fraction hook printed: True beside 1, and a tuple of bools beside an
-    equal tuple of ints, each keep their own text."""
+    equal tuple of ints, each keep their own text.  Lists of dicts that share
+    a key set, which go one column at a time, are drawn on purpose, with
+    braces, quotes, backslashes and non-ASCII in their keys; top-level lists
+    longer than a slice change their key set at its boundary (LONG_LISTS)."""
     assert emitted_json(report) == reference_json(report)
 
 
@@ -496,6 +543,25 @@ def test_ambient_rank_ceiling_exit_2_before_allocation(capsys, tmp_path, monkeyp
     code, out, err = run(capsys, "restrict-index", path)  # rank 6
     assert code == 2 and not out
     assert "total ambient rank 6 exceeds HARD_RANK_CEILING 5" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "standard-fan"])
+def test_abstract_rank_ceiling_exits_2_at_parse_time(tmp_path, command):
+    """An abstract rank above HARD_RANK_CEILING exits 2 with one error line
+    before its pairing is read.  Without the bound, analyze printed a report
+    for this document and standard-fan set out to list its 2^101 faces."""
+    n = cli.HARD_RANK_CEILING + 1
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    doc = {"schema_version": "1", "mode": "abstract", "abstract": {"rank": n, "pairing": identity, "sigma": identity}}
+    proc = subprocess.run(
+        [sys.executable, "-m", "spherindex.cli", "--format", "json", command, write(tmp_path, "big.json", doc)],
+        capture_output=True,
+        text=True,
+        timeout=2,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: abstract rank {n} exceeds HARD_RANK_CEILING {n - 1}\n"
 
 
 def test_standard_fan(capsys):
