@@ -186,7 +186,7 @@ def parse_datum(doc: dict) -> SphericalDatumK:
                 sigma0=[_int(i) for i in _list(ab.get("sigma0", []), "sigma0")],
             )
     except (DatumConstructionError, KeyError) as e:
-        raise ParseError(str(e)) from None
+        raise ParseError(e.args[0]) from None  # str() of a KeyError is the repr of its message
     raise ParseError(f"unknown mode {mode!r}")
 
 

@@ -99,8 +99,6 @@ class SphericalDatumK(Record):
                 rows.append(c)
             star_xi.append(tuple(rows))
         sp = tuple(sorted(set(int(i) for i in sp)))
-        if sp and not (0 <= sp[0] and sp[-1] < n):
-            raise DatumConstructionError("parabolic root index out of range")
         return SphericalDatumK(
             mode="ambient",
             index=ix,

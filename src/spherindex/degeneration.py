@@ -13,8 +13,7 @@ these generators are independent because a basis of Xi and Sigma are.
 
 from __future__ import annotations
 
-from .errors import NotIndependent, NotSublattice
-from .linalg import Lattice, Mat, identity, mat_mul, mat_mul_t, primitive_vector, rank, scaled_dual_basis
+from .linalg import Lattice, Mat, identity, mat_mul, mat_mul_t, primitive_vector, scaled_dual_basis
 from .record import Record
 
 
@@ -26,12 +25,8 @@ class DegenerationDatum(Record):
 
 
 def build_degeneration(xi: Lattice, sigma_aut) -> DegenerationDatum:
+    """The degeneration of quotient spherical roots that are independent and lie in xi."""
     sigma = tuple(map(tuple, sigma_aut))
-    if sigma and rank(sigma) != len(sigma):
-        raise NotIndependent("quotient spherical roots are linearly dependent")
-    for s in sigma:
-        if not xi.contains(s):
-            raise NotSublattice("quotient spherical root outside the weight lattice")
     n = xi.ambient_rank
     # xiZ is generated by the antidiagonal copy of xi and the graph of gamma
     gens = [tuple(row) + tuple(-x for x in row) for row in xi.rows_q()]

@@ -39,10 +39,6 @@ class NotBetween(SpherindexError):
     pass
 
 
-class NotIndependent(SpherindexError):
-    pass
-
-
 class NotSublattice(SpherindexError):
     pass
 

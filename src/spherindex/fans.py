@@ -269,16 +269,6 @@ def cone_membership(v, rd: LittleDatum) -> bool:
     return all(dot(s, v) <= 0 for s in rd.sigma_k)
 
 
-def _meets_interior(values) -> bool:
-    """Whether a cone on which no sign certificate applies contains a point with
-    every root strictly negative, from the value of each root (a row) on each
-    generator (a column), by the LP."""
-    n = len(values[0])
-    a_ub = values + [[-int(i == j) for j in range(n)] for i in range(n)]
-    b_ub = [-1] * len(values) + [0] * n
-    return find_feasible(a_ub=a_ub, b_ub=b_ub, nvars=n) is not None
-
-
 class Stratum(Record):
     codim: int
     rank: int
@@ -294,8 +284,11 @@ def strata(f: Fan, rd: LittleDatum) -> tuple[Stratum, ...]:
     Each root is evaluated once per ray, where two bitmasks keep the roots that
     vanish on it and those that are >= 0 on it: the ANDs of a cone's masks are
     the roots that vanish on it and those >= 0 on all of it (say, every root on
-    the zero cone).  When there are none of the latter, the sum of the generators
-    is a witness if every root (if any) is < 0 on it; otherwise the LP decides."""
+    the zero cone).  Precondition: every cone lies in some w.Z_k, w in W_k.
+    Then a cone meets the interior of Z_k exactly when no root is >= 0 on all of
+    it: in Z_k every root is < 0 on the sum of such a cone's generators, and for
+    w != 1 some simple root is >= 0 on all of w.Z_k (Humphreys, *Reflection
+    Groups and Coxeter Groups*, 1.6-1.12)."""
     values = [[dot(s, g) for s in rd.sigma_k] for g in f.rays]
     vanish = [sum(1 << j for j, v in enumerate(row) if v == 0) for row in values]
     nonneg = [sum(1 << j for j, v in enumerate(row) if v >= 0) for row in values]
@@ -310,19 +303,13 @@ def strata(f: Fan, rd: LittleDatum) -> tuple[Stratum, ...]:
             positive &= nonneg[i]
         if zero not in labels:
             labels[zero] = tuple(j for j in range(len(rd.sigma_k)) if zero >> j & 1)
-        if positive:
-            interior = False
-        elif all(sum(col) < 0 for col in zip(*(values[i] for i in c))):
-            interior = True
-        else:
-            interior = _meets_interior([list(row) for row in zip(*(values[i] for i in c))])
         if c in home:
             m = home[c]
             duals = [nu for i, nu in zip(m, f.normals[m][0]) if i not in c]
             basis = tuple(map(tuple, hermite_normal_form(duals)))
         else:
             basis = integer_kernel([f.rays[i] for i in c], width=rd.rank)
-        nodes.append(Stratum(len(c), rd.rank - len(c), basis, labels[zero], interior))
+        nodes.append(Stratum(len(c), rd.rank - len(c), basis, labels[zero], not positive))
     return tuple(nodes)
 
 

@@ -76,8 +76,6 @@ class TitsIndex(Record):
     def of(ambient: AmbientRootDatum, compact, star_generators) -> "TitsIndex":
         n = ambient.dim
         compact = tuple(sorted(set(int(i) for i in compact)))
-        if compact and not (0 <= compact[0] and compact[-1] < n):
-            raise DatumConstructionError("compact root index out of range")
         star = StarAction.of(star_generators, n)
         return TitsIndex(ambient, compact, star)
 

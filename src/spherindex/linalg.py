@@ -286,12 +286,10 @@ class Lattice(Record):
         for r in rows:
             if len(r) != ambient_rank:
                 raise ValueError("generator has wrong length")
+        # d is the least common denominator of the entries, so gcd(d, entries of h) == 1:
+        # for a prime p dividing d, some entry x has d x prime to p, and d x lies in the lattice
         ints, d = scale_integral(rows)
         h = [r for r in hermite_normal_form(ints) if any(r)]
-        g = gcd(d, *(x for r in h for x in r))
-        if h and g > 1:
-            h = [[x // g for x in r] for r in h]
-            d //= g
         return Lattice(ambient_rank, tuple(tuple(r) for r in h), d)
 
     @property
@@ -389,7 +387,8 @@ def _phase1(rows: list[list[int]]) -> list[Fraction] | None:
 
 
 def find_feasible(a_ub=(), b_ub=(), a_eq=(), b_eq=(), *, nvars: int) -> Vec | None:
-    """A rational x in Q^nvars with a_ub @ x <= b_ub and a_eq @ x == b_eq, or None."""
+    """A rational x in Q^nvars with a_ub @ x <= b_ub and a_eq @ x == b_eq, or None;
+    the system has at least one row."""
     # rows [a | b] scaled to integers, x = x+ - x-, one slack per inequality
     nslack = len(a_ub)
     ub = scale_rows_integral([list(r) + [bi] for r, bi in zip(a_ub, b_ub, strict=True)])
@@ -398,8 +397,6 @@ def find_feasible(a_ub=(), b_ub=(), a_eq=(), b_eq=(), *, nvars: int) -> Vec | No
     for i, (*r, bi) in enumerate(ub + eq):
         row = r + [-x for x in r] + [int(i == j) for j in range(nslack)] + [bi]
         rows.append(row if bi >= 0 else [-x for x in row])
-    if not rows:
-        return (Fraction(0),) * nvars
     w = _phase1(rows)
     if w is None:
         return None

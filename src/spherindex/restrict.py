@@ -315,9 +315,7 @@ def aut_roots(rd: LittleDatum, gamma: Lattice) -> AutRoots:
     basis of it.  Input that is not so exits 1 (``NotBetween``); only a
     multiplier above 2 breaks a theorem.
     """
-    if gamma.ambient_rank != rd.rank:
-        raise NotBetween("sublattice has the wrong ambient rank")
-    if gamma.den != 1:  # from_rows divides out gcd(den, entries), so some entry is not integral
+    if gamma.den != 1:  # den is the least common denominator of the entries
         raise NotBetween("sublattice is not contained in the weight lattice")
     for s in rd.sigma_k:
         if not gamma.contains(s):

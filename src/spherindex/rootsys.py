@@ -34,10 +34,8 @@ def _edges(family: str, n: int) -> list[tuple[int, int]]:
         return [(i, i + 1) for i in range(n - 1)]
     if family == "D":
         return [(i, i + 1) for i in range(n - 2)] + ([(n - 3, n - 1)] if n >= 3 else [])
-    if family == "E":
-        chain = [0, 2, 3, 4, 5, 6, 7][: n - 1]
-        return [(a, b) for a, b in zip(chain, chain[1:])] + [(1, 3)]
-    raise ValueError(family)
+    chain = [0, 2, 3, 4, 5, 6, 7][: n - 1]  # E, the last family of VALID_RANKS
+    return [(a, b) for a, b in zip(chain, chain[1:])] + [(1, 3)]
 
 
 def _short_long(family: str, n: int) -> list[int]:

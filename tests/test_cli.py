@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -287,11 +288,66 @@ def test_bad_schema_exit_2(capsys, tmp_path):
         ("analyze", dict(abstract, abstract=dict(abstract["abstract"], star=7)), []),
         ("analyze", dict(abstract, abstract=dict(abstract["abstract"], sigma0=40)), []),
         ("analyze", dict(good, spherical=dict(good["spherical"], xi_basis=[[1, 2]])), []),
+        ("analyze", [good], []),
+        ("fan", good, ["--fan", write(tmp_path, "cones.json", {"cones": 5})]),
     ]
     for k, (cmd, doc, extra) in enumerate(cases):
         code, _, err = run(capsys, cmd, write(tmp_path, f"hole{k}.json", doc), *extra)
         assert code == 2, cmd
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+SPLIT_A3 = {
+    "schema_version": "1",
+    "mode": "ambient",
+    "ambient": {"components": [{"family": "A", "rank": 3}]},
+    "spherical": {"sigma": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+}
+ONE_ROOT = {"schema_version": "1", "mode": "abstract", "abstract": {"rank": 1, "pairing": [[2]], "sigma": [[1]]}}
+
+
+def amend(doc, key, **fields):
+    return dict(doc, **{key: dict(doc[key], **fields)})
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (amend(ONE_ROOT, "abstract", sigma0=[5]), "compact root index out of range"),
+        (amend(ONE_ROOT, "abstract", pairing=[[2, 0]]), "pairing has wrong shape"),
+        (amend(ONE_ROOT, "abstract", sigma=[[1, 0]]), "spherical root has wrong length"),
+        (amend(SPLIT_A3, "spherical", sigma=[[1, 0]]), "spherical root has wrong length"),
+        (
+            amend(SPLIT_A3, "spherical", xi_basis=[[1, 0, 0], [0, 1, 0]]),
+            "spherical root outside the span of the weight lattice",
+        ),
+        (dict(SPLIT_A3, star_generators=[[[1, 0], [0, 1]]]), "star generator has wrong shape"),
+        (dict(SPLIT_A3, compact_simple=["a9"]), "unknown simple root 'a9'"),
+        (amend(SPLIT_A3, "spherical", sp=["a9"]), "unknown simple root 'a9'"),
+    ],
+)
+def test_a_datum_that_cannot_be_built_exits_2_with_one_error_line(capsys, tmp_path, doc, message):
+    """Checks on outside input made while the datum is built: each prints its
+    message, unquoted, as the one line on stderr."""
+    code, out, err = run(capsys, "analyze", write(tmp_path, "doc.json", doc))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "family, rank, order",
+    # |W| from Bourbaki, Lie Groups and Lie Algebras, ch. VI, Plates IV-VII
+    [("D", 4, 192), ("D", 5, 1_920), ("E", 6, 51_840), ("E", 7, 2_903_040), ("E", 8, 696_729_600)],
+)
+def test_analyze_names_the_weyl_group_of_split_d_and_e(capsys, tmp_path, family, rank, order):
+    doc = {
+        "schema_version": "1",
+        "mode": "ambient",
+        "ambient": {"components": [{"family": family, "rank": rank}]},
+        "spherical": {"sigma": [[int(i == j) for j in range(rank)] for i in range(rank)]},
+    }
+    code, out, _ = run(capsys, "--format", "json", "analyze", write(tmp_path, "split.json", doc))
+    report = json.loads(out)
+    assert (code, report["wk_type"], report["wk_order"]) == (0, f"{family}{rank}", order)
 
 
 def test_validation_failure_exit_1_with_report(capsys, tmp_path):
@@ -592,6 +648,47 @@ def test_fan_checks(capsys, tmp_path):
     assert len(report["strata"]) == 4
 
 
+def test_fan_of_a_zero_and_a_non_primitive_generator_exits_1_naming_both(capsys, tmp_path):
+    fan_path = write(tmp_path, "fan.json", {"cones": [[[0, 0]], [[-2, 0], [0, -1]]]})
+    code, out, err = run(capsys, "--format", "json", "fan", fixture("e6.json"), "--fan", fan_path)
+    assert (code, err) == (1, "")
+    assert [(i["kind"], i["detail"]) for i in json.loads(out)["issues"]] == [
+        ("not_primitive", "generator (-2, 0)"),
+        ("zero_generator", "cone ((0, 0),)"),
+        ("not_simplicial", "cone ((0, 0),)"),
+        ("not_primitive", "generator (-2, 0)"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "rays",
+    [
+        # the first cone's generators sum to (-4, -4), on the ray (-1, -1) of another cone
+        [(-3, 1), (-1, -5), (2, 5), (-1, -1), (2, 1)],
+        # the walls (1, 1) and (2, 1) have both their cones on one side
+        [(0, -1), (1, 1), (2, 1), (-1, 1)],
+    ],
+)
+def test_paired_walls_that_make_no_fan_report_the_pairs_the_lp_finds(capsys, tmp_path, monkeypatch, rays):
+    """Every wall lies in two cones, but the wall criterion gives up: the
+    intersection issues are the pairs of cones that the pair LP rejects."""
+    cones = [[a, b] for a, b in zip(rays, rays[1:] + rays[:1])]
+    fan_path = write(tmp_path, "fan.json", {"cones": cones})
+    decided, by_walls = [], fans._complete_by_walls
+    monkeypatch.setattr(fans, "_complete_by_walls", lambda f: decided.append(by_walls(f)) or decided[-1])
+    code, out, _ = run(capsys, "--format", "json", "fan", fixture("e6.json"), "--fan", fan_path, "--check", "complete")
+    f = fans.Fan.from_maximal(cones)
+    assert all(len(cs) == 2 for cs in f.walls.values()) and decided == [False]
+    pairs = [
+        f"{g1} vs {g2}"
+        for (c1, g1), (c2, g2) in combinations(zip(f.cones, f.generators), 2)
+        if not fans._pair_intersection_is_face(f.rays, c1, c2)
+    ]
+    report = json.loads(out)
+    assert (code, report["complete"]) == (1, None) and pairs
+    assert [i["detail"] for i in report["issues"] if i["kind"] == "intersection_not_a_face"] == pairs
+
+
 def test_support_check_tests_each_ray_once(capsys, tmp_path, monkeypatch):
     """Every generator of a cone is a ray of a maximal cone: the two rays of
     the quadrant are tested, not their four occurrences in its cones."""
@@ -753,8 +850,9 @@ def test_degenerate_resolves_each_root_once(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(Lattice, "coordinates", counting)
     code, out, _ = run(capsys, "--format", "json", "degenerate", split_a6(tmp_path))
     assert code == 0 and len(json.loads(out)["fibers"]) == 64
-    # 12 in building the datum; then on Q^12 only the 12 for the index of xiZ
-    assert (calls.count(6), calls.count(12), len(calls)) == (12, 12, 24)
+    # 6 in building the datum, one per spherical root; then on Q^12 only the 12
+    # for the index of xiZ: build_degeneration tests no root for membership
+    assert (calls.count(6), calls.count(12), len(calls)) == (6, 12, 18)
 
 
 # spherindex --help and spherindex fan --help at 80 columns

@@ -1,13 +1,10 @@
 import random
 from fractions import Fraction
 
-import pytest
-
 from spherindex.degeneration import (
     build_degeneration,
     degeneration_fiber_data,
 )
-from spherindex.errors import NotIndependent, NotSublattice
 from spherindex.fans import faces
 from spherindex.linalg import Lattice, dot, identity, rank, vec_mat
 
@@ -85,13 +82,6 @@ def test_each_ray_pairs_negatively_with_its_own_root_only():
         for face in faces(dd.c_bd):
             by_dots = tuple(s for s in dd.sigma if all(dot(coords[zero + s], g) == 0 for g in face))
             assert degeneration_fiber_data(dd, face)["sigma_fiber"] == by_dots, (xi, sigma, face)
-
-
-def test_input_validation():
-    with pytest.raises(NotIndependent):
-        build_degeneration(Lattice.standard(2), [[1, 0], [2, 0]])
-    with pytest.raises(NotSublattice):
-        build_degeneration(Lattice.from_rows(1, [[2]]), [[1]])
 
 
 def test_boundary_cone_face_count():

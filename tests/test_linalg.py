@@ -232,7 +232,7 @@ def lattice_and_vector(draw):
 def test_lattice_coordinates_match_solve_left(data):
     gens, v, inside = data
     lat = Lattice.from_rows(len(v), gens)
-    # from_rows divides out gcd(den, entries): den is 1 exactly on an integral basis
+    # den is the least common denominator of the entries: it is 1 exactly on an integral basis
     assert (lat.den == 1) == all(x.denominator == 1 for r in lat.rows_q() for x in r)
     got = lat.coordinates(v)
     assert got == solve_left(lat.rows_q(), v)
@@ -302,12 +302,14 @@ small_rational = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
 
 def lp_rows(max_vars=4):
-    """The variable count n and rows [a | b]: up to four inequalities, two equations."""
+    """The variable count n and rows [a | b]: up to four inequalities, two equations,
+    and at least one row, as ``find_feasible`` requires."""
 
     def rows(n, most):
         return st.lists(st.lists(small_rational, min_size=n + 1, max_size=n + 1), max_size=most)
 
-    return st.integers(1, max_vars).flatmap(lambda n: st.tuples(st.just(n), rows(n, 4), rows(n, 2)))
+    systems = st.integers(1, max_vars).flatmap(lambda n: st.tuples(st.just(n), rows(n, 4), rows(n, 2)))
+    return systems.filter(lambda t: t[1] or t[2])
 
 
 def sympy_feasible_point(ub, eq, n):
