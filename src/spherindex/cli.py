@@ -19,7 +19,7 @@ from itertools import chain, starmap
 
 from .datum import SphericalDatumK, is_valid, validate
 from .degeneration import build_degeneration, degeneration_fiber_data
-from .errors import DatumConstructionError, SpherindexError, TheoremViolation
+from .errors import ParseError, SpherindexError, TheoremViolation
 from .fans import (
     ORBIT_CAP_ENV,
     Fan,
@@ -33,7 +33,7 @@ from .fans import (
     weyl_saturate,
 )
 from .index import TitsIndex, res_A, restricted_root_system
-from .linalg import Lattice, divide, mat_mul
+from .linalg import Lattice, divide, lattice_index, mat_mul
 from .restrict import (
     LittleDatum,
     aut_roots,
@@ -48,10 +48,6 @@ from .rootsys import AmbientRootDatum, diagram_involution
 
 SCHEMA_VERSION = "1"
 HARD_RANK_CEILING = 100  # total ambient rank, or abstract rank; a Cartan matrix is rank x rank
-
-
-class ParseError(Exception):
-    pass
 
 
 class InvalidDatum(Exception):
@@ -98,12 +94,8 @@ def parse_index(doc: dict) -> TitsIndex:
     if (total := sum(rk for _, rk, _ in spec)) > HARD_RANK_CEILING:
         raise ParseError(f"total ambient rank {total} exceeds HARD_RANK_CEILING {HARD_RANK_CEILING}")
     amb = AmbientRootDatum.of(spec)
-    compact = []
-    for name in _list(doc.get("compact_simple", []), "compact_simple"):
-        try:
-            compact.append(amb.index_of_root(str(name)))
-        except KeyError:
-            raise ParseError(f"unknown simple root {name!r}") from None
+    # a name that is no string matches no root, and its error prints it as given
+    compact = [amb.index_of_root(name) for name in _list(doc.get("compact_simple", []), "compact_simple")]
     gens = []
     for g in _list(doc.get("star_generators", []), "star_generators"):
         if g == "flip":
@@ -112,10 +104,7 @@ def parse_index(doc: dict) -> TitsIndex:
             gens.append(_rat_matrix(g))
         else:
             raise ParseError(f"bad star generator {g!r}")
-    try:
-        return TitsIndex.of(amb, compact, gens)
-    except (SpherindexError, ValueError) as e:
-        raise ParseError(str(e)) from None
+    return TitsIndex.of(amb, compact, gens)
 
 
 def _int(x) -> int:
@@ -161,32 +150,27 @@ def parse_datum(doc: dict) -> SphericalDatumK:
     if str(doc.get("schema_version")) != SCHEMA_VERSION:
         raise ParseError("unsupported schema_version")
     mode = _require(doc, "mode")
-    try:
-        if mode == "ambient":
-            ix = parse_index(doc)
-            spherical = _require(doc, "spherical")
-            sigma = _rat_matrix(_require(spherical, "sigma"))
-            xi = spherical.get("xi_basis")
-            if xi is not None:
-                xi = _rat_matrix(xi)
-                _check_width(xi, ix.ambient.dim, "xi_basis row")
-            sp = []
-            for name in _list(spherical.get("sp", []), "sp"):
-                sp.append(ix.ambient.index_of_root(str(name)))
-            return SphericalDatumK.ambient(ix, sigma, xi_rows=xi, sp=sp)
-        if mode == "abstract":
-            ab = _require(doc, "abstract")
-            if (rank := _int(_require(ab, "rank"))) > HARD_RANK_CEILING:
-                raise ParseError(f"abstract rank {rank} exceeds HARD_RANK_CEILING {HARD_RANK_CEILING}")
-            return SphericalDatumK.abstract(
-                rank,
-                _rat_matrix(_require(ab, "pairing")),
-                [_rat_matrix(g) for g in _list(ab.get("star", []), "star")],
-                _rat_matrix(ab.get("sigma", [])),
-                sigma0=[_int(i) for i in _list(ab.get("sigma0", []), "sigma0")],
-            )
-    except (DatumConstructionError, KeyError) as e:
-        raise ParseError(e.args[0]) from None  # str() of a KeyError is the repr of its message
+    if mode == "ambient":
+        ix = parse_index(doc)
+        spherical = _require(doc, "spherical")
+        sigma = _rat_matrix(_require(spherical, "sigma"))
+        xi = spherical.get("xi_basis")
+        if xi is not None:
+            xi = _rat_matrix(xi)
+            _check_width(xi, ix.ambient.dim, "xi_basis row")
+        sp = [ix.ambient.index_of_root(str(name)) for name in _list(spherical.get("sp", []), "sp")]
+        return SphericalDatumK.ambient(ix, sigma, xi_rows=xi, sp=sp)
+    if mode == "abstract":
+        ab = _require(doc, "abstract")
+        if (rank := _int(_require(ab, "rank"))) > HARD_RANK_CEILING:
+            raise ParseError(f"abstract rank {rank} exceeds HARD_RANK_CEILING {HARD_RANK_CEILING}")
+        return SphericalDatumK.abstract(
+            rank,
+            _rat_matrix(_require(ab, "pairing")),
+            [_rat_matrix(g) for g in _list(ab.get("star", []), "star")],
+            _rat_matrix(ab.get("sigma", [])),
+            sigma0=[_int(i) for i in _list(ab.get("sigma0", []), "sigma0")],
+        )
     raise ParseError(f"unknown mode {mode!r}")
 
 
@@ -510,16 +494,22 @@ def cmd_fan(doc: dict, fan_path: str, checks, want_strata: bool, saturate: bool)
     return report, 1 if issues else 0
 
 
+def _digits(text: str) -> int | None:
+    """The int of ASCII digits with whitespace around them, else None: int()
+    would also read "+1", "1_0" and digits of other scripts."""
+    digits = text.strip()
+    try:
+        return int(digits) if digits.isascii() and digits.isdigit() else None
+    except ValueError:  # more digits than int() converts (4,300 from Python 3.11)
+        return None
+
+
 def _orbit_cap() -> int | None:
     """The positive integer in SPHERINDEX_ORBIT_CAP, or None when it is unset."""
     env = os.environ.get(ORBIT_CAP_ENV)
     if not env:
         return None
-    try:
-        cap = int(env)
-    except ValueError:
-        cap = 0
-    if cap < 1:
+    if not (cap := _digits(env)):
         raise ParseError(f"{ORBIT_CAP_ENV} must be a positive integer, got {env!r}")
     return cap
 
@@ -529,11 +519,8 @@ def cmd_localize(doc: dict, roots: str) -> tuple[dict, int]:
     j = []
     if roots.strip():
         for part in roots.split(","):
-            # ASCII digits only: int() would also read "+1", "1_0" and digits of other scripts
-            digits = part.strip()
-            if not (digits.isascii() and digits.isdigit()):
+            if (t := _digits(part)) is None:
                 raise ParseError(f"bad root index {part!r}")
-            t = int(digits)
             if not (1 <= t <= len(rd.sigma_k)):
                 raise ParseError(f"root index {t} out of range")
             j.append(t - 1)
@@ -566,14 +553,13 @@ def cmd_degenerate(doc: dict) -> tuple[dict, int]:
         xi, sigma_aut = Lattice.standard(rd.rank), tuple(rd.sigma_k)
     dd = build_degeneration(xi, sigma_aut)
     fibers = [{"face": face, **degeneration_fiber_data(dd, face)} for face in faces(dd.c_bd)]
-    full = Lattice.standard(2 * rd.rank)
     report = {
         "command": "degenerate",
         "n_aut": aut.n_aut if aut else [],
         "sigma_aut": sigma_aut,
         "xiZ_basis": dd.xiZ.basis,
         "xiZ_rank": dd.xiZ.rank,
-        "xiZ_index": dd.xiZ.index_in(full) if dd.xiZ.rank == 2 * rd.rank else None,
+        "xiZ_index": lattice_index(dd.xiZ.basis, 2 * rd.rank) or None,
         "exact_sequence": "verified",
         "boundary_cone": dd.c_bd,
         "fibers": fibers,

@@ -12,12 +12,12 @@ from __future__ import annotations
 from functools import cached_property
 
 from .errors import (
-    DatumConstructionError,
     InternalInconsistency,
     LinearlyDependent,
     NegativeCoefficient,
     NotARootBase,
     NotFiniteType,
+    ParseError,
 )
 from .index import StarAction, TitsIndex, res_A
 from .linalg import Lattice, Mat, content, gram, vec_mat
@@ -70,7 +70,7 @@ class SphericalDatumK(Record):
         sigma_rows = tuple(map(tuple, sigma_rows))
         for row in sigma_rows:
             if len(row) != n:
-                raise DatumConstructionError("spherical root has wrong length")
+                raise ParseError("spherical root has wrong length")
         if xi_rows is None:
             xi_rows = sigma_rows
         xi = Lattice.from_rows(n, xi_rows)
@@ -79,7 +79,7 @@ class SphericalDatumK(Record):
         for row in sigma_rows:
             c = xi.coordinates(row)
             if c is None:
-                raise DatumConstructionError(
+                raise ParseError(
                     "spherical root outside the span of the weight lattice"
                 )
             sigma.append(c)
@@ -93,7 +93,7 @@ class SphericalDatumK(Record):
             for r in basis:
                 c = xi.coordinates(vec_mat(r, g))
                 if c is None or any(x.denominator != 1 for x in c):
-                    raise DatumConstructionError(
+                    raise ParseError(
                         "star action does not stabilize the weight lattice"
                     )
                 rows.append(c)
@@ -116,19 +116,19 @@ class SphericalDatumK(Record):
     def abstract(rank_: int, pairing, star_generators, sigma_rows, sigma0=()) -> "SphericalDatumK":
         pairing = tuple(map(tuple, pairing))
         if len(pairing) != rank_ or any(len(r) != rank_ for r in pairing):
-            raise DatumConstructionError("pairing has wrong shape")
+            raise ParseError("pairing has wrong shape")
         if pairing != tuple(zip(*pairing)):
-            raise DatumConstructionError("pairing is not symmetric")
+            raise ParseError("pairing is not symmetric")
         sigma_rows = tuple(map(tuple, sigma_rows))
         for row in sigma_rows:
             if len(row) != rank_:
-                raise DatumConstructionError("spherical root has wrong length")
+                raise ParseError("spherical root has wrong length")
         star = StarAction.of(star_generators, rank_)
         if any(gram(g, pairing) != pairing for g in star.generators):  # rows act on the right
-            raise DatumConstructionError("star generator is not an isometry of the pairing")
+            raise ParseError("star generator is not an isometry of the pairing")
         sigma0 = tuple(sorted(set(int(i) for i in sigma0)))
         if sigma0 and not (0 <= sigma0[0] and sigma0[-1] < len(sigma_rows)):
-            raise DatumConstructionError("compact root index out of range")
+            raise ParseError("compact root index out of range")
         d = SphericalDatumK(
             mode="abstract",
             index=None,
@@ -144,7 +144,7 @@ class SphericalDatumK(Record):
         if sigma0 and any(
             (i in sigma0) != (j in sigma0) for i in range(len(sigma_rows)) for j in d.star_orbit_of_root(i)
         ):
-            raise DatumConstructionError("compact roots are not a union of star orbits of the spherical roots")
+            raise ParseError("compact roots are not a union of star orbits of the spherical roots")
         return d
 
     @cached_property

@@ -1,9 +1,10 @@
 """Exception hierarchy.
 
-Two error families matter for the CLI exit-code contract: plain
-``SpherindexError`` subclasses signal invalid user input (exit 1), while
-``TheoremViolation`` subclasses signal data that passed validation but broke
-a structural identity that must hold for consistent input (exit 3).
+The class of an error decides the CLI's exit code, in ``cli.main``: a
+``ParseError`` (input that does not describe an index or a spherical datum,
+such as a star generator of the wrong shape) exits 2; a ``TheoremViolation``
+(a structural identity broken by data that passed validation) exits 3; any
+other ``SpherindexError`` exits 1, as does a datum that fails validation.
 """
 
 
@@ -39,16 +40,12 @@ class NotBetween(SpherindexError):
     pass
 
 
-class NotSublattice(SpherindexError):
-    pass
-
-
 class BudgetExceeded(SpherindexError):
     pass
 
 
-class DatumConstructionError(SpherindexError):
-    """The input file parsed but does not describe a coherent datum."""
+class ParseError(SpherindexError):
+    """The input does not describe an index or a spherical datum."""
 
 
 class TheoremViolation(SpherindexError):

@@ -135,8 +135,6 @@ def _pair_intersection_is_face(rays, c1: Cone, c2: Cone) -> bool:
     common = set(c1) & set(c2)
     only1 = [rays[i] for i in c1 if i not in common]
     only2 = [rays[i] for i in c2 if i not in common]
-    if not only1 and not only2:
-        return True
     n = len(rays[(c1 or c2)[0]])
     a_ub = only1 + [tuple(-x for x in g) for g in only2]
     b_ub = [-1] * len(a_ub)

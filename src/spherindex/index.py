@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import accumulate
 
-from .errors import DatumConstructionError, NotARootBase, NotFiniteType
+from .errors import NotARootBase, NotFiniteType, ParseError
 from .linalg import (
     Mat,
     Vec,
@@ -45,7 +45,7 @@ class StarAction(Record):
         gens = tuple(tuple(map(tuple, g)) for g in generators)
         for g in gens:
             if len(g) != dim or any(len(row) != dim for row in g):
-                raise DatumConstructionError("star generator has wrong shape")
+                raise ParseError("star generator has wrong shape")
         return StarAction(gens, dim)
 
     def moved_out(self, subset) -> list[tuple[int, int]]:

@@ -24,7 +24,7 @@ accept either kind.  Lattices carry a Hermite-canonical integer basis plus
 a global denominator, so equal lattices have identical representations.
 The Hermite form is the one integer normal form: ``lattice_index``, the
 product of its pivots, answers every index question (smooth cones, the
-``k_wonderful`` basis test, ``Lattice.index_in``).  It returns the form
+``k_wonderful`` basis test, the index of xiZ in ``degenerate``).  It returns the form
 only, with no transform: the integer kernel of C is read off one Hermite
 form of [C^T | I], whose rows with a zero left block are already the
 Hermite basis of the kernel, and the lifts of ``restrict_datum`` are the
@@ -37,7 +37,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
 
-from .errors import NotSublattice, ZeroVector
+from .errors import ZeroVector
 from .record import Record
 
 Vec = tuple[int | Fraction, ...]
@@ -317,15 +317,6 @@ class Lattice(Record):
     def contains(self, v) -> bool:
         c = self.coordinates(v)
         return c is not None and all(x.denominator == 1 for x in c)
-
-    def index_in(self, super_lattice: "Lattice") -> int:
-        """Index [super : self] for two lattices of equal rank."""
-        if self.rank != super_lattice.rank:
-            raise ValueError("lattices have different ranks")
-        coords = [super_lattice.coordinates(r) for r in self.rows_q()]
-        if any(c is None or any(x.denominator != 1 for x in c) for c in coords):
-            raise NotSublattice("not a sublattice")
-        return lattice_index(coords, self.rank)
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,13 @@ from math import lcm
 from .datum import CompactRootSplit, SphericalDatumK
 from .errors import (
     BasisFailure,
-    DatumConstructionError,
     FiberMismatch,
     IdentityFails,
     IndivisibilityMismatch,
     InternalInconsistency,
     NotBetween,
     NotConvex,
+    SpherindexError,
 )
 from .index import res_A
 from .linalg import (
@@ -115,7 +115,7 @@ def _project(f: Mat, rows: list[Vec], lifts) -> tuple[Mat, int, Mat]:
     try:
         w, d = scaled_dual_basis(u, fc)
     except ValueError:
-        raise DatumConstructionError("pairing is degenerate on the annihilator of N_k") from None
+        raise SpherindexError("pairing is degenerate on the annihilator of N_k") from None
     corr = mat_mul(transpose(w), u)
     dp = tuple(tuple(d * (i == j) - x for j, x in enumerate(row)) for i, row in enumerate(corr))
     scaled = mat_mul(lifts, dp)

@@ -13,7 +13,7 @@ from functools import cache
 from itertools import count, islice
 from operator import itemgetter
 
-from .errors import LinearlyDependent, NotARootBase, NotFiniteType
+from .errors import LinearlyDependent, NotARootBase, NotFiniteType, ParseError
 from .linalg import Mat, Vec, content, gram, identity, rank
 from .record import Record
 
@@ -150,7 +150,7 @@ class AmbientRootDatum(Record):
         try:
             return self.root_names().index(name)
         except ValueError:
-            raise KeyError(f"unknown simple root {name!r}") from None
+            raise ParseError(f"unknown simple root {name!r}") from None
 
 
 # built once per list of components: the index, the datum and each check ask again

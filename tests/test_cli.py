@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from datagen import FACET_PLANTS, random_data, replace, solve_left
+from test_fuzz import _every_command
 from spherindex import fans, linalg
 from spherindex import cli
 from spherindex.cli import emit, main
@@ -324,13 +325,15 @@ def amend(doc, key, **fields):
         (dict(SPLIT_A3, star_generators=[[[1, 0], [0, 1]]]), "star generator has wrong shape"),
         (dict(SPLIT_A3, compact_simple=["a9"]), "unknown simple root 'a9'"),
         (amend(SPLIT_A3, "spherical", sp=["a9"]), "unknown simple root 'a9'"),
+        (dict(SPLIT_A3, compact_simple=[5]), "unknown simple root 5"),
     ],
 )
 def test_a_datum_that_cannot_be_built_exits_2_with_one_error_line(capsys, tmp_path, doc, message):
-    """Checks on outside input made while the datum is built: each prints its
-    message, unquoted, as the one line on stderr."""
-    code, out, err = run(capsys, "analyze", write(tmp_path, "doc.json", doc))
-    assert (code, out, err) == (2, "", f"error: {message}\n")
+    """Checks on outside input made while the datum is built: each raises the
+    exit-2 class, which reaches ``main`` from every command in both formats
+    and prints its message, unquoted, as the one line on stderr."""
+    for fmt in ("json", "text"):
+        assert _every_command(capsys, tmp_path, fmt, doc, [[[-1]]]) == {(2, "", f"error: {message}\n")}, fmt
 
 
 @pytest.mark.parametrize(
@@ -800,10 +803,13 @@ def test_localize_bad_root_exit_2(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("roots", ["1_0", "\u0661", "\uff12", "+1", "-1", "1.0", "\u00b2"])
+@pytest.mark.parametrize(
+    "roots", ["1_0", "\u0661", "\uff12", "+1", "-1", "1.0", "\u00b2", pytest.param("1" * 5000, id="5000-digits")]
+)
 def test_localize_reads_ascii_digits_only(capsys, roots):
     """A root index is a nonempty run of ASCII digits, with whitespace around it:
-    int() would read "+1", "1_0" as 10, and Arabic-Indic or fullwidth digits."""
+    int() would read "+1", "1_0" as 10, and Arabic-Indic or fullwidth digits,
+    and would raise on more than 4,300 digits."""
     code, out, err = run(capsys, "localize", fixture("e6.json"), f"--roots={roots}")
     assert (code, out, err) == (2, "", f"error: bad root index {roots!r}\n")
     code, _, err = run(capsys, "localize", fixture("e6.json"), "--roots= 2 ,\t1")
@@ -839,7 +845,8 @@ def test_degenerate_with_gamma(capsys, tmp_path):
 def test_degenerate_resolves_each_root_once(capsys, tmp_path, monkeypatch):
     """On split A6 the boundary cone has 64 faces; neither a face nor one of
     the 6 quotient roots costs a solve on Q^12: each face reads its fiber off
-    the rays of the boundary cone, one per root."""
+    the rays of the boundary cone, one per root, and the index of xiZ is the
+    product of its Hermite pivots."""
     calls = []
     coordinates = Lattice.coordinates
 
@@ -850,9 +857,8 @@ def test_degenerate_resolves_each_root_once(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(Lattice, "coordinates", counting)
     code, out, _ = run(capsys, "--format", "json", "degenerate", split_a6(tmp_path))
     assert code == 0 and len(json.loads(out)["fibers"]) == 64
-    # 6 in building the datum, one per spherical root; then on Q^12 only the 12
-    # for the index of xiZ: build_degeneration tests no root for membership
-    assert (calls.count(6), calls.count(12), len(calls)) == (6, 12, 18)
+    # 6 in building the datum, one per spherical root, and none on Q^12
+    assert (calls.count(6), calls.count(12), len(calls)) == (6, 0, 6)
 
 
 # spherindex --help and spherindex fan --help at 80 columns
@@ -976,7 +982,8 @@ def saturate_e6(capsys, tmp_path):
 
 
 def test_orbit_cap_not_a_positive_integer_exit_2(capsys, tmp_path, monkeypatch):
-    for value in ("abc", "0", "-3"):
+    # int() would read the last four as 10, 3, 3 and 3
+    for value in ("abc", "0", "-3", "1" * 5000, "1_0", "+3", "\u0663", "\uff13"):
         monkeypatch.setenv("SPHERINDEX_ORBIT_CAP", value)
         code, _, err = saturate_e6(capsys, tmp_path)
         assert code == 2, value

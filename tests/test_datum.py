@@ -11,9 +11,9 @@ from spherindex.datum import (
     validate,
 )
 from spherindex.errors import (
-    DatumConstructionError,
     InternalInconsistency,
     NegativeCoefficient,
+    ParseError,
 )
 from spherindex.index import TitsIndex
 from spherindex.rootsys import AmbientRootDatum, RootBase
@@ -213,12 +213,12 @@ def test_sp_checks():
 
 def test_construction_errors():
     ix = TitsIndex.of(AmbientRootDatum.of([("A", 2)]), [], [])
-    with pytest.raises(DatumConstructionError):
+    with pytest.raises(ParseError):
         SphericalDatumK.ambient(ix, [[1, 0, 0]])  # wrong length
-    with pytest.raises(DatumConstructionError):
+    with pytest.raises(ParseError):
         # root outside the span of the declared lattice
         SphericalDatumK.ambient(ix, [[1, 1]], xi_rows=[[1, -1]])
-    with pytest.raises(DatumConstructionError):
+    with pytest.raises(ParseError):
         SphericalDatumK.abstract(2, [[1, 2], [0, 1]], [], [[1, 0]])  # asymmetric
 
 
@@ -228,7 +228,7 @@ def test_star_generator_must_be_an_isometry_of_the_pairing():
     SphericalDatumK.abstract(2, [[2, 1], [1, 2]], [swap], [[1, 1]])
     SphericalDatumK.abstract(2, [[H, 0], [0, H]], [swap, negate_second], [[1, -1]])
     for pairing, g in [([[2, 1], [1, 1]], swap), ([[2, 0], [0, 2]], shear), ([[H, 0], [0, 1]], swap)]:
-        with pytest.raises(DatumConstructionError, match="star generator is not an isometry of the pairing"):
+        with pytest.raises(ParseError, match="star generator is not an isometry of the pairing"):
             SphericalDatumK.abstract(2, pairing, [g], [[1, 1]])
 
 
@@ -239,7 +239,7 @@ def test_compact_roots_must_be_a_union_of_star_orbits():
         SphericalDatumK.abstract(2, [[2, 0], [0, 2]], [swap], [[1, 0], [0, 1]], sigma0)
     SphericalDatumK.abstract(2, [[2, 0], [0, 2]], [], [[1, 0], [0, 1]], [1])
     for sigma0 in [(0,), (1,)]:
-        with pytest.raises(DatumConstructionError, match="compact roots are not a union of star orbits"):
+        with pytest.raises(ParseError, match="compact roots are not a union of star orbits"):
             SphericalDatumK.abstract(2, [[2, 0], [0, 2]], [swap], [[1, 0], [0, 1]], sigma0)
 
 

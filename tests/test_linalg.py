@@ -207,7 +207,7 @@ def test_lattice_canonical_equality():
 
 def test_lattice_index():
     even = Lattice.from_rows(2, [[1, 1], [0, 2]])
-    assert even.index_in(Lattice.standard(2)) == 2
+    assert lattice_index(even.basis, 2) == 2
 
 
 @st.composite

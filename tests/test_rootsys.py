@@ -7,7 +7,7 @@ import pytest
 from sympy import Matrix
 
 from spherindex import linalg, rootsys
-from spherindex.errors import NotARootBase, NotFiniteType, SpherindexError
+from spherindex.errors import NotARootBase, NotFiniteType, ParseError, SpherindexError
 from datagen import (
     ambient_roots,
     classified_type_name,
@@ -557,7 +557,7 @@ def test_ambient_root_names():
     amb2 = AmbientRootDatum.of([("A", 2), ("B", 2)])
     assert amb2.root_names() == ["c1.a1", "c1.a2", "c2.a1", "c2.a2"]
     assert amb2.index_of_root("c2.a1") == 2
-    with pytest.raises(KeyError):
+    with pytest.raises(ParseError, match="^unknown simple root 'a9'$"):
         amb2.index_of_root("a9")
 
 

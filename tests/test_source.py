@@ -16,7 +16,9 @@ call is a new process, so ``src/`` imports no ``dataclasses`` (nor, through
 it, ``inspect``): its records derive from ``record.Record``; the project
 requires Python 3.10, so no source, tool or test uses newer syntax; each
 kind of matrix is inverted in one place, so the functions that call
-``scaled_inverse`` are pinned.
+``scaled_inverse`` are pinned; the class of an error decides the CLI's exit
+code, so only ``cli.main`` catches a class of ``spherindex.errors``, and
+``cli.py`` defines no exception class but ``InvalidDatum``.
 """
 
 import ast
@@ -265,6 +267,38 @@ def test_each_inversion_has_one_home():
         "def dual(rows):\n    return scaled_dual_basis(rows)\n"
     )
     assert callers([("cli.py", planted)], "scaled_inverse") == {"cli.Fan.normals", "cli.beta"}
+
+
+def errors_caught_outside_main(tree, error_classes):
+    """Each ``except`` clause of ``cli.py`` outside ``main`` that names one of
+    ``error_classes``, bare or as an attribute, alone or in a tuple."""
+    main = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "main")
+    in_main = set(map(id, ast.walk(main)))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None and id(node) not in in_main:
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            found += [
+                f"cli.py:{node.lineno}: except {name}"
+                for name in (getattr(t, "id", None) or getattr(t, "attr", None) for t in caught)
+                if name in error_classes
+            ]
+    return found
+
+
+def test_only_main_catches_a_package_error():
+    trees = dict(source_trees())
+    error_classes = {node.name for node in ast.walk(trees["errors.py"]) if isinstance(node, ast.ClassDef)}
+    assert {"ParseError", "SpherindexError", "TheoremViolation"} <= error_classes
+    assert [node.name for node in ast.walk(trees["cli.py"]) if isinstance(node, ast.ClassDef)] == ["InvalidDatum"]
+    assert errors_caught_outside_main(trees["cli.py"], error_classes) == []
+    planted = ast.parse(
+        "def parse_index(doc):\n    try:\n        return of(doc)\n"
+        "    except (KeyError, errors.NotFiniteType) as e:\n        raise ParseError(str(e))\n"
+        "def _load(path):\n    try:\n        return open(path)\n    except OSError:\n        raise ParseError(path)\n"
+        "def main():\n    try:\n        run()\n    except ParseError:\n        return 2\n"
+    )
+    assert errors_caught_outside_main(planted, error_classes) == ["cli.py:4: except NotFiniteType"]
 
 
 # names allowed to go unreferenced in src/: none
