@@ -15,7 +15,7 @@ import os
 import sys
 from fractions import Fraction
 from functools import cache
-from itertools import chain, starmap
+from itertools import chain, islice, repeat, starmap
 
 from .datum import SphericalDatumK, is_valid, validate
 from .degeneration import build_degeneration, degeneration_fiber_data
@@ -158,7 +158,7 @@ def parse_datum(doc: dict) -> SphericalDatumK:
         if xi is not None:
             xi = _rat_matrix(xi)
             _check_width(xi, ix.ambient.dim, "xi_basis row")
-        sp = [ix.ambient.index_of_root(str(name)) for name in _list(spherical.get("sp", []), "sp")]
+        sp = [ix.ambient.index_of_root(name) for name in _list(spherical.get("sp", []), "sp")]
         return SphericalDatumK.ambient(ix, sigma, xi_rows=xi, sp=sp)
     if mode == "abstract":
         ab = _require(doc, "abstract")
@@ -225,6 +225,7 @@ def _flat(v) -> str | None:
 
 
 _escape = json.encoder.encode_basestring_ascii  # the escaper of json.dumps
+_BOOL = {True: "true", False: "false"}
 EMIT_SLICE = 256  # items of a top-level list formatted together, which bounds the memory of one slice
 
 
@@ -262,17 +263,17 @@ def _json(node, pad: str, memo: dict) -> str:
     return ends[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + pad + ends[1]
 
 
-def _items(node, pad: str, memo: dict) -> list[str]:
+def _items(node, pad: str, memo: dict):
     """The texts of the items of a nonempty list at indent ``pad``.
 
     Dicts that all share one nonempty key set go one column at a time: the
     keys are sorted and escaped once, into one ``str.format`` template, and
-    each key's values are written as one list.  Any other list goes item by
-    item.
+    each key's values are written as one list.  Any other list is itself
+    one column.
     """
     keys = node[0].keys() if type(node[0]) is dict else None
     if not keys or {*map(type, node)} != {dict} or any(map(keys.__ne__, map(dict.keys, node))):
-        return [_json(x, pad, memo) for x in node]
+        return _column(node, pad, memo)
     keys, inner = sorted(keys), pad + "  "
     fields = (inner + _escape(k).replace("{", "{{").replace("}", "}}") + ": {}" for k in keys)
     template = "{{\n" + ",\n".join(fields) + "\n" + pad + "}}"
@@ -280,17 +281,32 @@ def _items(node, pad: str, memo: dict) -> list[str]:
 
 
 def _column(values, pad: str, memo: dict):
-    """The texts of one column's values at indent ``pad``: a column of ints,
-    or of rows of ints of one length, is formatted with no Python-level call
-    per value (empty rows hold no int, so they take the general path)."""
+    """The texts of one column's values at indent ``pad``.  Ints, bools,
+    strings and rows of ints of one length take no Python-level call per
+    value.  In a column of matrices, whose rows hold ints only and share one
+    nonzero length, each distinct row is formatted once into ``memo``.  Any
+    other column (a bool or a Fraction in a row, rows of two lengths, empty
+    rows) goes value by value."""
     types = {*map(type, values)}
     if types == {int}:  # not bool
         return map(int.__repr__, values)
-    if types <= {tuple, list} and len(widths := {*map(len, values)}) == 1:
-        if {*map(type, chain.from_iterable(values))} == {int}:
-            inner = pad + "  "
-            row = "[\n" + inner + (",\n" + inner).join(["{}"] * widths.pop()) + "\n" + pad + "]"
-            return starmap(row.format, values)
+    if types == {bool}:
+        return map(_BOOL.__getitem__, values)
+    if types == {str}:
+        return map(_escape, values)
+    inner = pad + "  "
+    kinds = {*map(type, chain.from_iterable(values))} if types <= {tuple, list} else None
+    if kinds == {int} and len(widths := {*map(len, values)}) == 1:
+        row = "[\n" + inner + (",\n" + inner).join(["{}"] * widths.pop()) + "\n" + pad + "]"
+        return starmap(row.format, values)
+    rows = [*chain.from_iterable(values)] if kinds and kinds <= {tuple, list} else ()
+    distinct = dict(zip(map(id, rows), rows))  # each row object once: reports share their rows
+    if len(widths := {*map(len, distinct.values())}) == 1 and {*map(type, chain.from_iterable(distinct.values()))} == {int}:
+        row = "[\n" + inner + "  " + (",\n  " + inner).join(["{}"] * widths.pop()) + "\n" + inner + "]"
+        keys = [*zip(map(tuple, distinct.values()), repeat(inner))]
+        memo.update((key, row.format(*key[0])) for key in {*keys}.difference(memo))
+        texts, sep = map(dict(zip(distinct, map(memo.__getitem__, keys))).__getitem__, map(id, rows)), ",\n" + inner
+        return ["[\n" + inner + sep.join(islice(texts, n)) + "\n" + pad + "]" if n else "[]" for n in map(len, values)]
     return [_json(x, pad, memo) for x in values]
 
 

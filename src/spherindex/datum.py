@@ -9,6 +9,7 @@ way the datum is normalized to lattice-basis coordinates internally.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cached_property
 
 from .errors import (
@@ -83,15 +84,20 @@ class SphericalDatumK(Record):
                     "spherical root outside the span of the weight lattice"
                 )
             sigma.append(c)
-        b = ix.ambient.form()
-        basis = xi.rows_q()
-        # integral entries as ints, as the parser gives them
-        pairing = tuple(tuple(x.numerator if x.denominator == 1 else x for x in row) for row in gram(basis, b))
+        # the basis is xi.basis / den: the pairing is the integer Gram matrix over
+        # den^2, integral entries as ints as the parser gives them, and a star
+        # image r g / den has the coordinates of r g in the den-1 lattice
+        den2 = xi.den * xi.den
+        pairing = tuple(
+            tuple(x // den2 if x % den2 == 0 else Fraction(x, den2) for x in row)
+            for row in gram(xi.basis, ix.ambient.form())
+        )
+        integral = Lattice(n, xi.basis)
         star_xi = []
         for g in ix.star.generators:
             rows = []
-            for r in basis:
-                c = xi.coordinates(vec_mat(r, g))
+            for r in xi.basis:
+                c = integral.coordinates(vec_mat(r, g))
                 if c is None or any(x.denominator != 1 for x in c):
                     raise ParseError(
                         "star action does not stabilize the weight lattice"

@@ -204,7 +204,8 @@ def fan_validate(f: Fan, rd: LittleDatum) -> list[FanIssue]:
     # the index of each zero or non-primitive ray, with whether it is zero
     bad = {i: not any(g) for i, g in enumerate(f.rays) if not any(g) or g != primitive_vector(g)}
     issues: list[FanIssue] = []
-    if bad or any(c and rank([f.rays[i] for i in c]) != len(c) for c in f.maximal_cones):
+    # a square cone is independent exactly when ``f.normals`` could invert it
+    if bad or any(c and c not in f.normals and rank([f.rays[i] for i in c]) != len(c) for c in f.maximal_cones):
         for c, gens in zip(f.cones, f.generators):
             for i in c:
                 if bad.get(i):

@@ -243,36 +243,77 @@ def graph_components(c) -> list[list[int]]:
     return comps
 
 
-def _match(c_sub: Mat, c_std: Mat) -> list[int] | None:
-    """Permutation p with c_sub[i][j] == c_std[p[i]][p[j]], or None."""
+def _signatures(c, neighbours) -> list[tuple]:
+    """Per vertex, the sorted pairs (c[i][j], c[j][i]) over its neighbours j:
+    a permutation matching the off-diagonal entries keeps them."""
+    return [tuple(sorted((c[i][j], c[j][i]) for j in nb)) for i, nb in enumerate(neighbours)]
+
+
+@cache
+def _standard_diagram(family: str, n: int) -> tuple[list[list[int]], dict]:
+    """The neighbour lists of a type's diagram and its vertices by signature,
+    built once per process."""
+    neighbours = [[] for _ in range(n)]
+    for i, j in _edges(family, n):
+        neighbours[i].append(j)
+        neighbours[j].append(i)
+    by_signature = {}
+    for t, sig in enumerate(_signatures(standard_cartan(family, n), neighbours)):
+        by_signature.setdefault(sig, []).append(t)
+    return neighbours, by_signature
+
+
+def _match(c_sub: Mat, family: str, n: int) -> list[int] | None:
+    """The least permutation p with c_sub[i][j] == c_std[p[i]][p[j]] for i != j,
+    c_std the Cartan matrix of the type, when both have one multiset of row
+    sums; else None.  The graph of the input's nonzero entries is connected.
+
+    Every finite-type diagram is a tree, so an input with another edge count
+    fails at once.  Otherwise the input tree is walked breadth first from a
+    vertex whose signature the type holds least often, each vertex trying
+    only the neighbours of its parent's image: the input's n - 1 edges then
+    map onto the type's n - 1 edges, and non-edges onto non-edges.  Every
+    match is collected (at most 6, for D4) and the least returned.
+    """
+    c_std = standard_cartan(family, n)
+    if c_sub == c_std:  # the identity is the least permutation of all
+        return list(range(n))
     # a permutation keeps the multiset of row sums: on a finite-type input
-    # this rejects every wrong candidate but D_n against E_n before the search
+    # this rejects every wrong candidate but D_n against E_n before the walk
     if sorted(map(sum, c_sub)) != sorted(map(sum, c_std)):
         return None
-    n = len(c_sub)
-    perm = [-1] * n
-    used = [False] * n
+    std_neighbours, by_signature = _standard_diagram(family, n)
+    neighbours = [[j for j in range(n) if j != i and (c_sub[i][j] or c_sub[j][i])] for i in range(n)]
+    if sum(map(len, neighbours)) != 2 * (n - 1):
+        return None
+    candidates = [by_signature.get(sig, ()) for sig in _signatures(c_sub, neighbours)]
+    root = min(range(n), key=lambda i: len(candidates[i]))
+    order, parent = [root], {root: root}
+    for v in order:  # breadth first: the list grows while it is read; the input is connected
+        for w in neighbours[v]:
+            if w not in parent:
+                parent[w] = v
+                order.append(w)
+    perm, used, matches = [-1] * n, [False] * n, []
 
-    def ok(i, t):
-        for j in range(i):
-            if c_sub[i][j] != c_std[t][perm[j]] or c_sub[j][i] != c_std[perm[j]][t]:
-                return False
-        return True
-
-    def dfs(i):
-        if i == n:
-            return True
-        for t in range(n):
-            if not used[t] and ok(i, t):
-                perm[i] = t
-                used[t] = True
-                if dfs(i + 1):
-                    return True
+    def walk(k):
+        if k == n:
+            matches.append(perm[:])
+            return
+        v = order[k]
+        u = parent[v]
+        pu = perm[u]
+        for t in std_neighbours[pu]:
+            if not used[t] and c_sub[v][u] == c_std[t][pu] and c_sub[u][v] == c_std[pu][t]:
+                perm[v], used[t] = t, True
+                walk(k + 1)
                 used[t] = False
-                perm[i] = -1
-        return False
 
-    return perm if dfs(0) else None
+    for t in candidates[root]:
+        perm[root], used[t] = t, True
+        walk(1)
+        used[t] = False
+    return min(matches, default=None)
 
 
 def classify(c) -> list[tuple[str, int, tuple[int, ...]]]:
@@ -295,7 +336,7 @@ def classify(c) -> list[tuple[str, int, tuple[int, ...]]]:
             found = (fam, 2, perm)
         else:
             for fam in "ABCDEFG":
-                if VALID_RANKS[fam](n) and (perm := _match(sub, standard_cartan(fam, n))) is not None:
+                if VALID_RANKS[fam](n) and (perm := _match(sub, fam, n)) is not None:
                     found = (fam, n, perm)
                     break
         if found is None:

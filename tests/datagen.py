@@ -466,3 +466,37 @@ def random_root_base_input(rng: random.Random):
         vectors = [[Fraction(x, 2) for x in v] for v in vectors]
     rng.shuffle(vectors)
     return vectors, form
+
+
+def dfs_match(c_sub, c_std):
+    """Permutation p with c_sub[i][j] == c_std[p[i]][p[j]] for i != j and one
+    multiset of row sums, or None: input index 0, 1, ... assigned in turn by
+    depth-first search, so the first match found is the least.  The matcher
+    ``classify`` used before its walk of the diagram tree, kept as its oracle;
+    its time is exponential in the disorder of the input."""
+    if sorted(map(sum, c_sub)) != sorted(map(sum, c_std)):
+        return None
+    n = len(c_sub)
+    perm = [-1] * n
+    used = [False] * n
+
+    def ok(i, t):
+        for j in range(i):
+            if c_sub[i][j] != c_std[t][perm[j]] or c_sub[j][i] != c_std[perm[j]][t]:
+                return False
+        return True
+
+    def dfs(i):
+        if i == n:
+            return True
+        for t in range(n):
+            if not used[t] and ok(i, t):
+                perm[i] = t
+                used[t] = True
+                if dfs(i + 1):
+                    return True
+                used[t] = False
+                perm[i] = -1
+        return False
+
+    return perm if dfs(0) else None

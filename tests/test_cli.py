@@ -138,15 +138,33 @@ def rows(width: int):
     )
 
 
+def matrices(width: int):
+    """Lists and tuples of rows of one width, with 0, 1 or more rows, whose
+    entries come from three ints so that rows repeat across values; or now
+    and then a list holding a row that no matrix column takes: of another
+    width, empty, or with a bool or a Fraction among its entries."""
+    clean = st.lists(st.integers(-1, 1), min_size=width, max_size=width).map(tuple)
+    matrix = st.lists(clean | clean.map(list), max_size=3)
+    odd = st.lists(clean | rows(width) | rows(width + 1) | st.just(()), min_size=1, max_size=3)
+    return matrix | matrix.map(tuple) | odd
+
+
 def same_keyed(values):
     """Nonempty lists of dicts that all share one key set, the empty set too.
     Keys come often from a pool of three, so that neighbouring runs often
-    have key sets of one size but other keys; a value is often a row of the
-    list's one width, so that whole columns are rows of one width."""
+    have key sets of one size but other keys.  Each key draws its column from
+    one kind: the values given or a row of the list's one width, matrices of
+    rows of that width, bools, or strings, so that whole columns are often of
+    one kind."""
     keys = st.lists(st.sampled_from(["a", "b", "{}"]) | KEYS, unique=True, max_size=3)
-    return st.tuples(keys, st.integers(0, 3)).flatmap(
-        lambda kw: st.lists(st.fixed_dictionaries(dict.fromkeys(kw[0], values | rows(kw[1]))), min_size=1, max_size=4)
-    )
+
+    def table(keys, width):
+        kind = st.sampled_from([values | rows(width), matrices(width), st.booleans(), KEYS])
+        return st.lists(kind, min_size=len(keys), max_size=len(keys)).flatmap(
+            lambda kinds: st.lists(st.fixed_dictionaries(dict(zip(keys, kinds))), min_size=1, max_size=4)
+        )
+
+    return st.tuples(keys, st.integers(0, 3)).flatmap(lambda kw: table(*kw))
 
 
 def runs(values):
@@ -180,11 +198,30 @@ def key_set_change_at(boundary: int) -> list:
 
 LONG_LISTS = {f"change at {cli.EMIT_SLICE + d}": key_set_change_at(cli.EMIT_SLICE + d) for d in (-1, 0, 1)}
 LONG_LISTS |= {"empty after one slice": [{"a": 0}] * cli.EMIT_SLICE + [{}] * 3, "tuple": tuple(key_set_change_at(1))}
+# top-level lists of matrices: the first slice is a matrix column, and the next
+# starts with a row of another width, a row with a bool or a Fraction, or no row
+LONG_MATRICES = {
+    f"matrices then {tail!r}": [((i % 3, 1), (0, i % 2))[: i % 3] for i in range(cli.EMIT_SLICE)] + [tail, ((1, 0),)]
+    for tail in [((1, 0, 0),), ((True, 0),), (), ((Fraction(1, 2), 0),)]
+}
 
 
 @settings(max_examples=400, deadline=None)
 @given(report=st.dictionaries(KEYS, nodes(3) | runs(nodes(1)), max_size=4))
 @example(report=LONG_LISTS)
+@example(report=LONG_MATRICES)
+@example(
+    report={
+        "repeated": [{"m": ((1, 0), (1, 0)), "n": []}, {"m": [(1, 0)], "n": [[2, 3]]}, {"m": (), "n": [[2, 3], [2, 3]]}],
+        "widths": [{"m": [(1, 2), (3,)]}, {"m": [(1, 2)]}],
+        "empty row": [{"m": [()]}, {"m": [(), ()]}],
+        "bool row": [{"m": [(True, 0)]}, {"m": [(1, 0)]}, {"m": [(1, False)]}],
+        "fraction row": [{"m": [(Fraction(1, 2), 0)]}, {"m": [(Fraction(4, 2), 0)]}],
+        "bools": [{"b": True, "s": 'q"\\\n×'}, {"b": False, "s": ""}],
+        "strings": ['a"b', "\\", "\x00é\U0001f600", "{}"],
+        "flags": [True, False, True],
+    }
+)
 @example(report={"a": [{"r": (), "s": []}] * 2, "b": [{"r": (1, True)}, {"r": (0, 2)}], "c": [{"r": (True,)}]})
 @example(report={"a": [{"r": (1, 2)}, {"r": [3]}], "b": [{"r": [1, 2]}, {"r": (3, 4)}], "c": [{"r": (1, Fraction(2))}]})
 @example(report={})
@@ -204,7 +241,9 @@ def test_emit_writes_the_bytes_of_json_dumps(report):
     equal tuple of ints, each keep their own text.  Lists of dicts that share
     a key set, which go one column at a time, are drawn on purpose, with
     braces, quotes, backslashes and non-ASCII in their keys; top-level lists
-    longer than a slice change their key set at its boundary (LONG_LISTS)."""
+    longer than a slice change their key set at its boundary (LONG_LISTS), or
+    their rows from a matrix column to rows no matrix column takes
+    (LONG_MATRICES).  Columns of matrices, bools and strings are drawn whole."""
     assert emitted_json(report) == reference_json(report)
 
 
@@ -326,6 +365,7 @@ def amend(doc, key, **fields):
         (dict(SPLIT_A3, compact_simple=["a9"]), "unknown simple root 'a9'"),
         (amend(SPLIT_A3, "spherical", sp=["a9"]), "unknown simple root 'a9'"),
         (dict(SPLIT_A3, compact_simple=[5]), "unknown simple root 5"),
+        (amend(SPLIT_A3, "spherical", sp=[5]), "unknown simple root 5"),
     ],
 )
 def test_a_datum_that_cannot_be_built_exits_2_with_one_error_line(capsys, tmp_path, doc, message):
@@ -621,6 +661,24 @@ def test_abstract_rank_ceiling_exits_2_at_parse_time(tmp_path, command):
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == f"error: abstract rank {n} exceeds HARD_RANK_CEILING {n - 1}\n"
+
+
+def test_analyze_of_split_a20_with_its_roots_out_of_order_takes_no_search(tmp_path):
+    """Sigma row i is the simple root p(i).  ``classify`` assigned input
+    indices in turn and backtracked, and this document did not finish in 60 s;
+    the walk of the diagram tree takes a fraction of a second."""
+    p = [4, 13, 17, 19, 8, 16, 7, 0, 3, 14, 10, 9, 15, 11, 18, 5, 12, 2, 6, 1]
+    sigma = [[int(j == p[i]) for j in range(20)] for i in range(20)]
+    doc = amend(dict(SPLIT_A3, ambient={"components": [{"family": "A", "rank": 20}]}), "spherical", sigma=sigma)
+    proc = subprocess.run(
+        [sys.executable, "-m", "spherindex.cli", "--format", "json", "analyze", write(tmp_path, "a20.json", doc)],
+        capture_output=True,
+        text=True,
+        timeout=2,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["wk_type"] == "A20"
 
 
 def test_standard_fan(capsys):

@@ -243,6 +243,36 @@ def test_compact_roots_must_be_a_union_of_star_orbits():
             SphericalDatumK.abstract(2, [[2, 0], [0, 2]], [swap], [[1, 0], [0, 1]], sigma0)
 
 
+def test_the_ambient_datum_is_built_in_integers(monkeypatch):
+    """The e6 weight lattice has den 2, yet ``gram`` and ``vec_mat`` see only
+    ints while its datum is built: the pairing is the integer Gram matrix of
+    the basis over den^2, and a star image is solved in the den-1 lattice.
+    Both agree with the products of the rational basis."""
+    seen = []
+
+    def ints_only(name):
+        fn = getattr(datum, name)
+
+        def checked(*args):
+            # each argument is a row or a matrix
+            seen.append((name, {type(y) for m in args for x in m for y in (x if isinstance(x, tuple) else (x,))}))
+            return fn(*args)
+
+        return checked
+
+    for name in ("gram", "vec_mat"):
+        monkeypatch.setattr(datum, name, ints_only(name))
+    d = e6_datum()
+    assert {name for name, _ in seen} == {"gram", "vec_mat"}
+    assert all(types == {int} for _, types in seen)
+    assert d.xi_K.den == 2
+    monkeypatch.undo()
+    basis = d.xi_K.rows_q()
+    assert d.pairing == linalg.gram(basis, d.index.ambient.form())
+    for g, images in zip(d.index.star.generators, d.star_xi):
+        assert [d.xi_K.coordinates(linalg.vec_mat(r, g)) for r in basis] == list(images)
+
+
 def test_star_orbits():
     d = e6_datum()
     assert d.star_orbit_of_root(0) == (0,)

@@ -626,6 +626,23 @@ def test_strata_sign_certificates_match_lp(corpus_rds):
     assert flags == {True, False}
 
 
+def test_fan_validate_runs_one_elimination_per_full_dimensional_maximal_cone(monkeypatch):
+    """A square maximal cone that ``Fan.normals`` inverts is independent, so
+    ``fan_validate`` runs no rank on it: 24 eliminations on the 24 chambers of
+    split A3, with the 132 issues, not 48."""
+    rd = split_rd("A", 3)
+    f = chamber_fan(rd)
+    calls, eliminate = [], linalg._eliminate
+
+    def counting(m):
+        calls.append(m)
+        return eliminate(m)
+
+    monkeypatch.setattr(linalg, "_eliminate", counting)
+    assert len(fan_validate(f, rd)) == 132
+    assert len(calls) == len(f.maximal_cones) == 24
+
+
 def test_outside_support_detail_text_of_a3_chamber_fan():
     """The detail prints each root as a tuple of Fractions, whatever type the
     root has: reports that pinned this text stay byte-identical."""

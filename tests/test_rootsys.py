@@ -11,6 +11,7 @@ from spherindex.errors import NotARootBase, NotFiniteType, ParseError, Spherinde
 from datagen import (
     ambient_roots,
     classified_type_name,
+    dfs_match,
     divisor_scan_indivisible,
     flip_matrix,
     fmat,
@@ -536,6 +537,73 @@ def test_classify_of_shuffled_d_and_e_is_unchanged(typ, order, positions):
     std = standard_cartan(*typ)
     shuffled = [[std[i][j] for j in order] for i in order]
     assert classify(shuffled) == [(*typ, positions)]
+
+
+# every type classify can name from a connected component: D2 is disconnected
+CONNECTED_TYPES = [(f, n) for f in "ABCDEFG" for n in range(1, 9) if VALID_RANKS[f](n) and (f, n) != ("D", 2)]
+
+
+def cartan_like(rng: random.Random, n: int) -> tuple:
+    """A connected n x n matrix, as ``classify`` passes to the matcher: a random
+    tree of negative entries, each of its edges sometimes one-sided, one or two
+    more edges at times, and now and then a diagonal entry other than 2."""
+    c = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for v in range(1, n):
+        u = rng.randrange(v)
+        c[u][v], c[v][u] = -rng.choice([1, 1, 1, 2, 3]), -rng.choice([0, 1, 1, 1, 2, 3])
+        if not c[v][u]:
+            c[u][v], c[v][u] = c[v][u], c[u][v]  # keep v reachable from u either way
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        u, v = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if u != v and not c[u][v] and not c[v][u]:
+            c[u][v], c[v][u] = -rng.choice([1, 2]), -rng.choice([0, 1, 2])
+    if rng.random() < 0.2:
+        i = rng.randrange(n)
+        c[i][i] = rng.choice([1, 3])
+    return tuple(map(tuple, c))
+
+
+def test_the_tree_walk_returns_what_the_depth_first_search_returns():
+    """``rootsys._match`` against the search ``classify`` ran before, for each
+    type of the input's rank: every type of rank <= 8 under 40 random orders
+    (one in four with an edge added), and 3,000 random connected Cartan-like
+    matrices, some of finite type."""
+    rng = random.Random(33)
+    inputs = []
+    for fam, n in CONNECTED_TYPES:
+        std = standard_cartan(fam, n)
+        for k in range(40):
+            p = rng.sample(range(n), n)
+            c = [[std[p[i]][p[j]] for j in range(n)] for i in range(n)]
+            if k % 4 == 3 and n > 2:
+                # one more edge, the row sums kept by the diagonal: only the edge count rejects it
+                u, v = rng.sample([(u, v) for u in range(n) for v in range(u) if not c[u][v]], 1)[0]
+                c[u][v] = c[v][u] = -1
+                c[u][u] += 1
+                c[v][v] += 1
+            inputs.append(tuple(map(tuple, c)))
+    inputs += [cartan_like(rng, rng.randint(1, 6)) for _ in range(3000)]
+    found = Counter()
+    for c in inputs:
+        for fam, n in CONNECTED_TYPES:
+            if n == len(c):
+                perm = rootsys._match(c, fam, n)
+                assert perm == dfs_match(c, standard_cartan(fam, n)), (c, fam)
+                found[perm is not None] += 1
+    assert found[True] > 1000 and found[False] > 10000
+
+
+@pytest.mark.parametrize("n", [20, 100])
+def test_classify_transports_a_shuffled_long_chain(n):
+    """The search took 10.8 s and over 20 s on A20 in two random orders; the
+    walk tries each vertex against at most three neighbours of its parent's
+    image."""
+    std = standard_cartan("A", n)
+    p = random.Random(n).sample(range(n), n)
+    shuffled = [[std[p[i]][p[j]] for j in range(n)] for i in range(n)]
+    [(fam, rank_, positions)] = classify(shuffled)
+    assert (fam, rank_) == ("A", n)
+    assert all(shuffled[positions[i]][positions[j]] == std[i][j] for i in range(n) for j in range(n))
 
 
 @pytest.mark.parametrize(
