@@ -32,8 +32,8 @@ from .fans import (
     strata,
     weyl_saturate,
 )
-from .index import TitsIndex, res_A, restricted_root_system
-from .linalg import Lattice, divide, lattice_index, mat_mul
+from .index import TitsIndex, restricted_root_system
+from .linalg import Lattice, divide, lattice_index
 from .restrict import (
     LittleDatum,
     aut_roots,
@@ -62,7 +62,7 @@ def _load(path: str) -> dict:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError, RecursionError) as e:  # JSONDecodeError is a ValueError
         raise ParseError(f"cannot read {path}: {e}") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")
@@ -339,13 +339,13 @@ def emit(report: dict, fmt: str):
 
 
 def _beta_coordinates(d: SphericalDatumK, rows):
-    """Spherical roots against the restricted simple roots of the group: the
-    restrictions times the inverse of the square matrix of those roots, which
-    ``chamber_containment_check`` has already found invertible."""
+    """Spherical roots against the restricted simple roots beta_t of the group:
+    a_i restricts to beta_t for i in fiber t, and to 0 when compact, so a row
+    is the sum over fiber t of its entries at beta_t."""
     if d.mode != "ambient":
         return None
-    a, det = d.index.walls_inverse
-    return divide(mat_mul([res_A(d.index, row) for row in rows], a), det)
+    fibers = d.index.simple_roots.fibers
+    return [[sum(row[i] for i in fib) for fib in fibers] for row in rows]
 
 
 def cmd_restrict_index(doc: dict) -> tuple[dict, int]:
@@ -427,7 +427,7 @@ def cmd_analyze(doc: dict) -> tuple[dict, int]:
     )
     beta = _beta_coordinates(d, d.sigma_input)
     if beta is not None:
-        report["sigma_k_in_beta"] = [b or [] for b in beta]
+        report["sigma_k_in_beta"] = beta
     return report, 0
 
 

@@ -98,11 +98,6 @@ class TitsIndex(Record):
         """The restricted simple roots, computed once per index."""
         return restricted_simple_roots(self)
 
-    @cached_property
-    def walls_inverse(self) -> tuple[Mat, int]:
-        """(d W^-1, d), d > 0, for the matrix W of the restricted simple roots; ValueError if singular."""
-        return scaled_inverse(self.simple_roots.roots)
-
     def violations(self) -> list[str]:
         out = []
         if not self.star.is_permutation_action():

@@ -11,9 +11,9 @@ The eliminations are one fraction-free integer kernel, so ``rank``,
 ``pivot_columns``, ``scaled_inverse`` and ``scaled_dual_basis`` create no
 ``Fraction``.  One is created in four places only, by one division each:
 
-- ``divide``, once per entry: the report's division by the scale of
-  ``scaled_dual_basis`` or ``scaled_inverse`` (the extremal rays and the
-  ``sigma_k_in_beta`` rows of ``analyze``), and ``Lattice.rows_q`` when ``den > 1``;
+- ``divide``, once per entry: the report's division of the extremal rays
+  of ``analyze`` by the scale of ``scaled_dual_basis``, and ``Lattice.rows_q``
+  when ``den > 1``;
 - ``Lattice.coordinates``, only when a division is inexact;
 - the point ``find_feasible`` returns;
 - an exact division, always written ``Fraction(a, b)``, since ``/`` on two

@@ -22,7 +22,6 @@ from .errors import (
     NotConvex,
     SpherindexError,
 )
-from .index import res_A
 from .linalg import (
     Lattice,
     Mat,
@@ -220,28 +219,22 @@ def coweight_identity_check(d: SphericalDatumK, rd: RestrictedDatum) -> dict:
 def chamber_containment_check(d: SphericalDatumK, rd: RestrictedDatum | None = None) -> dict:
     """Check that the antidominant chamber of the split part lands in Z_k.
 
-    Generators of the chamber cut out by the restricted simple roots of the
-    group (columns of ``walls_inverse``, which ``sigma_k_in_beta`` reads too)
-    are pushed through the canonical projection; each restricted spherical
-    root must be nonpositive on every image.  Ambient mode only.
-    ``rd`` stays optional because perfbench's tracer test passes the datum alone.
+    Generators of the chamber cut out by the restricted simple roots beta_t
+    of the group are pushed through the canonical projection; each
+    restricted spherical root must be nonpositive on every image.  Ambient
+    mode only.  ``rd`` stays optional because perfbench's tracer test passes
+    the datum alone.
     """
     if rd is None:
         rd = restrict_datum(d)
     if d.mode != "ambient":
         return {"checked": 0}
-    ix = d.index
-    try:
-        a, _ = ix.walls_inverse
-    except ValueError:
-        raise InternalInconsistency(
-            "restricted simple roots are not a basis of the split coordinates"
-        ) from None
-    # minus the columns of a = d * walls^-1 span the chamber; d > 0, the
-    # lattice's denominator and ``lifts_den`` are positive scales and keep every sign
-    gens = [tuple(-x for x in col) for col in transpose(a)]
-    restricted_xi = [res_A(ix, chi) for chi in d.xi_K.basis]
-    images = mat_mul_t(mat_mul_t(gens, restricted_xi), rd.projected_lifts)
+    # chi restricts to sum_t (fiber sum t of chi) beta_t, so the chamber's
+    # generators -W^-1 e_t pair with it to minus those sums; signs alone are
+    # tested, and the lattice's denominator and ``lifts_den`` are positive scales
+    fibers = d.index.simple_roots.fibers
+    gens = [[-sum(chi[i] for i in fib) for chi in d.xi_K.basis] for fib in fibers]
+    images = mat_mul_t(gens, rd.projected_lifts)
     if any(x > 0 for row in mat_mul_t(images, rd.sigma_k) for x in row):
         raise InternalInconsistency(
             "a chamber generator projects outside the valuation cone"

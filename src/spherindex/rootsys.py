@@ -188,6 +188,8 @@ class RootBase(Record):
         matrices, so det C > 0, G is nonsingular and U has full row rank.
         """
         vectors = tuple(map(tuple, vectors))
+        if len(vectors) > len(form):  # dependent, before the k x k Gram matrix is built
+            raise LinearlyDependent("base vectors are linearly dependent")
         try:
             g = gram(vectors, form)
             for i, row in enumerate(g):

@@ -16,9 +16,10 @@ from types import SimpleNamespace
 from spherindex.datum import CompactRootSplit, SphericalDatumK
 from spherindex.errors import InternalInconsistency, LinearlyDependent, NotARootBase, SpherindexError
 from spherindex.fans import Fan, FanIssue, _intersection_issues
-from spherindex.index import TitsIndex
+from spherindex.index import TitsIndex, res_A
 from spherindex.linalg import (
     Lattice,
+    divide,
     dot,
     gram,
     identity,
@@ -27,9 +28,11 @@ from spherindex.linalg import (
     mat_mul_t,
     primitive_vector,
     rank,
+    scaled_inverse,
     transpose,
     vec_mat,
 )
+from spherindex import restrict
 from spherindex.restrict import RestrictedDatum, _annihilator, restrict_datum
 from spherindex.rootsys import (
     AmbientRootDatum,
@@ -237,6 +240,37 @@ def dual_basis(rows, form):
     if rank(g) < len(rows):
         raise ValueError("Gram matrix is singular")
     return transpose([solve(g, col) for col in transpose(rf)])
+
+
+def beta_by_walls_inverse(d: SphericalDatumK, rows):
+    """Rows against the restricted simple roots of the group, by inverting their
+    square matrix W: the restrictions times (det W^-1), divided by det."""
+    a, det = scaled_inverse(d.index.simple_roots.roots)
+    return divide(mat_mul([res_A(d.index, row) for row in rows], a), det)
+
+
+def chamber_by_walls_inverse(d: SphericalDatumK):
+    """(M, det), det > 0: M pairs the chamber generators, minus the columns of
+    det W^-1, with the restrictions of the weight-lattice basis."""
+    a, det = scaled_inverse(d.index.simple_roots.roots)
+    gens = [tuple(-x for x in col) for col in transpose(a)]
+    return mat_mul_t(gens, [res_A(d.index, chi) for chi in d.xi_K.basis]), det
+
+
+def chamber_generators(monkeypatch, d: SphericalDatumK, rd) -> list:
+    """The generator matrix ``chamber_containment_check`` pushes through the
+    projection: the left factor of its first product."""
+    seen = []
+    product = restrict.mat_mul_t
+
+    def spy(a, b):
+        seen.append(a)
+        return product(a, b)
+
+    with monkeypatch.context() as m:
+        m.setattr(restrict, "mat_mul_t", spy)
+        restrict.chamber_containment_check(d, rd)
+    return seen[0]
 
 
 def positive_roots_in_base_coords(components, n: int) -> list:

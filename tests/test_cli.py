@@ -8,17 +8,26 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, zip_longest
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from datagen import FACET_PLANTS, random_data, replace, solve_left
+from datagen import (
+    FACET_PLANTS,
+    beta_by_walls_inverse,
+    chamber_by_walls_inverse,
+    chamber_generators,
+    random_data,
+    replace,
+    solve_left,
+)
 from test_fuzz import _every_command
 from spherindex import fans, linalg
 from spherindex import cli
 from spherindex.cli import emit, main
+from spherindex.index import res_A
 from spherindex.linalg import Lattice
 from spherindex.restrict import chamber_containment_check, restrict_datum
 
@@ -118,6 +127,14 @@ def emitted_json(report) -> str:
     with contextlib.redirect_stdout(out):
         cli.emit(report, "json")
     return out.getvalue()
+
+
+def first_difference(got: str, want: str):
+    """(line number, got line, wanted line) at the first line where two texts
+    differ, or None.  Asserting on this, not on ``got == want``, keeps pytest
+    from diffing texts of ~100 KB with difflib, which took minutes."""
+    pairs = zip_longest(got.split("\n"), want.split("\n"))
+    return next(((k, a, b) for k, (a, b) in enumerate(pairs) if a != b), None)
 
 
 KEYS = st.text(st.sampled_from('ab{}"\\/\x00\x1f\n\t\x7f×é€\U0001f600'), max_size=4)
@@ -244,7 +261,7 @@ def test_emit_writes_the_bytes_of_json_dumps(report):
     longer than a slice change their key set at its boundary (LONG_LISTS), or
     their rows from a matrix column to rows no matrix column takes
     (LONG_MATRICES).  Columns of matrices, bools and strings are drawn whole."""
-    assert emitted_json(report) == reference_json(report)
+    assert first_difference(emitted_json(report), reference_json(report)) is None
 
 
 @pytest.mark.parametrize("value", [1.5, {1, 2}, b"x", object()])
@@ -287,7 +304,7 @@ def test_json_report_is_streamed(tmp_path, monkeypatch):
     monkeypatch.setattr(sys, "stdout", out)
     assert main(["--format", "json", "standard-fan", datum]) == 0
     assert len(reports[0]["strata"]) == 64
-    assert out.getvalue() == reference_json(reports[0])
+    assert first_difference(out.getvalue(), reference_json(reports[0])) is None
     assert max(out.sizes) < len(out.getvalue()) / 10
 
 
@@ -335,6 +352,21 @@ def test_bad_schema_exit_2(capsys, tmp_path):
         code, _, err = run(capsys, cmd, write(tmp_path, f"hole{k}.json", doc), *extra)
         assert code == 2, cmd
         assert err.startswith("error: ") and "Traceback" not in err
+    # files that json.load cannot read, by a ValueError, a RecursionError and a
+    # UnicodeDecodeError: each exits 2 with one line
+    unreadable = [
+        b'{"schema_version": "1", "mode": ' + b"1" * 4301 + b"}",  # past the int-string digit limit
+        b"[" * 100_000 + b"]" * 100_000,  # past the recursion limit
+        b'{"mode": "\xff"}',  # not UTF-8
+    ]
+    datum = write(tmp_path, "good.json", good)
+    for k, text in enumerate(unreadable):
+        path = tmp_path / f"unreadable{k}.json"
+        path.write_bytes(text)
+        for argv in (["analyze", str(path)], ["fan", datum, "--fan", str(path)]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1, err[:200]
 
 
 SPLIT_A3 = {
@@ -679,6 +711,22 @@ def test_analyze_of_split_a20_with_its_roots_out_of_order_takes_no_search(tmp_pa
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert json.loads(proc.stdout)["wk_type"] == "A20"
+
+
+def test_more_spherical_roots_than_coordinates_fail_at_once(tmp_path):
+    """3,000 rank-1 roots are dependent before any Gram matrix is built: the
+    3,000 x 3,000 one took over 3 s."""
+    doc = {"schema_version": "1", "mode": "abstract", "abstract": {"rank": 1, "pairing": [[2]], "sigma": [[1]] * 3000}}
+    proc = subprocess.run(
+        [sys.executable, "-m", "spherindex.cli", "--format", "json", "analyze", write(tmp_path, "rows.json", doc)],
+        capture_output=True,
+        text=True,
+        timeout=2,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert (proc.returncode, proc.stderr) == (1, "")
+    items = {it["name"]: it for it in json.loads(proc.stdout)["validation"]}
+    assert items["linearly_independent"]["passed"] is False
 
 
 def test_standard_fan(capsys):
@@ -1293,19 +1341,31 @@ def ambient_fixture_data():
 
 
 def test_beta_coordinates_match_the_elimination():
-    """One inverse for every row gives the coordinates solve_left finds one
-    row at a time; the anisotropic index has no restricted simple roots."""
+    """The fiber sums are the coordinates that the inverse of the walls and
+    solve_left find; the anisotropic index has no restricted simple roots."""
     data = ambient_fixture_data()
     assert len(data) == 4
     for d in data:
         beta = cli._beta_coordinates(d, d.sigma_input)
         srs = d.index.simple_roots
-        assert list(beta) == [solve_left(srs.roots, cli.res_A(d.index, row)) for row in d.sigma_input]
+        assert beta == [list(row) for row in beta_by_walls_inverse(d, d.sigma_input)]
+        assert beta == [list(solve_left(srs.roots, res_A(d.index, row))) for row in d.sigma_input]
     report, code = cli.cmd_analyze(ANISOTROPIC_DOC)
     assert code == 0 and report["sigma_k_in_beta"] == [[], []]
 
 
-def test_beta_coordinates_run_one_elimination(monkeypatch):
+def test_chamber_generators_are_a_positive_scale_of_the_walls_inverse(monkeypatch):
+    """The chamber check pairs minus the fiber sums of the weight-lattice basis;
+    the generators of det W^-1 give det times that matrix, so both test the
+    same signs."""
+    for d in ambient_fixture_data():
+        rd = restrict_datum(d)
+        old, det = chamber_by_walls_inverse(d)
+        assert det > 0
+        assert list(old) == [tuple(det * x for x in row) for row in chamber_generators(monkeypatch, d, rd)]
+
+
+def test_beta_coordinates_run_no_elimination(monkeypatch):
     calls = []
     eliminate = linalg._eliminate
 
@@ -1318,13 +1378,12 @@ def test_beta_coordinates_run_one_elimination(monkeypatch):
         d.index.simple_roots  # computed once per index, before the count
     monkeypatch.setattr(linalg, "_eliminate", counting)
     for d in data:
-        calls.clear()
         cli._beta_coordinates(d, d.sigma_input + d.sigma_input)
-        assert len(calls) == 1, calls
+    assert calls == []
 
 
-def test_chamber_check_and_beta_coordinates_invert_the_walls_once(monkeypatch):
-    """Both read ``walls_inverse``, computed once per index."""
+def test_chamber_check_and_beta_coordinates_run_no_elimination(monkeypatch):
+    """Both read the fibers of the restricted simple roots, computed once per index."""
     calls = []
     eliminate = linalg._eliminate
 
@@ -1337,10 +1396,9 @@ def test_chamber_check_and_beta_coordinates_invert_the_walls_once(monkeypatch):
         d.index.simple_roots  # computed once per index, before the count
     monkeypatch.setattr(linalg, "_eliminate", counting)
     for d, rd in pairs:
-        calls.clear()
         chamber_containment_check(d, rd)
         cli._beta_coordinates(d, d.sigma_input)
-        assert calls == [len(d.index.simple_roots.roots)], calls
+    assert calls == []
 
 
 def test_text_renderer_joins_each_run_of_ints_once(monkeypatch):

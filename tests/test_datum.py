@@ -159,13 +159,16 @@ def test_validate_eliminates_sigma_once(monkeypatch):
         return kernel(m)
 
     monkeypatch.setattr(linalg, "_eliminate", counting)
-    dependent = SphericalDatumK.ambient(
-        TitsIndex.of(AmbientRootDatum.of([("A", 3)]), [], []),
-        [[1, 0, 0], [0, 1, 0], [1, 1, 0]],
-    )
-    # a base that classifies is independent without an elimination; a dependent
-    # one is eliminated once, to name the failure
-    for d, count in ((sp42_datum(), 0), (e6_datum(), 0), (su22_datum(), 0), (dependent, 1)):
+    a3 = TitsIndex.of(AmbientRootDatum.of([("A", 3)]), [], [])
+    sigma = [[1, 0, 0], [0, 1, 0], [1, 1, 0]]
+    wider = SphericalDatumK.ambient(a3, sigma)  # three roots in a weight lattice of rank 2
+    dependent = SphericalDatumK.ambient(a3, sigma, xi_rows=[[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    # a base that classifies is independent without an elimination; one of more
+    # vectors than coordinates is dependent without one; any other dependent
+    # base is eliminated once, to name the failure
+    cases = ((sp42_datum(), 0), (e6_datum(), 0), (su22_datum(), 0), (wider, 0), (dependent, 1))
+    assert (wider.m, len(wider.sigma), dependent.m) == (2, 3, 3)
+    for d, count in cases:
         eliminated.clear()
         validate(d)
         assert eliminated.count(d.sigma) == count

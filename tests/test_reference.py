@@ -13,7 +13,13 @@ from fractions import Fraction
 
 import pytest
 
-from datagen import facet_inheritance_by_rank, random_data
+from datagen import (
+    beta_by_walls_inverse,
+    chamber_by_walls_inverse,
+    chamber_generators,
+    facet_inheritance_by_rank,
+    random_data,
+)
 from spherindex import cli
 from spherindex.cli import parse_datum
 from spherindex.datum import is_valid, validate
@@ -91,6 +97,23 @@ def test_every_reference_datum_inherits_its_facets(jobs):
             assert isinstance(facet_inheritance_by_rank(d, restrict_datum(d)), dict)
             checked += 1
     assert checked > 250
+
+
+def test_fiber_sums_match_the_inverse_of_the_walls(jobs, monkeypatch):
+    """On every valid ambient reference datum, the ``sigma_k_in_beta`` rows are
+    the restrictions times the inverse of the walls, exactly, and the chamber
+    check's generators are that inverse's up to its positive scale."""
+    checked = 0
+    for d in reference_data(jobs):
+        if d.mode != "ambient" or not is_valid(validate(d)):
+            continue
+        beta = cli._beta_coordinates(d, d.sigma_input)
+        assert beta == [list(row) for row in beta_by_walls_inverse(d, d.sigma_input)]
+        old, det = chamber_by_walls_inverse(d)
+        gens = chamber_generators(monkeypatch, d, restrict_datum(d))
+        assert det > 0 and list(old) == [tuple(det * x for x in row) for row in gens]
+        checked += 1
+    assert checked == 265
 
 
 def test_restriction_of_integral_data_creates_no_fraction(jobs, monkeypatch):

@@ -248,12 +248,11 @@ def callers(trees, callee):
     return found
 
 
-# one home per matrix inversion: the dual basis kernel, the walls of an index
-# (once per index), the form on restriction coordinates, and the normals of
-# the maximal cones of a fan
+# one home per matrix inversion: the dual basis kernel, the form on
+# restriction coordinates, and the normals of the maximal cones of a fan; the
+# walls of an index need none, since characters restrict to fiber sums
 SCALED_INVERSE_CALLERS = {
     "linalg.scaled_dual_basis",
-    "index.TitsIndex.walls_inverse",
     "index.restricted_simple_roots",
     "fans.Fan.normals",
 }
