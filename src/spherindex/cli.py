@@ -48,6 +48,7 @@ from .rootsys import AmbientRootDatum, diagram_involution
 
 SCHEMA_VERSION = "1"
 HARD_RANK_CEILING = 100  # total ambient rank, or abstract rank; a Cartan matrix is rank x rank
+INT_DIGITS = 4300  # the most digits of an int literal (Python's default int-string limit)
 
 
 class InvalidDatum(Exception):
@@ -123,11 +124,23 @@ def _rat(x) -> int | Fraction:
         return x
     if isinstance(x, str):
         try:
+            if _written_digits(x) > INT_DIGITS:  # before Fraction() builds 10**k
+                raise ValueError
             q = Fraction(x)
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad rational {x!r}") from None
         return q.numerator if q.denominator == 1 else q
     raise ParseError(f"bad rational {x!r}")
+
+
+def _written_digits(text: str) -> int:
+    """A bound on the digits of the numerator and denominator of a decimal, m * 10**k
+    for the digits m of its mantissa; 0 for "p/q", whose p and q int() bounds."""
+    if "/" in text:
+        return 0
+    mantissa, _, exp = text.lower().partition("e")
+    k = int(exp or 0) - sum(map(str.isdigit, mantissa.partition(".")[2]))
+    return max(sum(map(str.isdigit, mantissa)) + max(k, 0), 1 - k)
 
 
 def _list(x, what: str) -> list:
@@ -587,6 +600,8 @@ def cmd_degenerate(doc: dict) -> tuple[dict, int]:
 # the command table: name -> (handler, help, options); the handler takes the
 # loaded document and the options as keyword arguments
 
+FORMATS = ("text", "json")
+
 COMMANDS = {
     "analyze": (cmd_analyze, "validate a datum and compute all invariants", {}),
     "restrict-index": (cmd_restrict_index, "restricted root data of a group index", {}),
@@ -598,10 +613,10 @@ COMMANDS = {
             "--fan": dict(required=True, dest="fan_path"),
             "--check": dict(action="append", default=[], choices=["smooth", "complete", "support"], dest="checks"),
             "--strata": dict(action="store_true", dest="want_strata"),
-            "--saturate": dict(action="store_true"),
+            "--saturate": dict(action="store_true", dest="saturate"),
         },
     ),
-    "localize": (cmd_localize, "localize a datum at restricted roots", {"--roots": dict(default="")}),
+    "localize": (cmd_localize, "localize a datum at restricted roots", {"--roots": dict(default="", dest="roots")}),
     "degenerate": (cmd_degenerate, "boundary degeneration lattice data", {}),
 }
 
@@ -613,7 +628,7 @@ def _parser() -> argparse.ArgumentParser:
         prog="spherindex",
         description="exact combinatorics of spherical varieties over non-closed fields",
     )
-    parser.add_argument("--format", choices=["text", "json"], default="text")
+    parser.add_argument("--format", choices=FORMATS, default="text")
     sub = parser.add_subparsers(dest="cmd", required=True)
     for name, (_, help_text, options) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
@@ -623,8 +638,35 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _canonical_args(argv: list[str]) -> dict | None:
+    """``vars(_parser().parse_args(argv))`` for ``[--format text|json] CMD PATH
+    [OPTION ...]`` with each flag spelled in full as a key of CMD's options and
+    no PATH or value starting with "-"; None for any other argv, which argparse
+    reads: help, usage errors and every other spelling."""
+    fmt = "text"
+    if argv[:1] == ["--format"]:
+        fmt, argv = argv[1] if len(argv) > 1 else None, argv[2:]
+    if fmt not in FORMATS or len(argv) < 2 or argv[0] not in COMMANDS or argv[1].startswith("-"):
+        return None
+    table, rest = COMMANDS[argv[0]][2], iter(argv[2:])
+    options = {"format": fmt, "cmd": argv[0], "path": argv[1]}
+    for spec in table.values():
+        options[spec["dest"]] = spec.get("default", False if spec.get("action") == "store_true" else None)
+    for flag in rest:
+        if (spec := table.get(flag)) is None:
+            return None
+        if (action := spec.get("action")) == "store_true":
+            value = True
+        elif (value := next(rest, "-")).startswith("-") or value not in spec.get("choices", (value,)):
+            return None  # a missing value reads as "-"
+        # a new list per append, as argparse makes: the default in the table stays empty
+        options[spec["dest"]] = [*options[spec["dest"]], value] if action == "append" else value
+    return options if all(flag in argv for flag, spec in table.items() if spec.get("required")) else None
+
+
 def main(argv=None) -> int:
-    options = vars(_parser().parse_args(argv))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    options = _canonical_args(argv) or vars(_parser().parse_args(argv))
     name, fmt, path = options.pop("cmd"), options.pop("format"), options.pop("path")
     try:
         report, code = COMMANDS[name][0](_load(path), **options)

@@ -293,6 +293,7 @@ def strata(f: Fan, rd: LittleDatum) -> tuple[Stratum, ...]:
     nonneg = [sum(1 << j for j, v in enumerate(row) if v >= 0) for row in values]
     every = (1 << len(rd.sigma_k)) - 1
     labels: dict[int, tuple[int, ...]] = {}
+    rows: dict[tuple[int, ...], tuple[int, ...]] = {}  # one object per distinct basis row: the writer tells rows apart by id
     home = f.unimodular_home
     nodes = []
     for c in f.cones:
@@ -305,9 +306,10 @@ def strata(f: Fan, rd: LittleDatum) -> tuple[Stratum, ...]:
         if c in home:
             m = home[c]
             duals = [nu for i, nu in zip(m, f.normals[m][0]) if i not in c]
-            basis = tuple(map(tuple, hermite_normal_form(duals)))
+            basis = hermite_normal_form(duals)
         else:
             basis = integer_kernel([f.rays[i] for i in c], width=rd.rank)
+        basis = tuple(rows.setdefault(r, r) for r in map(tuple, basis))
         nodes.append(Stratum(len(c), rd.rank - len(c), basis, labels[zero], not positive))
     return tuple(nodes)
 

@@ -27,6 +27,7 @@ from test_fuzz import _every_command
 from spherindex import fans, linalg
 from spherindex import cli
 from spherindex.cli import emit, main
+from spherindex.errors import ParseError
 from spherindex.index import res_A
 from spherindex.linalg import Lattice
 from spherindex.restrict import chamber_containment_check, restrict_datum
@@ -729,6 +730,34 @@ def test_more_spherical_roots_than_coordinates_fail_at_once(tmp_path):
     assert items["linearly_independent"]["passed"] is False
 
 
+A1_DOC = {"schema_version": "1", "mode": "ambient", "ambient": {"components": [{"family": "A", "rank": 1}]}}
+
+
+@pytest.mark.parametrize("value", ["1e9999999", "1E9999999", " -1.5e+9999999 ", "1e-9999999", "1e5000"])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_a_rational_of_more_digits_than_an_int_literal_exits_2_at_once(tmp_path, value, fmt):
+    """Fraction() expands an exponent: "1e9999999" did not finish in 40 s, and
+    "1e5000" was read, then printed a traceback after part of the report."""
+    doc = dict(A1_DOC, spherical={"sigma": [[value]], "xi_basis": [[value]]})
+    proc = subprocess.run(
+        [sys.executable, "-m", "spherindex.cli", "--format", fmt, "analyze", write(tmp_path, "a1.json", doc)],
+        capture_output=True,
+        text=True,
+        timeout=2,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: bad rational {value!r}\n")
+
+
+def test_a_rational_string_keeps_its_value_up_to_the_digits_of_an_int_literal():
+    """Numerator and denominator may have 4,300 digits, as an int literal may."""
+    assert [cli._rat(x) for x in ["1e3", "0.5", "4/2", " -1.5E+2 ", "1_0e1", ".5", "5."]] == [1000, Fraction(1, 2), 2, -150, 100, Fraction(1, 2), 5]
+    assert (cli._rat("1e4299"), cli._rat("1e-4299"), cli._rat("1.5e4299")) == (10**4299, Fraction(1, 10**4299), 15 * 10**4298)
+    for x in ["1e4300", "1e-4300", "1" * 3000 + "." + "1" * 3000, "2/" + "1" * 4301]:
+        with pytest.raises(ParseError, match="bad rational"):
+            cli._rat(x)
+
+
 def test_standard_fan(capsys):
     code, out, _ = run(capsys, "--format", "json", "standard-fan", fixture("e6.json"))
     assert code == 0
@@ -1025,6 +1054,50 @@ def test_usage_error_exits_2(capsys, argv):
     assert e.value.code == 2
     out = capsys.readouterr()
     assert out.out == "" and "usage: spherindex" in out.err
+
+
+FLAGS = {flag: spec for _, _, options in cli.COMMANDS.values() for flag, spec in options.items()}
+ARGV_TOKENS = [
+    *cli.COMMANDS, "--format", "json", "text", "xml", *FLAGS, *{c for spec in FLAGS.values() for c in spec.get("choices", ())},
+    "-h", "--help", "--", "-", "-1", "", "a b", "--format=json", "--fan=f", "--sat", "--roo", "x.json",
+]
+
+
+@st.composite
+def argvs(draw):
+    """A prefix of a canonical argv (``[--format F] CMD PATH`` and its options in
+    any order, each zero to two times) followed by any tokens; a value is one
+    of its choices, or any token."""
+    def value(choices):
+        return draw(st.sampled_from(choices) | st.sampled_from(ARGV_TOKENS))
+
+    name = draw(st.sampled_from(list(cli.COMMANDS)))
+    options = []
+    for flag, spec in cli.COMMANDS[name][2].items():
+        arg = [] if spec.get("action") == "store_true" else [value(spec.get("choices", ["f.json", ""]))]
+        options += [[flag, *arg]] * draw(st.integers(0, 2))
+    head = draw(st.sampled_from([[], ["--format", value(cli.FORMATS)]])) + [name, "x.json"]
+    canonical = head + [token for option in draw(st.permutations(options)) for token in option]
+    cut = draw(st.just(len(canonical)) | st.integers(0, len(canonical)))
+    return canonical[:cut] + draw(st.just([]) | st.lists(st.sampled_from(ARGV_TOKENS), max_size=4))
+
+
+@settings(max_examples=600, deadline=None)
+@given(argv=argvs())
+@example(argv=["fan", "x.json", "--check", "smooth"])
+@example(argv=["fan", "x.json", "--fan", "--strata"])
+@example(argv=["fan", "x.json", "--fan", "f.json", "--check", "nope"])
+@example(argv=["--format", "text", "fan", "x.json", "--fan", "f.json", "--check", "smooth", "--check", "smooth", "--strata"])
+def test_canonical_args_are_none_or_the_parsers_namespace(argv):
+    """The fast path reads an argv exactly as argparse does, or leaves it to
+    argparse; where argparse exits (help, usage errors) it must leave it."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            parsed = vars(cli._parser().parse_args(argv))
+        except SystemExit:
+            parsed = None
+    fast = cli._canonical_args(argv)
+    assert fast is None or fast == parsed
 
 
 def test_the_shared_parser_keeps_no_options_between_calls(capsys, tmp_path):

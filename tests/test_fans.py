@@ -764,6 +764,14 @@ def test_strata_run_at_most_one_hermite_form_per_cone(monkeypatch, corpus_rds):
     assert len(calls) == len(non_unimodular.cones) - 1 == 3
 
 
+def test_strata_share_one_object_per_distinct_basis_row():
+    """The JSON writer formats each row object of a column once, so equal
+    rows of the lattice bases must be one object."""
+    rd = split_rd("A", 6)
+    rows = [row for node in strata(standard_fan(rd), rd) for row in node.lattice_basis]
+    assert len({*map(id, rows)}) == len({*rows}) < len(rows)
+
+
 def fubini(n):
     """The ordered set partitions of n elements (OEIS A000670), by the recurrence
     a(m) = sum over k >= 1 of C(m, k) a(m - k), a(0) = 1."""

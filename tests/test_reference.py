@@ -10,6 +10,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import repeat
 
 import pytest
 
@@ -20,6 +21,7 @@ from datagen import (
     facet_inheritance_by_rank,
     random_data,
 )
+from test_fuzz import _commands
 from spherindex import cli
 from spherindex.cli import parse_datum
 from spherindex.datum import is_valid, validate
@@ -36,6 +38,7 @@ from spherindex.restrict import (
 )
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 sys.path.insert(0, PERFBENCH)
 
 import gen  # noqa: E402
@@ -47,7 +50,13 @@ def jobs():
     return [j for j in gen.all_reference_jobs() if j.hashed]
 
 
-def test_every_reference_job_reproduces_its_recorded_report(tmp_path, jobs):
+def _no_parser():
+    raise AssertionError("the argparse parser was built")
+
+
+def test_every_reference_job_reproduces_its_recorded_report(tmp_path, jobs, monkeypatch):
+    """Each job's argv is read off ``cli.COMMANDS``: the parser is never built."""
+    monkeypatch.setattr(cli, "_parser", _no_parser)
     with open(run.REFERENCE) as fh:
         reference = json.load(fh)
     assert sorted(j.name for j in jobs) == sorted(reference)
@@ -62,6 +71,34 @@ def test_every_reference_job_reproduces_its_recorded_report(tmp_path, jobs):
         if got != reference[job.name]:
             wrong.append((job.name, {k: v for k, v in got.items() if v != reference[job.name][k]}))
     assert wrong == []
+
+
+def test_no_reference_job_or_fixture_builds_the_parser(tmp_path, monkeypatch):
+    """Every reference job in text, the unhashed ones in JSON as well (the test
+    above checks the hashed ones against their recorded reports), and each
+    fixture through each command in both formats: with the parser made to
+    raise, each gives the exit code and stdout of the argparse path."""
+    jobs = gen.all_reference_jobs()
+    argvs = []
+    for job, argv in zip(jobs, gen.write_inputs(jobs, str(tmp_path))):
+        argv = argv[2:] if argv[:1] == ["--format"] else argv
+        argvs += [["--format", fmt, *argv] for fmt in ("text", "json")[: 1 + (not job.hashed)]]
+    fan_path = tmp_path / "fan.json"
+    fan_path.write_text(json.dumps({"cones": [[[-1, 0], [0, -1]]]}))
+    for name in sorted(os.listdir(FIXTURES)):
+        path = os.path.join(FIXTURES, name)
+        for argv in [["restrict-index", path], *_commands(path, str(fan_path)), ["fan", path, "--fan", str(fan_path), "--saturate", "--check", "support"]]:
+            argvs += [["--format", "json", *argv], ["--format", "text", *argv], argv]
+
+    def outcomes():
+        return [(ex.code, hashlib.sha256(ex.stdout.encode()).digest(), ex.crash) for ex in map(run.execute, repeat(cli), argvs)]
+
+    monkeypatch.setattr(cli, "_canonical_args", lambda argv: None)
+    slow = outcomes()
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "_parser", _no_parser)
+    assert outcomes() == slow
+    assert len(argvs) == len(jobs) + 14 + 4 * 7 * 3  # 14 unhashed jobs; 4 fixtures, 7 command lines, 3 spellings
 
 
 def reference_data(jobs) -> list:

@@ -8,9 +8,12 @@ own ``src/spherindex``).  The jobs are those of
 ``perfbench.gen.all_reference_jobs()`` of the repository holding this
 script, which is imported and never written to.  Each job runs in
 ``--format json`` and in ``--format text`` on both trees, in process, one
-child interpreter per tree, on the same input files.  Every execution whose
-(exit code, stdout, stderr) differs between the trees is printed, and the
-script exits 1 if any does, else 0.
+child interpreter per tree, on the same input files.  A fixed list of
+command lines that argparse reads (help, usage errors, and the fixtures
+spelled with ``--format=json``, options before the path and an abbreviated
+flag) runs as well.  Every execution whose (exit code, stdout, stderr)
+differs between the trees is printed, and the script exits 1 if any does,
+else 0.
 """
 
 from __future__ import annotations
@@ -53,6 +56,25 @@ def run_tree(src: str, argvs_path: str, out_path: str) -> None:
         json.dump(results, fh)
 
 
+USAGE_ERRORS = [
+    [], ["analyze"], ["nosuch", "x.json"], ["fan", "x.json"], ["--format", "xml", "analyze", "x.json"],
+    ["fan", "x.json", "--fan", "f.json", "--check", "nope"], ["analyze", "x.json", "extra"],
+]
+
+
+def other_spellings(fan_path: str) -> list[list[str]]:
+    """Command lines outside the canonical ``[--format F] CMD PATH [OPTION ...]``."""
+    argvs = [["--help"], ["fan", "--help"], *USAGE_ERRORS]
+    for name in sorted(os.listdir(os.path.join(ROOT, "fixtures"))):
+        path = os.path.join(ROOT, "fixtures", name)
+        argvs += [
+            ["--format=json", "analyze", path],
+            ["fan", "--fan", fan_path, "--strata", path],
+            ["--format", "json", "fan", path, "--fan", fan_path, "--sat"],
+        ]
+    return argvs
+
+
 def _without_format(argv: list[str]) -> list[str]:
     """The argv of a job without its leading ``--format`` option, if any."""
     return argv[2:] if argv[:1] == ["--format"] else argv
@@ -76,10 +98,14 @@ def main(argv: list[str]) -> int:
     jobs = gen.all_reference_jobs()
     with tempfile.TemporaryDirectory() as work:
         paths = gen.write_inputs(jobs, os.path.join(work, "inputs"))
-        runs = [(job.name, fmt, ["--format", fmt] + _without_format(argv)) for job, argv in zip(jobs, paths) for fmt in FORMATS]
+        runs = [(f"{job.name} --format {fmt}", ["--format", fmt] + _without_format(argv)) for job, argv in zip(jobs, paths) for fmt in FORMATS]
+        fan_path = os.path.join(work, "fan.json")
+        with open(fan_path, "w") as fh:
+            json.dump({"cones": [[[-1, 0], [0, -1]]]}, fh)
+        runs += [(" ".join(argv) or "(no arguments)", argv) for argv in other_spellings(fan_path)]
         argvs_path = os.path.join(work, "argvs.json")
         with open(argvs_path, "w") as fh:
-            json.dump([a for _, _, a in runs], fh)
+            json.dump([a for _, a in runs], fh)
         results = []
         for k, tree in enumerate(trees):
             out_path = os.path.join(work, f"results{k}.json")
@@ -88,10 +114,10 @@ def main(argv: list[str]) -> int:
             with open(out_path) as fh:
                 results.append(json.load(fh))
     differ = 0
-    for (name, fmt, _), old, new in zip(runs, *results):
+    for (name, _), old, new in zip(runs, *results):
         if old != new:
             differ += 1
-            print(f"{name} --format {fmt}: exit {old[0]} -> {new[0]}, stdout "
+            print(f"{name}: exit {old[0]} -> {new[0]}, stdout "
                   f"{'same' if old[1] == new[1] else 'differs'}, stderr {'same' if old[2] == new[2] else 'differs'}")
     print(f"{len(runs) - differ} of {len(runs)} executions identical")
     return 1 if differ else 0
