@@ -681,7 +681,15 @@ def main(argv=None) -> int:
     except SpherindexError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    emit(report, fmt)
+    try:  # flushed here, so that the exit flush has nothing left to fail on
+        emit(report, fmt)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left: a silent exit flush, as for SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except OSError as e:
+        print(f"error: cannot write report: {e}", file=sys.stderr)
+        return 1
     return code
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import accumulate
+from math import lcm
 
 from .errors import NotARootBase, NotFiniteType, ParseError
 from .linalg import (
@@ -17,6 +18,7 @@ from .linalg import (
     Vec,
     dot,  # noqa: F401  perfbench/tests checks that the tracer wraps this binding
     integer_kernel,
+    mat_mul,
     mat_mul_t,
     minus_identity,
     scaled_inverse,
@@ -29,6 +31,7 @@ from .rootsys import (
     RestrictedRoots,
     RootBase,
     image_fibers,
+    orbit,
     root_images,
     type_name_of,
 )
@@ -154,11 +157,27 @@ class RestrictedSimpleRoots(Record):
 
 
 def restricted_simple_roots(ix: TitsIndex) -> RestrictedSimpleRoots:
+    """The distinct nonzero rows of ``ix.restriction``, classified by d L^2 times
+    the Gram matrix of their projections onto V, read off the ambient form B:
+    for L the lcm of the fiber sizes (a fiber is a star orbit), (A, d) the
+    scaled inverse of B_CC and M = d B - B_.C A B_C., the Schur complement,
+    g[s][t] is (L/|F_s|) (L/|F_t|) times the sum of M over F_s x F_t.  C is
+    the compact roots joined to a fiber through compact roots: the others are
+    orthogonal to the fibers and to C."""
     distinct, fibers = image_fibers((i, img) for i, img in enumerate(ix.restriction) if any(img))
-    # a positive multiple of the form on restriction coordinates that matches
-    # the projected invariant form; Cartan numbers do not see the scale
-    form, _ = scaled_inverse(mat_mul_t(ix.split, transpose(ix.restriction)))
-    base = RootBase.from_vectors(distinct, form)
+    b, size = ix.ambient.form(), lcm(*map(len, fibers))
+
+    def sums(rows):  # row s: L/|F_s| times the sum of the rows of fiber s
+        return [[size // len(f) * x for x in map(sum, zip(*(rows[i] for i in f)))] for f in fibers]
+
+    ub = sums(b)  # U B, for U the weighted indicator rows of the fibers
+    g = sums(transpose(ub))  # U B U^T
+    near = [*orbit([j for j in ix.compact if any(row[j] for row in ub)], lambda j: (k for k in ix.compact if b[j][k]))]
+    if near:  # none for split, quasi-split and anisotropic indices
+        a, d = scaled_inverse([[b[i][j] for j in near] for i in near])
+        ubc = [[row[j] for j in near] for row in ub]
+        g = [[d * x - y for x, y in zip(*rows)] for rows in zip(g, mat_mul_t(mat_mul(ubc, a), ubc))]
+    base = RootBase.from_gram(tuple(distinct), g)
     order = [i for _, _, positions in base.components for i in positions]
     return RestrictedSimpleRoots(
         roots=tuple(distinct[i] for i in order),

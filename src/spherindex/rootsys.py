@@ -190,8 +190,12 @@ class RootBase(Record):
         vectors = tuple(map(tuple, vectors))
         if len(vectors) > len(form):  # dependent, before the k x k Gram matrix is built
             raise LinearlyDependent("base vectors are linearly dependent")
+        return RootBase.from_gram(vectors, gram(vectors, form))
+
+    @staticmethod
+    def from_gram(vectors: Mat, g) -> "RootBase":
+        """The classified base of ``vectors`` of Gram matrix ``g``, up to a positive scale."""
         try:
-            g = gram(vectors, form)
             for i, row in enumerate(g):
                 if row[i] <= 0:
                     raise NotARootBase("base vector of nonpositive squared length")

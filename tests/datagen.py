@@ -8,15 +8,19 @@ not satisfy the structural identities the engines enforce, so the corpus
 sticks to these families.
 """
 
+import importlib.util
+import os
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate, combinations
 from types import SimpleNamespace
 
+from spherindex.cli import parse_index
 from spherindex.datum import CompactRootSplit, SphericalDatumK
 from spherindex.errors import InternalInconsistency, LinearlyDependent, NotARootBase, SpherindexError
 from spherindex.fans import Fan, FanIssue, _intersection_issues
-from spherindex.index import TitsIndex, res_A
+from spherindex.index import RestrictedSimpleRoots, TitsIndex, res_A
 from spherindex.linalg import (
     Lattice,
     divide,
@@ -40,6 +44,7 @@ from spherindex.rootsys import (
     RootBase,
     classify,
     generate_roots,
+    image_fibers,
     root_images,
     type_name_of,
 )
@@ -534,3 +539,36 @@ def dfs_match(c_sub, c_std):
         return False
 
     return perm if dfs(0) else None
+
+
+def restricted_simple_roots_by_split_gram(ix: TitsIndex) -> RestrictedSimpleRoots:
+    """``index.restricted_simple_roots`` as it was before it read the Gram
+    matrix off the ambient form: the scaled inverse of the split Gram matrix
+    S B S^T is the form on restriction coordinates, and ``from_vectors``
+    builds the Gram matrix of the images under it."""
+    distinct, fibers = image_fibers((i, img) for i, img in enumerate(ix.restriction) if any(img))
+    form, _ = scaled_inverse(mat_mul_t(ix.split, transpose(ix.restriction)))
+    base = RootBase.from_vectors(distinct, form)
+    order = [i for _, _, positions in base.components for i in positions]
+    return RestrictedSimpleRoots(
+        roots=tuple(distinct[i] for i in order),
+        fibers=tuple(tuple(fibers[i]) for i in order),
+        types=base.types,
+    )
+
+
+@cache
+def load_tool(name: str):
+    """The module ``tools/<name>.py``, loaded from its file once."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "tools", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def random_tits_index(rng: random.Random) -> TitsIndex:
+    """The index of a random ``restrict-index`` document of
+    ``tools/compare_outputs.py``: A-G components, swaps, flips and a union of
+    star orbits as the compact set."""
+    return parse_index(load_tool("compare_outputs").random_index_document(rng))

@@ -283,11 +283,10 @@ class RecordedWrites(io.StringIO):
         return super().write(s)
 
 
-def split_a6(tmp_path):
-    """The split A6 datum: its spherical roots are the simple roots."""
-    n = 6
+def split_a6(tmp_path, n=6):
+    """The split A6 datum, or split A_n: its spherical roots are the simple roots."""
     basis = [[int(i == j) for j in range(n)] for i in range(n)]
-    return write(tmp_path, "a6.json", {
+    return write(tmp_path, f"a{n}.json", {
         "schema_version": "1",
         "mode": "ambient",
         "ambient": {"components": [{"family": "A", "rank": n}]},
@@ -307,6 +306,61 @@ def test_json_report_is_streamed(tmp_path, monkeypatch):
     assert len(reports[0]["strata"]) == 64
     assert first_difference(out.getvalue(), reference_json(reports[0])) is None
     assert max(out.sizes) < len(out.getvalue()) / 10
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+def test_a_full_disk_exits_1_with_one_error_line(fmt):
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "spherindex.cli", "--format", fmt, "analyze", fixture("e6.json")],
+            stdout=full, stderr=subprocess.PIPE, text=True, timeout=60, env={**os.environ, "PYTHONPATH": SRC},
+        )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: cannot write report: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+def test_a_pipe_closed_early_exits_1_in_silence(tmp_path, fmt):
+    """Split A9's standard fan is 264 KB of text and 1 MB of JSON, more than a
+    pipe holds, so the writer is still writing when the reader leaves."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "spherindex.cli", "--format", fmt, "standard-fan", split_a6(tmp_path, 9)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    _, stderr = proc.communicate(timeout=60)
+    assert (proc.returncode, stderr) == (1, b"")
+
+
+class FailingStdout(io.StringIO):
+    """A stdout on the file descriptor ``fd`` whose every write raises ``error``."""
+
+    def __init__(self, error, fd):
+        super().__init__()
+        self.error, self.fd = error, fd
+
+    def write(self, text):
+        raise self.error
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+def test_a_failed_write_ends_main_with_exit_1(capsys, monkeypatch, tmp_path, fmt):
+    """A closed pipe points the descriptor at the null device, so that the
+    exit flush is silent, and prints nothing; any other error prints one line."""
+    with open(tmp_path / "out", "w") as fh:
+        monkeypatch.setattr(sys, "stdout", FailingStdout(BrokenPipeError(32, "Broken pipe"), fh.fileno()))
+        assert main(["--format", fmt, "analyze", fixture("e6.json")]) == 1
+        assert os.path.samestat(os.fstat(fh.fileno()), os.stat(os.devnull))
+    assert capsys.readouterr().err == ""
+    monkeypatch.setattr(sys, "stdout", FailingStdout(OSError(28, "No space left on device"), None))
+    assert main(["--format", fmt, "analyze", fixture("e6.json")]) == 1
+    assert capsys.readouterr().err == "error: cannot write report: [Errno 28] No space left on device\n"
 
 
 def test_missing_file_exit_2(capsys):

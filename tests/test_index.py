@@ -3,14 +3,26 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from sympy import Matrix
 
-from datagen import ambient_roots, divisor_scan_indivisible, flip_matrix, fvec, image_lattice, solve_left
+from datagen import (
+    ambient_roots,
+    divisor_scan_indivisible,
+    flip_matrix,
+    fvec,
+    image_lattice,
+    load_tool,
+    random_tits_index,
+    restricted_simple_roots_by_split_gram,
+    solve_left,
+)
 from spherindex import index, linalg, rootsys
 from spherindex.cli import cmd_analyze, cmd_restrict_index, emit, parse_index
+from spherindex.errors import SpherindexError
 from spherindex.index import (
     TitsIndex,
     res_A,
@@ -466,3 +478,69 @@ def test_restricted_root_system_makes_no_matrix_product(monkeypatch):
             monkeypatch.setattr(module, name, counted(name), raising=False)
     assert [restricted_root_system(ix) for ix in indices] == expected
     assert calls == []
+
+
+def outcome(f, ix):
+    """What ``f(ix)`` returns, or the class name and message of what it raises."""
+    try:
+        return f(ix)
+    except SpherindexError as e:
+        return type(e).__name__, str(e)
+
+
+def kind(result) -> str:
+    if isinstance(result, tuple):
+        return result[0]
+    if not result.roots:
+        return "anisotropic"
+    return "mixed fibers" if len({*map(len, result.fibers)}) > 1 else "base"
+
+
+def test_restricted_simple_roots_agree_with_the_split_gram_inverse():
+    """The Gram matrix read off the ambient form gives the roots, fibers and
+    types, or the error and its message, that the inverse of the split Gram
+    matrix S B S^T gave: on random indices with A-G components, swaps, flips
+    (A_odd mixes fibers of sizes 1 and 2) and unions of star orbits as the
+    compact set, the anisotropic case among them."""
+    rng = random.Random(20261019)
+    kinds = Counter()
+    for _ in range(1000):
+        ix = random_tits_index(rng)
+        new = outcome(restricted_simple_roots, ix)
+        assert new == outcome(restricted_simple_roots_by_split_gram, ix), ix
+        kinds[kind(new)] += 1
+    assert set(kinds) == {"base", "mixed fibers", "anisotropic", "NotARootBase"}, kinds
+
+
+def test_the_documents_flip_each_type_by_its_diagram_involution():
+    tool = load_tool("compare_outputs")
+    for family, rank in tool.INDEX_TYPES:
+        assert tuple(tool.diagram_flip(family, rank)) == diagram_involution(family, rank)
+
+
+def index_document(components, compact=(), star=()):
+    return {
+        "schema_version": "1",
+        "mode": "ambient",
+        "ambient": {"components": [{"family": f, "rank": n} for f, n in components]},
+        "compact_simple": list(compact),
+        "star_generators": list(star),
+    }
+
+
+def test_restrict_index_inverts_only_the_compact_block(monkeypatch):
+    """Split and quasi-split indices run no elimination at all; C8 with
+    compact a1, a3, a5, a7 runs one, of its 4 x 4 compact block."""
+    swap = flip_matrix(12, [(i, i + 6) for i in range(6)])
+    cases = [(index_document([t]), []) for t in [("E", 7), ("E", 8), ("D", 8), ("A", 12)]]
+    cases += [(index_document([t], star=["flip"]), []) for t in [("A", 2), ("A", 3), ("A", 12), ("D", 5), ("E", 6)]]
+    cases += [
+        (index_document([("A", 6), ("A", 6)], star=[swap]), []),
+        (index_document([("C", 8)], compact=["a1", "a3", "a5", "a7"]), [4]),
+    ]
+    calls, eliminate = [], linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate", lambda m: calls.append(len(m)) or eliminate(m))
+    for doc, expected in cases:
+        calls.clear()
+        report, code = cmd_restrict_index(doc)
+        assert (code, report["violations"], calls) == (0, [], expected), doc

@@ -248,9 +248,9 @@ def callers(trees, callee):
     return found
 
 
-# one home per matrix inversion: the dual basis kernel, the form on
-# restriction coordinates, and the normals of the maximal cones of a fan; the
-# walls of an index need none, since characters restrict to fiber sums
+# one home per matrix inversion: the dual basis kernel, the compact block of
+# the ambient form, and the normals of the maximal cones of a fan; the walls
+# of an index need none, since characters restrict to fiber sums
 SCALED_INVERSE_CALLERS = {
     "linalg.scaled_dual_basis",
     "index.restricted_simple_roots",

@@ -11,9 +11,11 @@ script, which is imported and never written to.  Each job runs in
 child interpreter per tree, on the same input files.  A fixed list of
 command lines that argparse reads (help, usage errors, and the fixtures
 spelled with ``--format=json``, options before the path and an abbreviated
-flag) runs as well.  Every execution whose (exit code, stdout, stderr)
-differs between the trees is printed, and the script exits 1 if any does,
-else 0.
+flag) runs as well, and so does ``restrict-index`` on a fixed, seeded list
+of random index documents in both formats, about half of which exit 1 with
+"restricted simple roots do not form a root base".  Every execution whose
+(exit code, stdout, stderr) differs between the trees is printed, and the
+script exits 1 if any does, else 0.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -30,6 +33,12 @@ import traceback
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FORMATS = ("json", "text")
+INDEX_SEED, INDEX_COUNT = 3619, 200
+INDEX_TYPES = [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("A", 6), ("A", 7),
+    ("B", 2), ("B", 3), ("B", 4), ("C", 2), ("C", 3), ("C", 4),
+    ("D", 4), ("D", 5), ("D", 6), ("E", 6), ("E", 7), ("F", 4), ("G", 2),
+]
 
 
 def run_tree(src: str, argvs_path: str, out_path: str) -> None:
@@ -75,6 +84,55 @@ def other_spellings(fan_path: str) -> list[list[str]]:
     return argvs
 
 
+def diagram_flip(family: str, rank: int) -> list[int]:
+    """The canonical diagram involution of a type on 0-based positions."""
+    if family == "A":
+        return list(range(rank - 1, -1, -1))
+    if family == "D":
+        return [*range(rank - 2), rank - 1, rank - 2]
+    return [5, 1, 4, 3, 2, 0] if (family, rank) == ("E", 6) else list(range(rank))
+
+
+def random_index_document(rng: random.Random) -> dict:
+    """A ``restrict-index`` document that passes the star checks: 1 to 3
+    components of types A-G, equal components swapped by one star generator
+    each, the diagram flip on chosen components, and a random union of star
+    orbits as the compact set, now and then all of them (the anisotropic
+    case).  Most such compact sets are not Satake diagrams."""
+    spec = [rng.choice(INDEX_TYPES) for _ in range(rng.randint(1, 3))]
+    if len(spec) > 1 and rng.random() < 0.5:
+        spec[-1] = spec[0]
+    starts = [sum(rk for _, rk in spec[:k]) for k in range(len(spec) + 1)]
+    n = starts[-1]
+    flip = list(range(n))
+    for (family, rk), s in zip(spec, starts):
+        if rng.random() < 0.5:
+            flip[s:s + rk] = [s + j for j in diagram_flip(family, rk)]
+    perms = [flip] if flip != list(range(n)) else []
+    for a in range(len(spec)):
+        for b in range(a + 1, len(spec)):
+            if spec[a] == spec[b] and rng.random() < 0.7:
+                swap, one, other = list(range(n)), slice(starts[a], starts[a + 1]), slice(starts[b], starts[b + 1])
+                swap[one], swap[other] = swap[other], swap[one]
+                perms.append(swap)
+    orbits = []
+    for i in range(n):
+        if not any(i in o for o in orbits):
+            o = {i}
+            while (grown := o | {p[j] for p in perms for j in o}) != o:
+                o = grown
+            orbits.append(sorted(o))
+    chosen = orbits if rng.random() < 0.08 else [o for o in orbits if rng.random() < 0.4]
+    names = [f"c{k + 1}.a{i + 1}" if len(spec) > 1 else f"a{i + 1}" for k, (_, rk) in enumerate(spec) for i in range(rk)]
+    return {
+        "schema_version": "1",
+        "mode": "ambient",
+        "ambient": {"components": [{"family": family, "rank": rk} for family, rk in spec]},
+        "compact_simple": [names[i] for i in sorted(i for o in chosen for i in o)],
+        "star_generators": [[[int(p[i] == j) for j in range(n)] for i in range(n)] for p in perms],
+    }
+
+
 def _without_format(argv: list[str]) -> list[str]:
     """The argv of a job without its leading ``--format`` option, if any."""
     return argv[2:] if argv[:1] == ["--format"] else argv
@@ -103,6 +161,12 @@ def main(argv: list[str]) -> int:
         with open(fan_path, "w") as fh:
             json.dump({"cones": [[[-1, 0], [0, -1]]]}, fh)
         runs += [(" ".join(argv) or "(no arguments)", argv) for argv in other_spellings(fan_path)]
+        rng = random.Random(INDEX_SEED)
+        for k in range(INDEX_COUNT):
+            index_path = os.path.join(work, f"index{k}.json")
+            with open(index_path, "w") as fh:
+                json.dump(random_index_document(rng), fh)
+            runs += [(f"random index {k} --format {fmt}", ["--format", fmt, "restrict-index", index_path]) for fmt in FORMATS]
         argvs_path = os.path.join(work, "argvs.json")
         with open(argvs_path, "w") as fh:
             json.dump([a for _, a in runs], fh)
