@@ -681,14 +681,14 @@ def main(argv=None) -> int:
     except SpherindexError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    try:  # flushed here, so that the exit flush has nothing left to fail on
+    try:
         emit(report, fmt)
         sys.stdout.flush()
-    except BrokenPipeError:  # the reader left: a silent exit flush, as for SIGPIPE
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
-    except OSError as e:
-        print(f"error: cannot write report: {e}", file=sys.stderr)
+    except OSError as e:  # fd 1 on the null device: the exit flush of what is left is silent
+        os.dup2(devnull := os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        os.close(devnull)
+        if not isinstance(e, BrokenPipeError):  # a reader that left is told nothing, as for SIGPIPE
+            print(f"error: cannot write report: {e}", file=sys.stderr)
         return 1
     return code
 

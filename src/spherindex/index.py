@@ -18,10 +18,9 @@ from .linalg import (
     Vec,
     dot,  # noqa: F401  perfbench/tests checks that the tracer wraps this binding
     integer_kernel,
-    mat_mul,
     mat_mul_t,
     minus_identity,
-    scaled_inverse,
+    scaled_schur_complement,
     transpose,
     vec_mat,
 )
@@ -159,11 +158,10 @@ class RestrictedSimpleRoots(Record):
 def restricted_simple_roots(ix: TitsIndex) -> RestrictedSimpleRoots:
     """The distinct nonzero rows of ``ix.restriction``, classified by d L^2 times
     the Gram matrix of their projections onto V, read off the ambient form B:
-    for L the lcm of the fiber sizes (a fiber is a star orbit), (A, d) the
-    scaled inverse of B_CC and M = d B - B_.C A B_C., the Schur complement,
-    g[s][t] is (L/|F_s|) (L/|F_t|) times the sum of M over F_s x F_t.  C is
-    the compact roots joined to a fiber through compact roots: the others are
-    orthogonal to the fibers and to C."""
+    for L the lcm of the fiber sizes (a fiber is a star orbit) and M = d times
+    the Schur complement of B_CC in B, d = det B_CC, g[s][t] is (L/|F_s|)
+    (L/|F_t|) times the sum of M over F_s x F_t.  C is the compact roots joined
+    to a fiber through compact roots: the others are orthogonal to both."""
     distinct, fibers = image_fibers((i, img) for i, img in enumerate(ix.restriction) if any(img))
     b, size = ix.ambient.form(), lcm(*map(len, fibers))
 
@@ -171,12 +169,10 @@ def restricted_simple_roots(ix: TitsIndex) -> RestrictedSimpleRoots:
         return [[size // len(f) * x for x in map(sum, zip(*(rows[i] for i in f)))] for f in fibers]
 
     ub = sums(b)  # U B, for U the weighted indicator rows of the fibers
-    g = sums(transpose(ub))  # U B U^T
     near = [*orbit([j for j in ix.compact if any(row[j] for row in ub)], lambda j: (k for k in ix.compact if b[j][k]))]
-    if near:  # none for split, quasi-split and anisotropic indices
-        a, d = scaled_inverse([[b[i][j] for j in near] for i in near])
-        ubc = [[row[j] for j in near] for row in ub]
-        g = [[d * x - y for x, y in zip(*rows)] for rows in zip(g, mat_mul_t(mat_mul(ubc, a), ubc))]
+    rows = [b[i] for i in near] + ub  # then [[B_CC, B_C. U^T], [U B_.C, U B U^T]]
+    bordered = [[*map(row.__getitem__, near), *s] for row, s in zip(rows, zip(*sums(transpose(rows))))]
+    g, _ = scaled_schur_complement(bordered, len(near))
     base = RootBase.from_gram(tuple(distinct), g)
     order = [i for _, _, positions in base.components for i in positions]
     return RestrictedSimpleRoots(

@@ -139,6 +139,31 @@ def scaled_inverse(m) -> tuple[tuple[tuple[int, ...], ...], int]:
     return tuple(tuple(sign * x for x in row[n:]) for row in rows), sign * det
 
 
+def scaled_schur_complement(m, k: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(s, d) for an integer matrix m = [[P, B], [C, D]] whose k x k block P is
+    positive definite: d = det P and s = d (D - C P^-1 B), the trailing block
+    after a forward Bareiss elimination of the first k columns with no row
+    swap (Sylvester's identity).  A row that is 0 in the pivot column is only
+    scaled by piv / prev, so that is done when the row is next used: a chain
+    of compact roots updates O(1) rows per column, not all of them."""
+    rows, seen, prev = [list(row) for row in m], [1] * len(m), 1
+
+    def current(i, c):  # row i as of the last pivot; at step c its entries before column c are 0
+        if seen[i] != prev:
+            rows[i][c:], seen[i] = [x * prev // seen[i] for x in rows[i][c:]], prev
+        return rows[i]
+
+    for c in range(k):
+        prow = current(c, c)
+        piv = prow[c]
+        for i in range(c + 1, len(rows)):
+            if rows[i][c]:
+                row = current(i, c)
+                row[c:], seen[i] = [(piv * x - row[c] * y) // prev for x, y in zip(row[c:], prow[c:])], piv
+        prev = piv
+    return tuple(tuple(current(i, k)[k:]) for i in range(k, len(rows))), prev
+
+
 def gram(rows, form) -> Mat:
     """Gram matrix (a F b) of the rows under the bilinear form F."""
     return mat_mul_t(mat_mul(rows, form), rows)

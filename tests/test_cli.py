@@ -350,17 +350,23 @@ class FailingStdout(io.StringIO):
 
 
 @pytest.mark.parametrize("fmt", cli.FORMATS)
-def test_a_failed_write_ends_main_with_exit_1(capsys, monkeypatch, tmp_path, fmt):
-    """A closed pipe points the descriptor at the null device, so that the
-    exit flush is silent, and prints nothing; any other error prints one line."""
+@pytest.mark.parametrize(
+    "error, err",
+    [
+        (BrokenPipeError(32, "Broken pipe"), ""),
+        (OSError(28, "No space left on device"), "error: cannot write report: [Errno 28] No space left on device\n"),
+    ],
+    ids=["closed-pipe", "full-disk"],
+)
+def test_a_failed_write_ends_main_with_exit_1(capsys, monkeypatch, tmp_path, fmt, error, err):
+    """Either error points the descriptor at the null device, so that the exit
+    flush of what is left is silent; a closed pipe prints nothing, any other
+    error one line."""
     with open(tmp_path / "out", "w") as fh:
-        monkeypatch.setattr(sys, "stdout", FailingStdout(BrokenPipeError(32, "Broken pipe"), fh.fileno()))
+        monkeypatch.setattr(sys, "stdout", FailingStdout(error, fh.fileno()))
         assert main(["--format", fmt, "analyze", fixture("e6.json")]) == 1
         assert os.path.samestat(os.fstat(fh.fileno()), os.stat(os.devnull))
-    assert capsys.readouterr().err == ""
-    monkeypatch.setattr(sys, "stdout", FailingStdout(OSError(28, "No space left on device"), None))
-    assert main(["--format", fmt, "analyze", fixture("e6.json")]) == 1
-    assert capsys.readouterr().err == "error: cannot write report: [Errno 28] No space left on device\n"
+    assert capsys.readouterr().err == err
 
 
 def test_missing_file_exit_2(capsys):

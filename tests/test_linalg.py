@@ -31,6 +31,7 @@ from spherindex.linalg import (
     rank,
     scaled_dual_basis,
     scaled_inverse,
+    scaled_schur_complement,
     transpose,
     vec_mat,
 )
@@ -263,6 +264,45 @@ def test_inverse():
     m = ((1, 2), (3, 5))
     a, d = scaled_inverse(m)  # det(m) = -1
     assert d == 1 and mat_mul(m, a) == ((1, 0), (0, 1))
+
+
+def bordered_positive_definite():
+    """(m, k): m = [[P, B], [C, D]] with P = Q Q^T + I of size k, positive
+    definite, and B, C, D integral of r rows and columns; zeros weigh double, so
+    that many rows are 0 in a pivot column."""
+    entry = st.one_of(st.just(0), small_int)
+    return st.tuples(st.integers(0, 5), st.integers(0, 4)).flatmap(
+        lambda kr: st.tuples(
+            st.lists(st.lists(entry, min_size=kr[0], max_size=kr[0]), min_size=kr[0], max_size=kr[0]),
+            st.lists(st.lists(entry, min_size=sum(kr), max_size=sum(kr)), min_size=kr[1], max_size=kr[1]),
+            st.lists(st.lists(entry, min_size=kr[1], max_size=kr[1]), min_size=kr[0], max_size=kr[0]),
+        ).map(lambda qcdb: (bordered(*qcdb), kr[0]))
+    )
+
+
+def bordered(q, cd, b):
+    p = mat_mul_t(q, q)
+    return [[*(x + int(i == j) for j, x in enumerate(row)), *b[i]] for i, row in enumerate(p)] + cd
+
+
+A10_BOTH_ENDS = (  # the compact chain of SU(1,11) and the sum of its two end roots
+    [[2 * (i == j) - (abs(i - j) == 1) for j in range(10)] + [-(i in (0, 9))] for i in range(10)]
+    + [[-1] + [0] * 8 + [-1, 2]],
+    10,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(bordered_positive_definite())
+@example(A10_BOTH_ENDS)
+def test_scaled_schur_complement_matches_sympy(mk):
+    m, k = mk
+    s, d = scaled_schur_complement(m, k)
+    full = Matrix(m) if m else Matrix.zeros(0, 0)
+    p, b, c, dd = full[:k, :k], full[:k, k:], full[k:, :k], full[k:, k:]
+    assert type(d) is int and d == p.det() > 0
+    assert all(type(x) is int for row in s for x in row)
+    assert s == from_sympy(d * (dd - c * p.inv() * b) if k else dd)
 
 
 # [m | I] of a wide m can have its pivots in the first columns: squareness is checked

@@ -248,12 +248,12 @@ def callers(trees, callee):
     return found
 
 
-# one home per matrix inversion: the dual basis kernel, the compact block of
-# the ambient form, and the normals of the maximal cones of a fan; the walls
-# of an index need none, since characters restrict to fiber sums
+# one home per matrix inversion: the dual basis kernel and the normals of the
+# maximal cones of a fan; the walls of an index need none, since characters
+# restrict to fiber sums, nor its restricted simple roots, whose Gram matrix
+# is a Schur complement of the compact block of the ambient form
 SCALED_INVERSE_CALLERS = {
     "linalg.scaled_dual_basis",
-    "index.restricted_simple_roots",
     "fans.Fan.normals",
 }
 
