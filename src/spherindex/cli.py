@@ -188,13 +188,10 @@ def parse_datum(doc: dict) -> SphericalDatumK:
 
 
 def parse_fan(doc: dict) -> Fan:
-    cones = _require(doc, "cones")
-    try:
-        return Fan.from_maximal(
-            [[[_int(x) for x in g] for g in cone] for cone in cones]
-        )
-    except TypeError as e:
-        raise ParseError(f"bad fan: {e}") from None
+    cones = _list(_require(doc, "cones"), "cones")
+    return Fan.from_maximal(
+        [[[_int(x) for x in _list(g, "a fan generator")] for g in _list(cone, "a cone")] for cone in cones]
+    )
 
 
 # ---------------------------------------------------------------------------

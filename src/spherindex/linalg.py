@@ -7,9 +7,10 @@ Python frame per term; ``mat_mul`` takes the columns of its right operand
 once.  It keeps the types it is given (ints in, ints out; any ``Fraction``
 in, ``Fraction`` out), and a length mismatch raises ``ValueError``, since
 ``map`` would stop silently at the shorter operand.
-The eliminations are one fraction-free integer kernel, so ``rank``,
-``pivot_columns``, ``scaled_inverse`` and ``scaled_dual_basis`` create no
-``Fraction``.  One is created in four places only, by one division each:
+Elimination is one forward fraction-free integer kernel, and every inverse is
+a Schur complement on it, so ``rank``, ``pivot_columns``, ``scaled_inverse``
+and ``scaled_dual_basis`` create no ``Fraction``.  One is created in four
+places only, by one division each:
 
 - ``divide``, once per entry: the report's division of the extremal rays
   of ``analyze`` by the scale of ``scaled_dual_basis``, and ``Lattice.rows_q``
@@ -82,86 +83,79 @@ def transpose(m) -> Mat:
     return tuple(zip(*m)) if m else ()
 
 
-def _eliminate(m) -> tuple[list[list[int]], tuple[int, ...], int]:
-    """Fraction-free Gauss-Jordan elimination (Bareiss 1968).
+def _eliminate(m, k: int) -> tuple[list[list[int]], tuple[int, ...], int]:
+    """Forward fraction-free elimination (Bareiss 1968), pivots among the first k rows.
 
-    Each row is scaled to integers once, which keeps its row space.  A pivot
-    p then replaces every other row by (p * row - f * pivot_row) // prev,
-    where prev is the pivot before it (1 at the start): each entry is a minor
-    of the scaled matrix, so the division is exact.  Returns (rows, pivots,
-    det): integer rows equal to det times the reduced row echelon form of m,
-    the pivot columns, and the last pivot det != 0 (1 for rank 0).
+    Each row is scaled to integers.  Column by column, the first unused row of
+    the first k that is nonzero there is swapped up as the pivot row p, and
+    each row below becomes (p[c] row - row[c] p) // s, for s the pivot of its
+    last update (1 at first), exact since each entry is a minor: a row that is
+    0 in a pivot column is not touched, so a chain of compact roots updates
+    O(1) rows per column.  After at most k pivots it returns the rows below
+    them from the column after the last on, as of the last pivot det; the pivot
+    columns, those of the reduced echelon form when k = len(m); and det, 1 if none.
     """
-    for row in m:
-        if not {*map(type, row)} <= {int, Fraction}:
-            for x in row:
-                if type(x) is not int and not isinstance(x, Fraction):
-                    raise TypeError(f"cannot interpret {x!r} as an exact rational")
     rows = scale_rows_integral(m)
-    nrows = len(rows)
-    pivots = []
-    det = 1
-    for c in range(len(rows[0]) if rows else 0):
+    seen, prev, pivots = [1] * len(rows), 1, []
+
+    def current(i, c):  # the entries of row i from column c on, as of the last pivot
+        s = seen[i]
+        return rows[i][c:] if s == prev else [x * prev // s for x in rows[i][c:]]
+
+    for c in range(len(rows[0]) if rows and k else 0):
         r = len(pivots)
-        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
+        pivot = r if rows[r][c] else next((i for i in range(r + 1, k) if rows[i][c]), None)
         if pivot is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        prow = rows[r]
-        piv = prow[c]
-        for i in range(nrows):
-            f = rows[i][c]
-            if i != r and (f or piv != det):
-                rows[i] = [(piv * x - f * y) // det for x, y in zip(rows[i], prow)]
-        det = piv
+        rows[r], rows[pivot], seen[r], seen[pivot] = rows[pivot], rows[r], seen[pivot], seen[r]
+        tail = current(r, c)
+        piv = tail[0]
+        for i in range(r + 1, len(rows)):
+            if f := rows[i][c]:
+                row, s = rows[i], seen[i]
+                row[c:], seen[i] = [(piv * x - f * y) // s for x, y in zip(row[c:], tail)], piv
+        prev = piv
         pivots.append(c)
-    return rows, tuple(pivots), det
+        if len(pivots) == k:
+            break
+    end = pivots[-1] + 1 if pivots else 0
+    return [current(i, end) for i in range(len(pivots), len(rows))], tuple(pivots), prev
 
 
 def pivot_columns(m) -> tuple[int, ...]:
     """The pivot columns of the reduced row echelon form of m."""
-    return _eliminate(m)[1]
+    return _eliminate(m, len(m))[1]
 
 
 def rank(m) -> int:
     return len(pivot_columns(m))
 
 
+def scaled_schur_complement(m, k: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(d (D - C P^-1 B), d) for m = [[P, B], [C, D]], rows scaled to integers,
+    and d = |det P|, from k pivots on P (Sylvester's identity; a swap of rows
+    of P only flips the sign of the last pivot).  A singular P raises ``ValueError``."""
+    rows, pivots, det = _eliminate(m, k)
+    if pivots != tuple(range(k)):
+        raise ValueError("matrix is singular")
+    if det > 0:
+        return tuple(map(tuple, rows)), det
+    return tuple(tuple([-x for x in row]) for row in rows), -det
+
+
+def _scaled_solve(m, b) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(d m^-1 b, d) for a square m, the Schur complement of m in [[m, b], [-I, 0]]."""
+    width = len(m) + len(b[0] if b else ())
+    rows = [[*r, *s] for r, s in zip(m, b, strict=True)]
+    return scaled_schur_complement(rows + [[0] * i + [-1] + [0] * (width - i - 1) for i in range(len(m))], len(m))
+
+
 def scaled_inverse(m) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """(a, d) with d > 0 and a = d * m^-1 an integer matrix, from [m | I]."""
+    """(a, d) with d > 0 and a = d * m^-1 an integer matrix."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("matrix is not square")
-    rows, pivots, det = _eliminate([(*row, *e) for row, e in zip(m, identity(n), strict=True)])
-    if pivots != tuple(range(n)):
-        raise ValueError("matrix is singular")
-    sign = 1 if det > 0 else -1
-    return tuple(tuple(sign * x for x in row[n:]) for row in rows), sign * det
-
-
-def scaled_schur_complement(m, k: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """(s, d) for an integer matrix m = [[P, B], [C, D]] whose k x k block P is
-    positive definite: d = det P and s = d (D - C P^-1 B), the trailing block
-    after a forward Bareiss elimination of the first k columns with no row
-    swap (Sylvester's identity).  A row that is 0 in the pivot column is only
-    scaled by piv / prev, so that is done when the row is next used: a chain
-    of compact roots updates O(1) rows per column, not all of them."""
-    rows, seen, prev = [list(row) for row in m], [1] * len(m), 1
-
-    def current(i, c):  # row i as of the last pivot; at step c its entries before column c are 0
-        if seen[i] != prev:
-            rows[i][c:], seen[i] = [x * prev // seen[i] for x in rows[i][c:]], prev
-        return rows[i]
-
-    for c in range(k):
-        prow = current(c, c)
-        piv = prow[c]
-        for i in range(c + 1, len(rows)):
-            if rows[i][c]:
-                row = current(i, c)
-                row[c:], seen[i] = [(piv * x - row[c] * y) // prev for x, y in zip(row[c:], prow[c:])], piv
-        prev = piv
-    return tuple(tuple(current(i, k)[k:]) for i in range(k, len(rows))), prev
+    return _scaled_solve(m, [[0] * i + [1] + [0] * (n - i - 1) for i in range(n)])
 
 
 def gram(rows, form) -> Mat:
@@ -183,8 +177,8 @@ def scaled_dual_basis(rows, form) -> tuple[tuple[tuple[int, ...], ...], int]:
     """
     u, c = scale_integral(rows)
     uf = mat_mul(u, scale_integral(form)[0])
-    a, d = scaled_inverse(mat_mul_t(uf, u))
-    return tuple(tuple(c * x for x in row) for row in mat_mul(a, uf)), d
+    w, d = _scaled_solve(mat_mul_t(uf, u), uf)
+    return tuple(tuple(c * x for x in row) for row in w), d
 
 
 def content(v) -> int:
@@ -209,11 +203,16 @@ def scale_integral(m) -> tuple[tuple[tuple[int, ...], ...], int]:
 
 def scale_rows_integral(rows) -> list[list[int]]:
     """Scale each row by the lcm of its denominators (kernel-preserving); a
-    row of ints is copied."""
+    row of ints is copied, and an entry that is no exact rational raises ``TypeError``."""
     out = []
     for row in rows:
-        d = 0 if {*map(type, row)} <= {int} else lcm(*(x.denominator for x in row))
-        out.append([x.numerator * (d // x.denominator) for x in row] if d else list(row))
+        if not {*map(type, row)} <= {int}:
+            for x in row:
+                if type(x) is not int and not isinstance(x, Fraction):
+                    raise TypeError(f"cannot interpret {x!r} as an exact rational")
+            d = lcm(*(x.denominator for x in row))
+            row = [x.numerator * (d // x.denominator) for x in row]
+        out.append(list(row))
     return out
 
 

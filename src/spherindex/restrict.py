@@ -39,6 +39,7 @@ from .linalg import (
     scale_integral,
     scale_rows_integral,
     scaled_dual_basis,
+    scaled_schur_complement,
     transpose,
     vec_mat,
 )
@@ -101,23 +102,18 @@ def _project(f: Mat, rows: list[Vec], lifts) -> tuple[Mat, int, Mat]:
 
     P = I - F U^T G^-1 U (rows act on the right) for U independent rows of
     ``rows`` and G = U F U^T.  P sees neither the choice of U nor a scale c > 0
-    of F, so both are taken integral, and so is d P = d I - W^T U for the
-    scaled dual basis (W, d) of U, W = (d G^-1) U F.  The Gram matrix is
-    c d^2 times the transported form.
+    of F, so both are taken integral, and d L P, for L the lifts, is the
+    Schur complement of G in [[G, U], [L F U^T, L]], with d = |det G|.  The
+    Gram matrix is c d^2 times the transported form.
     """
     fc, _ = scale_integral(f)
-    pivots = pivot_columns(transpose(rows))
-    if not pivots:
-        lifts = tuple(map(tuple, lifts))
-        return lifts, 1, gram(lifts, fc)
-    u = scale_rows_integral([rows[i] for i in pivots])
+    u = scale_rows_integral([rows[i] for i in pivot_columns(transpose(rows))])
+    right = [*u, *lifts]  # F is symmetric: [U; L] F U^T is [U; L] (U F)^T
+    bordered = [[*a, *b] for a, b in zip(mat_mul_t(right, mat_mul(u, fc)), right)]
     try:
-        w, d = scaled_dual_basis(u, fc)
+        scaled, d = scaled_schur_complement(bordered, len(u))
     except ValueError:
         raise SpherindexError("pairing is degenerate on the annihilator of N_k") from None
-    corr = mat_mul(transpose(w), u)
-    dp = tuple(tuple(d * (i == j) - x for j, x in enumerate(row)) for i, row in enumerate(corr))
-    scaled = mat_mul(lifts, dp)
     return scaled, d, gram(scaled, fc)
 
 

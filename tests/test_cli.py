@@ -916,6 +916,42 @@ def test_fan_entry_that_is_not_an_integer_exits_2(capsys, tmp_path, entry):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize(
+    "cones, message",
+    [
+        ([["10"]], "expected a list for a fan generator"),  # was read as the generator (1, 0)
+        ({"a": 1}, "expected a list for cones"),  # was read as the cone of the generator ("a",)
+        ("1", "expected a list for cones"),
+    ],
+)
+def test_a_string_or_an_object_where_a_fan_has_a_list_exits_2(capsys, tmp_path, fmt, cones, message):
+    """The cones, each cone and each generator must be JSON lists: a string
+    or an object is not iterated as one."""
+    fan_path = write(tmp_path, "fan.json", {"cones": cones})
+    code, out, err = run(capsys, "--format", fmt, "fan", fixture("e6.json"), "--fan", fan_path)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("sigma, dependent", [([["1/2", 0], [1, 0]], True), ([["1/2", 0], [1, 1]], False)])
+def test_rational_roots_that_fail_the_cartan_checks_are_eliminated_once_scaled(capsys, tmp_path, sigma, dependent):
+    """A base that fails the Cartan checks is eliminated to tell a dependent
+    one from the failed check; a root with a rational entry is scaled to
+    integers first, and the report names both failures."""
+    path = write(tmp_path, "rational.json", {
+        "schema_version": "1",
+        "mode": "abstract",
+        "abstract": {"rank": 2, "pairing": [[1, 0], [0, 1]], "sigma": sigma},
+    })
+    code, out, err = run(capsys, "--format", "json", "analyze", path)
+    failed = {i["name"]: i["detail"] for i in json.loads(out)["validation"] if not i["passed"]}
+    assert (code, err) == (1, "")
+    assert "roots_in_lattice" in failed and ("linearly_independent" in failed) == dependent
+    assert failed["opposition_stable"].endswith(
+        "base vectors are linearly dependent" if dependent else "non-integral Cartan number at (0, 1)"
+    )
+
+
 @pytest.mark.parametrize(
     "name, cone",
     [("e6.json", [[1, 0], [0, 1], [-1, -1]]), ("sp42.json", [[1], [-1]])],
@@ -1502,9 +1538,9 @@ def test_beta_coordinates_run_no_elimination(monkeypatch):
     calls = []
     eliminate = linalg._eliminate
 
-    def counting(m):
+    def counting(m, k):
         calls.append(len(m))
-        return eliminate(m)
+        return eliminate(m, k)
 
     data = ambient_fixture_data()
     for d in data:
@@ -1520,9 +1556,9 @@ def test_chamber_check_and_beta_coordinates_run_no_elimination(monkeypatch):
     calls = []
     eliminate = linalg._eliminate
 
-    def counting(m):
+    def counting(m, k):
         calls.append(len(m))
-        return eliminate(m)
+        return eliminate(m, k)
 
     pairs = [(d, restrict_datum(d)) for d in ambient_fixture_data()]
     for d, _ in pairs:

@@ -154,9 +154,9 @@ def test_validate_eliminates_sigma_once(monkeypatch):
     eliminated = []
     kernel = linalg._eliminate
 
-    def counting(m):
+    def counting(m, k):
         eliminated.append(tuple(map(tuple, m)))
-        return kernel(m)
+        return kernel(m, k)
 
     monkeypatch.setattr(linalg, "_eliminate", counting)
     a3 = TitsIndex.of(AmbientRootDatum.of([("A", 3)]), [], [])

@@ -634,9 +634,9 @@ def test_fan_validate_runs_one_elimination_per_full_dimensional_maximal_cone(mon
     f = chamber_fan(rd)
     calls, eliminate = [], linalg._eliminate
 
-    def counting(m):
+    def counting(m, k):
         calls.append(m)
-        return eliminate(m)
+        return eliminate(m, k)
 
     monkeypatch.setattr(linalg, "_eliminate", counting)
     assert len(fan_validate(f, rd)) == 132

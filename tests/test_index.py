@@ -528,20 +528,25 @@ def index_document(components, compact=(), star=()):
     }
 
 
-def test_restrict_index_runs_no_elimination(monkeypatch):
+def test_restrict_index_runs_one_forward_elimination(monkeypatch):
     """Split and quasi-split indices, C8 with compact a1, a3, a5, a7 and the
-    chain a2..a11 of SU(1,11) run no Gauss-Jordan elimination: the Gram matrix
-    is a Schur complement of the compact block, a forward elimination."""
+    chain a2..a11 of SU(1,11) run one elimination each, (rows, k): the Gram
+    matrix is the Schur complement of the compact block joined to a fiber in
+    the bordered matrix of the r restricted simple roots, and a split or
+    quasi-split index has no such block, so it takes no pivot."""
     swap = flip_matrix(12, [(i, i + 6) for i in range(6)])
-    cases = [(index_document([t]), []) for t in [("E", 7), ("E", 8), ("D", 8), ("A", 12)]]
-    cases += [(index_document([t], star=["flip"]), []) for t in [("A", 2), ("A", 3), ("A", 12), ("D", 5), ("E", 6)]]
+    cases = [(index_document([(t, n)]), [(n, 0)]) for t, n in [("E", 7), ("E", 8), ("D", 8), ("A", 12)]]
     cases += [
-        (index_document([("A", 6), ("A", 6)], star=[swap]), []),
-        (index_document([("C", 8)], compact=["a1", "a3", "a5", "a7"]), []),
-        (index_document([("A", 12)], compact=[f"a{i}" for i in range(2, 12)], star=["flip"]), []),
+        (index_document([t], star=["flip"]), [(r, 0)])
+        for t, r in [(("A", 2), 1), (("A", 3), 2), (("A", 12), 6), (("D", 5), 4), (("E", 6), 4)]
+    ]
+    cases += [
+        (index_document([("A", 6), ("A", 6)], star=[swap]), [(6, 0)]),
+        (index_document([("C", 8)], compact=["a1", "a3", "a5", "a7"]), [(8, 4)]),
+        (index_document([("A", 12)], compact=[f"a{i}" for i in range(2, 12)], star=["flip"]), [(11, 10)]),
     ]
     calls, eliminate = [], linalg._eliminate
-    monkeypatch.setattr(linalg, "_eliminate", lambda m: calls.append(len(m)) or eliminate(m))
+    monkeypatch.setattr(linalg, "_eliminate", lambda m, k: calls.append((len(m), k)) or eliminate(m, k))
     for doc, expected in cases:
         calls.clear()
         report, code = cmd_restrict_index(doc)

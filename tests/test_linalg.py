@@ -266,23 +266,24 @@ def test_inverse():
     assert d == 1 and mat_mul(m, a) == ((1, 0), (0, 1))
 
 
-def bordered_positive_definite():
-    """(m, k): m = [[P, B], [C, D]] with P = Q Q^T + I of size k, positive
-    definite, and B, C, D integral of r rows and columns; zeros weigh double, so
-    that many rows are 0 in a pivot column."""
+def bordered_matrices():
+    """(m, k): m = [[P, B], [C, D]] with P of size k either Q Q^T + I, positive
+    definite, or Q itself, of any rank and often indefinite with a zero
+    leading minor, so that rows are swapped; B, C, D integral of r rows and
+    columns.  Zeros weigh double, so that many rows are 0 in a pivot column."""
     entry = st.one_of(st.just(0), small_int)
-    return st.tuples(st.integers(0, 5), st.integers(0, 4)).flatmap(
-        lambda kr: st.tuples(
-            st.lists(st.lists(entry, min_size=kr[0], max_size=kr[0]), min_size=kr[0], max_size=kr[0]),
-            st.lists(st.lists(entry, min_size=sum(kr), max_size=sum(kr)), min_size=kr[1], max_size=kr[1]),
-            st.lists(st.lists(entry, min_size=kr[1], max_size=kr[1]), min_size=kr[0], max_size=kr[0]),
-        ).map(lambda qcdb: (bordered(*qcdb), kr[0]))
+    return st.tuples(st.integers(0, 5), st.integers(0, 4), st.booleans()).flatmap(
+        lambda krp: st.tuples(
+            st.lists(st.lists(entry, min_size=krp[0], max_size=krp[0]), min_size=krp[0], max_size=krp[0]),
+            st.lists(st.lists(entry, min_size=sum(krp[:2]), max_size=sum(krp[:2])), min_size=krp[1], max_size=krp[1]),
+            st.lists(st.lists(entry, min_size=krp[1], max_size=krp[1]), min_size=krp[0], max_size=krp[0]),
+        ).map(lambda qcdb: (bordered(*qcdb, definite=krp[2]), krp[0]))
     )
 
 
-def bordered(q, cd, b):
-    p = mat_mul_t(q, q)
-    return [[*(x + int(i == j) for j, x in enumerate(row)), *b[i]] for i, row in enumerate(p)] + cd
+def bordered(q, cd, b, definite):
+    p = [[x + int(i == j) for j, x in enumerate(row)] for i, row in enumerate(mat_mul_t(q, q))] if definite else q
+    return [[*row, *b[i]] for i, row in enumerate(p)] + cd
 
 
 A10_BOTH_ENDS = (  # the compact chain of SU(1,11) and the sum of its two end roots
@@ -292,15 +293,23 @@ A10_BOTH_ENDS = (  # the compact chain of SU(1,11) and the sum of its two end ro
 )
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(bordered_positive_definite())
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(bordered_matrices())
 @example(A10_BOTH_ENDS)
+@example(([[0, 1, 2], [1, 0, 3], [4, 5, 6]], 2))  # P = [[0, 1], [1, 0]]: one swap, det P = -1
+@example(([[3, 0, 0, 1], [-1, 0, -1, 0], [0, -1, 0, 0], [-2, -2, 0, 0]], 3))  # a swap of a deferred row
+@example(([[1, 2, 1], [2, 4, 0], [1, 1, 1]], 2))  # singular: the second pivot is in column 2
+@example(([[0, 0, 1], [0, 0, 2], [3, 4, 5]], 2))  # singular: no pivot at all in P
 def test_scaled_schur_complement_matches_sympy(mk):
     m, k = mk
-    s, d = scaled_schur_complement(m, k)
     full = Matrix(m) if m else Matrix.zeros(0, 0)
     p, b, c, dd = full[:k, :k], full[:k, k:], full[k:, :k], full[k:, k:]
-    assert type(d) is int and d == p.det() > 0
+    if p.det() == 0:
+        with pytest.raises(ValueError, match="singular"):
+            scaled_schur_complement(m, k)
+        return
+    s, d = scaled_schur_complement(m, k)
+    assert type(d) is int and d == abs(p.det()) > 0
     assert all(type(x) is int for row in s for x in row)
     assert s == from_sympy(d * (dd - c * p.inv() * b) if k else dd)
 

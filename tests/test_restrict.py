@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from datagen import (
     flip_matrix,
     fmat,
     little_space,
+    load_tool,
     phi_k_res_by_lattice,
     random_data,
     replace,
@@ -17,7 +20,8 @@ from datagen import (
     solve_left,
 )
 from spherindex import linalg, restrict
-from spherindex.datum import SphericalDatumK
+from spherindex.cli import parse_datum
+from spherindex.datum import SphericalDatumK, is_valid, validate
 from spherindex.errors import FiberMismatch, IdentityFails, NotBetween, NotConvex, SpherindexError, TheoremViolation
 from spherindex.index import TitsIndex, restricted_root_system
 from spherindex.linalg import (
@@ -25,6 +29,7 @@ from spherindex.linalg import (
     augmented_hermite_form,
     divide,
     dot,
+    gram,
     identity,
     scale_integral,
     scaled_dual_basis,
@@ -564,9 +569,9 @@ def count_eliminations(monkeypatch):
     calls = []
     eliminate = linalg._eliminate
 
-    def counting(m):
+    def counting(m, k):
         calls.append(len(m))
-        return eliminate(m)
+        return eliminate(m, k)
 
     monkeypatch.setattr(linalg, "_eliminate", counting)
     return calls
@@ -623,6 +628,68 @@ def test_little_basis_and_lifts_match_the_elimination():
         expected = to_sympy(lifts, d.m) * sympy_projection(d.pairing, ann)
         assert divide(rd.projected_lifts, rd.lifts_den) == from_sympy(expected)
         assert transported_form(d, rd) == from_sympy(expected * to_sympy(d.pairing, d.m) * expected.T)
+
+
+HYPERBOLIC = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [(1, 0, 0), (0, 1, 0)],  # G = [[0, 1], [1, 0]]: the elimination swaps its rows
+        [(1, 0, 0), (0, 2, 0)],  # det G = -4
+        [(1, 0, 0), (0, 1, 1), (1, 1, 1)],  # a dependent third row; G = [[0, 1], [1, 1]]
+        [(1, 0, 0), (0, 0, 1)],  # G = [[0, 0], [0, 1]] is singular
+    ],
+)
+def test_project_on_a_hyperbolic_form_matches_sympy(rows):
+    """The pairing is indefinite, and G = U F U^T has a zero leading minor on
+    every annihilator here: d is |det G|, the lifts times d P for sympy's P,
+    and a singular G names the degenerate pairing."""
+    lifts = [*identity(3), (2, -1, 3)]
+    u = to_sympy(rows, 3)
+    _, pivots = u.T.rref()
+    g = u.extract(list(pivots), [0, 1, 2]) * to_sympy(HYPERBOLIC, 3) * u.extract(list(pivots), [0, 1, 2]).T
+    if g.det() == 0:
+        with pytest.raises(SpherindexError, match="pairing is degenerate"):
+            _project(HYPERBOLIC, rows, lifts)
+        return
+    scaled, d, form = _project(HYPERBOLIC, rows, lifts)
+    assert d == abs(g.det()) and all(type(x) is int for row in scaled for x in row)
+    assert divide(scaled, d) == from_sympy(to_sympy(lifts, 3) * sympy_projection(HYPERBOLIC, rows))
+    assert form == gram(scaled, HYPERBOLIC)
+
+
+def test_project_on_the_random_abstract_documents_matches_sympy():
+    """The seeded abstract documents of ``tools/compare_outputs.py`` reach
+    ``_project`` with a positive definite G, an indefinite one, one with a
+    zero leading minor (so the elimination swaps rows) and a singular one:
+    d is |det G| and the lifts times d P match sympy's, or the pairing is
+    degenerate."""
+    tool = load_tool("compare_outputs")
+    rng = random.Random(tool.ABSTRACT_SEED)
+    kinds = Counter()
+    for _ in range(tool.ABSTRACT_COUNT):
+        d = parse_datum(tool.random_abstract_document(rng))
+        if not is_valid(validate(d)):
+            continue
+        ann = _annihilator(d, d.compact_split)
+        nk = little_space(d)
+        lifts = [row[len(nk):] for row in augmented_hermite_form(nk, d.m)[: len(nk)]]
+        u = to_sympy(ann, d.m)
+        u = u.extract(list(u.T.rref()[1]), list(range(d.m)))
+        g = u * to_sympy(d.pairing, d.m) * u.T
+        minors = [g[:i, :i].det() for i in range(1, g.rows + 1)]
+        if g.det() == 0:
+            kinds["singular"] += 1
+            with pytest.raises(SpherindexError, match="pairing is degenerate"):
+                _project(d.pairing, ann, lifts)
+            continue
+        kinds["zero leading minor" if 0 in minors else "indefinite" if min(minors, default=1) < 0 else "definite"] += 1
+        scaled, den, _ = _project(d.pairing, ann, lifts)
+        assert den == abs(g.det())
+        assert divide(scaled, den) == from_sympy(to_sympy(lifts, d.m) * sympy_projection(d.pairing, ann))
+    assert min(kinds[k] for k in ("definite", "indefinite", "zero leading minor", "singular")) > 0, kinds
 
 
 def test_dual_basis_and_projection_create_one_fraction_per_entry(monkeypatch):

@@ -16,9 +16,10 @@ call is a new process, so ``src/`` imports no ``dataclasses`` (nor, through
 it, ``inspect``): its records derive from ``record.Record``; the project
 requires Python 3.10, so no source, tool or test uses newer syntax; each
 kind of matrix is inverted in one place, so the functions that call
-``scaled_inverse`` are pinned; the class of an error decides the CLI's exit
-code, so only ``cli.main`` catches a class of ``spherindex.errors``, and
-``cli.py`` defines no exception class but ``InvalidDatum``.
+``scaled_inverse``, the elimination kernel and its Schur complement are
+pinned; the class of an error decides the CLI's exit code, so only
+``cli.main`` catches a class of ``spherindex.errors``, and ``cli.py``
+defines no exception class but ``InvalidDatum``.
 """
 
 import ast
@@ -248,18 +249,26 @@ def callers(trees, callee):
     return found
 
 
-# one home per matrix inversion: the dual basis kernel and the normals of the
-# maximal cones of a fan; the walls of an index need none, since characters
-# restrict to fiber sums, nor its restricted simple roots, whose Gram matrix
-# is a Schur complement of the compact block of the ambient form
+# one home per matrix inversion: the normals of the maximal cones of a fan;
+# the walls of an index need none, since characters restrict to fiber sums,
+# and every other inverse is taken as a Schur complement: the dual basis
+# G^-1 U F, the projection of the lifts off the annihilator of N_k, and the
+# Gram matrix of the restricted simple roots off the compact block
 SCALED_INVERSE_CALLERS = {
-    "linalg.scaled_dual_basis",
     "fans.Fan.normals",
 }
 
+# one elimination kernel, for the pivots of an echelon form and for a Schur
+# complement, which is how every inverse is taken
+ELIMINATE_CALLERS = {"linalg.pivot_columns", "linalg.scaled_schur_complement"}
+SCHUR_COMPLEMENT_CALLERS = {"linalg._scaled_solve", "index.restricted_simple_roots", "restrict._project"}
+
 
 def test_each_inversion_has_one_home():
-    assert callers(source_trees(), "scaled_inverse") == SCALED_INVERSE_CALLERS
+    trees = list(source_trees())
+    assert callers(trees, "scaled_inverse") == SCALED_INVERSE_CALLERS
+    assert callers(trees, "_eliminate") == ELIMINATE_CALLERS
+    assert callers(trees, "scaled_schur_complement") == SCHUR_COMPLEMENT_CALLERS
     planted = ast.parse(
         "class Fan:\n    def normals(self):\n        return {c: scaled_inverse(c) for c in self.cones}\n"
         "def beta(d):\n    a, det = linalg.scaled_inverse(walls(d))\n    return a\n"

@@ -13,7 +13,10 @@ command lines that argparse reads (help, usage errors, and the fixtures
 spelled with ``--format=json``, options before the path and an abbreviated
 flag) runs as well, and so does ``restrict-index`` on a fixed, seeded list
 of random index documents in both formats, about half of which exit 1 with
-"restricted simple roots do not form a root base".  Every execution whose
+"restricted simple roots do not form a root base", and so does ``analyze``
+on a fixed, seeded list of random abstract documents in both formats, with
+indefinite pairings and some that exit 1 with "pairing is degenerate on the
+annihilator of N_k".  Every execution whose
 (exit code, stdout, stderr) differs between the trees is printed, and the
 script exits 1 if any does, else 0.
 """
@@ -34,6 +37,7 @@ import traceback
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FORMATS = ("json", "text")
 INDEX_SEED, INDEX_COUNT = 3619, 200
+ABSTRACT_SEED, ABSTRACT_COUNT = 3737, 200
 INDEX_TYPES = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("A", 6), ("A", 7),
     ("B", 2), ("B", 3), ("B", 4), ("C", 2), ("C", 3), ("C", 4),
@@ -133,6 +137,75 @@ def random_index_document(rng: random.Random) -> dict:
     }
 
 
+ABSTRACT_GRAMS = {  # Gram matrices of root bases of finite type
+    "A1": [[2]], "A1xA1": [[2, 0], [0, 2]], "A2": [[2, -1], [-1, 2]], "B2": [[2, -2], [-2, 4]],
+    "G2": [[2, -3], [-3, 6]], "A3": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
+}
+
+
+def _product(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def random_abstract_document(rng: random.Random) -> dict:
+    """An ``analyze`` document in abstract mode: the simple roots of a random
+    type (or none) on the last coordinates, a random or hyperbolic pairing on
+    the first o, a star generator made of the diagram flip and up to two signed
+    swaps of the first o coordinates, a random union of star orbits as
+    ``sigma0``, and a unimodular change of basis.  The pairing is indefinite
+    on many annihilators of N_k, and degenerate on some; swapping the two
+    hyperbolic planes gives isotropic rows g - 1."""
+    gram = ABSTRACT_GRAMS.get(name := rng.choice(["", *ABSTRACT_GRAMS]), [])
+    s, hyperbolic = len(gram), rng.random() < 0.5
+    o = rng.choice([2, 4] if hyperbolic else [int(not s), 1, 2, 3, 4])
+    n = o + s
+    perm, signs = list(range(n)), [1] * n
+    if name in ("A1xA1", "A2", "A3") and rng.random() < 0.5:
+        perm[o:] = perm[o:][::-1]
+    free = list(range(o))
+    if hyperbolic:  # the planes are (0, 1) and (2, 3)
+        free[:4] = free[0:4:2] + free[1:4:2]
+    else:
+        rng.shuffle(free)
+    for i, j in zip(free[0:4:2], free[1:4:2]):
+        if rng.random() < 0.6:
+            perm[i], perm[j] = j, i
+            signs[i] = signs[j] = rng.choice([1, -1])
+    g = [[signs[i] * int(perm[i] == j) for j in range(n)] for i in range(n)]
+    f = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i >= o:
+                x = gram[i - o][j - o]
+            elif hyperbolic:
+                x = int(j == i + 1 and i % 2 == 0 and j < o)
+            else:
+                x = rng.randint(-1, 1)
+            f[i][j] = f[j][i] = x
+    moved = perm != list(range(n)) or -1 in signs
+    if moved:  # f + g f g^T is invariant under the involution g
+        f = [[a + b for a, b in zip(r, q)] for r, q in zip(f, _product(_product(g, f), list(zip(*g))))]
+    orbits = {tuple(sorted({i - o, perm[i] - o})) for i in range(o, n)}
+    sigma0 = sorted(i for orbit in sorted(orbits) if rng.random() < 0.4 for i in orbit)
+    # vectors v -> v t, the pairing to t^-1 f t^-T and the star to t^-1 g t
+    t, ti = ([[int(i == j) for j in range(n)] for i in range(n)] for _ in range(2))
+    if n > 1 and rng.random() < 0.7:
+        i, j = rng.sample(range(n), 2)
+        a = rng.choice([-2, -1, 1, 2])
+        t[i][j], ti[i][j] = a, -a
+    return {
+        "schema_version": "1",
+        "mode": "abstract",
+        "abstract": {
+            "rank": n,
+            "pairing": _product(_product(ti, f), list(zip(*ti))),
+            "star": [_product(_product(ti, g), t)] if moved else [],
+            "sigma": [t[i] for i in range(o, n)],
+            "sigma0": sigma0,
+        },
+    }
+
+
 def _without_format(argv: list[str]) -> list[str]:
     """The argv of a job without its leading ``--format`` option, if any."""
     return argv[2:] if argv[:1] == ["--format"] else argv
@@ -167,6 +240,12 @@ def main(argv: list[str]) -> int:
             with open(index_path, "w") as fh:
                 json.dump(random_index_document(rng), fh)
             runs += [(f"random index {k} --format {fmt}", ["--format", fmt, "restrict-index", index_path]) for fmt in FORMATS]
+        rng = random.Random(ABSTRACT_SEED)
+        for k in range(ABSTRACT_COUNT):
+            datum_path = os.path.join(work, f"abstract{k}.json")
+            with open(datum_path, "w") as fh:
+                json.dump(random_abstract_document(rng), fh)
+            runs += [(f"random abstract datum {k} --format {fmt}", ["--format", fmt, "analyze", datum_path]) for fmt in FORMATS]
         argvs_path = os.path.join(work, "argvs.json")
         with open(argvs_path, "w") as fh:
             json.dump([a for _, a in runs], fh)
