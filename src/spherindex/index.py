@@ -187,5 +187,4 @@ def restricted_root_system(ix: TitsIndex) -> RestrictedRoots:
     row i of ``ix.restriction`` is the image of the simple root a_i."""
     starts = accumulate((c.rank for c in ix.ambient.components), initial=0)
     components = [(c.family, c.rank, range(s, s + c.rank)) for c, s in zip(ix.ambient.components, starts)]
-    images = root_images(components, ix.restriction)
-    return RestrictedRoots.of(images + [tuple(-x for x in v) for v in images])
+    return RestrictedRoots.of(root_images(components, ix.restriction))

@@ -183,8 +183,7 @@ def phi_k_res(d: SphericalDatumK, rd: RestrictedDatum) -> RestrictedRoots:
     for s, fib in zip(rd.sigma_k, rd.fibers):
         for i in fib:
             sigma_images[i] = s
-    images = root_images(d.root_base.components, sigma_images)
-    rr = RestrictedRoots.of(images + [tuple(-x for x in v) for v in images])
+    rr = RestrictedRoots.of(root_images(d.root_base.components, sigma_images))
     if rr.indivisible != set(rd.phi_k):
         raise IndivisibilityMismatch(
             "indivisible restricted roots differ from the little root system"

@@ -11,10 +11,11 @@ from __future__ import annotations
 from collections import Counter
 from functools import cache
 from itertools import count, islice
-from operator import itemgetter
+from math import gcd
+from operator import add, itemgetter, neg
 
 from .errors import LinearlyDependent, NotARootBase, NotFiniteType, ParseError
-from .linalg import Mat, Vec, content, gram, identity, rank
+from .linalg import Mat, Vec, gram, identity, rank
 from .record import Record
 
 VALID_RANKS = {
@@ -123,8 +124,10 @@ class AmbientRootDatum(Record):
         for k, item in enumerate(spec):
             fam, rk = item[0].upper(), int(item[1])
             if fam not in VALID_RANKS or not VALID_RANKS[fam](rk):
-                raise NotFiniteType(f"{fam}{rk} is not a finite type")
+                raise ParseError(f"{fam}{rk} is not a finite type")
             label = item[2] if len(item) > 2 else f"c{k + 1}"
+            if any(c.label == label for c in comps):  # root names would not tell the two apart
+                raise ParseError(f"duplicate component label {label!r}")
             comps.append(DynkinComponent(fam, rk, label))
         return AmbientRootDatum(tuple(comps))
 
@@ -395,11 +398,15 @@ def _standard_positive_roots(family: str, n: int) -> tuple[Mat, tuple[tuple[int,
 
     def up(v):
         i = next(parents)  # orbit asks for images in the order it yields roots
-        for j, p in enumerate(pairing[v]):
-            if p < 0 and (w := v[:j] + (v[j] - p,) + v[j + 1:]) not in pairing:
-                pairing[w] = tuple(x - p * y for x, y in zip(pairing[v], c[j]))
-                steps.append((i, j, -p))
-                yield w
+        row = pairing[v]
+        for j, p in enumerate(row):
+            if p < 0:
+                w = list(v)
+                w[j] -= p
+                if (w := tuple(w)) not in pairing:
+                    pairing[w] = tuple([x - p * y for x, y in zip(row, c[j])])
+                    steps.append((i, j, -p))
+                    yield w
 
     roots = tuple(islice(orbit(identity(n), up), bound + 1))
     if len(roots) != bound:
@@ -414,14 +421,17 @@ def root_images(components, images) -> list[Vec]:
     ``components`` are ``classify``-style (family, rank, positions) triples.
     Component by component, the images of its simple roots come first; each
     later root's image is its parent's plus k times the image of a_j, one
-    step (parent, j, k) of ``_standard_positive_roots`` each.
+    step (parent, j, k) of ``_standard_positive_roots`` each.  k is 1, 2 or
+    3, and the multiples 2 a_j and 3 a_j are formed once, when first needed.
     """
     out = []
     for fam, rk, positions in components:
         simple = [images[i] for i in positions]
-        comp = list(simple)
+        comp, multiples = list(simple), {1: simple}
         for parent, j, k in _standard_positive_roots(fam, rk)[1]:
-            comp.append(tuple(x + k * y for x, y in zip(comp[parent], simple[j])))
+            if k not in multiples:
+                multiples[k] = [tuple(k * x for x in v) for v in simple]
+            comp.append(tuple(map(add, comp[parent], multiples[k][j])))
         out += comp
     return out
 
@@ -431,11 +441,12 @@ def indivisible_roots(support) -> set:
 
     On a root system only r / 2 can occur; a restriction of one, such as G2
     onto a line ({1, 2, 3} times a vector), can also hold r / 3.  An r of
-    content 1 has no integral r / n, so only the others are searched.
+    content 1 has no integral r / n, so only the others are searched.  The
+    entries must be ints: ``math.gcd`` reads them as they are.
     """
     out = set()
     for r in support:
-        g = content(r)
+        g = gcd(*r)
         if g == 1 or not any(g % n == 0 and tuple(x // n for x in r) in support for n in range(2, g + 1)):
             out.add(r)
     return out
@@ -458,7 +469,11 @@ class RestrictedRoots(Record):
 
     @staticmethod
     def of(images) -> "RestrictedRoots":
-        counts = Counter(img for img in images if any(img))
+        """The nonzero restrictions of a root system from the integral images
+        of its positive roots alone: the negative roots restrict to their
+        negations, so x occurs c(x) + c(-x) times, c counting ``images``."""
+        counts = Counter(filter(any, images))
+        counts.update({tuple(map(neg, x)): m for x, m in counts.items()})
         return RestrictedRoots(tuple(sorted(counts.items())), frozenset(indivisible_roots(counts)))
 
     @property

@@ -11,6 +11,7 @@ sticks to these families.
 import importlib.util
 import os
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, combinations
@@ -284,15 +285,23 @@ def positive_roots_in_base_coords(components, n: int) -> list:
     return sorted(root_images(components, identity(n)))
 
 
+def counted_restriction(images) -> RestrictedRoots:
+    """The nonzero ``images``, each counted as often as it occurs, and the
+    indivisible ones by ``divisor_scan_indivisible``: the images of every
+    root, negative ones included, with no use of ``RestrictedRoots.of``."""
+    counts = Counter(tuple(img) for img in images if any(img))
+    return RestrictedRoots(tuple(sorted(counts.items())), frozenset(divisor_scan_indivisible(counts)))
+
+
 def phi_k_res_by_lattice(d: SphericalDatumK, rd) -> RestrictedRoots:
     """Every root of the big spherical roots restricted to N_k one at a time,
     then written in the basis of the little weight lattice, which the
     restrictions of the coordinate characters generate."""
     if not d.sigma:
-        return RestrictedRoots.of(())
+        return counted_restriction(())
     nk = little_space(d)
     little = Lattice.from_rows(rd.rank, transpose(nk))
-    return RestrictedRoots.of(
+    return counted_restriction(
         little.coordinates(tuple(dot(root, v) for v in nk)) for root in generate_roots(d.root_base)
     )
 

@@ -470,6 +470,36 @@ def test_a_datum_that_cannot_be_built_exits_2_with_one_error_line(capsys, tmp_pa
 
 
 @pytest.mark.parametrize(
+    "components, compact, message",
+    [
+        # the second component's default label is c2, the first's explicit one
+        ([{"family": "A", "rank": 1, "label": "c2"}, {"family": "A", "rank": 2}], ["c2.a1"], "duplicate component label 'c2'"),
+        ([{"family": "A", "rank": 1, "label": "x"}, {"family": "B", "rank": 2, "label": "x"}], [], "duplicate component label 'x'"),
+        ([{"family": "A", "rank": 0}], [], "A0 is not a finite type"),
+        ([{"family": "B", "rank": 1}], [], "B1 is not a finite type"),
+        ([{"family": "E", "rank": 9}], [], "E9 is not a finite type"),
+        ([{"family": "X", "rank": 3}], [], "X3 is not a finite type"),
+        ([{"family": "A", "rank": 2}, {"family": "e", "rank": "9"}], [], "E9 is not a finite type"),
+    ],
+)
+def test_components_that_describe_no_index_exit_2_with_one_error_line(capsys, tmp_path, components, compact, message):
+    """A component of no finite type, or two components of one label, whose
+    root names would then name two roots: ``restrict-index`` and every
+    datum command exit 2 in both formats, with one line on stderr."""
+    doc = {
+        "schema_version": "1",
+        "mode": "ambient",
+        "ambient": {"components": components},
+        "compact_simple": compact,
+        "spherical": {"sigma": []},
+    }
+    path = write(tmp_path, "index.json", doc)
+    for fmt in ("json", "text"):
+        assert run(capsys, "--format", fmt, "restrict-index", path) == (2, "", f"error: {message}\n"), fmt
+        assert _every_command(capsys, tmp_path, fmt, doc, [[[-1]]]) == {(2, "", f"error: {message}\n")}, fmt
+
+
+@pytest.mark.parametrize(
     "family, rank, order",
     # |W| from Bourbaki, Lie Groups and Lie Algebras, ch. VI, Plates IV-VII
     [("D", 4, 192), ("D", 5, 1_920), ("E", 6, 51_840), ("E", 7, 2_903_040), ("E", 8, 696_729_600)],

@@ -11,6 +11,7 @@ from sympy import Matrix
 
 from datagen import (
     ambient_roots,
+    counted_restriction,
     divisor_scan_indivisible,
     flip_matrix,
     fvec,
@@ -417,8 +418,9 @@ def test_split_subspace_runs_once_per_index(monkeypatch):
 
 def brute_force_restriction(ix):
     """Every ambient root written out in n coordinates, times the n x r
-    restriction matrix: the |Phi| x n x r product that the steps avoid."""
-    return RestrictedRoots.of(mat_mul_t(ambient_roots(ix.ambient), transpose(ix.restriction)))
+    restriction matrix: the |Phi| x n x r product that the steps avoid,
+    every image counted, and the indivisible ones found by a divisor scan."""
+    return counted_restriction(mat_mul_t(ambient_roots(ix.ambient), transpose(ix.restriction)))
 
 
 def flip_index(fam, n):
@@ -459,6 +461,21 @@ def test_restricted_root_system_matches_the_brute_force_product():
     for ix in indices:
         assert ix.violations() == []
         assert restricted_root_system(ix) == brute_force_restriction(ix)
+
+
+def test_restricted_roots_are_counted_from_the_positive_images_alone(monkeypatch):
+    """Split E8 hands ``RestrictedRoots.of`` its 120 positive images, not all
+    240 roots, and still reports every root once."""
+    sizes, of = [], RestrictedRoots.of
+
+    def counting(images):
+        sizes.append(len(images))
+        return of(images)
+
+    monkeypatch.setattr(RestrictedRoots, "of", staticmethod(counting))
+    phi = restricted_root_system(split_index("E", 8))
+    assert sizes == [120]
+    assert sum(m for _, m in phi.multiplicities) == 240 == len(phi.indivisible)
 
 
 def test_restricted_root_system_makes_no_matrix_product(monkeypatch):
@@ -516,6 +533,17 @@ def test_the_documents_flip_each_type_by_its_diagram_involution():
     tool = load_tool("compare_outputs")
     for family, rank in tool.INDEX_TYPES:
         assert tuple(tool.diagram_flip(family, rank)) == diagram_involution(family, rank)
+
+
+def test_the_sweep_holds_every_type_up_to_rank_12_and_flips_each_it_moves():
+    tool = load_tool("compare_outputs")
+    valid = [(f, n) for f, ok in VALID_RANKS.items() for n in range(1, tool.SWEEP_RANK + 1) if ok(n)]
+    assert sorted(tool.SWEEP_TYPES) == valid
+    flipped = [(f, n) for f, n in valid if diagram_involution(f, n) != tuple(range(n))]
+    docs = dict(tool.sweep_documents())
+    assert sorted(docs) == sorted([f"{f}{n}" for f, n in valid] + [f"{f}{n} flip" for f, n in flipped])
+    for name, doc in docs.items():
+        assert cmd_restrict_index(doc)[1] == 0, name
 
 
 def index_document(components, compact=(), star=()):

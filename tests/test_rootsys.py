@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from sympy import Matrix
 
 from spherindex import linalg, rootsys
@@ -11,6 +13,7 @@ from spherindex.errors import NotARootBase, NotFiniteType, ParseError, Spherinde
 from datagen import (
     ambient_roots,
     classified_type_name,
+    counted_restriction,
     dfs_match,
     divisor_scan_indivisible,
     flip_matrix,
@@ -24,6 +27,7 @@ from spherindex.linalg import dot, gram, identity, mat_mul, transpose, vec_mat
 from spherindex.rootsys import (
     AmbientRootDatum,
     VALID_RANKS,
+    RestrictedRoots,
     RootBase,
     classify,
     generate_roots,
@@ -58,7 +62,7 @@ def std_base(fam, n):
 
 def test_invalid_types_rejected():
     for fam, n in [("E", 5), ("E", 9), ("F", 3), ("G", 3), ("B", 1), ("H", 3)]:
-        with pytest.raises(NotFiniteType):
+        with pytest.raises(ParseError, match=f"^{fam}{n} is not a finite type$"):
             AmbientRootDatum.of([(fam, n)])
 
 
@@ -165,6 +169,24 @@ def test_indivisible_roots_match_the_divisor_definition():
         assert indivisible_roots(support) == divisor_scan_indivisible(support), support
     assert indivisible_roots({(1, 2), (2, 4), (3, 6)}) == {(1, 2)}
     assert indivisible_roots({(2, 4), (6, 0), (4, 4)}) == {(2, 4), (6, 0), (4, 4)}
+
+
+def positive_images(dim):
+    return st.lists(st.tuples(*[st.integers(-4, 4)] * dim), max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pos=st.integers(1, 3).flatmap(positive_images))
+@example(pos=[])
+@example(pos=[(0, 0), (0, 0)])
+@example(pos=[(1, 0), (1, 0), (-1, 0), (2, 0), (0, 0)])
+@example(pos=[(1, -2), (-1, 2), (2, -4), (-2, 4), (3, -6)])
+@example(pos=[(2,), (4,), (-2,), (6,), (-6,), (3,)])
+def test_restricted_roots_of_the_positive_images_count_both_signs(pos):
+    """``of`` on the images of the positive roots equals a count of every
+    image, the negated ones included, with zeros, repeats, and x and -x both
+    among the positive images."""
+    assert RestrictedRoots.of(pos) == counted_restriction(pos + [tuple(-x for x in v) for v in pos])
 
 
 def test_root_base_of_non_finite_type_is_rejected():

@@ -13,7 +13,9 @@ command lines that argparse reads (help, usage errors, and the fixtures
 spelled with ``--format=json``, options before the path and an abbreviated
 flag) runs as well, and so does ``restrict-index`` on a fixed, seeded list
 of random index documents in both formats, about half of which exit 1 with
-"restricted simple roots do not form a root base", and so does ``analyze``
+"restricted simple roots do not form a root base", and on a fixed sweep of
+every finite type up to rank 12, split and, where the diagram involution
+moves a root, quasi-split by it, and so does ``analyze``
 on a fixed, seeded list of random abstract documents in both formats, with
 indefinite pairings and some that exit 1 with "pairing is degenerate on the
 annihilator of N_k".  Every execution whose
@@ -43,6 +45,9 @@ INDEX_TYPES = [
     ("B", 2), ("B", 3), ("B", 4), ("C", 2), ("C", 3), ("C", 4),
     ("D", 4), ("D", 5), ("D", 6), ("E", 6), ("E", 7), ("F", 4), ("G", 2),
 ]
+SWEEP_RANK = 12  # every type of rootsys.VALID_RANKS up to this rank
+SWEEP_TYPES = [(f, n) for f in "ABCD" for n in range(1 if f == "A" else 2, SWEEP_RANK + 1)]
+SWEEP_TYPES += [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
 
 
 def run_tree(src: str, argvs_path: str, out_path: str) -> None:
@@ -135,6 +140,21 @@ def random_index_document(rng: random.Random) -> dict:
         "compact_simple": [names[i] for i in sorted(i for o in chosen for i in o)],
         "star_generators": [[[int(p[i] == j) for j in range(n)] for i in range(n)] for p in perms],
     }
+
+
+def sweep_documents() -> list[tuple[str, dict]]:
+    """Each type of ``SWEEP_TYPES`` split, and quasi-split by its diagram
+    involution where that moves a root, as named ``restrict-index`` documents."""
+    docs = []
+    for family, rank in SWEEP_TYPES:
+        stars = [[]] + ([["flip"]] if diagram_flip(family, rank) != list(range(rank)) else [])
+        docs += [(f"{family}{rank}{' flip' * len(star)}", {
+            "schema_version": "1",
+            "mode": "ambient",
+            "ambient": {"components": [{"family": family, "rank": rank}]},
+            "star_generators": star,
+        }) for star in stars]
+    return docs
 
 
 ABSTRACT_GRAMS = {  # Gram matrices of root bases of finite type
@@ -240,6 +260,11 @@ def main(argv: list[str]) -> int:
             with open(index_path, "w") as fh:
                 json.dump(random_index_document(rng), fh)
             runs += [(f"random index {k} --format {fmt}", ["--format", fmt, "restrict-index", index_path]) for fmt in FORMATS]
+        for k, (name, doc) in enumerate(sweep_documents()):
+            sweep_path = os.path.join(work, f"sweep{k}.json")
+            with open(sweep_path, "w") as fh:
+                json.dump(doc, fh)
+            runs += [(f"sweep {name} --format {fmt}", ["--format", fmt, "restrict-index", sweep_path]) for fmt in FORMATS]
         rng = random.Random(ABSTRACT_SEED)
         for k in range(ABSTRACT_COUNT):
             datum_path = os.path.join(work, f"abstract{k}.json")
