@@ -9,7 +9,7 @@ squared length 2 (long roots 4, or 6 in G2).
 from __future__ import annotations
 
 from collections import Counter
-from functools import cache
+from functools import cache, cached_property
 from itertools import count, islice
 from math import gcd
 from operator import add, itemgetter, neg
@@ -149,10 +149,14 @@ class AmbientRootDatum(Record):
             names += [f"{c.label}.a{i + 1}" for i in range(c.rank)]
         return names
 
+    @cached_property
+    def _root_index(self) -> dict[str, int]:
+        return {name: i for i, name in enumerate(self.root_names())}
+
     def index_of_root(self, name: str) -> int:
         try:
-            return self.root_names().index(name)
-        except ValueError:
+            return self._root_index[name]
+        except (KeyError, TypeError):  # a JSON list or object is no key
             raise ParseError(f"unknown simple root {name!r}") from None
 
 
@@ -383,35 +387,44 @@ def generate_roots(base: RootBase) -> list[Vec]:
 
 
 @cache
-def _standard_positive_roots(family: str, n: int) -> tuple[Mat, tuple[tuple[int, int, int], ...]]:
-    """Positive roots of a standard type, enumerated once per process, and
-    the steps (parent, j, k) that reach roots n, n + 1, ... as parent + k a_j.
+def _standard_positive_roots(family: str, n: int) -> tuple[tuple[int, int, int], ...]:
+    """The steps (parent, j, k) of a standard type, once per process: root
+    n + s is root parent + k a_j for step s, roots 0..n-1 the simple roots.
 
     The ascending closure of the simple roots, v -> v + k a_j with
     k = -<v, a_j^vee> > 0: a non-simple positive root b has some j with
     <b, a_j^vee> > 0, and s_j b is a lower positive root (Bourbaki VI, 1.6).
-    The pairings of v + k a_j are those of v plus k times Cartan row j.
+    A root's key is one int of w-bit coordinates, none above 1 + 4 bound
+    within the cut, so none carries; its pairings are one int of 3-bit digits
+    <v, a_m^vee> + 4, in 1..7 as those of a positive root lie in [-3, 3]
+    (VI, 1.3).  v + k a_j adds k <= 4 to one key digit and k times Cartan
+    row j to the pairings: one addition each.
     """
     c = standard_cartan(family, n)
     bound = root_count(family, n) // 2
-    pairing, steps, parents = dict(zip(identity(n), c)), [], count()
+    w, bias = (4 * bound + 1).bit_length(), int("4" * n, 8)
+    rows = [sum(x << 3 * m for m, x in enumerate(r)) for r in c]
+    # per j and k in 1..4: what v + k a_j adds to the key and to the pairings
+    adds = [[(k << w * j, k * r) for k in range(5)] for j, r in enumerate(rows)]
+    pairing, steps, parents = {1 << w * j: bias + r for j, r in enumerate(rows)}, [], count()
 
     def up(v):
         i = next(parents)  # orbit asks for images in the order it yields roots
         row = pairing[v]
-        for j, p in enumerate(row):
-            if p < 0:
-                w = list(v)
-                w[j] -= p
-                if (w := tuple(w)) not in pairing:
-                    pairing[w] = tuple([x - p * y for x, y in zip(row, c[j])])
-                    steps.append((i, j, -p))
-                    yield w
+        negative = bias & ~row  # bit 2 of each digit below 4
+        while negative:  # lowest bit first, so j ascends
+            j = (negative & -negative).bit_length() // 3 - 1
+            k = 4 - (row >> 3 * j & 7)
+            key, pairs = adds[j][k]
+            if (u := v + key) not in pairing:
+                pairing[u] = row + pairs
+                steps.append((i, j, k))
+                yield u
+            negative &= negative - 1
 
-    roots = tuple(islice(orbit(identity(n), up), bound + 1))
-    if len(roots) != bound:
+    if len(list(islice(orbit(list(pairing), up), bound + 1))) != bound:
         raise NotFiniteType("root count does not match classified type")
-    return roots, tuple(steps)
+    return tuple(steps)
 
 
 def root_images(components, images) -> list[Vec]:
@@ -428,7 +441,7 @@ def root_images(components, images) -> list[Vec]:
     for fam, rk, positions in components:
         simple = [images[i] for i in positions]
         comp, multiples = list(simple), {1: simple}
-        for parent, j, k in _standard_positive_roots(fam, rk)[1]:
+        for parent, j, k in _standard_positive_roots(fam, rk):
             if k not in multiples:
                 multiples[k] = [tuple(k * x for x in v) for v in simple]
             comp.append(tuple(map(add, comp[parent], multiples[k][j])))

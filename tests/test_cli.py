@@ -459,6 +459,10 @@ def amend(doc, key, **fields):
         (amend(SPLIT_A3, "spherical", sp=["a9"]), "unknown simple root 'a9'"),
         (dict(SPLIT_A3, compact_simple=[5]), "unknown simple root 5"),
         (amend(SPLIT_A3, "spherical", sp=[5]), "unknown simple root 5"),
+        (dict(SPLIT_A3, compact_simple=[["a1"]]), "unknown simple root ['a1']"),
+        (dict(SPLIT_A3, compact_simple=[{"a": 1}]), "unknown simple root {'a': 1}"),
+        (amend(SPLIT_A3, "spherical", sp=[["a1"]]), "unknown simple root ['a1']"),
+        (amend(SPLIT_A3, "spherical", sp=[{"a": 1}]), "unknown simple root {'a': 1}"),
     ],
 )
 def test_a_datum_that_cannot_be_built_exits_2_with_one_error_line(capsys, tmp_path, doc, message):

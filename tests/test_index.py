@@ -546,6 +546,15 @@ def test_the_sweep_holds_every_type_up_to_rank_12_and_flips_each_it_moves():
         assert cmd_restrict_index(doc)[1] == 0, name
 
 
+def test_the_wide_sweep_holds_a_to_d_at_four_ranks_and_flips_a_and_d():
+    tool = load_tool("compare_outputs")
+    docs = dict(tool.sweep_documents(tool.WIDE_TYPES))
+    ranks = (16, 24, 32, 40)
+    assert sorted(docs) == sorted([f"{f}{n}" for f in "ABCD" for n in ranks] + [f"{f}{n} flip" for f in "AD" for n in ranks])
+    for name, doc in docs.items():
+        assert cmd_restrict_index(doc)[1] == 0, name
+
+
 def index_document(components, compact=(), star=()):
     return {
         "schema_version": "1",

@@ -35,6 +35,7 @@ from spherindex.rootsys import (
     opposition_permutation,
     orbit,
     root_count,
+    root_images,
     standard_cartan,
     standard_form,
     weyl_order,
@@ -499,12 +500,20 @@ def reflection_closure(fam, n):
     return list(islice(orbit(identity(n), up), root_count(fam, n) // 2))
 
 
-@pytest.mark.parametrize("fam, n", TYPES_UP_TO_RANK_12)
+# ranks at which the closure's keys and pairing rows hold many digits
+WIDE_TYPES = [(f, n) for f in "ABCD" for n in (16, 24, 40)]
+
+
+@pytest.mark.parametrize("fam, n", TYPES_UP_TO_RANK_12 + WIDE_TYPES)
 def test_each_recorded_step_reproduces_its_root(fam, n):
-    roots, steps = rootsys._standard_positive_roots(fam, n)
+    steps = rootsys._standard_positive_roots(fam, n)
+    roots = root_images([(fam, n, tuple(range(n)))], identity(n))
     cols = transpose(standard_cartan(fam, n))
-    assert list(roots) == reflection_closure(fam, n)
-    assert roots[:n] == identity(n) and len(steps) == len(roots) - n
+    assert roots == reflection_closure(fam, n)
+    assert roots[:n] == list(identity(n)) and len(steps) == len(roots) - n
+    # the closure packs each pairing as a 3-bit digit biased by 4
+    assert all(-3 <= dot(v, col) <= 3 for v in roots for col in cols)
+    assert [dot(roots[j], cols[j]) for j in range(n)] == [2] * n
     for child, (parent, j, k) in enumerate(steps, start=n):
         assert parent < child
         assert k == -dot(roots[parent], cols[j]) > 0
@@ -649,6 +658,22 @@ def test_ambient_root_names():
     assert amb2.index_of_root("c2.a1") == 2
     with pytest.raises(ParseError, match="^unknown simple root 'a9'$"):
         amb2.index_of_root("a9")
+
+
+def test_parsing_su_1_100_builds_the_root_names_once(monkeypatch):
+    """The 98 compact names of SU(1,100) are looked up in one map per datum."""
+    calls = []
+    names = AmbientRootDatum.root_names
+    monkeypatch.setattr(AmbientRootDatum, "root_names", lambda self: calls.append(self) or names(self))
+    ix = parse_index({
+        "schema_version": "1",
+        "mode": "ambient",
+        "ambient": {"components": [{"family": "A", "rank": 100}]},
+        "compact_simple": [f"a{i}" for i in range(2, 100)],
+        "star_generators": ["flip"],
+    })
+    assert ix.compact == tuple(range(1, 99))
+    assert len(calls) == 1
 
 
 def test_ambient_form_is_block_sum():

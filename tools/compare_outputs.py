@@ -14,8 +14,9 @@ spelled with ``--format=json``, options before the path and an abbreviated
 flag) runs as well, and so does ``restrict-index`` on a fixed, seeded list
 of random index documents in both formats, about half of which exit 1 with
 "restricted simple roots do not form a root base", and on a fixed sweep of
-every finite type up to rank 12, split and, where the diagram involution
-moves a root, quasi-split by it, and so does ``analyze``
+every finite type up to rank 12 and of A-D at ranks 16, 24, 32 and 40,
+split and, where the diagram involution moves a root, quasi-split by it,
+and so does ``analyze``
 on a fixed, seeded list of random abstract documents in both formats, with
 indefinite pairings and some that exit 1 with "pairing is degenerate on the
 annihilator of N_k".  Every execution whose
@@ -48,6 +49,7 @@ INDEX_TYPES = [
 SWEEP_RANK = 12  # every type of rootsys.VALID_RANKS up to this rank
 SWEEP_TYPES = [(f, n) for f in "ABCD" for n in range(1 if f == "A" else 2, SWEEP_RANK + 1)]
 SWEEP_TYPES += [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+WIDE_TYPES = [(f, n) for f in "ABCD" for n in (16, 24, 32, 40)]  # many digits per packed root
 
 
 def run_tree(src: str, argvs_path: str, out_path: str) -> None:
@@ -142,11 +144,11 @@ def random_index_document(rng: random.Random) -> dict:
     }
 
 
-def sweep_documents() -> list[tuple[str, dict]]:
-    """Each type of ``SWEEP_TYPES`` split, and quasi-split by its diagram
-    involution where that moves a root, as named ``restrict-index`` documents."""
+def sweep_documents(types=SWEEP_TYPES) -> list[tuple[str, dict]]:
+    """Each of the ``types`` split, and quasi-split by its diagram involution
+    where that moves a root, as named ``restrict-index`` documents."""
     docs = []
-    for family, rank in SWEEP_TYPES:
+    for family, rank in types:
         stars = [[]] + ([["flip"]] if diagram_flip(family, rank) != list(range(rank)) else [])
         docs += [(f"{family}{rank}{' flip' * len(star)}", {
             "schema_version": "1",
@@ -260,7 +262,7 @@ def main(argv: list[str]) -> int:
             with open(index_path, "w") as fh:
                 json.dump(random_index_document(rng), fh)
             runs += [(f"random index {k} --format {fmt}", ["--format", fmt, "restrict-index", index_path]) for fmt in FORMATS]
-        for k, (name, doc) in enumerate(sweep_documents()):
+        for k, (name, doc) in enumerate(sweep_documents() + sweep_documents(WIDE_TYPES)):
             sweep_path = os.path.join(work, f"sweep{k}.json")
             with open(sweep_path, "w") as fh:
                 json.dump(doc, fh)
