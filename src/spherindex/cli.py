@@ -35,7 +35,7 @@ from .fans import (
 from .index import TitsIndex, restricted_root_system
 from .linalg import Lattice, divide, lattice_index
 from .restrict import (
-    LittleDatum,
+    RestrictedDatum,
     aut_roots,
     chamber_containment_check,
     coweight_identity_check,
@@ -44,7 +44,7 @@ from .restrict import (
     predicates,
     restrict_datum,
 )
-from .rootsys import AmbientRootDatum, diagram_involution
+from .rootsys import AmbientRootDatum, diagram_involution, type_name_of
 
 SCHEMA_VERSION = "1"
 HARD_RANK_CEILING = 100  # total ambient rank, or abstract rank; a Cartan matrix is rank x rank
@@ -348,14 +348,9 @@ def emit(report: dict, fmt: str):
 # commands
 
 
-def _beta_coordinates(d: SphericalDatumK, rows):
-    """Spherical roots against the restricted simple roots beta_t of the group:
-    a_i restricts to beta_t for i in fiber t, and to 0 when compact, so a row
-    is the sum over fiber t of its entries at beta_t."""
-    if d.mode != "ambient":
-        return None
-    fibers = d.index.simple_roots.fibers
-    return [[sum(row[i] for i in fib) for fib in fibers] for row in rows]
+def _wk_type(types) -> str:
+    """The name of a little Weyl group's type, "trivial" for no roots."""
+    return type_name_of(types) or "trivial"
 
 
 def cmd_restrict_index(doc: dict) -> tuple[dict, int]:
@@ -418,7 +413,7 @@ def cmd_analyze(doc: dict) -> tuple[dict, int]:
             "sigma_k_pr": rd.sigma_k_pr,
             "n_sigma": rd.n_sigma,
             "fibers": rd.fibers,
-            "wk_type": rd.wk_type_name,
+            "wk_type": _wk_type(rd.wk_types),
             "wk_order": rd.wk_order,
             "phi_k": rd.phi_k,
             "phi_k_res": [
@@ -435,13 +430,12 @@ def cmd_analyze(doc: dict) -> tuple[dict, int]:
             "predicates": predicates(d, rd),
         }
     )
-    beta = _beta_coordinates(d, d.sigma_input)
-    if beta is not None:
-        report["sigma_k_in_beta"] = beta
+    if d.mode == "ambient":
+        report["sigma_k_in_beta"] = d.index.simple_roots.fiber_sums(d.sigma_input)
     return report, 0
 
 
-def _validated_rd(doc: dict) -> LittleDatum:
+def _validated_rd(doc: dict) -> RestrictedDatum:
     """The restricted datum of a document whose datum validates."""
     d = parse_datum(doc)
     items = validate(d)
@@ -554,12 +548,12 @@ def cmd_localize(doc: dict, roots: str) -> tuple[dict, int]:
     report = {
         "command": "localize",
         "roots": [t + 1 for t in loc.sigma_k_indices],
-        "rank": loc.datum.rank,
-        "sigma_k": loc.datum.sigma_k,
-        "wk_type": loc.datum.wk_type_name,
+        "rank": loc.rank,
+        "sigma_k": loc.roots.vectors,
+        "wk_type": _wk_type(loc.roots.types),
         "xi_basis_in_parent": loc.xi_basis_in_parent,
         "sigma_K_indices": loc.sigma_K_indices,
-        "predicates_rank0": loc.datum.rank == 0,
+        "predicates_rank0": loc.rank == 0,
     }
     return report, 0
 

@@ -30,7 +30,7 @@ from .linalg import (
     vec_mat,
 )
 from .record import Record
-from .restrict import LittleDatum
+from .restrict import RestrictedDatum
 from .rootsys import orbit
 
 ORBIT_CAP_ENV = "SPHERINDEX_ORBIT_CAP"
@@ -197,7 +197,7 @@ def _intersection_issues(f: Fan) -> list[FanIssue]:
     ]
 
 
-def fan_validate(f: Fan, rd: LittleDatum) -> list[FanIssue]:
+def fan_validate(f: Fan, rd: RestrictedDatum) -> list[FanIssue]:
     """The issues of each kind in the order of ``f.cones``.  A subset of independent
     vectors is independent, so only the maximal cones are tested, and each ray
     once; the cones are walked only to list what failed."""
@@ -226,7 +226,7 @@ def fan_validate(f: Fan, rd: LittleDatum) -> list[FanIssue]:
     return issues
 
 
-def is_complete_for(f: Fan, rd: LittleDatum) -> bool:
+def is_complete_for(f: Fan, rd: RestrictedDatum) -> bool:
     """Wall criterion for supp(fan) = Z_k, on a fan that ``fan_validate`` passed.
 
     Every maximal cone must be full-dimensional and every wall must either
@@ -257,14 +257,14 @@ def is_smooth(f: Fan) -> tuple[bool, ...]:
     )
 
 
-def standard_fan(rd: LittleDatum) -> Fan:
+def standard_fan(rd: RestrictedDatum) -> Fan:
     """Faces of the valuation cone, one per subset of the spherical roots."""
     if rd.nk0_basis:
         raise NotConvex("valuation cone is not strictly convex")
     return Fan.from_maximal([[primitive_vector(tuple(-x for x in w)) for w in rd.coweights]])
 
 
-def cone_membership(v, rd: LittleDatum) -> bool:
+def cone_membership(v, rd: RestrictedDatum) -> bool:
     return all(dot(s, v) <= 0 for s in rd.sigma_k)
 
 
@@ -276,7 +276,7 @@ class Stratum(Record):
     horospherical: bool
 
 
-def strata(f: Fan, rd: LittleDatum) -> tuple[Stratum, ...]:
+def strata(f: Fan, rd: RestrictedDatum) -> tuple[Stratum, ...]:
     """The stratum of each cone, in the order of ``f.cones``.  The saturated kernel
     of a face of a unimodular cone is spanned by the dual vectors of the generators
     it misses, read off the inverse of a unimodular full-dimensional maximal cone.
@@ -314,7 +314,7 @@ def strata(f: Fan, rd: LittleDatum) -> tuple[Stratum, ...]:
     return tuple(nodes)
 
 
-def _reflection_on_dual(rd: LittleDatum, s) -> Mat:
+def _reflection_on_dual(rd: RestrictedDatum, s) -> Mat:
     """(s, s) > 0 times the matrix of s_sigma on dual coordinates (rows act
     on the right): the primitive images of rays are the same."""
     fs = [dot(row, s) for row in rd.form_k]  # (a_i, s) for each basis character a_i
@@ -323,7 +323,7 @@ def _reflection_on_dual(rd: LittleDatum, s) -> Mat:
     return tuple(tuple(ss * int(i == j) - 2 * fs[i] * s[j] for i in range(rd.rank)) for j in range(rd.rank))
 
 
-def weyl_saturate(f: Fan, rd: LittleDatum, cap: int | None = None) -> Fan:
+def weyl_saturate(f: Fan, rd: RestrictedDatum, cap: int | None = None) -> Fan:
     """Orbit of the fan under the little Weyl group, of at most ``cap`` cones
     (default |W_k| times the given cones, clamped to HARD_ORBIT_CEILING).
     The orbit of a fan closed under faces is the faces of its maximal cones'

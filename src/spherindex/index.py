@@ -154,6 +154,12 @@ class RestrictedSimpleRoots(Record):
     def type_name(self) -> str:
         return type_name_of(self.types)
 
+    def fiber_sums(self, rows) -> list[list]:
+        """Each row against the roots: a character chi restricts to the sum
+        over t of (the sum of chi over fiber t) times root t, since a_i
+        restricts to root t for i in fiber t and to 0 when compact."""
+        return [[sum(row[i] for i in fib) for fib in self.fibers] for row in rows]
+
 
 def restricted_simple_roots(ix: TitsIndex) -> RestrictedSimpleRoots:
     """The distinct nonzero rows of ``ix.restriction``, classified by d L^2 times

@@ -44,11 +44,12 @@ from .linalg import (
     vec_mat,
 )
 from .record import Record
-from .rootsys import RestrictedRoots, RootBase, generate_roots, image_fibers, root_images, type_name_of, weyl_order
+from .rootsys import RestrictedRoots, RootBase, generate_roots, image_fibers, root_images, weyl_order
 
 
-class LittleDatum(Record):
-    """The little-field invariants of a restricted or localized datum.
+class RestrictedDatum(Record):
+    """All little-field invariants of a spherical datum, and the maps between
+    the big and little sides that the structural checks need.
 
     Vectors in ``sigma_k``, ``phi_k`` live in coordinates of the canonical
     basis of the little weight lattice; ``nk0_basis`` and ``coweights``
@@ -70,19 +71,6 @@ class LittleDatum(Record):
     nk0_basis: Mat
     coweights: Mat
     coweight_den: int
-
-    @property
-    def wk_type_name(self) -> str:
-        return type_name_of(self.wk_types) or "trivial"
-
-
-class RestrictedDatum(LittleDatum):
-    """All little-field invariants of a spherical datum.
-
-    Adds the maps between the big and little sides that the structural
-    checks need.
-    """
-
     projected_lifts: Mat  # lifts_den times the lifts of the little basis rows, projected off the annihilator
     lifts_den: int
     split: CompactRootSplit
@@ -117,26 +105,6 @@ def _project(f: Mat, rows: list[Vec], lifts) -> tuple[Mat, int, Mat]:
     return scaled, d, gram(scaled, fc)
 
 
-def _core(rank_: int, sigma_rows: Mat, form: Mat, fibers) -> dict:
-    base = RootBase.from_vectors(sigma_rows, form)
-    w, den = scaled_dual_basis(sigma_rows, form)
-    return dict(
-        rank=rank_,
-        sigma_k=sigma_rows,
-        fibers=tuple(tuple(f) for f in fibers),
-        # restricted roots have integral coordinates: s == content(s) * primitive
-        sigma_k_pr=tuple(primitive_vector(s) for s in sigma_rows),
-        n_sigma=tuple(content(s) for s in sigma_rows),
-        form_k=form,
-        phi_k=tuple(generate_roots(base)),
-        wk_types=base.types,
-        wk_order=weyl_order(base.types),
-        nk0_basis=integer_kernel(sigma_rows, width=rank_),
-        coweights=w,
-        coweight_den=den,
-    )
-
-
 def restrict_datum(d: SphericalDatumK) -> RestrictedDatum:
     split = d.compact_split
     ann = _annihilator(d, split)
@@ -162,9 +130,25 @@ def restrict_datum(d: SphericalDatumK) -> RestrictedDatum:
     # lifts of a row differ by the span of ``ann``, which the projection kills
     projected, lifts_den, form_k = _project(d.pairing, ann, lifts)
 
-    core = _core(dk, tuple(sigma_k), form_k, fibers)
+    # classified before anything else is derived, so a set of restricted
+    # roots that is no root base fails with the classification's error
+    sigma_k = tuple(sigma_k)
+    base = RootBase.from_vectors(sigma_k, form_k)
+    coweights, coweight_den = scaled_dual_basis(sigma_k, form_k)
     return RestrictedDatum(
-        **core,
+        rank=dk,
+        sigma_k=sigma_k,
+        fibers=tuple(map(tuple, fibers)),
+        # restricted roots have integral coordinates: s == content(s) * primitive
+        sigma_k_pr=tuple(map(primitive_vector, sigma_k)),
+        n_sigma=tuple(map(content, sigma_k)),
+        form_k=form_k,
+        phi_k=tuple(generate_roots(base)),
+        wk_types=base.types,
+        wk_order=weyl_order(base.types),
+        nk0_basis=integer_kernel(sigma_k, width=dk),
+        coweights=coweights,
+        coweight_den=coweight_den,
         projected_lifts=projected,
         lifts_den=lifts_den,
         split=split,
@@ -227,8 +211,9 @@ def chamber_containment_check(d: SphericalDatumK, rd: RestrictedDatum | None = N
     # chi restricts to sum_t (fiber sum t of chi) beta_t, so the chamber's
     # generators -W^-1 e_t pair with it to minus those sums; signs alone are
     # tested, and the lattice's denominator and ``lifts_den`` are positive scales
-    fibers = d.index.simple_roots.fibers
-    gens = [[-sum(chi[i] for i in fib) for chi in d.xi_K.basis] for fib in fibers]
+    srs = d.index.simple_roots
+    sums = srs.fiber_sums(d.xi_K.basis)
+    gens = [[-row[t] for row in sums] for t in range(len(srs.fibers))]
     images = mat_mul_t(gens, rd.projected_lifts)
     if any(x > 0 for row in mat_mul_t(images, rd.sigma_k) for x in row):
         raise InternalInconsistency(
@@ -254,7 +239,8 @@ def predicates(d: SphericalDatumK, rd: RestrictedDatum) -> dict:
 
 
 class Localization(Record):
-    datum: LittleDatum  # invariants of the localized variety
+    rank: int  # rank of the localized weight lattice
+    roots: RootBase  # J in that lattice, classified under the transported form
     xi_basis_in_parent: Mat  # basis of the localized weight lattice
     sigma_k_indices: tuple[int, ...]  # positions of J inside sigma_k
     sigma_K_indices: tuple[int, ...]  # induced big-side spherical roots
@@ -265,22 +251,19 @@ def localize(rd: RestrictedDatum, j_indices) -> Localization:
 
     The new weight lattice is the saturation of the old one inside the
     orthogonal of the standard-fan face spanned by the coweights outside J.
+    Only J is classified there: the report reads its rank and type alone.
     """
     if rd.nk0_basis:
         raise NotConvex("valuation cone is not strictly convex")
     j = sorted(set(j_indices))
     out = [t for t in range(len(rd.sigma_k)) if t not in j]
-    rays = [rd.coweights[t] for t in out]
-    new_basis = integer_kernel(rays, width=rd.rank)
+    new_basis = integer_kernel([rd.coweights[t] for t in out], width=rd.rank)
     lat = Lattice(rd.rank, new_basis)
-    sigma_new = [lat.coordinates(rd.sigma_k[t]) for t in j]
-    form_new = gram(new_basis, rd.form_k)
-    fibers = [rd.fibers[t] for t in j]
-    core = _core(len(new_basis), tuple(sigma_new), form_new, fibers)
-    sub = LittleDatum(**core)
+    roots = RootBase.from_vectors([lat.coordinates(rd.sigma_k[t]) for t in j], gram(new_basis, rd.form_k))
     sigma_K = sorted(set(i for t in j for i in rd.fibers[t]) | set(rd.split.sigma0))
     return Localization(
-        datum=sub,
+        rank=len(new_basis),
+        roots=roots,
         xi_basis_in_parent=new_basis,
         sigma_k_indices=tuple(j),
         sigma_K_indices=tuple(sigma_K),
@@ -292,7 +275,7 @@ class AutRoots(Record):
     n_aut: tuple[int, ...]
 
 
-def aut_roots(rd: LittleDatum, gamma: Lattice) -> AutRoots:
+def aut_roots(rd: RestrictedDatum, gamma: Lattice) -> AutRoots:
     """Spherical roots of the quotient by a group of automorphisms.
 
     ``gamma`` is the character sublattice of the quotient; it must sit

@@ -197,7 +197,7 @@ def test_criterion_6_standard_embedding():
         assert len(cover_edges(f)) == r * 2 ** (r - 1)
         for node in sp:  # localization agrees node by node
             loc = localize(rd, node.sigma_indices)
-            assert loc.datum.rank == node.rank
+            assert loc.rank == node.rank
             assert Lattice.from_rows(r, loc.xi_basis_in_parent) == Lattice.from_rows(
                 r, node.lattice_basis
             )

@@ -1549,8 +1549,8 @@ def test_beta_coordinates_match_the_elimination():
     data = ambient_fixture_data()
     assert len(data) == 4
     for d in data:
-        beta = cli._beta_coordinates(d, d.sigma_input)
         srs = d.index.simple_roots
+        beta = srs.fiber_sums(d.sigma_input)
         assert beta == [list(row) for row in beta_by_walls_inverse(d, d.sigma_input)]
         assert beta == [list(solve_left(srs.roots, res_A(d.index, row))) for row in d.sigma_input]
     report, code = cli.cmd_analyze(ANISOTROPIC_DOC)
@@ -1581,7 +1581,7 @@ def test_beta_coordinates_run_no_elimination(monkeypatch):
         d.index.simple_roots  # computed once per index, before the count
     monkeypatch.setattr(linalg, "_eliminate", counting)
     for d in data:
-        cli._beta_coordinates(d, d.sigma_input + d.sigma_input)
+        d.index.simple_roots.fiber_sums(d.sigma_input + d.sigma_input)
     assert calls == []
 
 
@@ -1600,7 +1600,7 @@ def test_chamber_check_and_beta_coordinates_run_no_elimination(monkeypatch):
     monkeypatch.setattr(linalg, "_eliminate", counting)
     for d, rd in pairs:
         chamber_containment_check(d, rd)
-        cli._beta_coordinates(d, d.sigma_input)
+        d.index.simple_roots.fiber_sums(d.sigma_input)
     assert calls == []
 
 

@@ -260,11 +260,11 @@ def test_strata_localization_consistency():
     sp = strata(f, rd)
     for node in sp:
         loc = localize(rd, node.sigma_indices)
-        assert loc.datum.rank == node.rank
+        assert loc.rank == node.rank
         assert Lattice.from_rows(rd.rank, loc.xi_basis_in_parent) == Lattice.from_rows(
             rd.rank, node.lattice_basis
         )
-        assert len(loc.datum.sigma_k) == len(node.sigma_indices)
+        assert len(loc.roots.vectors) == len(node.sigma_indices)
 
 
 def test_strata_poset_edges():

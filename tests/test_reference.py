@@ -144,7 +144,7 @@ def test_fiber_sums_match_the_inverse_of_the_walls(jobs, monkeypatch):
     for d in reference_data(jobs):
         if d.mode != "ambient" or not is_valid(validate(d)):
             continue
-        beta = cli._beta_coordinates(d, d.sigma_input)
+        beta = d.index.simple_roots.fiber_sums(d.sigma_input)
         assert beta == [list(row) for row in beta_by_walls_inverse(d, d.sigma_input)]
         old, det = chamber_by_walls_inverse(d)
         gens = chamber_generators(monkeypatch, d, restrict_datum(d))

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from sympy import Matrix, Rational, eye
@@ -19,7 +20,7 @@ from datagen import (
     solve,
     solve_left,
 )
-from spherindex import linalg, restrict
+from spherindex import cli, linalg, restrict
 from spherindex.cli import parse_datum
 from spherindex.datum import SphericalDatumK, is_valid, validate
 from spherindex.errors import FiberMismatch, IdentityFails, NotBetween, NotConvex, SpherindexError, TheoremViolation
@@ -47,7 +48,7 @@ from spherindex.restrict import (
     predicates,
     restrict_datum,
 )
-from spherindex.rootsys import AmbientRootDatum, indivisible_roots
+from spherindex.rootsys import AmbientRootDatum, RootBase, indivisible_roots
 
 H = Fraction(1, 2)
 
@@ -190,7 +191,7 @@ def test_index_and_datum_restrict_roots_alike(case):
     assert sorted(m for _, m in from_datum.multiplicities) == sorted(m for _, m in from_index.multiplicities)
     assert from_datum.reduced == from_index.reduced
     assert len(from_datum.indivisible) == len(from_index.indivisible)
-    assert rd.wk_type_name == ix.simple_roots.type_name
+    assert cli._wk_type(rd.wk_types) == ix.simple_roots.type_name
 
 
 def test_e6_restriction_b2():
@@ -313,15 +314,18 @@ def test_coweight_identity():
 
 def test_coweights_match_the_fraction_dual_basis():
     """The stored coweights over ``coweight_den`` are the Fraction dual basis
-    of the restricted roots under the transported form, on the restricted
-    datum and on its localization at each single root."""
+    of the restricted roots under the transported form, and the scaled dual
+    basis of each localization at a single root, under the form carried to
+    its lattice, is that of its roots."""
     for d in [sp42_datum(), e6_datum(), su_nn_datum(2), u11_datum()] + random_data(20261018, 24):
         rd = restrict_datum(d)
         assert divide(rd.coweights, rd.coweight_den) == dual_basis(rd.sigma_k, transported_form(d, rd))
         if not rd.nk0_basis:
             for t in range(len(rd.sigma_k)):
-                loc = localize(rd, [t]).datum
-                assert divide(loc.coweights, loc.coweight_den) == dual_basis(loc.sigma_k, loc.form_k)
+                loc = localize(rd, [t])
+                form = gram(loc.xi_basis_in_parent, rd.form_k)
+                w, den = scaled_dual_basis(loc.roots.vectors, form)
+                assert divide(w, den) == dual_basis(loc.roots.vectors, form)
 
 
 def test_coweight_check_catches_an_entry_off_by_a_small_rational():
@@ -384,8 +388,8 @@ def test_localize_identity():
     d = e6_datum()
     rd = restrict_datum(d)
     loc = localize(rd, [0, 1])
-    assert loc.datum.sigma_k == rd.sigma_k
-    assert loc.datum.wk_types == rd.wk_types
+    assert loc.roots.vectors == rd.sigma_k
+    assert loc.roots.types == rd.wk_types
     assert loc.sigma_K_indices == (0, 1)
 
 
@@ -393,8 +397,8 @@ def test_localize_empty():
     d = e6_datum()
     rd = restrict_datum(d)
     loc = localize(rd, [])
-    assert loc.datum.rank == 0
-    assert loc.datum.sigma_k == ()
+    assert loc.rank == 0
+    assert loc.roots.vectors == ()
     assert loc.sigma_K_indices == ()
 
 
@@ -402,8 +406,8 @@ def test_localize_e6_facet():
     d = e6_datum()
     rd = restrict_datum(d)
     loc = localize(rd, [1])
-    assert loc.datum.rank == 1
-    assert len(loc.datum.sigma_k) == 1
+    assert loc.rank == 1
+    assert len(loc.roots.vectors) == 1
     assert loc.sigma_K_indices == (1,)
     # localizing keeps the compact spherical roots on the big side
     rd2 = restrict_datum(sp42_datum())
@@ -416,6 +420,36 @@ def test_localize_requires_convex():
     rd = restrict_datum(d)
     with pytest.raises(NotConvex):
         localize(rd, [])
+
+
+def test_localize_classifies_j_and_derives_nothing_else(monkeypatch):
+    """The localization report reads the rank and the type of J alone, so
+    ``localize`` classifies J once and builds no dual basis, no root system
+    and no primitive vectors, at every subset J of the fixtures' restricted
+    roots and of seeded random data."""
+    data = [restrict_datum(d) for d in [sp42_datum(), e6_datum(), su_nn_datum(2), u11_datum()] + random_data(20261019, 40)]
+    calls = Counter()
+
+    def counting(name, f):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return counted
+
+    for name in ("scaled_dual_basis", "generate_roots", "primitive_vector"):
+        monkeypatch.setattr(restrict, name, counting(name, getattr(restrict, name)))
+    monkeypatch.setattr(RootBase, "from_vectors", staticmethod(counting("from_vectors", RootBase.from_vectors)))
+    localized = 0
+    for rd in data:
+        if rd.nk0_basis:
+            continue
+        for size in range(len(rd.sigma_k) + 1):
+            for j in combinations(range(len(rd.sigma_k)), size):
+                calls.clear()
+                localize(rd, j)
+                assert calls == {"from_vectors": 1}
+                localized += 1
+    assert localized > 150
 
 
 def test_aut_roots_trivial():

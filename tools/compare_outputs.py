@@ -11,9 +11,12 @@ script, which is imported and never written to.  Each job runs in
 child interpreter per tree, on the same input files.  A fixed list of
 command lines that argparse reads (help, usage errors, and the fixtures
 spelled with ``--format=json``, options before the path and an abbreviated
-flag) runs as well, and so does ``restrict-index`` on a fixed, seeded list
-of random index documents in both formats, about half of which exit 1 with
-"restricted simple roots do not form a root base", and on a fixed sweep of
+flag) runs as well, and so does every ``localize`` job at the subsets J
+``--roots ""``, ``2``, ``1,2`` and ``1,2,3`` in both formats, 804 of whose
+1,768 runs per format exit 2 because J names a root that the datum lacks,
+and so does ``restrict-index`` on a fixed, seeded list of random index
+documents in both formats, about half of which exit 1 with "restricted
+simple roots do not form a root base", and on a fixed sweep of
 every finite type up to rank 12 and of A-D at ranks 16, 24, 32 and 40,
 split and, where the diagram involution moves a root, quasi-split by it,
 and so does ``analyze``
@@ -50,6 +53,7 @@ SWEEP_RANK = 12  # every type of rootsys.VALID_RANKS up to this rank
 SWEEP_TYPES = [(f, n) for f in "ABCD" for n in range(1 if f == "A" else 2, SWEEP_RANK + 1)]
 SWEEP_TYPES += [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
 WIDE_TYPES = [(f, n) for f in "ABCD" for n in (16, 24, 32, 40)]  # many digits per packed root
+LOCALIZE_ROOTS = ("", "2", "1,2", "1,2,3")  # subsets J besides a localize job's own
 
 
 def run_tree(src: str, argvs_path: str, out_path: str) -> None:
@@ -252,6 +256,13 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as work:
         paths = gen.write_inputs(jobs, os.path.join(work, "inputs"))
         runs = [(f"{job.name} --format {fmt}", ["--format", fmt] + _without_format(argv)) for job, argv in zip(jobs, paths) for fmt in FORMATS]
+        runs += [  # a localize job's argv ends in its --roots value
+            (f"{job.name} --roots {roots!r} --format {fmt}", ["--format", fmt, *_without_format(argv)[:-1], roots])
+            for job, argv in zip(jobs, paths)
+            if _without_format(argv)[0] == "localize"
+            for roots in LOCALIZE_ROOTS
+            for fmt in FORMATS
+        ]
         fan_path = os.path.join(work, "fan.json")
         with open(fan_path, "w") as fh:
             json.dump({"cones": [[[-1, 0], [0, -1]]]}, fh)
