@@ -1,19 +1,18 @@
-"""Exception hierarchy.
+"""Error classes, each beside what tells it apart; the base class decides the exit code.
 
-The class of an error decides the CLI's exit code, in ``cli.main``: a
-``ParseError`` (input that does not describe an index or a spherical datum,
-such as a star generator of the wrong shape) exits 2; a ``TheoremViolation``
-(a structural identity broken by data that passed validation) exits 3; any
-other ``SpherindexError`` exits 1, as does a datum that fails validation.
+SpherindexError        ``cli.main``: exit 1, for any failure not named below
+ParseError             ``cli.main``: exit 2, input that describes no index or spherical datum
+TheoremViolation       ``cli.main``: exit 3, a structural identity broken by validated data
+NotARootBase           ``validate``, ``TitsIndex.violations``, ``RootBase.from_gram``: no root base
+LinearlyDependent      ``validate``: its own check; a ``NotARootBase`` elsewhere
+NotFiniteType          the same three: a Cartan matrix of no finite type
+NegativeCoefficient    ``validate``: a root with a negative simple-root coefficient
+InternalInconsistency  ``validate``: an inconsistent compact split; a ``TheoremViolation`` elsewhere
 """
 
 
 class SpherindexError(Exception):
     """Base class for all errors raised by this package."""
-
-
-class ZeroVector(SpherindexError):
-    pass
 
 
 class NotARootBase(SpherindexError):
@@ -32,18 +31,6 @@ class NegativeCoefficient(SpherindexError):
     pass
 
 
-class NotConvex(SpherindexError):
-    pass
-
-
-class NotBetween(SpherindexError):
-    pass
-
-
-class BudgetExceeded(SpherindexError):
-    pass
-
-
 class ParseError(SpherindexError):
     """The input does not describe an index or a spherical datum."""
 
@@ -53,20 +40,4 @@ class TheoremViolation(SpherindexError):
 
 
 class InternalInconsistency(TheoremViolation):
-    pass
-
-
-class FiberMismatch(TheoremViolation):
-    pass
-
-
-class IndivisibilityMismatch(TheoremViolation):
-    pass
-
-
-class IdentityFails(TheoremViolation):
-    pass
-
-
-class BasisFailure(TheoremViolation):
     pass

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
-from .errors import BudgetExceeded, NotConvex
+from .errors import SpherindexError
 from .linalg import (
     Mat,
     dot,
@@ -260,7 +260,7 @@ def is_smooth(f: Fan) -> tuple[bool, ...]:
 def standard_fan(rd: RestrictedDatum) -> Fan:
     """Faces of the valuation cone, one per subset of the spherical roots."""
     if rd.nk0_basis:
-        raise NotConvex("valuation cone is not strictly convex")
+        raise SpherindexError("valuation cone is not strictly convex")
     return Fan.from_maximal([[primitive_vector(tuple(-x for x in w)) for w in rd.coweights]])
 
 
@@ -358,7 +358,7 @@ def weyl_saturate(f: Fan, rd: RestrictedDatum, cap: int | None = None) -> Fan:
             if (c := todo.pop()) not in cones:
                 cones.add(c)
                 if len(cones) > limit:
-                    raise BudgetExceeded(
+                    raise SpherindexError(
                         f"Weyl saturation reached {len(cones)} cones > cap {limit} ({hint})"
                     )
                 todo.extend(_facets(c))

@@ -82,18 +82,13 @@ class TitsIndex(Record):
         return TitsIndex(ambient, compact, star)
 
     @cached_property
-    def split(self) -> Mat:
-        """Basis of the split subspace V, computed once per index."""
-        return split_subspace(self)
-
-    @cached_property
     def restriction(self) -> Mat:
         """The n x r matrix R[i][j] = (a_i, v_j) of the restriction map.
 
         Row i is the image of the simple root a_i; it has n rows even when
         the index is anisotropic (r = 0).
         """
-        return mat_mul_t(self.ambient.form(), self.split)
+        return mat_mul_t(self.ambient.form(), split_subspace(self))
 
     @cached_property
     def simple_roots(self) -> "RestrictedSimpleRoots":

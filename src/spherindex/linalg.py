@@ -38,7 +38,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
 
-from .errors import ZeroVector
+from .errors import SpherindexError
 from .record import Record
 
 Vec = tuple[int | Fraction, ...]
@@ -191,7 +191,7 @@ def primitive_vector(v) -> tuple[int, ...]:
     (ints,) = scale_rows_integral([v])
     g = content(ints)
     if g == 0:
-        raise ZeroVector("zero vector has no primitive representative")
+        raise SpherindexError("zero vector has no primitive representative")
     return tuple(x // g for x in ints)
 
 

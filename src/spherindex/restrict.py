@@ -12,16 +12,7 @@ from __future__ import annotations
 from math import lcm
 
 from .datum import CompactRootSplit, SphericalDatumK
-from .errors import (
-    BasisFailure,
-    FiberMismatch,
-    IdentityFails,
-    IndivisibilityMismatch,
-    InternalInconsistency,
-    NotBetween,
-    NotConvex,
-    SpherindexError,
-)
+from .errors import InternalInconsistency, SpherindexError, TheoremViolation
 from .linalg import (
     Lattice,
     Mat,
@@ -122,7 +113,7 @@ def restrict_datum(d: SphericalDatumK) -> RestrictedDatum:
     for fib in fibers:
         orbit = d.star_orbit_of_root(fib[0])
         if tuple(sorted(fib)) != orbit:
-            raise FiberMismatch(
+            raise TheoremViolation(
                 f"roots {sorted(fib)} restrict equally but the star orbit is {list(orbit)}"
             )
 
@@ -169,11 +160,11 @@ def phi_k_res(d: SphericalDatumK, rd: RestrictedDatum) -> RestrictedRoots:
             sigma_images[i] = s
     rr = RestrictedRoots.of(root_images(d.root_base.components, sigma_images))
     if rr.indivisible != set(rd.phi_k):
-        raise IndivisibilityMismatch(
+        raise TheoremViolation(
             "indivisible restricted roots differ from the little root system"
         )
     if any(n not in (1, 2) for n in rd.n_sigma):
-        raise IndivisibilityMismatch("a restricted spherical root has multiplier > 2")
+        raise TheoremViolation("a restricted spherical root has multiplier > 2")
     return rr
 
 
@@ -191,7 +182,7 @@ def coweight_identity_check(d: SphericalDatumK, rd: RestrictedDatum) -> dict:
     scale = den * rd.lifts_den
     for j, (row, coweight) in enumerate(zip(mat_mul_t(sums, rd.projected_lifts), rd.coweights, strict=True)):
         if any(x * rd.coweight_den != c * scale for x, c in zip(row, coweight, strict=True)):
-            raise IdentityFails(f"coweight of restricted root {j} differs from its fiber sum")
+            raise TheoremViolation(f"coweight of restricted root {j} differs from its fiber sum")
     return {"checked": len(rd.fibers)}
 
 
@@ -254,7 +245,7 @@ def localize(rd: RestrictedDatum, j_indices) -> Localization:
     Only J is classified there: the report reads its rank and type alone.
     """
     if rd.nk0_basis:
-        raise NotConvex("valuation cone is not strictly convex")
+        raise SpherindexError("valuation cone is not strictly convex")
     j = sorted(set(j_indices))
     out = [t for t in range(len(rd.sigma_k)) if t not in j]
     new_basis = integer_kernel([rd.coweights[t] for t in out], width=rd.rank)
@@ -283,16 +274,16 @@ def aut_roots(rd: RestrictedDatum, gamma: Lattice) -> AutRoots:
     weight lattice, inside the span of the restricted roots, and be spanned
     by multiples of them: the quotient roots are the least multiples of the
     primitive restricted roots that lie in ``gamma``, and they must be a
-    basis of it.  Input that is not so exits 1 (``NotBetween``); only a
+    basis of it.  Input that is not so exits 1 (``SpherindexError``); only a
     multiplier above 2 breaks a theorem.
     """
     if gamma.den != 1:  # den is the least common denominator of the entries
-        raise NotBetween("sublattice is not contained in the weight lattice")
+        raise SpherindexError("sublattice is not contained in the weight lattice")
     for s in rd.sigma_k:
         if not gamma.contains(s):
-            raise NotBetween("sublattice does not contain the restricted roots")
+            raise SpherindexError("sublattice does not contain the restricted roots")
     if gamma.rank != len(rd.sigma_k):
-        raise NotBetween("sublattice leaves the span of the restricted roots")
+        raise SpherindexError("sublattice leaves the span of the restricted roots")
 
     roots, mults = [], []
     for p in rd.sigma_k_pr:  # p = s / content(s) for s in gamma: in its span
@@ -301,7 +292,7 @@ def aut_roots(rd: RestrictedDatum, gamma: Lattice) -> AutRoots:
         roots.append(tuple(n * x for x in p))
         mults.append(n)
     if any(n not in (1, 2) for n in mults):
-        raise BasisFailure("an automorphism-quotient multiplier exceeded 2")
+        raise TheoremViolation("an automorphism-quotient multiplier exceeded 2")
     if Lattice.from_rows(rd.rank, roots) != gamma:
-        raise NotBetween("sublattice is not spanned by multiples of the restricted roots")
+        raise SpherindexError("sublattice is not spanned by multiples of the restricted roots")
     return AutRoots(roots=tuple(roots), n_aut=tuple(mults))

@@ -177,12 +177,11 @@ def _block_sum(standard, components: tuple[DynkinComponent, ...]) -> Mat:
 class RootBase(Record):
     """Linearly independent vectors with crystallographic Gram data.
 
-    The base is classified once: ``cartan`` is its Cartan matrix and
-    ``components`` its irreducible types as ``classify`` returns them.
+    The base is classified once: ``components`` are its irreducible types
+    as ``classify`` returns them.
     """
 
     vectors: Mat
-    cartan: Mat
     components: tuple[tuple[str, int, tuple[int, ...]], ...]
 
     @staticmethod
@@ -216,8 +215,7 @@ class RootBase(Record):
                     if i != j and x > 0:
                         raise NotARootBase(f"positive off-diagonal Cartan number at ({i}, {j})")
                     c[i].append(x)
-            c = tuple(map(tuple, c))
-            return RootBase(vectors, c, tuple(classify(c)))
+            return RootBase(vectors, tuple(classify(c)))
         except (NotARootBase, NotFiniteType):
             if rank(vectors) != len(vectors):
                 raise LinearlyDependent("base vectors are linearly dependent") from None

@@ -12,16 +12,26 @@ import importlib.util
 import os
 import random
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, combinations
 from types import SimpleNamespace
 
+import pytest
+
 from spherindex.cli import parse_index
 from spherindex.datum import CompactRootSplit, SphericalDatumK
-from spherindex.errors import InternalInconsistency, LinearlyDependent, NotARootBase, SpherindexError
+from spherindex.errors import (
+    InternalInconsistency,
+    LinearlyDependent,
+    NotARootBase,
+    ParseError,
+    SpherindexError,
+    TheoremViolation,
+)
 from spherindex.fans import Fan, FanIssue, _intersection_issues
-from spherindex.index import RestrictedSimpleRoots, TitsIndex, res_A
+from spherindex.index import RestrictedSimpleRoots, TitsIndex, res_A, split_subspace
 from spherindex.linalg import (
     Lattice,
     divide,
@@ -49,6 +59,16 @@ from spherindex.rootsys import (
     root_images,
     type_name_of,
 )
+
+
+@contextmanager
+def raises_exit_1(message):
+    """``pytest.raises`` for an error that the CLI turns into exit code 1: a
+    ``SpherindexError`` that is neither a ``ParseError`` (exit 2) nor a
+    ``TheoremViolation`` (exit 3), whose message matches ``message``."""
+    with pytest.raises(SpherindexError, match=message) as info:
+        yield info
+    assert not isinstance(info.value, (ParseError, TheoremViolation)), repr(info.value)
 
 
 def no_cone(f):
@@ -451,6 +471,13 @@ def divisor_scan_indivisible(support) -> set:
     }
 
 
+def cartan_matrix(vectors, form):
+    """The Cartan matrix 2 g_ij / g_jj of a root base, for g the Gram matrix of
+    ``vectors`` under ``form``, in exact rationals."""
+    g = gram(vectors, form)
+    return tuple(tuple(Fraction(2 * gij) / g[j][j] for j, gij in enumerate(row)) for row in g)
+
+
 def rank_first_root_base(vectors, form) -> RootBase:
     """``RootBase.from_vectors`` as it was before it proved independence by
     classification: one elimination of the vectors first, then the Gram
@@ -472,8 +499,7 @@ def rank_first_root_base(vectors, form) -> RootBase:
             if i != j and x > 0:
                 raise NotARootBase(f"positive off-diagonal Cartan number at ({i}, {j})")
             c[i].append(x)
-    c = tuple(map(tuple, c))
-    return RootBase(vectors, c, tuple(classify(c)))
+    return RootBase(vectors, tuple(classify(c)))
 
 
 def random_root_base_input(rng: random.Random):
@@ -556,7 +582,7 @@ def restricted_simple_roots_by_split_gram(ix: TitsIndex) -> RestrictedSimpleRoot
     S B S^T is the form on restriction coordinates, and ``from_vectors``
     builds the Gram matrix of the images under it."""
     distinct, fibers = image_fibers((i, img) for i, img in enumerate(ix.restriction) if any(img))
-    form, _ = scaled_inverse(mat_mul_t(ix.split, transpose(ix.restriction)))
+    form, _ = scaled_inverse(mat_mul_t(split_subspace(ix), transpose(ix.restriction)))
     base = RootBase.from_vectors(distinct, form)
     order = [i for _, _, positions in base.components for i in positions]
     return RestrictedSimpleRoots(

@@ -14,10 +14,11 @@ from datagen import (
     no_cone,
     per_cone_validate,
     random_convex_data,
+    raises_exit_1,
 )
 from spherindex import fans, linalg
 from spherindex.datum import SphericalDatumK
-from spherindex.errors import BudgetExceeded, NotConvex
+from spherindex.errors import ParseError, SpherindexError, TheoremViolation
 from spherindex.fans import (
     Fan,
     FanIssue,
@@ -183,7 +184,7 @@ def test_standard_fan_counts():
 
 def test_standard_fan_requires_convex():
     d = SphericalDatumK.abstract(2, [[2, 0], [0, 2]], [], [[1, 0]])
-    with pytest.raises(NotConvex):
+    with raises_exit_1("^valuation cone is not strictly convex$"):
         standard_fan(restrict_datum(d))
 
 
@@ -225,7 +226,7 @@ def test_wonderful_iff_standard_fan_smooth():
     d2 = SphericalDatumK.abstract(2, [[2, 0], [0, 2]], [], [[1, 1]])
     rd2 = restrict_datum(d2)
     assert len(rd2.nk0_basis) == 1  # not convex, standard fan refused
-    with pytest.raises(NotConvex):
+    with raises_exit_1("^valuation cone is not strictly convex$"):
         standard_fan(rd2)
 
 
@@ -333,7 +334,7 @@ def test_weyl_saturate_reflection_stable():
 
 def test_weyl_saturate_budget():
     _, rd = e6_rd()
-    with pytest.raises(BudgetExceeded):
+    with raises_exit_1(r"^Weyl saturation reached \d+ cones > cap 3 \(set SPHERINDEX_ORBIT_CAP\)$"):
         weyl_saturate(standard_fan(rd), rd, cap=3)
 
 
@@ -512,7 +513,7 @@ def bfs_saturate(f, rd, cap=None):
                     seen.add(img)
                     nxt.append(img)
                     if len(seen) > limit:
-                        raise BudgetExceeded(
+                        raise SpherindexError(
                             f"Weyl saturation reached {len(seen)} cones > cap {limit} ({hint})"
                         )
         frontier = nxt
@@ -522,7 +523,8 @@ def bfs_saturate(f, rd, cap=None):
 def outcome(saturate, f, rd, cap=None):
     try:
         return saturate(f, rd, cap)
-    except BudgetExceeded as e:
+    except SpherindexError as e:  # the cap message, which exits 1
+        assert not isinstance(e, (ParseError, TheoremViolation)), repr(e)
         return str(e)
 
 
@@ -556,7 +558,7 @@ def all_faces_saturate(f, rd, cap):
             if face not in cones:
                 cones.add(face)
                 if len(cones) > limit:
-                    raise BudgetExceeded(
+                    raise SpherindexError(
                         f"Weyl saturation reached {len(cones)} cones > cap {limit} (set {fans.ORBIT_CAP_ENV})"
                     )
     return fan_of_rows(cones)

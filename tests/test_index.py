@@ -11,6 +11,7 @@ from sympy import Matrix
 
 from datagen import (
     ambient_roots,
+    cartan_matrix,
     counted_restriction,
     divisor_scan_indivisible,
     flip_matrix,
@@ -323,13 +324,14 @@ def test_restricted_cartan_matches_the_fraction_inverse():
         for img in ix.restriction:
             if any(img) and img not in distinct:
                 distinct.append(img)
-        inv = Matrix(mat_mul(ix.split, ix.restriction)).inv()
+        inv = Matrix(mat_mul(split_subspace(ix), ix.restriction)).inv()
         form = tuple(tuple(Fraction(int(x.p), int(x.q)) for x in row) for row in inv.tolist())
-        c = RootBase.from_vectors(distinct, form).cartan
+        c = cartan_matrix(distinct, form)
         order = [i for _, _, positions in classify(c) for i in positions]
         srs = restricted_simple_roots(ix)
-        scaled, _ = scaled_inverse([vec_mat(v, ix.restriction) for v in ix.split])
-        assert RootBase.from_vectors(srs.roots, scaled).cartan == RootBase.from_vectors(srs.roots, form).cartan
+        scaled, _ = scaled_inverse([vec_mat(v, ix.restriction) for v in split_subspace(ix)])
+        assert RootBase.from_vectors(srs.roots, scaled) == RootBase.from_vectors(srs.roots, form)
+        assert cartan_matrix(srs.roots, scaled) == cartan_matrix(srs.roots, form)
         assert srs.roots == tuple(distinct[i] for i in order)
 
 
@@ -383,7 +385,7 @@ def test_anisotropic_index_has_empty_restriction(capsys):
         "compact_simple": ["a1", "a2"],
     }
     ix = parse_index(doc)
-    assert ix.split == () and ix.restriction == ((), ())
+    assert split_subspace(ix) == () and ix.restriction == ((), ())
     report, code = cmd_restrict_index(doc)
     assert code == 0
     assert emitted(capsys, report) == {

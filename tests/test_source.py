@@ -19,7 +19,9 @@ kind of matrix is inverted in one place, so the functions that call
 ``scaled_inverse``, the elimination kernel and its Schur complement are
 pinned; the class of an error decides the CLI's exit code, so only
 ``cli.main`` catches a class of ``spherindex.errors``, and ``cli.py``
-defines no exception class but ``InvalidDatum``.
+defines no exception class but ``InvalidDatum``; an error class that no
+``except`` clause and no ``isinstance`` call names decides nothing, so each
+class of ``errors.py`` is told apart somewhere in ``src/``.
 """
 
 import ast
@@ -309,6 +311,47 @@ def test_only_main_catches_a_package_error():
     assert errors_caught_outside_main(planted, error_classes) == ["cli.py:4: except NotFiniteType"]
 
 
+def untold_error_classes(trees):
+    """Each class that ``errors.py`` defines and that no ``except`` clause and
+    no ``isinstance`` call in ``trees`` names, bare or as an attribute, alone or
+    in a tuple: raising it differs in nothing from raising its base."""
+    trees = dict(trees)
+    told = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                named = node.type
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2:
+                named = node.args[1]
+            else:
+                continue
+            told |= {getattr(t, "id", None) or getattr(t, "attr", None) for t in getattr(named, "elts", [named])}
+    return [node.name for node in ast.walk(trees["errors.py"]) if isinstance(node, ast.ClassDef) and node.name not in told]
+
+
+def test_every_error_class_is_told_apart():
+    assert untold_error_classes(source_trees()) == []
+    planted = {
+        "errors.py": ast.parse(
+            "class SpherindexError(Exception):\n    pass\n"
+            "class TheoremViolation(SpherindexError):\n    pass\n"
+            "class NotFiniteType(SpherindexError):\n    pass\n"
+            "class ZeroVector(SpherindexError):\n    pass\n"
+        ),
+        "cli.py": ast.parse(
+            "def main():\n    try:\n        run()\n"
+            "    except (errors.TheoremViolation, KeyError):\n        return 3\n"
+            "    except SpherindexError:\n        return 1\n"
+        ),
+        "datum.py": ast.parse(
+            "def validate(d):\n    try:\n        base = d.root_base\n    except ValueError as e:\n        base = e\n"
+            "    return isinstance(base, errors.NotFiniteType)\n"
+            "def primitive(v):\n    raise ZeroVector(v)\n"
+        ),
+    }
+    assert untold_error_classes(planted.items()) == ["ZeroVector"]
+
+
 # names allowed to go unreferenced in src/: none
 UNREFERENCED_ALLOWED = set()
 
@@ -363,8 +406,8 @@ def test_every_module_function_is_referenced_in_src():
 # behind ``Lattice.contains``). Each name here was checked to be read on
 # every class that defines it; a new shared name fails until it is checked.
 SHARED_MEMBER_NAMES = {
-    "ambient", "cartan", "components", "detail", "dim", "fibers", "generators",
-    "of", "rank", "roots", "sigma", "split", "types",
+    "ambient", "components", "detail", "dim", "fibers", "generators",
+    "of", "rank", "roots", "sigma", "types",
 }
 
 

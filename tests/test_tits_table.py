@@ -17,7 +17,7 @@ from collections import namedtuple
 import pytest
 from sympy import Matrix
 
-from spherindex.index import TitsIndex, restricted_root_system
+from spherindex.index import TitsIndex, restricted_root_system, split_subspace
 from spherindex.linalg import mat_mul_t, transpose
 from spherindex.rootsys import AmbientRootDatum
 
@@ -95,7 +95,7 @@ def computed(ix: TitsIndex) -> tuple[str, bool, tuple[int, ...]]:
     phi = restricted_root_system(ix)
     ((fam, r),) = ix.simple_roots.types
     name = f"BC{r}" if not phi.reduced else "B2" if (fam, r) == ("C", 2) else f"{fam}{r}"
-    g_inv = Matrix(mat_mul_t(ix.split, transpose(ix.restriction))).inv()
+    g_inv = Matrix(mat_mul_t(split_subspace(ix), transpose(ix.restriction))).inv()
     by_norm = {}
     for root, m in phi.multiplicities:
         by_norm.setdefault((Matrix([root]) * g_inv * Matrix([root]).T)[0], set()).add(m)
