@@ -430,7 +430,7 @@ def cmd_analyze(doc: dict) -> tuple[dict, int]:
             "predicates": predicates(d, rd),
         }
     )
-    if d.mode == "ambient":
+    if d.index is not None:
         report["sigma_k_in_beta"] = d.index.simple_roots.fiber_sums(d.sigma_input)
     return report, 0
 

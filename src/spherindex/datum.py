@@ -9,7 +9,6 @@ way the datum is normalized to lattice-basis coordinates internally.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 
 from .errors import (
@@ -21,7 +20,7 @@ from .errors import (
     ParseError,
 )
 from .index import StarAction, TitsIndex, res_A
-from .linalg import Lattice, Mat, content, gram, vec_mat
+from .linalg import Lattice, Mat, content, gram, scale_integral, vec_mat
 from .record import Record
 from .rootsys import RootBase, graph_components, opposition_permutation, orbit
 
@@ -51,17 +50,18 @@ class SphericalDatumK(Record):
 
     sigma rows, star generators and the pairing all live in coordinates of
     the chosen basis of the weight lattice; sigma_input keeps the original
-    presentation for support computations and reporting.
+    presentation for support computations and reporting.  The pairing, of
+    the size of the rank of the weight lattice, is a positive integer multiple
+    of the invariant form, as ``RestrictedDatum.form_k`` is: root data,
+    reflections and dual bases do not see its scale.
     """
 
-    mode: str  # "ambient" or "abstract"
-    index: TitsIndex | None
+    index: TitsIndex | None  # None for an abstract datum
     xi_K: Lattice | None  # in ambient coordinates, ambient mode only
     sigma_input: Mat
     sp: tuple[int, ...]
-    m: int  # rank of the weight lattice
     sigma: Mat  # in lattice-basis coordinates
-    pairing: Mat  # invariant form on lattice-basis coordinates
+    pairing: Mat  # integral, on lattice-basis coordinates
     star_xi: tuple[Mat, ...]  # star generators on lattice-basis coordinates
     sigma0_input: tuple[int, ...] | None  # abstract mode only
 
@@ -75,7 +75,6 @@ class SphericalDatumK(Record):
         if xi_rows is None:
             xi_rows = sigma_rows
         xi = Lattice.from_rows(n, xi_rows)
-        m = xi.rank
         sigma = []
         for row in sigma_rows:
             c = xi.coordinates(row)
@@ -84,14 +83,10 @@ class SphericalDatumK(Record):
                     "spherical root outside the span of the weight lattice"
                 )
             sigma.append(c)
-        # the basis is xi.basis / den: the pairing is the integer Gram matrix over
-        # den^2, integral entries as ints as the parser gives them, and a star
-        # image r g / den has the coordinates of r g in the den-1 lattice
-        den2 = xi.den * xi.den
-        pairing = tuple(
-            tuple(x // den2 if x % den2 == 0 else Fraction(x, den2) for x in row)
-            for row in gram(xi.basis, ix.ambient.form())
-        )
+        # the basis is xi.basis / den: the integer Gram matrix of xi.basis is den^2
+        # times its pairing, and a star image r g / den has the coordinates of
+        # r g in the den-1 lattice
+        pairing = gram(xi.basis, ix.ambient.form())
         integral = Lattice(n, xi.basis)
         star_xi = []
         for g in ix.star.generators:
@@ -106,12 +101,10 @@ class SphericalDatumK(Record):
             star_xi.append(tuple(rows))
         sp = tuple(sorted(set(int(i) for i in sp)))
         return SphericalDatumK(
-            mode="ambient",
             index=ix,
             xi_K=xi,
             sigma_input=sigma_rows,
             sp=sp,
-            m=m,
             sigma=tuple(sigma),
             pairing=pairing,
             star_xi=tuple(star_xi),
@@ -136,14 +129,12 @@ class SphericalDatumK(Record):
         if sigma0 and not (0 <= sigma0[0] and sigma0[-1] < len(sigma_rows)):
             raise ParseError("compact root index out of range")
         d = SphericalDatumK(
-            mode="abstract",
             index=None,
             xi_K=None,
             sigma_input=sigma_rows,
             sp=(),
-            m=rank_,
             sigma=sigma_rows,
-            pairing=pairing,
+            pairing=scale_integral(pairing)[0],
             star_xi=star.generators,
             sigma0_input=sigma0,
         )
@@ -163,12 +154,12 @@ class SphericalDatumK(Record):
         """Split the spherical roots into the compact part and its complement,
         once per datum.
 
-        In ambient mode the compact part is computed twice, once by support and
+        For an ambient datum the compact part is computed twice, once by support and
         once by restriction; disagreement means the index and the roots do not
         describe the same situation.
         """
         nroots = len(self.sigma)
-        if self.mode == "abstract":
+        if self.index is None:
             s0 = set(self.sigma0_input)
             return CompactRootSplit(
                 tuple(sorted(s0)), tuple(i for i in range(nroots) if i not in s0)
@@ -232,7 +223,7 @@ def validate(d: SphericalDatumK) -> list[ValidationItem]:
     def add(name, passed, severity="error", detail=""):
         items.append(ValidationItem(name, bool(passed), severity, detail))
 
-    if d.mode == "ambient":
+    if d.index is not None:
         v = d.index.violations()
         add("index_well_formed", not v, detail="; ".join(v))
         neg = []
@@ -275,7 +266,7 @@ def validate(d: SphericalDatumK) -> list[ValidationItem]:
         add("compact_split_consistent", False, detail=str(e))
         split = None
 
-    if d.mode == "ambient":
+    if d.index is not None:
         sp = set(d.sp)
         add("sp_star_stable", not d.index.star.moved_out(sp))
 

@@ -9,16 +9,16 @@ in, ``Fraction`` out), and a length mismatch raises ``ValueError``, since
 ``map`` would stop silently at the shorter operand.
 Elimination is one forward fraction-free integer kernel, and every inverse is
 a Schur complement on it, so ``rank``, ``pivot_columns``, ``scaled_inverse``
-and ``scaled_dual_basis`` create no ``Fraction``.  One is created in four
-places only, by one division each:
+and ``scaled_dual_basis`` create no ``Fraction``; the last takes its rows and
+form as given, since the elimination scales each row to integers.  Outside
+the parser, one is created in three places only, by one division each,
+always written ``Fraction(a, b)``, since ``/`` on two ints gives a float:
 
 - ``divide``, once per entry: the report's division of the extremal rays
   of ``analyze`` by the scale of ``scaled_dual_basis``, and ``Lattice.rows_q``
   when ``den > 1``;
 - ``Lattice.coordinates``, only when a division is inexact;
-- the point ``find_feasible`` returns;
-- an exact division, always written ``Fraction(a, b)``, since ``/`` on two
-  ints gives a float.
+- the point ``find_feasible`` returns.
 
 Ints have ``.numerator`` and ``.denominator`` too, so the integer routines
 accept either kind.  Lattices carry a Hermite-canonical integer basis plus
@@ -171,14 +171,13 @@ def divide(m, d) -> Mat:
 def scaled_dual_basis(rows, form) -> tuple[tuple[tuple[int, ...], ...], int]:
     """(w, d) with d > 0 and w integral: the rows w_j / d lie in the span of
     rows @ F and dot(w_j / d, rows[k]) == [j == k]; for a root base, the
-    fundamental coweights.  W = G^-1 U F, for U the rows and G = U F U^T,
-    does not change when F is scaled and is divided by c when U is scaled by
-    c, so both are scaled to integers first.  A singular G raises ``ValueError``.
+    fundamental coweights.  W = G^-1 U F, for U the rows and G = U F U^T, does
+    not change when F is scaled, so the rows and form are taken as given: the
+    elimination scales each equation of G W = U F to integers.  A singular G
+    raises ``ValueError``.
     """
-    u, c = scale_integral(rows)
-    uf = mat_mul(u, scale_integral(form)[0])
-    w, d = _scaled_solve(mat_mul_t(uf, u), uf)
-    return tuple(tuple(c * x for x in row) for row in w), d
+    uf = mat_mul(rows, form)
+    return _scaled_solve(mat_mul_t(uf, rows), uf)
 
 
 def content(v) -> int:

@@ -173,7 +173,7 @@ def folded_datum(rng: random.Random):
 def swap_datum(rng: random.Random):
     """Two copies of a split datum glued by the swap, in abstract form."""
     inner = split_datum(rng)
-    m = inner.m
+    m = len(inner.pairing)
     f = inner.pairing
     pairing = [
         [f[i % m][j % m] if (i < m) == (j < m) else 0 for j in range(2 * m)]
@@ -190,7 +190,7 @@ def to_abstract(d: SphericalDatumK) -> SphericalDatumK:
     """Forget the ambient group, keeping the normalized lattice data."""
     split = d.compact_split
     return SphericalDatumK.abstract(
-        d.m,
+        len(d.pairing),
         [list(r) for r in d.pairing],
         [[list(r) for r in g] for g in d.star_xi],
         [list(s) for s in d.sigma],
@@ -404,7 +404,7 @@ def intersection_with_subspace(lat: Lattice, subspace_rows) -> Lattice:
 def little_space(d: SphericalDatumK):
     """Saturated integral basis of N_k = {a : sigma0(a)=0, star-fixed}."""
     ann = _annihilator(d, d.compact_split)
-    return integer_kernel(ann, width=d.m)
+    return integer_kernel(ann, width=len(d.pairing))
 
 
 def classified_type_name(c) -> str:

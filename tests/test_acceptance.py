@@ -170,7 +170,7 @@ def test_criterion_5_structure_suite():
     abstracts = 0
     for d in data:
         _structure_suite(d)
-        if d.mode == "ambient":
+        if d.index is not None:
             da = to_abstract(d)
             _structure_suite(da)
             abstracts += 1

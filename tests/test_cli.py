@@ -4,9 +4,11 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, zip_longest
 
@@ -19,9 +21,11 @@ from datagen import (
     beta_by_walls_inverse,
     chamber_by_walls_inverse,
     chamber_generators,
+    load_tool,
     random_data,
     replace,
     solve_left,
+    to_abstract,
 )
 from test_fuzz import _every_command
 from spherindex import fans, linalg
@@ -585,6 +589,29 @@ def test_theorem_violation_exit_3(capsys, tmp_path):
     code, _, err = run(capsys, "analyze", path)
     assert code == 3
     assert "violation" in err
+
+
+def test_a_report_does_not_see_the_scale_of_the_pairing(capsys, tmp_path):
+    """Root data, reflections and dual bases do not change when the pairing is
+    scaled by q > 0, so no command's output does, whether q is integral or
+    not, written as "p/q" strings: on random abstract documents of
+    ``tools/compare_outputs.py``, few of whose cones are strictly convex, and
+    on the abstract twins of the fixtures."""
+    tool = load_tool("compare_outputs")
+    rng = random.Random(20261020)
+    docs = [tool.random_abstract_document(rng) for _ in range(40)]
+    docs += [datum_doc(to_abstract(cli.parse_datum(doc))) for doc in FIXTURE_DOCS]
+    commands = [["analyze"], ["standard-fan"], ["localize", "--roots", "1"], ["degenerate"]]
+    codes = Counter()
+    for k, doc in enumerate(docs):
+        scaled = [doc] + [tool.scaled_pairing(doc, q) for q in (Fraction(2, 3), 5)]
+        paths = [write(tmp_path, f"{k}_{j}.json", d) for j, d in enumerate(scaled)]
+        for fmt in ("json", "text"):
+            for cmd in commands:
+                outputs = [run(capsys, "--format", fmt, cmd[0], path, *cmd[1:]) for path in paths]
+                assert outputs[1] == outputs[0] and outputs[2] == outputs[0], (k, fmt, cmd)
+                codes[cmd[0], outputs[0][0]] += 1
+    assert all(codes[cmd[0], 0] >= 8 for cmd in commands), codes
 
 
 def _negated(rows):
@@ -1435,10 +1462,10 @@ def _rows(m):
 
 def datum_doc(d):
     """The JSON document of a datum, in the mode it was built in."""
-    doc = {"schema_version": "1", "mode": d.mode}
-    if d.mode == "abstract":
+    doc = {"schema_version": "1", "mode": "abstract" if d.index is None else "ambient"}
+    if d.index is None:
         doc["abstract"] = {
-            "rank": d.m,
+            "rank": len(d.pairing),
             "pairing": _rows(d.pairing),
             "star": [_rows(g) for g in d.star_xi],
             "sigma": _rows(d.sigma),
@@ -1515,13 +1542,15 @@ def _numbers(node):
 def test_integral_input_stays_int():
     """Lattice coordinates come from exact divisions, so integral documents
     give int data from the parser through the restricted datum, whose
-    lifts, form and coweights are integers over stored scales."""
+    lifts, form and coweights are integers over stored scales.  The pairing
+    is an integer multiple of the invariant form whatever the input."""
     docs = FIXTURE_DOCS + [datum_doc(d) for d in random_data(20261018, 24)]
     integral = [doc for doc in docs if all(q.denominator == 1 for q in _numbers(doc))]
     assert len(integral) == len(docs) - 1  # all but e6, whose second root has halves
     e6 = cli.parse_datum(FIXTURE_DOCS[1])
-    assert e6.pairing == ((2, -1), (-1, 1))
-    assert all(type(x) is int for r in e6.pairing for x in r), e6.pairing  # its Gram matrix is integral
+    assert e6.pairing == ((8, -4), (-4, 4))  # den^2 = 4 times the form of its basis
+    third = cli.parse_datum({"schema_version": "1", "mode": "abstract", "abstract": {"rank": 1, "pairing": [["1/3"]]}})
+    assert third.pairing == ((1,),) and type(third.pairing[0][0]) is int
     for doc in integral:
         d = cli.parse_datum(doc)
         rd = restrict_datum(d)

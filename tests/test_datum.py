@@ -167,7 +167,7 @@ def test_validate_eliminates_sigma_once(monkeypatch):
     # vectors than coordinates is dependent without one; any other dependent
     # base is eliminated once, to name the failure
     cases = ((sp42_datum(), 0), (e6_datum(), 0), (su22_datum(), 0), (wider, 0), (dependent, 1))
-    assert (wider.m, len(wider.sigma), dependent.m) == (2, 3, 3)
+    assert (len(wider.pairing), len(wider.sigma), len(dependent.pairing)) == (2, 3, 3)
     for d, count in cases:
         eliminated.clear()
         validate(d)
@@ -248,9 +248,10 @@ def test_compact_roots_must_be_a_union_of_star_orbits():
 
 def test_the_ambient_datum_is_built_in_integers(monkeypatch):
     """The e6 weight lattice has den 2, yet ``gram`` and ``vec_mat`` see only
-    ints while its datum is built: the pairing is the integer Gram matrix of
-    the basis over den^2, and a star image is solved in the den-1 lattice.
-    Both agree with the products of the rational basis."""
+    ints while its datum is built: the pairing is the Gram matrix of the
+    integer basis, den^2 times the form of the lattice basis, and a star
+    image is solved in the den-1 lattice.  Both agree with the products of
+    the rational basis."""
     seen = []
 
     def ints_only(name):
@@ -271,7 +272,8 @@ def test_the_ambient_datum_is_built_in_integers(monkeypatch):
     assert d.xi_K.den == 2
     monkeypatch.undo()
     basis = d.xi_K.rows_q()
-    assert d.pairing == linalg.gram(basis, d.index.ambient.form())
+    assert d.pairing == ((8, -4), (-4, 4))
+    assert linalg.divide(d.pairing, 4) == linalg.gram(basis, d.index.ambient.form())
     for g, images in zip(d.index.star.generators, d.star_xi):
         assert [d.xi_K.coordinates(linalg.vec_mat(r, g)) for r in basis] == list(images)
 

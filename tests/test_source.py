@@ -279,6 +279,27 @@ def test_each_inversion_has_one_home():
     assert callers([("cli.py", planted)], "scaled_inverse") == {"cli.Fan.normals", "cli.beta"}
 
 
+# rationals enter in four places, each by one division: the parser, the
+# report's division by a stored scale, an inexact lattice coordinate and the
+# point of a phase-1 LP; input is scaled to integers only where a lattice or
+# an abstract datum is built, and every other datum keeps integers
+FRACTION_CALLERS = {"cli._rat", "linalg.divide", "linalg.Lattice.coordinates", "linalg._phase1"}
+SCALE_INTEGRAL_CALLERS = {"linalg.Lattice.from_rows", "datum.SphericalDatumK.abstract"}
+
+
+def test_rationals_enter_in_named_places():
+    trees = list(source_trees())
+    assert callers(trees, "Fraction") == FRACTION_CALLERS
+    assert callers(trees, "scale_integral") == SCALE_INTEGRAL_CALLERS
+    planted = ast.parse(
+        "class SphericalDatumK:\n    def ambient(ix):\n        return Fraction(1, 2)\n"
+        "def _project(f):\n    fc, _ = linalg.scale_integral(f)\n"
+    )
+    trees.append(("datum.py", planted))
+    assert callers(trees, "Fraction") - FRACTION_CALLERS == {"datum.SphericalDatumK.ambient"}
+    assert callers(trees, "scale_integral") - SCALE_INTEGRAL_CALLERS == {"datum._project"}
+
+
 def errors_caught_outside_main(tree, error_classes):
     """Each ``except`` clause of ``cli.py`` outside ``main`` that names one of
     ``error_classes``, bare or as an attribute, alone or in a tuple."""

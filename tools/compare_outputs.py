@@ -22,7 +22,8 @@ split and, where the diagram involution moves a root, quasi-split by it,
 and so does ``analyze``
 on a fixed, seeded list of random abstract documents in both formats, with
 indefinite pairings and some that exit 1 with "pairing is degenerate on the
-annihilator of N_k".  Every execution whose
+annihilator of N_k", each a second time with its pairing multiplied by a
+seeded positive rational and written as "p/q" strings.  Every execution whose
 (exit code, stdout, stderr) differs between the trees is printed, and the
 script exits 1 if any does, else 0.
 """
@@ -39,11 +40,13 @@ import subprocess
 import sys
 import tempfile
 import traceback
+from fractions import Fraction
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FORMATS = ("json", "text")
 INDEX_SEED, INDEX_COUNT = 3619, 200
 ABSTRACT_SEED, ABSTRACT_COUNT = 3737, 200
+SCALE_SEED = 4242  # the rational each abstract pairing is sent again at
 INDEX_TYPES = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("A", 6), ("A", 7),
     ("B", 2), ("B", 3), ("B", 4), ("C", 2), ("C", 3), ("C", 4),
@@ -232,6 +235,13 @@ def random_abstract_document(rng: random.Random) -> dict:
     }
 
 
+def scaled_pairing(doc: dict, q: Fraction) -> dict:
+    """An abstract document with its pairing, of ints or rational strings,
+    multiplied by q > 0, each entry written as a "p/q" string."""
+    pairing = [[f"{(x := q * Fraction(v)).numerator}/{x.denominator}" for v in row] for row in doc["abstract"]["pairing"]]
+    return {**doc, "abstract": {**doc["abstract"], "pairing": pairing}}
+
+
 def _without_format(argv: list[str]) -> list[str]:
     """The argv of a job without its leading ``--format`` option, if any."""
     return argv[2:] if argv[:1] == ["--format"] else argv
@@ -278,12 +288,15 @@ def main(argv: list[str]) -> int:
             with open(sweep_path, "w") as fh:
                 json.dump(doc, fh)
             runs += [(f"sweep {name} --format {fmt}", ["--format", fmt, "restrict-index", sweep_path]) for fmt in FORMATS]
-        rng = random.Random(ABSTRACT_SEED)
+        rng, scales = random.Random(ABSTRACT_SEED), random.Random(SCALE_SEED)
         for k in range(ABSTRACT_COUNT):
-            datum_path = os.path.join(work, f"abstract{k}.json")
-            with open(datum_path, "w") as fh:
-                json.dump(random_abstract_document(rng), fh)
-            runs += [(f"random abstract datum {k} --format {fmt}", ["--format", fmt, "analyze", datum_path]) for fmt in FORMATS]
+            doc = random_abstract_document(rng)
+            q = Fraction(scales.randint(1, 12), scales.randint(2, 12))
+            for j, (name, datum) in enumerate([(f"{k}", doc), (f"{k} with its pairing times {q}", scaled_pairing(doc, q))]):
+                datum_path = os.path.join(work, f"abstract{k}_{j}.json")
+                with open(datum_path, "w") as fh:
+                    json.dump(datum, fh)
+                runs += [(f"random abstract datum {name} --format {fmt}", ["--format", fmt, "analyze", datum_path]) for fmt in FORMATS]
         argvs_path = os.path.join(work, "argvs.json")
         with open(argvs_path, "w") as fh:
             json.dump([a for _, a in runs], fh)
