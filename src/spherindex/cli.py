@@ -33,7 +33,7 @@ from .fans import (
     weyl_saturate,
 )
 from .index import TitsIndex, restricted_root_system
-from .linalg import Lattice, divide, lattice_index
+from .linalg import Lattice, content, divide, lattice_index, primitive_vector
 from .restrict import (
     RestrictedDatum,
     aut_roots,
@@ -44,7 +44,7 @@ from .restrict import (
     predicates,
     restrict_datum,
 )
-from .rootsys import AmbientRootDatum, diagram_involution, type_name_of
+from .rootsys import AmbientRootDatum, diagram_involution, generate_roots, type_name_of, weyl_order
 
 SCHEMA_VERSION = "1"
 HARD_RANK_CEILING = 100  # total ambient rank, or abstract rank; a Cartan matrix is rank x rank
@@ -400,7 +400,8 @@ def cmd_analyze(doc: dict) -> tuple[dict, int]:
     if not is_valid(items):
         return report, 1
     rd = restrict_datum(d)
-    rr = phi_k_res(d, rd)
+    phi_k = tuple(generate_roots(rd.roots))
+    rr = phi_k_res(d, rd, phi_k)
     cw = coweight_identity_check(d, rd)
     chamber_containment_check(d, rd)
     split = rd.split
@@ -410,12 +411,12 @@ def cmd_analyze(doc: dict) -> tuple[dict, int]:
             "noncompact": split.noncompact,
             "rank": rd.rank,
             "sigma_k": rd.sigma_k,
-            "sigma_k_pr": rd.sigma_k_pr,
-            "n_sigma": rd.n_sigma,
+            "sigma_k_pr": tuple(map(primitive_vector, rd.sigma_k)),
+            "n_sigma": tuple(map(content, rd.sigma_k)),
             "fibers": rd.fibers,
-            "wk_type": _wk_type(rd.wk_types),
-            "wk_order": rd.wk_order,
-            "phi_k": rd.phi_k,
+            "wk_type": _wk_type(rd.roots.types),
+            "wk_order": weyl_order(rd.roots.types),
+            "phi_k": phi_k,
             "phi_k_res": [
                 {"root": r, "multiplicity": m} for r, m in rr.multiplicities
             ],
@@ -548,12 +549,12 @@ def cmd_localize(doc: dict, roots: str) -> tuple[dict, int]:
     report = {
         "command": "localize",
         "roots": [t + 1 for t in loc.sigma_k_indices],
-        "rank": loc.rank,
+        "rank": len(loc.xi_basis_in_parent),
         "sigma_k": loc.roots.vectors,
         "wk_type": _wk_type(loc.roots.types),
         "xi_basis_in_parent": loc.xi_basis_in_parent,
         "sigma_K_indices": loc.sigma_K_indices,
-        "predicates_rank0": loc.rank == 0,
+        "predicates_rank0": not loc.xi_basis_in_parent,
     }
     return report, 0
 

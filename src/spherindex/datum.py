@@ -20,7 +20,7 @@ from .errors import (
     ParseError,
 )
 from .index import StarAction, TitsIndex, res_A
-from .linalg import Lattice, Mat, content, gram, scale_integral, vec_mat
+from .linalg import Lattice, Mat, content, gram, mat_mul, scale_integral, vec_mat
 from .record import Record
 from .rootsys import RootBase, graph_components, opposition_permutation, orbit
 
@@ -183,13 +183,18 @@ class SphericalDatumK(Record):
             tuple(i for i in range(nroots) if i not in by_support),
         )
 
+    @cached_property
+    def star_images(self) -> tuple[Mat, ...]:
+        """The spherical roots under each star generator, row i the image of
+        root i, computed once per datum."""
+        return tuple(mat_mul(self.sigma, g) for g in self.star_xi)
+
     def star_orbit_of_root(self, i: int) -> tuple[int, ...]:
         """Orbit of the i-th spherical root under the star action."""
         def images(j):
-            for g in self.star_xi:
-                img = vec_mat(self.sigma[j], g)
-                if img in self.sigma:
-                    yield self.sigma.index(img)
+            for rows in self.star_images:
+                if rows[j] in self.sigma:
+                    yield self.sigma.index(rows[j])
 
         return tuple(sorted(orbit([i], images)))
 
@@ -251,13 +256,7 @@ def validate(d: SphericalDatumK) -> list[ValidationItem]:
                 prim = False
     add("roots_primitive_in_lattice", prim)
 
-    permutes = True
-    sig_set = set(d.sigma)
-    for g in d.star_xi:
-        imgs = {vec_mat(r, g) for r in d.sigma}
-        if imgs != sig_set:
-            permutes = False
-    add("star_permutes_roots", permutes)
+    add("star_permutes_roots", all(set(rows) == set(d.sigma) for rows in d.star_images))
 
     try:
         split = d.compact_split

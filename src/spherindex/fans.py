@@ -31,7 +31,7 @@ from .linalg import (
 )
 from .record import Record
 from .restrict import RestrictedDatum
-from .rootsys import orbit
+from .rootsys import orbit, weyl_order
 
 ORBIT_CAP_ENV = "SPHERINDEX_ORBIT_CAP"
 HARD_ORBIT_CEILING = 100_000
@@ -331,7 +331,7 @@ def weyl_saturate(f: Fan, rd: RestrictedDatum, cap: int | None = None) -> Fan:
     Each reflection is a permutation of the ray table, which grows as new rays
     appear: each ray is reflected once, and an image is a sorted index tuple."""
     if cap is None:
-        cap = rd.wk_order * max(len(f.cones), 1)
+        cap = weyl_order(rd.roots.types) * max(len(f.cones), 1)
     limit = min(cap, HARD_ORBIT_CEILING)
     hint = f"{cap} clamped to HARD_ORBIT_CEILING" if cap > limit else f"set {ORBIT_CAP_ENV}"
     refl = [_reflection_on_dual(rd, s) for s in rd.sigma_k]

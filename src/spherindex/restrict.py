@@ -31,17 +31,16 @@ from .linalg import (
     scaled_dual_basis,
     scaled_schur_complement,
     transpose,
-    vec_mat,
 )
 from .record import Record
-from .rootsys import RestrictedRoots, RootBase, generate_roots, image_fibers, root_images, weyl_order
+from .rootsys import RestrictedRoots, RootBase, image_fibers, root_images
 
 
 class RestrictedDatum(Record):
-    """All little-field invariants of a spherical datum, and the maps between
-    the big and little sides that the structural checks need.
+    """The restricted spherical roots of a datum, classified, and the maps
+    between the big and little sides that the structural checks need.
 
-    Vectors in ``sigma_k``, ``phi_k`` live in coordinates of the canonical
+    Vectors in ``sigma_k`` live in coordinates of the canonical
     basis of the little weight lattice; ``nk0_basis`` and ``coweights``
     live in the dual coordinates, paired with the former by the dot
     product.  The little coweights are ``coweights / coweight_den``, and
@@ -52,12 +51,8 @@ class RestrictedDatum(Record):
     rank: int
     sigma_k: Mat
     fibers: tuple[tuple[int, ...], ...]
-    sigma_k_pr: Mat
-    n_sigma: tuple[int, ...]
     form_k: Mat
-    phi_k: Mat
-    wk_types: tuple[tuple[str, int], ...]
-    wk_order: int
+    roots: RootBase  # sigma_k, classified under form_k
     nk0_basis: Mat
     coweights: Mat
     coweight_den: int
@@ -122,19 +117,14 @@ def restrict_datum(d: SphericalDatumK) -> RestrictedDatum:
     # classified before anything else is derived, so a set of restricted
     # roots that is no root base fails with the classification's error
     sigma_k = tuple(sigma_k)
-    base = RootBase.from_vectors(sigma_k, form_k)
+    roots = RootBase.from_vectors(sigma_k, form_k)
     coweights, coweight_den = scaled_dual_basis(sigma_k, form_k)
     return RestrictedDatum(
         rank=dk,
         sigma_k=sigma_k,
         fibers=tuple(map(tuple, fibers)),
-        # restricted roots have integral coordinates: s == content(s) * primitive
-        sigma_k_pr=tuple(map(primitive_vector, sigma_k)),
-        n_sigma=tuple(map(content, sigma_k)),
         form_k=form_k,
-        phi_k=tuple(generate_roots(base)),
-        wk_types=base.types,
-        wk_order=weyl_order(base.types),
+        roots=roots,
         nk0_basis=integer_kernel(sigma_k, width=dk),
         coweights=coweights,
         coweight_den=coweight_den,
@@ -144,24 +134,25 @@ def restrict_datum(d: SphericalDatumK) -> RestrictedDatum:
     )
 
 
-def phi_k_res(d: SphericalDatumK, rd: RestrictedDatum) -> RestrictedRoots:
+def phi_k_res(d: SphericalDatumK, rd: RestrictedDatum, phi_k) -> RestrictedRoots:
     """Restrict every root generated by the big spherical roots.
 
     Restriction is linear: spherical root i restricts to ``rd.sigma_k[t]``
     for i in fiber t, and a compact one to 0, since it cuts out N_k.  The
-    indivisible part must coincide with the little root system; a
-    mismatch contradicts a theorem that holds for every consistent datum.
+    indivisible part must coincide with ``phi_k``, the little root system;
+    a mismatch contradicts a theorem that holds for every consistent datum.
     """
     sigma_images = [(0,) * rd.rank] * len(d.sigma)
     for s, fib in zip(rd.sigma_k, rd.fibers):
         for i in fib:
             sigma_images[i] = s
     rr = RestrictedRoots.of(root_images(d.root_base.components, sigma_images))
-    if rr.indivisible != set(rd.phi_k):
+    if rr.indivisible != set(phi_k):
         raise TheoremViolation(
             "indivisible restricted roots differ from the little root system"
         )
-    if any(n not in (1, 2) for n in rd.n_sigma):
+    # the multiplier of a restricted root is the content of its integral coordinates
+    if any(content(s) not in (1, 2) for s in rd.sigma_k):
         raise TheoremViolation("a restricted spherical root has multiplier > 2")
     return rr
 
@@ -211,24 +202,17 @@ def chamber_containment_check(d: SphericalDatumK, rd: RestrictedDatum | None = N
 
 
 def predicates(d: SphericalDatumK, rd: RestrictedDatum) -> dict:
-    satake = True
-    for i in rd.split.noncompact:
-        s = d.sigma[i]
-        for g in d.star_xi:
-            if vec_mat(s, g) != s:
-                satake = False
     return {
         "k_convex": not rd.nk0_basis,
-        "k_wonderful": lattice_index(rd.sigma_k_pr, rd.rank) == 1,
+        "k_wonderful": lattice_index(tuple(map(primitive_vector, rd.sigma_k)), rd.rank) == 1,
         "k_horospherical": not rd.sigma_k,
         "rank0": rd.rank == 0,
-        "satake_open_embedding": satake,
+        "satake_open_embedding": all(img[i] == d.sigma[i] for img in d.star_images for i in rd.split.noncompact),
     }
 
 
 class Localization(Record):
-    rank: int  # rank of the localized weight lattice
-    roots: RootBase  # J in that lattice, classified under the transported form
+    roots: RootBase  # J in the localized weight lattice, classified under the transported form
     xi_basis_in_parent: Mat  # basis of the localized weight lattice
     sigma_k_indices: tuple[int, ...]  # positions of J inside sigma_k
     sigma_K_indices: tuple[int, ...]  # induced big-side spherical roots
@@ -250,7 +234,6 @@ def localize(rd: RestrictedDatum, j_indices) -> Localization:
     roots = RootBase.from_vectors([lat.coordinates(rd.sigma_k[t]) for t in j], gram(new_basis, rd.form_k))
     sigma_K = sorted(set(i for t in j for i in rd.fibers[t]) | set(rd.split.sigma0))
     return Localization(
-        rank=len(new_basis),
         roots=roots,
         xi_basis_in_parent=new_basis,
         sigma_k_indices=tuple(j),
@@ -283,7 +266,7 @@ def aut_roots(rd: RestrictedDatum, gamma: Lattice) -> AutRoots:
         raise SpherindexError("sublattice leaves the span of the restricted roots")
 
     roots, mults = [], []
-    for p in rd.sigma_k_pr:  # p = s / content(s) for s in gamma: in its span
+    for p in map(primitive_vector, rd.sigma_k):  # p = s / content(s) for s in gamma: in its span
         c = gamma.coordinates(p)
         n = lcm(*(x.denominator for x in c))
         roots.append(tuple(n * x for x in p))

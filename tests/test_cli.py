@@ -29,11 +29,11 @@ from datagen import (
 )
 from test_fuzz import _every_command
 from spherindex import fans, linalg
-from spherindex import cli
+from spherindex import cli, rootsys
 from spherindex.cli import emit, main
 from spherindex.errors import ParseError
 from spherindex.index import res_A
-from spherindex.linalg import Lattice
+from spherindex.linalg import Lattice, primitive_vector
 from spherindex.restrict import chamber_containment_check, restrict_datum
 
 HERE = os.path.dirname(__file__)
@@ -1153,6 +1153,36 @@ def test_degenerate_resolves_each_root_once(capsys, tmp_path, monkeypatch):
     assert (calls.count(6), calls.count(12), len(calls)) == (6, 0, 6)
 
 
+def test_only_analyze_builds_the_little_root_system(capsys, monkeypatch):
+    """The little root system is derived where the analyze report prints it:
+    on the fixtures, analyze builds one root system per datum, and
+    standard-fan, localize and degenerate build none, at every module of
+    the package that binds ``generate_roots``."""
+    calls = []
+    generate_roots = rootsys.generate_roots
+
+    def counting(base):
+        calls.append(len(base))
+        return generate_roots(base)
+
+    bound = [m for name, m in sorted(sys.modules.items())
+             if name.startswith("spherindex.") and vars(m).get("generate_roots") is generate_roots]
+    assert rootsys in bound
+    for module in bound:
+        monkeypatch.setattr(module, "generate_roots", counting)
+    runs = [(name, command) for name in ("sp42", "e6", "su22", "u11")
+            for command in ("analyze", "standard-fan", "localize --roots 1", "degenerate")]
+    got = {}
+    for name, command in runs:
+        calls.clear()
+        cmd, *options = command.split()
+        code, _, _ = run(capsys, cmd, fixture(name + ".json"), *options)
+        got[name, command] = code, len(calls)
+    # su22's valuation cone is not strictly convex: it has no standard fan or localization
+    exits = {("su22", "standard-fan"): 1, ("su22", "localize --roots 1"): 1}
+    assert got == {(name, command): (exits.get((name, command), 0), int(command == "analyze")) for name, command in runs}
+
+
 # spherindex --help and spherindex fan --help at 80 columns
 MAIN_HELP = """\
 usage: spherindex [-h] [--format {text,json}]
@@ -1554,7 +1584,7 @@ def test_integral_input_stays_int():
     for doc in integral:
         d = cli.parse_datum(doc)
         rd = restrict_datum(d)
-        for rows in (d.sigma, d.pairing, rd.sigma_k, rd.sigma_k_pr, rd.projected_lifts, rd.form_k, rd.coweights):
+        for rows in (d.sigma, d.pairing, rd.sigma_k, tuple(map(primitive_vector, rd.sigma_k)), rd.projected_lifts, rd.form_k, rd.coweights):
             assert all(type(x) is int for r in rows for x in r), rows
 
 

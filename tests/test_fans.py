@@ -45,7 +45,7 @@ from spherindex.linalg import (
     vec_mat,
 )
 from spherindex.restrict import restrict_datum
-from spherindex.rootsys import AmbientRootDatum, orbit
+from spherindex.rootsys import AmbientRootDatum, orbit, weyl_order
 
 H = Fraction(1, 2)
 
@@ -261,7 +261,7 @@ def test_strata_localization_consistency():
     sp = strata(f, rd)
     for node in sp:
         loc = localize(rd, node.sigma_indices)
-        assert loc.rank == node.rank
+        assert len(loc.xi_basis_in_parent) == node.rank
         assert Lattice.from_rows(rd.rank, loc.xi_basis_in_parent) == Lattice.from_rows(
             rd.rank, node.lattice_basis
         )
@@ -493,7 +493,7 @@ def bfs_saturate(f, rd, cap=None):
     """The orbit of every cone under the reflections, one image at a time,
     with the reflections in Fractions."""
     if cap is None:
-        cap = rd.wk_order * max(len(f.cones), 1)
+        cap = weyl_order(rd.roots.types) * max(len(f.cones), 1)
     limit = min(cap, fans.HARD_ORBIT_CEILING)
     hint = f"{cap} clamped to HARD_ORBIT_CEILING" if cap > limit else f"set {fans.ORBIT_CAP_ENV}"
     refl = []

@@ -36,6 +36,7 @@ from spherindex.restrict import (
     phi_k_res,
     restrict_datum,
 )
+from spherindex.rootsys import generate_roots
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
@@ -172,7 +173,7 @@ def test_restriction_of_integral_data_creates_no_fraction(jobs, monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", counting)
     for d in data:
         rd = restrict_datum(d)
-        phi_k_res(d, rd)
+        phi_k_res(d, rd, generate_roots(rd.roots))
         coweight_identity_check(d, rd)
         chamber_containment_check(d, rd)
         if not rd.nk0_basis:

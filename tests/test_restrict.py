@@ -29,10 +29,12 @@ from spherindex.index import TitsIndex, restricted_root_system
 from spherindex.linalg import (
     Lattice,
     augmented_hermite_form,
+    content,
     divide,
     dot,
     gram,
     identity,
+    primitive_vector,
     scaled_dual_basis,
     transpose,
     vec_mat,
@@ -48,7 +50,7 @@ from spherindex.restrict import (
     predicates,
     restrict_datum,
 )
-from spherindex.rootsys import AmbientRootDatum, RootBase, indivisible_roots
+from spherindex.rootsys import AmbientRootDatum, RootBase, generate_roots, indivisible_roots, weyl_order
 
 H = Fraction(1, 2)
 
@@ -109,16 +111,16 @@ def test_sp42_restriction():
     assert rd.rank == 1
     assert rd.sigma_k == ((1,),)
     assert transported_form(rd) == ((H,),)
-    assert rd.n_sigma == (1,)
-    assert rd.wk_types == (("A", 1),)
-    assert rd.wk_order == 2
-    assert set(rd.phi_k) == {(1,), (-1,)}
+    assert tuple(map(content, rd.sigma_k)) == (1,)
+    assert rd.roots.types == (("A", 1),)
+    assert weyl_order(rd.roots.types) == 2
+    assert set(generate_roots(rd.roots)) == {(1,), (-1,)}
 
 
 def test_sp42_phi_k_res():
     d = sp42_datum()
     rd = restrict_datum(d)
-    rr = phi_k_res(d, rd)
+    rr = phi_k_res(d, rd, generate_roots(rd.roots))
     assert dict(rr.multiplicities) == {
         (1,): 2, (2,): 1, (3,): 2, (-1,): 2, (-2,): 1, (-3,): 2,
     }
@@ -138,7 +140,7 @@ def test_phi_k_res_matches_the_restriction_of_every_root():
     multiset that restricting each big root in the little lattice gives."""
     for d in phi_k_res_cases():
         rd = restrict_datum(d)
-        assert phi_k_res(d, rd) == phi_k_res_by_lattice(d, rd)
+        assert phi_k_res(d, rd, generate_roots(rd.roots)) == phi_k_res_by_lattice(d, rd)
 
 
 def test_phi_k_res_does_no_lattice_work(monkeypatch):
@@ -151,10 +153,12 @@ def test_phi_k_res_does_no_lattice_work(monkeypatch):
         return wrapper
 
     pairs = [(d, restrict_datum(d)) for d in phi_k_res_cases()]
+    cases = [(d, rd, generate_roots(rd.roots)) for d, rd in pairs]
     monkeypatch.setattr(Lattice, "coordinates", counting("coordinates", Lattice.coordinates))
-    monkeypatch.setattr(restrict, "generate_roots", counting("generate_roots", restrict.generate_roots))
-    for d, rd in pairs:
-        phi_k_res(d, rd)
+    # src has no function-local import, so restrict cannot build a root system
+    assert not hasattr(restrict, "generate_roots")
+    for d, rd, phi_k in cases:
+        phi_k_res(d, rd, phi_k)
     assert calls == []
 
 
@@ -186,21 +190,21 @@ def test_index_and_datum_restrict_roots_alike(case):
     assert ix.violations() == []
     d = SphericalDatumK.ambient(ix, identity(ix.ambient.dim))
     rd = restrict_datum(d)
-    from_datum = phi_k_res(d, rd)
+    from_datum = phi_k_res(d, rd, generate_roots(rd.roots))
     from_index = restricted_root_system(ix)
     assert sorted(m for _, m in from_datum.multiplicities) == sorted(m for _, m in from_index.multiplicities)
     assert from_datum.reduced == from_index.reduced
     assert len(from_datum.indivisible) == len(from_index.indivisible)
-    assert cli._wk_type(rd.wk_types) == ix.simple_roots.type_name
+    assert cli._wk_type(rd.roots.types) == ix.simple_roots.type_name
 
 
 def test_e6_restriction_b2():
     rd = restrict_datum(e6_datum())
     assert rd.rank == 2
-    assert rd.wk_types == (("B", 2),)
-    assert rd.wk_order == 8
-    assert rd.n_sigma == (1, 1)
-    assert len(rd.phi_k) == 8
+    assert rd.roots.types == (("B", 2),)
+    assert weyl_order(rd.roots.types) == 8
+    assert tuple(map(content, rd.sigma_k)) == (1, 1)
+    assert len(generate_roots(rd.roots)) == 8
     # the first restricted root is long, the second short, ratio 2
     g = rd.form_k
     s1, s2 = rd.sigma_k
@@ -249,8 +253,8 @@ def test_u11_restriction():
     rd = restrict_datum(u11_datum())
     assert rd.rank == 1
     assert rd.sigma_k == ((2,),)
-    assert rd.sigma_k_pr == (((1,),) [0],)
-    assert rd.n_sigma == (2,)
+    assert tuple(map(primitive_vector, rd.sigma_k)) == (((1,),) [0],)
+    assert tuple(map(content, rd.sigma_k)) == (2,)
 
 
 def test_split_trivial_restriction():
@@ -258,7 +262,7 @@ def test_split_trivial_restriction():
     rd = restrict_datum(d)
     assert rd.rank == 2
     assert len(rd.sigma_k) == 2
-    rr = phi_k_res(d, rd)
+    rr = phi_k_res(d, rd, generate_roots(rd.roots))
     assert sum(m for _, m in rr.multiplicities) == 6
     assert rr.reduced
 
@@ -389,7 +393,7 @@ def test_localize_identity():
     rd = restrict_datum(d)
     loc = localize(rd, [0, 1])
     assert loc.roots.vectors == rd.sigma_k
-    assert loc.roots.types == rd.wk_types
+    assert loc.roots.types == rd.roots.types
     assert loc.sigma_K_indices == (0, 1)
 
 
@@ -397,7 +401,7 @@ def test_localize_empty():
     d = e6_datum()
     rd = restrict_datum(d)
     loc = localize(rd, [])
-    assert loc.rank == 0
+    assert len(loc.xi_basis_in_parent) == 0
     assert loc.roots.vectors == ()
     assert loc.sigma_K_indices == ()
 
@@ -406,7 +410,7 @@ def test_localize_e6_facet():
     d = e6_datum()
     rd = restrict_datum(d)
     loc = localize(rd, [1])
-    assert loc.rank == 1
+    assert len(loc.xi_basis_in_parent) == 1
     assert len(loc.roots.vectors) == 1
     assert loc.sigma_K_indices == (1,)
     # localizing keeps the compact spherical roots on the big side
@@ -436,8 +440,10 @@ def test_localize_classifies_j_and_derives_nothing_else(monkeypatch):
             return f(*args, **kwargs)
         return counted
 
-    for name in ("scaled_dual_basis", "generate_roots", "primitive_vector"):
+    for name in ("scaled_dual_basis", "primitive_vector"):
         monkeypatch.setattr(restrict, name, counting(name, getattr(restrict, name)))
+    # src has no function-local import, so restrict cannot build a root system
+    assert not hasattr(restrict, "generate_roots")
     monkeypatch.setattr(RootBase, "from_vectors", staticmethod(counting("from_vectors", RootBase.from_vectors)))
     localized = 0
     for rd in data:
@@ -457,7 +463,7 @@ def test_aut_roots_trivial():
     gamma = Lattice.from_rows(2, rd.sigma_k)
     res = aut_roots(rd, gamma)
     assert res.n_aut == (1, 1)
-    assert res.roots == rd.sigma_k_pr
+    assert res.roots == tuple(map(primitive_vector, rd.sigma_k))
 
 
 def test_aut_roots_doubling():

@@ -23,7 +23,9 @@ and so does ``analyze``
 on a fixed, seeded list of random abstract documents in both formats, with
 indefinite pairings and some that exit 1 with "pairing is degenerate on the
 annihilator of N_k", each a second time with its pairing multiplied by a
-seeded positive rational and written as "p/q" strings.  Every execution whose
+seeded positive rational and written as "p/q" strings; each of these
+documents as written goes through ``standard-fan``, ``localize --roots 1``
+and ``degenerate`` too, in both formats.  Every execution whose
 (exit code, stdout, stderr) differs between the trees is printed, and the
 script exits 1 if any does, else 0.
 """
@@ -57,6 +59,7 @@ SWEEP_TYPES = [(f, n) for f in "ABCD" for n in range(1 if f == "A" else 2, SWEEP
 SWEEP_TYPES += [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
 WIDE_TYPES = [(f, n) for f in "ABCD" for n in (16, 24, 32, 40)]  # many digits per packed root
 LOCALIZE_ROOTS = ("", "2", "1,2", "1,2,3")  # subsets J besides a localize job's own
+ABSTRACT_COMMANDS = ("standard-fan", "localize --roots 1", "degenerate")  # besides analyze
 
 
 def run_tree(src: str, argvs_path: str, out_path: str) -> None:
@@ -297,6 +300,13 @@ def main(argv: list[str]) -> int:
                 with open(datum_path, "w") as fh:
                     json.dump(datum, fh)
                 runs += [(f"random abstract datum {name} --format {fmt}", ["--format", fmt, "analyze", datum_path]) for fmt in FORMATS]
+            doc_path = os.path.join(work, f"abstract{k}_0.json")  # the document as written
+            runs += [
+                (f"random abstract datum {k} {command} --format {fmt}", ["--format", fmt, cmd, doc_path, *options])
+                for command in ABSTRACT_COMMANDS
+                for cmd, *options in [command.split()]
+                for fmt in FORMATS
+            ]
         argvs_path = os.path.join(work, "argvs.json")
         with open(argvs_path, "w") as fh:
             json.dump([a for _, a in runs], fh)
