@@ -271,8 +271,8 @@ def validate(d: SphericalDatumK) -> list[ValidationItem]:
 
         comp = set(d.index.compact)
         union = sorted(sp | comp)
-        cart = d.index.ambient.cartan()
-        sub = [[cart[i][j] for j in union] for i in union]
+        b = d.index.ambient.form()  # nonzero where the Cartan matrix is
+        sub = [[b[i][j] for j in union] for i in union]
         parts = [{union[t] for t in part} for part in graph_components(sub)]
         add("sp_compact_component_split", all(cc <= sp or cc <= comp for cc in parts))
 

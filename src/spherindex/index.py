@@ -101,11 +101,15 @@ class TitsIndex(Record):
             out.append("star generator does not permute the simple roots")
         else:
             # the star action permutes the simple roots by diagram automorphisms
-            # (Borel-Tits 1965, section 6): C[p(i)][p(j)] = C[i][j]
-            c = self.ambient.cartan()
+            # (Borel-Tits 1965, section 6), C[p(i)][p(j)] = C[i][j]: exactly the p
+            # with B[p(i)][p(j)] = B[i][j].  B = C diag(d), d_j = b_jj / 2, so keeping
+            # B keeps C; keeping C maps each component onto one of its type, and
+            # d o p and d are symmetrizers of C there, equal up to a factor, with
+            # min d = 1 on every standard component: so d o p = d, and B is kept
+            b = self.ambient.form()
             for k, g in enumerate(self.star.generators):
                 p = [row.index(1) for row in g]
-                if any(c[p[i]][p[j]] != c[i][j] for i in range(len(p)) for j in range(len(p))):
+                if any(b[p[i]][p[j]] != b[i][j] for i in range(len(p)) for j in range(len(p))):
                     out.append(f"star generator {k} is not a diagram automorphism")
             for k, i in self.star.moved_out(set(self.compact)):
                 out.append(f"star generator {k} moves compact root {i} out of the compact set")

@@ -2,8 +2,8 @@
 
 Every vector here is written in the simple-root basis of its ambient
 system, so the simple root a_i is the i-th standard basis vector.  The
-invariant form is the symmetrized Cartan matrix with short roots of
-squared length 2 (long roots 4, or 6 in G2).
+invariant form of a type comes first, short roots of squared length 2
+(long roots 4, or 6 in G2), and its Cartan matrix is read off it.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import cache, cached_property
 from itertools import count, islice
-from math import gcd
+from math import gcd, prod
 from operator import add, itemgetter, neg
 
 from .errors import LinearlyDependent, NotARootBase, NotFiniteType, ParseError
@@ -41,70 +41,46 @@ def _edges(family: str, n: int) -> list[tuple[int, int]]:
 
 def _short_long(family: str, n: int) -> list[int]:
     """Squared-length scale d_i (short root has d=1)."""
-    if family == "B":
-        return [2] * (n - 1) + [1]
-    if family == "C":
-        return [1] * (n - 1) + [2]
-    if family == "F":
-        return [2, 2, 1, 1]
-    if family == "G":
-        return [1, 3]
-    return [1] * n
+    return {"B": [2] * (n - 1) + [1], "C": [1] * (n - 1) + [2], "F": [2, 2, 1, 1], "G": [1, 3]}.get(family, [1] * n)
 
 
-# the Cartan matrix and the form of a type are built once per process: every
+# the form and the Cartan matrix of a type are built once per process: every
 # ambient datum and every classification asks for them again
 @cache
-def standard_cartan(family: str, n: int) -> Mat:
+def standard_form(family: str, n: int) -> Mat:
+    """Gram matrix of the simple roots, short roots of squared length 2:
+    (a_i, a_i) = 2 d_i, and (a_i, a_j) = -max(d_i, d_j) on an edge."""
     d = _short_long(family, n)
-    c = [[0] * n for _ in range(n)]
-    for i in range(n):
-        c[i][i] = 2
+    f = [[2 * d[i] * (i == j) for j in range(n)] for i in range(n)]
     for i, j in _edges(family, n):
-        # c_ij = 2(a_i, a_j)/(a_j, a_j) with (a_i, a_j) = -max(d_i, d_j)
-        c[i][j] = -(2 * max(d[i], d[j])) // (2 * d[j])
-        c[j][i] = -(2 * max(d[i], d[j])) // (2 * d[i])
-    return tuple(tuple(x for x in row) for row in c)
+        f[i][j] = f[j][i] = -max(d[i], d[j])
+    return tuple(map(tuple, f))
 
 
 @cache
-def standard_form(family: str, n: int) -> Mat:
-    """Gram matrix of the simple roots, short roots of squared length 2."""
-    d = _short_long(family, n)
-    c = standard_cartan(family, n)
-    # c_ij = 2 (a_i, a_j) / (a_j, a_j) with (a_j, a_j) = 2 d_j
-    return tuple(tuple(d[j] * c[i][j] for j in range(n)) for i in range(n))
+def standard_cartan(family: str, n: int) -> Mat:
+    """c_ij = 2 (a_i, a_j) / (a_j, a_j), exact: on an edge d_j divides max(d_i, d_j)."""
+    f = standard_form(family, n)
+    return tuple(tuple(2 * x // f[j][j] for j, x in enumerate(row)) for row in f)
 
 
-def root_count(family: str, n: int) -> int:
+def degrees(family: str, n: int) -> tuple[int, ...]:
+    """The degrees of the basic invariants of the Weyl group (Humphreys,
+    Reflection Groups and Coxeter Groups, 1990, 3.7 Table 1): |W| is their
+    product, and the number of positive roots is the sum of d_i - 1 (3.9)."""
     if family == "A":
-        return n * (n + 1)
+        return tuple(range(2, n + 2))
     if family in "BC":
-        return 2 * n * n
+        return tuple(range(2, 2 * n + 1, 2))
     if family == "D":
-        return 2 * n * (n - 1)
-    if family == "E":
-        return {6: 72, 7: 126, 8: 240}[n]
-    if family == "F":
-        return 48
-    return 12  # G2
-
-
-def weyl_order_of(family: str, n: int) -> int:
-    fact = 1
-    for k in range(2, n + 1):
-        fact *= k
-    if family == "A":
-        return fact * (n + 1)
-    if family in "BC":
-        return (2**n) * fact
-    if family == "D":
-        return (2 ** (n - 1)) * fact
-    if family == "E":
-        return {6: 51840, 7: 2903040, 8: 696729600}[n]
-    if family == "F":
-        return 1152
-    return 12  # G2
+        return tuple(range(2, 2 * n - 1, 2)) + (n,)
+    return {
+        ("E", 6): (2, 5, 6, 8, 9, 12),
+        ("E", 7): (2, 6, 8, 10, 12, 14, 18),
+        ("E", 8): (2, 8, 12, 14, 18, 20, 24, 30),
+        ("F", 4): (2, 6, 8, 12),
+        ("G", 2): (2, 6),
+    }[family, n]
 
 
 class DynkinComponent(Record):
@@ -134,9 +110,6 @@ class AmbientRootDatum(Record):
     @property
     def dim(self) -> int:
         return sum(c.rank for c in self.components)
-
-    def cartan(self) -> Mat:
-        return _block_sum(standard_cartan, self.components)
 
     def form(self) -> Mat:
         return _block_sum(standard_form, self.components)
@@ -366,10 +339,7 @@ def type_name_of(types) -> str:
 
 
 def weyl_order(types) -> int:
-    order = 1
-    for fam, rk in types:
-        order *= weyl_order_of(fam, rk)
-    return order
+    return prod(prod(degrees(fam, rk)) for fam, rk in types)
 
 
 def generate_roots(base: RootBase) -> list[Vec]:
@@ -399,7 +369,7 @@ def _standard_positive_roots(family: str, n: int) -> tuple[tuple[int, int, int],
     row j to the pairings: one addition each.
     """
     c = standard_cartan(family, n)
-    bound = root_count(family, n) // 2
+    bound = sum(degrees(family, n)) - n  # the number of positive roots
     w, bias = (4 * bound + 1).bit_length(), int("4" * n, 8)
     rows = [sum(x << 3 * m for m, x in enumerate(r)) for r in c]
     # per j and k in 1..4: what v + k a_j adds to the key and to the pairings

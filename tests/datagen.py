@@ -576,6 +576,41 @@ def dfs_match(c_sub, c_std):
     return perm if dfs(0) else None
 
 
+def root_count(family: str, n: int) -> int:
+    """|Phi| of an irreducible type by the classical formulas: what
+    ``rootsys`` read before it took the count from the degrees."""
+    if family == "A":
+        return n * (n + 1)
+    if family in "BC":
+        return 2 * n * n
+    if family == "D":
+        return 2 * n * (n - 1)
+    if family == "E":
+        return {6: 72, 7: 126, 8: 240}[n]
+    if family == "F":
+        return 48
+    return 12  # G2
+
+
+def weyl_order_of(family: str, n: int) -> int:
+    """|W| of an irreducible type by the classical formulas: what ``rootsys``
+    read before it took the order from the degrees."""
+    fact = 1
+    for k in range(2, n + 1):
+        fact *= k
+    if family == "A":
+        return fact * (n + 1)
+    if family in "BC":
+        return (2**n) * fact
+    if family == "D":
+        return (2 ** (n - 1)) * fact
+    if family == "E":
+        return {6: 51840, 7: 2903040, 8: 696729600}[n]
+    if family == "F":
+        return 1152
+    return 12  # G2
+
+
 def restricted_simple_roots_by_split_gram(ix: TitsIndex) -> RestrictedSimpleRoots:
     """``index.restricted_simple_roots`` as it was before it read the Gram
     matrix off the ambient form: the scaled inverse of the split Gram matrix

@@ -26,6 +26,7 @@ from datagen import (
     replace,
     solve_left,
     to_abstract,
+    weyl_order_of,
 )
 from test_fuzz import _every_command
 from spherindex import fans, linalg
@@ -612,6 +613,30 @@ def test_a_report_does_not_see_the_scale_of_the_pairing(capsys, tmp_path):
                 assert outputs[1] == outputs[0] and outputs[2] == outputs[0], (k, fmt, cmd)
                 codes[cmd[0], outputs[0][0]] += 1
     assert all(codes[cmd[0], 0] >= 8 for cmd in commands), codes
+
+
+def test_the_convex_abstract_documents_reach_the_fan_engine(capsys, tmp_path):
+    """``standard-fan`` exits 0 on most ``random_convex_abstract_document``s of
+    ``tools/compare_outputs.py``, and on few of its other abstract documents."""
+    tool = load_tool("compare_outputs")
+    codes = Counter()
+    for kind, seed, make in [("convex", tool.CONVEX_SEED, tool.random_convex_abstract_document),
+                             ("other", tool.ABSTRACT_SEED, tool.random_abstract_document)]:
+        rng = random.Random(seed)
+        for k in range(40):
+            codes[kind, run(capsys, "standard-fan", write(tmp_path, f"{kind}{k}.json", make(rng)))[0]] += 1
+    assert codes["convex", 0] >= 30 and codes["other", 0] <= 10, codes
+
+
+def test_analyze_prints_the_weyl_order_of_every_split_type_up_to_rank_8(capsys, tmp_path):
+    """On the split documents of ``tools/compare_outputs.py`` the little Weyl
+    group is the whole Weyl group: the product of the degrees that ``analyze``
+    prints is the classical order on every type."""
+    tool = load_tool("compare_outputs")
+    assert len(tool.split_documents()) == 34
+    for (family, rank), (name, doc) in zip(tool.SPLIT_TYPES, tool.split_documents()):
+        code, out, _ = run(capsys, "--format", "json", "analyze", write(tmp_path, f"{name}.json", doc))
+        assert code == 0 and json.loads(out)["wk_order"] == weyl_order_of(family, rank), name
 
 
 def _negated(rows):

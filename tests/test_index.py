@@ -5,6 +5,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from sympy import Matrix
@@ -282,6 +283,38 @@ def test_permutation_that_is_not_a_diagram_automorphism_is_named():
         (a2a2, [permutation_matrix([3, 2, 1, 0])]),
     ]:
         assert TitsIndex.of(amb, [], gens).violations() == []
+
+
+# products of total rank <= 6 with their number of diagram automorphisms:
+# B3 and C3 are not isomorphic, so B3 x C3 has none but the identity
+AUTOMORPHISM_COUNTS = {
+    (("B", 2), ("C", 2)): 2, (("G", 2), ("G", 2)): 2, (("A", 2), ("B", 2)): 2,
+    (("B", 3), ("C", 3)): 1, (("D", 4),): 6, (("F", 4),): 1, (("A", 3), ("A", 3)): 8,
+}
+
+
+def test_a_permutation_keeps_the_form_exactly_when_it_keeps_the_cartan_matrix():
+    """``violations`` compares the form, which the Cartan matrix's diagram
+    automorphisms keep (a proof is at the check): every permutation of each
+    product above keeps both or neither."""
+    for spec, count in AUTOMORPHISM_COUNTS.items():
+        amb = AmbientRootDatum.of(list(spec))
+        c, b = rootsys._block_sum(rootsys.standard_cartan, amb.components), amb.form()
+        n = amb.dim
+        kept = 0
+        for p in permutations(range(n)):
+            keeps_c = all(c[p[i]][p[j]] == c[i][j] for i in range(n) for j in range(n))
+            keeps_b = all(b[p[i]][p[j]] == b[i][j] for i in range(n) for j in range(n))
+            assert keeps_c == keeps_b, (spec, p)
+            kept += keeps_c
+        assert kept == count, spec
+    # the cross swap of B2 x C2 sends the long root a1 of B2 to the long root
+    # a2 of C2; the swap inside B2 sends a long root to a short one
+    b2c2 = AmbientRootDatum.of([("B", 2), ("C", 2)])
+    assert TitsIndex.of(b2c2, [], [permutation_matrix([3, 2, 1, 0])]).violations() == []
+    assert TitsIndex.of(b2c2, [], [permutation_matrix([1, 0, 2, 3])]).violations() == [
+        "star generator 0 is not a diagram automorphism"
+    ]
 
 
 def test_violations_reported():

@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import islice
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,6 +23,8 @@ from datagen import (
     positive_roots_in_base_coords,
     random_root_base_input,
     rank_first_root_base,
+    root_count,
+    weyl_order_of,
 )
 from spherindex.cli import parse_index
 from spherindex.linalg import dot, gram, identity, mat_mul, transpose, vec_mat
@@ -35,7 +38,6 @@ from spherindex.rootsys import (
     indivisible_roots,
     opposition_permutation,
     orbit,
-    root_count,
     root_images,
     standard_cartan,
     standard_form,
@@ -319,6 +321,37 @@ def test_weyl_order_values():
     assert weyl_order([("G", 2)]) == 12
     assert weyl_order([("E", 6)]) == 51840
     assert weyl_order([("A", 2), ("B", 3)]) == 6 * 48
+    # no analyze reference job prints the order of a D or E type
+    assert weyl_order([("D", 4)]) == 192
+    assert weyl_order([("D", 5)]) == 1920
+    assert weyl_order([("E", 7)]) == 2903040
+    assert weyl_order([("E", 8)]) == 696729600
+    assert weyl_order([("F", 4)]) == 1152
+
+
+TYPES_UP_TO_RANK_40 = [(f, n) for f in "ABCDEFG" for n in range(1, 41) if VALID_RANKS[f](n)]
+
+
+def degree_mismatches(degrees) -> list:
+    """The types up to rank 40 whose ``degrees`` do not give the classical
+    |W| as their product and |Phi| / 2 as the sum of d_i - 1."""
+    return [
+        (fam, n)
+        for fam, n in TYPES_UP_TO_RANK_40
+        if prod(degrees(fam, n)) != weyl_order_of(fam, n) or 2 * (sum(degrees(fam, n)) - n) != root_count(fam, n)
+    ]
+
+
+def test_degrees_give_every_root_count_and_weyl_order():
+    assert len(TYPES_UP_TO_RANK_40) == 162
+    assert degree_mismatches(rootsys.degrees) == []
+    # the closure, cut at the count the degrees give, finds every positive root past the simple ones
+    for fam, n in TYPES_UP_TO_RANK_40:
+        assert len(rootsys._standard_positive_roots(fam, n)) == root_count(fam, n) // 2 - n
+    # a wrong E7 degree is caught, and so is a swap that keeps the sum
+    for planted in [(2, 6, 8, 10, 12, 16, 18), (2, 6, 8, 10, 13, 13, 18)]:
+        wrong = lambda fam, n, planted=planted: planted if (fam, n) == ("E", 7) else rootsys.degrees(fam, n)
+        assert degree_mismatches(wrong) == [("E", 7)]
 
 
 def test_opposition_permutation():
@@ -436,7 +469,7 @@ def test_positive_roots_of_shuffled_reducible_matrices_match_the_brute_force_clo
         [("A", 6), ("A", 6)],
         [("B", 2), ("E", 7)],
     ):
-        c = AmbientRootDatum.of(spec).cartan()
+        c = rootsys._block_sum(standard_cartan, AmbientRootDatum.of(spec).components)
         n = len(c)
         for _ in range(3):
             order = rng.sample(range(n), n)
@@ -684,16 +717,16 @@ def test_ambient_form_is_block_sum():
 
 
 def test_block_sums_are_built_once_per_list_of_components():
-    """form() and cartan() each build their block sum once: a seed-5
-    corpus-mixed pass built 2,520, each ambient asking again for the same two."""
+    """form() builds its block sum once: a seed-5 corpus-mixed pass built
+    2,520 block sums, each ambient asking again for the same ones."""
     built = rootsys._block_sum.cache_info().misses
-    # labels no other test uses, so no earlier call has built these sums
+    # labels no other test uses, so no earlier call has built this sum
     spec = [("C", 3, "once1"), ("G", 2, "once2")]
     for _ in range(3):
         amb = AmbientRootDatum.of(spec)
         assert amb.form() == AmbientRootDatum.of(spec).form()
-        assert amb.cartan()[3][4] == -1 and amb.form()[3][4] == -3
-    assert rootsys._block_sum.cache_info().misses - built == 2
+        assert amb.form()[3][4] == -3
+    assert rootsys._block_sum.cache_info().misses - built == 1
 
 
 def test_orbit_is_lazy():

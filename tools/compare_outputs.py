@@ -25,7 +25,12 @@ indefinite pairings and some that exit 1 with "pairing is degenerate on the
 annihilator of N_k", each a second time with its pairing multiplied by a
 seeded positive rational and written as "p/q" strings; each of these
 documents as written goes through ``standard-fan``, ``localize --roots 1``
-and ``degenerate`` too, in both formats.  Every execution whose
+and ``degenerate`` too, in both formats.  So do the split datum of every
+type up to rank 8 through ``analyze``, which prints its Weyl order, and a
+seeded list of abstract documents whose valuation cones are most often
+strictly convex, so that they reach the fan engine, through ``analyze``,
+``standard-fan``, ``localize --roots 1`` and ``degenerate``, in both
+formats.  Every execution whose
 (exit code, stdout, stderr) differs between the trees is printed, and the
 script exits 1 if any does, else 0.
 """
@@ -48,6 +53,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FORMATS = ("json", "text")
 INDEX_SEED, INDEX_COUNT = 3619, 200
 ABSTRACT_SEED, ABSTRACT_COUNT = 3737, 200
+CONVEX_SEED, CONVEX_COUNT = 4412, 100
 SCALE_SEED = 4242  # the rational each abstract pairing is sent again at
 INDEX_TYPES = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("A", 6), ("A", 7),
@@ -58,6 +64,7 @@ SWEEP_RANK = 12  # every type of rootsys.VALID_RANKS up to this rank
 SWEEP_TYPES = [(f, n) for f in "ABCD" for n in range(1 if f == "A" else 2, SWEEP_RANK + 1)]
 SWEEP_TYPES += [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
 WIDE_TYPES = [(f, n) for f in "ABCD" for n in (16, 24, 32, 40)]  # many digits per packed root
+SPLIT_TYPES = [(f, n) for f, n in SWEEP_TYPES if n <= 8]  # analyzed split: every Weyl order of rank <= 8
 LOCALIZE_ROOTS = ("", "2", "1,2", "1,2,3")  # subsets J besides a localize job's own
 ABSTRACT_COMMANDS = ("standard-fan", "localize --roots 1", "degenerate")  # besides analyze
 
@@ -154,6 +161,20 @@ def random_index_document(rng: random.Random) -> dict:
     }
 
 
+def split_documents() -> list[tuple[str, dict]]:
+    """The split datum of each of ``SPLIT_TYPES``, as named ``analyze``
+    documents: no compact root, no star, and the simple roots as the
+    spherical roots."""
+    return [(f"{family}{rank}", {
+        "schema_version": "1",
+        "mode": "ambient",
+        "ambient": {"components": [{"family": family, "rank": rank}]},
+        "compact_simple": [],
+        "star_generators": [],
+        "spherical": {"sigma": [[int(i == j) for j in range(rank)] for i in range(rank)]},
+    }) for family, rank in SPLIT_TYPES]
+
+
 def sweep_documents(types=SWEEP_TYPES) -> list[tuple[str, dict]]:
     """Each of the ``types`` split, and quasi-split by its diagram involution
     where that moves a root, as named ``restrict-index`` documents."""
@@ -217,6 +238,30 @@ def random_abstract_document(rng: random.Random) -> dict:
     moved = perm != list(range(n)) or -1 in signs
     if moved:  # f + g f g^T is invariant under the involution g
         f = [[a + b for a, b in zip(r, q)] for r, q in zip(f, _product(_product(g, f), list(zip(*g))))]
+    return _abstract_document(rng, f, g if moved else None, perm, o)
+
+
+def random_convex_abstract_document(rng: random.Random) -> dict:
+    """An ``analyze`` document in abstract mode whose valuation cone is most
+    often strictly convex: the Gram matrix of a random type of
+    ``ABSTRACT_GRAMS`` as the pairing with no further coordinates, so that the
+    simple roots span, now and then the diagram flip as the star, a random
+    union of star orbits as ``sigma0``, and a unimodular change of basis."""
+    name = rng.choice(sorted(ABSTRACT_GRAMS))
+    n = len(f := ABSTRACT_GRAMS[name])
+    perm, g = list(range(n)), None
+    if name in ("A1xA1", "A2", "A3") and rng.random() < 0.5:
+        perm = perm[::-1]  # an isometry of each of these Gram matrices
+        g = [[int(perm[i] == j) for j in range(n)] for i in range(n)]
+    return _abstract_document(rng, f, g, perm, 0)
+
+
+def _abstract_document(rng: random.Random, f, g, perm: list[int], o: int) -> dict:
+    """The abstract document of the pairing f and the star g (None for none)
+    on n coordinates, the simple roots on the last n - o of them: a random
+    union of the orbits of perm there as ``sigma0``, and a random unimodular
+    change of basis."""
+    n = len(f)
     orbits = {tuple(sorted({i - o, perm[i] - o})) for i in range(o, n)}
     sigma0 = sorted(i for orbit in sorted(orbits) if rng.random() < 0.4 for i in orbit)
     # vectors v -> v t, the pairing to t^-1 f t^-T and the star to t^-1 g t
@@ -231,7 +276,7 @@ def random_abstract_document(rng: random.Random) -> dict:
         "abstract": {
             "rank": n,
             "pairing": _product(_product(ti, f), list(zip(*ti))),
-            "star": [_product(_product(ti, g), t)] if moved else [],
+            "star": [_product(_product(ti, g), t)] if g is not None else [],
             "sigma": [t[i] for i in range(o, n)],
             "sigma0": sigma0,
         },
@@ -304,6 +349,22 @@ def main(argv: list[str]) -> int:
             runs += [
                 (f"random abstract datum {k} {command} --format {fmt}", ["--format", fmt, cmd, doc_path, *options])
                 for command in ABSTRACT_COMMANDS
+                for cmd, *options in [command.split()]
+                for fmt in FORMATS
+            ]
+        for k, (name, doc) in enumerate(split_documents()):
+            split_path = os.path.join(work, f"split{k}.json")
+            with open(split_path, "w") as fh:
+                json.dump(doc, fh)
+            runs += [(f"split {name} analyze --format {fmt}", ["--format", fmt, "analyze", split_path]) for fmt in FORMATS]
+        rng = random.Random(CONVEX_SEED)
+        for k in range(CONVEX_COUNT):
+            convex_path = os.path.join(work, f"convex{k}.json")
+            with open(convex_path, "w") as fh:
+                json.dump(random_convex_abstract_document(rng), fh)
+            runs += [
+                (f"convex abstract datum {k} {command} --format {fmt}", ["--format", fmt, cmd, convex_path, *options])
+                for command in ("analyze", *ABSTRACT_COMMANDS)
                 for cmd, *options in [command.split()]
                 for fmt in FORMATS
             ]
