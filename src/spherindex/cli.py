@@ -33,7 +33,7 @@ from .fans import (
     weyl_saturate,
 )
 from .index import TitsIndex, restricted_root_system
-from .linalg import Lattice, content, divide, lattice_index, primitive_vector
+from .linalg import Lattice, content, divide, integer_kernel, lattice_index, primitive_vector
 from .restrict import (
     RestrictedDatum,
     aut_roots,
@@ -90,7 +90,7 @@ def parse_index(doc: dict) -> TitsIndex:
     ambient = _require(doc, "ambient")
     spec = []
     for k, c in enumerate(_list(_require(ambient, "components"), "components")):
-        fam, rk = str(_require(c, "family")), _int(_require(c, "rank"))
+        fam, rk = _require(c, "family"), _int(_require(c, "rank"))
         spec.append((fam, rk, str(c.get("label", "")) or f"c{k + 1}"))
     if (total := sum(rk for _, rk, _ in spec)) > HARD_RANK_CEILING:
         raise ParseError(f"total ambient rank {total} exceeds HARD_RANK_CEILING {HARD_RANK_CEILING}")
@@ -365,16 +365,17 @@ def cmd_restrict_index(doc: dict) -> tuple[dict, int]:
     srs = ix.simple_roots
     phi = restricted_root_system(ix)
     names = ix.ambient.root_names()
+    type_name = type_name_of(srs.types)
     report.update(
         {
             "restricted_simple_roots": srs.roots,
             "fibers": [[names[i] for i in fib] for fib in srs.fibers],
-            "type": srs.type_name,
+            "type": type_name,
             "restricted_roots": [
                 {"root": r, "multiplicity": m} for r, m in phi.multiplicities
             ],
             "reduced": phi.reduced,
-            "indivisible_type": srs.type_name,
+            "indivisible_type": type_name,
             "indivisible_count": len(phi.indivisible),
         }
     )
@@ -405,6 +406,7 @@ def cmd_analyze(doc: dict) -> tuple[dict, int]:
     cw = coweight_identity_check(d, rd)
     chamber_containment_check(d, rd)
     split = rd.split
+    lineality = integer_kernel(rd.sigma_k, width=rd.rank)
     report.update(
         {
             "sigma0": split.sigma0,
@@ -423,9 +425,9 @@ def cmd_analyze(doc: dict) -> tuple[dict, int]:
             "phi_k_res_reduced": rr.reduced,
             "valuation_cone": {
                 "inequalities": rd.sigma_k,
-                "lineality": rd.nk0_basis,
+                "lineality": lineality,
                 # present exactly when the cone is strictly convex: minus the coweights
-                "extremal_rays": () if rd.nk0_basis else divide(rd.coweights, -rd.coweight_den),
+                "extremal_rays": () if lineality else divide(rd.coweights, -rd.coweight_den),
             },
             "coweight_identity": cw,
             "predicates": predicates(d, rd),
@@ -458,8 +460,8 @@ def _strata_report(f: Fan, sp) -> list[dict]:
     return [
         {
             "cone": gens,
-            "codim": node.codim,
-            "rank": node.rank,
+            "codim": len(gens),
+            "rank": len(node.lattice_basis),
             "sigma": node.sigma_indices,
             "lattice_basis": node.lattice_basis,
             "horospherical": node.horospherical,

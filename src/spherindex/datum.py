@@ -19,7 +19,7 @@ from .errors import (
     NotFiniteType,
     ParseError,
 )
-from .index import StarAction, TitsIndex, res_A
+from .index import TitsIndex, res_A, star_generators
 from .linalg import Lattice, Mat, content, gram, mat_mul, scale_integral, vec_mat
 from .record import Record
 from .rootsys import RootBase, graph_components, opposition_permutation, orbit
@@ -89,7 +89,7 @@ class SphericalDatumK(Record):
         pairing = gram(xi.basis, ix.ambient.form())
         integral = Lattice(n, xi.basis)
         star_xi = []
-        for g in ix.star.generators:
+        for g in ix.star:
             rows = []
             for r in xi.basis:
                 c = integral.coordinates(vec_mat(r, g))
@@ -112,7 +112,7 @@ class SphericalDatumK(Record):
         )
 
     @staticmethod
-    def abstract(rank_: int, pairing, star_generators, sigma_rows, sigma0=()) -> "SphericalDatumK":
+    def abstract(rank_: int, pairing, star, sigma_rows, sigma0=()) -> "SphericalDatumK":
         pairing = tuple(map(tuple, pairing))
         if len(pairing) != rank_ or any(len(r) != rank_ for r in pairing):
             raise ParseError("pairing has wrong shape")
@@ -122,8 +122,8 @@ class SphericalDatumK(Record):
         for row in sigma_rows:
             if len(row) != rank_:
                 raise ParseError("spherical root has wrong length")
-        star = StarAction.of(star_generators, rank_)
-        if any(gram(g, pairing) != pairing for g in star.generators):  # rows act on the right
+        star = star_generators(star, rank_)
+        if any(gram(g, pairing) != pairing for g in star):  # rows act on the right
             raise ParseError("star generator is not an isometry of the pairing")
         sigma0 = tuple(sorted(set(int(i) for i in sigma0)))
         if sigma0 and not (0 <= sigma0[0] and sigma0[-1] < len(sigma_rows)):
@@ -135,7 +135,7 @@ class SphericalDatumK(Record):
             sp=(),
             sigma=sigma_rows,
             pairing=scale_integral(pairing)[0],
-            star_xi=star.generators,
+            star_xi=star,
             sigma0_input=sigma0,
         )
         if sigma0 and any(
@@ -267,7 +267,7 @@ def validate(d: SphericalDatumK) -> list[ValidationItem]:
 
     if d.index is not None:
         sp = set(d.sp)
-        add("sp_star_stable", not d.index.star.moved_out(sp))
+        add("sp_star_stable", not d.index.moved_out(sp))
 
         comp = set(d.index.compact)
         union = sorted(sp | comp)

@@ -259,7 +259,7 @@ def is_smooth(f: Fan) -> tuple[bool, ...]:
 
 def standard_fan(rd: RestrictedDatum) -> Fan:
     """Faces of the valuation cone, one per subset of the spherical roots."""
-    if rd.nk0_basis:
+    if len(rd.sigma_k) != rd.rank:
         raise SpherindexError("valuation cone is not strictly convex")
     return Fan.from_maximal([[primitive_vector(tuple(-x for x in w)) for w in rd.coweights]])
 
@@ -269,9 +269,7 @@ def cone_membership(v, rd: RestrictedDatum) -> bool:
 
 
 class Stratum(Record):
-    codim: int
-    rank: int
-    lattice_basis: Mat  # basis of the stratum weight lattice, parent coords
+    lattice_basis: Mat  # basis of the stratum weight lattice, parent coords; rank - len(cone) rows
     sigma_indices: tuple[int, ...]  # restricted roots vanishing on the cone
     horospherical: bool
 
@@ -310,7 +308,7 @@ def strata(f: Fan, rd: RestrictedDatum) -> tuple[Stratum, ...]:
         else:
             basis = integer_kernel([f.rays[i] for i in c], width=rd.rank)
         basis = tuple(rows.setdefault(r, r) for r in map(tuple, basis))
-        nodes.append(Stratum(len(c), rd.rank - len(c), basis, labels[zero], not positive))
+        nodes.append(Stratum(basis, labels[zero], not positive))
     return tuple(nodes)
 
 

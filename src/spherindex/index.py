@@ -32,54 +32,27 @@ from .rootsys import (
     image_fibers,
     orbit,
     root_images,
-    type_name_of,
 )
 
 
-class StarAction(Record):
-    """Galois semilinear action given by matrices on character coordinates."""
-
-    generators: tuple[Mat, ...]
-    dim: int
-
-    @staticmethod
-    def of(generators, dim: int) -> "StarAction":
-        gens = tuple(tuple(map(tuple, g)) for g in generators)
-        for g in gens:
-            if len(g) != dim or any(len(row) != dim for row in g):
-                raise ParseError("star generator has wrong shape")
-        return StarAction(gens, dim)
-
-    def moved_out(self, subset) -> list[tuple[int, int]]:
-        """Pairs (k, i) where generator k sends simple root i out of ``subset``:
-        row i of the generator has a nonzero entry outside it."""
-        out = []
-        for k, g in enumerate(self.generators):
-            for i in subset:
-                if any(x for t, x in enumerate(g[i]) if t not in subset):
-                    out.append((k, i))
-        return out
-
-    def is_permutation_action(self) -> bool:
-        pattern = [0] * (self.dim - 1) + [1]
-        return all(
-            sorted(line) == pattern
-            for g in self.generators
-            for line in g + transpose(g)
-        )
+def star_generators(generators, dim: int) -> tuple[Mat, ...]:
+    """The star generators as tuples of rows, each checked to be dim x dim."""
+    gens = tuple(tuple(map(tuple, g)) for g in generators)
+    for g in gens:
+        if len(g) != dim or any(len(row) != dim for row in g):
+            raise ParseError("star generator has wrong shape")
+    return gens
 
 
 class TitsIndex(Record):
     ambient: AmbientRootDatum
     compact: tuple[int, ...]
-    star: StarAction
+    star: tuple[Mat, ...]  # Galois semilinear action on character coordinates
 
     @staticmethod
-    def of(ambient: AmbientRootDatum, compact, star_generators) -> "TitsIndex":
-        n = ambient.dim
+    def of(ambient: AmbientRootDatum, compact, generators) -> "TitsIndex":
         compact = tuple(sorted(set(int(i) for i in compact)))
-        star = StarAction.of(star_generators, n)
-        return TitsIndex(ambient, compact, star)
+        return TitsIndex(ambient, compact, star_generators(generators, ambient.dim))
 
     @cached_property
     def restriction(self) -> Mat:
@@ -95,9 +68,20 @@ class TitsIndex(Record):
         """The restricted simple roots, computed once per index."""
         return restricted_simple_roots(self)
 
+    def moved_out(self, subset) -> list[tuple[int, int]]:
+        """Pairs (k, i) where star generator k sends simple root i out of ``subset``:
+        row i of the generator has a nonzero entry outside it."""
+        out = []
+        for k, g in enumerate(self.star):
+            for i in subset:
+                if any(x for t, x in enumerate(g[i]) if t not in subset):
+                    out.append((k, i))
+        return out
+
     def violations(self) -> list[str]:
         out = []
-        if not self.star.is_permutation_action():
+        pattern = [0] * (self.ambient.dim - 1) + [1]
+        if any(sorted(line) != pattern for g in self.star for line in g + transpose(g)):
             out.append("star generator does not permute the simple roots")
         else:
             # the star action permutes the simple roots by diagram automorphisms
@@ -107,11 +91,11 @@ class TitsIndex(Record):
             # d o p and d are symmetrizers of C there, equal up to a factor, with
             # min d = 1 on every standard component: so d o p = d, and B is kept
             b = self.ambient.form()
-            for k, g in enumerate(self.star.generators):
+            for k, g in enumerate(self.star):
                 p = [row.index(1) for row in g]
                 if any(b[p[i]][p[j]] != b[i][j] for i in range(len(p)) for j in range(len(p))):
                     out.append(f"star generator {k} is not a diagram automorphism")
-            for k, i in self.star.moved_out(set(self.compact)):
+            for k, i in self.moved_out(set(self.compact)):
                 out.append(f"star generator {k} moves compact root {i} out of the compact set")
         if not out:
             try:
@@ -129,7 +113,7 @@ def split_subspace(ix: TitsIndex) -> Mat:
     """
     b = ix.ambient.form()
     constraints = [b[i] for i in ix.compact]
-    for g in ix.star.generators:
+    for g in ix.star:
         constraints += minus_identity(transpose(g))
     return integer_kernel(constraints, width=ix.ambient.dim)
 
@@ -148,10 +132,6 @@ class RestrictedSimpleRoots(Record):
     roots: Mat  # distinct nonzero images, Bourbaki-ordered per component
     fibers: tuple[tuple[int, ...], ...]  # ambient simple-root indices per root
     types: tuple[tuple[str, int], ...]
-
-    @property
-    def type_name(self) -> str:
-        return type_name_of(self.types)
 
     def fiber_sums(self, rows) -> list[list]:
         """Each row against the roots: a character chi restricts to the sum

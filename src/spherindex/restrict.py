@@ -41,19 +41,18 @@ class RestrictedDatum(Record):
     between the big and little sides that the structural checks need.
 
     Vectors in ``sigma_k`` live in coordinates of the canonical
-    basis of the little weight lattice; ``nk0_basis`` and ``coweights``
-    live in the dual coordinates, paired with the former by the dot
-    product.  The little coweights are ``coweights / coweight_den``, and
-    ``form_k`` is a positive integer multiple of the transported form:
-    root data, reflections and dual bases do not see its scale.
+    basis of the little weight lattice; ``coweights`` live in the dual
+    coordinates, paired with the former by the dot product.  The little
+    coweights are ``coweights / coweight_den``, and ``form_k`` is a
+    positive integer multiple of the transported form: root data,
+    reflections and dual bases do not see its scale.
     """
 
     rank: int
     sigma_k: Mat
     fibers: tuple[tuple[int, ...], ...]
     form_k: Mat
-    roots: RootBase  # sigma_k, classified under form_k
-    nk0_basis: Mat
+    roots: RootBase  # sigma_k, classified under form_k: independent, so Z_k is strictly convex iff it has rank roots
     coweights: Mat
     coweight_den: int
     projected_lifts: Mat  # lifts_den times the lifts of the little basis rows, projected off the annihilator
@@ -125,7 +124,6 @@ def restrict_datum(d: SphericalDatumK) -> RestrictedDatum:
         fibers=tuple(map(tuple, fibers)),
         form_k=form_k,
         roots=roots,
-        nk0_basis=integer_kernel(sigma_k, width=dk),
         coweights=coweights,
         coweight_den=coweight_den,
         projected_lifts=projected,
@@ -203,7 +201,7 @@ def chamber_containment_check(d: SphericalDatumK, rd: RestrictedDatum | None = N
 
 def predicates(d: SphericalDatumK, rd: RestrictedDatum) -> dict:
     return {
-        "k_convex": not rd.nk0_basis,
+        "k_convex": len(rd.sigma_k) == rd.rank,
         "k_wonderful": lattice_index(tuple(map(primitive_vector, rd.sigma_k)), rd.rank) == 1,
         "k_horospherical": not rd.sigma_k,
         "rank0": rd.rank == 0,
@@ -225,7 +223,7 @@ def localize(rd: RestrictedDatum, j_indices) -> Localization:
     orthogonal of the standard-fan face spanned by the coweights outside J.
     Only J is classified there: the report reads its rank and type alone.
     """
-    if rd.nk0_basis:
+    if len(rd.sigma_k) != rd.rank:
         raise SpherindexError("valuation cone is not strictly convex")
     j = sorted(set(j_indices))
     out = [t for t in range(len(rd.sigma_k)) if t not in j]

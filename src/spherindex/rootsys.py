@@ -98,6 +98,8 @@ class AmbientRootDatum(Record):
     def of(spec: list) -> "AmbientRootDatum":
         comps = []
         for k, item in enumerate(spec):
+            if not isinstance(item[0], str) or len(item[0].upper()) != 1:  # "A1" would print as the type "A11"
+                raise ParseError(f"bad family {item[0]!r}")
             fam, rk = item[0].upper(), int(item[1])
             if fam not in VALID_RANKS or not VALID_RANKS[fam](rk):
                 raise ParseError(f"{fam}{rk} is not a finite type")
@@ -112,7 +114,7 @@ class AmbientRootDatum(Record):
         return sum(c.rank for c in self.components)
 
     def form(self) -> Mat:
-        return _block_sum(standard_form, self.components)
+        return _block_sum(self.components)
 
     def root_names(self) -> list[str]:
         if len(self.components) == 1:
@@ -135,12 +137,12 @@ class AmbientRootDatum(Record):
 
 # built once per list of components: the index, the datum and each check ask again
 @cache
-def _block_sum(standard, components: tuple[DynkinComponent, ...]) -> Mat:
+def _block_sum(components: tuple[DynkinComponent, ...]) -> Mat:
     n = sum(c.rank for c in components)
     out = [[0] * n for _ in range(n)]
     off = 0
     for c in components:
-        for i, row in enumerate(standard(c.family, c.rank)):
+        for i, row in enumerate(standard_form(c.family, c.rank)):
             for j, x in enumerate(row):
                 out[off + i][off + j] = x
         off += c.rank

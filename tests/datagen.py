@@ -215,7 +215,8 @@ def random_convex_data(seed: int, count: int):
     out = []
     while len(out) < count:
         d = random_datum(rng)
-        if not restrict_datum(d).nk0_basis:
+        rd = restrict_datum(d)
+        if not integer_kernel(rd.sigma_k, width=rd.rank):
             out.append(d)
     return out
 
@@ -328,12 +329,13 @@ def phi_k_res_by_lattice(d: SphericalDatumK, rd) -> RestrictedRoots:
 
 def facet_inheritance_by_rank(d: SphericalDatumK, rd):
     """The facet check with one rank per face: Z_k is generated by plus and
-    minus ``nk0_basis`` and minus the coweights, and each noncompact root
+    minus the lineality basis and minus the coweights, and each noncompact root
     must be nonpositive on every generator and vanish on a face of rank
     r - 1, each compact root must restrict to zero on N_k, read off ``d``."""
     nk = little_space(d)
-    gens = list(rd.nk0_basis)
-    gens += [tuple(-x for x in g) for g in rd.nk0_basis]
+    lineality = integer_kernel(rd.sigma_k, width=rd.rank)
+    gens = list(lineality)
+    gens += [tuple(-x for x in g) for g in lineality]
     gens += [tuple(-x for x in w) for w in rd.coweights]
     if rank(gens) != rd.rank:
         raise InternalInconsistency("valuation cone is not full dimensional")

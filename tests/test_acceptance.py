@@ -48,7 +48,7 @@ from spherindex.restrict import (
     predicates,
     restrict_datum,
 )
-from spherindex.rootsys import AmbientRootDatum, RootBase, generate_roots
+from spherindex.rootsys import AmbientRootDatum, RootBase, generate_roots, type_name_of
 
 H = Fraction(1, 2)
 
@@ -120,7 +120,7 @@ def test_criterion_2_e6():
     srs = restricted_simple_roots(d.index)
     fibs = [tuple(names[i] for i in f) for f in srs.fibers]
     assert fibs[2] == ("a3", "a5") and fibs[3] == ("a1", "a6")
-    assert srs.type_name == "F4"
+    assert type_name_of(srs.types) == "F4"
     assert beta_coords(d, d.sigma_input) == [(0, 1, 2, 2), (1, 1, 1, 0)]
     rd = restrict_datum(d)
     assert rd.roots.types == (("B", 2),)
@@ -183,21 +183,20 @@ def test_criterion_6_standard_embedding():
     for d in [sp42_datum(), e6_datum(), u11_datum(), split_a3_datum()]:
         rd = restrict_datum(d)
         r = rd.rank
-        assert r in (1, 2, 3) and not rd.nk0_basis
+        assert r in (1, 2, 3) and len(rd.sigma_k) == r
         f = standard_fan(rd)
         sp = strata(f, rd)
         assert len(sp) == 2**r  # boolean lattice of subsets of Sigma_k
         seen = set()
-        for node in sp:
-            assert node.codim == r - len(node.sigma_indices)
-            assert node.rank == len(node.sigma_indices)
-            assert len(node.lattice_basis) == node.rank
+        for cone, node in zip(f.cones, sp, strict=True):
+            assert len(cone) == r - len(node.sigma_indices)
+            assert len(node.lattice_basis) == r - len(cone)
             seen.add(node.sigma_indices)
         assert len(seen) == 2**r
         assert len(cover_edges(f)) == r * 2 ** (r - 1)
-        for node in sp:  # localization agrees node by node
+        for cone, node in zip(f.cones, sp, strict=True):  # localization agrees node by node
             loc = localize(rd, node.sigma_indices)
-            assert len(loc.xi_basis_in_parent) == node.rank
+            assert len(loc.xi_basis_in_parent) == r - len(cone)
             assert Lattice.from_rows(r, loc.xi_basis_in_parent) == Lattice.from_rows(
                 r, node.lattice_basis
             )
@@ -211,7 +210,7 @@ def test_criterion_7_wonderful_equivalence():
     data += random_convex_data(826, 100)
     for d in data:
         rd = restrict_datum(d)
-        assert not rd.nk0_basis
+        assert len(rd.sigma_k) == rd.rank
         smooth = all(is_smooth(standard_fan(rd)))
         assert smooth == predicates(d, rd)["k_wonderful"]
         if rd.sigma_k:

@@ -468,6 +468,7 @@ def amend(doc, key, **fields):
         (dict(SPLIT_A3, compact_simple=[{"a": 1}]), "unknown simple root {'a': 1}"),
         (amend(SPLIT_A3, "spherical", sp=[["a1"]]), "unknown simple root ['a1']"),
         (amend(SPLIT_A3, "spherical", sp=[{"a": 1}]), "unknown simple root {'a': 1}"),
+        (amend(ONE_ROOT, "abstract", star=[[[1, 0]]]), "star generator has wrong shape"),
     ],
 )
 def test_a_datum_that_cannot_be_built_exits_2_with_one_error_line(capsys, tmp_path, doc, message):
@@ -489,11 +490,16 @@ def test_a_datum_that_cannot_be_built_exits_2_with_one_error_line(capsys, tmp_pa
         ([{"family": "E", "rank": 9}], [], "E9 is not a finite type"),
         ([{"family": "X", "rank": 3}], [], "X3 is not a finite type"),
         ([{"family": "A", "rank": 2}, {"family": "e", "rank": "9"}], [], "E9 is not a finite type"),
+        # a family of another length, or no string, would run into the rank as a false type
+        ([{"family": "A1", "rank": 1}], [], "bad family 'A1'"),
+        ([{"family": 1, "rank": 1}], [], "bad family 1"),
+        ([{"family": " A", "rank": 2}], [], "bad family ' A'"),
+        ([{"family": "ß", "rank": 2}], [], "bad family 'ß'"),  # one character, "SS" in upper case
     ],
 )
 def test_components_that_describe_no_index_exit_2_with_one_error_line(capsys, tmp_path, components, compact, message):
-    """A component of no finite type, or two components of one label, whose
-    root names would then name two roots: ``restrict-index`` and every
+    """A family that is not one letter, a component of no finite type, or two
+    components of one label, whose root names would then name two roots: ``restrict-index`` and every
     datum command exit 2 in both formats, with one line on stderr."""
     doc = {
         "schema_version": "1",
@@ -1535,7 +1541,7 @@ def datum_doc(d):
         ]
     }
     doc["compact_simple"] = [names[i] for i in ix.compact]
-    doc["star_generators"] = [_rows(g) for g in ix.star.generators]
+    doc["star_generators"] = [_rows(g) for g in ix.star]
     doc["spherical"] = {
         "sigma": _rows(d.sigma_input),
         "xi_basis": _rows(d.xi_K.rows_q()),

@@ -274,7 +274,7 @@ def test_the_ambient_datum_is_built_in_integers(monkeypatch):
     basis = d.xi_K.rows_q()
     assert d.pairing == ((8, -4), (-4, 4))
     assert linalg.divide(d.pairing, 4) == linalg.gram(basis, d.index.ambient.form())
-    for g, images in zip(d.index.star.generators, d.star_xi):
+    for g, images in zip(d.index.star, d.star_xi):
         assert [d.xi_K.coordinates(linalg.vec_mat(r, g)) for r in basis] == list(images)
 
 

@@ -225,7 +225,7 @@ def test_wonderful_iff_standard_fan_smooth():
     # with the lattice rescaled so sigma_pr does not span
     d2 = SphericalDatumK.abstract(2, [[2, 0], [0, 2]], [], [[1, 1]])
     rd2 = restrict_datum(d2)
-    assert len(rd2.nk0_basis) == 1  # not convex, standard fan refused
+    assert len(integer_kernel(rd2.sigma_k, width=rd2.rank)) == 1  # not convex, standard fan refused
     with raises_exit_1("^valuation cone is not strictly convex$"):
         standard_fan(rd2)
 
@@ -236,16 +236,16 @@ def test_strata_standard_fan():
     sp = strata(f, rd)
     assert len(sp) == 4
     by_codim = {}
-    for node in sp:
-        by_codim.setdefault(node.codim, []).append(node)
+    for c, node in zip(f.cones, sp, strict=True):
+        by_codim.setdefault(len(c), []).append(node)
     assert len(by_codim[0]) == 1 and len(by_codim[1]) == 2 and len(by_codim[2]) == 1
     open_node = by_codim[0][0]
     assert open_node.sigma_indices == (0, 1)
-    assert open_node.rank == 2
+    assert len(open_node.lattice_basis) == 2
     assert not open_node.horospherical
     closed = by_codim[2][0]
     assert closed.sigma_indices == ()
-    assert closed.rank == 0
+    assert closed.lattice_basis == ()
     assert closed.horospherical
     # J-labels of the two facets are the complementary singletons
     labels = sorted(n.sigma_indices for n in by_codim[1])
@@ -261,7 +261,7 @@ def test_strata_localization_consistency():
     sp = strata(f, rd)
     for node in sp:
         loc = localize(rd, node.sigma_indices)
-        assert len(loc.xi_basis_in_parent) == node.rank
+        assert len(loc.xi_basis_in_parent) == len(node.lattice_basis)
         assert Lattice.from_rows(rd.rank, loc.xi_basis_in_parent) == Lattice.from_rows(
             rd.rank, node.lattice_basis
         )
@@ -276,7 +276,7 @@ def test_strata_poset_edges():
     edges = cover_edges(f)
     assert len(edges) == 4
     for i, j in edges:
-        assert sp[i].codim + 1 == sp[j].codim
+        assert len(sp[i].lattice_basis) == len(sp[j].lattice_basis) + 1
 
 
 def test_dominates():
@@ -293,7 +293,7 @@ def test_dominates():
 def test_cone_membership():
     _, rd = e6_rd()
     assert cone_membership([0, 0], rd)
-    assert not rd.nk0_basis  # strictly convex: the rays of Z_k are minus the coweights
+    assert len(rd.sigma_k) == rd.rank  # strictly convex: the rays of Z_k are minus the coweights
     for w in rd.coweights:
         assert cone_membership(tuple(-x for x in w), rd)
     for s in rd.sigma_k:

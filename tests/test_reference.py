@@ -22,11 +22,11 @@ from datagen import (
     random_data,
 )
 from test_fuzz import _commands
-from spherindex import cli
+from spherindex import cli, restrict
 from spherindex.cli import parse_datum
 from spherindex.datum import is_valid, validate
 from spherindex.degeneration import build_degeneration
-from spherindex.fans import standard_fan, strata
+from spherindex.fans import standard_fan, strata, weyl_saturate
 from spherindex.linalg import Lattice, hermite_normal_form, identity, integer_kernel, transpose
 from spherindex.restrict import (
     _annihilator,
@@ -126,6 +126,36 @@ def test_nk_spans_the_restriction_onto_every_little_coordinate(jobs):
     assert checked > 250
 
 
+def test_restricted_roots_and_strata_have_the_ranks_their_readers_assume(jobs, monkeypatch):
+    """The valuation cone is strictly convex exactly when ``sigma_k`` has ``rank``
+    roots, and a stratum's rank is ``rank`` minus its cone's size: ``sigma_k``
+    classifies, so it is independent, and so are the generators of the standard
+    fan and of its Weyl saturation.  ``restrict_datum`` computes N_k alone."""
+    kernels = []
+
+    def counting(rows, width):
+        kernels.append(width)
+        return integer_kernel(rows, width=width)
+
+    checked = 0
+    for d in reference_data(jobs) + random_data(20261020, 40):
+        if not is_valid(validate(d)):
+            continue
+        with monkeypatch.context() as m:
+            m.setattr(restrict, "integer_kernel", counting)
+            kernels.clear()
+            rd = restrict_datum(d)
+        assert kernels == [len(d.pairing)]
+        assert len(integer_kernel(rd.sigma_k, width=rd.rank)) == rd.rank - len(rd.sigma_k)
+        if len(rd.sigma_k) == rd.rank:
+            f = standard_fan(rd)
+            for fan in (f, weyl_saturate(f, rd)):
+                sp = strata(fan, rd)
+                assert [len(s.lattice_basis) for s in sp] == [rd.rank - len(c) for c in fan.cones]
+        checked += 1
+    assert checked > 300
+
+
 def test_every_reference_datum_inherits_its_facets(jobs):
     """Facet inheritance holds by construction of the restricted datum: the
     rank-per-face oracle passes on every valid reference datum."""
@@ -176,7 +206,7 @@ def test_restriction_of_integral_data_creates_no_fraction(jobs, monkeypatch):
         phi_k_res(d, rd, generate_roots(rd.roots))
         coweight_identity_check(d, rd)
         chamber_containment_check(d, rd)
-        if not rd.nk0_basis:
+        if len(rd.sigma_k) == rd.rank:
             strata(standard_fan(rd), rd)
             for t in range(len(rd.sigma_k)):
                 localize(rd, [t])

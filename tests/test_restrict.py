@@ -34,6 +34,7 @@ from spherindex.linalg import (
     dot,
     gram,
     identity,
+    integer_kernel,
     primitive_vector,
     scaled_dual_basis,
     transpose,
@@ -50,7 +51,14 @@ from spherindex.restrict import (
     predicates,
     restrict_datum,
 )
-from spherindex.rootsys import AmbientRootDatum, RootBase, generate_roots, indivisible_roots, weyl_order
+from spherindex.rootsys import (
+    AmbientRootDatum,
+    RootBase,
+    generate_roots,
+    indivisible_roots,
+    type_name_of,
+    weyl_order,
+)
 
 H = Fraction(1, 2)
 
@@ -195,7 +203,7 @@ def test_index_and_datum_restrict_roots_alike(case):
     assert sorted(m for _, m in from_datum.multiplicities) == sorted(m for _, m in from_index.multiplicities)
     assert from_datum.reduced == from_index.reduced
     assert len(from_datum.indivisible) == len(from_index.indivisible)
-    assert cli._wk_type(rd.roots.types) == ix.simple_roots.type_name
+    assert cli._wk_type(rd.roots.types) == type_name_of(ix.simple_roots.types)
 
 
 def test_e6_restriction_b2():
@@ -286,14 +294,14 @@ def test_fiber_mismatch_detected():
 def test_valuation_cone_rank_one():
     rd = restrict_datum(sp42_datum())
     assert rd.sigma_k == ((1,),)
-    assert rd.nk0_basis == ()  # strictly convex: the rays are minus the coweights
+    assert integer_kernel(rd.sigma_k, width=rd.rank) == ()  # strictly convex: the rays are minus the coweights
     assert len(rd.coweights) == 1
     assert dot(rd.sigma_k[0], rd.coweights[0]) > 0
 
 
 def test_valuation_cone_b2():
     rd = restrict_datum(e6_datum())
-    assert rd.nk0_basis == ()
+    assert integer_kernel(rd.sigma_k, width=rd.rank) == ()
     assert len(rd.coweights) == 2
     for i, s in enumerate(rd.sigma_k):
         for j, w in enumerate(rd.coweights):
@@ -305,7 +313,7 @@ def test_valuation_cone_horospherical():
     d = SphericalDatumK.abstract(1, [[2]], [], [])
     rd = restrict_datum(d)
     assert rd.sigma_k == ()
-    assert len(rd.nk0_basis) == 1  # not strictly convex: Z_k has no rays
+    assert len(integer_kernel(rd.sigma_k, width=rd.rank)) == 1  # not strictly convex: Z_k has no rays
     assert rd.coweights == ()
 
 
@@ -324,7 +332,7 @@ def test_coweights_match_the_fraction_dual_basis():
     for d in [sp42_datum(), e6_datum(), su_nn_datum(2), u11_datum()] + random_data(20261018, 24):
         rd = restrict_datum(d)
         assert divide(rd.coweights, rd.coweight_den) == dual_basis(rd.sigma_k, transported_form(rd))
-        if not rd.nk0_basis:
+        if len(rd.sigma_k) == rd.rank:
             for t in range(len(rd.sigma_k)):
                 loc = localize(rd, [t])
                 form = gram(loc.xi_basis_in_parent, rd.form_k)
@@ -447,7 +455,7 @@ def test_localize_classifies_j_and_derives_nothing_else(monkeypatch):
     monkeypatch.setattr(RootBase, "from_vectors", staticmethod(counting("from_vectors", RootBase.from_vectors)))
     localized = 0
     for rd in data:
-        if rd.nk0_basis:
+        if len(rd.sigma_k) != rd.rank:
             continue
         for size in range(len(rd.sigma_k) + 1):
             for j in combinations(range(len(rd.sigma_k)), size):
@@ -528,7 +536,7 @@ def test_reflection_stability_of_lattice():
 def test_dimension_bookkeeping():
     for d in [sp42_datum(), e6_datum(), su_nn_datum(2), u11_datum()]:
         rd = restrict_datum(d)
-        assert rd.rank == len(rd.sigma_k) + len(rd.nk0_basis)
+        assert rd.rank == len(rd.sigma_k) + len(integer_kernel(rd.sigma_k, width=rd.rank))
 
 
 def test_chamber_containment_fixtures():
