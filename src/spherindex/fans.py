@@ -64,9 +64,9 @@ class Fan(Record):
 
     @staticmethod
     def from_maximal(gen_lists) -> "Fan":
-        """The given cones and their faces; an overfull cone, with more generators
-        than coordinates, is kept as given, for validation to report once."""
-        given = [[tuple(int(x) for x in g) for g in rows] for rows in gen_lists]
+        """The given cones of integer rows, taken as they are, and their faces; an overfull
+        cone, with more generators than coordinates, is kept as given, for validation to report once."""
+        given = [list(map(tuple, rows)) for rows in gen_lists]
         rays = sorted({g for rows in given for g in rows})
         index = {g: i for i, g in enumerate(rays)}
         cones = {()}
@@ -99,17 +99,40 @@ class Fan(Record):
     def normals(self) -> dict[Cone, tuple[Mat, int]]:
         """(rows, d) for each full-dimensional maximal cone of independent
         generators: d = |det| is its lattice index, and rows[i] is d times the
-        dual vector of generator i, the normal of the facet opposite it."""
-        out = {}
-        for c in self.maximal_cones:
-            gens = [self.rays[i] for i in c]
-            if gens and all(len(g) == len(c) for g in gens):
-                try:
-                    a, d = scaled_inverse(gens)
-                except ValueError:
-                    continue
-                out[c] = (transpose(a), d)
-        return out
+        dual vector of generator i, the normal of the facet opposite it.  One
+        cone per component of the wall graph is inverted, and each wall crossed
+        from C to a C' that swaps generator i of C for g is one update: with
+        t_j = rows[j].g, d' = |t_i|, rows'[i] = sgn(t_i) rows[i] and rows'[j] =
+        sgn(t_i) (t_i rows[j] - t_j rows[i]) / d, exact since rows'[j] is a row of
+        the adjugate of C' up to sign (Sylvester's identity, Bareiss 1968); t_i = 0
+        makes C' singular.  (d' C'^-1, d') is unique: the walk's order never shows."""
+        out = {}  # None: the cone is singular
+        for root in self.maximal_cones:
+            if not root or root in out or any(len(self.rays[i]) != len(root) for i in root):
+                continue
+            try:
+                a, d = scaled_inverse([self.rays[i] for i in root])
+            except ValueError:
+                continue
+            out[root] = (transpose(a), d)
+            queue = [root]
+            for c in queue:  # the queue grows while it is read
+                rows, d = out[c]
+                for i, ri in enumerate(rows):
+                    w = c[:i] + c[i + 1 :]
+                    for c2 in self.walls[w]:  # q: the generator of c2 off the wall
+                        if c2 in out or len(g := self.rays[q := sum(c2) - sum(w)]) != len(c):
+                            continue
+                        t = [dot(r, g) for r in rows]
+                        if not (ti := t[i]):
+                            out[c2] = None
+                            continue
+                        s = 1 if ti > 0 else -1
+                        new = {k: tuple([s * (ti * x - tj * y) // d for x, y in zip(r, ri)]) for k, r, tj in zip(c, rows, t)}
+                        new[q] = tuple([s * y for y in ri])  # new[c[i]] is 0, and C' lacks c[i]
+                        out[c2] = (tuple(map(new.__getitem__, c2)), abs(ti))
+                        queue.append(c2)
+        return {c: out[c] for c in self.maximal_cones if out.get(c)}
 
     @cached_property
     def unimodular_home(self) -> dict[Cone, Cone]:

@@ -461,6 +461,21 @@ def per_cone_validate(f, rd) -> list:
     return issues
 
 
+def normals_by_inversion(f) -> dict:
+    """``Fan.normals`` as one elimination per full-dimensional maximal cone,
+    with no walk: the scaled inverse of each that is square and invertible."""
+    out = {}
+    for c in f.maximal_cones:
+        gens = [f.rays[i] for i in c]
+        if gens and all(len(g) == len(c) for g in gens):
+            try:
+                a, d = scaled_inverse(gens)
+            except ValueError:
+                continue
+            out[c] = (transpose(a), d)
+    return out
+
+
 def divisor_scan_indivisible(support) -> set:
     """The r in ``support`` with no r / n (n >= 2) in it, by a Fraction scan
     over every n up to the largest numerator."""

@@ -950,6 +950,21 @@ def test_fan_of_a_zero_and_a_non_primitive_generator_exits_1_naming_both(capsys,
     ]
 
 
+def test_a_dependent_cone_on_a_wall_of_a_chamber_exits_1_as_not_simplicial(capsys, tmp_path):
+    """The wall (0, -1) joins a chamber to a cone of two opposite rays: the
+    facet normals, carried across the wall, find that cone singular, and it
+    is reported once, and not smooth."""
+    fan_path = write(tmp_path, "fan.json", {"cones": [[[-1, 0], [0, -1]], [[0, -1], [0, 1]]]})
+    code, out, err = run(capsys, "--format", "json", "fan", fixture("e6.json"), "--fan", fan_path, "--check", "smooth")
+    assert (code, err) == (1, "")
+    report = json.loads(out)
+    assert [(i["kind"], i["detail"]) for i in report["issues"]] == [
+        ("not_simplicial", "cone ((0, -1), (0, 1))"),
+        *[("outside_support", "generator (0, 1) violates (Fraction(0, 1), Fraction(1, 1))")] * 2,
+    ]
+    assert [c["cone"] for c in report["smooth_by_cone"] if not c["smooth"]] == [[[0, -1], [0, 1]]]
+
+
 @pytest.mark.parametrize(
     "rays",
     [

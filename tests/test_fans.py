@@ -5,6 +5,8 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from datagen import (
     cover_edges,
@@ -12,6 +14,7 @@ from datagen import (
     fan_of_rows,
     flip_matrix,
     no_cone,
+    normals_by_inversion,
     per_cone_validate,
     random_convex_data,
     raises_exit_1,
@@ -628,12 +631,8 @@ def test_strata_sign_certificates_match_lp(corpus_rds):
     assert flags == {True, False}
 
 
-def test_fan_validate_runs_one_elimination_per_full_dimensional_maximal_cone(monkeypatch):
-    """A square maximal cone that ``Fan.normals`` inverts is independent, so
-    ``fan_validate`` runs no rank on it: 24 eliminations on the 24 chambers of
-    split A3, with the 132 issues, not 48."""
-    rd = split_rd("A", 3)
-    f = chamber_fan(rd)
+def counted_eliminations(monkeypatch) -> list:
+    """The matrices that ``linalg._eliminate`` is given from now on."""
     calls, eliminate = [], linalg._eliminate
 
     def counting(m, k):
@@ -641,8 +640,25 @@ def test_fan_validate_runs_one_elimination_per_full_dimensional_maximal_cone(mon
         return eliminate(m, k)
 
     monkeypatch.setattr(linalg, "_eliminate", counting)
-    assert len(fan_validate(f, rd)) == 132
-    assert len(calls) == len(f.maximal_cones) == 24
+    return calls
+
+
+@pytest.mark.parametrize(
+    "make, chambers, issues",
+    [(lambda: split_rd("A", 3), 24, 132), (lambda: e6_rd()[1], 8, 18)],
+    ids=["split-A3", "e6-B2"],
+)
+def test_fan_validate_runs_one_elimination_per_component_of_the_wall_graph(monkeypatch, make, chambers, issues):
+    """A square maximal cone that ``Fan.normals`` inverts is independent, so
+    ``fan_validate`` runs no rank on it, and ``Fan.normals`` inverts one chamber
+    and crosses the walls to the others: one elimination on the 24 chambers of
+    split A3, with the 132 issues, and one on the 8 chambers of the B2 fan of
+    fixtures/e6.json, with its 18."""
+    rd = make()
+    f = chamber_fan(rd)
+    calls = counted_eliminations(monkeypatch)
+    assert len(fan_validate(f, rd)) == issues
+    assert len(f.maximal_cones) == chambers and len(calls) == 1
 
 
 def test_outside_support_detail_text_of_a3_chamber_fan():
@@ -803,3 +819,63 @@ def test_saturated_standard_fans_of_split_a_are_the_braid_fans():
         assert all(is_smooth(f))
         assert fan_validate(f, no_cone(f)) == []
         assert is_complete_for(f, no_cone(f))
+
+
+def same_normals(f) -> bool:
+    """``Fan.normals`` has the entries of one inversion per cone, in their order."""
+    return list(f.normals.items()) == list(normals_by_inversion(f).items())
+
+
+@pytest.mark.parametrize("family, n", [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("C", 3), ("G", 2)])
+def test_normals_of_standard_and_chamber_fans_match_one_inversion_per_cone(family, n):
+    """The walk over the walls gives each chamber the scaled inverse of its
+    generators, and so it does on the standard fan, a single cone."""
+    rd = split_rd(family, n)
+    for f in (standard_fan(rd), chamber_fan(rd)):
+        assert same_normals(f)
+
+
+@st.composite
+def drawn_cones(draw):
+    """Maximal cones drawn as n-subsets of a few distinct rays of rank 2 or 3
+    with entries in [-3, 3]: cones of |det| > 1, overlapping neighbours, walls
+    of three cones or more, singular cones and wall graphs of several components."""
+    n = draw(st.sampled_from([2, 3]))
+    rays = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=n, max_size=n + 4, unique=True))
+    subsets = list(combinations(rays, n))
+    return Fan.from_maximal(draw(st.lists(st.sampled_from(subsets), min_size=1, max_size=12, unique=True)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn_cones())
+def test_normals_of_drawn_fans_match_one_inversion_per_cone(f):
+    assert same_normals(f)
+
+
+# each case: the maximal cones, and the eliminations that ``Fan.normals`` runs,
+# one per cone that no walk from an invertible cone before it reaches
+WALKS = {
+    # consecutive rays around the origin: a complete fan of indices 3, 7, 5, 8 and 2
+    "complete-rank-2": ([[[1, 0], [1, 3]], [[1, 3], [-2, 1]], [[-2, 1], [-1, -2]], [[-1, -2], [3, -2]], [[3, -2], [1, 0]]], 1),
+    # (1, 1) lies in the first cone: across the wall (1, 0), t_i > 0
+    "overlap": ([[[1, 0], [0, 1]], [[1, 0], [1, 1]], [[1, 1], [1, 2]]], 1),
+    # the middle cone is singular (t_i = 0): the walk stops there, and the last
+    # cone, whose only shared wall is with it, is inverted on its own
+    "singular": ([[[-1, 0], [-1, 1]], [[-1, 1], [1, -1]], [[1, -1], [1, 0]]], 2),
+    "two-components": ([[[1, 0], [1, 1]], [[1, 1], [0, 1]], [[-1, 0], [-1, -2]], [[-1, -2], [0, -1]]], 2),
+    # three maximal cones on the wall cone((1, 0, 0), (0, 1, 0)), one of index 3
+    "three-on-a-wall": (
+        [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, -1]], [[1, 0, 0], [0, 1, 0], [1, 2, 3]]],
+        1,
+    ),
+}
+
+
+@pytest.mark.parametrize("cones, eliminations", WALKS.values(), ids=WALKS)
+def test_normals_walk_inverts_one_cone_per_component(monkeypatch, cones, eliminations):
+    f = Fan.from_maximal(cones)
+    calls = counted_eliminations(monkeypatch)
+    normals = f.normals
+    assert len(calls) == eliminations
+    monkeypatch.undo()
+    assert list(normals.items()) == list(normals_by_inversion(f).items())

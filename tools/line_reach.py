@@ -6,7 +6,10 @@ pytest runs in this process under a ``sys.settrace`` line tracer.  Each
 line of a module of src/spherindex that holds code, ``def`` and ``class``
 headers aside, and that no test ran is printed as ``path:line``; the count
 comes last.  Lines reached only in a subprocess (a test that starts the CLI
-with ``subprocess``) are not counted as reached, so they are listed.
+with ``subprocess``) are not counted as reached, so they are listed.  Each
+module is read and compiled before the tests run; if its text differs after
+them, the tool names it and exits with no list, since the traced line numbers
+belong to the old text.
 """
 
 import argparse
@@ -29,10 +32,26 @@ def code_lines(code) -> set:
     return lines
 
 
+def sources(src) -> dict:
+    """The text of each module in ``src``, by path, in sorted order."""
+    out = {}
+    for path in sorted(os.path.join(src, f) for f in os.listdir(src) if f.endswith(".py")):
+        with open(path) as fh:
+            out[path] = fh.read()
+    return out
+
+
 def unreached(src, run) -> list:
     """(path, line) of each line of the modules in ``src`` that holds code, but is
-    no def or class header, and that does not run while ``run()`` does."""
+    no def or class header, and that does not run while ``run()`` does.  A module
+    added, removed or rewritten while ``run()`` runs raises ``SystemExit``."""
     src = os.path.realpath(src)
+    texts = sources(src)
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    lines = {}
+    for path, text in texts.items():
+        headers = {n.lineno for n in ast.walk(ast.parse(text)) if isinstance(n, kinds)}
+        lines[path] = code_lines(compile(text, path, "exec")) - headers
     where, reached = {}, set()  # where: co_filename -> its real path if it lies in src, else None
 
     def local(frame, event, arg):
@@ -52,15 +71,10 @@ def unreached(src, run) -> list:
         run()
     finally:
         sys.settrace(None)
-    out = []
-    for path in sorted(os.path.join(src, f) for f in os.listdir(src) if f.endswith(".py")):
-        with open(path) as fh:
-            text = fh.read()
-        kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        headers = {n.lineno for n in ast.walk(ast.parse(text)) if isinstance(n, kinds)}
-        lines = code_lines(compile(text, path, "exec")) - headers
-        out += [(path, n) for n in sorted(lines) if (path, n) not in reached]
-    return out
+    after = sources(src)
+    if changed := sorted(p for p in texts.keys() | after.keys() if texts.get(p) != after.get(p)):
+        raise SystemExit(f"line_reach: {', '.join(changed)} changed while the tests ran; no lines listed")
+    return [(path, n) for path in texts for n in sorted(lines[path]) if (path, n) not in reached]
 
 
 def main(argv=None) -> int:
