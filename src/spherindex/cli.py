@@ -15,7 +15,7 @@ import os
 import sys
 from fractions import Fraction
 from functools import cache
-from itertools import chain, islice, repeat, starmap
+from itertools import chain, islice, repeat
 
 from .datum import SphericalDatumK, is_valid, validate
 from .degeneration import build_degeneration, degeneration_fiber_data
@@ -277,17 +277,17 @@ def _items(node, pad: str, memo: dict):
     """The texts of the items of a nonempty list at indent ``pad``.
 
     Dicts that all share one nonempty key set go one column at a time: the
-    keys are sorted and escaped once, into one ``str.format`` template, and
-    each key's values are written as one list.  Any other list is itself
-    one column.
+    keys are sorted and escaped once, into one ``%`` template, and each
+    key's values are written as one list; the template is applied to the
+    columns zipped.  Any other list is itself one column.
     """
     keys = node[0].keys() if type(node[0]) is dict else None
     if not keys or {*map(type, node)} != {dict} or any(map(keys.__ne__, map(dict.keys, node))):
         return _column(node, pad, memo)
     keys, inner = sorted(keys), pad + "  "
-    fields = (inner + _escape(k).replace("{", "{{").replace("}", "}}") + ": {}" for k in keys)
-    template = "{{\n" + ",\n".join(fields) + "\n" + pad + "}}"
-    return list(map(template.format, *(_column([x[k] for x in node], inner, memo) for k in keys)))
+    fields = (inner + _escape(k).replace("%", "%%") + ": %s" for k in keys)
+    template = "{\n" + ",\n".join(fields) + "\n" + pad + "}"
+    return list(map(template.__mod__, zip(*(_column([x[k] for x in node], inner, memo) for k in keys))))
 
 
 def _column(values, pad: str, memo: dict):
@@ -307,14 +307,14 @@ def _column(values, pad: str, memo: dict):
     inner = pad + "  "
     kinds = {*map(type, chain.from_iterable(values))} if types <= {tuple, list} else None
     if kinds == {int} and len(widths := {*map(len, values)}) == 1:
-        row = "[\n" + inner + (",\n" + inner).join(["{}"] * widths.pop()) + "\n" + pad + "]"
-        return starmap(row.format, values)
+        row = "[\n" + inner + (",\n" + inner).join(["%s"] * widths.pop()) + "\n" + pad + "]"
+        return map(row.__mod__, map(tuple, values))
     rows = [*chain.from_iterable(values)] if kinds and kinds <= {tuple, list} else ()
     distinct = dict(zip(map(id, rows), rows))  # each row object once: reports share their rows
     if len(widths := {*map(len, distinct.values())}) == 1 and {*map(type, chain.from_iterable(distinct.values()))} == {int}:
-        row = "[\n" + inner + "  " + (",\n  " + inner).join(["{}"] * widths.pop()) + "\n" + inner + "]"
+        row = "[\n" + inner + "  " + (",\n  " + inner).join(["%s"] * widths.pop()) + "\n" + inner + "]"
         keys = [*zip(map(tuple, distinct.values()), repeat(inner))]
-        memo.update((key, row.format(*key[0])) for key in {*keys}.difference(memo))
+        memo.update((key, row % key[0]) for key in {*keys}.difference(memo))
         texts, sep = map(dict(zip(distinct, map(memo.__getitem__, keys))).__getitem__, map(id, rows)), ",\n" + inner
         return ["[\n" + inner + sep.join(islice(texts, n)) + "\n" + pad + "]" if n else "[]" for n in map(len, values)]
     return [_json(x, pad, memo) for x in values]

@@ -59,8 +59,11 @@ class TitsIndex(Record):
         """The n x r matrix R[i][j] = (a_i, v_j) of the restriction map.
 
         Row i is the image of the simple root a_i; it has n rows even when
-        the index is anisotropic (r = 0).
+        the index is anisotropic (r = 0).  A split index (no compact root, no
+        star generator) has the identity as its split basis, so R is the form.
         """
+        if not self.compact and not self.star:
+            return self.ambient.form()
         return mat_mul_t(self.ambient.form(), split_subspace(self))
 
     @cached_property

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cache, cached_property
-from itertools import count, islice
+from itertools import count, islice, repeat
 from math import gcd, prod
 from operator import add, itemgetter, neg
 
@@ -204,17 +204,20 @@ class RootBase(Record):
         return tuple((f, r) for f, r, _ in self.components)
 
 
-def orbit(seeds, images):
+def orbit(seeds, images, seen=None):
     """The closure of ``seeds`` under ``images``, breadth first: each element
-    once, the seeds first.  Lazy, so a caller bounds it with ``islice``."""
+    once, the seeds first.  Lazy, so a caller bounds it with ``islice``.
+
+    A caller that keeps its own membership map passes it as ``seen``,
+    holding the seeds; ``images(x)`` then lists only the elements that it
+    has just entered there, and the orbit keeps no set of its own."""
     queue = list(dict.fromkeys(seeds))
-    seen = set(queue)
+    if seen is None:
+        seen, step = set(queue), images
+        images = lambda x: [y for y in step(x) if y not in seen and not seen.add(y)]
     for x in queue:  # the queue grows while it is read
         yield x
-        for y in images(x):
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
+        queue += images(x)
 
 
 def graph_components(c) -> list[list[int]]:
@@ -378,9 +381,9 @@ def _standard_positive_roots(family: str, n: int) -> tuple[tuple[int, int, int],
     adds = [[(k << w * j, k * r) for k in range(5)] for j, r in enumerate(rows)]
     pairing, steps, parents = {1 << w * j: bias + r for j, r in enumerate(rows)}, [], count()
 
-    def up(v):
+    def up(v):  # the new roots above v, entered in ``pairing``
         i = next(parents)  # orbit asks for images in the order it yields roots
-        row = pairing[v]
+        row, new = pairing[v], []
         negative = bias & ~row  # bit 2 of each digit below 4
         while negative:  # lowest bit first, so j ascends
             j = (negative & -negative).bit_length() // 3 - 1
@@ -389,10 +392,11 @@ def _standard_positive_roots(family: str, n: int) -> tuple[tuple[int, int, int],
             if (u := v + key) not in pairing:
                 pairing[u] = row + pairs
                 steps.append((i, j, k))
-                yield u
+                new.append(u)
             negative &= negative - 1
+        return new
 
-    if len(list(islice(orbit(list(pairing), up), bound + 1))) != bound:
+    if len(list(islice(orbit(list(pairing), up, pairing), bound + 1))) != bound:
         raise NotFiniteType("root count does not match classified type")
     return tuple(steps)
 
@@ -454,10 +458,13 @@ class RestrictedRoots(Record):
     def of(images) -> "RestrictedRoots":
         """The nonzero restrictions of a root system from the integral images
         of its positive roots alone: the negative roots restrict to their
-        negations, so x occurs c(x) + c(-x) times, c counting ``images``."""
-        counts = Counter(filter(any, images))
-        counts.update({tuple(map(neg, x)): m for x, m in counts.items()})
-        return RestrictedRoots(tuple(sorted(counts.items())), frozenset(indivisible_roots(counts)))
+        negations, so x occurs c(x) + c(-x) times, c counting ``images``.
+        One count over the nonzero images and their negations; the distinct
+        roots sort alone, as the order of the pairs is theirs."""
+        nonzero = [*filter(any, images)]
+        counts = Counter([*nonzero, *map(tuple, map(map, repeat(neg), nonzero))])
+        roots = sorted(counts)
+        return RestrictedRoots(tuple(zip(roots, map(counts.__getitem__, roots))), frozenset(indivisible_roots(counts)))
 
     @property
     def reduced(self) -> bool:

@@ -15,7 +15,7 @@ from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, count, islice
 from types import SimpleNamespace
 
 import pytest
@@ -26,6 +26,7 @@ from spherindex.errors import (
     InternalInconsistency,
     LinearlyDependent,
     NotARootBase,
+    NotFiniteType,
     ParseError,
     SpherindexError,
     TheoremViolation,
@@ -56,6 +57,7 @@ from spherindex.rootsys import (
     classify,
     generate_roots,
     image_fibers,
+    indivisible_roots,
     root_images,
     type_name_of,
 )
@@ -312,6 +314,15 @@ def counted_restriction(images) -> RestrictedRoots:
     root, negative ones included, with no use of ``RestrictedRoots.of``."""
     counts = Counter(tuple(img) for img in images if any(img))
     return RestrictedRoots(tuple(sorted(counts.items())), frozenset(divisor_scan_indivisible(counts)))
+
+
+def restricted_roots_by_negation_update(images) -> RestrictedRoots:
+    """``RestrictedRoots.of`` as it counted before it made one count: a
+    Counter of the nonzero images, updated by a dict of their negations, and
+    the (root, multiplicity) pairs sorted."""
+    counts = Counter(filter(any, images))
+    counts.update({tuple(-x for x in r): m for r, m in counts.items()})
+    return RestrictedRoots(tuple(sorted(counts.items())), frozenset(indivisible_roots(counts)))
 
 
 def phi_k_res_by_lattice(d: SphericalDatumK, rd) -> RestrictedRoots:
@@ -626,6 +637,50 @@ def weyl_order_of(family: str, n: int) -> int:
     if family == "F":
         return 1152
     return 12  # G2
+
+
+def orbit_with_its_own_set(seeds, images):
+    """``rootsys.orbit`` as it was before it took the caller's membership
+    map: a set of its own beside it, filled from every image it is given."""
+    queue = list(dict.fromkeys(seeds))
+    seen = set(queue)
+    for x in queue:
+        yield x
+        for y in images(x):
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+
+
+def closure_steps_with_its_own_set(c, bound: int) -> tuple:
+    """The steps (parent, j, k) of ``rootsys._standard_positive_roots`` for
+    the Cartan matrix c and ``bound`` positive roots, as the closure made them
+    with ``orbit_with_its_own_set`` and a generator of images: the oracle of
+    the closure that keeps one membership map.  Raises the closure's
+    ``NotFiniteType`` when the cut closure does not hold ``bound`` roots."""
+    n = len(c)
+    w, bias = (4 * bound + 1).bit_length(), int("4" * n, 8)
+    rows = [sum(x << 3 * m for m, x in enumerate(r)) for r in c]
+    adds = [[(k << w * j, k * r) for k in range(5)] for j, r in enumerate(rows)]
+    pairing, steps, parents = {1 << w * j: bias + r for j, r in enumerate(rows)}, [], count()
+
+    def up(v):
+        i = next(parents)
+        row = pairing[v]
+        negative = bias & ~row
+        while negative:
+            j = (negative & -negative).bit_length() // 3 - 1
+            k = 4 - (row >> 3 * j & 7)
+            key, pairs = adds[j][k]
+            if (u := v + key) not in pairing:
+                pairing[u] = row + pairs
+                steps.append((i, j, k))
+                yield u
+            negative &= negative - 1
+
+    if len(list(islice(orbit_with_its_own_set(list(pairing), up), bound + 1))) != bound:
+        raise NotFiniteType("root count does not match classified type")
+    return tuple(steps)
 
 
 def restricted_simple_roots_by_split_gram(ix: TitsIndex) -> RestrictedSimpleRoots:

@@ -143,7 +143,7 @@ def first_difference(got: str, want: str):
     return next(((k, a, b) for k, (a, b) in enumerate(pairs) if a != b), None)
 
 
-KEYS = st.text(st.sampled_from('ab{}"\\/\x00\x1f\n\t\x7f×é€\U0001f600'), max_size=4)
+KEYS = st.text(st.sampled_from('ab{}%"\\/\x00\x1f\n\t\x7f×é€\U0001f600'), max_size=4)
 LEAVES = (
     KEYS
     | st.integers()
@@ -250,6 +250,7 @@ LONG_MATRICES = {
 @example(report={})
 @example(report={"a": [{}], "b": [[{}]], "c": [{}, {}, {"": 0}], "d": [{"x": 1}, {"x": {}}, {}], "e": [{"k": 1}, {"j": 2}]})
 @example(report={"{}": [{"{a}": [{"}{": 1, '"\\é': ()}], "{0}": 2}, {"{a}": [], "{0}": {"{": [{}]}}]})
+@example(report={"%s": [{"%": [{"%s": 1, "a%%": (2, 3)}], "%(a)s": 2}, {"%": [], "%(a)s": {"%": [{}]}}]})
 @example(report={"a": [{"k": 1, "j": 2}, {"j": 3, "k": 4}, {"k": 5}, {"i": 6}, {"k": 6, "j": 7, "i": 8}, 9, (10,)]})
 @example(
     report={
@@ -643,6 +644,18 @@ def test_analyze_prints_the_weyl_order_of_every_split_type_up_to_rank_8(capsys, 
     for (family, rank), (name, doc) in zip(tool.SPLIT_TYPES, tool.split_documents()):
         code, out, _ = run(capsys, "--format", "json", "analyze", write(tmp_path, f"{name}.json", doc))
         assert code == 0 and json.loads(out)["wk_order"] == weyl_order_of(family, rank), name
+
+
+def test_the_comparison_tool_tabulates_its_runs_by_kind_and_exit_code():
+    """``tools/compare_outputs.py`` prints, for each tree, every kind of run in
+    order of first appearance with its count and its exit codes, then the total."""
+    tool = load_tool("compare_outputs")
+    assert tool.inventory(["sweep", "random index", "sweep", "sweep"], [0, 1, 2, 0]) == [
+        "  kind of run    count  exit codes",
+        "  sweep              3  0: 2  2: 1",
+        "  random index       1  1: 1",
+        "  total              4  0: 2  1: 1  2: 1",
+    ]
 
 
 def _negated(rows):

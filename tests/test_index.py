@@ -491,6 +491,21 @@ def oracle_indices():
     )
 
 
+def test_the_restriction_is_the_form_times_the_split_basis():
+    """R = B V^T on every split type up to rank 12 and on products of types,
+    where V is the identity and R is taken as B itself, and on the quasi-split,
+    compact and swapped indices of the oracle, where it is a product."""
+    split = [split_index(f, n) for f in "ABCDEFG" for n in range(1, 13) if VALID_RANKS[f](n)]
+    products = [
+        TitsIndex.of(AmbientRootDatum.of(spec), [], [])
+        for spec in ([("A", 3), ("B", 2)], [("G", 2), ("G", 2)], [("E", 6), ("D", 4), ("A", 1)], [("C", 3), ("F", 4)])
+    ]
+    others = [ix for ix in oracle_indices() if ix.compact or ix.star]
+    assert len(split) == 50 and len(others) == 34
+    for ix in split + products + others:
+        assert ix.restriction == mat_mul_t(ix.ambient.form(), split_subspace(ix))
+
+
 def test_restricted_root_system_matches_the_brute_force_product():
     indices = oracle_indices()
     assert len(indices) == 34 + 15 + 1 + 2 + 2 + 24

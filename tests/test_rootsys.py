@@ -15,6 +15,7 @@ from datagen import (
     ambient_roots,
     cartan_matrix,
     classified_type_name,
+    closure_steps_with_its_own_set,
     counted_restriction,
     dfs_match,
     divisor_scan_indivisible,
@@ -23,6 +24,7 @@ from datagen import (
     positive_roots_in_base_coords,
     random_root_base_input,
     rank_first_root_base,
+    restricted_roots_by_negation_update,
     root_count,
     weyl_order_of,
 )
@@ -191,6 +193,26 @@ def test_restricted_roots_of_the_positive_images_count_both_signs(pos):
     image, the negated ones included, with zeros, repeats, and x and -x both
     among the positive images."""
     assert RestrictedRoots.of(pos) == counted_restriction(pos + [tuple(-x for x in v) for v in pos])
+
+
+def images_with_zeros_repeats_and_negations(dim):
+    """Lists drawn from a few vectors, their negations and the zero vector,
+    so that most lists hold zero rows, repeats, and x beside -x."""
+    vectors = st.lists(st.tuples(*[st.integers(-3, 3)] * dim), min_size=1, max_size=5)
+    return vectors.flatmap(
+        lambda vs: st.lists(st.sampled_from([*vs, *(tuple(-x for x in v) for v in vs), (0,) * dim]), max_size=16)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(images=st.integers(1, 3).flatmap(images_with_zeros_repeats_and_negations))
+@example(images=[(1, 0), (0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (0, -1)])
+@example(images=[(2,), (-1,), (1,), (-2,), (2,), (0,)])
+def test_restricted_roots_count_as_the_negation_update_did(images):
+    """One count over the images and their negations, and the distinct roots
+    sorted alone, give the record that a count updated by a dict of the
+    negations, with its (root, multiplicity) pairs sorted, gave."""
+    assert RestrictedRoots.of(images) == restricted_roots_by_negation_update(images)
 
 
 def test_root_base_of_non_finite_type_is_rejected():
@@ -553,6 +575,27 @@ def test_each_recorded_step_reproduces_its_root(fam, n):
         assert parent < child
         assert k == -dot(roots[parent], cols[j]) > 0
         assert roots[child] == tuple(x + k * int(i == j) for i, x in enumerate(roots[parent]))
+
+
+@pytest.mark.parametrize("fam, n", TYPES_UP_TO_RANK_12)
+def test_the_closure_takes_the_steps_of_the_closure_with_its_own_set(fam, n):
+    """The closure that keeps one membership map, ``pairing``, takes every
+    step, in order, that the closure with a set beside it took: E6-E8, F4
+    and G2 among the types."""
+    steps = rootsys._standard_positive_roots.__wrapped__(fam, n)
+    assert steps == closure_steps_with_its_own_set(standard_cartan(fam, n), root_count(fam, n) // 2)
+
+
+def test_an_affine_cartan_matrix_fails_as_the_closure_with_its_own_set_did(monkeypatch):
+    """Affine A2~ has infinitely many positive roots; both closures stop one
+    root past A3's six and raise the same error."""
+    affine = ((2, -1, -1), (-1, 2, -1), (-1, -1, 2))
+    with pytest.raises(NotFiniteType) as before:
+        closure_steps_with_its_own_set(affine, 6)
+    monkeypatch.setattr(rootsys, "standard_cartan", lambda family, n: affine)
+    with pytest.raises(NotFiniteType) as after:
+        rootsys._standard_positive_roots.__wrapped__("A", 3)
+    assert str(after.value) == str(before.value) == "root count does not match classified type"
 
 
 def test_a_cold_e8_enumeration_makes_no_matrix_product(monkeypatch):

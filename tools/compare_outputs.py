@@ -12,17 +12,14 @@ child interpreter per tree, on the same input files.  A fixed list of
 command lines that argparse reads (help, usage errors, and the fixtures
 spelled with ``--format=json``, options before the path and an abbreviated
 flag) runs as well, and so does every ``localize`` job at the subsets J
-``--roots ""``, ``2``, ``1,2`` and ``1,2,3`` in both formats, 804 of whose
-1,768 runs per format exit 2 because J names a root that the datum lacks,
-and so does ``restrict-index`` on a fixed, seeded list of random index
-documents in both formats, about half of which exit 1 with "restricted
-simple roots do not form a root base", and on a fixed sweep of
+``--roots ""``, ``2``, ``1,2`` and ``1,2,3`` in both formats, and so does
+``restrict-index`` on a fixed, seeded list of random index documents in
+both formats, and on a fixed sweep of
 every finite type up to rank 12 and of A-D at ranks 16, 24, 32 and 40,
 split and, where the diagram involution moves a root, quasi-split by it,
 and so does ``analyze``
 on a fixed, seeded list of random abstract documents in both formats, with
-indefinite pairings and some that exit 1 with "pairing is degenerate on the
-annihilator of N_k", each a second time with its pairing multiplied by a
+indefinite pairings, each a second time with its pairing multiplied by a
 seeded positive rational and written as "p/q" strings; each of these
 documents as written goes through ``standard-fan``, ``localize --roots 1``
 and ``degenerate`` too, in both formats.  So do the split datum of every
@@ -34,9 +31,10 @@ formats.  The standard fan of each split type up to rank 4, and of each of
 these convex documents that has one, is computed once by the
 ``standard-fan`` of the repository holding this script, and both trees read
 it through ``fan --saturate --check complete --check smooth --strata`` in
-both formats: 204 of the 10,959 executions.  Every execution whose
-(exit code, stdout, stderr) differs between the trees is printed, and the
-script exits 1 if any does, else 0.
+both formats.  For each tree the script prints one table: each kind of run,
+its count and how many of its runs exit with each code, and the total.
+Every execution whose (exit code, stdout, stderr) differs between the
+trees is printed, and the script exits 1 if any does, else 0.
 """
 
 from __future__ import annotations
@@ -51,6 +49,7 @@ import subprocess
 import sys
 import tempfile
 import traceback
+from collections import Counter
 from fractions import Fraction
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -296,7 +295,7 @@ def scaled_pairing(doc: dict, q: Fraction) -> dict:
     return {**doc, "abstract": {**doc["abstract"], "pairing": pairing}}
 
 
-def saturation_runs(cli, name: str, datum_path: str) -> list[tuple[str, list[str]]]:
+def saturation_runs(cli, kind: str, name: str, datum_path: str) -> list[tuple[str, str, list[str]]]:
     """``fan`` on the datum's own standard fan, saturated, with every check that
     reads the saturated cones and the strata, in both formats; none when the
     datum has no standard fan.  ``cli`` is the one of the repository holding
@@ -309,8 +308,22 @@ def saturation_runs(cli, name: str, datum_path: str) -> list[tuple[str, list[str
     with open(fan_path, "w") as fh:
         json.dump({"cones": json.loads(out.getvalue())["cones"]}, fh)
     return [
-        (f"{name} fan {' '.join(SATURATE)} --format {fmt}", ["--format", fmt, "fan", datum_path, "--fan", fan_path, *SATURATE])
+        (kind, f"{name} fan {' '.join(SATURATE)} --format {fmt}", ["--format", fmt, "fan", datum_path, "--fan", fan_path, *SATURATE])
         for fmt in FORMATS
+    ]
+
+
+def inventory(kinds: list[str], codes: list[int]) -> list[str]:
+    """The lines of a table of runs: per kind, in order of first appearance,
+    the count and how many runs exit with each code, then the total."""
+    by_kind: dict[str, Counter] = {}
+    for kind, code in zip(kinds, codes):
+        by_kind.setdefault(kind, Counter())[code] += 1
+    rows = [*by_kind.items(), ("total", sum(by_kind.values(), Counter()))]
+    width = max(len(kind) for kind in ["kind of run", *by_kind])
+    return [f"  {'kind of run':<{width}}  {'count':>6}  exit codes"] + [
+        f"  {kind:<{width}}  {sum(codes.values()):>6,}  " + "  ".join(f"{c}: {n:,}" for c, n in sorted(codes.items()))
+        for kind, codes in rows
     ]
 
 
@@ -338,9 +351,14 @@ def main(argv: list[str]) -> int:
     jobs = gen.all_reference_jobs()
     with tempfile.TemporaryDirectory() as work:
         paths = gen.write_inputs(jobs, os.path.join(work, "inputs"))
-        runs = [(f"{job.name} --format {fmt}", ["--format", fmt] + _without_format(argv)) for job, argv in zip(jobs, paths) for fmt in FORMATS]
+        runs = [
+            ("reference job", f"{job.name} --format {fmt}", ["--format", fmt] + _without_format(argv))
+            for job, argv in zip(jobs, paths)
+            for fmt in FORMATS
+        ]
         runs += [  # a localize job's argv ends in its --roots value
-            (f"{job.name} --roots {roots!r} --format {fmt}", ["--format", fmt, *_without_format(argv)[:-1], roots])
+            ("localize reference job at 4 more J", f"{job.name} --roots {roots!r} --format {fmt}",
+             ["--format", fmt, *_without_format(argv)[:-1], roots])
             for job, argv in zip(jobs, paths)
             if _without_format(argv)[0] == "localize"
             for roots in LOCALIZE_ROOTS
@@ -349,30 +367,40 @@ def main(argv: list[str]) -> int:
         fan_path = os.path.join(work, "fan.json")
         with open(fan_path, "w") as fh:
             json.dump({"cones": [[[-1, 0], [0, -1]]]}, fh)
-        runs += [(" ".join(argv) or "(no arguments)", argv) for argv in other_spellings(fan_path)]
+        runs += [("argparse command line", " ".join(argv) or "(no arguments)", argv) for argv in other_spellings(fan_path)]
         rng = random.Random(INDEX_SEED)
         for k in range(INDEX_COUNT):
             index_path = os.path.join(work, f"index{k}.json")
             with open(index_path, "w") as fh:
                 json.dump(random_index_document(rng), fh)
-            runs += [(f"random index {k} --format {fmt}", ["--format", fmt, "restrict-index", index_path]) for fmt in FORMATS]
+            runs += [
+                ("random index restrict-index", f"random index {k} --format {fmt}", ["--format", fmt, "restrict-index", index_path])
+                for fmt in FORMATS
+            ]
         for k, (name, doc) in enumerate(sweep_documents() + sweep_documents(WIDE_TYPES)):
             sweep_path = os.path.join(work, f"sweep{k}.json")
             with open(sweep_path, "w") as fh:
                 json.dump(doc, fh)
-            runs += [(f"sweep {name} --format {fmt}", ["--format", fmt, "restrict-index", sweep_path]) for fmt in FORMATS]
+            runs += [
+                ("sweep restrict-index", f"sweep {name} --format {fmt}", ["--format", fmt, "restrict-index", sweep_path])
+                for fmt in FORMATS
+            ]
         rng, scales = random.Random(ABSTRACT_SEED), random.Random(SCALE_SEED)
         for k in range(ABSTRACT_COUNT):
             doc = random_abstract_document(rng)
             q = Fraction(scales.randint(1, 12), scales.randint(2, 12))
-            for j, (name, datum) in enumerate([(f"{k}", doc), (f"{k} with its pairing times {q}", scaled_pairing(doc, q))]):
+            for j, (kind, name, datum) in enumerate([
+                ("random abstract analyze", f"{k}", doc),
+                ("random abstract analyze, scaled pairing", f"{k} with its pairing times {q}", scaled_pairing(doc, q)),
+            ]):
                 datum_path = os.path.join(work, f"abstract{k}_{j}.json")
                 with open(datum_path, "w") as fh:
                     json.dump(datum, fh)
-                runs += [(f"random abstract datum {name} --format {fmt}", ["--format", fmt, "analyze", datum_path]) for fmt in FORMATS]
+                runs += [(kind, f"random abstract datum {name} --format {fmt}", ["--format", fmt, "analyze", datum_path]) for fmt in FORMATS]
             doc_path = os.path.join(work, f"abstract{k}_0.json")  # the document as written
             runs += [
-                (f"random abstract datum {k} {command} --format {fmt}", ["--format", fmt, cmd, doc_path, *options])
+                (f"random abstract {command}", f"random abstract datum {k} {command} --format {fmt}",
+                 ["--format", fmt, cmd, doc_path, *options])
                 for command in ABSTRACT_COMMANDS
                 for cmd, *options in [command.split()]
                 for fmt in FORMATS
@@ -381,24 +409,25 @@ def main(argv: list[str]) -> int:
             split_path = os.path.join(work, f"split{k}.json")
             with open(split_path, "w") as fh:
                 json.dump(doc, fh)
-            runs += [(f"split {name} analyze --format {fmt}", ["--format", fmt, "analyze", split_path]) for fmt in FORMATS]
+            runs += [("split analyze", f"split {name} analyze --format {fmt}", ["--format", fmt, "analyze", split_path]) for fmt in FORMATS]
             if SPLIT_TYPES[k][1] <= SATURATE_RANK:
-                runs += saturation_runs(cli, f"split {name}", split_path)
+                runs += saturation_runs(cli, "split saturated fan", f"split {name}", split_path)
         rng = random.Random(CONVEX_SEED)
         for k in range(CONVEX_COUNT):
             convex_path = os.path.join(work, f"convex{k}.json")
             with open(convex_path, "w") as fh:
                 json.dump(random_convex_abstract_document(rng), fh)
             runs += [
-                (f"convex abstract datum {k} {command} --format {fmt}", ["--format", fmt, cmd, convex_path, *options])
+                (f"convex abstract {command}", f"convex abstract datum {k} {command} --format {fmt}",
+                 ["--format", fmt, cmd, convex_path, *options])
                 for command in ("analyze", *ABSTRACT_COMMANDS)
                 for cmd, *options in [command.split()]
                 for fmt in FORMATS
             ]
-            runs += saturation_runs(cli, f"convex abstract datum {k}", convex_path)
+            runs += saturation_runs(cli, "convex abstract saturated fan", f"convex abstract datum {k}", convex_path)
         argvs_path = os.path.join(work, "argvs.json")
         with open(argvs_path, "w") as fh:
-            json.dump([a for _, a in runs], fh)
+            json.dump([a for _, _, a in runs], fh)
         results = []
         for k, tree in enumerate(trees):
             out_path = os.path.join(work, f"results{k}.json")
@@ -406,8 +435,11 @@ def main(argv: list[str]) -> int:
             subprocess.run(cmd, check=True, cwd=work)
             with open(out_path) as fh:
                 results.append(json.load(fh))
+    for tree, result in zip(trees, results):
+        print(f"runs of {tree}:")
+        print("\n".join(inventory([kind for kind, _, _ in runs], [code for code, _, _ in result])))
     differ = 0
-    for (name, _), old, new in zip(runs, *results):
+    for (_, name, _), old, new in zip(runs, *results):
         if old != new:
             differ += 1
             print(f"{name}: exit {old[0]} -> {new[0]}, stdout "
