@@ -265,8 +265,6 @@ def _match(c_sub: Mat, family: str, n: int) -> list[int] | None:
     match is collected (at most 6, for D4) and the least returned.
     """
     c_std = standard_cartan(family, n)
-    if c_sub == c_std:  # the identity is the least permutation of all
-        return list(range(n))
     # a permutation keeps the multiset of row sums: on a finite-type input
     # this rejects every wrong candidate but D_n against E_n before the walk
     if sorted(map(sum, c_sub)) != sorted(map(sum, c_std)):
@@ -305,36 +303,34 @@ def _match(c_sub: Mat, family: str, n: int) -> list[int] | None:
     return min(matches, default=None)
 
 
+# the families that can match a component, by how many of its row sums are -1
+# and how many are 1, which a permutation keeps: every valid type is listed
+# under its own pair but D2 and D3, which are A1 x A1 and A3
+_CANDIDATES = {(0, 0): "A", (0, 2): "A", (0, 1): "CB", (1, 1): "G", (1, 2): "BF", (1, 3): "DE"}
+
+
 def classify(c) -> list[tuple[str, int, tuple[int, ...]]]:
     """Split a Cartan matrix into irreducible types.
 
     Returns one (family, rank, positions) triple per component, where
     positions[t] is the input index playing the role of Bourbaki root t+1.
-    Components are ordered by their smallest input index.
+    Components are ordered by their smallest input index.  A component is
+    tried only against the families its row sums admit: as written first
+    (so B2 and C2 are told apart by orientation), and by ``_match`` when no
+    Cartan matrix is equal; the least (permutation, family) is kept.
     """
-    c = tuple(tuple(int(x) for x in row) for row in c)
     out = []
     for comp in graph_components(c):
         sub = tuple(tuple(c[i][j] for j in comp) for i in comp)
-        n = len(comp)
-        found = None
-        if n == 2 and sub[0][1] * sub[1][0] == 2:
-            # B2 and C2 coincide; label B2 when the first vector is long
-            fam = "B" if sub[0][1] == -2 else "C"
-            perm = [0, 1]
-            found = (fam, 2, perm)
-        else:
-            for fam in "ABCDEFG":
-                if VALID_RANKS[fam](n) and (perm := _match(sub, fam, n)) is not None:
-                    found = (fam, n, perm)
-                    break
-        if found is None:
+        n, sums = len(comp), [*map(sum, sub)]
+        families = [f for f in _CANDIDATES.get((sums.count(-1), sums.count(1)), "") if VALID_RANKS[f](n)]
+        found = [([*range(n)], f) for f in families if sub == standard_cartan(f, n)] or [
+            (perm, f) for f in families if (perm := _match(sub, f, n)) is not None
+        ]
+        if not found:
             raise NotFiniteType("Cartan matrix is not of finite type")
-        fam, rk, perm = found
-        positions = [0] * n
-        for i, t in enumerate(perm):
-            positions[t] = comp[i]
-        out.append((fam, rk, tuple(positions)))
+        perm, fam = min(found)
+        out.append((fam, n, tuple(i for _, i in sorted(zip(perm, comp)))))
     return out
 
 

@@ -16,6 +16,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, combinations, count, islice
+from math import gcd
 from types import SimpleNamespace
 
 import pytest
@@ -53,9 +54,12 @@ from spherindex.restrict import RestrictedDatum, _annihilator, restrict_datum
 from spherindex.rootsys import (
     AmbientRootDatum,
     RestrictedRoots,
+    VALID_RANKS,
     RootBase,
+    _match,
     classify,
     generate_roots,
+    graph_components,
     image_fibers,
     indivisible_roots,
     root_images,
@@ -121,6 +125,22 @@ def flip_matrix(n, pairs):
     return [[int(perm[i] == j) for j in range(n)] for i in range(n)]
 
 
+def sp42_datum():
+    # type C3, compact a1 and a3, spherical roots a1+a3 and a2
+    ix = TitsIndex.of(AmbientRootDatum.of([("C", 3)]), [0, 2], [])
+    return SphericalDatumK.ambient(ix, [[1, 0, 1], [0, 1, 0]])
+
+
+def e6_datum():
+    ix = TitsIndex.of(AmbientRootDatum.of([("E", 6)]), [], [flip_matrix(6, [(0, 5), (2, 4)])])
+    h = Fraction(1, 2)
+    return SphericalDatumK.ambient(ix, [[1, 0, 1, 1, 1, 1], [0, 1, h, 1, h, 0]])
+
+
+def u11_datum(**kw):
+    return SphericalDatumK.abstract(2, [[1, 0], [0, 1]], [[[0, -1], [-1, 0]]], [[1, -1]], **kw)
+
+
 def _positive_base(rng: random.Random, amb: AmbientRootDatum, size: int):
     """A random finite-type base drawn from the positive ambient roots."""
     form = amb.form()
@@ -142,8 +162,6 @@ def split_datum(rng: random.Random):
     amb = AmbientRootDatum.of([(fam, n)])
     ix = TitsIndex.of(amb, [], [])
     sigma = _positive_base(rng, amb, rng.randint(1, min(4, n)))
-    from math import gcd
-
     xi = None
     if rng.random() < 0.3 and all(gcd(*map(int, s)) == 1 for s in sigma):
         # enlarge the weight lattice by central directions
@@ -602,6 +620,37 @@ def dfs_match(c_sub, c_std):
         return False
 
     return perm if dfs(0) else None
+
+
+def classify_first_match(c) -> list[tuple[str, int, tuple[int, ...]]]:
+    """``rootsys.classify`` as it was before it read the candidates off the
+    row sums: a rank-2 branch naming any double bond B2 or C2 by its first
+    off-diagonal entry, and otherwise the first of A, B, C, D, E, F, G that
+    ``_match`` matches.  Kept as the oracle of the one rule that replaced it."""
+    c = tuple(tuple(int(x) for x in row) for row in c)
+    out = []
+    for comp in graph_components(c):
+        sub = tuple(tuple(c[i][j] for j in comp) for i in comp)
+        n = len(comp)
+        found = None
+        if n == 2 and sub[0][1] * sub[1][0] == 2:
+            # B2 and C2 coincide; label B2 when the first vector is long
+            fam = "B" if sub[0][1] == -2 else "C"
+            perm = [0, 1]
+            found = (fam, 2, perm)
+        else:
+            for fam in "ABCDEFG":
+                if VALID_RANKS[fam](n) and (perm := _match(sub, fam, n)) is not None:
+                    found = (fam, n, perm)
+                    break
+        if found is None:
+            raise NotFiniteType("Cartan matrix is not of finite type")
+        fam, rk, perm = found
+        positions = [0] * n
+        for i, t in enumerate(perm):
+            positions[t] = comp[i]
+        out.append((fam, rk, tuple(positions)))
+    return out
 
 
 def root_count(family: str, n: int) -> int:

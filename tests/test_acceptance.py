@@ -6,11 +6,10 @@ marks the criterion FAIL via pytest).  Randomized cases come from the
 seeded geometric generators in datagen.
 """
 
-from fractions import Fraction
-
 from datagen import (
     cover_edges,
     divisor_scan_indivisible,
+    e6_datum,
     facet_inheritance_by_rank,
     flip_matrix,
     fmat,
@@ -20,7 +19,9 @@ from datagen import (
     random_convex_data,
     random_data,
     solve_left,
+    sp42_datum,
     to_abstract,
+    u11_datum,
 )
 from spherindex.datum import SphericalDatumK, is_valid, validate
 from spherindex.degeneration import (
@@ -50,20 +51,6 @@ from spherindex.restrict import (
 )
 from spherindex.rootsys import AmbientRootDatum, RootBase, generate_roots, type_name_of
 
-H = Fraction(1, 2)
-
-
-def sp42_datum():
-    ix = TitsIndex.of(AmbientRootDatum.of([("C", 3)]), [0, 2], [])
-    return SphericalDatumK.ambient(ix, [[1, 0, 1], [0, 1, 0]])
-
-
-def e6_datum():
-    ix = TitsIndex.of(
-        AmbientRootDatum.of([("E", 6)]), [], [flip_matrix(6, [(0, 5), (2, 4)])]
-    )
-    return SphericalDatumK.ambient(ix, [[1, 0, 1, 1, 1, 1], [0, 1, H, 1, H, 0]])
-
 
 def su22_datum():
     r = 3
@@ -72,12 +59,6 @@ def su22_datum():
     )
     return SphericalDatumK.ambient(
         ix, [[1] * r], xi_rows=[[int(i == j) for j in range(r)] for i in range(r)]
-    )
-
-
-def u11_datum():
-    return SphericalDatumK.abstract(
-        2, [[1, 0], [0, 1]], [[[0, -1], [-1, 0]]], [[1, -1]]
     )
 
 

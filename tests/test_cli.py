@@ -646,6 +646,24 @@ def test_analyze_prints_the_weyl_order_of_every_split_type_up_to_rank_8(capsys, 
         assert code == 0 and json.loads(out)["wk_order"] == weyl_order_of(family, rank), name
 
 
+def test_the_shuffled_split_documents_list_the_simple_roots_in_another_order(capsys, tmp_path, monkeypatch):
+    """The tool's second pass of the split types lists the same spherical
+    roots in a seeded order, most often not Bourbaki's, so ``classify``
+    matches them by its walk; ``analyze`` prints the same Weyl order."""
+    tool = load_tool("compare_outputs")
+    calls, match = [], rootsys._match
+    monkeypatch.setattr(rootsys, "_match", lambda c, family, n: calls.append(n) or match(c, family, n))
+    shuffled_docs = tool.split_documents(random.Random(tool.SHUFFLE_SEED))
+    moved = 0
+    for (family, rank), (name, doc), (_, shuffled) in zip(tool.SPLIT_TYPES, tool.split_documents(), shuffled_docs):
+        rows, shuffled_rows = doc["spherical"]["sigma"], shuffled["spherical"]["sigma"]
+        assert sorted(shuffled_rows) == sorted(rows) and {**shuffled, "spherical": {"sigma": rows}} == doc, name
+        moved += shuffled_rows != rows
+        code, out, _ = run(capsys, "--format", "json", "analyze", write(tmp_path, f"{name}.json", shuffled))
+        assert code == 0 and json.loads(out)["wk_order"] == weyl_order_of(family, rank), name
+    assert moved >= 25 and len(calls) >= 25, (moved, len(calls))
+
+
 def test_the_comparison_tool_tabulates_its_runs_by_kind_and_exit_code():
     """``tools/compare_outputs.py`` prints, for each tree, every kind of run in
     order of first appearance with its count and its exit codes, then the total."""

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from datagen import flip_matrix
+from datagen import e6_datum, flip_matrix, sp42_datum, u11_datum
 from spherindex import datum, linalg
 from spherindex.datum import (
     SphericalDatumK,
@@ -21,29 +21,9 @@ from spherindex.rootsys import AmbientRootDatum, RootBase
 H = Fraction(1, 2)
 
 
-def sp42_datum():
-    # type C3, compact a1 and a3, spherical roots a1+a3 and a2
-    ix = TitsIndex.of(AmbientRootDatum.of([("C", 3)]), [0, 2], [])
-    return SphericalDatumK.ambient(ix, [[1, 0, 1], [0, 1, 0]])
-
-
-def e6_datum():
-    ix = TitsIndex.of(
-        AmbientRootDatum.of([("E", 6)]), [], [flip_matrix(6, [(0, 5), (2, 4)])]
-    )
-    sigma = [[1, 0, 1, 1, 1, 1], [0, 1, H, 1, H, 0]]
-    return SphericalDatumK.ambient(ix, sigma)
-
-
 def su22_datum():
     ix = TitsIndex.of(AmbientRootDatum.of([("A", 3)]), [], [flip_matrix(3, [(0, 2)])])
     return SphericalDatumK.ambient(ix, [[1, 1, 1]])
-
-
-def u11_datum(**kw):
-    return SphericalDatumK.abstract(
-        2, [[1, 0], [0, 1]], [[[0, -1], [-1, 0]]], [[1, -1]], **kw
-    )
 
 
 def test_support():

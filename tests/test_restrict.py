@@ -9,6 +9,7 @@ from sympy import Matrix, Rational, eye
 from datagen import (
     FACET_PLANTS,
     dual_basis,
+    e6_datum,
     facet_inheritance_by_rank,
     flip_matrix,
     fmat,
@@ -20,6 +21,8 @@ from datagen import (
     replace,
     solve,
     solve_left,
+    sp42_datum,
+    u11_datum,
 )
 from spherindex import cli, linalg, restrict
 from spherindex.cli import parse_datum
@@ -69,18 +72,6 @@ def transported_form(rd):
     return divide(rd.form_k, rd.lifts_den**2)
 
 
-def sp42_datum():
-    ix = TitsIndex.of(AmbientRootDatum.of([("C", 3)]), [0, 2], [])
-    return SphericalDatumK.ambient(ix, [[1, 0, 1], [0, 1, 0]])
-
-
-def e6_datum():
-    ix = TitsIndex.of(
-        AmbientRootDatum.of([("E", 6)]), [], [flip_matrix(6, [(0, 5), (2, 4)])]
-    )
-    return SphericalDatumK.ambient(ix, [[1, 0, 1, 1, 1, 1], [0, 1, H, 1, H, 0]])
-
-
 def su_nn_datum(n):
     # type A_{2n-1}, diagram flip, single spherical root a1 + ... + a_{2n-1};
     # the weight lattice is the full ambient root lattice
@@ -92,12 +83,6 @@ def su_nn_datum(n):
     )
     return SphericalDatumK.ambient(
         ix, [[1] * r], xi_rows=[[int(i == j) for j in range(r)] for i in range(r)]
-    )
-
-
-def u11_datum():
-    return SphericalDatumK.abstract(
-        2, [[1, 0], [0, 1]], [[[0, -1], [-1, 0]]], [[1, -1]]
     )
 
 

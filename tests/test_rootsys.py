@@ -1,6 +1,9 @@
+import os
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from itertools import islice
 from math import prod
 
@@ -15,6 +18,7 @@ from datagen import (
     ambient_roots,
     cartan_matrix,
     classified_type_name,
+    classify_first_match,
     closure_steps_with_its_own_set,
     counted_restriction,
     dfs_match,
@@ -29,6 +33,7 @@ from datagen import (
     weyl_order_of,
 )
 from spherindex.cli import parse_index
+from spherindex.index import restricted_simple_roots
 from spherindex.linalg import dot, gram, identity, mat_mul, transpose, vec_mat
 from spherindex.rootsys import (
     AmbientRootDatum,
@@ -37,6 +42,7 @@ from spherindex.rootsys import (
     RootBase,
     classify,
     generate_roots,
+    graph_components,
     indivisible_roots,
     opposition_permutation,
     orbit,
@@ -45,6 +51,10 @@ from spherindex.rootsys import (
     standard_form,
     weyl_order,
 )
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+import gen  # noqa: E402
+
 
 def simple_reflection(v, col, j: int) -> tuple:
     """s_j(v) = v - <v, a_j^vee> a_j on base coordinates; col is column j of the Cartan matrix."""
@@ -726,6 +736,168 @@ def test_classify_transports_a_shuffled_long_chain(n):
 def test_classify_still_rejects_matrices_of_infinite_type(c):
     with pytest.raises(NotFiniteType, match="Cartan matrix is not of finite type"):
         classify(c)
+
+
+def classified(rule, c):
+    """``rule(c)``, or the message of the ``NotFiniteType`` it raises."""
+    try:
+        return rule(c)
+    except NotFiniteType as e:
+        return f"NotFiniteType: {e}"
+
+
+def permuted(c, p) -> tuple:
+    return tuple(tuple(c[i][j] for j in p) for i in p)
+
+
+def block_sum(blocks) -> list:
+    out, off = [[0] * sum(map(len, blocks)) for _ in range(sum(map(len, blocks)))], 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[off + i][off:off + len(b)] = row
+        off += len(b)
+    return out
+
+
+# the rank-2 double and triple bonds in both orientations, and the two double
+# bonds of diagonal 3 and 1 whose row sums are still 0 and 1: B2 and C2 both
+# match those by the walk, one as written and the other reversed
+RANK_2_BONDS = [
+    ((2, -2), (-1, 2)), ((2, -1), (-2, 2)), ((2, -1), (-3, 2)), ((2, -3), (-1, 2)),
+    ((3, -2), (-1, 1)), ((1, -1), (-2, 3)),
+]
+
+
+@cache
+def first_match_oracle_inputs() -> dict:
+    """Every connected type of rank <= 8 under 40 random orders; 300 block
+    sums of 2 to 4 components of rank <= 4, each shuffled, the whole then
+    shuffled again; 3,000 connected Cartan-like matrices with diagonal 2; and
+    the rank-2 bonds."""
+    rng = random.Random(4848)
+    types = [permuted(standard_cartan(f, n), rng.sample(range(n), n)) for f, n in CONNECTED_TYPES for _ in range(40)]
+    parts = [standard_cartan(f, n) for f, n in CONNECTED_TYPES if n <= 4] + RANK_2_BONDS[:4]
+    sums = []
+    for _ in range(300):
+        c = block_sum([permuted(b, rng.sample(range(len(b)), len(b))) for b in rng.choices(parts, k=rng.randint(2, 4))])
+        sums.append(permuted(c, rng.sample(range(len(c)), len(c))))
+    cartan = []
+    for _ in range(3000):
+        c = [list(row) for row in cartan_like(rng, rng.randint(1, 6))]
+        for i in range(len(c)):
+            c[i][i] = 2
+        cartan.append(c)
+    return {"types": types, "block sums": sums, "cartan-like": cartan, "rank-2 bonds": RANK_2_BONDS}
+
+
+@pytest.mark.parametrize("kind", ["types", "block sums", "cartan-like", "rank-2 bonds"])
+def test_classify_names_what_the_first_match_rule_named(kind):
+    """The candidates of the row sums, the identity first and the least
+    (permutation, family) give the triples, or the error, of the rank-2
+    branch and the A-to-G first match."""
+    outcomes = Counter()
+    for c in first_match_oracle_inputs()[kind]:
+        got = classified(classify, c)
+        assert got == classified(classify_first_match, c), c
+        outcomes[isinstance(got, str)] += 1
+        if kind == "block sums" and not isinstance(got, str):
+            outcomes.update((fam, positions[0] < positions[1]) for fam, n, positions in got if n == 2)
+    if kind == "cartan-like":
+        assert outcomes[True] > 1000 and outcomes[False] > 300
+    if kind == "block sums":  # B2 and C2 as written, G2 both ways
+        assert {("B", True), ("C", True), ("G", True), ("G", False)} <= set(outcomes)
+
+
+def test_the_rules_differ_only_on_a_double_bond_whose_row_sums_are_not_those_of_b2():
+    """The old rank-2 branch named every component of off-diagonal product 2
+    B2 or C2 without reading the rest of it; the one rule names it only when
+    its row sums are 0 and 1 and its bond is -1, -2, as in every Cartan matrix
+    that ``RootBase.from_gram`` builds (diagonal 2).  On Cartan-like matrices
+    as drawn, now and then with a diagonal entry 1 or 3, that is the one
+    difference."""
+    rng = random.Random(4849)
+    inputs = [cartan_like(rng, rng.randint(1, 6)) for _ in range(3000)] + [((3, -2), (-1, 3)), ((2, -1), (-2, 1))]
+    differ = 0
+    for c in inputs:
+        old, new = classified(classify_first_match, c), classified(classify, c)
+        subs = [permuted(c, comp) for comp in graph_components(c) if len(comp) == 2]
+        if any(s[0][1] * s[1][0] == 2 and sorted(map(sum, s)) != [0, 1] for s in subs):
+            assert new == "NotFiniteType: Cartan matrix is not of finite type", c
+            differ += old != new
+        else:
+            assert new == old, c
+    assert differ > 10
+
+
+TABLES = (rootsys.standard_form, rootsys.standard_cartan, rootsys._standard_diagram)
+
+
+def cold_classify(monkeypatch, inputs) -> list:
+    """``classify`` of each input in turn, the tables of every type cleared
+    first: per input, its triples, the (family, rank) of each ``_match`` call
+    and the types whose Cartan matrices it asked for."""
+    for table in TABLES:
+        table.cache_clear()
+    match, cartan, out = rootsys._match, rootsys.standard_cartan, []
+    for c in inputs:
+        calls, asked = [], set()
+        with monkeypatch.context() as m:
+            m.setattr(rootsys, "_match", lambda c, family, n: calls.append((family, n)) or match(c, family, n))
+            m.setattr(rootsys, "standard_cartan", lambda family, n: asked.add((family, n)) or cartan(family, n))
+            out.append((classify(c), calls, asked))
+    return out
+
+
+def candidates(c) -> set:
+    """The types of valid rank listed under the row sums of a component of c."""
+    out = set()
+    for comp in graph_components(c):
+        sums = [sum(c[i][j] for j in comp) for i in comp]
+        out |= {(f, len(comp)) for f in rootsys._CANDIDATES.get((sums.count(-1), sums.count(1)), "")}
+    return {(f, n) for f, n in out if VALID_RANKS[f](n)}
+
+
+def test_a_type_in_bourbaki_order_is_named_without_a_walk(monkeypatch):
+    """Only D3 walks: it is A3 in another order."""
+    for fam, n in CONNECTED_TYPES:
+        [(triples, calls, asked)] = cold_classify(monkeypatch, [standard_cartan(fam, n)])
+        if (fam, n) == ("D", 3):
+            assert (triples, calls) == ([("A", 3, (1, 0, 2))], [("A", 3)])
+        else:
+            assert (triples, calls) == ([(fam, n, tuple(range(n)))], [])
+        assert asked <= candidates(standard_cartan(fam, n))
+
+
+@pytest.mark.parametrize("typ, order, positions", [case for case in SHUFFLED_D_AND_E if case[0][1] == 8])
+def test_a_shuffled_d8_or_e8_walks_only_d8_and_e8(monkeypatch, typ, order, positions):
+    std = standard_cartan(*typ)
+    [(triples, calls, asked)] = cold_classify(monkeypatch, [[[std[i][j] for j in order] for i in order]])
+    assert triples == [(*typ, positions)]
+    assert calls == [("D", 8), ("E", 8)] and asked == {("D", 8), ("E", 8)}
+
+
+def test_the_restricted_types_of_index_large_walk_at_most_twice(monkeypatch):
+    """The Cartan matrices of the restricted simple roots of the benchmark's
+    ``index-large`` jobs, classified cold in one pass."""
+    inputs = []
+    with monkeypatch.context() as m:
+        m.setattr(rootsys, "classify", lambda c: inputs.append(c) or classify(c))
+        for job in gen.index_large_jobs():
+            restricted_simple_roots(parse_index(job.files["@datum"]))
+    assert len(inputs) == 9
+    out = cold_classify(monkeypatch, inputs)
+    assert sum(len(calls) for _, calls, _ in out) <= 2
+    for c, (_, _, asked) in zip(inputs, out):
+        assert asked <= candidates(c)
+
+
+def test_every_valid_type_is_a_candidate_of_its_own_row_sums():
+    """Up to rank 40; D2 and D3 are A1 x A1 and A3, and are named so."""
+    for fam in VALID_RANKS:
+        for n in filter(VALID_RANKS[fam], range(1, 41)):
+            assert ((fam, n) in candidates(standard_cartan(fam, n))) == ((fam, n) not in {("D", 2), ("D", 3)})
+    assert classify(standard_cartan("D", 2)) == [("A", 1, (0,)), ("A", 1, (1,))]
+    assert classify(standard_cartan("D", 3)) == [("A", 3, (1, 0, 2))]
 
 
 def test_ambient_root_names():

@@ -23,7 +23,9 @@ indefinite pairings, each a second time with its pairing multiplied by a
 seeded positive rational and written as "p/q" strings; each of these
 documents as written goes through ``standard-fan``, ``localize --roots 1``
 and ``degenerate`` too, in both formats.  So do the split datum of every
-type up to rank 8 through ``analyze``, which prints its Weyl order, and a
+type up to rank 8 through ``analyze``, which prints its Weyl order, once
+with its spherical roots in Bourbaki order and once in a seeded shuffled
+order, so that ``classify`` matches them by its walk, and a
 seeded list of abstract documents whose valuation cones are most often
 strictly convex, so that they reach the fan engine, through ``analyze``,
 ``standard-fan``, ``localize --roots 1`` and ``degenerate``, in both
@@ -58,6 +60,7 @@ INDEX_SEED, INDEX_COUNT = 3619, 200
 ABSTRACT_SEED, ABSTRACT_COUNT = 3737, 200
 CONVEX_SEED, CONVEX_COUNT = 4412, 100
 SCALE_SEED = 4242  # the rational each abstract pairing is sent again at
+SHUFFLE_SEED = 4848  # the order of the spherical roots of each split datum analyzed again
 INDEX_TYPES = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("A", 6), ("A", 7),
     ("B", 2), ("B", 3), ("B", 4), ("C", 2), ("C", 3), ("C", 4),
@@ -166,18 +169,23 @@ def random_index_document(rng: random.Random) -> dict:
     }
 
 
-def split_documents() -> list[tuple[str, dict]]:
+def split_documents(rng: random.Random | None = None) -> list[tuple[str, dict]]:
     """The split datum of each of ``SPLIT_TYPES``, as named ``analyze``
     documents: no compact root, no star, and the simple roots as the
-    spherical roots."""
-    return [(f"{family}{rank}", {
-        "schema_version": "1",
-        "mode": "ambient",
-        "ambient": {"components": [{"family": family, "rank": rank}]},
-        "compact_simple": [],
-        "star_generators": [],
-        "spherical": {"sigma": [[int(i == j) for j in range(rank)] for i in range(rank)]},
-    }) for family, rank in SPLIT_TYPES]
+    spherical roots, in Bourbaki order or, given ``rng``, in an order it
+    shuffles."""
+    docs = []
+    for family, rank in SPLIT_TYPES:
+        order = rng.sample(range(rank), rank) if rng else range(rank)
+        docs.append((f"{family}{rank}", {
+            "schema_version": "1",
+            "mode": "ambient",
+            "ambient": {"components": [{"family": family, "rank": rank}]},
+            "compact_simple": [],
+            "star_generators": [],
+            "spherical": {"sigma": [[int(i == j) for j in range(rank)] for i in order]},
+        }))
+    return docs
 
 
 def sweep_documents(types=SWEEP_TYPES) -> list[tuple[str, dict]]:
@@ -412,6 +420,15 @@ def main(argv: list[str]) -> int:
             runs += [("split analyze", f"split {name} analyze --format {fmt}", ["--format", fmt, "analyze", split_path]) for fmt in FORMATS]
             if SPLIT_TYPES[k][1] <= SATURATE_RANK:
                 runs += saturation_runs(cli, "split saturated fan", f"split {name}", split_path)
+        for k, (name, doc) in enumerate(split_documents(random.Random(SHUFFLE_SEED))):
+            shuffled_path = os.path.join(work, f"shuffled{k}.json")
+            with open(shuffled_path, "w") as fh:
+                json.dump(doc, fh)
+            runs += [
+                ("split analyze, shuffled spherical roots", f"split {name} shuffled analyze --format {fmt}",
+                 ["--format", fmt, "analyze", shuffled_path])
+                for fmt in FORMATS
+            ]
         rng = random.Random(CONVEX_SEED)
         for k in range(CONVEX_COUNT):
             convex_path = os.path.join(work, f"convex{k}.json")
