@@ -301,6 +301,8 @@ def strata(f: Fan, rd: RestrictedDatum) -> tuple[Stratum, ...]:
     """The stratum of each cone, in the order of ``f.cones``.  The saturated kernel
     of a face of a unimodular cone is spanned by the dual vectors of the generators
     it misses, read off the inverse of a unimodular full-dimensional maximal cone.
+    When each dual is a signed unit vector +-e_j (a coordinate home), their j are
+    distinct, so the e_j by ascending j are the Hermite form of any subset of them.
     Each root is evaluated once per ray, where two bitmasks keep the roots that
     vanish on it and those that are >= 0 on it: the ANDs of a cone's masks are
     the roots that vanish on it and those >= 0 on all of it (say, every root on
@@ -316,6 +318,11 @@ def strata(f: Fan, rd: RestrictedDatum) -> tuple[Stratum, ...]:
     labels: dict[int, tuple[int, ...]] = {}
     rows: dict[tuple[int, ...], tuple[int, ...]] = {}  # one object per distinct basis row: the writer tells rows apart by id
     home = f.unimodular_home
+    units = {}  # per coordinate home: (e_j, generator) by ascending j, descending as tuples
+    for m, (duals, d) in f.normals.items():  # the homes are the cones of d = 1
+        if d == 1 and all(sum(map(abs, nu)) == 1 for nu in duals):
+            e = [tuple(map(abs, nu)) for nu in duals]
+            units[m] = sorted([(rows.setdefault(r, r), i) for r, i in zip(e, m)], reverse=True)
     nodes = []
     for c in f.cones:
         zero = positive = every
@@ -324,13 +331,15 @@ def strata(f: Fan, rd: RestrictedDatum) -> tuple[Stratum, ...]:
             positive &= nonneg[i]
         if zero not in labels:
             labels[zero] = tuple(j for j in range(len(rd.sigma_k)) if zero >> j & 1)
-        if c in home:
-            m = home[c]
-            duals = [nu for i, nu in zip(m, f.normals[m][0]) if i not in c]
-            basis = hermite_normal_form(duals)
+        m = home.get(c)
+        if m in units:
+            basis = tuple(r for r, i in units[m] if i not in c)
         else:
-            basis = integer_kernel([f.rays[i] for i in c], width=rd.rank)
-        basis = tuple(rows.setdefault(r, r) for r in map(tuple, basis))
+            if m:
+                basis = hermite_normal_form([nu for i, nu in zip(m, f.normals[m][0]) if i not in c])
+            else:
+                basis = integer_kernel([f.rays[i] for i in c], width=rd.rank)
+            basis = tuple(rows.setdefault(r, r) for r in map(tuple, basis))
         nodes.append(Stratum(basis, labels[zero], not positive))
     return tuple(nodes)
 

@@ -317,8 +317,11 @@ def classify(c) -> list[tuple[str, int, tuple[int, ...]]]:
     Components are ordered by their smallest input index.  A component is
     tried only against the families its row sums admit: as written first
     (so B2 and C2 are told apart by orientation), and by ``_match`` when no
-    Cartan matrix is equal; the least (permutation, family) is kept.
+    Cartan matrix is equal; the least (permutation, family) is kept.  The
+    walk reads no diagonal, so a diagonal entry other than 2 is rejected first.
     """
+    if any(row[i] != 2 for i, row in enumerate(c)):
+        raise NotFiniteType("Cartan matrix has a diagonal entry other than 2")
     out = []
     for comp in graph_components(c):
         sub = tuple(tuple(c[i][j] for j in comp) for i in comp)
@@ -348,11 +351,11 @@ def generate_roots(base: RootBase) -> list[Vec]:
 
     Roots come back as rational vectors in the ambient coordinates of the
     base, sorted by their base coordinates: ``root_images`` on the identity
-    and on the base vectors gives both, paired root by root.
+    and on the base vectors gives both, paired root by root.  Coordinates <= 0
+    sort before coordinates >= 0, and negation reverses order: one sort suffices.
     """
-    pos = list(zip(root_images(base.components, identity(len(base))), root_images(base.components, base.vectors)))
-    pairs = pos + [(tuple(-x for x in c), tuple(-x for x in v)) for c, v in pos]
-    return [v for _, v in sorted(pairs, key=itemgetter(0))]
+    pos = sorted(zip(root_images(base.components, identity(len(base))), root_images(base.components, base.vectors)), key=itemgetter(0))
+    return [tuple(-x for x in v) for _, v in reversed(pos)] + [v for _, v in pos]
 
 
 @cache

@@ -39,6 +39,7 @@ from spherindex.linalg import (
     divide,
     dot,
     gram,
+    hermite_normal_form,
     identity,
     integer_kernel,
     mat_mul,
@@ -503,6 +504,26 @@ def normals_by_inversion(f) -> dict:
                 continue
             out[c] = (transpose(a), d)
     return out
+
+
+def strata_bases_by_hermite_forms(f) -> tuple:
+    """The lattice basis of each cone of ``f`` that has a unimodular home, by the
+    Hermite form of the duals of the home's generators that the cone misses:
+    ``strata`` as it read every home, coordinate or not."""
+    home = f.unimodular_home
+    return tuple(
+        tuple(map(tuple, hermite_normal_form([nu for i, nu in zip(home[c], f.normals[home[c]][0]) if i not in c])))
+        for c in f.cones
+        if c in home
+    )
+
+
+def generate_roots_by_full_sort(base: RootBase) -> list:
+    """``generate_roots`` as it sorted all 2|Phi+| (base coordinates, root) pairs,
+    the negated pairs appended to the positive ones."""
+    pos = list(zip(root_images(base.components, identity(len(base))), root_images(base.components, base.vectors)))
+    pairs = pos + [(tuple(-x for x in c), tuple(-x for x in v)) for c, v in pos]
+    return [v for _, v in sorted(pairs, key=lambda pair: pair[0])]
 
 
 def divisor_scan_indivisible(support) -> set:

@@ -18,6 +18,7 @@ from datagen import (
     per_cone_validate,
     random_convex_data,
     raises_exit_1,
+    strata_bases_by_hermite_forms,
 )
 from spherindex import fans, linalg
 from spherindex.datum import SphericalDatumK
@@ -757,7 +758,8 @@ def test_fan_engine_runs_each_check_once_per_maximal_cone_or_ray(monkeypatch):
 
 def test_strata_run_at_most_one_hermite_form_per_cone(monkeypatch, corpus_rds):
     """A cone in a unimodular home reduces the duals of the generators it misses
-    once; any other cone runs ``integer_kernel``, which reduces [C^T | I] once."""
+    once, or none when they are signed unit vectors; any other cone runs
+    ``integer_kernel``, which reduces [C^T | I] once."""
     calls = []
 
     def counting(m):
@@ -775,11 +777,70 @@ def test_strata_run_at_most_one_hermite_form_per_cone(monkeypatch, corpus_rds):
         calls.clear()
         strata(f, rd)
         assert len(calls) <= len(f.cones)
-    assert len(calls) == len(mixed.cones)
+    # the four faces of the unit square read their bases off its unit duals
+    assert len(calls) == len(mixed.cones) - 4 == 2
     calls.clear()
     strata(non_unimodular, e6)
     # the zero cone's kernel is the whole lattice, which needs no Hermite form
     assert len(calls) == len(non_unimodular.cones) - 1 == 3
+
+
+def test_strata_of_split_standard_fans_run_no_hermite_form(monkeypatch):
+    """Each simple root of split A_n is a multiple of one little basis vector,
+    so the one maximal cone of its standard fan is a coordinate home."""
+    cases = [(standard_fan(rd), rd) for rd in (split_rd("A", n) for n in range(2, 7))]
+    calls = []
+    monkeypatch.setattr(fans, "hermite_normal_form", lambda m: calls.append(m) or hermite_normal_form(m))
+    monkeypatch.setattr(linalg, "hermite_normal_form", lambda m: calls.append(m) or hermite_normal_form(m))
+    for f, rd in cases:
+        assert len(strata(f, rd)) == 2 ** rd.rank
+    assert calls == []
+
+
+def coordinate_homes(f) -> set:
+    """The homes of ``f`` whose duals are each a signed unit vector."""
+    homes = set(f.unimodular_home.values())
+    return {m for m in homes if all(sorted(map(abs, nu))[-2:] in ([1], [0, 1]) for nu in f.normals[m][0])}
+
+
+def home_bases(f, rd) -> tuple:
+    home = f.unimodular_home
+    return tuple(node.lattice_basis for c, node in zip(f.cones, strata(f, rd), strict=True) if c in home)
+
+
+def test_coordinate_homes_give_the_hermite_forms_of_their_duals(corpus_rds):
+    """A face of a coordinate home reads its basis off the home's unit duals:
+    the rows, in their order, of the Hermite form of those duals.  On the
+    standard fans of the corpus and the saturated standard fans of split A2-A4,
+    where a few chambers are coordinate homes and the others are not."""
+    cases = [(standard_fan(rd), rd) for rd in corpus_rds]
+    cases += [(chamber_fan(rd), rd) for rd in (split_rd("A", n) for n in (2, 3, 4))]
+    homes = Counter()
+    for f, rd in cases:
+        assert home_bases(f, rd) == strata_bases_by_hermite_forms(f)
+        coordinate = coordinate_homes(f)
+        homes.update(m in coordinate for m in set(f.unimodular_home.values()))
+    assert homes[True] > 50 and homes[False] > 100
+
+
+@st.composite
+def signed_permutation_fans(draw):
+    """Orthants of Z^n, n <= 6, each spanned by the rows of a signed permutation
+    matrix, and now and then a cone of fewer signed unit vectors, which has no
+    home when it lies in no orthant of the fan."""
+    n = draw(st.integers(1, 6))
+    signs = st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n)
+    cones = [[tuple(s[j] * (i == j) for i in range(n)) for j in range(n)] for s in draw(st.lists(signs, min_size=1, max_size=4))]
+    for s, keep in draw(st.lists(st.tuples(signs, st.lists(st.booleans(), min_size=n, max_size=n)), max_size=2)):
+        cones.append([tuple(s[j] * (i == j) for i in range(n)) for j in range(n) if keep[j]])
+    return Fan.from_maximal([c for c in cones if c])
+
+
+@settings(max_examples=150, deadline=None)
+@given(signed_permutation_fans())
+def test_signed_permutation_cones_give_the_hermite_forms_of_their_duals(f):
+    assert coordinate_homes(f) == set(f.unimodular_home.values())
+    assert home_bases(f, no_cone(f)) == strata_bases_by_hermite_forms(f)
 
 
 def test_strata_share_one_object_per_distinct_basis_row():

@@ -25,6 +25,7 @@ from datagen import (
     divisor_scan_indivisible,
     flip_matrix,
     fmat,
+    generate_roots_by_full_sort,
     positive_roots_in_base_coords,
     random_root_base_input,
     rank_first_root_base,
@@ -286,6 +287,20 @@ def test_classify_rejects_not_finite():
         classify([[2, -2], [-2, 2]])  # affine A1~
 
 
+@pytest.mark.parametrize(
+    "c",
+    [
+        [[3, -2], [-1, 1]],  # the row sums and bond of B2
+        [[1, -1], [-2, 3]],  # the row sums and bond of C2
+        [[2, -1, 0], [-1, 3, -1], [0, -1, 1]],  # the row sums and edges of A3
+        [[2, 0], [0, 1]],
+    ],
+)
+def test_classify_rejects_a_diagonal_entry_other_than_2(c):
+    with pytest.raises(NotFiniteType, match="Cartan matrix has a diagonal entry other than 2"):
+        classify(c)
+
+
 def test_generate_roots_counts():
     for fam, n in ALL_SMALL_TYPES:
         base = std_base(fam, n)
@@ -316,6 +331,22 @@ def test_generate_roots_is_the_sorted_base_coordinates_times_the_base():
         pos = positive_roots_in_base_coords(base.components, len(base))
         coords = sorted(pos + [tuple(-x for x in v) for v in pos])
         assert generate_roots(base) == list(mat_mul(coords, base.vectors))
+
+
+def test_generate_roots_lists_the_negated_sorted_positive_roots_first():
+    """Sorting the positive roots once and listing their negations in reverse
+    first gives the list of one sort of all 2|Phi+| pairs: on big split bases,
+    and on shuffled bases of every exceptional and several classical types."""
+    rng = random.Random(2151)
+    bases = []
+    for spec in ([("A", 100)], [("B", 60)], [("E", 8)] * 12, [("A", 1)] * 100):
+        amb = AmbientRootDatum.of(spec)
+        bases.append(RootBase.from_vectors(identity(amb.dim), amb.form()))
+    for typ in [("A", 12), ("B", 9), ("C", 7), ("D", 8), ("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]:
+        amb = AmbientRootDatum.of([typ])
+        bases.append(RootBase.from_vectors(rng.sample(identity(amb.dim), amb.dim), amb.form()))
+    for base in bases:
+        assert generate_roots(base) == generate_roots_by_full_sort(base)
 
 
 def test_generate_roots_a1():
@@ -790,15 +821,20 @@ def first_match_oracle_inputs() -> dict:
     return {"types": types, "block sums": sums, "cartan-like": cartan, "rank-2 bonds": RANK_2_BONDS}
 
 
+DIAGONAL_ERROR = "NotFiniteType: Cartan matrix has a diagonal entry other than 2"
+
+
 @pytest.mark.parametrize("kind", ["types", "block sums", "cartan-like", "rank-2 bonds"])
 def test_classify_names_what_the_first_match_rule_named(kind):
     """The candidates of the row sums, the identity first and the least
     (permutation, family) give the triples, or the error, of the rank-2
-    branch and the A-to-G first match."""
+    branch and the A-to-G first match; but a diagonal entry other than 2,
+    which the first match never read, is rejected."""
     outcomes = Counter()
     for c in first_match_oracle_inputs()[kind]:
         got = classified(classify, c)
-        assert got == classified(classify_first_match, c), c
+        two = all(row[i] == 2 for i, row in enumerate(c))
+        assert got == (classified(classify_first_match, c) if two else DIAGONAL_ERROR), c
         outcomes[isinstance(got, str)] += 1
         if kind == "block sums" and not isinstance(got, str):
             outcomes.update((fam, positions[0] < positions[1]) for fam, n, positions in got if n == 2)
@@ -808,25 +844,55 @@ def test_classify_names_what_the_first_match_rule_named(kind):
         assert {("B", True), ("C", True), ("G", True), ("G", False)} <= set(outcomes)
 
 
-def test_the_rules_differ_only_on_a_double_bond_whose_row_sums_are_not_those_of_b2():
-    """The old rank-2 branch named every component of off-diagonal product 2
-    B2 or C2 without reading the rest of it; the one rule names it only when
-    its row sums are 0 and 1 and its bond is -1, -2, as in every Cartan matrix
-    that ``RootBase.from_gram`` builds (diagonal 2).  On Cartan-like matrices
-    as drawn, now and then with a diagonal entry 1 or 3, that is the one
-    difference."""
+def test_the_rules_differ_only_where_a_diagonal_entry_is_not_2():
+    """On Cartan-like matrices as drawn, now and then with a diagonal entry 1
+    or 3, the one rule raises for every such entry, where the first match often
+    named a type (B2 or C2 for an off-diagonal product 2 as written, or a walk
+    that reads no diagonal), and names what the first match named otherwise."""
     rng = random.Random(4849)
     inputs = [cartan_like(rng, rng.randint(1, 6)) for _ in range(3000)] + [((3, -2), (-1, 3)), ((2, -1), (-2, 1))]
     differ = 0
     for c in inputs:
         old, new = classified(classify_first_match, c), classified(classify, c)
-        subs = [permuted(c, comp) for comp in graph_components(c) if len(comp) == 2]
-        if any(s[0][1] * s[1][0] == 2 and sorted(map(sum, s)) != [0, 1] for s in subs):
-            assert new == "NotFiniteType: Cartan matrix is not of finite type", c
-            differ += old != new
+        if any(row[i] != 2 for i, row in enumerate(c)):
+            assert new == DIAGONAL_ERROR, c
+            differ += isinstance(old, list)
         else:
             assert new == old, c
     assert differ > 10
+
+
+def test_each_classified_component_is_its_standard_cartan_matrix():
+    """Every valid type of rank <= 8 under seeded orders, as given and with one
+    diagonal entry raised and another lowered (the row sums of a type can stay):
+    each component that ``classify`` returns, rebuilt from its positions, is the
+    ``standard_cartan`` of its type, diagonal included, and only the valid
+    inputs are named."""
+    rng = random.Random(5122)
+    named = Counter()
+    for fam, n in [(f, n) for f in "ABCDEFG" for n in range(1, 9) if VALID_RANKS[f](n)]:
+        std = standard_cartan(fam, n)
+        for _ in range(10):
+            c = [list(row) for row in permuted(std, rng.sample(range(n), n))]
+            inputs = [(c, True)]
+            if n > 1:
+                i, j = rng.sample(range(n), 2)
+                bent = [list(row) for row in c]
+                bent[i][i] += 1
+                bent[j][j] -= 1
+                inputs.append((bent, False))
+            for m, valid in inputs:
+                try:
+                    got = classify(m)
+                except NotFiniteType:
+                    got = None
+                assert (got is not None) == valid, m
+                for f, k, positions in got or ():
+                    assert permuted(m, positions) == standard_cartan(f, k), (m, f, k)
+                if got:
+                    assert sorted(p for *_, positions in got for p in positions) == list(range(n))
+                    named[len(got)] += 1
+    assert named[2] == 10  # D2 is A1 x A1
 
 
 TABLES = (rootsys.standard_form, rootsys.standard_cartan, rootsys._standard_diagram)
