@@ -20,7 +20,7 @@ from .errors import (
     ParseError,
 )
 from .index import TitsIndex, res_A, star_generators
-from .linalg import Lattice, Mat, content, gram, mat_mul, scale_integral, vec_mat
+from .linalg import Lattice, Mat, content, gram, mat_mul, scale_integral, scaled_dual_basis, vec_mat
 from .record import Record
 from .rootsys import RootBase, graph_components, opposition_permutation, orbit
 
@@ -148,6 +148,11 @@ class SphericalDatumK(Record):
     def root_base(self) -> RootBase:
         """The classified root base of the spherical roots, built once per datum."""
         return RootBase.from_vectors(self.sigma, self.pairing)
+
+    @cached_property
+    def dual_basis(self) -> tuple[Mat, int]:
+        """The big coweights, scaled, and their scale, built once per datum."""
+        return scaled_dual_basis(self.sigma, self.pairing)
 
     @cached_property
     def compact_split(self) -> CompactRootSplit:

@@ -59,12 +59,17 @@ class TitsIndex(Record):
         """The n x r matrix R[i][j] = (a_i, v_j) of the restriction map.
 
         Row i is the image of the simple root a_i; it has n rows even when
-        the index is anisotropic (r = 0).  A split index (no compact root, no
-        star generator) has the identity as its split basis, so R is the form.
+        the index is anisotropic (r = 0).  A split index has the identity as
+        its split basis, so R is the form.
         """
-        if not self.compact and not self.star:
+        if self.is_split:
             return self.ambient.form()
         return mat_mul_t(self.ambient.form(), split_subspace(self))
+
+    @property
+    def is_split(self) -> bool:
+        """No compact root and no star generator: V is the whole space."""
+        return not self.compact and not self.star
 
     @cached_property
     def simple_roots(self) -> "RestrictedSimpleRoots":
@@ -149,18 +154,23 @@ def restricted_simple_roots(ix: TitsIndex) -> RestrictedSimpleRoots:
     for L the lcm of the fiber sizes (a fiber is a star orbit) and M = d times
     the Schur complement of B_CC in B, d = det B_CC, g[s][t] is (L/|F_s|)
     (L/|F_t|) times the sum of M over F_s x F_t.  C is the compact roots joined
-    to a fiber through compact roots: the others are orthogonal to both."""
-    distinct, fibers = image_fibers((i, img) for i, img in enumerate(ix.restriction) if any(img))
-    b, size = ix.ambient.form(), lcm(*map(len, fibers))
+    to a fiber through compact roots: the others are orthogonal to both.  A split
+    index has R = B, nonsingular: each row is a fiber, C is empty, L = d = 1, g = B."""
+    b = ix.ambient.form()
+    if ix.is_split:
+        distinct, fibers, g = b, [[i] for i in range(len(b))], b
+    else:
+        distinct, fibers = image_fibers((i, img) for i, img in enumerate(ix.restriction) if any(img))
+        size = lcm(*map(len, fibers))
 
-    def sums(rows):  # row s: L/|F_s| times the sum of the rows of fiber s
-        return [[size // len(f) * x for x in map(sum, zip(*(rows[i] for i in f)))] for f in fibers]
+        def sums(rows):  # row s: L/|F_s| times the sum of the rows of fiber s
+            return [[size // len(f) * x for x in map(sum, zip(*(rows[i] for i in f)))] for f in fibers]
 
-    ub = sums(b)  # U B, for U the weighted indicator rows of the fibers
-    near = [*orbit([j for j in ix.compact if any(row[j] for row in ub)], lambda j: (k for k in ix.compact if b[j][k]))]
-    rows = [b[i] for i in near] + ub  # then [[B_CC, B_C. U^T], [U B_.C, U B U^T]]
-    bordered = [[*map(row.__getitem__, near), *s] for row, s in zip(rows, zip(*sums(transpose(rows))))]
-    g, _ = scaled_schur_complement(bordered, len(near))
+        ub = sums(b)  # U B, for U the weighted indicator rows of the fibers
+        near = [*orbit([j for j in ix.compact if any(row[j] for row in ub)], lambda j: (k for k in ix.compact if b[j][k]))]
+        rows = [b[i] for i in near] + ub  # then [[B_CC, B_C. U^T], [U B_.C, U B U^T]]
+        bordered = [[*map(row.__getitem__, near), *s] for row, s in zip(rows, zip(*sums(transpose(rows))))]
+        g, _ = scaled_schur_complement(bordered, len(near))
     base = RootBase.from_gram(tuple(distinct), g)
     order = [i for _, _, positions in base.components for i in positions]
     return RestrictedSimpleRoots(

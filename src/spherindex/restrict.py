@@ -20,6 +20,7 @@ from .linalg import (
     augmented_hermite_form,
     content,
     gram,
+    identity,
     integer_kernel,
     lattice_index,
     mat_mul,
@@ -89,35 +90,44 @@ def _project(f: Mat, rows: list[Vec], lifts) -> tuple[Mat, int, Mat]:
 
 
 def restrict_datum(d: SphericalDatumK) -> RestrictedDatum:
+    """Restrict ``d`` to N_k.  With no compact spherical root and no star
+    generator N_k is N_K: the kernel, lifts and projection are I with scale 1,
+    and ``sigma_k``, ``form_k``, the roots and the coweights are the datum's."""
     split = d.compact_split
     ann = _annihilator(d, split)
-    nk = integer_kernel(ann, width=len(d.pairing))
-    dk = len(nk)
-    # nk is a basis of a saturated lattice, so restriction (evaluation on nk) maps
-    # the weight lattice onto Z^dk, the little weight lattice in the basis dual to
-    # nk: the Hermite form of nk^T is [I; 0], so row i < dk of the form of
-    # [nk^T | I] is [e_i | a lift of e_i]
-    lifts = [row[dk:] for row in augmented_hermite_form(nk, len(d.pairing))[:dk]]
+    if ann:
+        nk = integer_kernel(ann, width=len(d.pairing))
+        dk = len(nk)
+        # nk is a basis of a saturated lattice, so restriction (evaluation on nk) maps
+        # the weight lattice onto Z^dk, the little weight lattice in the basis dual to
+        # nk: the Hermite form of nk^T is [I; 0], so row i < dk of the form of
+        # [nk^T | I] is [e_i | a lift of e_i]
+        lifts = [row[dk:] for row in augmented_hermite_form(nk, len(d.pairing))[:dk]]
+        images = mat_mul_t([d.sigma[i] for i in split.noncompact], nk)
+    else:
+        dk, images = len(d.pairing), d.sigma
 
     # restricted spherical roots with their fibers, in input order
-    noncompact = [d.sigma[i] for i in split.noncompact]
-    sigma_k, fibers = image_fibers(zip(split.noncompact, mat_mul_t(noncompact, nk)))
+    sigma_k, fibers = image_fibers(zip(split.noncompact, images))
     for fib in fibers:
         orbit = d.star_orbit_of_root(fib[0])
         if tuple(sorted(fib)) != orbit:
             raise TheoremViolation(
                 f"roots {sorted(fib)} restrict equally but the star orbit is {list(orbit)}"
             )
-
-    # transport the invariant form through the orthogonal projection; two
-    # lifts of a row differ by the span of ``ann``, which the projection kills
-    projected, lifts_den, form_k = _project(d.pairing, ann, lifts)
-
-    # classified before anything else is derived, so a set of restricted
-    # roots that is no root base fails with the classification's error
     sigma_k = tuple(sigma_k)
-    roots = RootBase.from_vectors(sigma_k, form_k)
-    coweights, coweight_den = scaled_dual_basis(sigma_k, form_k)
+    if ann:
+        # transport the invariant form through the orthogonal projection; two
+        # lifts of a row differ by the span of ``ann``, which the projection kills
+        projected, lifts_den, form_k = _project(d.pairing, ann, lifts)
+        # classified before anything else is derived, so a set of restricted
+        # roots that is no root base fails with the classification's error
+        roots = RootBase.from_vectors(sigma_k, form_k)
+        coweights, coweight_den = scaled_dual_basis(sigma_k, form_k)
+    else:
+        projected, lifts_den, form_k = identity(dk), 1, d.pairing
+        roots = d.root_base
+        coweights, coweight_den = d.dual_basis
     return RestrictedDatum(
         rank=dk,
         sigma_k=sigma_k,
@@ -164,7 +174,7 @@ def coweight_identity_check(d: SphericalDatumK, rd: RestrictedDatum) -> dict:
     ``lifts_den``, it is den * lifts_den times the little coweights, which
     are ``coweights / coweight_den``, so the two are compared cross-multiplied.
     """
-    w, den = scaled_dual_basis(d.sigma, d.pairing)
+    w, den = d.dual_basis
     sums = [tuple(map(sum, zip(*(w[tau] for tau in fib)))) for fib in rd.fibers]
     scale = den * rd.lifts_den
     for j, (row, coweight) in enumerate(zip(mat_mul_t(sums, rd.projected_lifts), rd.coweights, strict=True)):

@@ -170,6 +170,37 @@ def split_datum(rng: random.Random):
     return SphericalDatumK.ambient(ix, sigma, xi_rows=xi)
 
 
+SPLIT_AMBIENTS = AMBIENT_CHOICES + [("C", 2), ("D", 2), ("D", 3)]  # B2 turned round, A1 x A1 and A3
+
+
+def split_product_datum(rng: random.Random) -> SphericalDatumK:
+    """A split datum on one to three components of ``SPLIT_AMBIENTS``: positive
+    roots drawn in random order as its spherical roots, and half the time
+    all of Z^n as its weight lattice."""
+    amb = AmbientRootDatum.of([rng.choice(SPLIT_AMBIENTS) for _ in range(rng.randint(1, 3))])
+    sigma = _positive_base(rng, amb, rng.randint(1, amb.dim))
+    xi = None
+    if rng.random() < 0.5 and all(gcd(*map(int, s)) == 1 for s in sigma):
+        xi = identity(amb.dim)
+    return SphericalDatumK.ambient(TitsIndex.of(amb, [], []), sigma, xi_rows=xi)
+
+
+def simple_root_datum(family: str, n: int, order) -> SphericalDatumK:
+    """The split datum of a type with its simple roots, in ``order``, as its
+    spherical roots."""
+    ix = TitsIndex.of(AmbientRootDatum.of([(family, n)]), [], [])
+    return SphericalDatumK.ambient(ix, [[int(i == j) for j in range(n)] for i in order])
+
+
+def with_identity_star(x):
+    """An index or a datum with the identity as its one star generator: the
+    group acts as before, but the star is not empty, so the annihilator of
+    N_k has a zero row and the restriction takes its general path."""
+    if isinstance(x, TitsIndex):
+        return TitsIndex(x.ambient, x.compact, (identity(x.ambient.dim),))
+    return SphericalDatumK(**{f: getattr(x, f) for f in x._fields} | {"star_xi": (identity(len(x.pairing)),)})
+
+
 def folded_datum(rng: random.Random):
     """Quasi-split datum folded by the canonical diagram involution."""
     fam, n, pairs = rng.choice(

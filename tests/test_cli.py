@@ -676,6 +676,36 @@ def test_the_comparison_tool_tabulates_its_runs_by_kind_and_exit_code():
     ]
 
 
+def test_the_comparison_tool_names_the_interpreter_of_each_tree():
+    """``--python EXE`` before a tree names the interpreter of that tree's
+    child; a tree with none runs on the tool's own.  Anything but two trees
+    prints the usage."""
+    tool = load_tool("compare_outputs")
+    a, b, py = os.path.abspath("a"), os.path.abspath("b"), sys.executable
+    assert tool.trees_and_interpreters(["a", "b"]) == [(a, py), (b, py)]
+    assert tool.trees_and_interpreters(["--python", "p", "a", "--python", "q", "a"]) == [(a, "p"), (a, "q")]
+    assert tool.trees_and_interpreters(["a", "--python", "q", "b"]) == [(a, py), (b, "q")]
+    for argv in [[], ["a"], ["a", "b", "c"], ["--python", "p", "a"], ["a", "--python", "q"], ["a", "--rogue", "b"]]:
+        assert tool.trees_and_interpreters(argv) is None, argv
+
+
+def test_a_validated_split_datum_builds_one_root_base_and_its_restriction_shares_it(monkeypatch):
+    """``_validated_rd`` on split A3-A6 builds one ``RootBase`` for the datum,
+    when validation classifies it, and the restricted datum holds that base:
+    the only other classification is of the index's restricted simple roots."""
+    built, classified = [], []
+    from_vectors, classify = rootsys.RootBase.from_vectors, rootsys.classify
+    monkeypatch.setattr(rootsys.RootBase, "from_vectors", staticmethod(lambda v, f: built.append(from_vectors(v, f)) or built[-1]))
+    monkeypatch.setattr(rootsys, "classify", lambda c: classified.append(len(c)) or classify(c))
+    docs = dict(load_tool("compare_outputs").split_documents())
+    for n in range(3, 7):
+        built.clear()
+        classified.clear()
+        rd = cli._validated_rd(docs[f"A{n}"])
+        assert len(built) == 1 and rd.roots is built[0], n
+        assert classified == [n, n], n
+
+
 def _negated(rows):
     return tuple(tuple(-x for x in row) for row in rows)
 

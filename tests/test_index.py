@@ -22,6 +22,8 @@ from datagen import (
     random_tits_index,
     restricted_simple_roots_by_split_gram,
     solve_left,
+    split_product_datum,
+    with_identity_star,
 )
 from spherindex import index, linalg, rootsys
 from spherindex.cli import cmd_analyze, cmd_restrict_index, emit, parse_index
@@ -580,6 +582,28 @@ def test_restricted_simple_roots_agree_with_the_split_gram_inverse():
     assert set(kinds) == {"base", "mixed fibers", "anisotropic", "NotARootBase"}, kinds
 
 
+def test_a_split_index_restricts_to_itself_as_the_general_path_does():
+    """A split index's restricted simple roots are the rows of its form, one
+    per fiber, classified once.  The identity star keeps the group action but
+    sends the index down the general path (fiber sums, bordered matrix, Schur
+    complement), which gives the same roots, fibers and types on every split
+    type up to rank 12, where D2 and D3 classify as A1 x A1 and A3, on
+    products of types and on the indices of random split data."""
+    split = [split_index(f, n) for f in "ABCDEFG" for n in range(1, 13) if VALID_RANKS[f](n)]
+    products = [
+        TitsIndex.of(AmbientRootDatum.of(spec), [], [])
+        for spec in ([("A", 3), ("B", 2)], [("G", 2), ("G", 2)], [("C", 2), ("D", 3), ("D", 2)], [("C", 3), ("F", 4)])
+    ]
+    rng = random.Random(20261021)
+    data = [split_product_datum(rng).index for _ in range(40)]
+    for ix in split + products + data:
+        general = with_identity_star(ix)
+        assert ix.is_split and not general.is_split
+        assert restricted_simple_roots(ix) == restricted_simple_roots(general), ix
+    types = {(c.family, c.rank): restricted_simple_roots(ix).types for ix in split for c in ix.ambient.components}
+    assert (types["D", 2], types["D", 3]) == ((("A", 1), ("A", 1)), (("A", 3),))
+
+
 def test_the_documents_flip_each_type_by_its_diagram_involution():
     tool = load_tool("compare_outputs")
     for family, rank in tool.INDEX_TYPES:
@@ -617,13 +641,14 @@ def index_document(components, compact=(), star=()):
 
 
 def test_restrict_index_runs_one_forward_elimination(monkeypatch):
-    """Split and quasi-split indices, C8 with compact a1, a3, a5, a7 and the
-    chain a2..a11 of SU(1,11) run one elimination each, (rows, k): the Gram
-    matrix is the Schur complement of the compact block joined to a fiber in
-    the bordered matrix of the r restricted simple roots, and a split or
-    quasi-split index has no such block, so it takes no pivot."""
+    """Quasi-split indices, C8 with compact a1, a3, a5, a7 and the chain
+    a2..a11 of SU(1,11) run one elimination each, (rows, k): the Gram matrix
+    is the Schur complement of the compact block joined to a fiber in the
+    bordered matrix of the r restricted simple roots, and a quasi-split index
+    has no such block, so it takes no pivot.  A split index restricts to
+    itself, its Gram matrix the form: it runs none."""
     swap = flip_matrix(12, [(i, i + 6) for i in range(6)])
-    cases = [(index_document([(t, n)]), [(n, 0)]) for t, n in [("E", 7), ("E", 8), ("D", 8), ("A", 12)]]
+    cases = [(index_document([(t, n)]), []) for t, n in [("E", 7), ("E", 8), ("D", 8), ("A", 12)]]
     cases += [
         (index_document([t], star=["flip"]), [(r, 0)])
         for t, r in [(("A", 2), 1), (("A", 3), 2), (("A", 12), 6), (("D", 5), 4), (("E", 6), 4)]

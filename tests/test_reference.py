@@ -8,7 +8,9 @@ and write the job inputs under ``tmp_path`` only.
 import hashlib
 import json
 import os
+import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import repeat
 
@@ -19,12 +21,17 @@ from datagen import (
     chamber_by_walls_inverse,
     chamber_generators,
     facet_inheritance_by_rank,
+    load_tool,
     random_data,
+    simple_root_datum,
+    split_product_datum,
+    to_abstract,
+    with_identity_star,
 )
 from test_fuzz import _commands
 from spherindex import cli, restrict
 from spherindex.cli import parse_datum
-from spherindex.datum import is_valid, validate
+from spherindex.datum import SphericalDatumK, is_valid, validate
 from spherindex.degeneration import build_degeneration
 from spherindex.fans import standard_fan, strata, weyl_saturate
 from spherindex.linalg import Lattice, hermite_normal_form, identity, integer_kernel, transpose
@@ -36,7 +43,8 @@ from spherindex.restrict import (
     phi_k_res,
     restrict_datum,
 )
-from spherindex.rootsys import generate_roots
+from spherindex.errors import SpherindexError
+from spherindex.rootsys import VALID_RANKS, generate_roots
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
@@ -130,14 +138,14 @@ def test_restricted_roots_and_strata_have_the_ranks_their_readers_assume(jobs, m
     """The valuation cone is strictly convex exactly when ``sigma_k`` has ``rank``
     roots, and a stratum's rank is ``rank`` minus its cone's size: ``sigma_k``
     classifies, so it is independent, and so are the generators of the standard
-    fan and of its Weyl saturation.  ``restrict_datum`` computes N_k alone."""
-    kernels = []
+    fan and of its Weyl saturation.  ``restrict_datum`` computes N_k alone,
+    and no kernel at all when the annihilator of N_k is empty: N_k is N_K."""
+    kernels, checked = [], Counter()
 
     def counting(rows, width):
         kernels.append(width)
         return integer_kernel(rows, width=width)
 
-    checked = 0
     for d in reference_data(jobs) + random_data(20261020, 40):
         if not is_valid(validate(d)):
             continue
@@ -145,15 +153,71 @@ def test_restricted_roots_and_strata_have_the_ranks_their_readers_assume(jobs, m
             m.setattr(restrict, "integer_kernel", counting)
             kernels.clear()
             rd = restrict_datum(d)
-        assert kernels == [len(d.pairing)]
+        split = not _annihilator(d, d.compact_split)
+        assert kernels == ([] if split else [len(d.pairing)])
         assert len(integer_kernel(rd.sigma_k, width=rd.rank)) == rd.rank - len(rd.sigma_k)
         if len(rd.sigma_k) == rd.rank:
             f = standard_fan(rd)
             for fan in (f, weyl_saturate(f, rd)):
                 sp = strata(fan, rd)
                 assert [len(s.lattice_basis) for s in sp] == [rd.rank - len(c) for c in fan.cones]
-        checked += 1
-    assert checked > 300
+        checked[split] += 1
+    assert checked[True] > 200 and checked[False] > 50, checked
+
+
+RESTRICTED_FIELDS = ("rank", "sigma_k", "fibers", "form_k", "roots", "coweights", "coweight_den", "projected_lifts", "lifts_den")
+
+
+def restricted_fields(d) -> dict | tuple:
+    """The fields of ``restrict_datum(d)``, or the class and message of what it raises."""
+    try:
+        rd = restrict_datum(d)
+    except SpherindexError as e:
+        return type(e).__name__, str(e)
+    return {f: getattr(rd, f) for f in RESTRICTED_FIELDS}
+
+
+def test_a_split_datum_restricts_to_itself_as_the_general_path_does(jobs):
+    """With no compact spherical root and no star generator ``restrict_datum``
+    reads its record off the datum.  The identity star keeps the group action
+    but sends the datum down the general path (kernel, Hermite lifts,
+    projection, classification, dual basis), which gives the same fields, or
+    the same error, on: every valid split reference datum; random split data
+    on several components, B2, C2, D2 and D3 among them, with enlarged weight
+    lattices; the simple roots of every split type up to rank 12 in Bourbaki
+    and in reversed order; and abstract data with no star and no sigma0, some
+    of them indefinite, and four whose roots repeat or are no root base."""
+    reference = [d for d in reference_data(jobs) if is_valid(validate(d)) and not d.star_xi and not d.compact_split.sigma0]
+    rng = random.Random(20261021)
+    products = [split_product_datum(rng) for _ in range(80)]
+    types = [(f, n) for f in "ABCDEFG" for n in range(1, 13) if VALID_RANKS[f](n)]
+    simple = [simple_root_datum(f, n, order) for f, n in types for order in (range(n), range(n - 1, -1, -1))]
+    tool = load_tool("compare_outputs")
+    documents = [tool.random_abstract_document(rng) for _ in range(120)]
+    abstract = [to_abstract(d) for d in products] + [
+        parse_datum({**doc, "abstract": {**doc["abstract"], "star": [], "sigma0": []}}) for doc in documents
+    ]
+    abstract += [  # a repeated root, an indefinite pair, an affine pair and a dependent triple
+        SphericalDatumK.abstract(2, pairing, [], sigma)
+        for pairing, sigma in [
+            ([[2, 0], [0, 2]], [[1, 0], [0, 1], [1, 0]]),
+            ([[2, 0], [0, -2]], [[1, 0], [0, 1]]),
+            ([[2, -2], [-2, 2]], [[1, 0], [0, 1]]),
+            ([[2, -1], [-1, 2]], [[1, 0], [0, 1], [1, 1]]),
+        ]
+    ]
+    outcomes = Counter()
+    for d in reference + products + simple + abstract:
+        assert not d.star_xi and not d.compact_split.sigma0
+        fields = restricted_fields(d)
+        assert fields == restricted_fields(with_identity_star(d)), d
+        outcomes[fields[0] if isinstance(fields, tuple) else "restricted"] += 1
+    assert len(reference) > 200 and len(simple) == 100, (len(reference), len(simple))
+    families = Counter(c.family + str(c.rank) for d in products for c in d.index.ambient.components)
+    assert min(families[t] for t in ("B2", "C2", "D2", "D3")) > 0, families
+    assert sum(len(d.index.ambient.components) > 1 for d in products) > 20
+    assert sum(len(d.pairing) > len(d.sigma) for d in products) > 20  # lattices larger than the roots' span
+    assert outcomes == {"restricted": 600, "TheoremViolation": 1, "NotARootBase": 1, "NotFiniteType": 1, "LinearlyDependent": 1}
 
 
 def test_every_reference_datum_inherits_its_facets(jobs):

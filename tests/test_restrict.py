@@ -613,14 +613,18 @@ def count_eliminations(monkeypatch):
 
 
 def test_coweight_check_runs_one_elimination(monkeypatch):
-    """One dual basis for the big coweights, and no other elimination."""
+    """At most one dual basis for the big coweights, and no other elimination;
+    none after a split restriction, whose coweights are that dual basis."""
     pairs = [(d, restrict_datum(d)) for d in [sp42_datum(), e6_datum(), su_nn_datum(2), u11_datum()]]
-    pairs += [(d, restrict_datum(d)) for d in random_data(20261018, 8) + quasi_split_e6_data()[-1:]]
-    calls = count_eliminations(monkeypatch)
+    pairs += [(d, restrict_datum(d)) for d in random_data(20261018, 16) + quasi_split_e6_data()[-1:]]
+    calls, split = count_eliminations(monkeypatch), Counter()
     for d, rd in pairs:
         calls.clear()
         coweight_identity_check(d, rd)
-        assert len(calls) == 1, calls
+        is_split = not rd.split.sigma0 and not d.star_xi
+        assert len(calls) == (0 if is_split else 1), calls
+        split[is_split] += 1
+    assert split[True] >= 4 and split[False] >= 8, split
 
 
 def to_sympy(m, ncols):

@@ -1,10 +1,14 @@
 #!/usr/bin/env python3
 """Compare the CLI output of two source trees on every benchmark reference job.
 
-    python3 tools/compare_outputs.py PARENT_DIR CHANGE_DIR
+    python3 tools/compare_outputs.py [--python EXE] PARENT_DIR [--python EXE] CHANGE_DIR
 
 PARENT_DIR and CHANGE_DIR are checkouts of this repository (each with its
-own ``src/spherindex``).  The jobs are those of
+own ``src/spherindex``); they may be one directory.  ``--python EXE`` names
+the interpreter that runs the child of the tree after it, so two
+interpreters are compared on one tree; a tree with none runs on the
+interpreter of the script.  The child imports the standard library and
+the tree's package alone.  The jobs are those of
 ``perfbench.gen.all_reference_jobs()`` of the repository holding this
 script, which is imported and never written to.  Each job runs in
 ``--format json`` and in ``--format text`` on both trees, in process, one
@@ -47,6 +51,7 @@ import io
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -340,17 +345,35 @@ def _without_format(argv: list[str]) -> list[str]:
     return argv[2:] if argv[:1] == ["--format"] else argv
 
 
+def trees_and_interpreters(argv: list[str]) -> list[tuple[str, str]] | None:
+    """(tree, interpreter) for each tree of ``[--python EXE] TREE`` twice over,
+    or None when argv is not of that form."""
+    pairs, rest = [], list(argv)
+    while rest:
+        python = sys.executable
+        if rest[0] == "--python" and len(rest) > 2:
+            python, rest = rest[1], rest[2:]
+        if rest[0].startswith("--"):
+            return None
+        pairs.append((os.path.abspath(rest[0]), python))
+        rest = rest[1:]
+    return pairs if len(pairs) == 2 else None
+
+
 def main(argv: list[str]) -> int:
     if len(argv) == 4 and argv[0] == "--run":
         run_tree(*argv[1:])
         return 0
-    if len(argv) != 2:
+    pairs = trees_and_interpreters(argv)
+    if pairs is None:
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    trees = [os.path.abspath(t) for t in argv]
-    for tree in trees:
+    for tree, python in pairs:
         if not os.path.isfile(os.path.join(tree, "src", "spherindex", "cli.py")):
             print(f"error: no src/spherindex/cli.py under {tree}", file=sys.stderr)
+            return 2
+        if shutil.which(python) is None:
+            print(f"error: no interpreter {python}", file=sys.stderr)
             return 2
     sys.path[:0] = [os.path.join(ROOT, "perfbench"), os.path.join(ROOT, "src")]
     import gen
@@ -446,14 +469,14 @@ def main(argv: list[str]) -> int:
         with open(argvs_path, "w") as fh:
             json.dump([a for _, _, a in runs], fh)
         results = []
-        for k, tree in enumerate(trees):
+        for k, (tree, python) in enumerate(pairs):
             out_path = os.path.join(work, f"results{k}.json")
-            cmd = [sys.executable, os.path.abspath(__file__), "--run", os.path.join(tree, "src"), argvs_path, out_path]
+            cmd = [python, os.path.abspath(__file__), "--run", os.path.join(tree, "src"), argvs_path, out_path]
             subprocess.run(cmd, check=True, cwd=work)
             with open(out_path) as fh:
                 results.append(json.load(fh))
-    for tree, result in zip(trees, results):
-        print(f"runs of {tree}:")
+    for (tree, python), result in zip(pairs, results):
+        print(f"runs of {tree} on {python}:")
         print("\n".join(inventory([kind for kind, _, _ in runs], [code for code, _, _ in result])))
     differ = 0
     for (_, name, _), old, new in zip(runs, *results):
