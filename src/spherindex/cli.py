@@ -49,6 +49,13 @@ from .rootsys import AmbientRootDatum, diagram_involution, generate_roots, type_
 SCHEMA_VERSION = "1"
 HARD_RANK_CEILING = 100  # total ambient rank, or abstract rank; a Cartan matrix is rank x rank
 INT_DIGITS = 4300  # the most digits of an int literal (Python's default int-string limit)
+FIELDS = {  # the keys of each kind of object; the top level serves index, datum and fan documents alike
+    "document": {"schema_version", "mode", "ambient", "compact_simple", "star_generators", "spherical", "abstract", "gamma", "cones"},
+    "ambient": {"components"},
+    "component": {"family", "rank", "label"},
+    "spherical": {"sigma", "xi_basis", "sp"},
+    "abstract": {"rank", "pairing", "star", "sigma", "sigma0"},
+}
 
 
 class InvalidDatum(Exception):
@@ -61,13 +68,25 @@ class InvalidDatum(Exception):
 
 def _load(path: str) -> dict:
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
+        with open(path, encoding="utf-8") as fh:  # RFC 8259, whatever the locale
+            doc = json.load(fh, object_pairs_hook=_object)
     except (OSError, ValueError, RecursionError) as e:  # JSONDecodeError is a ValueError
         raise ParseError(f"cannot read {path}: {e}") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")
-    return doc
+    return _fields(doc, "document")
+
+
+def _object(pairs: list) -> dict:
+    if len(obj := dict(pairs)) < len(pairs):  # the first key given twice is named
+        raise ParseError(f"repeated field {next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))!r}")
+    return obj
+
+
+def _fields(obj, kind: str):  # where obj is first read, so an unknown key is named before a missing one
+    if isinstance(obj, dict) and not obj.keys() <= FIELDS[kind]:
+        raise ParseError(f"unknown field {next(k for k in obj if k not in FIELDS[kind])!r} in {kind}")
+    return obj
 
 
 def _require(doc: dict, key: str):
@@ -87,10 +106,10 @@ def _flip_generator(amb: AmbientRootDatum):
 def parse_index(doc: dict) -> TitsIndex:
     if str(doc.get("schema_version")) != SCHEMA_VERSION:
         raise ParseError("unsupported schema_version")
-    ambient = _require(doc, "ambient")
+    ambient = _fields(_require(doc, "ambient"), "ambient")
     spec = []
     for k, c in enumerate(_list(_require(ambient, "components"), "components")):
-        fam, rk = _require(c, "family"), _int(_require(c, "rank"))
+        fam, rk = _require(_fields(c, "component"), "family"), _int(_require(c, "rank"))
         spec.append((fam, rk, str(c.get("label", "")) or f"c{k + 1}"))
     if (total := sum(rk for _, rk, _ in spec)) > HARD_RANK_CEILING:
         raise ParseError(f"total ambient rank {total} exceeds HARD_RANK_CEILING {HARD_RANK_CEILING}")
@@ -165,7 +184,7 @@ def parse_datum(doc: dict) -> SphericalDatumK:
     mode = _require(doc, "mode")
     if mode == "ambient":
         ix = parse_index(doc)
-        spherical = _require(doc, "spherical")
+        spherical = _fields(_require(doc, "spherical"), "spherical")
         sigma = _rat_matrix(_require(spherical, "sigma"))
         xi = spherical.get("xi_basis")
         if xi is not None:
@@ -174,7 +193,7 @@ def parse_datum(doc: dict) -> SphericalDatumK:
         sp = [ix.ambient.index_of_root(name) for name in _list(spherical.get("sp", []), "sp")]
         return SphericalDatumK.ambient(ix, sigma, xi_rows=xi, sp=sp)
     if mode == "abstract":
-        ab = _require(doc, "abstract")
+        ab = _fields(_require(doc, "abstract"), "abstract")
         if (rank := _int(_require(ab, "rank"))) > HARD_RANK_CEILING:
             raise ParseError(f"abstract rank {rank} exceeds HARD_RANK_CEILING {HARD_RANK_CEILING}")
         return SphericalDatumK.abstract(
@@ -235,7 +254,13 @@ def _flat(v) -> str | None:
 
 
 _escape = json.encoder.encode_basestring_ascii  # the escaper of json.dumps
-_BOOL = {True: "true", False: "false"}
+_SCALARS = {  # a scalar's text by its exact type: a bool is no int here, so True never prints as 1
+    int: int.__repr__,
+    bool: ["false", "true"].__getitem__,
+    str: _escape,
+    type(None): {None: "null"}.__getitem__,
+    Fraction: lambda q: int.__repr__(q.numerator) if q.denominator == 1 else _escape(str(q)),
+}
 EMIT_SLICE = 256  # items of a top-level list formatted together, which bounds the memory of one slice
 
 
@@ -244,28 +269,16 @@ def _json(node, pad: str, memo: dict) -> str:
     ``pad``, with a ``Fraction`` as an int when integral, else "p/q".
 
     ``json.dumps`` with ``indent`` runs its pure-Python encoder; here the
-    escaping and each sequence of ints are C-level calls.  ``memo`` holds the
-    text of each (sequence of ints, pad): rays and roots repeat across cones.
+    escaping and each column of scalars or of rows of ints are C-level calls.
+    ``memo`` holds the text of each (matrix row, pad) that ``_column`` wrote.
     """
-    if isinstance(node, str):
-        return _escape(node)
-    if type(node) is int:  # not bool, which would print as 1
-        return int.__repr__(node)
+    if (scalar := _SCALARS.get(type(node))) is not None:
+        return scalar(node)
     inner = pad + "  "
     if isinstance(node, (list, tuple)):
-        if node and set(map(type, node)) == {int}:
-            key = (tuple(node), pad)
-            text = memo.get(key)
-            if text is None:
-                text = memo[key] = "[\n" + inner + (",\n" + inner).join(map(int.__repr__, node)) + "\n" + pad + "]"
-            return text
         items, ends = _items(node, inner, memo) if node else (), "[]"
     elif isinstance(node, dict):
         items, ends = [_escape(k) + ": " + _json(v, inner, memo) for k, v in sorted(node.items())], "{}"
-    elif node is None or type(node) is bool:
-        return "null" if node is None else "true" if node else "false"
-    elif isinstance(node, Fraction):
-        return int.__repr__(node.numerator) if node.denominator == 1 else _escape(str(node))
     else:
         raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
     if not items:
@@ -291,24 +304,22 @@ def _items(node, pad: str, memo: dict):
 
 
 def _column(values, pad: str, memo: dict):
-    """The texts of one column's values at indent ``pad``.  Ints, bools,
-    strings and rows of ints of one length take no Python-level call per
-    value.  In a column of matrices, whose rows hold ints only and share one
-    nonzero length, each distinct row is formatted once into ``memo``.  Any
-    other column (a bool or a Fraction in a row, rows of two lengths, empty
-    rows) goes value by value."""
+    """The texts of one column's values at indent ``pad``.  Scalars of one
+    type, and rows of ints through one ``%`` template per width, take no
+    Python-level call per value.  In a column of matrices, whose rows hold
+    ints only and share one nonzero length, each distinct row is formatted
+    once into ``memo``.  Any other column (values of several types, a bool
+    or a Fraction in a row, only empty rows) goes value by value."""
     types = {*map(type, values)}
-    if types == {int}:  # not bool
-        return map(int.__repr__, values)
-    if types == {bool}:
-        return map(_BOOL.__getitem__, values)
-    if types == {str}:
-        return map(_escape, values)
+    if len(types) == 1 and (scalar := _SCALARS.get(next(iter(types)))):
+        return map(scalar, values)
     inner = pad + "  "
     kinds = {*map(type, chain.from_iterable(values))} if types <= {tuple, list} else None
-    if kinds == {int} and len(widths := {*map(len, values)}) == 1:
-        row = "[\n" + inner + (",\n" + inner).join(["%s"] * widths.pop()) + "\n" + pad + "]"
-        return map(row.__mod__, map(tuple, values))
+    if kinds == {int}:  # the template of an empty row is "[]"
+        row = {n: "[\n" + inner + (",\n" + inner).join(["%s"] * n) + "\n" + pad + "]" if n else "[]" for n in {*map(len, values)}}
+        if len(row) == 1:  # one width, as every row column of restrict-index: no lookup per row
+            return map(row.popitem()[1].__mod__, map(tuple, values))
+        return map(str.__mod__, map(row.__getitem__, map(len, values)), map(tuple, values))
     rows = [*chain.from_iterable(values)] if kinds and kinds <= {tuple, list} else ()
     distinct = dict(zip(map(id, rows), rows))  # each row object once: reports share their rows
     if len(widths := {*map(len, distinct.values())}) == 1 and {*map(type, chain.from_iterable(distinct.values()))} == {int}:
@@ -678,7 +689,7 @@ def main(argv=None) -> int:
     try:
         emit(report, fmt)
         sys.stdout.flush()
-    except OSError as e:  # fd 1 on the null device: the exit flush of what is left is silent
+    except (OSError, UnicodeEncodeError) as e:  # fd 1 on the null device: the exit flush of what is left is silent
         os.dup2(devnull := os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         os.close(devnull)
         if not isinstance(e, BrokenPipeError):  # a reader that left is told nothing, as for SIGPIPE

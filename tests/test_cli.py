@@ -1,8 +1,10 @@
 import contextlib
 import copy
+import functools
 import hashlib
 import io
 import json
+import operator
 import os
 import random
 import subprocess
@@ -434,6 +436,40 @@ def test_bad_schema_exit_2(capsys, tmp_path):
             code, out, err = run(capsys, *argv)
             assert (code, out) == (2, ""), argv
             assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1, err[:200]
+
+
+LABELLED = {  # two components, so that the labels reach the root names of the report
+    "schema_version": "1",
+    "mode": "ambient",
+    "ambient": {"components": [{"family": "A", "rank": 2, "label": "é"}, {"family": "A", "rank": 1, "label": "x"}]},
+}
+
+
+def cli_process(argv, env=None, **kwargs):
+    return subprocess.run(
+        [sys.executable, "-m", "spherindex.cli", *argv], capture_output=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": SRC, **(env or {})}, **kwargs,
+    )
+
+
+def test_a_document_is_read_as_utf8_whatever_the_locale(tmp_path):
+    """Under the C locale, with neither UTF-8 mode nor locale coercion, the
+    locale's encoding is ASCII; the document is still read as UTF-8, and the
+    JSON report, which escapes every non-ASCII character, has the same bytes."""
+    path = tmp_path / "label.json"
+    path.write_bytes(json.dumps(LABELLED, ensure_ascii=False).encode())
+    assert "é".encode() in path.read_bytes()
+    ascii_locale = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    default, c_locale = (cli_process(["--format", "json", "restrict-index", path], env) for env in (None, ascii_locale))
+    assert (default.returncode, c_locale.returncode, c_locale.stderr) == (0, 0, b"")
+    assert c_locale.stdout == default.stdout and b"\\u00e9" in default.stdout
+
+
+def test_a_text_report_that_stdout_cannot_encode_exits_1_with_one_line(tmp_path):
+    proc = cli_process(["restrict-index", write(tmp_path, "label.json", LABELLED)], {"PYTHONIOENCODING": "ascii"}, text=True)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: cannot write report: 'ascii' codec can't encode") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 
 SPLIT_A3 = {
@@ -1478,7 +1514,8 @@ def test_orbit_cap_budget_says_when_clamped(capsys, tmp_path, monkeypatch):
     assert "> cap 4 (50 clamped to HARD_ORBIT_CEILING)" in err
 
 
-FIXTURE_DOCS = [json.load(open(fixture(n + ".json"))) for n in ("sp42", "e6", "su22", "u11")]
+FIXTURE_NAMES = ("sp42", "e6", "su22", "u11")
+FIXTURE_DOCS = [json.load(open(fixture(n + ".json"))) for n in FIXTURE_NAMES]
 FUZZ_INTS = st.integers(-2, 8) | st.integers(-(10**30), 10**30)
 FUZZ_LEAVES = (
     st.none()
@@ -1591,6 +1628,64 @@ def test_mutated_fixtures_exit_cleanly(capsys, tmp_path, doc, fan_doc, cmd):
     code, _, err = run(capsys, cmd[0], path, *cmd[1:])
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err
+
+
+def object_levels(doc):
+    """(path, kind) of each object of a document: the top level, and every
+    object below it, of the kind of the key that holds it."""
+    for path in _paths(doc):
+        if isinstance(functools.reduce(operator.getitem, path, doc), dict):
+            yield path, "document" if not path else "component" if path[-2:-1] == ("components",) else path[-1]
+
+
+OBJECT_LEVELS = [(name, path, kind) for name, doc in zip(FIXTURE_NAMES, FIXTURE_DOCS) for path, kind in object_levels(doc)]
+# every command reads the whole datum, but restrict-index reads no spherical and no abstract object
+SCHEMA_COMMANDS = [["analyze"], ["standard-fan"], ["localize", "--roots", "1"], ["degenerate"], ["fan", "--fan"], ["restrict-index"]]
+
+
+def with_key(doc, path, key, value):
+    """A copy of doc whose object at path also holds key."""
+    doc = copy.deepcopy(doc)
+    functools.reduce(operator.getitem, path, doc)[key] = value
+    return doc
+
+
+@pytest.mark.parametrize("name, path, kind", OBJECT_LEVELS)
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_a_key_the_parser_does_not_read_exits_2_naming_it(capsys, tmp_path, name, path, kind, data):
+    """An unread key inserted into any object of a fixture: a command that
+    reads that object exits 2 with one line that names the key and the kind
+    of its object."""
+    key = data.draw(st.text(max_size=12).filter(lambda k: k not in cli.FIELDS[kind]), label="key")
+    commands = SCHEMA_COMMANDS if kind in ("document", "ambient", "component") else SCHEMA_COMMANDS[:-1]
+    cmd, *options = data.draw(st.sampled_from(commands), label="command")
+    doc = with_key(FIXTURE_DOCS[FIXTURE_NAMES.index(name)], path, key, data.draw(FUZZ_LEAVES, label="value"))
+    if cmd == "fan":
+        options.append(write(tmp_path, "fan.json", FAN_DOC))
+    code, out, err = run(capsys, cmd, write(tmp_path, "doc.json", doc), *options)
+    assert (code, out, err) == (2, "", f"error: unknown field {key!r} in {kind}\n")
+
+
+@pytest.mark.parametrize("name, path, kind", OBJECT_LEVELS)
+def test_a_key_given_twice_exits_2_naming_it(capsys, tmp_path, name, path, kind):
+    """The first key of each object of a fixture given a second time, last,
+    with another value: json.load would keep the second and say nothing."""
+    doc = FIXTURE_DOCS[FIXTURE_NAMES.index(name)]
+    key = next(iter(functools.reduce(operator.getitem, path, doc)))
+    text = json.dumps(with_key(doc, path, "\0twice", [])).replace(json.dumps("\0twice"), json.dumps(key))
+    (tmp_path / "doc.json").write_text(text)
+    for cmd in ("analyze", "restrict-index"):
+        assert run(capsys, cmd, str(tmp_path / "doc.json")) == (2, "", f"error: repeated field {key!r}\n")
+
+
+def test_a_misspelt_optional_key_exits_2_where_it_read_as_absent(capsys, tmp_path):
+    """Written "star" for "star_generators", SU(1,2) read as split A2; a fan
+    file holds a top level as any document does."""
+    typo = {"schema_version": "1", "mode": "ambient", "ambient": {"components": [{"family": "A", "rank": 2}]}, "star": "flip"}
+    assert run(capsys, "restrict-index", write(tmp_path, "typo.json", typo)) == (2, "", "error: unknown field 'star' in document\n")
+    fan = write(tmp_path, "fan.json", {"cones": [[[-1, 0], [0, -1]]], "cone": []})
+    assert run(capsys, "fan", fixture("e6.json"), "--fan", fan) == (2, "", "error: unknown field 'cone' in document\n")
 
 
 def _rows(m):

@@ -29,7 +29,11 @@ documents as written goes through ``standard-fan``, ``localize --roots 1``
 and ``degenerate`` too, in both formats.  So do the split datum of every
 type up to rank 8 through ``analyze``, which prints its Weyl order, once
 with its spherical roots in Bourbaki order and once in a seeded shuffled
-order, so that ``classify`` matches them by its walk, and a
+order, so that ``classify`` matches them by its walk, and a seeded list
+of ambient documents whose component labels hold non-ASCII characters, a
+quote, a backslash and "%" through ``restrict-index`` and ``analyze``, so
+that the root names reach the string escapes and the ``%`` templates of
+the writer, and a
 seeded list of abstract documents whose valuation cones are most often
 strictly convex, so that they reach the fan engine, through ``analyze``,
 ``standard-fan``, ``localize --roots 1`` and ``degenerate``, in both
@@ -66,6 +70,8 @@ ABSTRACT_SEED, ABSTRACT_COUNT = 3737, 200
 CONVEX_SEED, CONVEX_COUNT = 4412, 100
 SCALE_SEED = 4242  # the rational each abstract pairing is sent again at
 SHUFFLE_SEED = 4848  # the order of the spherical roots of each split datum analyzed again
+LABEL_SEED, LABEL_COUNT = 5353, 30
+LABELS = ["é", "×€", 'say "a"', "back\\slash", "100%", "%s", "%(a)s", "\U0001f600", 'ÿ%\\"']
 INDEX_TYPES = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("A", 6), ("A", 7),
     ("B", 2), ("B", 3), ("B", 4), ("C", 2), ("C", 3), ("C", 4),
@@ -171,6 +177,24 @@ def random_index_document(rng: random.Random) -> dict:
         "ambient": {"components": [{"family": family, "rank": rk} for family, rk in spec]},
         "compact_simple": [names[i] for i in sorted(i for o in chosen for i in o)],
         "star_generators": [[[int(p[i] == j) for j in range(n)] for i in range(n)] for p in perms],
+    }
+
+
+def label_document(rng: random.Random) -> dict:
+    """An ambient document of two or three components of rank at most 4, each
+    with a label of ``LABELS``, so that the labels make the root names: no
+    star, a random set of simple roots compact (none half the time), and the
+    other simple roots as the spherical roots."""
+    spec = [rng.choice([t for t in INDEX_TYPES if t[1] <= 4]) for _ in range(rng.randint(2, 3))]
+    labels = rng.sample(LABELS, len(spec))
+    names = [f"{label}.a{i + 1}" for label, (_, rk) in zip(labels, spec) for i in range(rk)]
+    compact = sorted(rng.sample(range(len(names)), rng.randint(1, 2))) if rng.random() < 0.5 else []
+    return {
+        "schema_version": "1",
+        "mode": "ambient",
+        "ambient": {"components": [{"family": f, "rank": rk, "label": label} for (f, rk), label in zip(spec, labels)]},
+        "compact_simple": [names[i] for i in compact],
+        "spherical": {"sigma": [[int(i == j) for j in range(len(names))] for i in range(len(names)) if i not in compact]},
     }
 
 
@@ -450,6 +474,16 @@ def main(argv: list[str]) -> int:
             runs += [
                 ("split analyze, shuffled spherical roots", f"split {name} shuffled analyze --format {fmt}",
                  ["--format", fmt, "analyze", shuffled_path])
+                for fmt in FORMATS
+            ]
+        rng = random.Random(LABEL_SEED)
+        for k in range(LABEL_COUNT):
+            label_path = os.path.join(work, f"label{k}.json")
+            with open(label_path, "w", encoding="utf-8") as fh:
+                json.dump(label_document(rng), fh, ensure_ascii=False)
+            runs += [
+                (f"labelled {command}", f"labelled document {k} {command} --format {fmt}", ["--format", fmt, command, label_path])
+                for command in ("restrict-index", "analyze")
                 for fmt in FORMATS
             ]
         rng = random.Random(CONVEX_SEED)
